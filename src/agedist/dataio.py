@@ -170,7 +170,9 @@ def load_params(path) -> ModelParams:
     """Load a parameter file back into ModelParams (exact round trip).
 
     Raises:
-        SchemaError: unknown schema, version or kind.
+        SchemaError: not a JSON object, a required field (``kind``,
+            ``survival``, ``free_param``) missing, or unknown schema,
+            version or kind.
         Domain validation errors: out-of-range vector entries.
     """
     return load_params_document(path).params
@@ -183,6 +185,8 @@ def load_params_document(path) -> ParamsDocument:
             document = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(document, dict):
+        raise SchemaError(f"{path}: expected a JSON object, got {type(document).__name__}")
 
     if document.get("schema") != PARAMS_SCHEMA:
         raise SchemaError(f"{path}: unknown schema {document.get('schema')!r}")
@@ -192,9 +196,12 @@ def load_params_document(path) -> ParamsDocument:
             f"{path}: schema version {version!r} unsupported "
             f"(expected {PARAMS_SCHEMA_VERSION})"
         )
+    missing = [key for key in ("kind", "survival", "free_param") if key not in document]
+    if missing:
+        raise SchemaError(f"{path}: missing field(s) {missing}")
     try:
         kind = ModelKind(document["kind"])
-    except (KeyError, ValueError):
+    except ValueError:
         raise SchemaError(
             f"{path}: unknown model kind {document.get('kind')!r}"
         ) from None

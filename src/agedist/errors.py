@@ -63,4 +63,10 @@ class ColumnMappingError(AgedistError):
 
 
 class SchemaError(AgedistError):
-    """A parameter file has an unknown schema, version or field value."""
+    """A parameter file is not a JSON object, lacks a required field, or has
+    an unknown schema, version or field value."""
+
+
+class ResidualCheckFailed(AgedistError, RuntimeError):
+    """A computed result failed its own consistency check (stationarity
+    residual, first-group balance, or the simulator's constant population)."""

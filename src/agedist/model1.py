@@ -29,6 +29,7 @@ from .errors import (
     FreeParamOutOfRange,
     InteriorZeroGroup,
     NotModel1Eligible,
+    ResidualCheckFailed,
 )
 
 #: Residual ceiling for the stationarity check in steady_state().
@@ -134,6 +135,8 @@ def steady_state(p, labels=None) -> AgeDistribution:
 
     Raises:
         DegenerateLastGroup: the last survival probability is >= 1.
+        ResidualCheckFailed: the result misses a stationarity equation by
+            ``RESIDUAL_TOLERANCE`` or more.
     """
     raw = np.asarray(p, dtype=float)
     if raw.size and raw[-1] >= 1.0:
@@ -184,6 +187,6 @@ def _check_residual(probs: np.ndarray, dist: np.ndarray) -> None:
     residual = stationarity_matrix(probs) @ dist
     worst = float(np.abs(residual).max())
     if worst >= RESIDUAL_TOLERANCE:
-        raise RuntimeError(
+        raise ResidualCheckFailed(
             f"stationarity residual {worst:g} exceeds {RESIDUAL_TOLERANCE:g}"
         )

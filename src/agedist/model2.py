@@ -25,7 +25,7 @@ from .distributions import (
     default_labels,
     proportions_of,
 )
-from .errors import DegenerateLastGroup, InteriorZeroGroup
+from .errors import DegenerateLastGroup, InteriorZeroGroup, ResidualCheckFailed
 
 #: Residual ceiling for the first-group balance check in steady_state2().
 BALANCE_TOLERANCE = 1e-10
@@ -166,7 +166,7 @@ def steady_state2(p, alpha, labels=None) -> AgeDistribution:
     inflow = rates[0] * probs[0] * dist[0]
     outflow = float(np.sum(rates[1:] * (1.0 - probs[1:]) * dist[1:]))
     if abs(inflow - outflow) >= BALANCE_TOLERANCE:
-        raise RuntimeError(
+        raise ResidualCheckFailed(
             f"first-group balance residual {abs(inflow - outflow):g} exceeds "
             f"{BALANCE_TOLERANCE:g}"
         )
@@ -176,29 +176,37 @@ def steady_state2(p, alpha, labels=None) -> AgeDistribution:
 def mae_objective(target) -> Callable[[np.ndarray], np.ndarray]:
     """Batched search objective for a fixed target distribution.
 
-    Returns a pure function mapping a (m, 2n) matrix of candidate
-    (survival, activation) rows to the m mean absolute errors between each
-    candidate's stationary profile and the target. Mirrors steady_state2
-    without the balance check (which the recursion satisfies by
-    construction) so that whole populations evaluate in one shot.
+    Returns a function mapping a (m, 2n) matrix of candidate
+    (survival, activation) rows to a fresh array of the m mean absolute
+    errors between each candidate's stationary profile and the target.
+    Mirrors steady_state2 without the balance check (which the recursion
+    satisfies by construction) so that whole populations evaluate in one
+    shot. The function keeps its (m, n) scratch between calls of the same
+    row count, so one instance must not be called from two threads at once.
     """
     t = proportions_of(target)
     n = t.size
+    ratios = weights = None
 
     def evaluate(candidates: np.ndarray) -> np.ndarray:
+        nonlocal ratios, weights
         x = np.atleast_2d(np.asarray(candidates, dtype=float))
+        if weights is None or weights.shape[0] != x.shape[0]:
+            ratios = np.empty((x.shape[0], n - 2))
+            weights = np.empty((x.shape[0], n))
         probs, rates = x[:, :n], x[:, n:]
-        weights = np.empty_like(probs)
         weights[:, 0] = 1.0
-        if n > 2:
-            ratios = rates[:, : n - 2] * probs[:, : n - 2] / rates[:, 1 : n - 1]
-            np.cumprod(ratios, axis=1, out=weights[:, 1 : n - 1])
+        np.multiply(rates[:, : n - 2], probs[:, : n - 2], out=ratios)
+        np.divide(ratios, rates[:, 1 : n - 1], out=ratios)
+        np.cumprod(ratios, axis=1, out=weights[:, 1 : n - 1])
         weights[:, n - 1] = (
             rates[:, n - 2] * probs[:, n - 2] * weights[:, n - 2]
             / (rates[:, n - 1] * (1.0 - probs[:, n - 1]))
         )
-        dists = weights / weights.sum(axis=1, keepdims=True)
-        return np.abs(dists - t).mean(axis=1)
+        np.divide(weights, weights.sum(axis=1, keepdims=True), out=weights)
+        np.subtract(weights, t, out=weights)
+        np.abs(weights, out=weights)
+        return weights.mean(axis=1)
 
     return evaluate
 
@@ -221,11 +229,29 @@ def _distinct_rows(rng: np.random.Generator, m: int, count: int) -> list:
             a[bad] = rng.integers(0, m, size=k)
 
 
-def _bounce_back(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Reflect out-of-bounds components back into the box."""
-    x = np.where(x < lo, 2.0 * lo - x, x)
-    x = np.where(x > hi, 2.0 * hi - x, x)
-    return np.clip(x, lo, hi)
+def _bounce_back(x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 scratch: np.ndarray) -> None:
+    """Reflect out-of-bounds components of ``x`` back into the box, in place.
+
+    ``max(2lo - x, x)`` picks the reflection exactly when ``x < lo``:
+    rounding is monotone, so ``x >= lo`` gives ``fl(2lo - x) <= x``. The
+    same holds for the upper side, and the final clip catches reflections
+    that overshoot the far bound. numpy's maximum and minimum return their
+    second operand on ties, so ``x`` keeps its own signed zero as in the
+    where/where/clip form, which this equals bit for bit. ``scratch`` has
+    the shape of ``x``.
+    """
+    np.subtract(2.0 * lo, x, out=scratch)
+    np.maximum(scratch, x, out=x)
+    np.subtract(2.0 * hi, x, out=scratch)
+    np.minimum(scratch, x, out=x)
+    np.clip(x, lo, hi, out=x)
+
+
+def _finite_scores(evaluate, candidates: np.ndarray) -> np.ndarray:
+    """Objective values of ``candidates``, non-finite ones counted as +inf."""
+    scores = np.asarray(evaluate(candidates), dtype=float)
+    return np.where(np.isfinite(scores), scores, np.inf)
 
 
 def optimize(
@@ -241,13 +267,17 @@ def optimize(
     vector with elitist selection, bounce-back repair and an early stop once
     the best mean absolute error drops below the success threshold.
     Deterministic for a given seed: one generator drives every draw and the
-    population update is sequential. The objective is pure, so populations
-    could be scored in parallel without changing results; the batched numpy
-    evaluation serves that role here.
+    population update is sequential. A generation allocates nothing of the
+    population's size: the population, trial rows, crossover draws and the
+    objective's scratch live in buffers made once per call.
 
     Non-convergence is reported through ``converged=False``, never raised.
-    ``objective`` replaces the batched scorer (testing hook); ``history``
-    receives the best error after initialisation and after each generation.
+    A non-finite objective value counts as ``+inf``: such a candidate never
+    wins selection and never stops the search. ``objective`` replaces the
+    batched scorer (testing hook). The candidate matrix it receives is a
+    buffer that the search overwrites afterwards, so a hook that keeps
+    candidates must copy them. ``history`` receives the best error after
+    initialisation and after each generation.
     """
     cfg = config if config is not None else DEConfig()
     t = proportions_of(target)
@@ -261,9 +291,19 @@ def optimize(
 
     rng = np.random.default_rng(cfg.seed)
     population = rng.uniform(lo, hi, size=(pop_size, dim))
-    errors = np.asarray(evaluate(population), dtype=float)
+    errors = _finite_scores(evaluate, population)
     if history is not None:
         history.append(float(errors.min()))
+
+    # Every generation writes into this workspace: trial rows, a second
+    # gather buffer, the crossover uniforms and the keep-parent mask. The
+    # row indices are always in range; mode="clip" only spares np.take a
+    # temporary copy of its output.
+    trials = np.empty_like(population)
+    spare = np.empty_like(population)
+    uniforms = np.empty_like(population)
+    keep = np.empty(population.shape, dtype=bool)
+    rows = np.arange(pop_size)
 
     iterations = 0
     while errors.min() >= cfg.success_threshold and iterations < cfg.max_iterations:
@@ -273,16 +313,22 @@ def optimize(
             base = population[int(errors.argmin())]
         else:
             base_idx, r1, r2 = _distinct_rows(rng, pop_size, 3)
-            base = population[base_idx]
-        mutants = base + factor * (population[r1] - population[r2])
-        mutants = _bounce_back(mutants, lo, hi)
-        cross = rng.random((pop_size, dim)) < cfg.crossover_rate
-        cross[np.arange(pop_size), rng.integers(0, dim, size=pop_size)] = True
-        trials = np.where(cross, mutants, population)
-        trial_errors = np.asarray(evaluate(trials), dtype=float)
+            # ``uniforms`` is free until the crossover draw below.
+            base = np.take(population, base_idx, axis=0, out=uniforms, mode="clip")
+        np.take(population, r1, axis=0, out=trials, mode="clip")
+        np.take(population, r2, axis=0, out=spare, mode="clip")
+        np.subtract(trials, spare, out=trials)
+        np.multiply(trials, factor, out=trials)
+        np.add(trials, base, out=trials)
+        _bounce_back(trials, lo, hi, spare)
+        rng.random(out=uniforms)
+        np.greater_equal(uniforms, cfg.crossover_rate, out=keep)
+        keep[rows, rng.integers(0, dim, size=pop_size)] = False
+        np.copyto(trials, population, where=keep)
+        trial_errors = _finite_scores(evaluate, trials)
         improved = trial_errors <= errors
-        population[improved] = trials[improved]
-        errors[improved] = trial_errors[improved]
+        np.copyto(population, trials, where=improved[:, None])
+        np.copyto(errors, trial_errors, where=improved)
         iterations += 1
         if history is not None:
             history.append(float(errors.min()))

@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .distributions import ModelParams, proportions_of
+from .errors import ResidualCheckFailed
 
 
 @dataclass
@@ -91,21 +92,43 @@ def step(state, survival, activation, rng) -> tuple:
     ``activation`` is None, the plain process), then one per agent for
     survival. Inactive agents are untouched.
     """
+    new_state = state.copy()
+    deaths = _step_in_place(new_state, survival, activation, rng,
+                            _step_buffers(state.size))
+    return new_state, deaths
+
+
+def _step_buffers(size: int) -> tuple:
+    """Per-agent scratch for one step: two float rows and three masks."""
+    return np.empty((2, size)), np.empty((3, size), dtype=bool)
+
+
+def _step_in_place(state, survival, activation, rng, buffers) -> int:
+    """``step`` applied to ``state`` itself, with every per-agent
+    temporary written into ``buffers`` (from ``_step_buffers``); returns
+    the deaths. A run reuses one set of buffers for all its steps."""
+    (uniforms, gathered), (active, advance, died) = buffers
     probs = np.asarray(survival, dtype=float)
     n = probs.size
+    # Agents' group numbers index the per-group rates and are always in
+    # range; mode="clip" only spares np.take a temporary copy of its output.
     if activation is not None:
-        rates = np.asarray(activation, dtype=float)
-        active = rng.random(state.size) < rates[state]
-    else:
-        active = np.ones(state.size, dtype=bool)
-    survive = rng.random(state.size) < probs[state]
-
-    new_state = state.copy()
-    advance = active & survive & (state < n - 1)
-    died = active & ~survive
-    new_state[advance] += 1
-    new_state[died] = 0  # replacements enter the first group
-    return new_state, int(died.sum())
+        rng.random(out=uniforms)
+        np.take(np.asarray(activation, dtype=float), state, out=gathered, mode="clip")
+        np.less(uniforms, gathered, out=active)
+    rng.random(out=uniforms)
+    np.take(probs, state, out=gathered, mode="clip")
+    np.less(uniforms, gathered, out=advance)  # survivors, for now
+    np.logical_not(advance, out=died)
+    if activation is not None:
+        died &= active
+        advance &= active
+    # Every mask reads the start-of-step state; ``active`` is free again.
+    np.less(state, n - 1, out=active)
+    advance &= active
+    state += advance
+    state[died] = 0  # replacements enter the first group
+    return int(died.sum())
 
 
 def run(target, params: ModelParams, config: Optional[SimConfig] = None) -> SimResult:
@@ -132,12 +155,12 @@ def run(target, params: ModelParams, config: Optional[SimConfig] = None) -> SimR
     total_deaths = 0
     snapshot = np.bincount(state, minlength=n) / cfg.num_agents
 
+    buffers = _step_buffers(cfg.num_agents)
     for step_index in range(1, cfg.num_steps + 1):
-        state, deaths = step(state, survival, activation, rng)
-        total_deaths += deaths
+        total_deaths += _step_in_place(state, survival, activation, rng, buffers)
         counts = np.bincount(state, minlength=n)
-        if int(counts.sum()) != cfg.num_agents:
-            raise RuntimeError("population size changed; replacement rule broken")
+        if counts.size != n:
+            raise ResidualCheckFailed("an agent left the age groups; update rule broken")
         snapshot = counts / cfg.num_agents
         if trajectory is not None:
             trajectory[step_index - 1] = snapshot

@@ -4,6 +4,10 @@ These implement the expected one-step population update directly from the
 per-group balance bookkeeping (who leaves, who arrives), not the closed-form
 recursions under test. Steady states are found by iterating the update to a
 fixed point, so agreement with the library is evidence, not tautology.
+
+The second half keeps the straightforward, allocating form of the
+differential-evolution search (objective, reflection, generation loop).
+The library's in-place search must reproduce it bit for bit.
 """
 
 import numpy as np
@@ -60,3 +64,114 @@ def fixed_point(update, n_groups, tol=1e-14, max_iter=2_000_000):
             return nxt
         x = nxt
     raise AssertionError("oracle iteration did not converge")
+
+
+def reference_mae_objective(target):
+    """The allocating batched objective the search was first written with."""
+    t = np.asarray(target, dtype=float)
+    n = t.size
+
+    def evaluate(candidates):
+        x = np.atleast_2d(np.asarray(candidates, dtype=float))
+        probs, rates = x[:, :n], x[:, n:]
+        weights = np.empty_like(probs)
+        weights[:, 0] = 1.0
+        if n > 2:
+            ratios = rates[:, : n - 2] * probs[:, : n - 2] / rates[:, 1 : n - 1]
+            np.cumprod(ratios, axis=1, out=weights[:, 1 : n - 1])
+        weights[:, n - 1] = (
+            rates[:, n - 2] * probs[:, n - 2] * weights[:, n - 2]
+            / (rates[:, n - 1] * (1.0 - probs[:, n - 1]))
+        )
+        dists = weights / weights.sum(axis=1, keepdims=True)
+        return np.abs(dists - t).mean(axis=1)
+
+    return evaluate
+
+
+def _reference_distinct_rows(rng, m, count):
+    own = np.arange(m)
+    picks = [rng.integers(0, m, size=m) for _ in range(count)]
+    while True:
+        bad = np.zeros(m, dtype=bool)
+        for i, a in enumerate(picks):
+            bad |= a == own
+            for b in picks[i + 1:]:
+                bad |= a == b
+        if not bad.any():
+            return picks
+        k = int(bad.sum())
+        for a in picks:
+            a[bad] = rng.integers(0, m, size=k)
+
+
+def reference_bounce_back(x, lo, hi):
+    """Branchy reflection: where/where/clip."""
+    x = np.where(x < lo, 2.0 * lo - x, x)
+    x = np.where(x > hi, 2.0 * hi - x, x)
+    return np.clip(x, lo, hi)
+
+
+def reference_optimize(target, config, objective=None, history=None):
+    """The allocating differential-evolution loop, kept as the bitwise
+    reference for ``optimize``. Returns (probs, rates, mae, iterations)."""
+    cfg = config
+    t = np.asarray(target, dtype=float)
+    n = t.size
+    dim = 2 * n
+    bounds = cfg.resolved_bounds(n)
+    lo, hi = bounds[:, 0].copy(), bounds[:, 1].copy()
+    pop_size = cfg.population_size or 15 * dim
+    f_low, f_high = cfg.mutation_range()
+    evaluate = objective if objective is not None else reference_mae_objective(t)
+
+    rng = np.random.default_rng(cfg.seed)
+    population = rng.uniform(lo, hi, size=(pop_size, dim))
+    errors = np.asarray(evaluate(population), dtype=float)
+    if history is not None:
+        history.append(float(errors.min()))
+
+    iterations = 0
+    while errors.min() >= cfg.success_threshold and iterations < cfg.max_iterations:
+        factor = f_low if f_low == f_high else rng.uniform(f_low, f_high)
+        if cfg.strategy == "best1bin":
+            r1, r2 = _reference_distinct_rows(rng, pop_size, 2)
+            base = population[int(errors.argmin())]
+        else:
+            base_idx, r1, r2 = _reference_distinct_rows(rng, pop_size, 3)
+            base = population[base_idx]
+        mutants = base + factor * (population[r1] - population[r2])
+        mutants = reference_bounce_back(mutants, lo, hi)
+        cross = rng.random((pop_size, dim)) < cfg.crossover_rate
+        cross[np.arange(pop_size), rng.integers(0, dim, size=pop_size)] = True
+        trials = np.where(cross, mutants, population)
+        trial_errors = np.asarray(evaluate(trials), dtype=float)
+        improved = trial_errors <= errors
+        population[improved] = trials[improved]
+        errors[improved] = trial_errors[improved]
+        iterations += 1
+        if history is not None:
+            history.append(float(errors.min()))
+
+    best = int(errors.argmin())
+    return population[best, :n], population[best, n:], float(errors[best]), iterations
+
+
+def reference_step(state, survival, activation, rng):
+    """The allocating per-agent update, kept as the bitwise reference for
+    the simulator. Returns (new state, deaths)."""
+    probs = np.asarray(survival, dtype=float)
+    n = probs.size
+    if activation is not None:
+        rates = np.asarray(activation, dtype=float)
+        active = rng.random(state.size) < rates[state]
+    else:
+        active = np.ones(state.size, dtype=bool)
+    survive = rng.random(state.size) < probs[state]
+
+    new_state = state.copy()
+    advance = active & survive & (state < n - 1)
+    died = active & ~survive
+    new_state[advance] += 1
+    new_state[died] = 0
+    return new_state, int(died.sum())

@@ -188,3 +188,19 @@ class TestParamsFiles:
         path.write_text("not json at all")
         with pytest.raises(SchemaError):
             load_params(path)
+
+    def test_non_object_document_rejected(self, tmp_path):
+        path = tmp_path / "params.json"
+        path.write_text("[1, 2, 3]")
+        with pytest.raises(SchemaError, match="JSON object"):
+            load_params(path)
+
+    @pytest.mark.parametrize("field", ["survival", "free_param", "kind"])
+    def test_missing_required_field_rejected(self, tmp_path, field):
+        path = tmp_path / "params.json"
+        emit_params(solved_params(), path)
+        raw = json.loads(path.read_text())
+        del raw[field]
+        path.write_text(json.dumps(raw))
+        with pytest.raises(SchemaError, match=field):
+            load_params(path)

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agedist import AgeDistribution, normalize
+from agedist import AgeDistribution, model1, normalize
 from agedist.distributions import MAX_LAST_SURVIVAL
 from agedist.errors import (
     DegenerateLastGroup,
     FreeParamOutOfRange,
     InteriorZeroGroup,
     NotModel1Eligible,
+    ResidualCheckFailed,
 )
 from agedist.model1 import FeasibleInterval, InfeasibleReport, feasibility, solve, steady_state
 
@@ -122,6 +123,11 @@ class TestSteadyState:
     def test_labels_attach(self):
         ss = steady_state([0.6, 0.4, 0.4], labels=("a", "b", "c"))
         assert ss.labels == ("a", "b", "c")
+
+    def test_residual_guard_raises_typed_error(self, monkeypatch):
+        monkeypatch.setattr(model1, "RESIDUAL_TOLERANCE", 0.0)
+        with pytest.raises(ResidualCheckFailed, match="residual"):
+            steady_state([0.6, 0.4, 0.4])
 
 
 class TestRoundTripProperties:

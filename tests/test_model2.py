@@ -3,13 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agedist import AgeDistribution, DEConfig, optimize, steady_state2
+from agedist import AgeDistribution, DEConfig, model2, optimize, steady_state2
 from agedist.distributions import ALPHA_MIN
-from agedist.errors import ActivationTooSmall, DegenerateLastGroup
+from agedist.errors import ActivationTooSmall, DegenerateLastGroup, ResidualCheckFailed
 from agedist.model1 import steady_state
-from agedist.model2 import Model2Solution, default_bounds, mae_objective
+from agedist.model2 import Model2Solution, _bounce_back, default_bounds, mae_objective
 
-from oracles import expected_update_activated, fixed_point
+from oracles import (
+    expected_update_activated,
+    fixed_point,
+    reference_bounce_back,
+    reference_mae_objective,
+    reference_optimize,
+)
 
 WITNESS_P = [0.8, 0.4, 0.2]
 WITNESS_ALPHA = [1.0, 0.6, 0.4]
@@ -75,6 +81,11 @@ class TestSteadyState2:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             steady_state2([0.5, 0.4, 0.3], [1.0, 1.0, 1.0, 1.0])
+
+    def test_balance_guard_raises_typed_error(self, monkeypatch):
+        monkeypatch.setattr(model2, "BALANCE_TOLERANCE", 0.0)
+        with pytest.raises(ResidualCheckFailed, match="balance"):
+            steady_state2(WITNESS_P, WITNESS_ALPHA)
 
     @given(survival_vectors())
     @settings(max_examples=100)
@@ -221,3 +232,174 @@ class TestOptimize:
         assert sol.mae == pytest.approx(
             np.abs(ss - WITNESS_TARGET).mean(), abs=1e-15
         )
+
+    def test_non_finite_scores_count_as_infinite(self):
+        # One NaN row at initialisation used to stop the search at
+        # iteration 0 with mae=nan; it must lose selection instead.
+        base = mae_objective(hump())
+        calls = []
+
+        def poisoned(candidates):
+            scores = base(candidates)
+            if not calls:
+                scores[0] = np.nan
+                scores[1] = np.inf
+            calls.append(1)
+            return scores
+
+        history = []
+        sol = optimize(hump(), DEConfig(seed=0), objective=poisoned, history=history)
+        assert sol.iterations_used > 0
+        assert np.isfinite(sol.mae) and sol.converged
+        assert all(np.isfinite(h) for h in history)
+
+    def test_all_non_finite_scores_run_the_full_budget(self):
+        sol = optimize(hump(), DEConfig(seed=0, max_iterations=3),
+                       objective=lambda c: np.full(len(c), np.nan))
+        assert sol.iterations_used == 3
+        assert sol.mae == np.inf and not sol.converged
+
+
+def hump_target(n):
+    x = np.linspace(0.0, 1.0, n)
+    values = np.exp(-(((x - 0.3) / 0.25) ** 2)) + 0.2 * (1.0 - x) + 0.05
+    return AgeDistribution(tuple(f"g{i}" for i in range(n)), values / values.sum())
+
+
+def narrow_bounds(n):
+    b = default_bounds(n)
+    b[:n, 0] = 0.2
+    b[:n, 1] = 0.95
+    b[n:, 0] = 0.05
+    return b
+
+
+def coarse_error(target):
+    """Error rounded up to 0.01 steps: never zero, full of ties, so the
+    selection rule's handling of equal scores shows."""
+    evaluate = reference_mae_objective(target.proportions)
+
+    def score(candidates):
+        return np.ceil(evaluate(candidates) * 100.0) / 100.0
+
+    return score
+
+
+class TestMatchesReferenceLoop:
+    """The in-place search reproduces the allocating loop bit for bit."""
+
+    @pytest.mark.parametrize(
+        "n, config",
+        [
+            (3, DEConfig(seed=3)),
+            (3, DEConfig(seed=1, strategy="rand1bin", mutation_factor=0.8,
+                         max_iterations=60)),
+            (21, DEConfig(seed=0, max_iterations=40)),
+            (21, DEConfig(seed=7, strategy="rand1bin", max_iterations=30)),
+            (21, DEConfig(seed=2, mutation_factor=0.6, max_iterations=30)),
+            (101, DEConfig(seed=1, max_iterations=3)),
+            (101, DEConfig(seed=2, strategy="rand1bin", mutation_factor=0.7,
+                           max_iterations=2)),
+            (5, DEConfig(seed=4, population_size=9, max_iterations=80)),
+            (5, DEConfig(seed=5, bounds=narrow_bounds(5), max_iterations=80)),
+            (21, DEConfig(seed=6, population_size=50, bounds=narrow_bounds(21),
+                          strategy="rand1bin", max_iterations=50)),
+        ],
+        ids=["n3", "n3-rand-fixed", "n21", "n21-rand", "n21-fixed", "n101",
+             "n101-rand-fixed", "own-population", "own-bounds", "own-both-rand"],
+    )
+    def test_bitwise_equal(self, n, config):
+        target = hump_target(n)
+        sol = optimize(target, config)
+        probs, rates, mae, iterations = reference_optimize(target.proportions, config)
+        assert np.array_equal(sol.survival.probs, probs)
+        assert np.array_equal(sol.activation.rates, rates)
+        assert sol.mae == mae
+        assert sol.iterations_used == iterations
+
+    @pytest.mark.parametrize("strategy", ["best1bin", "rand1bin"])
+    def test_bitwise_equal_with_hooks(self, strategy):
+        target = hump_target(8)
+        config = DEConfig(seed=9, strategy=strategy, max_iterations=70,
+                          success_threshold=1e-12)
+        ours, theirs = [], []
+        sol = optimize(target, config, objective=coarse_error(target), history=ours)
+        probs, rates, mae, iterations = reference_optimize(
+            target.proportions, config, objective=coarse_error(target), history=theirs)
+        assert ours == theirs
+        assert len(ours) == iterations + 1
+        assert np.array_equal(sol.survival.probs, probs)
+        assert np.array_equal(sol.activation.rates, rates)
+        assert (sol.mae, sol.iterations_used) == (mae, iterations)
+
+
+class TestObjective:
+    def test_matches_reference_across_row_counts(self):
+        target = hump_target(7)
+        ours = mae_objective(target)
+        theirs = reference_mae_objective(target.proportions)
+        rng = np.random.default_rng(0)
+        bounds = default_bounds(7)
+        first = None
+        for m in (6, 3, 6, 1):
+            x = rng.uniform(bounds[:, 0], bounds[:, 1], size=(m, 14))
+            got = ours(x)
+            assert np.array_equal(got, theirs(x))
+            if first is None:
+                first, kept = got, got.copy()
+        # Results are fresh arrays, untouched by later calls.
+        assert np.array_equal(first, kept)
+        assert ours(x[0]).shape == (1,)
+
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-3, 0.5,
+           1.0 - 1e-9, 1.0, -1.0, 3.0, -3.0, 1e300, -1e300, np.nan, -np.nan]
+EDGES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-3, 0.5, 1.0 - 1e-9, 1.0]
+
+
+@st.composite
+def reflection_cases(draw):
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 40))
+    edge = st.sampled_from(EDGES) | st.floats(0.0, 1.0)
+    lo, hi = np.empty(cols), np.empty(cols)
+    for j in range(cols):
+        a, b = draw(edge), draw(edge)
+        lo[j], hi[j] = (a, b) if a <= b else (b, a)
+    value = (st.sampled_from(SPECIAL + ["lo", "hi"])
+             | st.floats(-4.0, 4.0) | st.floats(-1e-300, 1e-300))
+    x = np.empty((rows, cols))
+    for i in range(rows):
+        for j in range(cols):
+            v = draw(value)
+            x[i, j] = lo[j] if v == "lo" else hi[j] if v == "hi" else v
+    return x, lo, hi
+
+
+def test_reflection_equals_where_form_on_every_edge_pair():
+    # Every value against every bound pair, as one column (bounds broadcast
+    # like scalars) and as one row (bounds read as arrays).
+    for a in EDGES:
+        for b in EDGES:
+            if a > b:
+                continue
+            x = np.array(SPECIAL + [a, b, np.nextafter(a, -1), np.nextafter(b, 2)])
+            for shape in ((x.size, 1), (1, x.size)):
+                cols = shape[1]
+                lo, hi = np.full(cols, a), np.full(cols, b)
+                xs = x.reshape(shape)
+                expected = reference_bounce_back(xs, lo, hi)
+                got = xs.copy()
+                _bounce_back(got, lo, hi, np.empty_like(got))
+                same = np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+                assert same, (a, b, shape)
+
+
+@given(reflection_cases())
+@settings(max_examples=300, deadline=None)
+def test_reflection_equals_where_form_bitwise(case):
+    x, lo, hi = case
+    expected = reference_bounce_back(x, lo, hi)
+    got = x.copy()
+    _bounce_back(got, lo, hi, np.empty_like(got))
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))

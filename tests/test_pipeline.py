@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from agedist import AgeDistribution, DEConfig, SimConfig
+from agedist import AgeDistribution, DEConfig, SimConfig, model2
 from agedist.distributions import (
     Classification,
     ModelKind,
@@ -143,3 +143,12 @@ class TestRunDataset:
         for name in a.per_country:
             assert a.per_country[name].params == b.per_country[name].params
             assert a.per_country[name].route == b.per_country[name].route
+
+    def test_failed_residual_check_recorded_not_raised(self, configs, monkeypatch):
+        # A zero tolerance fails every first-group balance check; the hump
+        # entry must be recorded as failed while the batch carries on.
+        monkeypatch.setattr(model2, "BALANCE_TOLERANCE", 0.0)
+        report = run_dataset([("hump", HUMP), ("mono", MONO)], *configs)
+        assert report.per_country["hump"].route is Route.FAILED
+        assert "balance" in report.per_country["hump"].failure_reason
+        assert report.per_country["mono"].route is Route.MODEL1

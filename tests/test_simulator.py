@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
 
-from agedist import AgeDistribution, DEConfig, SimConfig, optimize
+from agedist import AgeDistribution, DEConfig, SimConfig, optimize, simulator
 from agedist.distributions import ModelKind, ModelParams
+from agedist.errors import ResidualCheckFailed
 from agedist.model1 import solve, steady_state
 from agedist.model2 import steady_state2
-from agedist.simulator import apportion, run, step, write_trajectory_csv
+from agedist.simulator import apportion, initialize, run, step, write_trajectory_csv
+
+from oracles import reference_step
+
+SURVIVAL = np.array([0.9, 0.8, 0.6, 0.5, 0.3])
+ACTIVATION = np.array([1.0, 0.4, 0.7, 0.2, 0.5])
 
 
 def model1_params(dist, pn="mid"):
@@ -69,6 +75,39 @@ class TestStep:
         )
         assert np.bincount(new_state, minlength=3).tolist() == [2, 5, 3]
         assert deaths == 2
+
+
+class TestMatchesReferenceStep:
+    """The in-place update reproduces the allocating one bit for bit."""
+
+    @pytest.mark.parametrize("activation", [None, ACTIVATION])
+    def test_step(self, activation):
+        state = np.repeat(np.arange(5), [400, 300, 150, 100, 50])
+        ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+        expected = state
+        for _ in range(30):
+            state, deaths = step(state, SURVIVAL, activation, ours)
+            expected, expected_deaths = reference_step(expected, SURVIVAL, activation, theirs)
+            assert np.array_equal(state, expected) and deaths == expected_deaths
+        # step leaves its input untouched.
+        before = state.copy()
+        step(state, SURVIVAL, activation, ours)
+        assert np.array_equal(state, before)
+
+    @pytest.mark.parametrize("activation", [None, ACTIVATION])
+    def test_run(self, activation):
+        kind = ModelKind.MODEL1 if activation is None else ModelKind.MODEL2
+        params = ModelParams(kind=kind, survival=SURVIVAL, activation=activation)
+        target = steady_state2(SURVIVAL, ACTIVATION if activation is not None else np.ones(5))
+        config = SimConfig(num_agents=3000, num_steps=40, burn_in=20, seed=8,
+                           record_trajectory=True)
+        result = run(target, params, config)
+        state, rng, deaths = initialize(target, config), np.random.default_rng(8), 0
+        for row in result.trajectory:
+            state, died = reference_step(state, SURVIVAL, activation, rng)
+            deaths += died
+            assert np.array_equal(row, np.bincount(state, minlength=5) / 3000)
+        assert result.total_deaths == deaths
 
 
 class TestRun:
@@ -145,6 +184,15 @@ class TestRun:
         )
         with pytest.raises(ValueError):
             run(pyramid, params, SimConfig(seed=0))
+
+    def test_agent_beyond_last_group_raises_typed_error(self, pyramid, monkeypatch):
+        def overshooting(state, *args):
+            state[0] = state.max() + 1
+            return 0
+
+        monkeypatch.setattr(simulator, "_step_in_place", overshooting)
+        with pytest.raises(ResidualCheckFailed, match="left the age groups"):
+            run(pyramid, model1_params(pyramid), SimConfig(seed=0))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
