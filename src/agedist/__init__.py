@@ -5,13 +5,14 @@ The library solves the inverse steady-state problem three ways, in
 increasing generality:
 
 * ``model1``: closed form for monotone non-increasing targets;
-* ``model2``: bounded differential-evolution search over joint survival and
-  activation rates for non-monotone targets;
+* ``model2``: closed form for joint survival and activation rates on
+  non-monotone targets, and a bounded differential-evolution search for
+  targets beyond its 1/ALPHA_MIN group ratio;
 * ``curvefit``: plateau-then-decay surrogate for targets neither process can
   reach, handed back to the closed-form solver.
 
 ``simulator`` validates any parameterisation with a finite agent population,
-``pipeline`` cascades the three routes over whole datasets, and ``dataio`` /
+``pipeline`` cascades the routes over whole datasets, and ``dataio`` /
 ``cli`` cover CSV ingestion, parameter files and the command line.
 """
 

@@ -1,11 +1,11 @@
 """Command-line interface.
 
 Subcommands cover the whole workflow: ``classify`` (route eligibility per
-country), ``solve`` (closed-form or search parameterisation for one
-country), ``fit-curve`` (plateau-decay surrogate plus closed-form solve),
-``simulate`` (stochastic validation of a parameter file) and ``pipeline``
-(the full cascade over a dataset, emitting parameter files and plot-data
-CSVs).
+country), ``solve`` (closed-form parameterisation for one country, with the
+activation-rate search for model-2 targets the closed form rejects),
+``fit-curve`` (plateau-decay surrogate plus closed-form solve), ``simulate``
+(stochastic validation of a parameter file) and ``pipeline`` (the full
+cascade over a dataset, emitting parameter files and plot-data CSVs).
 
 Every failure exits nonzero after printing a line prefixed ``error:`` to
 stderr. All subcommands are deterministic given identical inputs and
@@ -141,24 +141,7 @@ def cmd_solve(args) -> int:
         )
         route = "model1"
     else:
-        config = model2.DEConfig(seed=args.seed)
-        solution = model2.optimize(dist, config)
-        if not solution.converged:
-            raise AgedistError(
-                f"model 2 search did not converge: mae {solution.mae:.3g} after "
-                f"{solution.iterations_used} iterations (threshold "
-                f"{config.success_threshold:g})"
-            )
-        params = ModelParams(
-            kind=ModelKind.MODEL2,
-            survival=solution.survival,
-            activation=solution.activation,
-            diagnostics={
-                "mae": solution.mae,
-                "iterations_used": solution.iterations_used,
-                "seed": args.seed,
-            },
-        )
+        params, _ = pipeline.solve_model2(dist, model2.DEConfig(seed=args.seed))
         route = "model2"
 
     dataio.emit_params(

@@ -50,8 +50,24 @@ class CurveFitFailed(AgedistError):
     """The inner least-squares failed for every breakpoint."""
 
 
+class SearchNotConverged(AgedistError):
+    """The activation-rate search ended above its success threshold.
+    ``solution`` holds the best candidate it found."""
+
+    def __init__(self, solution, threshold: float):
+        super().__init__(
+            f"model 2 search did not converge: mae {solution.mae:.3g} after "
+            f"{solution.iterations_used} iterations (threshold {threshold:g})"
+        )
+        self.solution = solution
+
+
 class EmptyDataset(AgedistError):
     """A batch operation received no entries."""
+
+
+class InvalidEntry(AgedistError, TypeError):
+    """A batch entry is not an AgeDistribution."""
 
 
 class CsvFormatError(AgedistError):

@@ -69,13 +69,14 @@ def feasibility(dist) -> Union[FeasibleInterval, InfeasibleReport]:
     monotone non-increasing over its first n-1 groups, otherwise a report of
     the offending indices. The interval's lower bound `1 - N_{n-1}/N_n` is
     clamped to 0 (it is negative whenever the second-to-last group is the
-    larger one); the upper bound stays strictly below 1.
+    larger one, and the ratio is then not formed, since it overflows for a
+    last group near underflow); the upper bound stays strictly below 1.
     """
     props = proportions_of(dist)
     if classify(props) is Classification.NON_MONOTONE:
         bad = np.nonzero(np.diff(props[:-1]) > 0)[0] + 1
         return InfeasibleReport(tuple(int(i) for i in bad))
-    lower = max(0.0, 1.0 - props[-2] / props[-1])
+    lower = 0.0 if props[-2] >= props[-1] else 1.0 - props[-2] / props[-1]
     return FeasibleInterval(lower, MAX_LAST_SURVIVAL)
 
 

@@ -1,12 +1,15 @@
-"""Steady-state evaluator and differential-evolution search for the
-activation-rate process.
+"""Steady-state evaluator, closed-form inverse and differential-evolution
+search for the activation-rate process.
 
 Adding a per-group activation rate alpha_i (an agent only undergoes the
 ageing/survival draw when active) widens the family of achievable stationary
-profiles to non-monotone shapes. There is no closed form for the activation
-rates, so a bounded differential-evolution search over the joint vector
-(p_1..p_n, alpha_1..alpha_n) minimises the mean absolute error between the
-candidate's stationary profile and the target.
+profiles to non-monotone shapes. At stationarity the active mass
+m_i = alpha_i N_i obeys m_{i+1} = p_i m_i, so ``solve`` inverts any target
+whose groups stay within 1/ALPHA_MIN of every earlier group exactly, in
+closed form. ``optimize`` is the search of the original method: a bounded
+differential evolution over the joint vector (p_1..p_n, alpha_1..alpha_n)
+that minimises the mean absolute error between the candidate's stationary
+profile and the target.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import model1
 from .distributions import (
     ALPHA_MIN,
     MAX_LAST_SURVIVAL,
@@ -23,9 +27,15 @@ from .distributions import (
     AgeDistribution,
     SurvivalVector,
     default_labels,
+    normalize,
     proportions_of,
 )
-from .errors import DegenerateLastGroup, InteriorZeroGroup, ResidualCheckFailed
+from .errors import (
+    ActivationTooSmall,
+    DegenerateLastGroup,
+    InteriorZeroGroup,
+    ResidualCheckFailed,
+)
 
 #: Residual ceiling for the first-group balance check in steady_state2().
 BALANCE_TOLERANCE = 1e-10
@@ -117,6 +127,39 @@ class Model2Solution:
     mae: float
     iterations_used: int
     converged: bool
+
+
+def solve(dist) -> tuple:
+    """Survival and activation rates whose steady state equals ``dist``
+    exactly; returns (SurvivalVector, ActivationVector).
+
+    With m_i = alpha_i N_i the stationary equations read m_{i+1} = p_i m_i
+    over the intermediate groups and (1 - p_n) alpha_n N_n = p_{n-1} m_{n-1}
+    for the last, so (m_1..m_{n-1}, alpha_n N_n) is the steady state of the
+    plain process with the same survival rates. Every non-increasing m with
+    m_i <= N_i gives a solution, with alpha_i = m_i / N_i. This one is the
+    maximal-activation member: m is the running minimum of N over the first
+    n-1 groups and alpha_n = 1, so alpha_i = 1 wherever N_i is a running
+    minimum, and the survival rates are model 1's closed form for
+    (m_1..m_{n-1}, N_n) with p_n at the midpoint of its interval. A monotone
+    target gets alpha = 1 and ``model1.solve(dist, "mid")`` bit for bit.
+
+    Raises:
+        ActivationTooSmall: a group is more than 1/ALPHA_MIN times the
+            smallest group before it. No m_i exceeds that running minimum,
+            so no member of the family keeps alpha_i >= ALPHA_MIN.
+    """
+    props = proportions_of(dist)
+    active = np.minimum.accumulate(props[:-1])
+    rates = np.append(active / props[:-1], 1.0)
+    if rates.min() < ALPHA_MIN:
+        worst = int(rates.argmin())
+        raise ActivationTooSmall(
+            f"group index {worst} is {1.0 / rates[worst]:.4g} times the "
+            f"smallest group before it, beyond 1/ALPHA_MIN = {1.0 / ALPHA_MIN:g}"
+        )
+    masses = normalize(np.append(active, props[-1]), default_labels(props.size))
+    return model1.solve(masses, "mid"), ActivationVector(rates)
 
 
 def steady_state2(p, alpha, labels=None) -> AgeDistribution:

@@ -1,11 +1,12 @@
 """Model-selection cascade and dataset-level batch driver.
 
-A single target goes through three stations: the closed-form solver when it
-is monotone non-increasing, otherwise the activation-rate search, and when
-that fails to converge within its budget, the plateau-decay curve fit
-followed by the closed-form solver on the fitted surrogate. Every solved
-parameter set is validated with one stochastic run against its own analytic
-steady state.
+A single target goes through four stations: the model-1 closed form when it
+is monotone non-increasing; otherwise the model-2 closed form, which solves
+every target whose groups stay within 1/ALPHA_MIN of each earlier group;
+for the rest, the activation-rate search; and when that fails to converge
+within its budget, the plateau-decay curve fit followed by the closed-form
+solver on the fitted surrogate. Every solved parameter set is validated with
+one stochastic run against its own analytic steady state.
 """
 
 from __future__ import annotations
@@ -26,7 +27,13 @@ from .distributions import (
     classify,
     mean_absolute_error,
 )
-from .errors import AgedistError, EmptyDataset
+from .errors import (
+    ActivationTooSmall,
+    AgedistError,
+    EmptyDataset,
+    InvalidEntry,
+    SearchNotConverged,
+)
 
 logger = logging.getLogger("agedist")
 
@@ -75,14 +82,62 @@ def select_and_solve(
 
     Diagnostics carried on the result include the analytic mean absolute
     error against the route's target, the validation run's error against the
-    analytic steady state (``sim_mae``), and route-specific entries (search
-    iterations, curve-fit distance, free-parameter provenance).
+    analytic steady state (``sim_mae``), and route-specific entries (model-2
+    solver, search iterations, curve-fit distance, free-parameter
+    provenance).
 
     Raises:
+        InvalidEntry: ``dist`` is not an AgeDistribution.
         CurveFitFailed: the final fallback found no usable fit.
     """
     params, route, _, _ = _solve_one(dist, de_config, sim_config)
     return params, route
+
+
+def solve_model2(
+    dist: AgeDistribution, de_config: Optional[model2.DEConfig] = None
+) -> tuple:
+    """Model-2 stations of the cascade; returns (params, analytic steady
+    state).
+
+    The closed form (``model2.solve``) runs first; the search
+    (``model2.optimize``) runs only for targets it rejects. Diagnostics
+    record the ``solver`` ("closed_form" or "search"), the analytic mean
+    absolute error against ``dist`` and the search seed; the closed form
+    adds its smallest activation rate and the free-parameter mode, the
+    search its iteration count.
+
+    Raises:
+        SearchNotConverged: the closed form rejected the target and the
+            search ended above its success threshold.
+    """
+    de_cfg = de_config if de_config is not None else model2.DEConfig()
+    try:
+        survival, activation = model2.solve(dist)
+        diagnostics = {
+            "solver": "closed_form",
+            "min_activation": float(activation.rates.min()),
+            "free_param_mode": "midpoint",
+        }
+    except ActivationTooSmall:
+        solution = model2.optimize(dist, de_cfg)
+        if not solution.converged:
+            raise SearchNotConverged(solution, de_cfg.success_threshold) from None
+        survival, activation = solution.survival, solution.activation
+        diagnostics = {
+            "solver": "search",
+            "iterations_used": solution.iterations_used,
+        }
+    analytic = model2.steady_state2(survival, activation, labels=dist.labels)
+    diagnostics["mae"] = mean_absolute_error(analytic, dist)
+    diagnostics["seed"] = de_cfg.seed
+    params = ModelParams(
+        kind=ModelKind.MODEL2,
+        survival=survival,
+        activation=activation,
+        diagnostics=diagnostics,
+    )
+    return params, analytic
 
 
 def _solve_one(
@@ -92,7 +147,11 @@ def _solve_one(
 ) -> tuple:
     """Cascade body; also returns the analytic steady state and the
     validation run's estimate for reporting."""
-    de_cfg = de_config if de_config is not None else model2.DEConfig()
+    if not isinstance(dist, AgeDistribution):
+        raise InvalidEntry(
+            f"expected an AgeDistribution, got {type(dist).__name__} "
+            "(build one with normalize())"
+        )
     sim_cfg = sim_config if sim_config is not None else simulator.SimConfig()
 
     if classify(dist) is Classification.MONOTONE_NON_INCREASING:
@@ -102,19 +161,13 @@ def _solve_one(
             "mae": mean_absolute_error(analytic, dist),
             "free_param_mode": "midpoint",
         }
-        kind, activation, route = ModelKind.MODEL1, None, Route.MODEL1
+        params = ModelParams(ModelKind.MODEL1, survival, diagnostics=diagnostics)
+        route = Route.MODEL1
     else:
-        solution = model2.optimize(dist, de_cfg)
-        if solution.converged:
-            survival, activation = solution.survival, solution.activation
-            analytic = model2.steady_state2(survival, activation, labels=dist.labels)
-            diagnostics = {
-                "mae": solution.mae,
-                "iterations_used": solution.iterations_used,
-                "seed": de_cfg.seed,
-            }
-            kind, route = ModelKind.MODEL2, Route.MODEL2
-        else:
+        try:
+            params, analytic = solve_model2(dist, de_config)
+            route = Route.MODEL2
+        except SearchNotConverged as exc:
             fit_result = curvefit.fit(dist)
             survival = model1.solve(fit_result.fitted, "mid")
             analytic = model1.steady_state(survival, labels=dist.labels)
@@ -122,32 +175,19 @@ def _solve_one(
                 "mae": mean_absolute_error(analytic, fit_result.fitted),
                 "wasserstein_to_original": fit_result.wasserstein_to_original,
                 "free_param_mode": "midpoint",
-                "model2_mae": solution.mae,
-                "model2_iterations": solution.iterations_used,
+                "model2_mae": exc.solution.mae,
+                "model2_iterations": exc.solution.iterations_used,
             }
-            kind, activation, route = ModelKind.MODEL1_ON_FITTED, None, Route.CURVE_FIT
+            params = ModelParams(
+                ModelKind.MODEL1_ON_FITTED, survival, diagnostics=diagnostics
+            )
+            route = Route.CURVE_FIT
 
-    validation = simulator.run(analytic, _bare_params(kind, survival, activation), sim_cfg)
-    diagnostics["sim_mae"] = mean_absolute_error(
+    validation = simulator.run(analytic, params, sim_cfg)
+    params.diagnostics["sim_mae"] = mean_absolute_error(
         validation.steady_estimate, analytic.proportions
     )
-    params = ModelParams(
-        kind=kind,
-        survival=survival,
-        activation=activation,
-        free_param=float(survival.probs[-1]),
-        diagnostics=diagnostics,
-    )
     return params, route, analytic.proportions, validation.steady_estimate
-
-
-def _bare_params(kind, survival, activation) -> ModelParams:
-    return ModelParams(
-        kind=kind,
-        survival=survival,
-        activation=activation,
-        free_param=float(survival.probs[-1]),
-    )
 
 
 def run_dataset(
@@ -159,8 +199,9 @@ def run_dataset(
     """Apply the cascade to every (name, distribution) entry.
 
     Entries are independent (any could run concurrently; the aggregation is
-    order-free and the report is sorted by name). Per-entry failures are
-    recorded with route FAILED and never abort the batch.
+    order-free and the report is sorted by name). Per-entry failures,
+    including an entry that is not an AgeDistribution, are recorded with
+    route FAILED and never abort the batch.
 
     Raises:
         EmptyDataset: no entries were supplied.

@@ -49,6 +49,24 @@ def expected_update_activated(props, survival, activation):
     return out
 
 
+def stationary_null_vector(survival, activation):
+    """Stationary profile of the activation-rate process, solved directly.
+
+    The columns of the one-step expected-update matrix E come from the
+    bookkeeping above applied to each unit vector. The profile is the null
+    vector of E - I with entries summing to one; the first-group balance
+    row is implied by the others (columns of E sum to one), so it is
+    replaced by the normalisation row and the square system solved by LU.
+    """
+    n = len(survival)
+    unit = np.eye(n)
+    system = np.column_stack(
+        [expected_update_activated(unit[j], survival, activation) for j in range(n)]
+    ) - unit
+    system[0, :] = 1.0
+    return np.linalg.solve(system, unit[0])
+
+
 def fixed_point(update, n_groups, tol=1e-14, max_iter=2_000_000):
     """Iterate the half-lazy map x -> (x + update(x)) / 2 from uniform.
 

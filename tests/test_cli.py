@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from agedist.cli import main
@@ -101,6 +102,46 @@ class TestSolve:
                 "--seed", "5", "--out", str(out_file),
             ]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.fixture
+def flat_dataset(tmp_path):
+    """A wavy ageing plateau, solved exactly by the model-2 closed form, and
+    a near-empty first group that no activation rates can reproduce."""
+    path = tmp_path / "flat.csv"
+    flat = np.r_[1000.0 + 60.0 * np.sin(np.arange(12) * 2.2),
+                 1000 * 0.7 ** np.arange(1, 9)]
+    rows = [("Flatland", flat), ("Cliff", [0.01, 500.0, 499.99])]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("country,age_group,population\n")
+        for name, counts in rows:
+            for g, count in enumerate(counts):
+                fh.write(f"{name},g{g},{count:.2f}\n")
+    return path
+
+
+class TestSolveModel2:
+    def test_flat_shape_solved_by_closed_form(self, flat_dataset, tmp_path):
+        out_file = tmp_path / "flat.json"
+        assert main([
+            "solve", "--input", str(flat_dataset), "--country", "Flatland",
+            "--model", "2", "--out", str(out_file),
+        ]) == 0
+        params = load_params_document(out_file).params
+        assert params.kind.value == "model2"
+        assert params.diagnostics["solver"] == "closed_form"
+        assert params.diagnostics["mae"] < 1e-12
+
+    def test_unreachable_shape_reports_search_failure(
+        self, flat_dataset, tmp_path, capsys
+    ):
+        code = main([
+            "solve", "--input", str(flat_dataset), "--country", "Cliff",
+            "--out", str(tmp_path / "x.json"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: model 2 search did not converge")
 
 
 class TestFitCurve:

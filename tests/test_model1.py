@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,13 @@ class TestFeasibility:
     def test_growing_tail_gives_positive_lower_bound(self):
         interval = feasibility(dist([0.5, 0.2, 0.3]))
         assert interval.lower == pytest.approx(1.0 - 0.2 / 0.3)
+
+    def test_subnormal_last_group_gives_zero_lower_bound(self):
+        values = np.array([0.6, 0.4, 5e-321])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            interval = feasibility(dist(values / values.sum()))
+        assert interval.lower == 0.0
 
     def test_infeasible_lists_offending_indices(self):
         report = feasibility(dist([0.3, 0.4, 0.3]))

@@ -1,10 +1,20 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from agedist import AgeDistribution, DEConfig, model2, optimize, steady_state2
-from agedist.distributions import ALPHA_MIN
+from agedist import (
+    AgeDistribution,
+    DEConfig,
+    model1,
+    model2,
+    normalize,
+    optimize,
+    steady_state2,
+)
+from agedist.distributions import ALPHA_MIN, default_labels
 from agedist.errors import ActivationTooSmall, DegenerateLastGroup, ResidualCheckFailed
 from agedist.model1 import steady_state
 from agedist.model2 import Model2Solution, _bounce_back, default_bounds, mae_objective
@@ -15,6 +25,7 @@ from oracles import (
     reference_bounce_back,
     reference_mae_objective,
     reference_optimize,
+    stationary_null_vector,
 )
 
 WITNESS_P = [0.8, 0.4, 0.2]
@@ -134,6 +145,110 @@ class TestSteadyState2:
         a = steady_state2(WITNESS_P, rates).proportions
         b = steady_state2(WITNESS_P, rates * 0.73).proportions
         assert np.abs(a - b).max() < 1e-12
+
+
+@st.composite
+def positive_targets(draw, max_size=200, monotone=False):
+    """Targets with 3..max_size groups. The body spreads over a little more
+    than 1/ALPHA_MIN, so the largest ratio to an earlier running minimum
+    falls on either side of it; an optional tail falls towards underflow,
+    into the subnormal range."""
+    n = draw(st.integers(3, max_size))
+    logs = np.array(draw(st.lists(st.floats(-3.001, 0.0), min_size=n, max_size=n)))
+    if monotone:
+        logs[: n - 1] = np.sort(logs[: n - 1])[::-1]
+    tail = draw(st.integers(0, n - 2))
+    if tail:
+        depth = draw(st.floats(250.0, 320.0))
+        logs[n - tail:] = np.linspace(logs[n - tail - 1], -depth, tail + 1)[1:]
+    return normalize(10.0 ** logs, default_labels(n))
+
+
+@st.composite
+def near_floor_targets(draw, max_size=200):
+    """Targets whose group j is 1/ALPHA_MIN times the smallest group before
+    it, give or take a relative 1e-13 to 1e-8."""
+    n = draw(st.integers(3, max_size))
+    values = 10.0 ** np.array(
+        draw(st.lists(st.floats(-2.0, 0.0), min_size=n, max_size=n))
+    )
+    j = draw(st.integers(1, n - 2))
+    offset = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-13.0, -8.0))
+    values[j] = values[:j].min() / ALPHA_MIN * (1.0 + offset)
+    return normalize(values, default_labels(n))
+
+
+def largest_ratio(props):
+    """max_i N_i / min(N_1..N_i) over the first n-1 groups, exactly."""
+    exact = [Fraction(float(v)) for v in props[:-1]]
+    running, worst = exact[0], Fraction(1)
+    for value in exact:
+        running = min(running, value)
+        worst = max(worst, value / running)
+    return worst
+
+
+class TestSolve:
+    """Closed-form inverse, checked against a direct solve of the full
+    stationarity system and an exact-arithmetic feasibility rule."""
+
+    @given(positive_targets())
+    @settings(max_examples=60, deadline=None)
+    def test_reproduces_target_through_null_vector(self, dist):
+        try:
+            survival, activation = model2.solve(dist)
+        except ActivationTooSmall:
+            assert largest_ratio(dist.proportions) > 1 / Fraction(ALPHA_MIN)
+            return
+        x = stationary_null_vector(survival.probs, activation.rates)
+        assert np.abs(x - dist.proportions).max() < 1e-12
+        analytic = steady_state2(survival, activation)
+        assert np.abs(analytic.proportions - dist.proportions).max() < 1e-12
+
+    @given(st.one_of(positive_targets(), near_floor_targets()))
+    @settings(max_examples=150, deadline=None)
+    def test_rejects_exactly_beyond_the_floor_ratio(self, dist):
+        # The decision is taken on the rounded quotient N_min / N_i; within
+        # a relative 1e-14 of the boundary rounding may go either way.
+        ratio = largest_ratio(dist.proportions) * Fraction(ALPHA_MIN)
+        assume(abs(ratio - 1) > Fraction(1, 10**14))
+        if ratio > 1:
+            with pytest.raises(ActivationTooSmall):
+                model2.solve(dist)
+        else:
+            _, activation = model2.solve(dist)
+            assert activation.rates.min() >= ALPHA_MIN
+
+    def test_floor_ratio_itself_is_solvable(self):
+        dist = AgeDistribution(("a", "b", "c", "d"), [0.0004, 0.3, 0.4, 0.2996])
+        _, activation = model2.solve(dist)
+        assert activation.rates.min() == ALPHA_MIN
+
+    def test_just_beyond_floor_ratio_raises(self):
+        dist = normalize([1.0, 1000.0 * (1 + 1e-9), 1.0], "abc")
+        with pytest.raises(ActivationTooSmall, match="1/ALPHA_MIN"):
+            model2.solve(dist)
+
+    @given(positive_targets(monotone=True))
+    @settings(max_examples=60, deadline=None)
+    def test_monotone_target_is_model1_bit_for_bit(self, dist):
+        survival, activation = model2.solve(dist)
+        assert np.all(activation.rates == 1.0)
+        assert survival == model1.solve(dist, "mid")
+
+    @given(positive_targets())
+    @settings(max_examples=100, deadline=None)
+    def test_running_minima_are_fully_active(self, dist):
+        props = dist.proportions
+        try:
+            _, activation = model2.solve(dist)
+        except ActivationTooSmall:
+            return
+        rates = activation.rates
+        is_min = props[:-1] == np.minimum.accumulate(props[:-1])
+        assert np.all(rates[:-1][is_min] == 1.0)
+        assert np.all(rates[:-1][~is_min] < 1.0)
+        assert rates[-1] == 1.0
 
 
 class TestDEConfig:

@@ -8,17 +8,22 @@ from agedist.distributions import (
     classify,
     mean_absolute_error,
 )
-from agedist.errors import EmptyDataset
+from agedist.errors import EmptyDataset, InvalidEntry, SearchNotConverged
 from agedist.model1 import steady_state
 from agedist.model2 import steady_state2
-from agedist.pipeline import Route, run_dataset, select_and_solve
+from agedist.pipeline import Route, run_dataset, select_and_solve, solve_model2
 
 
-def flat_then_humped():
-    """Many flat groups with a late bump: non-monotone, and too stiff for
-    the search under a starved iteration budget, forcing the curve fit."""
+def flat_then_humped(first=5e-5):
+    """Many flat groups with a late bump behind a near-empty first group.
+
+    The default first group leaves the plateau (~0.06) over 1/ALPHA_MIN
+    times larger, so no activation rates reproduce the shape: the closed
+    form rejects it, the starved search fails, and the curve fit catches it.
+    With ``first=0.060`` the model-2 closed form solves it exactly.
+    """
     values = np.array(
-        [0.060, 0.059, 0.058, 0.060, 0.062, 0.064, 0.066, 0.065, 0.060,
+        [first, 0.059, 0.058, 0.060, 0.062, 0.064, 0.066, 0.065, 0.060,
          0.058, 0.062, 0.064, 0.058, 0.050, 0.040, 0.032, 0.024, 0.016,
          0.009, 0.004, 0.002]
     )
@@ -35,6 +40,9 @@ def configs():
 
 MONO = AgeDistribution(("a", "b", "c"), [0.5, 0.3, 0.2])
 HUMP = AgeDistribution(("a", "b", "c"), [0.3, 0.4, 0.3])
+#: The second group is 1250 times the first, beyond 1/ALPHA_MIN: the closed
+#: form rejects it, and the search gets within its threshold.
+STEEP = AgeDistribution(("a", "b", "c"), [0.0004, 0.5, 0.4996])
 
 
 class TestSelectAndSolve:
@@ -61,6 +69,15 @@ class TestSelectAndSolve:
         assert params.activation is None
         assert params.diagnostics["wasserstein_to_original"] > 0
         assert params.diagnostics["model2_iterations"] == 60
+
+    def test_flat_then_humped_takes_model2_closed_form(self, configs):
+        dist = flat_then_humped(first=0.060)
+        params, route = select_and_solve(dist, *configs)
+        assert route is Route.MODEL2
+        assert params.diagnostics["solver"] == "closed_form"
+        analytic = steady_state2(params.survival, params.activation)
+        assert mean_absolute_error(analytic, dist) < 1e-12
+        assert params.diagnostics["mae"] < 1e-12
 
     def test_route_follows_classification(self, configs):
         for dist in (MONO, HUMP):
@@ -96,6 +113,34 @@ class TestSelectAndSolve:
         a, _ = select_and_solve(HUMP, *configs)
         b, _ = select_and_solve(HUMP, *configs)
         assert a == b
+
+
+class TestSolveModel2:
+    def test_closed_form_diagnostics(self):
+        params, analytic = solve_model2(HUMP, DEConfig(seed=4))
+        ratio = 0.3 / 0.4
+        assert params.diagnostics == {
+            "solver": "closed_form",
+            "min_activation": ratio,
+            "free_param_mode": "midpoint",
+            "mae": mean_absolute_error(analytic, HUMP),
+            "seed": 4,
+        }
+        assert np.array_equal(params.activation.rates, [1.0, ratio, 1.0])
+
+    def test_search_runs_when_closed_form_rejects(self):
+        params, analytic = solve_model2(STEEP, DEConfig(seed=0))
+        assert params.kind is ModelKind.MODEL2
+        assert params.diagnostics["solver"] == "search"
+        assert params.diagnostics["iterations_used"] > 0
+        assert params.diagnostics["mae"] == mean_absolute_error(analytic, STEEP)
+        assert params.diagnostics["mae"] < 1e-4
+
+    def test_search_failure_is_typed(self):
+        with pytest.raises(SearchNotConverged, match="did not converge") as info:
+            solve_model2(flat_then_humped(), DEConfig(seed=0, max_iterations=5))
+        assert info.value.solution.iterations_used == 5
+        assert not info.value.solution.converged
 
 
 class TestRunDataset:
@@ -152,3 +197,25 @@ class TestRunDataset:
         assert report.per_country["hump"].route is Route.FAILED
         assert "balance" in report.per_country["hump"].failure_reason
         assert report.per_country["mono"].route is Route.MODEL1
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            np.array([0.5, np.nan, 0.5]),
+            np.array([0.6, -0.1, 0.5]),
+            [0.5, 0.3, 0.2],
+        ],
+        ids=["nan-vector", "negative-entry", "plain-list"],
+    )
+    def test_entry_that_is_not_a_distribution_recorded_not_raised(
+        self, configs, entry
+    ):
+        report = run_dataset([("bad", entry), ("mono", MONO)], *configs)
+        assert report.per_country["bad"].route is Route.FAILED
+        assert "AgeDistribution" in report.per_country["bad"].failure_reason
+        assert report.per_country["mono"].route is Route.MODEL1
+        assert report.route_counts[Route.FAILED] == 1
+
+    def test_select_and_solve_rejects_raw_vector(self, configs):
+        with pytest.raises(InvalidEntry):
+            select_and_solve([0.5, 0.3, 0.2], *configs)
