@@ -16,7 +16,6 @@ controls verbosity.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import re
@@ -240,9 +239,7 @@ def cmd_simulate(args) -> int:
         "burn_in": config.burn_in,
         "params_file": str(args.params),
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(output, fh, indent=2)
-        fh.write("\n")
+    dataio.write_json(output, args.out)
     print(f"simulated {config.num_steps} steps: mae vs analytic {mae:.3g}, "
           f"wrote {args.out}")
     return 0
@@ -322,9 +319,7 @@ def cmd_pipeline(args) -> int:
             for name, res in report.per_country.items()
         },
     }
-    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    dataio.write_json(summary, out_dir / "summary.json")
 
     counts = ", ".join(
         f"{route.value}={count}" for route, count in report.route_counts.items()

@@ -7,7 +7,10 @@ in age order; interleaving countries is allowed.
 
 Parameter files are versioned JSON documents holding the model kind, the
 vectors, the free parameter, diagnostics and an optional target/config echo,
-so one file fully specifies a reproducible simulation.
+so one file fully specifies a reproducible simulation. Every JSON file the
+library writes is strict JSON (``write_json``): a non-finite number, such as
+the ``model2_mae`` of a search whose scores were all infinite, is written
+as null.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -161,9 +165,25 @@ def emit_params(
         "target": [float(v) for v in target] if target is not None else None,
         "config": config,
     }
+    write_json(document, path)
+
+
+def write_json(document, path) -> None:
+    """Write ``document`` as indented strict JSON, which has no NaN or
+    Infinity: every non-finite float in it is written as null."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(document, fh, indent=2)
+        json.dump(_finite_or_null(document), fh, indent=2, allow_nan=False)
         fh.write("\n")
+
+
+def _finite_or_null(value):
+    if isinstance(value, float):  # numpy's float64 included
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
 
 
 def load_params(path) -> ModelParams:

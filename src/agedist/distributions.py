@@ -85,11 +85,7 @@ class AgeDistribution:
                 props.size - keep, ", ".join(labels[keep:]),
             )
             labels, props = labels[:keep], props[:keep]
-        if np.any(props == 0):
-            idx = int(np.nonzero(props == 0)[0][0])
-            raise InteriorZeroGroup(
-                f"group {labels[idx]!r} (index {idx}) is empty but later groups are not"
-            )
+        _reject_interior_zero(props, labels)
         if props.size < 3:
             raise TooFewGroups(f"need at least 3 age groups, got {props.size}")
         total = float(props.sum())
@@ -277,6 +273,25 @@ def proportions_of(dist) -> np.ndarray:
     if isinstance(dist, AgeDistribution):
         return dist.proportions
     return _as_vector(dist, "proportions")
+
+
+def solver_proportions(dist) -> np.ndarray:
+    """``proportions_of`` for the solvers, which divide by each group before
+    the last non-empty one: a raw vector with an empty group there raises
+    InteriorZeroGroup, as an AgeDistribution does."""
+    props = proportions_of(dist)
+    _reject_interior_zero(props, default_labels(props.size))
+    return props
+
+
+def _reject_interior_zero(props: np.ndarray, labels: tuple) -> None:
+    nonzero = np.flatnonzero(props)
+    empty = np.flatnonzero(props[: nonzero[-1]] == 0) if nonzero.size else nonzero
+    if empty.size:
+        idx = int(empty[0])
+        raise InteriorZeroGroup(
+            f"group {labels[idx]!r} (index {idx}) is empty but later groups are not"
+        )
 
 
 def _comparable(a, b, check_labels: bool) -> tuple:

@@ -23,6 +23,7 @@ from .distributions import (
     classify,
     default_labels,
     proportions_of,
+    solver_proportions,
 )
 from .errors import (
     DegenerateLastGroup,
@@ -71,8 +72,10 @@ def feasibility(dist) -> Union[FeasibleInterval, InfeasibleReport]:
     clamped to 0 (it is negative whenever the second-to-last group is the
     larger one, and the ratio is then not formed, since it overflows for a
     last group near underflow); the upper bound stays strictly below 1.
+    A raw vector with an empty group before a non-empty one raises
+    InteriorZeroGroup.
     """
-    props = proportions_of(dist)
+    props = solver_proportions(dist)
     if classify(props) is Classification.NON_MONOTONE:
         bad = np.nonzero(np.diff(props[:-1]) > 0)[0] + 1
         return InfeasibleReport(tuple(int(i) for i in bad))
@@ -89,6 +92,8 @@ def solve(dist, p_n="mid", *, seed: Optional[int] = None) -> SurvivalVector:
     interval (``seed`` is then required).
 
     Raises:
+        InteriorZeroGroup: a raw vector has an empty group before a
+            non-empty one.
         NotModel1Eligible: the target is not monotone non-increasing.
         FreeParamOutOfRange: an explicit ``p_n`` lies outside the interval.
     """

@@ -29,6 +29,7 @@ from .distributions import (
     default_labels,
     normalize,
     proportions_of,
+    solver_proportions,
 )
 from .errors import (
     ActivationTooSmall,
@@ -145,11 +146,13 @@ def solve(dist) -> tuple:
     target gets alpha = 1 and ``model1.solve(dist, "mid")`` bit for bit.
 
     Raises:
+        InteriorZeroGroup: a raw vector has an empty group before a
+            non-empty one.
         ActivationTooSmall: a group is more than 1/ALPHA_MIN times the
             smallest group before it. No m_i exceeds that running minimum,
             so no member of the family keeps alpha_i >= ALPHA_MIN.
     """
-    props = proportions_of(dist)
+    props = solver_proportions(dist)
     active = np.minimum.accumulate(props[:-1])
     rates = np.append(active / props[:-1], 1.0)
     if rates.min() < ALPHA_MIN:

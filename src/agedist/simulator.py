@@ -1,12 +1,18 @@
 """Stochastic agent-based forward simulation of both ageing processes.
 
 Used to check that solved parameters really do pull a finite population onto
-the intended stationary profile. Agents carry only their group index; each
-step draws activation (when activation rates are present) and survival for
-every agent from the run's single seeded generator, synchronously against
-the start-of-step state. Survivors advance one group (the last group keeps
-its survivors) and every death is replaced by a fresh agent in group 1, so
-the population size never changes.
+the intended stationary profile. Agents carry only their group index and are
+updated synchronously against the start-of-step state. Each step takes one
+uniform per agent, in agent order, from the run's single seeded generator:
+an agent of group i advances one group below ``alpha_i p_i`` (the last group
+keeps its survivors), dies between ``alpha_i p_i`` and ``alpha_i``, and stays
+inactive above. Every death is replaced by a fresh agent in group 1, so the
+population size never changes. The plain process is ``alpha = 1``: an agent
+survives below ``p_i`` and dies above it.
+
+Agents are stepped in blocks of ``BLOCK``, so a block's scratch and state
+stay in cache; each agent still uses one uniform in agent order, so results
+are bitwise independent of the block size.
 """
 
 from __future__ import annotations
@@ -18,6 +24,10 @@ import numpy as np
 
 from .distributions import ModelParams, proportions_of
 from .errors import ResidualCheckFailed
+
+#: Agents per block of the step kernel: a block's state and scratch (about
+#: 0.8 MB) fit in a per-core L2 cache. Results do not depend on it.
+BLOCK = 32_768
 
 
 @dataclass
@@ -88,47 +98,73 @@ def initialize(target, config: SimConfig) -> np.ndarray:
 def step(state, survival, activation, rng) -> tuple:
     """One synchronous update; returns (new state, deaths this step).
 
-    Draw order per step: one uniform per agent for activation (skipped when
-    ``activation`` is None, the plain process), then one per agent for
-    survival. Inactive agents are untouched.
+    Each agent takes one uniform ``u`` from ``rng``, in agent order. An
+    agent of group i advances when ``u < alpha_i p_i`` (the last group
+    keeps it), dies when ``alpha_i p_i <= u < alpha_i`` and is replaced in
+    the first group, and otherwise stays inactive where it is; ``alpha``
+    is 1 when ``activation`` is None (the plain process), so a plain agent
+    always advances or dies. Agents are updated in blocks of ``BLOCK``; the
+    result does not depend on the block size.
     """
     new_state = state.copy()
-    deaths = _step_in_place(new_state, survival, activation, rng,
-                            _step_buffers(state.size))
+    thresholds = _thresholds(survival, activation)
+    deaths = _step_in_place(new_state, thresholds, rng, _step_buffers(state.size),
+                            np.zeros(thresholds[0].size, dtype=np.int64))
     return new_state, deaths
 
 
-def _step_buffers(size: int) -> tuple:
-    """Per-agent scratch for one step: two float rows and three masks."""
-    return np.empty((2, size)), np.empty((3, size), dtype=bool)
-
-
-def _step_in_place(state, survival, activation, rng, buffers) -> int:
-    """``step`` applied to ``state`` itself, with every per-agent
-    temporary written into ``buffers`` (from ``_step_buffers``); returns
-    the deaths. A run reuses one set of buffers for all its steps."""
-    (uniforms, gathered), (active, advance, died) = buffers
+def _thresholds(survival, activation) -> tuple:
+    """Per-group uniform thresholds of the single-draw rule: advance below
+    ``alpha * p``, die below ``alpha``. The death threshold is None for the
+    plain process, whose advance threshold is ``p`` itself."""
     probs = np.asarray(survival, dtype=float)
-    n = probs.size
-    # Agents' group numbers index the per-group rates and are always in
-    # range; mode="clip" only spares np.take a temporary copy of its output.
-    if activation is not None:
-        rng.random(out=uniforms)
-        np.take(np.asarray(activation, dtype=float), state, out=gathered, mode="clip")
-        np.less(uniforms, gathered, out=active)
-    rng.random(out=uniforms)
-    np.take(probs, state, out=gathered, mode="clip")
-    np.less(uniforms, gathered, out=advance)  # survivors, for now
-    np.logical_not(advance, out=died)
-    if activation is not None:
-        died &= active
-        advance &= active
-    # Every mask reads the start-of-step state; ``active`` is free again.
-    np.less(state, n - 1, out=active)
-    advance &= active
-    state += advance
-    state[died] = 0  # replacements enter the first group
-    return int(died.sum())
+    if activation is None:
+        return probs, None
+    rates = np.asarray(activation, dtype=float)
+    return rates * probs, rates
+
+
+def _step_buffers(size: int) -> tuple:
+    """Per-block scratch for one step: two float rows and two masks, as wide
+    as ``BLOCK`` or the population, whichever is smaller."""
+    width = min(size, BLOCK)
+    return np.empty((2, width)), np.empty((2, width), dtype=bool)
+
+
+def _step_in_place(state, thresholds, rng, buffers, counts) -> int:
+    """``step`` applied to ``state`` itself, block by block, with every
+    per-agent temporary written into ``buffers`` (from ``_step_buffers``,
+    whose width sets the block size); adds the new group counts into
+    ``counts`` and returns the deaths. A run reuses one set of buffers for
+    all its steps."""
+    advance_below, die_below = thresholds
+    (uniforms, gathered), (survivals, keeps) = buffers
+    n = advance_below.size
+    deaths = 0
+    for start in range(0, state.size, uniforms.size):
+        block = state[start:start + uniforms.size]
+        size = block.size
+        u, g, survived = uniforms[:size], gathered[:size], survivals[:size]
+        rng.random(out=u)
+        # Group numbers index the per-group thresholds and are always in
+        # range; mode="clip" only spares np.take a temporary copy of its output.
+        np.take(advance_below, block, out=g, mode="clip")
+        np.less(u, g, out=survived)  # active and survived
+        if die_below is None:
+            kept = survived  # every plain agent is active: survive or die
+        else:
+            kept = keeps[:size]
+            np.take(die_below, block, out=g, mode="clip")
+            np.greater_equal(u, g, out=kept)  # inactive this step
+            kept |= survived
+        block += survived
+        np.minimum(block, n - 1, out=block)  # the last group holds its survivors
+        block *= kept  # the dead are replaced in the first group
+        deaths += size - int(np.count_nonzero(kept))
+        # An agent beyond the last group falls outside the first n bins and
+        # leaves the tally short, which ``run`` checks.
+        counts += np.bincount(block, minlength=n)[:n]
+    return deaths
 
 
 def run(target, params: ModelParams, config: Optional[SimConfig] = None) -> SimResult:
@@ -155,12 +191,18 @@ def run(target, params: ModelParams, config: Optional[SimConfig] = None) -> SimR
     total_deaths = 0
     snapshot = np.bincount(state, minlength=n) / cfg.num_agents
 
+    thresholds = _thresholds(survival, activation)
     buffers = _step_buffers(cfg.num_agents)
+    counts = np.empty(n, dtype=np.int64)
     for step_index in range(1, cfg.num_steps + 1):
-        total_deaths += _step_in_place(state, survival, activation, rng, buffers)
-        counts = np.bincount(state, minlength=n)
-        if counts.size != n:
-            raise ResidualCheckFailed("an agent left the age groups; update rule broken")
+        counts.fill(0)
+        total_deaths += _step_in_place(state, thresholds, rng, buffers, counts)
+        tally = int(counts.sum())
+        if tally != cfg.num_agents:
+            raise ResidualCheckFailed(
+                f"an agent left the age groups: the step's tally holds {tally} "
+                f"of {cfg.num_agents} agents; update rule broken"
+            )
         snapshot = counts / cfg.num_agents
         if trajectory is not None:
             trajectory[step_index - 1] = snapshot

@@ -5,9 +5,10 @@ per-group balance bookkeeping (who leaves, who arrives), not the closed-form
 recursions under test. Steady states are found by iterating the update to a
 fixed point, so agreement with the library is evidence, not tautology.
 
-The second half keeps the straightforward, allocating form of the
-differential-evolution search (objective, reflection, generation loop).
-The library's in-place search must reproduce it bit for bit.
+The second half keeps the straightforward, allocating forms of the
+differential-evolution search (objective, reflection, generation loop) and
+of the simulator step. The library's in-place search and step kernel must
+reproduce them bit for bit.
 """
 
 import numpy as np
@@ -176,8 +177,11 @@ def reference_optimize(target, config, objective=None, history=None):
 
 
 def reference_step(state, survival, activation, rng):
-    """The allocating per-agent update, kept as the bitwise reference for
-    the simulator. Returns (new state, deaths)."""
+    """The allocating two-draw per-agent update: one uniform per agent for
+    activation (none for the plain process), then one for survival. It is
+    the bitwise reference for the plain process, where it takes the same
+    single draw as the kernel; for the activation process it draws the same
+    law from a different stream. Returns (new state, deaths)."""
     probs = np.asarray(survival, dtype=float)
     n = probs.size
     if activation is not None:
@@ -193,3 +197,18 @@ def reference_step(state, survival, activation, rng):
     new_state[advance] += 1
     new_state[died] = 0
     return new_state, int(died.sum())
+
+
+def reference_single_draw_step(state, survival, activation, rng):
+    """The allocating form of the single-draw update: one uniform ``u`` per
+    agent, advance below alpha * p, die below alpha, stay otherwise (alpha
+    is 1 for the plain process). Returns (new state, deaths)."""
+    probs = np.asarray(survival, dtype=float)
+    n = probs.size
+    rates = np.ones(n) if activation is None else np.asarray(activation, dtype=float)
+    u = rng.random(state.size)
+    advances = u < (rates * probs)[state]
+    dies = ~advances & (u < rates[state])
+    new_state = np.where(advances, np.minimum(state + 1, n - 1),
+                         np.where(dies, 0, state))
+    return new_state, int(dies.sum())

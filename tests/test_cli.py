@@ -3,8 +3,18 @@ import json
 import numpy as np
 import pytest
 
+from agedist import model2
 from agedist.cli import main
 from agedist.dataio import load_params_document
+
+
+def strict_load(path):
+    """Parse a written file, failing on NaN/Infinity, which strict JSON lacks."""
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 @pytest.fixture
@@ -181,6 +191,20 @@ class TestSimulate:
         assert result["mae_vs_analytic"] < 0.02
         assert len(trajectory.read_text().splitlines()) == 81
 
+    def test_result_file_is_strict_json(self, dataset, tmp_path):
+        params_file = tmp_path / "pyramid.json"
+        assert main([
+            "solve", "--input", str(dataset), "--country", "Pyramid",
+            "--out", str(params_file),
+        ]) == 0
+        result_file = tmp_path / "result.json"
+        assert main([
+            "simulate", "--params", str(params_file), "--out", str(result_file),
+            "--agents", "500", "--steps", "20", "--burn-in", "10",
+        ]) == 0
+        result = strict_load(result_file)
+        assert type(result["total_deaths"]) is int
+
     def test_repeat_run_bit_identical(self, dataset, tmp_path):
         params_file = tmp_path / "pyramid.json"
         assert main([
@@ -232,3 +256,25 @@ class TestPipeline:
         ]) == 0
         document = load_params_document(out_dir / "params" / "Tail.json")
         assert document.labels == ("0-4", "5-9", "10-14")
+
+    def test_non_finite_diagnostics_written_as_null(
+        self, flat_dataset, tmp_path, monkeypatch
+    ):
+        # Every candidate scores +inf, so Cliff's failed search reports an
+        # infinite model2_mae before the curve fit takes over.
+        def all_infinite(target):
+            return lambda candidates: np.full(len(candidates), np.inf)
+
+        monkeypatch.setattr(model2, "mae_objective", all_infinite)
+        out_dir = tmp_path / "out"
+        assert main([
+            "pipeline", "--input", str(flat_dataset), "--out-dir", str(out_dir),
+            "--de-iters", "3", "--agents", "500", "--steps", "20",
+        ]) == 0
+        summary = strict_load(out_dir / "summary.json")
+        cliff = summary["per_country"]["Cliff"]
+        assert cliff["route"] == "curve_fit"
+        assert cliff["diagnostics"]["model2_mae"] is None
+        params = strict_load(out_dir / "params" / "Cliff.json")
+        assert params["diagnostics"]["model2_mae"] is None
+        assert params["diagnostics"]["model2_iterations"] == 3

@@ -144,6 +144,22 @@ class TestParamsFiles:
         assert document.config == {"seed": 7}
         assert document.target_distribution().labels == ("a", "b", "c")
 
+    def test_non_finite_diagnostics_written_as_null(self, tmp_path):
+        params = solved_params()
+        params.diagnostics.update(
+            {"model2_mae": float("inf"), "history": [np.float64("nan"), 0.5]}
+        )
+        path = tmp_path / "params.json"
+        emit_params(params, path)
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        raw = json.loads(path.read_text(), parse_constant=reject)
+        assert raw["diagnostics"]["model2_mae"] is None
+        assert raw["diagnostics"]["history"] == [None, 0.5]
+        assert load_params(path).diagnostics["model2_mae"] is None
+
     def test_version_recorded(self, tmp_path):
         import agedist
 

@@ -62,6 +62,13 @@ class TestFeasibility:
             interval = feasibility(dist(values / values.sum()))
         assert interval.lower == 0.0
 
+    @pytest.mark.parametrize("entry", [feasibility, solve])
+    def test_raw_interior_zero_raises_typed_error(self, entry):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InteriorZeroGroup, match="index 1"):
+                entry([0.5, 0.0, 0.0, 0.5])
+
     def test_infeasible_lists_offending_indices(self):
         report = feasibility(dist([0.3, 0.4, 0.3]))
         assert isinstance(report, InfeasibleReport)

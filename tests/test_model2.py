@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,12 @@ from agedist import (
     steady_state2,
 )
 from agedist.distributions import ALPHA_MIN, default_labels
-from agedist.errors import ActivationTooSmall, DegenerateLastGroup, ResidualCheckFailed
+from agedist.errors import (
+    ActivationTooSmall,
+    DegenerateLastGroup,
+    InteriorZeroGroup,
+    ResidualCheckFailed,
+)
 from agedist.model1 import steady_state
 from agedist.model2 import Model2Solution, _bounce_back, default_bounds, mae_objective
 
@@ -218,6 +224,12 @@ class TestSolve:
         else:
             _, activation = model2.solve(dist)
             assert activation.rates.min() >= ALPHA_MIN
+
+    def test_raw_interior_zero_raises_typed_error_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InteriorZeroGroup, match="index 1"):
+                model2.solve([0.5, 0.0, 0.5])
 
     def test_floor_ratio_itself_is_solvable(self):
         dist = AgeDistribution(("a", "b", "c", "d"), [0.0004, 0.3, 0.4, 0.2996])

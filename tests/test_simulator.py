@@ -8,7 +8,7 @@ from agedist.model1 import solve, steady_state
 from agedist.model2 import steady_state2
 from agedist.simulator import apportion, initialize, run, step, write_trajectory_csv
 
-from oracles import reference_step
+from oracles import reference_single_draw_step, reference_step
 
 SURVIVAL = np.array([0.9, 0.8, 0.6, 0.5, 0.3])
 ACTIVATION = np.array([1.0, 0.4, 0.7, 0.2, 0.5])
@@ -64,8 +64,8 @@ class TestStep:
             assert state.size == 10_000
 
     def test_all_ones_activation_matches_plain_draw_layout(self):
-        # With rates of 1 every agent is active; outcomes differ only through
-        # the extra activation draws consumed from the stream.
+        # With rates of 1 every agent is active and its one draw decides
+        # survival exactly as in the plain process.
         state = np.repeat(np.arange(3), [5, 3, 2])
         new_state, deaths = step(
             state,
@@ -76,26 +76,48 @@ class TestStep:
         assert np.bincount(new_state, minlength=3).tolist() == [2, 5, 3]
         assert deaths == 2
 
+    def test_unit_activation_is_plain_step_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        survival = rng.uniform(0.05, 0.95, size=7)
+        state = np.repeat(np.arange(7), [300, 250, 200, 100, 80, 50, 20])
+        plain, activated = state, state
+        ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(30):
+            plain, plain_deaths = step(plain, survival, None, ours)
+            activated, deaths = step(activated, survival, np.ones(7), theirs)
+            assert np.array_equal(plain, activated) and plain_deaths == deaths
+            assert type(deaths) is int
+
+
+# The plain cases pin the kernel to the two-draw reference, which takes the
+# same single draw per agent when there is no activation. The activated
+# cases pin it to the single-draw reference: the two-draw layout has the
+# same law (TestDrawLayoutsAgree) but a different stream.
+REFERENCES = [
+    pytest.param(None, reference_step, id="None"),
+    pytest.param(ACTIVATION, reference_single_draw_step, id="activation1"),
+]
+
 
 class TestMatchesReferenceStep:
     """The in-place update reproduces the allocating one bit for bit."""
 
-    @pytest.mark.parametrize("activation", [None, ACTIVATION])
-    def test_step(self, activation):
+    @pytest.mark.parametrize("activation, reference", REFERENCES)
+    def test_step(self, activation, reference):
         state = np.repeat(np.arange(5), [400, 300, 150, 100, 50])
         ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
         expected = state
         for _ in range(30):
             state, deaths = step(state, SURVIVAL, activation, ours)
-            expected, expected_deaths = reference_step(expected, SURVIVAL, activation, theirs)
+            expected, expected_deaths = reference(expected, SURVIVAL, activation, theirs)
             assert np.array_equal(state, expected) and deaths == expected_deaths
         # step leaves its input untouched.
         before = state.copy()
         step(state, SURVIVAL, activation, ours)
         assert np.array_equal(state, before)
 
-    @pytest.mark.parametrize("activation", [None, ACTIVATION])
-    def test_run(self, activation):
+    @pytest.mark.parametrize("activation, reference", REFERENCES)
+    def test_run(self, activation, reference):
         kind = ModelKind.MODEL1 if activation is None else ModelKind.MODEL2
         params = ModelParams(kind=kind, survival=SURVIVAL, activation=activation)
         target = steady_state2(SURVIVAL, ACTIVATION if activation is not None else np.ones(5))
@@ -104,10 +126,112 @@ class TestMatchesReferenceStep:
         result = run(target, params, config)
         state, rng, deaths = initialize(target, config), np.random.default_rng(8), 0
         for row in result.trajectory:
-            state, died = reference_step(state, SURVIVAL, activation, rng)
+            state, died = reference(state, SURVIVAL, activation, rng)
             deaths += died
             assert np.array_equal(row, np.bincount(state, minlength=5) / 3000)
         assert result.total_deaths == deaths
+
+
+def landing_probabilities(survival, activation):
+    """Row i: probability that an agent of group i is in each group after
+    one step (advance below alpha*p, die into group 0, stay otherwise), then
+    the probability that it died."""
+    p, a = np.asarray(survival), np.asarray(activation)
+    n = p.size
+    q = np.zeros((n, n + 1))
+    for i in range(n):
+        q[i, min(i + 1, n - 1)] += a[i] * p[i]
+        q[i, 0] += a[i] * (1.0 - p[i])
+        q[i, i] += 1.0 - a[i]
+        q[i, n] = a[i] * (1.0 - p[i])
+    return q
+
+
+class TestDrawLayoutsAgree:
+    """The single-draw kernel and the two-draw reference have the same law.
+
+    Each tally after one step (a group count, or the deaths) is a sum over
+    source groups of independent binomials, so its mean, variance and
+    fourth central moment are exact. Sample means and variances over many
+    seeds must sit within Z_BOUND standard errors of them.
+    """
+
+    #: Fixed before the first run. A normal tail beyond 4.5 has probability
+    #: 6.8e-6, so the 24 comparisons below false-alarm with probability
+    #: under 2e-4.
+    Z_BOUND = 4.5
+    SEEDS = 2000
+    COUNTS = [400, 300, 150, 100, 50]
+
+    def exact_moments(self):
+        q = landing_probabilities(SURVIVAL, ACTIVATION)
+        c = np.asarray(self.COUNTS, dtype=float)[:, None]
+        spread = q * (1.0 - q)
+        mean = (c * q).sum(axis=0)
+        var = (c * spread).sum(axis=0)
+        fourth = (c * spread * (1.0 - 6.0 * spread)).sum(axis=0) + 3.0 * var**2
+        return mean, var, fourth
+
+    @pytest.mark.parametrize("layout", [step, reference_step])
+    def test_one_step_moments(self, layout):
+        state = np.repeat(np.arange(5), self.COUNTS)
+        samples = np.empty((self.SEEDS, 6))
+        for seed in range(self.SEEDS):
+            new_state, deaths = layout(state, SURVIVAL, ACTIVATION,
+                                       np.random.default_rng(seed))
+            samples[seed, :5] = np.bincount(new_state, minlength=5)
+            samples[seed, 5] = deaths
+        mean, var, fourth = self.exact_moments()
+        s = self.SEEDS
+        z_mean = (samples.mean(axis=0) - mean) / np.sqrt(var / s)
+        var_of_var = fourth / s - var**2 * (s - 3) / (s * (s - 1))
+        z_var = (samples.var(axis=0, ddof=1) - var) / np.sqrt(var_of_var)
+        assert np.abs(z_mean).max() < self.Z_BOUND, z_mean
+        assert np.abs(z_var).max() < self.Z_BOUND, z_var
+
+    def test_model2_run_estimates_agree_across_seeds(self):
+        params = ModelParams(kind=ModelKind.MODEL2, survival=SURVIVAL,
+                             activation=ACTIVATION)
+        target = steady_state2(SURVIVAL, ACTIVATION)
+        seeds = range(16)
+        kernel, two_draw = [], []
+        for seed in seeds:
+            config = SimConfig(num_agents=2000, num_steps=100, burn_in=20, seed=seed)
+            kernel.append(run(target, params, config).steady_estimate)
+            state, rng = initialize(target, config), np.random.default_rng(seed)
+            total = np.zeros(5)
+            for step_index in range(1, config.num_steps + 1):
+                state, _ = reference_step(state, SURVIVAL, ACTIVATION, rng)
+                if step_index > config.burn_in:
+                    total += np.bincount(state, minlength=5) / config.num_agents
+            two_draw.append(total / (config.num_steps - config.burn_in))
+        kernel, two_draw = np.array(kernel), np.array(two_draw)
+        standard_error = np.sqrt(
+            (kernel.var(axis=0, ddof=1) + two_draw.var(axis=0, ddof=1)) / len(seeds)
+        )
+        z = (kernel.mean(axis=0) - two_draw.mean(axis=0)) / standard_error
+        assert np.abs(z).max() < self.Z_BOUND, z
+        for estimates in (kernel, two_draw):
+            assert np.abs(estimates.mean(axis=0) - target.proportions).max() < 5e-3
+
+
+class TestBlocking:
+    @pytest.mark.parametrize("activation", [None, ACTIVATION])
+    @pytest.mark.parametrize("block", [1, 7, 1000, 1500])
+    def test_results_independent_of_block_size(self, block, activation, monkeypatch):
+        kind = ModelKind.MODEL1 if activation is None else ModelKind.MODEL2
+        params = ModelParams(kind=kind, survival=SURVIVAL, activation=activation)
+        target = steady_state2(SURVIVAL, ACTIVATION if activation is not None else np.ones(5))
+        config = SimConfig(num_agents=1500, num_steps=20, burn_in=5, seed=13,
+                           record_trajectory=True)
+        expected = run(target, params, config)
+        monkeypatch.setattr(simulator, "BLOCK", block)
+        result = run(target, params, config)
+        assert np.array_equal(result.steady_estimate, expected.steady_estimate)
+        assert np.array_equal(result.final_snapshot, expected.final_snapshot)
+        assert np.array_equal(result.trajectory, expected.trajectory)
+        assert result.total_deaths == expected.total_deaths
+        assert type(result.total_deaths) is int
 
 
 class TestRun:
