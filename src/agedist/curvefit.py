@@ -14,7 +14,12 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .distributions import AgeDistribution, wasserstein
+from .distributions import (
+    AgeDistribution,
+    default_labels,
+    solver_proportions,
+    wasserstein,
+)
 from .errors import AgedistError, CurveFitFailed
 
 MAX_INNER_ITERATIONS = 200
@@ -148,8 +153,9 @@ def _fit_single_breakpoint(y: np.ndarray, k: int):
     return theta, sse, False
 
 
-def fit(dist: AgeDistribution) -> CurveFitResult:
-    """Fit the plateau-then-decay family to ``dist``.
+def fit(dist) -> CurveFitResult:
+    """Fit the plateau-then-decay family to ``dist``, an AgeDistribution or
+    a raw proportion vector (whose fit gets the labels g1..gn).
 
     Runs the inner least squares for every breakpoint k in 1..n, normalizes
     each fitted curve into a distribution and keeps the breakpoint with the
@@ -158,10 +164,13 @@ def fit(dist: AgeDistribution) -> CurveFitResult:
     skipped.
 
     Raises:
+        InteriorZeroGroup: a raw vector has an empty group before a
+            non-empty one.
         CurveFitFailed: no breakpoint produced a usable fit.
     """
-    y = dist.proportions
+    y = solver_proportions(dist)
     n = y.size
+    labels = dist.labels if isinstance(dist, AgeDistribution) else default_labels(n)
     table = []
     best = None
 
@@ -177,7 +186,7 @@ def fit(dist: AgeDistribution) -> CurveFitResult:
             # A decay steep enough to underflow leaves zero groups (trimmed
             # or rejected by the constructor); such a curve cannot feed the
             # closed-form solver, so treat the fit as failed.
-            fitted = AgeDistribution(dist.labels, vals / vals.sum())
+            fitted = AgeDistribution(labels, vals / vals.sum())
         except AgedistError:
             table.append((k, sse, float("inf")))
             continue

@@ -52,14 +52,16 @@ class CurveFitFailed(AgedistError):
 
 class SearchNotConverged(AgedistError):
     """The activation-rate search ended above its success threshold.
-    ``solution`` holds the best candidate it found."""
+    ``solution`` holds the best candidate it found, ``history`` its best
+    error after initialisation and after each generation."""
 
-    def __init__(self, solution, threshold: float):
+    def __init__(self, solution, threshold: float, history: tuple = ()):
         super().__init__(
             f"model 2 search did not converge: mae {solution.mae:.3g} after "
             f"{solution.iterations_used} iterations (threshold {threshold:g})"
         )
         self.solution = solution
+        self.history = list(history)
 
 
 class EmptyDataset(AgedistError):

@@ -14,6 +14,8 @@ profile and the target.
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -40,6 +42,13 @@ from .errors import (
 
 #: Residual ceiling for the first-group balance check in steady_state2().
 BALANCE_TOLERANCE = 1e-10
+
+#: Population entries (rows x 2n) of a search generation for each thread
+#: it runs on: a generation of fewer than twice this runs on the calling
+#: thread alone. Results do not depend on it. Two shares against one on a
+#: 2-CPU machine: 0.69x at n = 21 (13k entries a share), break-even near
+#: n = 33 (33k), 1.2-1.3x at n = 41 (50k), 1.65x at n = 101 (306k).
+SHARE_FLOOR = 50_000
 
 
 @dataclass
@@ -276,7 +285,7 @@ def _distinct_rows(rng: np.random.Generator, m: int, count: int) -> list:
 
 
 def _bounce_back(x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                 scratch: np.ndarray) -> None:
+                 scratch: np.ndarray, doubled: Optional[tuple] = None) -> None:
     """Reflect out-of-bounds components of ``x`` back into the box, in place.
 
     ``max(2lo - x, x)`` picks the reflection exactly when ``x < lo``:
@@ -284,12 +293,17 @@ def _bounce_back(x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     same holds for the upper side, and the final clip catches reflections
     that overshoot the far bound. numpy's maximum and minimum return their
     second operand on ties, so ``x`` keeps its own signed zero as in the
-    where/where/clip form, which this equals bit for bit. ``scratch`` has
-    the shape of ``x``.
+    where/where/clip form, which this equals bit for bit. The clip stays a
+    clip: on a zero of the other sign at a bound it returns the bound when
+    the bounds vary along numpy's inner loop and ``x`` when they do not, and
+    no fixed ``maximum``/``minimum`` pair does both.
+    ``scratch`` has the shape of ``x``; ``doubled`` is ``(2 * lo, 2 * hi)``
+    when the caller has them.
     """
-    np.subtract(2.0 * lo, x, out=scratch)
+    twice_lo, twice_hi = doubled if doubled is not None else (2.0 * lo, 2.0 * hi)
+    np.subtract(twice_lo, x, out=scratch)
     np.maximum(scratch, x, out=x)
-    np.subtract(2.0 * hi, x, out=scratch)
+    np.subtract(twice_hi, x, out=scratch)
     np.minimum(scratch, x, out=x)
     np.clip(x, lo, hi, out=x)
 
@@ -298,6 +312,47 @@ def _finite_scores(evaluate, candidates: np.ndarray) -> np.ndarray:
     """Objective values of ``candidates``, non-finite ones counted as +inf."""
     scores = np.asarray(evaluate(candidates), dtype=float)
     return np.where(np.isfinite(scores), scores, np.inf)
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where it has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _row_shares(pop_size: int, dim: int) -> list:
+    """Contiguous row slices of a generation, one per thread it runs on:
+    one per CPU, but at most one per SHARE_FLOOR population entries."""
+    count = max(1, min(_cpu_count(), pop_size * dim // SHARE_FLOOR, pop_size))
+    edges = [pop_size * k // count for k in range(count + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+@contextmanager
+def _share_runner(count: int):
+    """Yield ``run(task)``, which calls ``task(k)`` for k in 0..count-1 and
+    returns once all calls are done: share 0 on the calling thread, each
+    other share on a worker thread that lives only inside the ``with``."""
+    if count == 1:
+        yield lambda task: task(0)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(count - 1, thread_name_prefix="agedist-search") as pool:
+        def run(task):
+            pending = [pool.submit(task, k) for k in range(1, count)]
+            try:
+                task(0)
+            finally:
+                # Wait for every share, even when this one failed.
+                failures = [future.exception() for future in pending]
+            for failure in failures:
+                if failure is not None:
+                    raise failure
+
+        yield run
 
 
 def optimize(
@@ -312,18 +367,31 @@ def optimize(
     Binomial-crossover differential evolution over the 2n-dimensional joint
     vector with elitist selection, bounce-back repair and an early stop once
     the best mean absolute error drops below the success threshold.
-    Deterministic for a given seed: one generator drives every draw and the
-    population update is sequential. A generation allocates nothing of the
+    Deterministic for a given seed: one generator drives every draw and
+    selection replaces rows only once the whole generation is scored.
+
+    A generation is synchronous, so its trial rows are built in row shares,
+    one per CPU the process may run on (``os.sched_getaffinity``), on the
+    calling thread and on worker threads that live only as long as the
+    call. The calling thread makes every random draw, in the serial order,
+    before the shares start; each share gathers, mutates, reflects and
+    crosses over its own rows and scores them with its own scratch. There
+    is at most one share per ``SHARE_FLOOR`` population entries, so small
+    searches (the cascade's 21-group ones among them) stay on the calling
+    thread. Every row gets the same floats whatever the share count, so
+    results are bitwise independent of it; restricting the CPU affinity
+    gives a serial search. A generation allocates nothing of the
     population's size: the population, trial rows, crossover draws and the
     objective's scratch live in buffers made once per call.
 
     Non-convergence is reported through ``converged=False``, never raised.
     A non-finite objective value counts as ``+inf``: such a candidate never
     wins selection and never stops the search. ``objective`` replaces the
-    batched scorer (testing hook). The candidate matrix it receives is a
-    buffer that the search overwrites afterwards, so a hook that keeps
-    candidates must copy them. ``history`` receives the best error after
-    initialisation and after each generation.
+    batched scorer (testing hook); it is called from the calling thread,
+    once for the initial population and once per generation, with the whole
+    candidate matrix. That matrix is a buffer that the search overwrites
+    afterwards, so a hook that keeps candidates must copy them. ``history``
+    receives the best error after initialisation and after each generation.
     """
     cfg = config if config is not None else DEConfig()
     t = proportions_of(target)
@@ -331,53 +399,78 @@ def optimize(
     dim = 2 * n
     bounds = cfg.resolved_bounds(n)
     lo, hi = bounds[:, 0].copy(), bounds[:, 1].copy()
+    doubled = (2.0 * lo, 2.0 * hi)
     pop_size = cfg.population_size or 15 * dim
     f_low, f_high = cfg.mutation_range()
-    evaluate = objective if objective is not None else mae_objective(t)
+    shares = _row_shares(pop_size, dim)
+    scorers = [mae_objective(t) for _ in shares] if objective is None else None
 
     rng = np.random.default_rng(cfg.seed)
     population = rng.uniform(lo, hi, size=(pop_size, dim))
-    errors = _finite_scores(evaluate, population)
-    if history is not None:
-        history.append(float(errors.min()))
 
     # Every generation writes into this workspace: trial rows, a second
-    # gather buffer, the crossover uniforms and the keep-parent mask. The
-    # row indices are always in range; mode="clip" only spares np.take a
-    # temporary copy of its output.
+    # gather buffer, the crossover uniforms, the keep-parent mask and the
+    # trial scores. The row indices are always in range; mode="clip" only
+    # spares np.take a temporary copy of its output.
     trials = np.empty_like(population)
     spare = np.empty_like(population)
     uniforms = np.empty_like(population)
     keep = np.empty(population.shape, dtype=bool)
-    rows = np.arange(pop_size)
+    errors = np.empty(pop_size)
+    trial_errors = np.empty(pop_size)
+    local = np.arange(pop_size)
 
-    iterations = 0
-    while errors.min() >= cfg.success_threshold and iterations < cfg.max_iterations:
-        factor = f_low if f_low == f_high else rng.uniform(f_low, f_high)
-        if cfg.strategy == "best1bin":
-            r1, r2 = _distinct_rows(rng, pop_size, 2)
-            base = population[int(errors.argmin())]
+    def score(k, candidates, out):
+        rows = shares[k]
+        out[rows] = _finite_scores(scorers[k], candidates[rows])
+
+    def build(k):
+        # Reads this generation's draws (factor, base, base_idx, r1, r2,
+        # forced) and the unchanged population; writes only share k's rows.
+        rows = shares[k]
+        out, gather, draws, mask = trials[rows], spare[rows], uniforms[rows], keep[rows]
+        np.greater_equal(draws, cfg.crossover_rate, out=mask)
+        mask[local[: len(out)], forced[rows]] = False
+        # The crossover draws are spent, so ``draws`` can hold the base rows.
+        share_base = base if base_idx is None else np.take(
+            population, base_idx[rows], axis=0, out=draws, mode="clip")
+        np.take(population, r1[rows], axis=0, out=out, mode="clip")
+        np.take(population, r2[rows], axis=0, out=gather, mode="clip")
+        np.subtract(out, gather, out=out)
+        np.multiply(out, factor, out=out)
+        np.add(out, share_base, out=out)
+        _bounce_back(out, lo, hi, gather, doubled)
+        np.copyto(out, population[rows], where=mask)
+        if scorers is not None:
+            score(k, trials, trial_errors)
+
+    with _share_runner(len(shares)) as run:
+        if objective is None:
+            run(lambda k: score(k, population, errors))
         else:
-            base_idx, r1, r2 = _distinct_rows(rng, pop_size, 3)
-            # ``uniforms`` is free until the crossover draw below.
-            base = np.take(population, base_idx, axis=0, out=uniforms, mode="clip")
-        np.take(population, r1, axis=0, out=trials, mode="clip")
-        np.take(population, r2, axis=0, out=spare, mode="clip")
-        np.subtract(trials, spare, out=trials)
-        np.multiply(trials, factor, out=trials)
-        np.add(trials, base, out=trials)
-        _bounce_back(trials, lo, hi, spare)
-        rng.random(out=uniforms)
-        np.greater_equal(uniforms, cfg.crossover_rate, out=keep)
-        keep[rows, rng.integers(0, dim, size=pop_size)] = False
-        np.copyto(trials, population, where=keep)
-        trial_errors = _finite_scores(evaluate, trials)
-        improved = trial_errors <= errors
-        np.copyto(population, trials, where=improved[:, None])
-        np.copyto(errors, trial_errors, where=improved)
-        iterations += 1
+            errors = _finite_scores(objective, population)
         if history is not None:
             history.append(float(errors.min()))
+
+        iterations = 0
+        while errors.min() >= cfg.success_threshold and iterations < cfg.max_iterations:
+            factor = f_low if f_low == f_high else rng.uniform(f_low, f_high)
+            if cfg.strategy == "best1bin":
+                r1, r2 = _distinct_rows(rng, pop_size, 2)
+                base_idx, base = None, population[int(errors.argmin())]
+            else:
+                base_idx, r1, r2 = _distinct_rows(rng, pop_size, 3)
+            rng.random(out=uniforms)
+            forced = rng.integers(0, dim, size=pop_size)
+            run(build)
+            if objective is not None:
+                trial_errors = _finite_scores(objective, trials)
+            improved = trial_errors <= errors
+            np.copyto(population, trials, where=improved[:, None])
+            np.copyto(errors, trial_errors, where=improved)
+            iterations += 1
+            if history is not None:
+                history.append(float(errors.min()))
 
     best = int(errors.argmin())
     mae = float(errors[best])

@@ -83,8 +83,8 @@ def select_and_solve(
     Diagnostics carried on the result include the analytic mean absolute
     error against the route's target, the validation run's error against the
     analytic steady state (``sim_mae``), and route-specific entries (model-2
-    solver, search iterations, curve-fit distance, free-parameter
-    provenance).
+    solver, search iterations and best-error history, curve-fit distance,
+    free-parameter provenance).
 
     Raises:
         InvalidEntry: ``dist`` is not an AgeDistribution.
@@ -105,11 +105,13 @@ def solve_model2(
     record the ``solver`` ("closed_form" or "search"), the analytic mean
     absolute error against ``dist`` and the search seed; the closed form
     adds its smallest activation rate and the free-parameter mode, the
-    search its iteration count.
+    search its iteration count and ``search_history``, the best error after
+    initialisation and after each generation.
 
     Raises:
         SearchNotConverged: the closed form rejected the target and the
-            search ended above its success threshold.
+            search ended above its success threshold; it carries the
+            search's history.
     """
     de_cfg = de_config if de_config is not None else model2.DEConfig()
     try:
@@ -120,13 +122,16 @@ def solve_model2(
             "free_param_mode": "midpoint",
         }
     except ActivationTooSmall:
-        solution = model2.optimize(dist, de_cfg)
+        history = []
+        solution = model2.optimize(dist, de_cfg, history=history)
         if not solution.converged:
-            raise SearchNotConverged(solution, de_cfg.success_threshold) from None
+            raise SearchNotConverged(
+                solution, de_cfg.success_threshold, history) from None
         survival, activation = solution.survival, solution.activation
         diagnostics = {
             "solver": "search",
             "iterations_used": solution.iterations_used,
+            "search_history": history,
         }
     analytic = model2.steady_state2(survival, activation, labels=dist.labels)
     diagnostics["mae"] = mean_absolute_error(analytic, dist)
@@ -177,6 +182,7 @@ def _solve_one(
                 "free_param_mode": "midpoint",
                 "model2_mae": exc.solution.mae,
                 "model2_iterations": exc.solution.iterations_used,
+                "model2_history": exc.history,
             }
             params = ModelParams(
                 ModelKind.MODEL1_ON_FITTED, survival, diagnostics=diagnostics

@@ -142,6 +142,23 @@ class TestSolveModel2:
         assert params.diagnostics["solver"] == "closed_form"
         assert params.diagnostics["mae"] < 1e-12
 
+    def test_search_history_written(self, tmp_path):
+        # The second group is 1250 times the first: beyond the closed form,
+        # within the search's reach.
+        data = tmp_path / "steep.csv"
+        data.write_text("country,age_group,population\n"
+                        "Steep,a,4\nSteep,b,5000\nSteep,c,4996\n")
+        out_file = tmp_path / "steep.json"
+        assert main([
+            "solve", "--input", str(data), "--country", "Steep",
+            "--out", str(out_file),
+        ]) == 0
+        diagnostics = strict_load(out_file)["diagnostics"]
+        assert diagnostics["solver"] == "search"
+        history = diagnostics["search_history"]
+        assert len(history) == diagnostics["iterations_used"] + 1
+        assert history[-1] < 1e-4
+
     def test_unreachable_shape_reports_search_failure(
         self, flat_dataset, tmp_path, capsys
     ):
@@ -278,3 +295,16 @@ class TestPipeline:
         params = strict_load(out_dir / "params" / "Cliff.json")
         assert params["diagnostics"]["model2_mae"] is None
         assert params["diagnostics"]["model2_iterations"] == 3
+
+    def test_search_history_written_to_outputs(self, flat_dataset, tmp_path):
+        out_dir = tmp_path / "out"
+        assert main([
+            "pipeline", "--input", str(flat_dataset), "--out-dir", str(out_dir),
+            "--de-iters", "4", "--agents", "500", "--steps", "20",
+        ]) == 0
+        summary = strict_load(out_dir / "summary.json")
+        cliff = summary["per_country"]["Cliff"]["diagnostics"]
+        assert len(cliff["model2_history"]) == 5
+        assert cliff["model2_history"][-1] == cliff["model2_mae"]
+        params = strict_load(out_dir / "params" / "Cliff.json")
+        assert params["diagnostics"]["model2_history"] == cliff["model2_history"]

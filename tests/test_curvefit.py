@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from agedist import AgeDistribution, CurveParams, eval_curve, fit, normalize
 from agedist.curvefit import curve_values
 from agedist.distributions import Classification, classify
+from agedist.errors import InteriorZeroGroup
 from agedist.model1 import FeasibleInterval, feasibility
 
 
@@ -106,3 +108,27 @@ class TestFit:
         result = fit(dist)
         assert classify(result.fitted) is Classification.MONOTONE_NON_INCREASING
         assert result.wasserstein_to_original > 0
+
+
+class TestRawVectors:
+    """``fit`` takes raw proportion vectors as the solvers do."""
+
+    def test_raw_vector_fits_like_its_distribution(self):
+        values = [0.2, 0.3, 0.25, 0.15, 0.1]
+        raw = fit(values)
+        dist = fit(normalize(values, ("a", "b", "c", "d", "e")))
+        assert raw.params == dist.params
+        assert np.array_equal(raw.fitted.proportions, dist.fitted.proportions)
+        assert raw.wasserstein_to_original == dist.wasserstein_to_original
+        assert raw.per_k_table == dist.per_k_table
+
+    def test_raw_vector_gets_default_labels(self):
+        assert fit(np.array([0.2, 0.3, 0.25, 0.15, 0.1])).fitted.labels == (
+            "g1", "g2", "g3", "g4", "g5")
+
+    @pytest.mark.parametrize("entry", [[0.5, 0.0, 0.5], [0.4, 0.0, 0.0, 0.6]])
+    def test_raw_interior_zero_raises_typed_error_without_warning(self, entry):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InteriorZeroGroup):
+                fit(entry)

@@ -1,3 +1,6 @@
+import os
+import sys
+import threading
 import warnings
 from fractions import Fraction
 
@@ -530,3 +533,204 @@ def test_reflection_equals_where_form_bitwise(case):
     got = x.copy()
     _bounce_back(got, lo, hi, np.empty_like(got))
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """``split(count)`` makes every later search run in ``count`` row
+    shares, whatever its size and the machine's CPU count."""
+
+    def use(count):
+        monkeypatch.setattr(model2, "SHARE_FLOOR", 1)
+        monkeypatch.setattr(model2, "_cpu_count", lambda: count)
+
+    return use
+
+
+def scorer_threads(monkeypatch):
+    """Wrap the built-in objective so that every share's scorer records the
+    thread it runs on and the rows it scores."""
+    seen = []
+    make = model2.mae_objective
+
+    def recording(target):
+        evaluate = make(target)
+
+        def score(candidates):
+            seen.append((threading.get_ident(), len(candidates)))
+            return evaluate(candidates)
+
+        return score
+
+    monkeypatch.setattr(model2, "mae_objective", recording)
+    return seen
+
+
+SHARE_CASES = [
+    (21, DEConfig(seed=0, max_iterations=25)),
+    (21, DEConfig(seed=7, strategy="rand1bin", mutation_factor=0.8,
+                  max_iterations=20)),
+    (101, DEConfig(seed=1, max_iterations=3)),
+    (101, DEConfig(seed=2, strategy="rand1bin", mutation_factor=0.7,
+                   max_iterations=2)),
+    (21, DEConfig(seed=6, population_size=11, bounds=narrow_bounds(21),
+                  strategy="rand1bin", max_iterations=40)),
+    (101, DEConfig(seed=3, population_size=9, bounds=narrow_bounds(101),
+                   max_iterations=30)),
+]
+SHARE_IDS = ["n21", "n21-rand-fixed", "n101", "n101-rand-fixed",
+             "n21-own-both-rand", "n101-own-both"]
+
+
+class TestRowShares:
+    """A generation split into row shares gives the serial result bit for
+    bit, whatever the share count."""
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    @pytest.mark.parametrize("n, config", SHARE_CASES, ids=SHARE_IDS)
+    def test_bitwise_equal_to_reference(self, split, n, config, count):
+        split(count)
+        target = hump_target(n)
+        sol = optimize(target, config)
+        probs, rates, mae, iterations = reference_optimize(target.proportions, config)
+        assert np.array_equal(sol.survival.probs, probs)
+        assert np.array_equal(sol.activation.rates, rates)
+        assert (sol.mae, sol.iterations_used) == (mae, iterations)
+
+    @pytest.mark.parametrize("n, config", SHARE_CASES[4:], ids=SHARE_IDS[4:])
+    def test_one_row_per_share(self, split, monkeypatch, n, config):
+        # Only small populations: a share per row means a thread per row.
+        # More threads than CPUs, switching as often as the interpreter
+        # allows, so that a share reading a row another share writes shows.
+        split(config.population_size)
+        seen = scorer_threads(monkeypatch)
+        target = hump_target(n)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sol = optimize(target, config)
+        finally:
+            sys.setswitchinterval(interval)
+        probs, rates, mae, iterations = reference_optimize(target.proportions, config)
+        assert np.array_equal(sol.survival.probs, probs)
+        assert np.array_equal(sol.activation.rates, rates)
+        assert (sol.mae, sol.iterations_used) == (mae, iterations)
+        assert {rows for _, rows in seen} == {1}
+        assert len(seen) == config.population_size * (iterations + 1)
+
+    @pytest.mark.parametrize("count", [2, 3, 11])
+    @pytest.mark.parametrize("strategy", ["best1bin", "rand1bin"])
+    def test_hooks_unchanged(self, split, count, strategy):
+        split(count)
+        target = hump_target(21)
+        config = DEConfig(seed=9, strategy=strategy, population_size=11,
+                          max_iterations=40, success_threshold=1e-12)
+        calls, ours, theirs = [], [], []
+        score = coarse_error(target)
+
+        def hook(candidates):
+            calls.append((threading.get_ident(), candidates.shape))
+            return score(candidates)
+
+        sol = optimize(target, config, objective=hook, history=ours)
+        probs, rates, mae, iterations = reference_optimize(
+            target.proportions, config, objective=coarse_error(target), history=theirs)
+        assert ours == theirs
+        assert np.array_equal(sol.survival.probs, probs)
+        assert (sol.mae, sol.iterations_used) == (mae, iterations)
+        # One call per generation plus the initial population, each with
+        # the whole matrix, all from the calling thread.
+        assert calls == [(threading.get_ident(), (11, 42))] * (iterations + 1)
+
+    def test_history_bitwise_equal_across_share_counts(self, split):
+        target = hump_target(101)
+        config = DEConfig(seed=4, max_iterations=4)
+        histories = []
+        for count in (1, 2, 3):
+            split(count)
+            histories.append([])
+            optimize(target, config, history=histories[-1])
+        assert histories[0] == histories[1] == histories[2]
+        assert len(histories[0]) == 5
+
+    def test_calling_thread_takes_a_share(self, split, monkeypatch):
+        split(3)
+        seen = scorer_threads(monkeypatch)
+        optimize(hump_target(21), DEConfig(seed=0, max_iterations=4))
+        threads = {ident for ident, _ in seen}
+        assert len(threads) == 3
+        assert threading.get_ident() in threads
+        assert sorted(rows for _, rows in seen[:3]) == [210, 210, 210]
+
+    def test_no_worker_outlives_the_search(self, split):
+        split(3)
+        before = threading.active_count()
+        optimize(hump_target(21), DEConfig(seed=0, max_iterations=4))
+        assert threading.active_count() == before
+
+    def test_worker_error_reaches_the_caller(self, split, monkeypatch):
+        split(2)
+        caller = threading.get_ident()
+        make = model2.mae_objective
+
+        def failing(target):
+            evaluate = make(target)
+
+            def score(candidates):
+                if threading.get_ident() != caller:
+                    raise MemoryError("worker share failed")
+                return evaluate(candidates)
+
+            return score
+
+        monkeypatch.setattr(model2, "mae_objective", failing)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="worker share failed"):
+            optimize(hump_target(21), DEConfig(seed=0, max_iterations=4))
+        assert threading.active_count() == before
+
+    def test_concurrent_searches_equal_serial_ones(self, split):
+        split(2)
+        jobs = [(hump_target(101), DEConfig(seed=1, max_iterations=3)),
+                (hump_target(41), DEConfig(seed=5, strategy="rand1bin",
+                                           max_iterations=6))]
+        serial = [optimize(target, config) for target, config in jobs]
+        results = [None, None]
+
+        def solve(i):
+            results[i] = optimize(*jobs[i])
+
+        threads = [threading.Thread(target=solve, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+            assert not thread.is_alive()
+        for got, want in zip(results, serial):
+            assert np.array_equal(got.survival.probs, want.survival.probs)
+            assert np.array_equal(got.activation.rates, want.activation.rates)
+            assert (got.mae, got.iterations_used) == (want.mae, want.iterations_used)
+
+    def test_floor_keeps_small_searches_serial(self, monkeypatch):
+        monkeypatch.setattr(model2, "_cpu_count", lambda: 64)
+        # The cascade's 21-group search: 630 rows x 42 entries.
+        assert model2._row_shares(630, 42) == [slice(0, 630)]
+        shares = model2._row_shares(3030, 202)
+        assert len(shares) == 3030 * 202 // model2.SHARE_FLOOR
+        assert all(
+            (s.stop - s.start) * 202 >= model2.SHARE_FLOOR for s in shares)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_shares_cover_the_rows_in_order(self, monkeypatch, cpus):
+        monkeypatch.setattr(model2, "_cpu_count", lambda: cpus)
+        shares = model2._row_shares(3030, 202)
+        assert len(shares) == cpus
+        assert shares[0].start == 0 and shares[-1].stop == 3030
+        assert all(a.stop == b.start for a, b in zip(shares, shares[1:]))
+        sizes = [s.stop - s.start for s in shares]
+        assert max(sizes) - min(sizes) <= 1
+
+    def test_cpu_count_follows_affinity(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert model2._cpu_count() == len(os.sched_getaffinity(0))
+        assert model2._cpu_count() >= 1

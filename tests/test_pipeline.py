@@ -70,6 +70,14 @@ class TestSelectAndSolve:
         assert params.diagnostics["wasserstein_to_original"] > 0
         assert params.diagnostics["model2_iterations"] == 60
 
+    def test_curve_fit_records_search_history(self, configs):
+        params, route = select_and_solve(flat_then_humped(), *configs)
+        assert route is Route.CURVE_FIT
+        history = params.diagnostics["model2_history"]
+        assert len(history) == params.diagnostics["model2_iterations"] + 1 == 61
+        assert history[-1] == params.diagnostics["model2_mae"]
+        assert all(a >= b for a, b in zip(history, history[1:]))
+
     def test_flat_then_humped_takes_model2_closed_form(self, configs):
         dist = flat_then_humped(first=0.060)
         params, route = select_and_solve(dist, *configs)
@@ -141,6 +149,28 @@ class TestSolveModel2:
             solve_model2(flat_then_humped(), DEConfig(seed=0, max_iterations=5))
         assert info.value.solution.iterations_used == 5
         assert not info.value.solution.converged
+
+    def test_search_records_its_history(self):
+        config = DEConfig(seed=0)
+        params, _ = solve_model2(STEEP, config)
+        history = params.diagnostics["search_history"]
+        expected = []
+        solution = model2.optimize(STEEP, config, history=expected)
+        assert history == expected
+        assert len(history) == params.diagnostics["iterations_used"] + 1
+        assert history[-1] == solution.mae < config.success_threshold
+        assert all(a >= b for a, b in zip(history, history[1:]))
+
+    def test_closed_form_records_no_history(self):
+        params, _ = solve_model2(HUMP, DEConfig(seed=0))
+        assert "search_history" not in params.diagnostics
+
+    def test_search_failure_carries_history(self):
+        with pytest.raises(SearchNotConverged) as info:
+            solve_model2(flat_then_humped(), DEConfig(seed=0, max_iterations=5))
+        history = info.value.history
+        assert len(history) == 6
+        assert history[-1] == info.value.solution.mae
 
 
 class TestRunDataset:
