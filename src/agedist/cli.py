@@ -18,9 +18,12 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import platform
 import re
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__, curvefit, dataio, model1, model2, pipeline, simulator
 from .distributions import (
@@ -302,6 +305,15 @@ def cmd_pipeline(args) -> int:
 
     summary = {
         "library_version": __version__,
+        "run": {
+            "numpy_version": np.__version__,
+            "python_version": platform.python_version(),
+            "seed": args.seed,
+            "num_agents": sim_config.num_agents,
+            "num_steps": sim_config.num_steps,
+            "burn_in": sim_config.burn_in,
+            "cpu_count": model2._cpu_count(),
+        },
         "countries": len(entries),
         "skipped": [{"country": n, "reason": r} for n, r in skipped],
         "route_counts": {

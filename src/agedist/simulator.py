@@ -1,22 +1,21 @@
-"""Stochastic agent-based forward simulation of both ageing processes.
+"""Stochastic forward simulation of both ageing processes.
 
 Used to check that solved parameters really do pull a finite population onto
-the intended stationary profile. Agents carry only their group index and are
-updated synchronously against the start-of-step state. Each step takes one
-uniform per agent, in agent order, from the run's single seeded generator:
-an agent of group i advances one group below ``alpha_i p_i`` (the last group
-keeps its survivors), dies between ``alpha_i p_i`` and ``alpha_i``, and stays
-inactive above. Every death is replaced by a fresh agent in group 1, so the
-population size never changes. The plain process is ``alpha = 1``: an agent
-survives below ``p_i`` and dies above it.
-
-Agents are stepped in blocks of ``BLOCK``, so a block's scratch and state
-stay in cache; each agent still uses one uniform in agent order, so results
-are bitwise independent of the block size.
+the intended stationary profile. Agents of a group are alike, so a run
+carries only the group counts. Each step takes the agents as sorted by group
+and draws one uniform per agent, in that order, from the run's single seeded
+generator: an agent of group i advances one group below ``alpha_i p_i`` (the
+last group keeps its survivors), dies between ``alpha_i p_i`` and
+``alpha_i``, and stays inactive above (``alpha = 1`` in the plain process).
+Every death is replaced by a fresh agent in group 1, so the population size
+never changes. The counts are, bit for bit, those of the per-agent ``step``
+on the group-sorted agents, sorted again after every step. The uniforms are
+drawn in chunks of ``BLOCK``; results do not depend on it.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,8 +24,8 @@ import numpy as np
 from .distributions import ModelParams, proportions_of
 from .errors import ResidualCheckFailed
 
-#: Agents per block of the step kernel: a block's state and scratch (about
-#: 0.8 MB) fit in a per-core L2 cache. Results do not depend on it.
+#: Uniforms per chunk of a step: a chunk's uniforms, repeated thresholds and
+#: flags (about 0.5 MB) fit in a per-core L2 cache. Results do not depend on it.
 BLOCK = 32_768
 
 
@@ -43,6 +42,10 @@ class SimConfig:
     uniform_start: bool = False
 
     def __post_init__(self):
+        for name in ("num_agents", "num_steps", "burn_in"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.num_agents < 1 or self.num_steps < 1:
             raise ValueError("num_agents and num_steps must be positive")
         if not 0 <= self.burn_in < self.num_steps:
@@ -84,39 +87,43 @@ def apportion(proportions, total: int) -> np.ndarray:
     return counts
 
 
-def initialize(target, config: SimConfig) -> np.ndarray:
-    """Per-agent group indices at step 0."""
+def start_counts(target, config: SimConfig) -> np.ndarray:
+    """Group counts at step 0: the target, or equal shares with
+    ``uniform_start``, apportioned to ``config.num_agents``."""
     n = len(proportions_of(target))
-    if config.uniform_start:
-        start = np.full(n, 1.0 / n)
-    else:
-        start = target
-    counts = apportion(start, config.num_agents)
-    return np.repeat(np.arange(n), counts)
+    start = np.full(n, 1.0 / n) if config.uniform_start else target
+    return apportion(start, config.num_agents)
+
+
+def initialize(target, config: SimConfig) -> np.ndarray:
+    """Per-agent group indices at step 0, sorted by group."""
+    counts = start_counts(target, config)
+    return np.repeat(np.arange(counts.size), counts)
 
 
 def step(state, survival, activation, rng) -> tuple:
-    """One synchronous update; returns (new state, deaths this step).
+    """One synchronous per-agent update; returns (new state, deaths).
 
     Each agent takes one uniform ``u`` from ``rng``, in agent order. An
     agent of group i advances when ``u < alpha_i p_i`` (the last group
     keeps it), dies when ``alpha_i p_i <= u < alpha_i`` and is replaced in
     the first group, and otherwise stays inactive where it is; ``alpha``
     is 1 when ``activation`` is None (the plain process), so a plain agent
-    always advances or dies. Agents are updated in blocks of ``BLOCK``; the
-    result does not depend on the block size.
+    always advances or dies. ``run`` steps counts instead, with the same
+    draws as this update on group-sorted agents.
     """
-    new_state = state.copy()
-    thresholds = _thresholds(survival, activation)
-    deaths = _step_in_place(new_state, thresholds, rng, _step_buffers(state.size),
-                            np.zeros(thresholds[0].size, dtype=np.int64))
-    return new_state, deaths
+    advance_below, stay_from = _thresholds(survival, activation)
+    u = rng.random(state.size)
+    advances = u < advance_below[state]
+    kept = advances if stay_from is None else advances | (u >= stay_from[state])
+    new_state = np.where(kept, np.minimum(state + advances, advance_below.size - 1), 0)
+    return new_state, int(state.size - np.count_nonzero(kept))
 
 
 def _thresholds(survival, activation) -> tuple:
     """Per-group uniform thresholds of the single-draw rule: advance below
-    ``alpha * p``, die below ``alpha``. The death threshold is None for the
-    plain process, whose advance threshold is ``p`` itself."""
+    ``alpha * p``, stay from ``alpha`` up. The stay threshold is None for
+    the plain process, whose advance threshold is ``p`` itself."""
     probs = np.asarray(survival, dtype=float)
     if activation is None:
         return probs, None
@@ -124,85 +131,78 @@ def _thresholds(survival, activation) -> tuple:
     return rates * probs, rates
 
 
-def _step_buffers(size: int) -> tuple:
-    """Per-block scratch for one step: two float rows and two masks, as wide
-    as ``BLOCK`` or the population, whichever is smaller."""
-    width = min(size, BLOCK)
-    return np.empty((2, width)), np.empty((2, width), dtype=bool)
-
-
-def _step_in_place(state, thresholds, rng, buffers, counts) -> int:
-    """``step`` applied to ``state`` itself, block by block, with every
-    per-agent temporary written into ``buffers`` (from ``_step_buffers``,
-    whose width sets the block size); adds the new group counts into
-    ``counts`` and returns the deaths. A run reuses one set of buffers for
-    all its steps."""
-    advance_below, die_below = thresholds
-    (uniforms, gathered), (survivals, keeps) = buffers
-    n = advance_below.size
-    deaths = 0
-    for start in range(0, state.size, uniforms.size):
-        block = state[start:start + uniforms.size]
-        size = block.size
-        u, g, survived = uniforms[:size], gathered[:size], survivals[:size]
+def _count_step(counts, thresholds, rng, buffers) -> tuple:
+    """One step on group counts; returns (new counts, deaths). Uniforms
+    are drawn in group order, in chunks as wide as ``buffers`` (a float row,
+    and a flag row one longer); a group's own uniforms below ``alpha_i p_i``
+    count as advances, those from ``alpha_i`` up as stays, the rest as
+    deaths, which refill group 1."""
+    advance_below, stay_from = thresholds
+    uniforms, flags = buffers
+    n = counts.size
+    edges = np.zeros(n + 1, dtype=np.int64)
+    np.add.accumulate(counts, out=edges[1:])
+    total = int(edges[-1])
+    # Row k: group edges within chunk k. cut[:-1] starts each group's
+    # uniforms (an empty group shares the next start), cut[-1] is the width.
+    cuts = edges - np.arange(0, total, uniforms.size)[:, None]
+    np.minimum(np.maximum(cuts, 0, out=cuts), uniforms.size, out=cuts)
+    advanced, stayed = np.zeros((2, n), dtype=np.int64)
+    for cut, sizes in zip(cuts, cuts[:, 1:] - cuts[:, :-1]):
+        size = int(cut[-1])
+        u, below = uniforms[:size], flags[:size + 1]
         rng.random(out=u)
-        # Group numbers index the per-group thresholds and are always in
-        # range; mode="clip" only spares np.take a temporary copy of its output.
-        np.take(advance_below, block, out=g, mode="clip")
-        np.less(u, g, out=survived)  # active and survived
-        if die_below is None:
-            kept = survived  # every plain agent is active: survive or die
-        else:
-            kept = keeps[:size]
-            np.take(die_below, block, out=g, mode="clip")
-            np.greater_equal(u, g, out=kept)  # inactive this step
-            kept |= survived
-        block += survived
-        np.minimum(block, n - 1, out=block)  # the last group holds its survivors
-        block *= kept  # the dead are replaced in the first group
-        deaths += size - int(np.count_nonzero(kept))
-        # An agent beyond the last group falls outside the first n bins and
-        # leaves the tally short, which ``run`` checks.
-        counts += np.bincount(block, minlength=n)[:n]
-    return deaths
+        # A False sentinel closes the last group and gives trailing empty
+        # groups a valid start; np.minimum zeroes every empty group, whose
+        # reduceat entry is a single flag of the next group.
+        below[size] = False
+        np.less(u, np.repeat(advance_below, sizes), out=below[:size])
+        advanced += np.minimum(np.add.reduceat(below, cut[:-1], dtype=np.int32), sizes)
+        if stay_from is not None:
+            np.greater_equal(u, np.repeat(stay_from, sizes), out=below[:size])
+            stayed += np.minimum(np.add.reduceat(below, cut[:-1], dtype=np.int32), sizes)
+    new_counts = stayed
+    new_counts[1:] += advanced[:-1]
+    new_counts[-1] += advanced[-1]  # the last group holds its survivors
+    deaths = total - int(new_counts.sum())
+    new_counts[0] += deaths
+    return new_counts, deaths
 
 
 def run(target, params: ModelParams, config: Optional[SimConfig] = None) -> SimResult:
     """Simulate ``config.num_steps`` steps and estimate the steady state.
 
-    The estimate is the time-average of the per-step group proportions over
-    the steps after ``burn_in``; the final snapshot is also reported.
-    Deterministic for a given seed.
+    The state is the group counts. Each step draws one uniform per agent in
+    group order, so the counts equal, bit for bit, those of ``step`` on the
+    group-sorted agents sorted again after every step. ``BLOCK`` sizes only
+    the chunks the uniforms are drawn in. The estimate is the time-average
+    of the per-step group proportions over the steps after ``burn_in``; the
+    final snapshot is also reported. Deterministic for a given seed.
     """
     cfg = config if config is not None else SimConfig()
-    props = proportions_of(target)
-    n = props.size
+    n = proportions_of(target).size
     survival = params.survival.probs
     if survival.size != n:
         raise ValueError(f"params have {survival.size} groups, target has {n}")
     activation = params.activation.rates if params.activation is not None else None
 
     rng = np.random.default_rng(cfg.seed)
-    state = initialize(target, cfg)
-    trajectory = (
-        np.empty((cfg.num_steps, n)) if cfg.record_trajectory else None
-    )
+    counts = start_counts(target, cfg)
+    trajectory = np.empty((cfg.num_steps, n)) if cfg.record_trajectory else None
     accumulator = np.zeros(n)
     total_deaths = 0
-    snapshot = np.bincount(state, minlength=n) / cfg.num_agents
 
     thresholds = _thresholds(survival, activation)
-    buffers = _step_buffers(cfg.num_agents)
-    counts = np.empty(n, dtype=np.int64)
+    width = min(cfg.num_agents, BLOCK)
+    buffers = np.empty(width), np.empty(width + 1, dtype=bool)
     for step_index in range(1, cfg.num_steps + 1):
-        counts.fill(0)
-        total_deaths += _step_in_place(state, thresholds, rng, buffers, counts)
+        counts, deaths = _count_step(counts, thresholds, rng, buffers)
+        total_deaths += deaths
         tally = int(counts.sum())
-        if tally != cfg.num_agents:
+        if tally != cfg.num_agents or counts.min() < 0:
             raise ResidualCheckFailed(
-                f"an agent left the age groups: the step's tally holds {tally} "
-                f"of {cfg.num_agents} agents; update rule broken"
-            )
+                f"an agent left the age groups: the step's tally holds {tally} of "
+                f"{cfg.num_agents} agents in counts {counts.tolist()}; update rule broken")
         snapshot = counts / cfg.num_agents
         if trajectory is not None:
             trajectory[step_index - 1] = snapshot

@@ -7,8 +7,8 @@ fixed point, so agreement with the library is evidence, not tautology.
 
 The second half keeps the straightforward, allocating forms of the
 differential-evolution search (objective, reflection, generation loop) and
-of the simulator step. The library's in-place search and step kernel must
-reproduce them bit for bit.
+of the simulator step and run. The library's in-place search and
+count-state run must reproduce them bit for bit.
 """
 
 import numpy as np
@@ -212,3 +212,25 @@ def reference_single_draw_step(state, survival, activation, rng):
     new_state = np.where(advances, np.minimum(state + 1, n - 1),
                          np.where(dies, 0, state))
     return new_state, int(dies.sum())
+
+
+def reference_sorted_run(start, survival, activation, config):
+    """``simulator.run`` in per-agent form: ``reference_single_draw_step``
+    from the per-agent ``start`` state, with the agents sorted by group
+    after every step, under ``config``'s seed, step count and burn-in.
+    Returns (trajectory, steady estimate, total deaths); the last row of
+    the trajectory is the final snapshot."""
+    n = len(survival)
+    rng = np.random.default_rng(config.seed)
+    state = np.sort(start)
+    trajectory = np.empty((config.num_steps, n))
+    accumulator = np.zeros(n)
+    deaths = 0
+    for index in range(config.num_steps):
+        state, died = reference_single_draw_step(state, survival, activation, rng)
+        state = np.sort(state)
+        deaths += died
+        trajectory[index] = np.bincount(state, minlength=n) / state.size
+        if index >= config.burn_in:
+            accumulator += trajectory[index]
+    return trajectory, accumulator / (config.num_steps - config.burn_in), deaths

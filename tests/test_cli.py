@@ -1,4 +1,5 @@
 import json
+import platform
 
 import numpy as np
 import pytest
@@ -295,6 +296,23 @@ class TestPipeline:
         params = strict_load(out_dir / "params" / "Cliff.json")
         assert params["diagnostics"]["model2_mae"] is None
         assert params["diagnostics"]["model2_iterations"] == 3
+
+    def test_summary_records_the_run(self, dataset, tmp_path):
+        out_dir = tmp_path / "out"
+        assert main([
+            "pipeline", "--input", str(dataset), "--out-dir", str(out_dir),
+            "--de-iters", "3", "--seed", "7", "--agents", "600", "--steps", "30",
+        ]) == 0
+        run = strict_load(out_dir / "summary.json")["run"]
+        assert run == {
+            "numpy_version": np.__version__,
+            "python_version": platform.python_version(),
+            "seed": 7,
+            "num_agents": 600,
+            "num_steps": 30,
+            "burn_in": 30 - 30 // 7,  # all but the final seventh
+            "cpu_count": model2._cpu_count(),
+        }
 
     def test_search_history_written_to_outputs(self, flat_dataset, tmp_path):
         out_dir = tmp_path / "out"

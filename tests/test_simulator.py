@@ -8,7 +8,7 @@ from agedist.model1 import solve, steady_state
 from agedist.model2 import steady_state2
 from agedist.simulator import apportion, initialize, run, step, write_trajectory_csv
 
-from oracles import reference_single_draw_step, reference_step
+from oracles import reference_single_draw_step, reference_sorted_run, reference_step
 
 SURVIVAL = np.array([0.9, 0.8, 0.6, 0.5, 0.3])
 ACTIVATION = np.array([1.0, 0.4, 0.7, 0.2, 0.5])
@@ -89,7 +89,7 @@ class TestStep:
             assert type(deaths) is int
 
 
-# The plain cases pin the kernel to the two-draw reference, which takes the
+# The plain cases pin step to the two-draw reference, which takes the
 # same single draw per agent when there is no activation. The activated
 # cases pin it to the single-draw reference: the two-draw layout has the
 # same law (TestDrawLayoutsAgree) but a different stream.
@@ -100,7 +100,8 @@ REFERENCES = [
 
 
 class TestMatchesReferenceStep:
-    """The in-place update reproduces the allocating one bit for bit."""
+    """step reproduces the reference updates, and run the sorted per-agent
+    run, bit for bit."""
 
     @pytest.mark.parametrize("activation, reference", REFERENCES)
     def test_step(self, activation, reference):
@@ -116,20 +117,117 @@ class TestMatchesReferenceStep:
         step(state, SURVIVAL, activation, ours)
         assert np.array_equal(state, before)
 
-    @pytest.mark.parametrize("activation, reference", REFERENCES)
-    def test_run(self, activation, reference):
+    @pytest.mark.parametrize("activation", [None, ACTIVATION])
+    def test_run(self, activation):
+        # run draws in group order, so its reference re-sorts the agents
+        # after every per-agent step.
         kind = ModelKind.MODEL1 if activation is None else ModelKind.MODEL2
         params = ModelParams(kind=kind, survival=SURVIVAL, activation=activation)
         target = steady_state2(SURVIVAL, ACTIVATION if activation is not None else np.ones(5))
         config = SimConfig(num_agents=3000, num_steps=40, burn_in=20, seed=8,
                            record_trajectory=True)
-        result = run(target, params, config)
-        state, rng, deaths = initialize(target, config), np.random.default_rng(8), 0
-        for row in result.trajectory:
-            state, died = reference(state, SURVIVAL, activation, rng)
-            deaths += died
-            assert np.array_equal(row, np.bincount(state, minlength=5) / 3000)
-        assert result.total_deaths == deaths
+        assert_matches_sorted_run(target, params, config)
+
+
+def assert_matches_sorted_run(target, params, config):
+    """``run`` equals the sorted per-agent reference bit for bit; returns
+    the result."""
+    activation = None if params.activation is None else params.activation.rates
+    result = run(target, params, config)
+    trajectory, estimate, deaths = reference_sorted_run(
+        initialize(target, config), params.survival.probs, activation, config)
+    if config.record_trajectory:
+        assert np.array_equal(result.trajectory, trajectory)
+    assert np.array_equal(result.final_snapshot, trajectory[-1])
+    assert np.array_equal(result.steady_estimate, estimate)
+    assert result.total_deaths == deaths and type(result.total_deaths) is int
+    return result
+
+
+class TestMatchesSortedRun:
+    """Edge cases of the count kernel against the sorted per-agent run."""
+
+    @pytest.mark.parametrize("activation", [None, ACTIVATION])
+    def test_single_agent(self, activation):
+        kind = ModelKind.MODEL1 if activation is None else ModelKind.MODEL2
+        params = ModelParams(kind=kind, survival=SURVIVAL, activation=activation)
+        config = SimConfig(num_agents=1, num_steps=60, burn_in=10, seed=2,
+                           record_trajectory=True)
+        result = assert_matches_sorted_run(np.full(5, 0.2), params, config)
+        assert np.all(result.trajectory.sum(axis=1) == 1.0)
+
+    @pytest.mark.parametrize("activation", [None, ACTIVATION])
+    @pytest.mark.parametrize("block", [1, 2, 32_768])
+    def test_fewer_agents_than_groups(self, activation, block, monkeypatch):
+        # Three agents in seven groups: the first, middle and last groups
+        # start empty, and empty groups keep moving as the agents age.
+        monkeypatch.setattr(simulator, "BLOCK", block)
+        survival = np.array([0.9, 0.8, 0.95, 0.7, 0.9, 0.6, 0.5])
+        rates = None if activation is None else np.array([1.0, 0.4, 0.7, 0.2, 0.5, 0.9, 0.3])
+        kind = ModelKind.MODEL1 if rates is None else ModelKind.MODEL2
+        params = ModelParams(kind=kind, survival=survival, activation=rates)
+        target = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0]) / 3.0
+        config = SimConfig(num_agents=3, num_steps=80, burn_in=40, seed=6,
+                           record_trajectory=True)
+        assert initialize(target, config).tolist() == [1, 3, 4]
+        assert_matches_sorted_run(target, params, config)
+
+    @pytest.mark.parametrize("activation", [None, ACTIVATION])
+    @pytest.mark.parametrize("block", [1, 50, 100, 400, 700])
+    def test_group_edge_on_chunk_edge(self, activation, block, monkeypatch):
+        # The start counts 400/300/150/100/50 put every group edge on a
+        # multiple of 50, and the first on 400 and the second on 700.
+        monkeypatch.setattr(simulator, "BLOCK", block)
+        kind = ModelKind.MODEL1 if activation is None else ModelKind.MODEL2
+        params = ModelParams(kind=kind, survival=SURVIVAL, activation=activation)
+        target = np.array([0.4, 0.3, 0.15, 0.1, 0.05])
+        config = SimConfig(num_agents=1000, num_steps=12, burn_in=4, seed=21,
+                           record_trajectory=True)
+        assert np.array_equal(simulator.start_counts(target, config), [400, 300, 150, 100, 50])
+        assert_matches_sorted_run(target, params, config)
+
+    @pytest.mark.parametrize("activation", [None, ACTIVATION])
+    def test_uniform_start(self, activation):
+        kind = ModelKind.MODEL1 if activation is None else ModelKind.MODEL2
+        params = ModelParams(kind=kind, survival=SURVIVAL, activation=activation)
+        target = steady_state2(SURVIVAL, np.ones(5))
+        config = SimConfig(num_agents=997, num_steps=30, burn_in=10, seed=3,
+                           uniform_start=True, record_trajectory=True)
+        assert simulator.start_counts(target, config).tolist() == [200, 200, 199, 199, 199]
+        assert_matches_sorted_run(target, params, config)
+
+    def test_unit_activation_is_plain_run(self):
+        target = steady_state(SURVIVAL)
+        config = SimConfig(num_agents=2500, num_steps=40, burn_in=20, seed=17,
+                           record_trajectory=True)
+        plain = assert_matches_sorted_run(
+            target, ModelParams(kind=ModelKind.MODEL1, survival=SURVIVAL), config)
+        activated = assert_matches_sorted_run(
+            target, ModelParams(kind=ModelKind.MODEL2, survival=SURVIVAL,
+                                activation=np.ones(5)), config)
+        assert np.array_equal(plain.trajectory, activated.trajectory)
+        assert np.array_equal(plain.steady_estimate, activated.steady_estimate)
+        assert plain.total_deaths == activated.total_deaths
+
+    @pytest.mark.parametrize("threshold", ["advance", "stay"])
+    def test_uniform_on_a_threshold(self, threshold):
+        # Ten agents, two a group: the first agent of group 2 takes the
+        # third uniform of step 1, and its group's threshold is set to it.
+        # At the advance threshold it dies (u < p fails); at the stay
+        # threshold it stays (u >= alpha holds). Either way group 2 loses
+        # it to a different group than under the strict or loose twin.
+        seed = 4
+        u = float(np.random.default_rng(seed).random(3)[2])
+        survival, rates = SURVIVAL.copy(), ACTIVATION.copy()
+        if threshold == "advance":
+            survival[1], rates = u, None
+        else:
+            rates[1] = u
+        kind = ModelKind.MODEL1 if rates is None else ModelKind.MODEL2
+        params = ModelParams(kind=kind, survival=survival, activation=rates)
+        config = SimConfig(num_agents=10, num_steps=3, burn_in=1, seed=seed,
+                           record_trajectory=True)
+        assert_matches_sorted_run(np.full(5, 0.2), params, config)
 
 
 def landing_probabilities(survival, activation):
@@ -310,19 +408,37 @@ class TestRun:
             run(pyramid, params, SimConfig(seed=0))
 
     def test_agent_beyond_last_group_raises_typed_error(self, pyramid, monkeypatch):
-        def overshooting(state, *args):
-            state[0] = state.max() + 1
-            return 0
+        def short_tally(counts, *args):
+            # One agent stepped past the last group and left the tally.
+            new_counts = counts.copy()
+            new_counts[-1] -= 1
+            return new_counts, 0
 
-        monkeypatch.setattr(simulator, "_step_in_place", overshooting)
-        with pytest.raises(ResidualCheckFailed, match="left the age groups"):
-            run(pyramid, model1_params(pyramid), SimConfig(seed=0))
+        def negative_count(counts, *args):
+            # The tally is whole, but a group holds minus one agent.
+            new_counts = counts.copy()
+            new_counts[1] += new_counts[2] + 1
+            new_counts[2] = -1
+            return new_counts, 0
+
+        for kernel in (short_tally, negative_count):
+            monkeypatch.setattr(simulator, "_count_step", kernel)
+            with pytest.raises(ResidualCheckFailed, match="left the age groups"):
+                run(pyramid, model1_params(pyramid), SimConfig(seed=0))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SimConfig(burn_in=350, num_steps=350)
         with pytest.raises(ValueError):
             SimConfig(num_agents=0)
+        # A float or a bool would only fail later, untyped, inside run.
+        for bad in ({"num_agents": 1e4}, {"num_agents": True},
+                    {"num_steps": 350.0}, {"burn_in": 300.0}):
+            with pytest.raises(ValueError, match="must be an integer"):
+                SimConfig(**bad)
+        config = SimConfig(num_agents=np.int64(40), num_steps=np.int32(6), burn_in=2)
+        assert run(np.full(4, 0.25), ModelParams(kind=ModelKind.MODEL1, survival=np.full(4, 0.5)),
+                   config).total_deaths > 0
 
 
 class TestTrajectoryCsv:
