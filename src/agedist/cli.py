@@ -6,6 +6,8 @@ activation-rate search for model-2 targets the closed form rejects),
 ``fit-curve`` (plateau-decay surrogate plus closed-form solve), ``simulate``
 (stochastic validation of a parameter file) and ``pipeline`` (the full
 cascade over a dataset, emitting parameter files and plot-data CSVs).
+``solve`` and ``fit-curve`` share the pipeline's stations, so their files
+carry the pipeline's diagnostics.
 
 Every failure exits nonzero after printing a line prefixed ``error:`` to
 stderr. All subcommands are deterministic given identical inputs and
@@ -29,7 +31,6 @@ from . import __version__, curvefit, dataio, model1, model2, pipeline, simulator
 from .distributions import (
     Classification,
     ModelKind,
-    ModelParams,
     classify,
     mean_absolute_error,
 )
@@ -120,31 +121,14 @@ def cmd_classify(args) -> int:
 def cmd_solve(args) -> int:
     entries = _ingest(args)
     dist = _find(entries, args.country)
-    shape = classify(dist)
-
     model = args.model
     if model == "auto":
-        model = "1" if shape is Classification.MONOTONE_NON_INCREASING else "2"
+        model = "1" if classify(dist) is Classification.MONOTONE_NON_INCREASING else "2"
 
     if model == "1":
-        pn = _parse_pn(args.pn)
-        survival = model1.solve(dist, pn, seed=args.seed)
-        analytic = model1.steady_state(survival, labels=dist.labels)
-        diagnostics = {
-            "mae": mean_absolute_error(analytic, dist),
-            "free_param_mode": args.pn if isinstance(pn, str) else "explicit",
-        }
-        if args.pn == "rand":
-            diagnostics["seed"] = args.seed
-        params = ModelParams(
-            kind=ModelKind.MODEL1,
-            survival=survival,
-            diagnostics=diagnostics,
-        )
-        route = "model1"
+        params, _ = pipeline.solve_model1(dist, _parse_pn(args.pn), seed=args.seed)
     else:
         params, _ = pipeline.solve_model2(dist, model2.DEConfig(seed=args.seed))
-        route = "model2"
 
     dataio.emit_params(
         params,
@@ -153,7 +137,7 @@ def cmd_solve(args) -> int:
         target=dist.proportions,
         config={"seed": args.seed, "pn": args.pn, "model": args.model},
     )
-    print(f"{args.country}: route {route}, mae {params.diagnostics['mae']:.3g}, "
+    print(f"{args.country}: route {params.kind.value}, mae {params.diagnostics['mae']:.3g}, "
           f"wrote {args.out}")
     return 0
 
@@ -168,22 +152,7 @@ def cmd_fit_curve(args) -> int:
         for k, sse, distance in result.per_k_table:
             fh.write(f"{k},{sse:.10g},{distance:.10g}\n")
 
-    survival = model1.solve(result.fitted, "mid")
-    analytic = model1.steady_state(survival, labels=dist.labels)
-    params = ModelParams(
-        kind=ModelKind.MODEL1_ON_FITTED,
-        survival=survival,
-        diagnostics={
-            "mae": mean_absolute_error(analytic, result.fitted),
-            "wasserstein_to_original": result.wasserstein_to_original,
-            "residual_sse": result.residual_sse,
-            "plateau": result.params.plateau,
-            "decay_scale": result.params.decay_scale,
-            "decay_shape": result.params.decay_shape,
-            "breakpoint": result.params.breakpoint,
-            "free_param_mode": "midpoint",
-        },
-    )
+    params, _ = pipeline._fitted_params(dist, result)
     # The file's target is the fitted surrogate: that is the distribution
     # these parameters reproduce.
     dataio.emit_params(
@@ -204,11 +173,11 @@ def cmd_simulate(args) -> int:
     document = dataio.load_params_document(args.params)
     params = document.params
     target = document.target_distribution()
-    if target is None:
-        if params.kind is ModelKind.MODEL2:
-            target = model2.steady_state2(params.survival, params.activation)
-        else:
-            target = model1.steady_state(params.survival)
+    labels = target.labels if target is not None else None
+    if params.kind is ModelKind.MODEL2:
+        analytic = model2.steady_state2(params.survival, params.activation, labels=labels)
+    else:
+        analytic = model1.steady_state(params.survival, labels=labels)
 
     burn_in = args.burn_in if args.burn_in is not None else _default_burn_in(args.steps)
     config = simulator.SimConfig(
@@ -218,13 +187,7 @@ def cmd_simulate(args) -> int:
         burn_in=burn_in,
         record_trajectory=args.trajectory is not None,
     )
-    result = simulator.run(target, params, config)
-    if params.kind is ModelKind.MODEL2:
-        analytic = model2.steady_state2(
-            params.survival, params.activation, labels=target.labels
-        )
-    else:
-        analytic = model1.steady_state(params.survival, labels=target.labels)
+    result = simulator.run(target if target is not None else analytic, params, config)
     mae = mean_absolute_error(result.steady_estimate, analytic.proportions)
 
     if args.trajectory is not None:

@@ -76,14 +76,7 @@ def curve_values(params: CurveParams, n: int) -> np.ndarray:
 
 
 def _values(log_params: np.ndarray, k: int, n: int) -> np.ndarray:
-    a, b, c = np.exp(log_params)
-    x = np.arange(1, n + 1, dtype=float)
-    out = np.full(n, a)
-    tail = x >= k
-    with np.errstate(over="ignore"):
-        decay = (x[tail] - k) ** c
-        out[tail] = a * np.exp(-b * decay)
-    return out
+    return _values_and_jacobian(log_params, k, n)[0]
 
 
 def _values_and_jacobian(log_params: np.ndarray, k: int, n: int):

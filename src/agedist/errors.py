@@ -86,5 +86,5 @@ class SchemaError(AgedistError):
 
 
 class ResidualCheckFailed(AgedistError, RuntimeError):
-    """A computed result failed its own consistency check (stationarity
-    residual, first-group balance, or the simulator's constant population)."""
+    """A computed result failed its own consistency check (the stationarity
+    residual of either process, or the simulator's constant population)."""

@@ -6,6 +6,10 @@ by a new agent in the first group. For a monotone non-increasing target the
 survival probabilities that make the target the stationary profile have a
 closed form, with the last-group survival p_n left free inside a feasibility
 interval.
+
+The steady state of both processes comes from one batched kernel,
+``stationary_profiles``, over rows of survival and activation rates; the
+plain process is the activation-rate process with every rate 1.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import numpy as np
 
 from .distributions import (
     MAX_LAST_SURVIVAL,
+    ActivationVector,
     AgeDistribution,
     Classification,
     SurvivalVector,
@@ -33,7 +38,8 @@ from .errors import (
     ResidualCheckFailed,
 )
 
-#: Residual ceiling for the stationarity check in steady_state().
+#: Residual ceiling for the stationarity check in steady_state() and
+#: model2.steady_state2().
 RESIDUAL_TOLERANCE = 1e-10
 
 
@@ -132,67 +138,83 @@ def solve(dist, p_n="mid", *, seed: Optional[int] = None) -> SurvivalVector:
 
 
 def steady_state(p, labels=None) -> AgeDistribution:
-    """Stationary age distribution of the plain ageing process.
-
-    Computed by the forward recursion N_1 = 1, N_{i+1} = p_i N_i for the
-    intermediate groups and N_n = p_{n-1} N_{n-1} / (1 - p_n), then
-    normalized. Every row of the full stationarity system is then evaluated
-    on the result as a transcription guard.
+    """Stationary age distribution of the plain ageing process: the
+    ``stationary_profiles`` recursion with every activation rate 1, checked
+    against every row of the full stationarity system.
 
     Raises:
         DegenerateLastGroup: the last survival probability is >= 1.
+        InteriorZeroGroup: an intermediate survival probability is 0.
         ResidualCheckFailed: the result misses a stationarity equation by
             ``RESIDUAL_TOLERANCE`` or more.
     """
+    return _steady_state(p, None, labels)
+
+
+def stationary_profiles(probs: np.ndarray, rates: np.ndarray,
+                        out: np.ndarray) -> np.ndarray:
+    """Stationary profiles of (m, n) survival and activation rows, written
+    into ``out`` (m, n) and returned.
+
+    The active mass alpha_i N_i obeys m_{i+1} = p_i m_i over the
+    intermediate groups, so row by row N_1 = 1,
+    N_{i+1} = (alpha_i p_i / alpha_{i+1}) N_i and
+    N_n = alpha_{n-1} p_{n-1} N_{n-1} / (alpha_n (1 - p_n)), normalized.
+    Rates of 1 give the plain process bit for bit.
+    """
+    n = probs.shape[1]
+    inner = out[:, 1 : n - 1]
+    out[:, 0] = 1.0
+    np.multiply(rates[:, : n - 2], probs[:, : n - 2], out=inner)
+    np.divide(inner, rates[:, 1 : n - 1], out=inner)
+    np.cumprod(inner, axis=1, out=inner)
+    out[:, n - 1] = (
+        rates[:, n - 2] * probs[:, n - 2] * out[:, n - 2]
+        / (rates[:, n - 1] * (1.0 - probs[:, n - 1]))
+    )
+    return np.divide(out, out.sum(axis=1, keepdims=True), out=out)
+
+
+def _steady_state(p, alpha, labels) -> AgeDistribution:
+    """Guarded steady state of either process (``alpha`` None: plain)."""
     raw = np.asarray(p, dtype=float)
     if raw.size and raw[-1] >= 1.0:
         raise DegenerateLastGroup(
             f"last-group survival {raw[-1]!r} leaves the final group with no outflow"
         )
-    sv = p if isinstance(p, SurvivalVector) else SurvivalVector(raw)
-    probs = sv.probs
+    probs = SurvivalVector(raw).probs
     n = probs.size
+    rates = np.ones(n) if alpha is None else ActivationVector(alpha).rates
+    if rates.size != n:
+        raise ValueError(f"survival has {n} entries, activation has {rates.size}")
     if np.any(probs[: n - 1] == 0.0):
         idx = int(np.nonzero(probs[: n - 1] == 0.0)[0][0])
         raise InteriorZeroGroup(
             f"survival of 0 in group {idx} empties every later group"
         )
 
-    weights = np.empty(n)
-    weights[0] = 1.0
-    for i in range(n - 2):
-        weights[i + 1] = probs[i] * weights[i]
-    weights[n - 1] = probs[n - 2] * weights[n - 2] / (1.0 - probs[n - 1])
-    dist = weights / weights.sum()
-
-    _check_residual(probs, dist)
-    return AgeDistribution(labels if labels is not None else default_labels(n), dist)
-
-
-def stationarity_matrix(probs: np.ndarray) -> np.ndarray:
-    """Full linear system whose null vector is the stationary profile.
-
-    Row 0 balances the first group's outflow against the deaths replaced
-    into it; row i says group i is fed entirely by survivors of group i-1;
-    the last row balances final-group inflow against its deaths.
-    """
-    probs = np.asarray(probs, dtype=float)
-    n = probs.size
-    m = np.zeros((n, n))
-    m[0, 0] = -probs[0]
-    m[0, 1:] = 1.0 - probs[1:]
-    for i in range(1, n - 1):
-        m[i, i - 1] = probs[i - 1]
-        m[i, i] = -1.0
-    m[n - 1, n - 2] = probs[n - 2]
-    m[n - 1, n - 1] = -(1.0 - probs[n - 1])
-    return m
-
-
-def _check_residual(probs: np.ndarray, dist: np.ndarray) -> None:
-    residual = stationarity_matrix(probs) @ dist
-    worst = float(np.abs(residual).max())
+    dist = stationary_profiles(probs[None], rates[None], np.empty((1, n)))[0]
+    worst = float(np.abs(stationarity_matrix(probs, rates) @ dist).max())
     if worst >= RESIDUAL_TOLERANCE:
         raise ResidualCheckFailed(
             f"stationarity residual {worst:g} exceeds {RESIDUAL_TOLERANCE:g}"
         )
+    return AgeDistribution(labels if labels is not None else default_labels(n), dist)
+
+
+def stationarity_matrix(probs: np.ndarray, rates=None) -> np.ndarray:
+    """Full linear system whose null vector is the stationary profile: the
+    expected one-step update minus the identity.
+
+    Row 0 balances the first group's outflow against the deaths replaced
+    into it; row i says group i is fed entirely by survivors of group i-1;
+    the last row balances final-group inflow against its deaths. Only the
+    active share alpha_j of group j moves, so ``rates`` scale column j
+    (none: the plain process).
+    """
+    probs = np.asarray(probs, dtype=float)
+    n = probs.size
+    m = np.diag(np.r_[-probs[0], np.full(n - 2, -1.0), probs[-1] - 1.0])
+    m[0, 1:] = 1.0 - probs[1:]
+    m[np.arange(1, n), np.arange(n - 1)] = probs[:-1]
+    return m if rates is None else m * np.asarray(rates, dtype=float)

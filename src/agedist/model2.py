@@ -9,7 +9,9 @@ whose groups stay within 1/ALPHA_MIN of every earlier group exactly, in
 closed form. ``optimize`` is the search of the original method: a bounded
 differential evolution over the joint vector (p_1..p_n, alpha_1..alpha_n)
 that minimises the mean absolute error between the candidate's stationary
-profile and the target.
+profile and the target. ``steady_state2`` and the search objective both use
+model 1's stationary kernel, with the activation rates as its second row
+set.
 """
 
 from __future__ import annotations
@@ -33,15 +35,7 @@ from .distributions import (
     proportions_of,
     solver_proportions,
 )
-from .errors import (
-    ActivationTooSmall,
-    DegenerateLastGroup,
-    InteriorZeroGroup,
-    ResidualCheckFailed,
-)
-
-#: Residual ceiling for the first-group balance check in steady_state2().
-BALANCE_TOLERANCE = 1e-10
+from .errors import ActivationTooSmall
 
 #: Population entries (rows x 2n) of a search generation for each thread
 #: it runs on: a generation of fewer than twice this runs on the calling
@@ -175,57 +169,12 @@ def solve(dist) -> tuple:
 
 
 def steady_state2(p, alpha, labels=None) -> AgeDistribution:
-    """Stationary age distribution of the activation-rate process.
-
-    Forward recursion N_1 = 1, N_{i+1} = (alpha_i p_i / alpha_{i+1}) N_i for
-    intermediate groups and
-    N_n = alpha_{n-1} p_{n-1} N_{n-1} / (alpha_n (1 - p_n)), normalized.
-    The recursion enforces all but one row of the (rank n-1) stationarity
-    system; the remaining first-group balance
-    alpha_1 p_1 N_1 = sum_j alpha_j (1 - p_j) N_j is checked as a residual.
-
-    With all activation rates equal to 1 this reproduces the plain process
-    bit for bit.
+    """Stationary age distribution of the activation-rate process: the
+    ``model1.stationary_profiles`` recursion, under the guards of
+    ``model1.steady_state`` with column j of the stationarity system scaled
+    by alpha_j. All activation rates 1 give the plain process bit for bit.
     """
-    raw = np.asarray(p, dtype=float)
-    if raw.size and raw[-1] >= 1.0:
-        raise DegenerateLastGroup(
-            f"last-group survival {raw[-1]!r} leaves the final group with no outflow"
-        )
-    sv = p if isinstance(p, SurvivalVector) else SurvivalVector(raw)
-    av = alpha if isinstance(alpha, ActivationVector) else ActivationVector(
-        np.asarray(alpha, dtype=float)
-    )
-    probs, rates = sv.probs, av.rates
-    if probs.size != rates.size:
-        raise ValueError(
-            f"survival has {probs.size} entries, activation has {rates.size}"
-        )
-    n = probs.size
-    if np.any(probs[: n - 1] == 0.0):
-        idx = int(np.nonzero(probs[: n - 1] == 0.0)[0][0])
-        raise InteriorZeroGroup(
-            f"survival of 0 in group {idx} empties every later group"
-        )
-
-    weights = np.empty(n)
-    weights[0] = 1.0
-    for i in range(n - 2):
-        weights[i + 1] = (rates[i] * probs[i] / rates[i + 1]) * weights[i]
-    weights[n - 1] = (
-        rates[n - 2] * probs[n - 2] * weights[n - 2]
-        / (rates[n - 1] * (1.0 - probs[n - 1]))
-    )
-    dist = weights / weights.sum()
-
-    inflow = rates[0] * probs[0] * dist[0]
-    outflow = float(np.sum(rates[1:] * (1.0 - probs[1:]) * dist[1:]))
-    if abs(inflow - outflow) >= BALANCE_TOLERANCE:
-        raise ResidualCheckFailed(
-            f"first-group balance residual {abs(inflow - outflow):g} exceeds "
-            f"{BALANCE_TOLERANCE:g}"
-        )
-    return AgeDistribution(labels if labels is not None else default_labels(n), dist)
+    return model1._steady_state(p, alpha, labels)
 
 
 def mae_objective(target) -> Callable[[np.ndarray], np.ndarray]:
@@ -233,32 +182,21 @@ def mae_objective(target) -> Callable[[np.ndarray], np.ndarray]:
 
     Returns a function mapping a (m, 2n) matrix of candidate
     (survival, activation) rows to a fresh array of the m mean absolute
-    errors between each candidate's stationary profile and the target.
-    Mirrors steady_state2 without the balance check (which the recursion
-    satisfies by construction) so that whole populations evaluate in one
-    shot. The function keeps its (m, n) scratch between calls of the same
-    row count, so one instance must not be called from two threads at once.
+    errors between each candidate's stationary profile
+    (``model1.stationary_profiles``, unguarded) and the target. The function
+    keeps its (m, n) scratch between calls of the same row count, so one
+    instance must not be called from two threads at once.
     """
     t = proportions_of(target)
     n = t.size
-    ratios = weights = None
+    weights = None
 
     def evaluate(candidates: np.ndarray) -> np.ndarray:
-        nonlocal ratios, weights
+        nonlocal weights
         x = np.atleast_2d(np.asarray(candidates, dtype=float))
         if weights is None or weights.shape[0] != x.shape[0]:
-            ratios = np.empty((x.shape[0], n - 2))
             weights = np.empty((x.shape[0], n))
-        probs, rates = x[:, :n], x[:, n:]
-        weights[:, 0] = 1.0
-        np.multiply(rates[:, : n - 2], probs[:, : n - 2], out=ratios)
-        np.divide(ratios, rates[:, 1 : n - 1], out=ratios)
-        np.cumprod(ratios, axis=1, out=weights[:, 1 : n - 1])
-        weights[:, n - 1] = (
-            rates[:, n - 2] * probs[:, n - 2] * weights[:, n - 2]
-            / (rates[:, n - 1] * (1.0 - probs[:, n - 1]))
-        )
-        np.divide(weights, weights.sum(axis=1, keepdims=True), out=weights)
+        model1.stationary_profiles(x[:, :n], x[:, n:], weights)
         np.subtract(weights, t, out=weights)
         np.abs(weights, out=weights)
         return weights.mean(axis=1)

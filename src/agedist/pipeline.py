@@ -5,8 +5,11 @@ is monotone non-increasing; otherwise the model-2 closed form, which solves
 every target whose groups stay within 1/ALPHA_MIN of each earlier group;
 for the rest, the activation-rate search; and when that fails to converge
 within its budget, the plateau-decay curve fit followed by the closed-form
-solver on the fitted surrogate. Every solved parameter set is validated with
-one stochastic run against its own analytic steady state.
+solver on the fitted surrogate. ``solve_model1``, ``solve_model2`` and
+``solve_curve_fit`` return each station's parameters, diagnostics and
+analytic steady state, for the cascade and the command line alike. Every
+solved parameter set is validated with one stochastic run against its own
+analytic steady state.
 """
 
 from __future__ import annotations
@@ -94,6 +97,26 @@ def select_and_solve(
     return params, route
 
 
+def solve_model1(dist: AgeDistribution, p_n="mid", *,
+                 seed: Optional[int] = None) -> tuple:
+    """Model-1 station: ``model1.solve`` (``p_n`` and ``seed`` as there);
+    returns (params, analytic steady state).
+
+    Diagnostics record the analytic mean absolute error against ``dist``
+    and the ``free_param_mode``: "midpoint", "rand" (with its ``seed``) or
+    "explicit".
+    """
+    survival = model1.solve(dist, p_n, seed=seed)
+    analytic = model1.steady_state(survival, labels=dist.labels)
+    # model1.solve has rejected every other string.
+    mode = ("explicit" if not isinstance(p_n, str)
+            else "midpoint" if p_n in ("mid", "midpoint") else "rand")
+    diagnostics = {"mae": mean_absolute_error(analytic, dist), "free_param_mode": mode}
+    if mode == "rand":
+        diagnostics["seed"] = seed
+    return ModelParams(ModelKind.MODEL1, survival, diagnostics=diagnostics), analytic
+
+
 def solve_model2(
     dist: AgeDistribution, de_config: Optional[model2.DEConfig] = None
 ) -> tuple:
@@ -145,6 +168,34 @@ def solve_model2(
     return params, analytic
 
 
+def solve_curve_fit(dist: AgeDistribution) -> tuple:
+    """Curve-fit station: ``curvefit.fit``, then the model-1 closed form on
+    the fitted surrogate; returns (params, analytic steady state).
+
+    Diagnostics record the analytic mean absolute error against the
+    surrogate, the fit's distance, residual and curve parameters, and the
+    ``free_param_mode``. Raises CurveFitFailed when no fit is usable.
+    """
+    return _fitted_params(dist, curvefit.fit(dist))
+
+
+def _fitted_params(dist: AgeDistribution, fit: curvefit.CurveFitResult) -> tuple:
+    """``solve_curve_fit`` on a fit already made."""
+    survival = model1.solve(fit.fitted, "mid")
+    analytic = model1.steady_state(survival, labels=dist.labels)
+    diagnostics = {
+        "mae": mean_absolute_error(analytic, fit.fitted),
+        "wasserstein_to_original": fit.wasserstein_to_original,
+        "residual_sse": fit.residual_sse,
+        "plateau": fit.params.plateau,
+        "decay_scale": fit.params.decay_scale,
+        "decay_shape": fit.params.decay_shape,
+        "breakpoint": fit.params.breakpoint,
+        "free_param_mode": "midpoint",
+    }
+    return ModelParams(ModelKind.MODEL1_ON_FITTED, survival, diagnostics=diagnostics), analytic
+
+
 def _solve_one(
     dist: AgeDistribution,
     de_config: Optional[model2.DEConfig],
@@ -157,39 +208,24 @@ def _solve_one(
             f"expected an AgeDistribution, got {type(dist).__name__} "
             "(build one with normalize())"
         )
-    sim_cfg = sim_config if sim_config is not None else simulator.SimConfig()
 
     if classify(dist) is Classification.MONOTONE_NON_INCREASING:
-        survival = model1.solve(dist, "mid")
-        analytic = model1.steady_state(survival, labels=dist.labels)
-        diagnostics = {
-            "mae": mean_absolute_error(analytic, dist),
-            "free_param_mode": "midpoint",
-        }
-        params = ModelParams(ModelKind.MODEL1, survival, diagnostics=diagnostics)
+        params, analytic = solve_model1(dist)
         route = Route.MODEL1
     else:
         try:
             params, analytic = solve_model2(dist, de_config)
             route = Route.MODEL2
         except SearchNotConverged as exc:
-            fit_result = curvefit.fit(dist)
-            survival = model1.solve(fit_result.fitted, "mid")
-            analytic = model1.steady_state(survival, labels=dist.labels)
-            diagnostics = {
-                "mae": mean_absolute_error(analytic, fit_result.fitted),
-                "wasserstein_to_original": fit_result.wasserstein_to_original,
-                "free_param_mode": "midpoint",
-                "model2_mae": exc.solution.mae,
-                "model2_iterations": exc.solution.iterations_used,
-                "model2_history": exc.history,
-            }
-            params = ModelParams(
-                ModelKind.MODEL1_ON_FITTED, survival, diagnostics=diagnostics
+            params, analytic = solve_curve_fit(dist)
+            params.diagnostics.update(
+                model2_mae=exc.solution.mae,
+                model2_iterations=exc.solution.iterations_used,
+                model2_history=exc.history,
             )
             route = Route.CURVE_FIT
 
-    validation = simulator.run(analytic, params, sim_cfg)
+    validation = simulator.run(analytic, params, sim_config)
     params.diagnostics["sim_mae"] = mean_absolute_error(
         validation.steady_estimate, analytic.proportions
     )

@@ -21,8 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import ModelParams, proportions_of
-from .errors import ResidualCheckFailed
+from .distributions import SUM_TOLERANCE, ModelParams, default_labels, proportions_of
+from .errors import NotNormalized, ResidualCheckFailed
 
 #: Uniforms per chunk of a step: a chunk's uniforms, repeated thresholds and
 #: flags (about 0.5 MB) fit in a per-core L2 cache. Results do not depend on it.
@@ -89,9 +89,14 @@ def apportion(proportions, total: int) -> np.ndarray:
 
 def start_counts(target, config: SimConfig) -> np.ndarray:
     """Group counts at step 0: the target, or equal shares with
-    ``uniform_start``, apportioned to ``config.num_agents``."""
-    n = len(proportions_of(target))
-    start = np.full(n, 1.0 / n) if config.uniform_start else target
+    ``uniform_start``, apportioned to ``config.num_agents``. A target whose
+    proportions do not sum to 1 raises NotNormalized."""
+    props = proportions_of(target)
+    total = float(props.sum())
+    if abs(total - 1.0) > SUM_TOLERANCE:
+        raise NotNormalized(f"target proportions sum to {total!r}, not 1")
+    n = props.size
+    start = np.full(n, 1.0 / n) if config.uniform_start else props
     return apportion(start, config.num_agents)
 
 
@@ -209,9 +214,7 @@ def run(target, params: ModelParams, config: Optional[SimConfig] = None) -> SimR
         if step_index > cfg.burn_in:
             accumulator += snapshot
 
-    labels = tuple(target.labels) if hasattr(target, "labels") else tuple(
-        f"g{i}" for i in range(1, n + 1)
-    )
+    labels = tuple(target.labels) if hasattr(target, "labels") else default_labels(n)
     return SimResult(
         labels=labels,
         steady_estimate=accumulator / (cfg.num_steps - cfg.burn_in),

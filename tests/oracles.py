@@ -5,10 +5,11 @@ per-group balance bookkeeping (who leaves, who arrives), not the closed-form
 recursions under test. Steady states are found by iterating the update to a
 fixed point, so agreement with the library is evidence, not tautology.
 
-The second half keeps the straightforward, allocating forms of the
-differential-evolution search (objective, reflection, generation loop) and
-of the simulator step and run. The library's in-place search and
-count-state run must reproduce them bit for bit.
+The second half keeps the straightforward forms of the steady-state
+recursions, of the differential-evolution search (objective, reflection,
+generation loop) and of the simulator step and run. The library's batched
+kernel, in-place search and count-state run must reproduce them bit for
+bit.
 """
 
 import numpy as np
@@ -83,6 +84,29 @@ def fixed_point(update, n_groups, tol=1e-14, max_iter=2_000_000):
             return nxt
         x = nxt
     raise AssertionError("oracle iteration did not converge")
+
+
+def reference_steady_state(survival, activation=None):
+    """The scalar forward recursions the two steady states were first
+    written with, before they shared one batched kernel: N_1 = 1,
+    N_{i+1} = p_i N_i (plain) or (alpha_i p_i / alpha_{i+1}) N_i, the last
+    group from its balance, normalized."""
+    p = np.asarray(survival, dtype=float)
+    n = p.size
+    weights = np.empty(n)
+    weights[0] = 1.0
+    if activation is None:
+        for i in range(n - 2):
+            weights[i + 1] = p[i] * weights[i]
+        weights[n - 1] = p[n - 2] * weights[n - 2] / (1.0 - p[n - 1])
+    else:
+        a = np.asarray(activation, dtype=float)
+        for i in range(n - 2):
+            weights[i + 1] = (a[i] * p[i] / a[i + 1]) * weights[i]
+        weights[n - 1] = (
+            a[n - 2] * p[n - 2] * weights[n - 2] / (a[n - 1] * (1.0 - p[n - 1]))
+        )
+    return weights / weights.sum()
 
 
 def reference_mae_objective(target):

@@ -81,6 +81,20 @@ class TestSolve:
         ]) == 0
         assert load_params_document(out_file).params.free_param == 0.25
 
+    @pytest.mark.parametrize("pn, mode", [("mid", "midpoint"), ("rand", "rand"),
+                                          ("0.25", "explicit")])
+    def test_free_param_mode_matches_pipeline(self, dataset, tmp_path, pn, mode):
+        out_file = tmp_path / "pyramid.json"
+        assert main([
+            "solve", "--input", str(dataset), "--country", "Pyramid",
+            "--pn", pn, "--seed", "4", "--out", str(out_file),
+        ]) == 0
+        diagnostics = load_params_document(out_file).params.diagnostics
+        assert diagnostics["free_param_mode"] == mode
+        assert ("seed" in diagnostics) == (pn == "rand")
+        if pn == "rand":
+            assert diagnostics["seed"] == 4
+
     def test_forcing_model1_on_hump_fails(self, dataset, tmp_path, capsys):
         code = main([
             "solve", "--input", str(dataset), "--country", "Hump",

@@ -1,4 +1,5 @@
-"""Smoke gate: every narrated script in ``demos/`` runs to completion."""
+"""Smoke gate: every narrated script in ``demos/``, and the README's library
+quick start, runs to completion."""
 
 import os
 import shutil
@@ -10,18 +11,28 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = ROOT / "README.md"
+
+
+def readme_quick_start() -> str:
+    """The fenced python block of the README's "Library quick start"."""
+    section = README.read_text(encoding="utf-8").split("## Library quick start", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
 
 
 def test_demos_found():
     assert len(DEMOS) >= 4
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.stem)
+@pytest.mark.parametrize("script", DEMOS + [README], ids=lambda path: path.stem)
 def test_demo_exits_cleanly(script, tmp_path):
     # Run a copy, so that what the demo writes next to itself lands in the
     # temporary directory rather than in the source tree.
-    copy = tmp_path / script.name
-    shutil.copy(script, copy)
+    copy = tmp_path / f"{script.stem}.py"
+    if script == README:
+        copy.write_text(readme_quick_start(), encoding="utf-8")
+    else:
+        shutil.copy(script, copy)
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     result = subprocess.run(

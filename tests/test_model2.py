@@ -18,7 +18,7 @@ from agedist import (
     optimize,
     steady_state2,
 )
-from agedist.distributions import ALPHA_MIN, default_labels
+from agedist.distributions import ALPHA_MIN, MAX_LAST_SURVIVAL, default_labels
 from agedist.errors import (
     ActivationTooSmall,
     DegenerateLastGroup,
@@ -34,6 +34,7 @@ from oracles import (
     reference_bounce_back,
     reference_mae_objective,
     reference_optimize,
+    reference_steady_state,
     stationary_null_vector,
 )
 
@@ -70,6 +71,51 @@ def activation_vectors(draw, size):
     return np.asarray(rates)
 
 
+@st.composite
+def rate_pairs(draw, min_survival=0.0):
+    """(survival, activation) of 3..60 groups; rates at ALPHA_MIN, at 1 and
+    in between, the last survival up to MAX_LAST_SURVIVAL."""
+    n = draw(st.integers(3, 60))
+    probs = draw(st.lists(st.floats(min_survival, 1.0), min_size=n, max_size=n))
+    probs[-1] = draw(st.just(MAX_LAST_SURVIVAL) | st.floats(0.0, MAX_LAST_SURVIVAL))
+    rate = st.sampled_from([ALPHA_MIN, 1.0]) | st.floats(ALPHA_MIN, 1.0)
+    rates = draw(st.lists(rate, min_size=n, max_size=n))
+    return np.asarray(probs), np.asarray(rates)
+
+
+class TestStationaryKernel:
+    @given(rate_pairs())
+    @settings(max_examples=150)
+    def test_stationarity_matrix_is_expected_update_minus_identity(self, pair):
+        probs, rates = pair
+        unit = np.eye(probs.size)
+        expected = np.column_stack(
+            [expected_update_activated(unit[j], probs, rates) for j in range(probs.size)]
+        )
+        assert np.abs(model1.stationarity_matrix(probs, rates) - (expected - unit)).max() <= 1e-15
+
+    @given(rate_pairs(min_survival=0.01))
+    @settings(max_examples=150)
+    def test_one_row_equals_both_steady_states(self, pair):
+        probs, rates = pair
+        n = probs.size
+        plain = model1.stationary_profiles(probs[None], np.ones((1, n)), np.empty((1, n)))
+        activated = model1.stationary_profiles(probs[None], rates[None], np.empty((1, n)))
+        assert np.array_equal(plain[0], reference_steady_state(probs))
+        assert np.array_equal(activated[0], reference_steady_state(probs, rates))
+        assert np.array_equal(plain[0], steady_state(probs).proportions)
+        assert np.array_equal(activated[0], steady_state2(probs, rates).proportions)
+
+    def test_rows_are_independent_of_their_batch(self):
+        rng = np.random.default_rng(5)
+        probs = rng.uniform(0.05, MAX_LAST_SURVIVAL, (40, 21))
+        rates = rng.uniform(ALPHA_MIN, 1.0, (40, 21))
+        batch = model1.stationary_profiles(probs, rates, np.empty((40, 21)))
+        for i in (0, 17, 39):
+            row = model1.stationary_profiles(probs[i:i + 1], rates[i:i + 1], np.empty((1, 21)))
+            assert np.array_equal(batch[i], row[0])
+
+
 class TestSteadyState2:
     def test_hand_witness(self):
         ss = steady_state2(WITNESS_P, WITNESS_ALPHA)
@@ -103,8 +149,8 @@ class TestSteadyState2:
             steady_state2([0.5, 0.4, 0.3], [1.0, 1.0, 1.0, 1.0])
 
     def test_balance_guard_raises_typed_error(self, monkeypatch):
-        monkeypatch.setattr(model2, "BALANCE_TOLERANCE", 0.0)
-        with pytest.raises(ResidualCheckFailed, match="balance"):
+        monkeypatch.setattr(model1, "RESIDUAL_TOLERANCE", 0.0)
+        with pytest.raises(ResidualCheckFailed, match="stationarity residual"):
             steady_state2(WITNESS_P, WITNESS_ALPHA)
 
     @given(survival_vectors())

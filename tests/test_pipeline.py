@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from agedist import AgeDistribution, DEConfig, SimConfig, model2
+from agedist import AgeDistribution, DEConfig, SimConfig, model1, model2
 from agedist.distributions import (
     Classification,
     ModelKind,
@@ -11,7 +11,14 @@ from agedist.distributions import (
 from agedist.errors import EmptyDataset, InvalidEntry, SearchNotConverged
 from agedist.model1 import steady_state
 from agedist.model2 import steady_state2
-from agedist.pipeline import Route, run_dataset, select_and_solve, solve_model2
+from agedist.pipeline import (
+    Route,
+    run_dataset,
+    select_and_solve,
+    solve_curve_fit,
+    solve_model1,
+    solve_model2,
+)
 
 
 def flat_then_humped(first=5e-5):
@@ -123,6 +130,51 @@ class TestSelectAndSolve:
         assert a == b
 
 
+class TestSolveModel1:
+    @pytest.mark.parametrize("p_n, mode", [("mid", "midpoint"), ("midpoint", "midpoint"),
+                                           (0.25, "explicit")])
+    def test_free_param_mode(self, p_n, mode):
+        params, analytic = solve_model1(MONO, p_n)
+        assert params.kind is ModelKind.MODEL1
+        assert params.diagnostics == {
+            "mae": mean_absolute_error(analytic, MONO), "free_param_mode": mode}
+        assert analytic == steady_state(params.survival, labels=MONO.labels)
+
+    def test_random_free_param_records_seed(self):
+        params, _ = solve_model1(MONO, "rand", seed=11)
+        assert params.diagnostics["free_param_mode"] == "rand"
+        assert params.diagnostics["seed"] == 11
+        assert params == solve_model1(MONO, "random", seed=11)[0]
+
+
+class TestSolveCurveFit:
+    def test_records_the_fit(self):
+        from agedist.curvefit import fit
+
+        dist = flat_then_humped()
+        result = fit(dist)
+        params, analytic = solve_curve_fit(dist)
+        assert params.kind is ModelKind.MODEL1_ON_FITTED
+        assert analytic.labels == dist.labels
+        assert params.diagnostics == {
+            "mae": mean_absolute_error(analytic, result.fitted),
+            "wasserstein_to_original": result.wasserstein_to_original,
+            "residual_sse": result.residual_sse,
+            "plateau": result.params.plateau,
+            "decay_scale": result.params.decay_scale,
+            "decay_shape": result.params.decay_shape,
+            "breakpoint": result.params.breakpoint,
+            "free_param_mode": "midpoint",
+        }
+
+    def test_cascade_entry_adds_the_search_record(self, configs):
+        params, route = select_and_solve(flat_then_humped(), *configs)
+        assert route is Route.CURVE_FIT
+        station, _ = solve_curve_fit(flat_then_humped())
+        assert list(params.diagnostics) == list(station.diagnostics) + [
+            "model2_mae", "model2_iterations", "model2_history", "sim_mae"]
+
+
 class TestSolveModel2:
     def test_closed_form_diagnostics(self):
         params, analytic = solve_model2(HUMP, DEConfig(seed=4))
@@ -220,12 +272,20 @@ class TestRunDataset:
             assert a.per_country[name].route == b.per_country[name].route
 
     def test_failed_residual_check_recorded_not_raised(self, configs, monkeypatch):
-        # A zero tolerance fails every first-group balance check; the hump
-        # entry must be recorded as failed while the batch carries on.
-        monkeypatch.setattr(model2, "BALANCE_TOLERANCE", 0.0)
+        # A zero tolerance fails every stationarity residual check. Set only
+        # while a model-2 steady state is computed, it fails the hump entry,
+        # which must be recorded as failed while the batch carries on.
+        checked = model2.steady_state2
+
+        def zero_tolerance(*args, **kwargs):
+            with monkeypatch.context() as patch:
+                patch.setattr(model1, "RESIDUAL_TOLERANCE", 0.0)
+                return checked(*args, **kwargs)
+
+        monkeypatch.setattr(model2, "steady_state2", zero_tolerance)
         report = run_dataset([("hump", HUMP), ("mono", MONO)], *configs)
         assert report.per_country["hump"].route is Route.FAILED
-        assert "balance" in report.per_country["hump"].failure_reason
+        assert "stationarity residual" in report.per_country["hump"].failure_reason
         assert report.per_country["mono"].route is Route.MODEL1
 
     @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ import pytest
 
 from agedist import AgeDistribution, DEConfig, SimConfig, optimize, simulator
 from agedist.distributions import ModelKind, ModelParams
-from agedist.errors import ResidualCheckFailed
+from agedist.errors import NotNormalized, ResidualCheckFailed
 from agedist.model1 import solve, steady_state
 from agedist.model2 import steady_state2
 from agedist.simulator import apportion, initialize, run, step, write_trajectory_csv
@@ -425,6 +425,27 @@ class TestRun:
             monkeypatch.setattr(simulator, "_count_step", kernel)
             with pytest.raises(ResidualCheckFailed, match="left the age groups"):
                 run(pyramid, model1_params(pyramid), SimConfig(seed=0))
+
+    def test_unnormalized_target_rejected_before_any_draw(self, monkeypatch):
+        # Raw counts would start the run with their sum times num_agents
+        # agents and fail after step 1, blaming the update rule.
+        def no_step(*args):
+            raise AssertionError("stepped an unnormalized target")
+
+        monkeypatch.setattr(simulator, "_count_step", no_step)
+        params = ModelParams(kind=ModelKind.MODEL1, survival=np.full(5, 0.5))
+        config = SimConfig(num_agents=1000, num_steps=5, burn_in=1)
+        for target in (np.ones(5), np.full(5, 0.2 + 1e-11)):
+            with pytest.raises(NotNormalized, match="sum to"):
+                run(target, params, config)
+            with pytest.raises(NotNormalized):
+                run(target, params, SimConfig(num_agents=1000, num_steps=5, burn_in=1,
+                                              uniform_start=True))
+
+    def test_raw_target_gets_default_labels(self):
+        params = ModelParams(kind=ModelKind.MODEL1, survival=np.full(4, 0.5))
+        result = run(np.full(4, 0.25), params, SimConfig(num_steps=3, burn_in=1))
+        assert result.labels == ("g1", "g2", "g3", "g4")
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
