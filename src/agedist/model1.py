@@ -151,8 +151,8 @@ def steady_state(p, labels=None) -> AgeDistribution:
     return _steady_state(p, None, labels)
 
 
-def stationary_profiles(probs: np.ndarray, rates: np.ndarray,
-                        out: np.ndarray) -> np.ndarray:
+def stationary_profiles(probs: np.ndarray, rates: np.ndarray, out: np.ndarray,
+                        ratios: Optional[np.ndarray] = None) -> np.ndarray:
     """Stationary profiles of (m, n) survival and activation rows, written
     into ``out`` (m, n) and returned.
 
@@ -160,14 +160,19 @@ def stationary_profiles(probs: np.ndarray, rates: np.ndarray,
     intermediate groups, so row by row N_1 = 1,
     N_{i+1} = (alpha_i p_i / alpha_{i+1}) N_i and
     N_n = alpha_{n-1} p_{n-1} N_{n-1} / (alpha_n (1 - p_n)), normalized.
-    Rates of 1 give the plain process bit for bit.
+    Rates of 1 give the plain process bit for bit. The group-to-group
+    ratios are formed in ``ratios``, a contiguous (m, n-2) scratch (made
+    when absent): dividing in place into a column slice of ``out`` is
+    slower.
     """
     n = probs.shape[1]
+    if ratios is None:
+        ratios = np.empty((probs.shape[0], n - 2))
     inner = out[:, 1 : n - 1]
     out[:, 0] = 1.0
-    np.multiply(rates[:, : n - 2], probs[:, : n - 2], out=inner)
-    np.divide(inner, rates[:, 1 : n - 1], out=inner)
-    np.cumprod(inner, axis=1, out=inner)
+    np.multiply(rates[:, : n - 2], probs[:, : n - 2], out=ratios)
+    np.divide(ratios, rates[:, 1 : n - 1], out=ratios)
+    np.cumprod(ratios, axis=1, out=inner)
     out[:, n - 1] = (
         rates[:, n - 2] * probs[:, n - 2] * out[:, n - 2]
         / (rates[:, n - 1] * (1.0 - probs[:, n - 1]))

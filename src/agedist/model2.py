@@ -16,6 +16,7 @@ set.
 
 from __future__ import annotations
 
+import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -86,7 +87,9 @@ class DEConfig:
             raise ValueError("crossover_rate must lie in [0, 1]")
         if self.success_threshold <= 0.0:
             raise ValueError("success_threshold must be positive")
-        if not 0 <= int(self.seed) < 2**64:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, not {self.seed!r}")
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if self.strategy not in ("best1bin", "rand1bin"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
@@ -184,19 +187,21 @@ def mae_objective(target) -> Callable[[np.ndarray], np.ndarray]:
     (survival, activation) rows to a fresh array of the m mean absolute
     errors between each candidate's stationary profile
     (``model1.stationary_profiles``, unguarded) and the target. The function
-    keeps its (m, n) scratch between calls of the same row count, so one
-    instance must not be called from two threads at once.
+    keeps its (m, n) profiles and (m, n-2) ratios scratch between calls of
+    the same row count, so one instance must not be called from two threads
+    at once.
     """
     t = proportions_of(target)
     n = t.size
-    weights = None
+    weights = ratios = None
 
     def evaluate(candidates: np.ndarray) -> np.ndarray:
-        nonlocal weights
+        nonlocal weights, ratios
         x = np.atleast_2d(np.asarray(candidates, dtype=float))
         if weights is None or weights.shape[0] != x.shape[0]:
             weights = np.empty((x.shape[0], n))
-        model1.stationary_profiles(x[:, :n], x[:, n:], weights)
+            ratios = np.empty((x.shape[0], n - 2))
+        model1.stationary_profiles(x[:, :n], x[:, n:], weights, ratios)
         np.subtract(weights, t, out=weights)
         np.abs(weights, out=weights)
         return weights.mean(axis=1)

@@ -9,7 +9,9 @@ solver on the fitted surrogate. ``solve_model1``, ``solve_model2`` and
 ``solve_curve_fit`` return each station's parameters, diagnostics and
 analytic steady state, for the cascade and the command line alike. Every
 solved parameter set is validated with one stochastic run against its own
-analytic steady state.
+analytic steady state. ``run_dataset`` solves every entry first and then
+validates all of them in one ``simulator.run_many`` batch, which draws the
+uniform stream they share once instead of once per entry.
 """
 
 from __future__ import annotations
@@ -93,7 +95,8 @@ def select_and_solve(
         InvalidEntry: ``dist`` is not an AgeDistribution.
         CurveFitFailed: the final fallback found no usable fit.
     """
-    params, route, _, _ = _solve_one(dist, de_config, sim_config)
+    params, route, analytic = _solve_one(dist, de_config)
+    _validate([(params, analytic)], sim_config)
     return params, route
 
 
@@ -196,13 +199,9 @@ def _fitted_params(dist: AgeDistribution, fit: curvefit.CurveFitResult) -> tuple
     return ModelParams(ModelKind.MODEL1_ON_FITTED, survival, diagnostics=diagnostics), analytic
 
 
-def _solve_one(
-    dist: AgeDistribution,
-    de_config: Optional[model2.DEConfig],
-    sim_config: Optional[simulator.SimConfig],
-) -> tuple:
-    """Cascade body; also returns the analytic steady state and the
-    validation run's estimate for reporting."""
+def _solve_one(dist: AgeDistribution, de_config: Optional[model2.DEConfig]) -> tuple:
+    """The solve-only cascade; returns (params, route, analytic steady
+    state)."""
     if not isinstance(dist, AgeDistribution):
         raise InvalidEntry(
             f"expected an AgeDistribution, got {type(dist).__name__} "
@@ -224,12 +223,19 @@ def _solve_one(
                 model2_history=exc.history,
             )
             route = Route.CURVE_FIT
+    return params, route, analytic
 
-    validation = simulator.run(analytic, params, sim_config)
-    params.diagnostics["sim_mae"] = mean_absolute_error(
-        validation.steady_estimate, analytic.proportions
-    )
-    return params, route, analytic.proportions, validation.steady_estimate
+
+def _validate(solved, sim_config: Optional[simulator.SimConfig]) -> list:
+    """Validate (params, analytic steady state) pairs in one simulator batch
+    (``simulator.run_many``); records each run's error against its analytic
+    steady state as ``sim_mae`` and returns the steady-state estimates."""
+    runs = simulator.run_many([analytic for _, analytic in solved],
+                              [params for params, _ in solved], sim_config)
+    for (params, analytic), validation in zip(solved, runs):
+        params.diagnostics["sim_mae"] = mean_absolute_error(
+            validation.steady_estimate, analytic.proportions)
+    return [validation.steady_estimate for validation in runs]
 
 
 def run_dataset(
@@ -240,10 +246,15 @@ def run_dataset(
 ) -> PipelineReport:
     """Apply the cascade to every (name, distribution) entry.
 
-    Entries are independent (any could run concurrently; the aggregation is
-    order-free and the report is sorted by name). Per-entry failures,
-    including an entry that is not an AgeDistribution, are recorded with
-    route FAILED and never abort the batch.
+    Every entry is solved first, then all solved entries are validated in
+    one ``simulator.run_many`` batch; each entry's validation run is bit
+    for bit the one ``select_and_solve`` makes. The report is sorted by
+    name. Per-entry failures, including an entry that is not an
+    AgeDistribution, are recorded with route FAILED and never abort the
+    batch. A failed validation batch (such as the simulator's step guard
+    raising ResidualCheckFailed, which names the member) records every
+    solved entry as FAILED with its reason: a broken update rule is not
+    specific to one entry.
 
     Raises:
         EmptyDataset: no entries were supplied.
@@ -255,21 +266,30 @@ def run_dataset(
     results = {}
     for name, dist in entries:
         try:
-            params, route, analytic, sim_estimate = _solve_one(
-                dist, de_config, sim_config
-            )
-            results[name] = CountryResult(
-                name=name,
-                route=route,
-                params=params,
-                sim_mae=params.diagnostics.get("sim_mae"),
-                analytic=analytic,
-                sim_estimate=sim_estimate,
-            )
+            results[name] = _solve_one(dist, de_config)
         except AgedistError as exc:
             logger.warning("%s: %s", name, exc)
             results[name] = CountryResult(
                 name=name, route=Route.FAILED, failure_reason=str(exc)
+            )
+    solved = {name: value for name, value in results.items() if isinstance(value, tuple)}
+    try:
+        estimates = _validate(
+            [(params, analytic) for params, _, analytic in solved.values()], sim_config)
+    except AgedistError as exc:
+        logger.warning("validation of %d entries failed: %s", len(solved), exc)
+        for name in solved:
+            results[name] = CountryResult(
+                name=name, route=Route.FAILED, failure_reason=str(exc))
+    else:
+        for (name, (params, route, analytic)), estimate in zip(solved.items(), estimates):
+            results[name] = CountryResult(
+                name=name,
+                route=route,
+                params=params,
+                sim_mae=params.diagnostics["sim_mae"],
+                analytic=analytic.proportions,
+                sim_estimate=estimate,
             )
 
     per_country = {name: results[name] for name in sorted(results)}

@@ -9,8 +9,14 @@ last group keeps its survivors), dies between ``alpha_i p_i`` and
 ``alpha_i``, and stays inactive above (``alpha = 1`` in the plain process).
 Every death is replaced by a fresh agent in group 1, so the population size
 never changes. The counts are, bit for bit, those of the per-agent ``step``
-on the group-sorted agents, sorted again after every step. The uniforms are
-drawn in chunks of ``BLOCK``; results do not depend on it.
+on the group-sorted agents, sorted again after every step.
+
+``run_many`` simulates a batch of parameter sets under one config. Runs of
+one config read the same uniform stream whatever their counts, so the batch
+draws it once and every member counts its own groups against it; each
+member's results are bit for bit those of its own ``run``, which is a batch
+of one. The uniforms are drawn in chunks of ``BLOCK``; results do not depend
+on it.
 """
 
 from __future__ import annotations
@@ -24,8 +30,9 @@ import numpy as np
 from .distributions import SUM_TOLERANCE, ModelParams, default_labels, proportions_of
 from .errors import NotNormalized, ResidualCheckFailed
 
-#: Uniforms per chunk of a step: a chunk's uniforms, repeated thresholds and
-#: flags (about 0.5 MB) fit in a per-core L2 cache. Results do not depend on it.
+#: Uniforms per chunk of a step, and agents per tile of batch members: a
+#: tile's uniforms, repeated thresholds and flags (about 0.5 MB) fit in a
+#: per-core L2 cache. Results do not depend on it.
 BLOCK = 32_768
 
 
@@ -42,7 +49,7 @@ class SimConfig:
     uniform_start: bool = False
 
     def __post_init__(self):
-        for name in ("num_agents", "num_steps", "burn_in"):
+        for name in ("num_agents", "num_steps", "burn_in", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, not {value!r}")
@@ -50,7 +57,7 @@ class SimConfig:
             raise ValueError("num_agents and num_steps must be positive")
         if not 0 <= self.burn_in < self.num_steps:
             raise ValueError("burn_in must satisfy 0 <= burn_in < num_steps")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
@@ -136,93 +143,183 @@ def _thresholds(survival, activation) -> tuple:
     return rates * probs, rates
 
 
-def _count_step(counts, thresholds, rng, buffers) -> tuple:
-    """One step on group counts; returns (new counts, deaths). Uniforms
-    are drawn in group order, in chunks as wide as ``buffers`` (a float row,
-    and a flag row one longer); a group's own uniforms below ``alpha_i p_i``
-    count as advances, those from ``alpha_i`` up as stays, the rest as
-    deaths, which refill group 1."""
-    advance_below, stay_from = thresholds
-    uniforms, flags = buffers
-    n = counts.size
-    edges = np.zeros(n + 1, dtype=np.int64)
-    np.add.accumulate(counts, out=edges[1:])
-    total = int(edges[-1])
-    # Row k: group edges within chunk k. cut[:-1] starts each group's
-    # uniforms (an empty group shares the next start), cut[-1] is the width.
-    cuts = edges - np.arange(0, total, uniforms.size)[:, None]
-    np.minimum(np.maximum(cuts, 0, out=cuts), uniforms.size, out=cuts)
-    advanced, stayed = np.zeros((2, n), dtype=np.int64)
-    for cut, sizes in zip(cuts, cuts[:, 1:] - cuts[:, :-1]):
-        size = int(cut[-1])
-        u, below = uniforms[:size], flags[:size + 1]
-        rng.random(out=u)
-        # A False sentinel closes the last group and gives trailing empty
-        # groups a valid start; np.minimum zeroes every empty group, whose
-        # reduceat entry is a single flag of the next group.
-        below[size] = False
-        np.less(u, np.repeat(advance_below, sizes), out=below[:size])
-        advanced += np.minimum(np.add.reduceat(below, cut[:-1], dtype=np.int32), sizes)
-        if stay_from is not None:
-            np.greater_equal(u, np.repeat(stay_from, sizes), out=below[:size])
-            stayed += np.minimum(np.add.reduceat(below, cut[:-1], dtype=np.int32), sizes)
-    new_counts = stayed
-    new_counts[1:] += advanced[:-1]
-    new_counts[-1] += advanced[-1]  # the last group holds its survivors
-    deaths = total - int(new_counts.sum())
-    new_counts[0] += deaths
-    return new_counts, deaths
-
-
 def run(target, params: ModelParams, config: Optional[SimConfig] = None) -> SimResult:
-    """Simulate ``config.num_steps`` steps and estimate the steady state.
+    """Simulate ``config.num_steps`` steps of one parameter set and estimate
+    its steady state: ``run_many`` on a batch of one."""
+    return run_many([target], [params], config)[0]
 
-    The state is the group counts. Each step draws one uniform per agent in
-    group order, so the counts equal, bit for bit, those of ``step`` on the
-    group-sorted agents sorted again after every step. ``BLOCK`` sizes only
-    the chunks the uniforms are drawn in. The estimate is the time-average
-    of the per-step group proportions over the steps after ``burn_in``; the
-    final snapshot is also reported. Deterministic for a given seed.
+
+def run_many(targets, params, config: Optional[SimConfig] = None) -> list:
+    """Simulate every (target, parameter set) pair under one config; returns
+    one SimResult per pair, in order.
+
+    The state is the group counts. Each step draws one uniform per agent,
+    once for the whole batch, from the config's seeded generator, and every
+    member reads that same stream in its own group order. So each member's
+    results are, bit for bit, those of its own ``run``, and its counts
+    those of ``step`` on its group-sorted agents sorted again after every
+    step. The estimate is the time-average of the per-step group
+    proportions over the steps after ``burn_in``; the final snapshot is
+    also reported. Deterministic for a given seed.
+
+    Raises:
+        ValueError: a parameter set and its target differ in group count.
+        NotNormalized: a target's proportions do not sum to 1.
+        ResidualCheckFailed: a step left a member without exactly
+            ``num_agents`` agents, or with a negative count; the message
+            names the member by its index in the batch.
     """
     cfg = config if config is not None else SimConfig()
-    n = proportions_of(target).size
-    survival = params.survival.probs
-    if survival.size != n:
-        raise ValueError(f"params have {survival.size} groups, target has {n}")
-    activation = params.activation.rates if params.activation is not None else None
+    targets, params = list(targets), list(params)
+    if len(targets) != len(params):
+        raise ValueError(f"{len(targets)} targets for {len(params)} parameter sets")
+    members = [_member(index, target, member, cfg)
+               for index, (target, member) in enumerate(zip(targets, params))]
+    if not members:
+        return []
+    # Plain members first, so that tiles of plain members skip the stay pass.
+    order = sorted(range(len(members)), key=lambda i: members[i][2] is not None)
+    starts, advance_below, stay_from, labels = zip(*(members[i] for i in order))
+    batch = _Batch(advance_below, stay_from, cfg.num_agents)
+    first, offsets = batch.first, batch.offsets
 
     rng = np.random.default_rng(cfg.seed)
-    counts = start_counts(target, cfg)
-    trajectory = np.empty((cfg.num_steps, n)) if cfg.record_trajectory else None
-    accumulator = np.zeros(n)
-    total_deaths = 0
-
-    thresholds = _thresholds(survival, activation)
-    width = min(cfg.num_agents, BLOCK)
-    buffers = np.empty(width), np.empty(width + 1, dtype=bool)
+    counts = np.concatenate(starts)
+    trajectory = np.empty((cfg.num_steps, counts.size)) if cfg.record_trajectory else None
+    accumulator = np.zeros(counts.size)
+    total_deaths = np.zeros(len(order), dtype=np.int64)
     for step_index in range(1, cfg.num_steps + 1):
-        counts, deaths = _count_step(counts, thresholds, rng, buffers)
+        counts, deaths = batch.step(counts, rng)
         total_deaths += deaths
-        tally = int(counts.sum())
-        if tally != cfg.num_agents or counts.min() < 0:
+        tallies = np.add.reduceat(counts, first)
+        broken = (tallies != cfg.num_agents) | (np.minimum.reduceat(counts, first) < 0)
+        if broken.any():
+            k = min(np.flatnonzero(broken), key=lambda k: order[k])
             raise ResidualCheckFailed(
-                f"an agent left the age groups: the step's tally holds {tally} of "
-                f"{cfg.num_agents} agents in counts {counts.tolist()}; update rule broken")
+                f"member {order[k]}: an agent left the age groups: the step's tally "
+                f"holds {tallies[k]} of {cfg.num_agents} agents in counts "
+                f"{counts[offsets[k]:offsets[k + 1]].tolist()}; update rule broken")
         snapshot = counts / cfg.num_agents
         if trajectory is not None:
             trajectory[step_index - 1] = snapshot
         if step_index > cfg.burn_in:
             accumulator += snapshot
 
+    estimate = accumulator / (cfg.num_steps - cfg.burn_in)
+    results = [None] * len(order)
+    for k, index in enumerate(order):
+        part = slice(offsets[k], offsets[k + 1])
+        results[index] = SimResult(
+            labels=labels[k],
+            steady_estimate=estimate[part],
+            final_snapshot=snapshot[part],
+            trajectory=trajectory[:, part] if trajectory is not None else None,
+            total_deaths=int(total_deaths[k]),
+            seed=cfg.seed,
+        )
+    return results
+
+
+def _member(index: int, target, params: ModelParams, config: SimConfig) -> tuple:
+    """A batch member's start counts, advance and stay thresholds, and
+    labels."""
+    n = proportions_of(target).size
+    survival = params.survival.probs
+    if survival.size != n:
+        raise ValueError(
+            f"member {index}: params have {survival.size} groups, target has {n}")
+    activation = params.activation.rates if params.activation is not None else None
     labels = tuple(target.labels) if hasattr(target, "labels") else default_labels(n)
-    return SimResult(
-        labels=labels,
-        steady_estimate=accumulator / (cfg.num_steps - cfg.burn_in),
-        final_snapshot=snapshot,
-        trajectory=trajectory,
-        total_deaths=total_deaths,
-        seed=cfg.seed,
-    )
+    return (start_counts(target, config), *_thresholds(survival, activation), labels)
+
+
+class _Batch:
+    """The members' group counts side by side in one flat vector, and the
+    step that counts them all against one shared stream.
+
+    A step draws the uniforms once, in chunks of ``min(num_agents, BLOCK)``.
+    Members are packed into tiles of at most ``BLOCK`` agents (one member a
+    tile when a chunk is full width). Per chunk and tile, the members'
+    thresholds are repeated over their own uniforms into one (members,
+    chunk) row set, compared with the chunk by broadcasting and counted per
+    group with one ``np.add.reduceat``. The thresholds are per member, as
+    ``_thresholds`` gives them.
+    """
+
+    def __init__(self, advance_below, stay_from, num_agents: int):
+        sizes = [below.size for below in advance_below]
+        self.offsets = np.concatenate(([0], np.cumsum(sizes)))
+        self.first, self.last = self.offsets[:-1], self.offsets[1:] - 1
+        self.num_agents = num_agents
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        self.base = owner * num_agents
+        flat_below = np.concatenate(advance_below)
+        # A plain member never stays: no uniform reaches 1.
+        flat_stay = np.concatenate([
+            np.ones(below.size) if stay is None else stay
+            for below, stay in zip(advance_below, stay_from)])
+        width = min(num_agents, BLOCK)
+        per_tile = max(1, BLOCK // width)
+        # Per tile: its groups, its member count, and its thresholds; a tile
+        # of plain members skips the stay pass.
+        self.tiles = []
+        for a in range(0, len(sizes), per_tile):
+            b = min(a + per_tile, len(sizes))
+            part = slice(int(self.offsets[a]), int(self.offsets[b]))
+            activated = any(stay is not None for stay in stay_from[a:b])
+            self.tiles.append((part, b - a, flat_below[part],
+                               flat_stay[part] if activated else None))
+        self.chunk_starts = np.arange(0, num_agents, width)[:, None]
+        self.chunk_sizes = np.minimum(width, num_agents - self.chunk_starts)
+        # Where each group's row starts in its tile's flat flags, per chunk.
+        self.row_starts = (owner % per_tile) * self.chunk_sizes
+        self.uniforms = np.empty((1, width))
+        self.flags = np.empty(per_tile * width + 1, dtype=bool)
+
+    def step(self, counts, rng) -> tuple:
+        """One step of every member; returns (new counts, deaths per member).
+
+        Each member takes its agents as sorted by group and the chunk's
+        uniforms in order; a group's own uniforms below ``alpha_i p_i``
+        count as advances, those from ``alpha_i`` up as stays, the rest as
+        deaths, which refill the member's group 1."""
+        ends = np.cumsum(counts) - self.base
+        # Row k: each group's uniforms within chunk k (an empty group shares
+        # the next start), then its start in the tile's flat flags.
+        lower = np.clip(ends - counts - self.chunk_starts, 0, self.chunk_sizes)
+        sizes = np.clip(ends - self.chunk_starts, 0, self.chunk_sizes) - lower
+        lower += self.row_starts
+        advanced, stayed = np.zeros((2, counts.size), dtype=np.int64)
+        for size, cuts, starts in zip(self.chunk_sizes[:, 0].tolist(), sizes, lower):
+            # One row, broadcast over the tile's members.
+            u = self.uniforms[:, :size]
+            rng.random(out=u)
+            for part, rows, advance_below, stay_from in self.tiles:
+                # A False sentinel closes the tile's last group and gives
+                # trailing empty groups a valid start; np.minimum zeroes
+                # every empty group, whose reduceat entry is a single flag
+                # of the next group.
+                flags = self.flags[:rows * size + 1]
+                flags[-1] = False
+                grid = flags[:-1].reshape(rows, size)
+                cut, start = cuts[part], starts[part]
+                np.less(u, np.repeat(advance_below, cut).reshape(rows, size), out=grid)
+                advanced[part] += np.minimum(
+                    np.add.reduceat(flags, start, dtype=np.int32), cut)
+                if stay_from is not None:
+                    np.greater_equal(
+                        u, np.repeat(stay_from, cut).reshape(rows, size), out=grid)
+                    stayed[part] += np.minimum(
+                        np.add.reduceat(flags, start, dtype=np.int32), cut)
+        new_counts = stayed
+        new_counts[1:] += advanced[:-1]
+        # A member's last group holds its survivors and feeds no other member.
+        last = self.last
+        new_counts[self.first[1:]] -= advanced[last[:-1]]
+        new_counts[last] += advanced[last]
+        deaths = self.num_agents - np.add.reduceat(new_counts, self.first)
+        new_counts[self.first] += deaths
+        return new_counts, deaths
 
 
 def write_trajectory_csv(result: SimResult, path) -> None:

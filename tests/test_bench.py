@@ -1,5 +1,5 @@
-"""Smoke gate for the benchmark's output checks: a short traced
-``wpp-cascade`` pass must run and pass every check."""
+"""Smoke gates for the benchmark: a short traced ``wpp-cascade`` pass and a
+full-length untraced one must run and pass every output check."""
 
 import json
 import shutil
@@ -10,10 +10,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_wpp_cascade_pass_is_correct(tmp_path):
-    # Run a copy, so that what the benchmark writes under bench/out/ lands
-    # in the temporary directory rather than in the source tree. A traced
-    # run takes no speed probes, so its passes may be short.
+def run_bench(tmp_path, *args):
+    """Run ``bench/run.py`` on a copy of the benchmark and the program, so
+    that what it writes under bench/out/ lands in the temporary directory
+    rather than in the source tree; returns its last output line, parsed."""
     (tmp_path / "bench").mkdir()
     for script in (ROOT / "bench").glob("*.py"):
         shutil.copy(script, tmp_path / "bench" / script.name)
@@ -21,8 +21,7 @@ def test_traced_wpp_cascade_pass_is_correct(tmp_path):
     shutil.copytree(ROOT / "src", tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
     result = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "wpp-cascade",
-         "--seed", "1", "--seconds", "2.4", "--trace", "1"],
+        [sys.executable, "bench/run.py", "--workload", "wpp-cascade", "--seed", "1", *args],
         cwd=tmp_path,
         capture_output=True,
         text=True,
@@ -32,3 +31,20 @@ def test_traced_wpp_cascade_pass_is_correct(tmp_path):
     last = json.loads(result.stdout.strip().splitlines()[-1])
     assert last["correct"] is True
     assert last["failed"] == 0
+    return last
+
+
+def test_traced_wpp_cascade_pass_is_correct(tmp_path):
+    # A traced run takes no speed probes, so its passes may be short.
+    run_bench(tmp_path, "--seconds", "2.4", "--trace", "1")
+
+
+def test_untraced_wpp_cascade_pass_takes_probes(tmp_path):
+    # At the declared length the timed pass must outlast at least two speed
+    # probes: the end-to-end figures divide by their median.
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    run_bench(tmp_path, "--seconds", str(seconds), "--trace", "0")
+    record = json.loads(
+        (tmp_path / "bench" / "out" / "wpp-cascade-seed1-trace0.json").read_text())
+    assert record["correct"] is True
+    assert record["timing"]["probes"] >= 2, record["timing"]

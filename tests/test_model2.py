@@ -325,6 +325,16 @@ class TestDEConfig:
         with pytest.raises(ValueError):
             DEConfig(strategy="best2exp")
 
+    def test_seed_must_be_an_integer(self):
+        # A float or a string would fail later inside default_rng with an
+        # untyped TypeError; a bool would be written to output files as true.
+        for bad in (1.5, "3", True, None):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                DEConfig(seed=bad)
+        with pytest.raises(ValueError, match="unsigned 64-bit"):
+            DEConfig(seed=2**64)
+        assert DEConfig(seed=np.int64(7)).seed == 7
+
     def test_bounds_must_respect_parameter_ranges(self):
         cfg = DEConfig(bounds=np.tile([0.0, 2.0], (6, 1)))
         with pytest.raises(ValueError):

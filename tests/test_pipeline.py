@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
 
-from agedist import AgeDistribution, DEConfig, SimConfig, model1, model2
+from agedist import AgeDistribution, DEConfig, SimConfig, model1, model2, simulator
 from agedist.distributions import (
     Classification,
     ModelKind,
     classify,
     mean_absolute_error,
 )
-from agedist.errors import EmptyDataset, InvalidEntry, SearchNotConverged
+from agedist.errors import (
+    EmptyDataset,
+    InvalidEntry,
+    ResidualCheckFailed,
+    SearchNotConverged,
+)
 from agedist.model1 import steady_state
 from agedist.model2 import steady_state2
 from agedist.pipeline import (
@@ -287,6 +292,40 @@ class TestRunDataset:
         assert report.per_country["hump"].route is Route.FAILED
         assert "stationarity residual" in report.per_country["hump"].failure_reason
         assert report.per_country["mono"].route is Route.MODEL1
+
+    def test_validation_runs_match_single_entries(self, configs):
+        # One batch for the dataset gives every entry the validation run
+        # that select_and_solve makes for it alone.
+        dataset = [("hump", HUMP), ("mono", MONO), ("steep", STEEP),
+                   ("stubborn", flat_then_humped())]
+        report = run_dataset(dataset, *configs)
+        for name, dist in dataset:
+            params, route = select_and_solve(dist, *configs)
+            res = report.per_country[name]
+            assert res.route is route
+            assert res.sim_mae == params.diagnostics["sim_mae"]
+
+    def test_broken_step_fails_every_validated_entry(self, configs, monkeypatch):
+        # The simulator's step guard names the member; a broken update
+        # rule is not specific to it, so every solved entry fails with the
+        # guard's reason, and an entry that failed to solve keeps its own.
+        def leaking(self, counts, rng):
+            new_counts = counts.copy()
+            new_counts[-1] -= 1
+            return new_counts, 0
+
+        monkeypatch.setattr(simulator._Batch, "step", leaking)
+        report = run_dataset([("bad", [0.5, 0.3, 0.2]), ("hump", HUMP), ("mono", MONO)],
+                             *configs)
+        assert report.route_counts[Route.FAILED] == 3
+        assert "AgeDistribution" in report.per_country["bad"].failure_reason
+        for name in ("hump", "mono"):
+            result = report.per_country[name]
+            assert result.params is None and result.sim_mae is None
+            assert "an agent left the age groups" in result.failure_reason
+            assert result.failure_reason.startswith("member ")
+        with pytest.raises(ResidualCheckFailed, match="member 0: an agent left"):
+            select_and_solve(MONO, *configs)
 
     @pytest.mark.parametrize(
         "entry",

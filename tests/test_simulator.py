@@ -6,7 +6,9 @@ from agedist.distributions import ModelKind, ModelParams
 from agedist.errors import NotNormalized, ResidualCheckFailed
 from agedist.model1 import solve, steady_state
 from agedist.model2 import steady_state2
-from agedist.simulator import apportion, initialize, run, step, write_trajectory_csv
+from agedist.simulator import (
+    apportion, initialize, run, run_many, step, write_trajectory_csv,
+)
 
 from oracles import reference_single_draw_step, reference_sorted_run, reference_step
 
@@ -129,15 +131,18 @@ class TestMatchesReferenceStep:
         assert_matches_sorted_run(target, params, config)
 
 
-def assert_matches_sorted_run(target, params, config):
-    """``run`` equals the sorted per-agent reference bit for bit; returns
-    the result."""
+def assert_matches_sorted_run(target, params, config, result=None):
+    """``run`` (or a given result of it) equals the sorted per-agent
+    reference bit for bit; returns the result."""
     activation = None if params.activation is None else params.activation.rates
-    result = run(target, params, config)
+    if result is None:
+        result = run(target, params, config)
     trajectory, estimate, deaths = reference_sorted_run(
         initialize(target, config), params.survival.probs, activation, config)
     if config.record_trajectory:
         assert np.array_equal(result.trajectory, trajectory)
+    else:
+        assert result.trajectory is None
     assert np.array_equal(result.final_snapshot, trajectory[-1])
     assert np.array_equal(result.steady_estimate, estimate)
     assert result.total_deaths == deaths and type(result.total_deaths) is int
@@ -332,6 +337,129 @@ class TestBlocking:
         assert type(result.total_deaths) is int
 
 
+def batch_members():
+    """Plain and activated members with 3, 4, 5 and 7 groups, interleaved.
+    The 7-group targets put three agents in groups 2, 4 and 5 of each
+    three, leaving groups empty at the front, in the middle and at the end.
+    Returns (targets, params)."""
+    sparse = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0]) / 3.0
+    survival7 = np.array([0.9, 0.8, 0.95, 0.7, 0.9, 0.6, 0.5])
+    rates7 = np.array([1.0, 0.4, 0.7, 0.2, 0.5, 0.9, 0.3])
+    rates3 = np.array([0.6, 1.0, 0.8])
+    members = [
+        (steady_state2(SURVIVAL, ACTIVATION), SURVIVAL, ACTIVATION),
+        (steady_state(SURVIVAL), SURVIVAL, None),
+        (sparse, survival7, None),
+        (steady_state2(SURVIVAL[:3], rates3), SURVIVAL[:3], rates3),
+        (sparse, survival7, rates7),
+        (np.full(4, 0.25), SURVIVAL[1:], None),
+    ]
+    targets = [target for target, _, _ in members]
+    params = [ModelParams(kind=ModelKind.MODEL1 if rates is None else ModelKind.MODEL2,
+                          survival=survival, activation=rates)
+              for _, survival, rates in members]
+    return targets, params
+
+
+def assert_batch_matches_own_runs(targets, params, config):
+    """Every member of ``run_many`` equals its own ``run`` and the sorted
+    per-agent reference bit for bit."""
+    results = run_many(targets, params, config)
+    assert len(results) == len(targets)
+    for target, member, result in zip(targets, params, results):
+        own = run(target, member, config)
+        assert result.labels == own.labels
+        assert np.array_equal(result.steady_estimate, own.steady_estimate)
+        assert np.array_equal(result.final_snapshot, own.final_snapshot)
+        if config.record_trajectory:
+            assert np.array_equal(result.trajectory, own.trajectory)
+        assert result.total_deaths == own.total_deaths
+        assert result.seed == own.seed
+        assert_matches_sorted_run(target, member, config, result)
+    return results
+
+
+class TestRunMany:
+    """A batch reads one shared stream; each member's results are bit for
+    bit those of its own run."""
+
+    @pytest.mark.parametrize("block", [1, 7, 500, 1000, "agents", 32_768])
+    @pytest.mark.parametrize("num_agents", [3, 1500])
+    def test_members_match_their_own_runs(self, num_agents, block, monkeypatch):
+        # Three agents: several members share a tile (block 7 packs two,
+        # block 500 all six). 1500 agents: one member a tile, in chunks of
+        # 1, 7, 500 (a divisor) or 1000 (not a divisor), or the whole
+        # population.
+        monkeypatch.setattr(simulator, "BLOCK", num_agents if block == "agents" else block)
+        config = SimConfig(num_agents=num_agents, num_steps=8, burn_in=3, seed=19,
+                           record_trajectory=True)
+        assert_batch_matches_own_runs(*batch_members(), config)
+
+    @pytest.mark.parametrize("block", [7, 32_768])
+    def test_uniform_start_without_trajectory(self, block, monkeypatch):
+        monkeypatch.setattr(simulator, "BLOCK", block)
+        config = SimConfig(num_agents=40, num_steps=30, burn_in=10, seed=5,
+                           uniform_start=True)
+        results = assert_batch_matches_own_runs(*batch_members(), config)
+        assert all(result.trajectory is None for result in results)
+
+    def test_batch_of_one(self):
+        targets, params = batch_members()
+        config = SimConfig(num_agents=700, num_steps=20, burn_in=5, seed=3,
+                           record_trajectory=True)
+        [result] = run_many(targets[4:5], params[4:5], config)
+        assert_matches_sorted_run(targets[4], params[4], config, result)
+
+    def test_members_are_independent_of_their_batch(self):
+        # Dropping, repeating or reordering members changes no member.
+        targets, params = batch_members()
+        config = SimConfig(num_agents=500, num_steps=15, burn_in=5, seed=11)
+        whole = run_many(targets, params, config)
+        order = [5, 0, 0, 3]
+        part = run_many([targets[i] for i in order], [params[i] for i in order], config)
+        for i, result in zip(order, part):
+            assert np.array_equal(result.steady_estimate, whole[i].steady_estimate)
+            assert result.total_deaths == whole[i].total_deaths
+
+    def test_empty_and_mismatched_batches(self):
+        assert run_many([], [], SimConfig()) == []
+        targets, params = batch_members()
+        with pytest.raises(ValueError, match="targets for"):
+            run_many(targets, params[:-1], SimConfig())
+        with pytest.raises(ValueError, match="member 1: params have 3 groups, target has 5"):
+            run_many(targets[:2], [params[0], params[3]], SimConfig())
+
+    def test_step_guard_checks_every_member(self, monkeypatch):
+        # Plain members are laid out first: in the flat counts of
+        # [activated, plain, activated] the plain member 1 comes first and
+        # member 2 last. The guard must catch a leak in either and name the
+        # member by its index in the batch.
+        targets, params = batch_members()
+        targets, params = [targets[i] for i in (0, 1, 3)], [params[i] for i in (0, 1, 3)]
+        stepped = simulator._Batch.step
+
+        def leaking(member_slot, negative):
+            def broken_step(self, counts, rng):
+                new_counts, deaths = stepped(self, counts, rng)
+                start = self.offsets[member_slot]
+                if negative:
+                    # The member's tally stays whole, but a group holds -1.
+                    new_counts[start] += new_counts[start + 1] + 1
+                    new_counts[start + 1] = -1
+                else:
+                    new_counts[self.offsets[member_slot + 1] - 1] -= 1
+                return new_counts, deaths
+            return broken_step
+
+        config = SimConfig(num_agents=300, num_steps=10, burn_in=2, seed=1)
+        for slot, member in ((0, 1), (2, 2)):
+            for negative in (False, True):
+                monkeypatch.setattr(simulator._Batch, "step", leaking(slot, negative))
+                with pytest.raises(ResidualCheckFailed,
+                                   match=f"member {member}: an agent left the age groups"):
+                    run_many(targets, params, config)
+
+
 class TestRun:
     def test_estimate_converges_to_analytic(self, pyramid):
         params = model1_params(pyramid)
@@ -408,13 +536,13 @@ class TestRun:
             run(pyramid, params, SimConfig(seed=0))
 
     def test_agent_beyond_last_group_raises_typed_error(self, pyramid, monkeypatch):
-        def short_tally(counts, *args):
+        def short_tally(self, counts, rng):
             # One agent stepped past the last group and left the tally.
             new_counts = counts.copy()
             new_counts[-1] -= 1
             return new_counts, 0
 
-        def negative_count(counts, *args):
+        def negative_count(self, counts, rng):
             # The tally is whole, but a group holds minus one agent.
             new_counts = counts.copy()
             new_counts[1] += new_counts[2] + 1
@@ -422,8 +550,8 @@ class TestRun:
             return new_counts, 0
 
         for kernel in (short_tally, negative_count):
-            monkeypatch.setattr(simulator, "_count_step", kernel)
-            with pytest.raises(ResidualCheckFailed, match="left the age groups"):
+            monkeypatch.setattr(simulator._Batch, "step", kernel)
+            with pytest.raises(ResidualCheckFailed, match="member 0: an agent left the age groups"):
                 run(pyramid, model1_params(pyramid), SimConfig(seed=0))
 
     def test_unnormalized_target_rejected_before_any_draw(self, monkeypatch):
@@ -432,7 +560,7 @@ class TestRun:
         def no_step(*args):
             raise AssertionError("stepped an unnormalized target")
 
-        monkeypatch.setattr(simulator, "_count_step", no_step)
+        monkeypatch.setattr(simulator._Batch, "step", no_step)
         params = ModelParams(kind=ModelKind.MODEL1, survival=np.full(5, 0.5))
         config = SimConfig(num_agents=1000, num_steps=5, burn_in=1)
         for target in (np.ones(5), np.full(5, 0.2 + 1e-11)):
@@ -441,6 +569,9 @@ class TestRun:
             with pytest.raises(NotNormalized):
                 run(target, params, SimConfig(num_agents=1000, num_steps=5, burn_in=1,
                                               uniform_start=True))
+            # One bad member stops the whole batch before any draw.
+            with pytest.raises(NotNormalized):
+                run_many([np.full(5, 0.2), target], [params, params], config)
 
     def test_raw_target_gets_default_labels(self):
         params = ModelParams(kind=ModelKind.MODEL1, survival=np.full(4, 0.5))
@@ -457,7 +588,15 @@ class TestRun:
                     {"num_steps": 350.0}, {"burn_in": 300.0}):
             with pytest.raises(ValueError, match="must be an integer"):
                 SimConfig(**bad)
-        config = SimConfig(num_agents=np.int64(40), num_steps=np.int32(6), burn_in=2)
+        # A seed fails the same way: a float or a string would fail inside
+        # default_rng, and a bool would be written out as true.
+        for bad in (1.5, "3", True, None):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                SimConfig(seed=bad)
+        with pytest.raises(ValueError, match="unsigned 64-bit"):
+            SimConfig(seed=-1)
+        config = SimConfig(num_agents=np.int64(40), num_steps=np.int32(6), burn_in=2,
+                           seed=np.uint64(2**64 - 1))
         assert run(np.full(4, 0.25), ModelParams(kind=ModelKind.MODEL1, survival=np.full(4, 0.5)),
                    config).total_deaths > 0
 
