@@ -1,16 +1,21 @@
 #!/usr/bin/env python3
-"""Fallback route: fit a compliant curve, then solve in closed form.
+"""The original method's fallback: fit a compliant curve, then solve in
+closed form.
 
-Ageing-society distributions (flat across many working-age groups, with
-small wiggles) often defeat both processes. The fallback replaces the
-target with the nearest member of a plateau-then-decay family, judged by
-the Wasserstein distance, and hands that surrogate to the closed-form
-solver. The distance tells you how much shape was sacrificed.
+The paper replaces a target that neither process reproduces with the
+nearest member of a plateau-then-decay family, judged by the Wasserstein
+distance, and hands that surrogate to the closed-form solver. The distance
+tells you how much shape was sacrificed. ``agedist fit-curve`` runs it;
+the cascade no longer does. The model-2 closed form reproduces this
+ageing-society target exactly, and a target beyond its reach is solved on
+its nearest reachable target (``model2.nearest_reachable``), which moves it
+far less than any curve fit. The end of this script shows the cascade's
+answer.
 """
 
 import numpy as np
 
-from agedist import AgeDistribution, fit
+from agedist import AgeDistribution, fit, pipeline
 from agedist.distributions import classify, mean_absolute_error, wasserstein
 from agedist.model1 import solve, steady_state
 
@@ -43,3 +48,8 @@ print(f"surrogate vs original, per group: worst "
       f"{np.abs(result.fitted.proportions - target.proportions).max():.4f}")
 print(f"sanity: wasserstein(surrogate, original) = "
       f"{wasserstein(result.fitted, target):.4f}")
+
+# The cascade's answer for the same target: the model-2 closed form.
+params, analytic = pipeline.solve_model2(target)
+print(f"\ncascade: {params.diagnostics['solver']} model 2, steady state matches "
+      f"the original to {params.diagnostics['mae']:.2e}")

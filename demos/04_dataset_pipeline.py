@@ -2,8 +2,8 @@
 """Whole-dataset cascade: classify, solve, validate, summarise.
 
 Builds a small synthetic country file, runs the cascade on every entry
-(model-1 closed form, model-2 closed form, activation-rate search, curve fit)
-and prints the report. The same flow is available from the command
+(model-1 closed form, model-2 closed form, model-2 closed form on the
+nearest reachable target) and prints the report. The same flow is available from the command
 line as ``agedist pipeline --input data.csv --out-dir out``.
 """
 
@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from agedist import DEConfig, SimConfig
+from agedist import SimConfig
 from agedist.dataio import ingest_csv
 from agedist.pipeline import run_dataset
 
@@ -34,15 +34,17 @@ with open(csv_path, "w", encoding="utf-8") as fh:
         counts = 1000 * np.exp(-0.5 * ((x - peak) / 2.5) ** 2) + 200
         for g, c in enumerate(counts):
             fh.write(f"Hump-{i},g{g},{c:.1f}\n")
-    # A flat, wavy ageing-society shape: too stiff for the search under a
-    # modest budget, but the model-2 closed form solves it exactly.
+    # A flat, wavy ageing-society shape: too stiff for the search of the
+    # original method under a modest budget, but the model-2 closed form
+    # solves it exactly.
     flat = np.r_[1000.0 + 60.0 * np.sin(np.arange(12) * 2.2),
                  1000 * 0.7 ** np.arange(1, 9)]
     for g, c in enumerate(flat):
         fh.write(f"Flatland,g{g},{c:.1f}\n")
     # A new settlement with almost no births yet: its adults outnumber the
     # youngest group by more than 1/ALPHA_MIN, which no activation rates can
-    # hold. The search falls short, so the cascade falls back to curve fitting.
+    # hold. The cascade raises that group to the nearest target they can
+    # hold and solves that one in closed form.
     x = np.arange(1, 10)
     newtown = np.r_[0.3, 1000 * np.exp(-0.5 * ((x - 4) / 2.5) ** 2) + 200]
     for g, c in enumerate(newtown):
@@ -51,13 +53,7 @@ with open(csv_path, "w", encoding="utf-8") as fh:
 entries = ingest_csv(csv_path)
 print(f"ingested {len(entries)} countries from {csv_path.name}")
 
-# A tighter search budget than the 250-generation default keeps the batch
-# quick; the search only runs for targets the closed form rejects.
-report = run_dataset(
-    entries,
-    DEConfig(seed=0, max_iterations=150),
-    SimConfig(num_agents=10_000, num_steps=350, seed=0),
-)
+report = run_dataset(entries, SimConfig(num_agents=10_000, num_steps=350, seed=0))
 
 print("\nroutes taken:")
 for name, res in report.per_country.items():
@@ -66,19 +62,16 @@ for name, res in report.per_country.items():
     if diagnostics.get("solver") == "closed_form":
         extras = (f"  (closed form, mae {diagnostics['mae']:.1e}, "
                   f"smallest activation {diagnostics['min_activation']:.3f})")
-    elif diagnostics.get("solver") == "search":
-        extras = (f"  (search mae {diagnostics['mae']:.1e}, "
-                  f"{diagnostics['iterations_used']} generations)")
-    elif res.route.value == "curve_fit":
-        extras = (f"  (search stopped at mae {diagnostics['model2_mae']:.1e}; "
+    elif diagnostics.get("solver") == "nearest_reachable":
+        extras = (f"  (mae {diagnostics['mae']:.1e} against the original, "
                   f"moved by wasserstein "
-                  f"{diagnostics['wasserstein_to_original']:.4f})")
-    print(f"  {name:>10}: {res.route.value:>9}, validation-run mae "
+                  f"{diagnostics['wasserstein_to_original']:.1e})")
+    print(f"  {name:>10}: {res.route.value:>17}, validation-run mae "
           f"{res.sim_mae:.1e}{extras}")
 
 counts = {route.value: count for route, count in report.route_counts.items()}
 print(f"\nsummary: {counts}")
 if report.mean_wasserstein is not None:
-    print(f"mean curve-fit wasserstein: {report.mean_wasserstein:.4f}")
+    print(f"mean nearest-reachable wasserstein: {report.mean_wasserstein:.1e}")
 if report.flagged:
-    print(f"flagged fits (beyond the warning threshold): {list(report.flagged)}")
+    print(f"flagged (moved beyond the warning threshold): {list(report.flagged)}")

@@ -1,18 +1,18 @@
 """Survival and activation rates that make a constant-population,
 death-replacement ageing process settle on a target age distribution.
 
-The library solves the inverse steady-state problem three ways, in
-increasing generality:
+The library solves the inverse steady-state problem in closed form:
 
-* ``model1``: closed form for monotone non-increasing targets;
-* ``model2``: closed form for joint survival and activation rates on
-  non-monotone targets, and a bounded differential-evolution search for
-  targets beyond its 1/ALPHA_MIN group ratio;
-* ``curvefit``: plateau-then-decay surrogate for targets neither process can
-  reach, handed back to the closed-form solver.
+* ``model1``: survival rates for monotone non-increasing targets;
+* ``model2``: joint survival and activation rates for targets whose groups
+  stay within 1/ALPHA_MIN of every earlier group, and, for the rest, for
+  the nearest target that does (``model2.nearest_reachable``).
 
+The original method's tools for targets beyond that ratio stay available:
+a bounded differential-evolution search (``model2.optimize``) and a
+plateau-then-decay surrogate handed back to model 1 (``curvefit``).
 ``simulator`` validates any parameterisation with a finite agent population,
-``pipeline`` cascades the routes over whole datasets, and ``dataio`` /
+``pipeline`` cascades the closed forms over whole datasets, and ``dataio`` /
 ``cli`` cover CSV ingestion, parameter files and the command line.
 """
 

@@ -1,13 +1,13 @@
 """Command-line interface.
 
 Subcommands cover the whole workflow: ``classify`` (route eligibility per
-country), ``solve`` (closed-form parameterisation for one country, with the
-activation-rate search for model-2 targets the closed form rejects),
-``fit-curve`` (plateau-decay surrogate plus closed-form solve), ``simulate``
-(stochastic validation of a parameter file) and ``pipeline`` (the full
-cascade over a dataset, emitting parameter files and plot-data CSVs).
-``solve`` and ``fit-curve`` share the pipeline's stations, so their files
-carry the pipeline's diagnostics.
+country), ``solve`` (closed-form parameterisation for one country; a model-2
+target beyond the closed form's reach is solved on its nearest reachable
+target), ``fit-curve`` (the original method's plateau-decay surrogate plus
+closed-form solve), ``simulate`` (stochastic validation of a parameter
+file) and ``pipeline`` (the full cascade over a dataset, emitting parameter
+files and plot-data CSVs). ``solve`` shares the pipeline's stations, so its
+files carry the pipeline's diagnostics.
 
 Every failure exits nonzero after printing a line prefixed ``error:`` to
 stderr. All subcommands are deterministic given identical inputs and
@@ -34,7 +34,7 @@ from .distributions import (
     classify,
     mean_absolute_error,
 )
-from .errors import AgedistError
+from .errors import AgedistError, DegenerateLastGroup
 
 logger = logging.getLogger("agedist")
 
@@ -107,11 +107,7 @@ def cmd_classify(args) -> int:
     print("country,classification,eligible_route")
     for name, dist in entries:
         shape = classify(dist)
-        route = (
-            "model1"
-            if shape is Classification.MONOTONE_NON_INCREASING
-            else "model2_or_curve_fit"
-        )
+        route = "model1" if shape is Classification.MONOTONE_NON_INCREASING else "model2"
         print(f"{name},{shape.value},{route}")
     for name, reason in skipped:
         print(f"{name},skipped,none")
@@ -125,10 +121,14 @@ def cmd_solve(args) -> int:
     if model == "auto":
         model = "1" if classify(dist) is Classification.MONOTONE_NON_INCREASING else "2"
 
-    if model == "1":
-        params, _ = pipeline.solve_model1(dist, _parse_pn(args.pn), seed=args.seed)
-    else:
-        params, _ = pipeline.solve_model2(dist, model2.DEConfig(seed=args.seed))
+    try:
+        params, _ = (pipeline.solve_model1(dist, _parse_pn(args.pn), seed=args.seed)
+                     if model == "1" else pipeline.solve_model2(dist))
+    except DegenerateLastGroup:
+        # Like the cascade, auto gives model 2 a last group model 1 cannot hold.
+        if args.model != "auto":
+            raise
+        params, _ = pipeline.solve_model2(dist)
 
     dataio.emit_params(
         params,
@@ -214,18 +214,13 @@ def cmd_simulate(args) -> int:
 def cmd_pipeline(args) -> int:
     skipped: list = []
     entries = _ingest(args, skipped=skipped)
-    de_config = model2.DEConfig(
-        max_iterations=args.de_iters,
-        success_threshold=args.de_threshold,
-        seed=args.seed,
-    )
     sim_config = simulator.SimConfig(
         num_agents=args.agents,
         num_steps=args.steps,
         seed=args.seed,
         burn_in=_default_burn_in(args.steps),
     )
-    report = pipeline.run_dataset(entries, de_config, sim_config)
+    report = pipeline.run_dataset(entries, sim_config)
 
     out_dir = Path(args.out_dir)
     params_dir = out_dir / "params"
@@ -246,8 +241,6 @@ def cmd_pipeline(args) -> int:
             target=dist.proportions,
             config={
                 "seed": args.seed,
-                "de_iters": args.de_iters,
-                "de_threshold": args.de_threshold,
                 "num_agents": args.agents,
                 "num_steps": args.steps,
             },
@@ -260,10 +253,10 @@ def cmd_pipeline(args) -> int:
             ):
                 fh.write(f"{label},{t:.10g},{a:.10g},{s:.10g}\n")
 
-    with open(plots_dir / "curvefit_wasserstein.csv", "w",
+    with open(plots_dir / "nearest_reachable_wasserstein.csv", "w",
               encoding="utf-8", newline="") as fh:
         fh.write("country,wasserstein\n")
-        for name, value in report.curvefit_wasserstein.items():
+        for name, value in report.nearest_reachable_wasserstein.items():
             fh.write(f"{name},{value:.10g}\n")
 
     summary = {
@@ -282,8 +275,8 @@ def cmd_pipeline(args) -> int:
         "route_counts": {
             route.value: count for route, count in report.route_counts.items()
         },
-        "mean_curvefit_wasserstein": report.mean_wasserstein,
-        "flagged_curve_fits": list(report.flagged),
+        "mean_nearest_reachable_wasserstein": report.mean_wasserstein,
+        "flagged_nearest_reachable": list(report.flagged),
         "per_country": {
             name: {
                 "route": res.route.value,
@@ -347,8 +340,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("pipeline", help="full cascade over a dataset")
     _add_input_options(p)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--de-iters", type=int, default=250)
-    p.add_argument("--de-threshold", type=float, default=1e-4)
+    # Still parsed: existing command lines (bench/run.py's warm-up) pass them.
+    p.add_argument("--de-iters", type=int, default=250, help="ignored: no search runs")
+    p.add_argument("--de-threshold", type=float, default=1e-4, help="ignored: no search runs")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--agents", type=int, default=10_000)
     p.add_argument("--steps", type=int, default=350)

@@ -8,9 +8,8 @@ in age order; interleaving countries is allowed.
 Parameter files are versioned JSON documents holding the model kind, the
 vectors, the free parameter, diagnostics and an optional target/config echo,
 so one file fully specifies a reproducible simulation. Every JSON file the
-library writes is strict JSON (``write_json``): a non-finite number, such as
-the ``model2_mae`` of a search whose scores were all infinite, is written
-as null.
+library writes is strict JSON (``write_json``): a non-finite number is
+written as null.
 """
 
 from __future__ import annotations

@@ -38,7 +38,8 @@ class FreeParamOutOfRange(AgedistError):
 
 class DegenerateLastGroup(AgedistError):
     """Last-group survival of 1 leaves the final group with no outflow and
-    no steady state."""
+    no steady state. A last group more than 1/(1 - MAX_LAST_SURVIVAL) = 1e9
+    times the smallest group before it would need such a survival."""
 
 
 class ActivationTooSmall(AgedistError):
@@ -48,20 +49,6 @@ class ActivationTooSmall(AgedistError):
 
 class CurveFitFailed(AgedistError):
     """The inner least-squares failed for every breakpoint."""
-
-
-class SearchNotConverged(AgedistError):
-    """The activation-rate search ended above its success threshold.
-    ``solution`` holds the best candidate it found, ``history`` its best
-    error after initialisation and after each generation."""
-
-    def __init__(self, solution, threshold: float, history: tuple = ()):
-        super().__init__(
-            f"model 2 search did not converge: mae {solution.mae:.3g} after "
-            f"{solution.iterations_used} iterations (threshold {threshold:g})"
-        )
-        self.solution = solution
-        self.history = list(history)
 
 
 class EmptyDataset(AgedistError):

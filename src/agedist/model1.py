@@ -79,13 +79,20 @@ def feasibility(dist) -> Union[FeasibleInterval, InfeasibleReport]:
     larger one, and the ratio is then not formed, since it overflows for a
     last group near underflow); the upper bound stays strictly below 1.
     A raw vector with an empty group before a non-empty one raises
-    InteriorZeroGroup.
+    InteriorZeroGroup; a last group more than 1/(1 - MAX_LAST_SURVIVAL)
+    times the one before it, which puts the lower bound above
+    MAX_LAST_SURVIVAL, raises DegenerateLastGroup.
     """
     props = solver_proportions(dist)
     if classify(props) is Classification.NON_MONOTONE:
         bad = np.nonzero(np.diff(props[:-1]) > 0)[0] + 1
         return InfeasibleReport(tuple(int(i) for i in bad))
     lower = 0.0 if props[-2] >= props[-1] else 1.0 - props[-2] / props[-1]
+    if lower > MAX_LAST_SURVIVAL:
+        raise DegenerateLastGroup(
+            "last group is more than 1/(1 - MAX_LAST_SURVIVAL) = "
+            f"{1.0 / (1.0 - MAX_LAST_SURVIVAL):.4g} times the one before it "
+            f"(its survival would be at least {lower!r})")
     return FeasibleInterval(lower, MAX_LAST_SURVIVAL)
 
 
@@ -101,6 +108,8 @@ def solve(dist, p_n="mid", *, seed: Optional[int] = None) -> SurvivalVector:
         InteriorZeroGroup: a raw vector has an empty group before a
             non-empty one.
         NotModel1Eligible: the target is not monotone non-increasing.
+        DegenerateLastGroup: the last group is more than
+            1/(1 - MAX_LAST_SURVIVAL) times the one before it.
         FreeParamOutOfRange: an explicit ``p_n`` lies outside the interval.
     """
     interval = feasibility(dist)

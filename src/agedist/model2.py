@@ -6,12 +6,13 @@ ageing/survival draw when active) widens the family of achievable stationary
 profiles to non-monotone shapes. At stationarity the active mass
 m_i = alpha_i N_i obeys m_{i+1} = p_i m_i, so ``solve`` inverts any target
 whose groups stay within 1/ALPHA_MIN of every earlier group exactly, in
-closed form. ``optimize`` is the search of the original method: a bounded
-differential evolution over the joint vector (p_1..p_n, alpha_1..alpha_n)
-that minimises the mean absolute error between the candidate's stationary
-profile and the target. ``steady_state2`` and the search objective both use
-model 1's stationary kernel, with the activation rates as its second row
-set.
+closed form; ``nearest_reachable`` moves any other target into its reach,
+as little as it can. ``optimize`` is the search of the original method: a
+bounded differential evolution over the joint vector (p_1..p_n,
+alpha_1..alpha_n) that minimises the mean absolute error between the
+candidate's stationary profile and the target. ``steady_state2`` and the
+search objective both use model 1's stationary kernel, with the activation
+rates as its second row set.
 """
 
 from __future__ import annotations
@@ -45,6 +46,10 @@ from .errors import ActivationTooSmall
 #: n = 33 (33k), 1.2-1.3x at n = 41 (50k), 1.65x at n = 101 (306k).
 SHARE_FLOOR = 50_000
 
+#: Margins on the floors ``nearest_reachable`` raises groups to.
+_FLOOR_MARGIN = 1.0 + 4.0 * np.finfo(float).eps
+_FLOOR_OFFSET = 4.0 * np.finfo(float).smallest_subnormal
+
 
 @dataclass
 class DEConfig:
@@ -76,6 +81,11 @@ class DEConfig:
     strategy: str = "best1bin"
 
     def __post_init__(self):
+        for name in ("population_size", "max_iterations", "seed"):
+            value = getattr(self, name)
+            if not (value is None and name == "population_size") and (
+                    isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.population_size is not None and self.population_size < 4:
             raise ValueError("population_size must be at least 4")
         if self.max_iterations < 1:
@@ -87,8 +97,6 @@ class DEConfig:
             raise ValueError("crossover_rate must lie in [0, 1]")
         if self.success_threshold <= 0.0:
             raise ValueError("success_threshold must be positive")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
-            raise ValueError(f"seed must be an integer, not {self.seed!r}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if self.strategy not in ("best1bin", "rand1bin"):
@@ -157,6 +165,8 @@ def solve(dist) -> tuple:
         ActivationTooSmall: a group is more than 1/ALPHA_MIN times the
             smallest group before it. No m_i exceeds that running minimum,
             so no member of the family keeps alpha_i >= ALPHA_MIN.
+        DegenerateLastGroup: the last group is more than
+            1/(1 - MAX_LAST_SURVIVAL) times the smallest group before it.
     """
     props = solver_proportions(dist)
     active = np.minimum.accumulate(props[:-1])
@@ -164,11 +174,68 @@ def solve(dist) -> tuple:
     if rates.min() < ALPHA_MIN:
         worst = int(rates.argmin())
         raise ActivationTooSmall(
-            f"group index {worst} is {1.0 / rates[worst]:.4g} times the "
-            f"smallest group before it, beyond 1/ALPHA_MIN = {1.0 / ALPHA_MIN:g}"
+            f"group index {worst} is more than 1/ALPHA_MIN = {1.0 / ALPHA_MIN:g} "
+            f"times the smallest group before it (activation {rates[worst]:.4g})"
         )
     masses = normalize(np.append(active, props[-1]), default_labels(props.size))
     return model1.solve(masses, "mid"), ActivationVector(rates)
+
+
+def _raised_to_floors(props: np.ndarray) -> tuple:
+    """``props`` with its first n-1 groups raised to their floors (see
+    ``nearest_reachable``), and each one's largest later group among them."""
+    head = props[:-1]
+    later = np.append(np.maximum.accumulate(head[:0:-1])[::-1], 0.0)
+    floor = np.maximum(later * ALPHA_MIN, props[-1] * (1.0 - MAX_LAST_SURVIVAL))
+    raised = np.maximum(head, floor * _FLOOR_MARGIN + _FLOOR_OFFSET)
+    return np.append(raised, props[-1]), later
+
+
+def _paid_for(props: np.ndarray, raised: np.ndarray, later: np.ndarray,
+              bound: np.ndarray) -> np.ndarray:
+    """``props`` with the groups after one raised group j capped at a level
+    U that pays for the raise: the m tallest give up their excess over U,
+    and the k raised groups that their size bounds from j on need ALPHA_MIN
+    k less per unit that U drops (j has the largest k / m). U is at least
+    half that size, so every group stays positive."""
+    head = props[:-1]
+    starts = np.flatnonzero(bound)
+    sizes = later[starts]
+    gains = np.array([np.count_nonzero(sizes[t:] == sizes[t]) for t in range(starts.size)])
+    payers = np.array([np.count_nonzero(head[j + 1:] == later[j]) for j in starts])
+    best = np.argmax(gains / payers)
+    first, size, slope = starts[best], sizes[best], gains[best] * ALPHA_MIN
+    heights = np.sort(head[first + 1:])[::-1]
+    levels = ((np.cumsum(heights) - (raised.sum() - props.sum()) + slope * size)
+              / (np.arange(1, heights.size + 1) + slope))
+    level = levels[np.argmax(levels >= np.append(heights[1:], 0.0))]
+    paid = props.copy()
+    paid[first + 1:-1] = np.minimum(head[first + 1:], max(level, 0.5 * size))
+    return paid
+
+
+def nearest_reachable(dist) -> AgeDistribution:
+    """A target that ``solve`` reproduces, for a ``dist`` it rejects: on
+    mean absolute error within 1% of the nearest one (the L1 projection).
+
+    ``solve`` accepts the targets in which no group of the first n-1 is
+    more than 1/ALPHA_MIN times an earlier one and the last group is at
+    most 1/(1 - MAX_LAST_SURVIVAL) times the smallest before it; every
+    model-2 steady state is one. Raising each group j of the first n-1 to
+    ``max(N_j, max_{j<i<=n-1} N_i * ALPHA_MIN, N_n * (1 - MAX_LAST_SURVIVAL))``,
+    times 1 + 4 eps plus 4 subnormal steps to stay clear of rounding, and
+    renormalizing gives one. As in the projection, the groups that set the
+    floors first give up the mass the raise adds (``_paid_for``).
+    """
+    props = solver_proportions(dist)
+    raised, later = _raised_to_floors(props)
+    # Raised groups whose floor a later group of the first n-1 sets.
+    bound = (raised[:-1] > props[:-1]) & (
+        later * ALPHA_MIN > props[-1] * (1.0 - MAX_LAST_SURVIVAL))
+    if bound.any():
+        raised, _ = _raised_to_floors(_paid_for(props, raised, later, bound))
+    labels = dist.labels if isinstance(dist, AgeDistribution) else default_labels(props.size)
+    return normalize(raised, labels)
 
 
 def steady_state2(p, alpha, labels=None) -> AgeDistribution:
@@ -320,10 +387,10 @@ def optimize(
     before the shares start; each share gathers, mutates, reflects and
     crosses over its own rows and scores them with its own scratch. There
     is at most one share per ``SHARE_FLOOR`` population entries, so small
-    searches (the cascade's 21-group ones among them) stay on the calling
-    thread. Every row gets the same floats whatever the share count, so
-    results are bitwise independent of it; restricting the CPU affinity
-    gives a serial search. A generation allocates nothing of the
+    searches (21-group ones among them) stay on the calling thread. Every
+    row gets the same floats whatever the share count, so results are
+    bitwise independent of it; restricting the CPU affinity gives a serial
+    search. A generation allocates nothing of the
     population's size: the population, trial rows, crossover draws and the
     objective's scratch live in buffers made once per call.
 

@@ -1,17 +1,19 @@
 """Model-selection cascade and dataset-level batch driver.
 
-A single target goes through four stations: the model-1 closed form when it
-is monotone non-increasing; otherwise the model-2 closed form, which solves
-every target whose groups stay within 1/ALPHA_MIN of each earlier group;
-for the rest, the activation-rate search; and when that fails to converge
-within its budget, the plateau-decay curve fit followed by the closed-form
-solver on the fitted surrogate. ``solve_model1``, ``solve_model2`` and
-``solve_curve_fit`` return each station's parameters, diagnostics and
-analytic steady state, for the cascade and the command line alike. Every
-solved parameter set is validated with one stochastic run against its own
-analytic steady state. ``run_dataset`` solves every entry first and then
-validates all of them in one ``simulator.run_many`` batch, which draws the
-uniform stream they share once instead of once per entry.
+A single target goes through three closed forms: model 1 when it is
+monotone non-increasing; otherwise model 2, which solves every target whose
+groups stay within 1/ALPHA_MIN of each earlier group; for the rest, model 2
+on the nearest target it reaches (``model2.nearest_reachable``). The paper
+runs an activation-rate search and then a curve fit on those targets; both
+stay available (``model2.optimize``, ``curvefit.fit``), but the cascade
+calls neither: no model-2 steady state or curve fit is closer to the target
+than the L1 projection, which the nearest reachable target comes within 1%
+of. ``solve_model1`` and ``solve_model2`` return each station's
+parameters, diagnostics and analytic steady state, for the cascade and the
+command line alike. Every solved parameter set is validated with one
+stochastic run against its own analytic steady state. ``run_dataset``
+solves every entry first and then validates all of them in one
+``simulator.run_many`` batch, which draws their shared uniform stream once.
 """
 
 from __future__ import annotations
@@ -31,26 +33,27 @@ from .distributions import (
     ModelParams,
     classify,
     mean_absolute_error,
+    wasserstein,
 )
 from .errors import (
     ActivationTooSmall,
     AgedistError,
+    DegenerateLastGroup,
     EmptyDataset,
     InvalidEntry,
-    SearchNotConverged,
 )
 
 logger = logging.getLogger("agedist")
 
-#: Curve fits with a Wasserstein distance above this are flagged (reported,
-#: never rejected); the default sits at a typical dataset mean.
+#: Nearest-reachable entries that moved their target by a Wasserstein
+#: distance above this are flagged (reported, never rejected).
 DEFAULT_WASSERSTEIN_WARN = 0.0055
 
 
 class Route(Enum):
     MODEL1 = "model1"
     MODEL2 = "model2"
-    CURVE_FIT = "curve_fit"
+    NEAREST_REACHABLE = "nearest_reachable"
     FAILED = "failed"
 
 
@@ -71,31 +74,26 @@ class CountryResult:
 class PipelineReport:
     per_country: dict
     route_counts: dict
-    #: name -> Wasserstein distance for every curve-fit entry (histogram data).
-    curvefit_wasserstein: dict
+    #: name -> Wasserstein distance from the original to the target solved,
+    #: for every nearest-reachable entry (histogram data).
+    nearest_reachable_wasserstein: dict
     mean_wasserstein: Optional[float]
-    #: Curve-fit entries whose distance exceeded the warning threshold.
+    #: Nearest-reachable entries whose distance exceeds the warning threshold.
     flagged: tuple = field(default_factory=tuple)
 
 
 def select_and_solve(
     dist: AgeDistribution,
-    de_config: Optional[model2.DEConfig] = None,
     sim_config: Optional[simulator.SimConfig] = None,
 ) -> tuple:
     """Route one target through the cascade; returns (params, route).
 
-    Diagnostics carried on the result include the analytic mean absolute
-    error against the route's target, the validation run's error against the
-    analytic steady state (``sim_mae``), and route-specific entries (model-2
-    solver, search iterations and best-error history, curve-fit distance,
-    free-parameter provenance).
-
-    Raises:
-        InvalidEntry: ``dist`` is not an AgeDistribution.
-        CurveFitFailed: the final fallback found no usable fit.
+    The diagnostics are the station's (``solve_model1``, ``solve_model2``)
+    plus the validation run's error against the analytic steady state
+    (``sim_mae``). Raises InvalidEntry when ``dist`` is not an
+    AgeDistribution.
     """
-    params, route, analytic = _solve_one(dist, de_config)
+    params, route, analytic = _solve_one(dist)
     _validate([(params, analytic)], sim_config)
     return params, route
 
@@ -120,70 +118,40 @@ def solve_model1(dist: AgeDistribution, p_n="mid", *,
     return ModelParams(ModelKind.MODEL1, survival, diagnostics=diagnostics), analytic
 
 
-def solve_model2(
-    dist: AgeDistribution, de_config: Optional[model2.DEConfig] = None
-) -> tuple:
-    """Model-2 stations of the cascade; returns (params, analytic steady
-    state).
+def solve_model2(dist: AgeDistribution) -> tuple:
+    """Model-2 stations: ``model2.solve`` on ``dist`` or, where it rejects
+    ``dist``, on ``model2.nearest_reachable(dist)``; returns (params,
+    analytic steady state).
 
-    The closed form (``model2.solve``) runs first; the search
-    (``model2.optimize``) runs only for targets it rejects. Diagnostics
-    record the ``solver`` ("closed_form" or "search"), the analytic mean
-    absolute error against ``dist`` and the search seed; the closed form
-    adds its smallest activation rate and the free-parameter mode, the
-    search its iteration count and ``search_history``, the best error after
-    initialisation and after each generation.
-
-    Raises:
-        SearchNotConverged: the closed form rejected the target and the
-            search ended above its success threshold; it carries the
-            search's history.
+    Diagnostics record the ``solver`` ("closed_form" or
+    "nearest_reachable"; the latter adds the Wasserstein distance from
+    ``dist`` to the target it reproduces), the smallest activation rate, the
+    free-parameter mode and the analytic mean absolute error against
+    ``dist``.
     """
-    de_cfg = de_config if de_config is not None else model2.DEConfig()
+    diagnostics = {"solver": "closed_form"}
     try:
         survival, activation = model2.solve(dist)
-        diagnostics = {
-            "solver": "closed_form",
-            "min_activation": float(activation.rates.min()),
-            "free_param_mode": "midpoint",
-        }
-    except ActivationTooSmall:
-        history = []
-        solution = model2.optimize(dist, de_cfg, history=history)
-        if not solution.converged:
-            raise SearchNotConverged(
-                solution, de_cfg.success_threshold, history) from None
-        survival, activation = solution.survival, solution.activation
-        diagnostics = {
-            "solver": "search",
-            "iterations_used": solution.iterations_used,
-            "search_history": history,
-        }
+    except (ActivationTooSmall, DegenerateLastGroup):
+        reachable = model2.nearest_reachable(dist)
+        diagnostics = {"solver": "nearest_reachable",
+                       "wasserstein_to_original": wasserstein(reachable, dist)}
+        survival, activation = model2.solve(reachable)
     analytic = model2.steady_state2(survival, activation, labels=dist.labels)
-    diagnostics["mae"] = mean_absolute_error(analytic, dist)
-    diagnostics["seed"] = de_cfg.seed
-    params = ModelParams(
-        kind=ModelKind.MODEL2,
-        survival=survival,
-        activation=activation,
-        diagnostics=diagnostics,
-    )
+    diagnostics.update(min_activation=float(activation.rates.min()),
+                       free_param_mode="midpoint", mae=mean_absolute_error(analytic, dist))
+    params = ModelParams(ModelKind.MODEL2, survival, activation, diagnostics=diagnostics)
     return params, analytic
 
 
-def solve_curve_fit(dist: AgeDistribution) -> tuple:
-    """Curve-fit station: ``curvefit.fit``, then the model-1 closed form on
-    the fitted surrogate; returns (params, analytic steady state).
+def _fitted_params(dist: AgeDistribution, fit: curvefit.CurveFitResult) -> tuple:
+    """``agedist fit-curve``'s parameters: the model-1 closed form on the
+    fitted surrogate; returns (params, analytic steady state).
 
     Diagnostics record the analytic mean absolute error against the
     surrogate, the fit's distance, residual and curve parameters, and the
-    ``free_param_mode``. Raises CurveFitFailed when no fit is usable.
+    ``free_param_mode``.
     """
-    return _fitted_params(dist, curvefit.fit(dist))
-
-
-def _fitted_params(dist: AgeDistribution, fit: curvefit.CurveFitResult) -> tuple:
-    """``solve_curve_fit`` on a fit already made."""
     survival = model1.solve(fit.fitted, "mid")
     analytic = model1.steady_state(survival, labels=dist.labels)
     diagnostics = {
@@ -199,9 +167,10 @@ def _fitted_params(dist: AgeDistribution, fit: curvefit.CurveFitResult) -> tuple
     return ModelParams(ModelKind.MODEL1_ON_FITTED, survival, diagnostics=diagnostics), analytic
 
 
-def _solve_one(dist: AgeDistribution, de_config: Optional[model2.DEConfig]) -> tuple:
+def _solve_one(dist: AgeDistribution) -> tuple:
     """The solve-only cascade; returns (params, route, analytic steady
-    state)."""
+    state). A monotone target whose last group model 1 cannot hold goes to
+    model 2."""
     if not isinstance(dist, AgeDistribution):
         raise InvalidEntry(
             f"expected an AgeDistribution, got {type(dist).__name__} "
@@ -209,20 +178,14 @@ def _solve_one(dist: AgeDistribution, de_config: Optional[model2.DEConfig]) -> t
         )
 
     if classify(dist) is Classification.MONOTONE_NON_INCREASING:
-        params, analytic = solve_model1(dist)
-        route = Route.MODEL1
-    else:
         try:
-            params, analytic = solve_model2(dist, de_config)
-            route = Route.MODEL2
-        except SearchNotConverged as exc:
-            params, analytic = solve_curve_fit(dist)
-            params.diagnostics.update(
-                model2_mae=exc.solution.mae,
-                model2_iterations=exc.solution.iterations_used,
-                model2_history=exc.history,
-            )
-            route = Route.CURVE_FIT
+            params, analytic = solve_model1(dist)
+            return params, Route.MODEL1, analytic
+        except DegenerateLastGroup:
+            pass
+    params, analytic = solve_model2(dist)
+    route = (Route.MODEL2 if params.diagnostics["solver"] == "closed_form"
+             else Route.NEAREST_REACHABLE)
     return params, route, analytic
 
 
@@ -240,7 +203,6 @@ def _validate(solved, sim_config: Optional[simulator.SimConfig]) -> list:
 
 def run_dataset(
     dataset,
-    de_config: Optional[model2.DEConfig] = None,
     sim_config: Optional[simulator.SimConfig] = None,
     warn_wasserstein: float = DEFAULT_WASSERSTEIN_WARN,
 ) -> PipelineReport:
@@ -266,7 +228,7 @@ def run_dataset(
     results = {}
     for name, dist in entries:
         try:
-            results[name] = _solve_one(dist, de_config)
+            results[name] = _solve_one(dist)
         except AgedistError as exc:
             logger.warning("%s: %s", name, exc)
             results[name] = CountryResult(
@@ -284,38 +246,17 @@ def run_dataset(
     else:
         for (name, (params, route, analytic)), estimate in zip(solved.items(), estimates):
             results[name] = CountryResult(
-                name=name,
-                route=route,
-                params=params,
-                sim_mae=params.diagnostics["sim_mae"],
-                analytic=analytic.proportions,
-                sim_estimate=estimate,
-            )
+                name=name, route=route, params=params, sim_mae=params.diagnostics["sim_mae"],
+                analytic=analytic.proportions, sim_estimate=estimate)
 
     per_country = {name: results[name] for name in sorted(results)}
-    route_counts = {route: 0 for route in Route}
-    for res in per_country.values():
-        route_counts[res.route] += 1
-
-    distances = {
-        name: res.params.diagnostics["wasserstein_to_original"]
-        for name, res in per_country.items()
-        if res.route is Route.CURVE_FIT
-    }
-    flagged = tuple(
-        name for name, value in distances.items() if value > warn_wasserstein
-    )
+    route_counts = {route: sum(res.route is route for res in per_country.values())
+                    for route in Route}
+    distances = {name: res.params.diagnostics["wasserstein_to_original"]
+                 for name, res in per_country.items() if res.route is Route.NEAREST_REACHABLE}
+    flagged = tuple(name for name, value in distances.items() if value > warn_wasserstein)
     for name in flagged:
-        logger.warning(
-            "%s: curve fit moved the distribution by %.4g (threshold %.4g)",
-            name, distances[name], warn_wasserstein,
-        )
+        logger.warning("%s: its nearest reachable target moved it by %.4g (threshold %.4g)",
+                       name, distances[name], warn_wasserstein)
     mean_distance = float(np.mean(list(distances.values()))) if distances else None
-
-    return PipelineReport(
-        per_country=per_country,
-        route_counts=route_counts,
-        curvefit_wasserstein=distances,
-        mean_wasserstein=mean_distance,
-        flagged=flagged,
-    )
+    return PipelineReport(per_country, route_counts, distances, mean_distance, flagged)

@@ -258,3 +258,55 @@ def reference_sorted_run(start, survival, activation, config):
         if index >= config.burn_in:
             accumulator += trajectory[index]
     return trajectory, accumulator / (config.num_steps - config.burn_in), deaths
+
+
+def reachable_l1_optimum(target, scale):
+    """Smallest mean absolute error from ``target`` to a distribution that
+    the model-2 closed form reproduces, by linear programming.
+
+    Every group j of the first n-1 is at least ALPHA_MIN times each later
+    group among them and at least (1 - MAX_LAST_SURVIVAL) times the last.
+    The variables are the deviations from the target divided by ``scale``
+    (about the expected total deviation), so that the binding rows and the
+    sum constraint are of order one and the solver's absolute tolerances
+    stay far below the answer.
+    """
+    from scipy.optimize import linprog
+
+    from agedist.distributions import ALPHA_MIN, MAX_LAST_SURVIVAL
+
+    t = np.asarray(target, dtype=float)
+    n = t.size
+    rows, bounds = [], []
+
+    def at_least(j, i, factor):
+        # t_j + s z_j >= factor (t_i + s z_i)
+        row = np.zeros(2 * n)
+        row[i], row[j] = factor, -1.0
+        rows.append(row)
+        bounds.append((t[j] - factor * t[i]) / scale)
+
+    for j in range(n - 1):
+        for i in range(j + 1, n - 1):
+            at_least(j, i, ALPHA_MIN)
+        at_least(j, n - 1, 1.0 - MAX_LAST_SURVIVAL)
+    for k in range(n):
+        # u_k >= |z_k| and t_k + s z_k >= 0.
+        for sign in (1.0, -1.0):
+            row = np.zeros(2 * n)
+            row[k], row[n + k] = sign, -1.0
+            rows.append(row)
+            bounds.append(0.0)
+        row = np.zeros(2 * n)
+        row[k] = -1.0
+        rows.append(row)
+        bounds.append(t[k] / scale)
+    result = linprog(
+        np.r_[np.zeros(n), np.ones(n)],
+        A_ub=np.array(rows), b_ub=bounds,
+        A_eq=np.r_[np.ones(n), np.zeros(n)][None], b_eq=[0.0],
+        bounds=[(None, None)] * n + [(0.0, None)] * n,
+        method="highs",
+    )
+    assert result.status == 0, result.message
+    return result.fun * scale / n

@@ -1,11 +1,13 @@
 import json
 import platform
+import re
 
 import numpy as np
 import pytest
 
-from agedist import model2
+from agedist import model2, pipeline
 from agedist.cli import main
+from agedist.distributions import ALPHA_MIN
 from agedist.dataio import load_params_document
 
 
@@ -41,7 +43,7 @@ class TestClassify:
         assert out[0] == "country,classification,eligible_route"
         table = dict(line.split(",", 1) for line in out[1:])
         assert table["Pyramid"].startswith("monotone_non_increasing,model1")
-        assert table["Hump"].startswith("non_monotone,model2_or_curve_fit")
+        assert table["Hump"] == "non_monotone,model2"
 
     def test_single_country_filter(self, dataset, capsys):
         assert main(["classify", "--input", str(dataset), "--country", "Hump"]) == 0
@@ -70,8 +72,11 @@ class TestSolve:
         ]) == 0
         document = load_params_document(out_file)
         assert document.params.kind.value == "model2"
-        assert document.params.diagnostics["mae"] < 1e-4
-        assert document.params.diagnostics["seed"] == 3
+        assert document.params.diagnostics["mae"] < 1e-12
+        # The closed form draws nothing: the seed is echoed, not recorded
+        # as a diagnostic.
+        assert "seed" not in document.params.diagnostics
+        assert document.config["seed"] == 3
 
     def test_explicit_pn(self, dataset, tmp_path):
         out_file = tmp_path / "pyramid.json"
@@ -133,16 +138,34 @@ class TestSolve:
 def flat_dataset(tmp_path):
     """A wavy ageing plateau, solved exactly by the model-2 closed form, and
     a near-empty first group that no activation rates can reproduce."""
-    path = tmp_path / "flat.csv"
-    flat = np.r_[1000.0 + 60.0 * np.sin(np.arange(12) * 2.2),
-                 1000 * 0.7 ** np.arange(1, 9)]
-    rows = [("Flatland", flat), ("Cliff", [0.01, 500.0, 499.99])]
+    return write_dataset(tmp_path / "flat.csv", [
+        ("Flatland", np.r_[1000.0 + 60.0 * np.sin(np.arange(12) * 2.2),
+                           1000 * 0.7 ** np.arange(1, 9)]),
+        ("Cliff", [0.01, 500.0, 499.99]),
+    ])
+
+
+def write_dataset(path, rows):
+    """Write (name, counts) rows as a long CSV with groups g0, g1, ..."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("country,age_group,population\n")
         for name, counts in rows:
             for g, count in enumerate(counts):
-                fh.write(f"{name},g{g},{count:.2f}\n")
+                fh.write(f"{name},g{g},{count:.17g}\n")
     return path
+
+
+@pytest.fixture
+def unreachable_dataset(tmp_path):
+    """Three countries no closed form reproduces as given: Newtown (first
+    group 0.3 against adults up to ~1200), Cliff, and a pyramid whose last
+    group is 1e10 times the one before it."""
+    x = np.arange(1, 10)
+    return write_dataset(tmp_path / "unreachable.csv", [
+        ("Newtown", np.r_[0.3, 1000 * np.exp(-0.5 * ((x - 4) / 2.5) ** 2) + 200]),
+        ("Cliff", [0.01, 500.0, 499.99]),
+        ("Huge", [1.0, 0.5, 1e-10, 1.0]),
+    ])
 
 
 class TestSolveModel2:
@@ -157,9 +180,9 @@ class TestSolveModel2:
         assert params.diagnostics["solver"] == "closed_form"
         assert params.diagnostics["mae"] < 1e-12
 
-    def test_search_history_written(self, tmp_path):
+    def test_nearest_reachable_written(self, tmp_path):
         # The second group is 1250 times the first: beyond the closed form,
-        # within the search's reach.
+        # which solves the nearest target it reaches.
         data = tmp_path / "steep.csv"
         data.write_text("country,age_group,population\n"
                         "Steep,a,4\nSteep,b,5000\nSteep,c,4996\n")
@@ -169,21 +192,44 @@ class TestSolveModel2:
             "--out", str(out_file),
         ]) == 0
         diagnostics = strict_load(out_file)["diagnostics"]
-        assert diagnostics["solver"] == "search"
-        history = diagnostics["search_history"]
-        assert len(history) == diagnostics["iterations_used"] + 1
-        assert history[-1] < 1e-4
+        assert diagnostics["solver"] == "nearest_reachable"
+        assert diagnostics["min_activation"] >= ALPHA_MIN
+        assert 0 < diagnostics["wasserstein_to_original"] < 1e-3
+        assert diagnostics["mae"] < 1e-4
 
-    def test_unreachable_shape_reports_search_failure(
-        self, flat_dataset, tmp_path, capsys
+    @pytest.mark.parametrize("model", ["auto", "2"])
+    def test_unreachable_shape_solved_on_nearest_reachable(
+        self, flat_dataset, tmp_path, model
     ):
-        code = main([
+        out_file = tmp_path / "cliff.json"
+        assert main([
             "solve", "--input", str(flat_dataset), "--country", "Cliff",
-            "--out", str(tmp_path / "x.json"),
+            "--model", model, "--out", str(out_file),
+        ]) == 0
+        document = load_params_document(out_file)
+        assert document.params.kind.value == "model2"
+        assert document.params.diagnostics["solver"] == "nearest_reachable"
+        # The curve fit this shape used to fall back to ended at 0.22.
+        assert document.params.diagnostics["mae"] < 4e-4
+
+    def test_huge_last_group(self, unreachable_dataset, tmp_path, capsys):
+        # model 1 reports the typed failure; auto, like the cascade, hands
+        # the pyramid to the model-2 stations.
+        code = main([
+            "solve", "--input", str(unreachable_dataset), "--country", "Huge",
+            "--model", "1", "--out", str(tmp_path / "x.json"),
         ])
         assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: model 2 search did not converge")
+        assert capsys.readouterr().err.startswith(
+            "error: last group is more than 1/(1 - MAX_LAST_SURVIVAL)")
+        out_file = tmp_path / "huge.json"
+        assert main([
+            "solve", "--input", str(unreachable_dataset), "--country", "Huge",
+            "--out", str(out_file),
+        ]) == 0
+        diagnostics = load_params_document(out_file).params.diagnostics
+        assert diagnostics["solver"] == "nearest_reachable"
+        assert diagnostics["mae"] < 1e-9
 
 
 class TestFitCurve:
@@ -278,7 +324,8 @@ class TestPipeline:
                 fields = line.split(",")
                 assert len(fields) == 4
                 float(fields[1]), float(fields[2]), float(fields[3])
-        assert (out_dir / "plots" / "curvefit_wasserstein.csv").exists()
+        assert (out_dir / "plots" / "nearest_reachable_wasserstein.csv").read_text() == (
+            "country,wasserstein\n")
 
     def test_trailing_zeros_absent_from_outputs(self, dataset, tmp_path):
         out_dir = tmp_path / "out"
@@ -292,24 +339,22 @@ class TestPipeline:
     def test_non_finite_diagnostics_written_as_null(
         self, flat_dataset, tmp_path, monkeypatch
     ):
-        # Every candidate scores +inf, so Cliff's failed search reports an
-        # infinite model2_mae before the curve fit takes over.
-        def all_infinite(target):
-            return lambda candidates: np.full(len(candidates), np.inf)
-
-        monkeypatch.setattr(model2, "mae_objective", all_infinite)
+        # An infinite distance for Cliff's nearest reachable target also
+        # makes the dataset's mean distance infinite.
+        monkeypatch.setattr(pipeline, "wasserstein", lambda a, b: float("inf"))
         out_dir = tmp_path / "out"
         assert main([
             "pipeline", "--input", str(flat_dataset), "--out-dir", str(out_dir),
-            "--de-iters", "3", "--agents", "500", "--steps", "20",
+            "--agents", "500", "--steps", "20",
         ]) == 0
         summary = strict_load(out_dir / "summary.json")
         cliff = summary["per_country"]["Cliff"]
-        assert cliff["route"] == "curve_fit"
-        assert cliff["diagnostics"]["model2_mae"] is None
+        assert cliff["route"] == "nearest_reachable"
+        assert cliff["diagnostics"]["wasserstein_to_original"] is None
+        assert summary["mean_nearest_reachable_wasserstein"] is None
+        assert summary["flagged_nearest_reachable"] == ["Cliff"]
         params = strict_load(out_dir / "params" / "Cliff.json")
-        assert params["diagnostics"]["model2_mae"] is None
-        assert params["diagnostics"]["model2_iterations"] == 3
+        assert params["diagnostics"]["wasserstein_to_original"] is None
 
     def test_summary_records_the_run(self, dataset, tmp_path):
         out_dir = tmp_path / "out"
@@ -328,7 +373,7 @@ class TestPipeline:
             "cpu_count": model2._cpu_count(),
         }
 
-    def test_search_history_written_to_outputs(self, flat_dataset, tmp_path):
+    def test_nearest_reachable_written_to_outputs(self, flat_dataset, tmp_path):
         out_dir = tmp_path / "out"
         assert main([
             "pipeline", "--input", str(flat_dataset), "--out-dir", str(out_dir),
@@ -336,7 +381,25 @@ class TestPipeline:
         ]) == 0
         summary = strict_load(out_dir / "summary.json")
         cliff = summary["per_country"]["Cliff"]["diagnostics"]
-        assert len(cliff["model2_history"]) == 5
-        assert cliff["model2_history"][-1] == cliff["model2_mae"]
+        assert cliff["solver"] == "nearest_reachable"
         params = strict_load(out_dir / "params" / "Cliff.json")
-        assert params["diagnostics"]["model2_history"] == cliff["model2_history"]
+        assert params["diagnostics"] == cliff
+        # The search options are accepted but not echoed: nothing used them.
+        assert set(params["config"]) == {"seed", "num_agents", "num_steps"}
+        table = (out_dir / "plots" / "nearest_reachable_wasserstein.csv").read_text()
+        assert table == f"country,wasserstein\nCliff,{cliff['wasserstein_to_original']:.10g}\n"
+        assert summary["mean_nearest_reachable_wasserstein"] == cliff["wasserstein_to_original"]
+
+    def test_unreachable_countries_all_solved(self, unreachable_dataset, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert main([
+            "pipeline", "--input", str(unreachable_dataset), "--out-dir", str(out_dir),
+            "--agents", "500", "--steps", "20",
+        ]) == 0
+        printed = dict(re.findall(r"(\w+)=(\d+)", capsys.readouterr().out))
+        summary = strict_load(out_dir / "summary.json")
+        assert {k: int(v) for k, v in printed.items()} == summary["route_counts"] == {
+            "model1": 0, "model2": 0, "nearest_reachable": 3, "failed": 0}
+        for name, entry in summary["per_country"].items():
+            assert entry["route"] == "nearest_reachable", entry["failure_reason"]
+            strict_load(out_dir / "params" / f"{name}.json")

@@ -69,6 +69,17 @@ class TestFeasibility:
             with pytest.raises(InteriorZeroGroup, match="index 1"):
                 entry([0.5, 0.0, 0.0, 0.5])
 
+    @pytest.mark.parametrize("entry", [feasibility, solve])
+    def test_huge_last_group_raises_typed_error(self, entry):
+        # The last group is 1e10 times the one before it: the lower bound
+        # 1 - 1e-10 lies above MAX_LAST_SURVIVAL.
+        with pytest.raises(DegenerateLastGroup, match="1/\\(1 - MAX_LAST_SURVIVAL\\)"):
+            entry(normalize([1, 0.5, 1e-10, 1], "abcd"))
+
+    def test_last_group_at_the_limit_is_feasible(self):
+        interval = feasibility(normalize([1, 0.5, 1e-9, 1e-9 / (1 - MAX_LAST_SURVIVAL)], "abcd"))
+        assert interval.lower <= interval.upper == MAX_LAST_SURVIVAL
+
     def test_infeasible_lists_offending_indices(self):
         report = feasibility(dist([0.3, 0.4, 0.3]))
         assert isinstance(report, InfeasibleReport)

@@ -27,10 +27,13 @@ from agedist.errors import (
 )
 from agedist.model1 import steady_state
 from agedist.model2 import Model2Solution, _bounce_back, default_bounds, mae_objective
+from agedist.pipeline import Route, run_dataset
+from agedist.simulator import SimConfig
 
 from oracles import (
     expected_update_activated,
     fixed_point,
+    reachable_l1_optimum,
     reference_bounce_back,
     reference_mae_objective,
     reference_optimize,
@@ -285,6 +288,13 @@ class TestSolve:
         _, activation = model2.solve(dist)
         assert activation.rates.min() == ALPHA_MIN
 
+    def test_huge_last_group_raises_typed_error(self):
+        # A hump within 1/ALPHA_MIN, and a last group 1e10 times its
+        # smallest group.
+        dist = normalize([1e-10, 2e-10, 1e-10, 1.0], "abcd")
+        with pytest.raises(DegenerateLastGroup, match="MAX_LAST_SURVIVAL"):
+            model2.solve(dist)
+
     def test_just_beyond_floor_ratio_raises(self):
         dist = normalize([1.0, 1000.0 * (1 + 1e-9), 1.0], "abc")
         with pytest.raises(ActivationTooSmall, match="1/ALPHA_MIN"):
@@ -312,6 +322,117 @@ class TestSolve:
         assert rates[-1] == 1.0
 
 
+@st.composite
+def unreachable_targets(draw, max_size=60):
+    """Targets of 3..max_size groups spread over 11 decades, with one of:
+    a front beyond 1/ALPHA_MIN of its later groups, a group exactly
+    1/ALPHA_MIN times the smallest group before it (the rounding edge), a
+    last group 1e9 to 1e12 times the one before it, or subnormal groups
+    (all but one)."""
+    n = draw(st.integers(3, max_size))
+    values = 10.0 ** np.array(draw(st.lists(st.floats(-11.0, 0.0), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["front", "edge", "last", "subnormal"]))
+    if kind == "front":
+        front = draw(st.integers(1, n - 2))
+        values[:front] = values[front:-1].max() * ALPHA_MIN * 10.0 ** draw(
+            st.floats(-8.0, -0.01))
+    elif kind == "edge":
+        j = draw(st.integers(1, n - 2))
+        values[j] = values[:j].min() / ALPHA_MIN
+    elif kind == "last":
+        values[-1] = values[-2] * 10.0 ** draw(st.floats(9.0, 12.0))
+    if kind == "subnormal":
+        tiny = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1, unique=True))
+        rest = np.ones(n, dtype=bool)
+        rest[tiny] = False
+        values[rest] /= values[rest].sum()
+        values[tiny] = 10.0 ** np.array(
+            draw(st.lists(st.floats(-323.0, -308.0), min_size=len(tiny), max_size=len(tiny))))
+        return AgeDistribution(default_labels(n), values)
+    return normalize(values, default_labels(n))
+
+
+class TestNearestReachable:
+    @given(st.one_of(unreachable_targets(), positive_targets(max_size=60)))
+    @settings(max_examples=200, deadline=None)
+    def test_cascade_solves_every_target(self, dist):
+        # The entry is routed, and its steady state (guarded by the
+        # stationarity residual check) is the target the route solved.
+        report = run_dataset([("x", dist)], SimConfig(num_agents=10, num_steps=2, burn_in=1))
+        result = report.per_country["x"]
+        assert result.route is not Route.FAILED, result.failure_reason
+        solved = (model2.nearest_reachable(dist) if result.route is Route.NEAREST_REACHABLE
+                  else dist)
+        assert np.abs(result.analytic - solved.proportions).max() < 1e-12
+
+    @given(unreachable_targets())
+    @settings(max_examples=200, deadline=None)
+    def test_result_is_reachable(self, dist):
+        reachable = model2.nearest_reachable(dist)
+        assert reachable.labels == dist.labels
+        survival, activation = model2.solve(reachable)
+        assert activation.rates.min() >= ALPHA_MIN
+        assert survival.probs[-1] <= MAX_LAST_SURVIVAL
+
+    @given(unreachable_targets())
+    @settings(max_examples=40, deadline=None)
+    def test_within_one_percent_of_the_l1_projection(self, dist):
+        reachable = model2.nearest_reachable(dist)
+        mae = float(np.abs(reachable.proportions - dist.proportions).mean())
+        optimum = reachable_l1_optimum(dist.proportions, max(mae, 1e-300) * len(dist))
+        assert mae <= 1.01 * optimum + 1e-12
+
+    def test_within_one_percent_on_wide_targets(self):
+        # Many raised groups under several bounding groups: without the
+        # payment by the groups that bound the most raised ones, these 12
+        # reach 1.019 of the optimum.
+        rng = np.random.default_rng(2024)
+        for _ in range(12):
+            n = int(rng.integers(40, 61))
+            dist = normalize(10.0 ** rng.uniform(-6.0, 0.0, n), default_labels(n))
+            reachable = model2.nearest_reachable(dist)
+            mae = float(np.abs(reachable.proportions - dist.proportions).mean())
+            assert mae <= 1.01 * reachable_l1_optimum(dist.proportions, mae * n) + 1e-12
+
+    @pytest.mark.parametrize("values", [
+        [1.0, 1.5496e-319, 1.932550847085e-312, 9e-323],
+        [1.0, 4.743e-321, 1.034504e-318, 1.93e-322, 3.44094717891891e-309],
+    ], ids=["cone", "last-group"])
+    def test_subnormal_floors_clear_rounding(self, values):
+        # A relative margin alone is lost to rounding on subnormal floors.
+        dist = AgeDistribution(default_labels(len(values)), values)
+        with pytest.raises((ActivationTooSmall, DegenerateLastGroup)):
+            model2.solve(dist)
+        _, activation = model2.solve(model2.nearest_reachable(dist))
+        assert activation.rates.min() >= ALPHA_MIN
+
+    def test_payment_keeps_every_group_positive(self):
+        # The raise under the first group's bound (1e-3) dwarfs the group
+        # that bounds the most raised groups (1e-6), which would go
+        # negative if it paid for all of it.
+        dist = normalize([1e-9, 1.0] + [1e-12] * 10 + [1e-6, 1e-6], default_labels(14))
+        reachable = model2.nearest_reachable(dist).proportions
+        # The raised groups end raised, not pushed down with their payer.
+        assert np.all(reachable[2:12] > dist.proportions[2:12])
+        mae = float(np.abs(reachable - dist.proportions).mean())
+        assert mae <= 1.01 * reachable_l1_optimum(dist.proportions, mae * 14) + 1e-12
+
+    def test_raises_the_front_and_lowers_the_group_that_bounds_it(self):
+        # A raise of d on the first group costs the second group
+        # d / (1 + ALPHA_MIN): with it the raise itself shrinks, as in the L1
+        # projection, which is x_1 = ALPHA_MIN x_2.
+        dist = normalize([0.01, 500.0, 499.99], "abc")
+        t = dist.proportions
+        reachable = model2.nearest_reachable(dist).proportions
+        cut = (ALPHA_MIN * t[1] - t[0]) / (1 + ALPHA_MIN)
+        assert reachable == pytest.approx([t[0] + cut, t[1] - cut, t[2]], rel=1e-12)
+        assert reachable[0] / reachable[1] == pytest.approx(ALPHA_MIN, rel=1e-14)
+
+    def test_raw_vector_gets_default_labels(self):
+        reachable = model2.nearest_reachable([1e-6, 0.5, 0.5 - 1e-6])
+        assert reachable.labels == default_labels(3)
+
+
 class TestDEConfig:
     def test_field_validation(self):
         with pytest.raises(ValueError):
@@ -324,6 +445,15 @@ class TestDEConfig:
             DEConfig(max_iterations=0)
         with pytest.raises(ValueError):
             DEConfig(strategy="best2exp")
+
+    @pytest.mark.parametrize("field", ["population_size", "max_iterations"])
+    def test_sizes_must_be_integers(self, field):
+        # A float population size would fail inside numpy with an untyped
+        # TypeError, and a float budget would round up silently.
+        for bad in (40.5, 2.5, True, "40"):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                DEConfig(**{field: bad})
+        assert getattr(DEConfig(**{field: np.int64(40)}), field) == 40
 
     def test_seed_must_be_an_integer(self):
         # A float or a string would fail later inside default_rng with an

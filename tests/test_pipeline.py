@@ -1,26 +1,29 @@
 import numpy as np
 import pytest
 
-from agedist import AgeDistribution, DEConfig, SimConfig, model1, model2, simulator
+from agedist import AgeDistribution, SimConfig, curvefit, model1, model2, normalize, simulator
 from agedist.distributions import (
+    ALPHA_MIN,
     Classification,
     ModelKind,
     classify,
+    default_labels,
     mean_absolute_error,
+    wasserstein,
 )
 from agedist.errors import (
+    DegenerateLastGroup,
     EmptyDataset,
     InvalidEntry,
     ResidualCheckFailed,
-    SearchNotConverged,
 )
 from agedist.model1 import steady_state
-from agedist.model2 import steady_state2
+from agedist.model2 import nearest_reachable, steady_state2
 from agedist.pipeline import (
     Route,
+    _fitted_params,
     run_dataset,
     select_and_solve,
-    solve_curve_fit,
     solve_model1,
     solve_model2,
 )
@@ -31,8 +34,8 @@ def flat_then_humped(first=5e-5):
 
     The default first group leaves the plateau (~0.06) over 1/ALPHA_MIN
     times larger, so no activation rates reproduce the shape: the closed
-    form rejects it, the starved search fails, and the curve fit catches it.
-    With ``first=0.060`` the model-2 closed form solves it exactly.
+    form rejects it and solves its nearest reachable target instead. With
+    ``first=0.060`` the model-2 closed form solves it exactly.
     """
     values = np.array(
         [first, 0.059, 0.058, 0.060, 0.062, 0.064, 0.066, 0.065, 0.060,
@@ -44,72 +47,87 @@ def flat_then_humped(first=5e-5):
 
 
 @pytest.fixture
-def configs():
-    # A starved search budget keeps the suite quick and gives the curve-fit
-    # route something to catch.
-    return DEConfig(seed=0, max_iterations=60), SimConfig(seed=0)
+def sim_config():
+    return SimConfig(seed=0)
 
 
 MONO = AgeDistribution(("a", "b", "c"), [0.5, 0.3, 0.2])
 HUMP = AgeDistribution(("a", "b", "c"), [0.3, 0.4, 0.3])
 #: The second group is 1250 times the first, beyond 1/ALPHA_MIN: the closed
-#: form rejects it, and the search gets within its threshold.
+#: form rejects it and solves its nearest reachable target.
 STEEP = AgeDistribution(("a", "b", "c"), [0.0004, 0.5, 0.4996])
+#: A monotone target whose last group is 1e10 times the one before it:
+#: beyond 1/(1 - MAX_LAST_SURVIVAL), so model 1 cannot hold it.
+HUGE_LAST = normalize([1, 0.5, 1e-10, 1], "abcd")
+#: The demo's new settlement: a first group of 0.3 against adults up to ~1200.
+NEWTOWN = normalize(
+    np.r_[0.3, 1000 * np.exp(-0.5 * ((np.arange(1, 10) - 4) / 2.5) ** 2) + 200],
+    default_labels(10))
+CLIFF = normalize([0.01, 500.0, 499.99], "abc")
+
+
+def reproduces_nearest_reachable(params, dist):
+    """The parameters' steady state is the nearest reachable target of
+    ``dist`` to 1e-12 per group."""
+    analytic = steady_state2(params.survival, params.activation)
+    return np.abs(analytic.proportions - nearest_reachable(dist).proportions).max() < 1e-12
 
 
 class TestSelectAndSolve:
-    def test_monotone_takes_closed_form(self, configs):
-        params, route = select_and_solve(MONO, *configs)
+    def test_monotone_takes_closed_form(self, sim_config):
+        params, route = select_and_solve(MONO, sim_config)
         assert route is Route.MODEL1
         assert params.kind is ModelKind.MODEL1
         assert params.diagnostics["mae"] < 1e-12
         assert params.diagnostics["sim_mae"] < 5e-3
 
-    def test_hump_takes_search(self, configs):
-        params, route = select_and_solve(HUMP, *configs)
+    def test_hump_takes_search(self, sim_config):
+        params, route = select_and_solve(HUMP, sim_config)
         assert route is Route.MODEL2
         assert params.kind is ModelKind.MODEL2
         assert params.diagnostics["mae"] < 1e-4
         analytic = steady_state2(params.survival, params.activation)
         assert mean_absolute_error(analytic, HUMP) < 1e-4
 
-    def test_stubborn_shape_falls_back_to_curve_fit(self, configs):
+    def test_stubborn_shape_takes_nearest_reachable(self, sim_config):
         dist = flat_then_humped()
-        params, route = select_and_solve(dist, *configs)
-        assert route is Route.CURVE_FIT
-        assert params.kind is ModelKind.MODEL1_ON_FITTED
-        assert params.activation is None
+        params, route = select_and_solve(dist, sim_config)
+        assert route is Route.NEAREST_REACHABLE
+        assert params.kind is ModelKind.MODEL2
+        assert params.diagnostics["solver"] == "nearest_reachable"
+        assert params.activation.rates.min() >= ALPHA_MIN
         assert params.diagnostics["wasserstein_to_original"] > 0
-        assert params.diagnostics["model2_iterations"] == 60
+        assert reproduces_nearest_reachable(params, dist)
 
-    def test_curve_fit_records_search_history(self, configs):
-        params, route = select_and_solve(flat_then_humped(), *configs)
-        assert route is Route.CURVE_FIT
-        history = params.diagnostics["model2_history"]
-        assert len(history) == params.diagnostics["model2_iterations"] + 1 == 61
-        assert history[-1] == params.diagnostics["model2_mae"]
-        assert all(a >= b for a, b in zip(history, history[1:]))
+    def test_nearest_reachable_records_distance_not_search(self, sim_config):
+        dist = flat_then_humped()
+        params, route = select_and_solve(dist, sim_config)
+        assert route is Route.NEAREST_REACHABLE
+        assert params.diagnostics["wasserstein_to_original"] == wasserstein(
+            nearest_reachable(dist), dist)
+        for key in ("seed", "iterations_used", "search_history", "model2_history"):
+            assert key not in params.diagnostics
 
-    def test_flat_then_humped_takes_model2_closed_form(self, configs):
+    def test_flat_then_humped_takes_model2_closed_form(self, sim_config):
         dist = flat_then_humped(first=0.060)
-        params, route = select_and_solve(dist, *configs)
+        params, route = select_and_solve(dist, sim_config)
         assert route is Route.MODEL2
         assert params.diagnostics["solver"] == "closed_form"
         analytic = steady_state2(params.survival, params.activation)
         assert mean_absolute_error(analytic, dist) < 1e-12
         assert params.diagnostics["mae"] < 1e-12
 
-    def test_route_follows_classification(self, configs):
+    def test_route_follows_classification(self, sim_config):
         for dist in (MONO, HUMP):
-            _, route = select_and_solve(dist, *configs)
+            _, route = select_and_solve(dist, sim_config)
             monotone = classify(dist) is Classification.MONOTONE_NON_INCREASING
             assert (route is Route.MODEL1) == monotone
 
-    def test_emitted_params_validate_against_route_target(self, configs):
+    def test_emitted_params_validate_against_route_target(self, sim_config):
         # Closed form and converged search: analytic steady state must land
         # on the original within the success threshold.
         for dist, route_expected in ((MONO, Route.MODEL1), (HUMP, Route.MODEL2)):
-            params, route = select_and_solve(dist, *configs)
+            params, route = select_and_solve(dist, sim_config)
             assert route is route_expected
             if params.kind is ModelKind.MODEL2:
                 analytic = steady_state2(
@@ -117,21 +135,32 @@ class TestSelectAndSolve:
                 )
             else:
                 analytic = steady_state(params.survival, labels=dist.labels)
-            assert mean_absolute_error(analytic, dist) < configs[0].success_threshold
+            assert mean_absolute_error(analytic, dist) < 1e-12
 
-    def test_curve_fit_params_validate_against_fitted_target(self, configs):
-        from agedist.curvefit import fit
-
+    def test_nearest_reachable_params_validate_against_original(self, sim_config):
+        # The search's success threshold, which the curve fit it fell back
+        # to never met, is met on the original target.
         dist = flat_then_humped()
-        params, route = select_and_solve(dist, *configs)
-        assert route is Route.CURVE_FIT
-        analytic = steady_state(params.survival)
-        fitted = fit(dist).fitted
-        assert mean_absolute_error(analytic, fitted) < configs[0].success_threshold
+        params, route = select_and_solve(dist, sim_config)
+        assert route is Route.NEAREST_REACHABLE
+        analytic = steady_state2(params.survival, params.activation, labels=dist.labels)
+        assert params.diagnostics["mae"] == mean_absolute_error(analytic, dist) < 1e-4
+        assert reproduces_nearest_reachable(params, dist)
 
-    def test_deterministic(self, configs):
-        a, _ = select_and_solve(HUMP, *configs)
-        b, _ = select_and_solve(HUMP, *configs)
+    def test_huge_last_group_takes_nearest_reachable(self, sim_config):
+        # Monotone, so model 1 is tried first; its last group is beyond
+        # what any survival below MAX_LAST_SURVIVAL holds.
+        with pytest.raises(DegenerateLastGroup):
+            model1.solve(HUGE_LAST)
+        params, route = select_and_solve(HUGE_LAST, sim_config)
+        assert route is Route.NEAREST_REACHABLE
+        assert params.kind is ModelKind.MODEL2
+        assert params.diagnostics["mae"] < 1e-9
+        assert reproduces_nearest_reachable(params, HUGE_LAST)
+
+    def test_deterministic(self, sim_config):
+        a, _ = select_and_solve(HUMP, sim_config)
+        b, _ = select_and_solve(HUMP, sim_config)
         assert a == b
 
 
@@ -154,11 +183,9 @@ class TestSolveModel1:
 
 class TestSolveCurveFit:
     def test_records_the_fit(self):
-        from agedist.curvefit import fit
-
         dist = flat_then_humped()
-        result = fit(dist)
-        params, analytic = solve_curve_fit(dist)
+        result = curvefit.fit(dist)
+        params, analytic = _fitted_params(dist, result)
         assert params.kind is ModelKind.MODEL1_ON_FITTED
         assert analytic.labels == dist.labels
         assert params.diagnostics == {
@@ -172,111 +199,137 @@ class TestSolveCurveFit:
             "free_param_mode": "midpoint",
         }
 
-    def test_cascade_entry_adds_the_search_record(self, configs):
-        params, route = select_and_solve(flat_then_humped(), *configs)
-        assert route is Route.CURVE_FIT
-        station, _ = solve_curve_fit(flat_then_humped())
-        assert list(params.diagnostics) == list(station.diagnostics) + [
-            "model2_mae", "model2_iterations", "model2_history", "sim_mae"]
 
 
 class TestSolveModel2:
     def test_closed_form_diagnostics(self):
-        params, analytic = solve_model2(HUMP, DEConfig(seed=4))
+        params, analytic = solve_model2(HUMP)
         ratio = 0.3 / 0.4
         assert params.diagnostics == {
             "solver": "closed_form",
             "min_activation": ratio,
             "free_param_mode": "midpoint",
             "mae": mean_absolute_error(analytic, HUMP),
-            "seed": 4,
         }
         assert np.array_equal(params.activation.rates, [1.0, ratio, 1.0])
 
-    def test_search_runs_when_closed_form_rejects(self):
-        params, analytic = solve_model2(STEEP, DEConfig(seed=0))
+    def test_nearest_reachable_when_closed_form_rejects(self):
+        params, analytic = solve_model2(STEEP)
+        reachable = nearest_reachable(STEEP)
+        survival, activation = model2.solve(reachable)
         assert params.kind is ModelKind.MODEL2
-        assert params.diagnostics["solver"] == "search"
-        assert params.diagnostics["iterations_used"] > 0
-        assert params.diagnostics["mae"] == mean_absolute_error(analytic, STEEP)
+        assert params.survival == survival and params.activation == activation
+        assert params.diagnostics == {
+            "solver": "nearest_reachable",
+            "wasserstein_to_original": wasserstein(reachable, STEEP),
+            "min_activation": float(activation.rates.min()),
+            "free_param_mode": "midpoint",
+            "mae": mean_absolute_error(analytic, STEEP),
+        }
+        # Below the search's success threshold, against the original.
         assert params.diagnostics["mae"] < 1e-4
+        assert np.abs(analytic.proportions - reachable.proportions).max() < 1e-12
 
-    def test_search_failure_is_typed(self):
-        with pytest.raises(SearchNotConverged, match="did not converge") as info:
-            solve_model2(flat_then_humped(), DEConfig(seed=0, max_iterations=5))
-        assert info.value.solution.iterations_used == 5
-        assert not info.value.solution.converged
+    def test_degenerate_last_group_takes_nearest_reachable(self):
+        with pytest.raises(DegenerateLastGroup):
+            model2.solve(HUGE_LAST)
+        params, analytic = solve_model2(HUGE_LAST)
+        assert params.diagnostics["solver"] == "nearest_reachable"
+        assert params.diagnostics["mae"] == mean_absolute_error(analytic, HUGE_LAST) < 1e-9
 
-    def test_search_records_its_history(self):
-        config = DEConfig(seed=0)
-        params, _ = solve_model2(STEEP, config)
-        history = params.diagnostics["search_history"]
-        expected = []
-        solution = model2.optimize(STEEP, config, history=expected)
-        assert history == expected
-        assert len(history) == params.diagnostics["iterations_used"] + 1
-        assert history[-1] == solution.mae < config.success_threshold
-        assert all(a >= b for a, b in zip(history, history[1:]))
+    @pytest.mark.parametrize("name", ["newtown", "cliff", "stubborn"])
+    def test_no_worse_than_search_or_curve_fit(self, name):
+        # The original method's tools on the same target, at their default
+        # budgets; the curve fit's parameters reproduce its surrogate.
+        dist = {"newtown": NEWTOWN, "cliff": CLIFF, "stubborn": flat_then_humped()}[name]
+        params, _ = solve_model2(dist)
+        assert params.diagnostics["solver"] == "nearest_reachable"
+        assert params.diagnostics["mae"] <= model2.optimize(dist).mae
+        assert params.diagnostics["mae"] <= mean_absolute_error(curvefit.fit(dist).fitted, dist)
 
     def test_closed_form_records_no_history(self):
-        params, _ = solve_model2(HUMP, DEConfig(seed=0))
+        params, _ = solve_model2(HUMP)
         assert "search_history" not in params.diagnostics
 
-    def test_search_failure_carries_history(self):
-        with pytest.raises(SearchNotConverged) as info:
-            solve_model2(flat_then_humped(), DEConfig(seed=0, max_iterations=5))
-        history = info.value.history
-        assert len(history) == 6
-        assert history[-1] == info.value.solution.mae
+    def test_cascade_entry_adds_only_the_validation_error(self, sim_config):
+        params, route = select_and_solve(flat_then_humped(), sim_config)
+        assert route is Route.NEAREST_REACHABLE
+        station, _ = solve_model2(flat_then_humped())
+        assert list(params.diagnostics) == list(station.diagnostics) + ["sim_mae"]
+
+    def test_the_cascade_never_searches_or_fits(self, sim_config, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the cascade called the search or the curve fit")
+
+        monkeypatch.setattr(model2, "optimize", forbidden)
+        monkeypatch.setattr(curvefit, "fit", forbidden)
+        dataset = [("newtown", NEWTOWN), ("cliff", CLIFF),
+                   ("stubborn", flat_then_humped()), ("huge", HUGE_LAST)]
+        report = run_dataset(dataset, sim_config)
+        assert report.route_counts[Route.NEAREST_REACHABLE] == 4
+        for name, dist in dataset:
+            assert reproduces_nearest_reachable(report.per_country[name].params, dist)
 
 
 class TestRunDataset:
-    def test_three_route_composition(self, configs):
+    def test_three_route_composition(self, sim_config):
         dataset = [("mono", MONO), ("hump", HUMP), ("stubborn", flat_then_humped())]
-        report = run_dataset(dataset, *configs)
+        report = run_dataset(dataset, sim_config)
         assert report.route_counts == {
             Route.MODEL1: 1,
             Route.MODEL2: 1,
-            Route.CURVE_FIT: 1,
+            Route.NEAREST_REACHABLE: 1,
             Route.FAILED: 0,
         }
         assert sum(report.route_counts.values()) == len(dataset)
         assert set(report.per_country) == {"mono", "hump", "stubborn"}
         assert list(report.per_country) == sorted(report.per_country)
 
-    def test_empty_dataset_rejected(self, configs):
+    def test_empty_dataset_rejected(self, sim_config):
         with pytest.raises(EmptyDataset):
-            run_dataset([], *configs)
+            run_dataset([], sim_config)
 
-    def test_curve_fit_distances_collected(self, configs):
-        report = run_dataset([("stubborn", flat_then_humped())], *configs)
-        assert set(report.curvefit_wasserstein) == {"stubborn"}
-        value = report.curvefit_wasserstein["stubborn"]
-        assert report.mean_wasserstein == value
-        # This synthetic shape distorts well past the warning threshold.
-        assert report.flagged == ("stubborn",)
+    def test_nearest_reachable_distances_collected(self, sim_config):
+        dataset = [("stubborn", flat_then_humped()), ("steep", STEEP), ("mono", MONO)]
+        report = run_dataset(dataset, sim_config)
+        distances = report.nearest_reachable_wasserstein
+        assert distances == {
+            name: wasserstein(nearest_reachable(dist), dist)
+            for name, dist in dataset[:2]}
+        assert report.mean_wasserstein == np.mean(list(distances.values()))
+        # Both move their targets by about 1e-4, well within the default
+        # warning threshold; a tighter one flags them.
+        assert report.flagged == ()
+        tight = run_dataset(dataset, sim_config, warn_wasserstein=1e-5)
+        assert tight.flagged == ("steep", "stubborn")
 
-    def test_no_curve_fits_means_no_mean(self, configs):
-        report = run_dataset([("mono", MONO)], *configs)
+    def test_no_nearest_reachable_means_no_mean(self, sim_config):
+        report = run_dataset([("mono", MONO)], sim_config)
         assert report.mean_wasserstein is None
-        assert report.curvefit_wasserstein == {}
+        assert report.nearest_reachable_wasserstein == {}
 
-    def test_per_country_results_carry_validation_vectors(self, configs):
-        report = run_dataset([("mono", MONO)], *configs)
+    def test_huge_last_group_solved_beside_a_good_entry(self, sim_config):
+        report = run_dataset([("huge", HUGE_LAST), ("mono", MONO)], sim_config)
+        assert report.per_country["huge"].route is Route.NEAREST_REACHABLE
+        assert report.per_country["mono"].route is Route.MODEL1
+        assert report.route_counts[Route.FAILED] == 0
+
+    def test_per_country_results_carry_validation_vectors(self, sim_config):
+        report = run_dataset([("mono", MONO)], sim_config)
         res = report.per_country["mono"]
         assert res.analytic.shape == (3,)
         assert res.sim_estimate.shape == (3,)
         assert res.sim_mae == res.params.diagnostics["sim_mae"]
 
-    def test_determinism_across_calls(self, configs):
+    def test_determinism_across_calls(self, sim_config):
         dataset = [("hump", HUMP), ("mono", MONO)]
-        a = run_dataset(dataset, *configs)
-        b = run_dataset(dataset, *configs)
+        a = run_dataset(dataset, sim_config)
+        b = run_dataset(dataset, sim_config)
         for name in a.per_country:
             assert a.per_country[name].params == b.per_country[name].params
             assert a.per_country[name].route == b.per_country[name].route
 
-    def test_failed_residual_check_recorded_not_raised(self, configs, monkeypatch):
+    def test_failed_residual_check_recorded_not_raised(self, sim_config, monkeypatch):
         # A zero tolerance fails every stationarity residual check. Set only
         # while a model-2 steady state is computed, it fails the hump entry,
         # which must be recorded as failed while the batch carries on.
@@ -288,24 +341,24 @@ class TestRunDataset:
                 return checked(*args, **kwargs)
 
         monkeypatch.setattr(model2, "steady_state2", zero_tolerance)
-        report = run_dataset([("hump", HUMP), ("mono", MONO)], *configs)
+        report = run_dataset([("hump", HUMP), ("mono", MONO)], sim_config)
         assert report.per_country["hump"].route is Route.FAILED
         assert "stationarity residual" in report.per_country["hump"].failure_reason
         assert report.per_country["mono"].route is Route.MODEL1
 
-    def test_validation_runs_match_single_entries(self, configs):
+    def test_validation_runs_match_single_entries(self, sim_config):
         # One batch for the dataset gives every entry the validation run
         # that select_and_solve makes for it alone.
         dataset = [("hump", HUMP), ("mono", MONO), ("steep", STEEP),
-                   ("stubborn", flat_then_humped())]
-        report = run_dataset(dataset, *configs)
+                   ("stubborn", flat_then_humped()), ("huge", HUGE_LAST)]
+        report = run_dataset(dataset, sim_config)
         for name, dist in dataset:
-            params, route = select_and_solve(dist, *configs)
+            params, route = select_and_solve(dist, sim_config)
             res = report.per_country[name]
             assert res.route is route
             assert res.sim_mae == params.diagnostics["sim_mae"]
 
-    def test_broken_step_fails_every_validated_entry(self, configs, monkeypatch):
+    def test_broken_step_fails_every_validated_entry(self, sim_config, monkeypatch):
         # The simulator's step guard names the member; a broken update
         # rule is not specific to it, so every solved entry fails with the
         # guard's reason, and an entry that failed to solve keeps its own.
@@ -316,7 +369,7 @@ class TestRunDataset:
 
         monkeypatch.setattr(simulator._Batch, "step", leaking)
         report = run_dataset([("bad", [0.5, 0.3, 0.2]), ("hump", HUMP), ("mono", MONO)],
-                             *configs)
+                             sim_config)
         assert report.route_counts[Route.FAILED] == 3
         assert "AgeDistribution" in report.per_country["bad"].failure_reason
         for name in ("hump", "mono"):
@@ -325,7 +378,7 @@ class TestRunDataset:
             assert "an agent left the age groups" in result.failure_reason
             assert result.failure_reason.startswith("member ")
         with pytest.raises(ResidualCheckFailed, match="member 0: an agent left"):
-            select_and_solve(MONO, *configs)
+            select_and_solve(MONO, sim_config)
 
     @pytest.mark.parametrize(
         "entry",
@@ -337,14 +390,14 @@ class TestRunDataset:
         ids=["nan-vector", "negative-entry", "plain-list"],
     )
     def test_entry_that_is_not_a_distribution_recorded_not_raised(
-        self, configs, entry
+        self, sim_config, entry
     ):
-        report = run_dataset([("bad", entry), ("mono", MONO)], *configs)
+        report = run_dataset([("bad", entry), ("mono", MONO)], sim_config)
         assert report.per_country["bad"].route is Route.FAILED
         assert "AgeDistribution" in report.per_country["bad"].failure_reason
         assert report.per_country["mono"].route is Route.MODEL1
         assert report.route_counts[Route.FAILED] == 1
 
-    def test_select_and_solve_rejects_raw_vector(self, configs):
+    def test_select_and_solve_rejects_raw_vector(self, sim_config):
         with pytest.raises(InvalidEntry):
-            select_and_solve([0.5, 0.3, 0.2], *configs)
+            select_and_solve([0.5, 0.3, 0.2], sim_config)
