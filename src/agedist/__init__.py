@@ -9,7 +9,8 @@ The library solves the inverse steady-state problem in closed form:
   the nearest target that does (``model2.nearest_reachable``).
 
 The original method's tools for targets beyond that ratio stay available:
-a bounded differential-evolution search (``model2.optimize``) and a
+a bounded differential-evolution search (``model2.optimize``, dithered
+best/1/bin; ``DEConfig`` sets its population size, budget and seed) and a
 plateau-then-decay surrogate handed back to model 1 (``curvefit``).
 ``simulator`` validates any parameterisation with a finite agent population,
 ``pipeline`` cascades the closed forms over whole datasets, and ``dataio`` /

@@ -82,6 +82,18 @@ def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "_", name).strip("_") or "unnamed"
 
 
+def _file_stems(entries) -> dict:
+    """Each country's output file stem; AgedistError when two countries
+    would share one and overwrite each other's files."""
+    stems, owners = {}, {}
+    for name, _ in entries:
+        stem = stems[name] = _safe_name(name)
+        if owners.setdefault(stem, name) != name:
+            raise AgedistError(f"countries {owners[stem]!r} and {name!r} would both "
+                               f"write the output files named {stem!r}; rename one")
+    return stems
+
+
 def _parse_pn(text: str):
     if text in ("mid", "rand"):
         return text
@@ -214,6 +226,7 @@ def cmd_simulate(args) -> int:
 def cmd_pipeline(args) -> int:
     skipped: list = []
     entries = _ingest(args, skipped=skipped)
+    stems = _file_stems(entries)
     sim_config = simulator.SimConfig(
         num_agents=args.agents,
         num_steps=args.steps,
@@ -232,8 +245,7 @@ def cmd_pipeline(args) -> int:
     for name, res in report.per_country.items():
         if res.params is None:
             continue
-        dist = targets[name]
-        stem = _safe_name(name)
+        dist, stem = targets[name], stems[name]
         dataio.emit_params(
             res.params,
             params_dir / f"{stem}.json",

@@ -40,6 +40,26 @@ PARAMS_SCHEMA = "agedist-params"
 PARAMS_SCHEMA_VERSION = 1
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _list_of(check):
+    return lambda value: isinstance(value, list) and all(map(check, value))
+
+
+#: JSON type of each parameter-file field, and whether it may be null.
+_FIELD_TYPES = {
+    "survival": ("a list of numbers", _list_of(_is_number), False),
+    "activation": ("a list of numbers", _list_of(_is_number), True),
+    "free_param": ("a number", _is_number, False),
+    "diagnostics": ("an object", lambda value: isinstance(value, dict), False),
+    "labels": ("a list of strings", _list_of(lambda value: isinstance(value, str)), True),
+    "target": ("a list of numbers", _list_of(_is_number), True),
+    "config": ("an object", lambda value: isinstance(value, dict), True),
+}
+
+
 def ingest_csv(
     path,
     *,
@@ -56,7 +76,8 @@ def ingest_csv(
     (name, reason) records.
 
     Raises:
-        CsvFormatError: unreadable rows (message carries the line number).
+        CsvFormatError: unreadable rows, populations that are not finite
+            non-negative numbers (message carries the line number).
         ColumnMappingError: the configured columns are missing.
     """
     counts: dict = {}
@@ -82,6 +103,8 @@ def ingest_csv(
                 raise CsvFormatError(
                     f"{path}: line {line}: population {raw!r} is not a number"
                 ) from None
+            if not math.isfinite(population):
+                raise CsvFormatError(f"{path}: line {line}: population {raw!r} is not finite")
             if population < 0:
                 raise CsvFormatError(f"{path}: line {line}: negative population")
             groups = counts.setdefault(country, {})
@@ -190,8 +213,8 @@ def load_params(path) -> ModelParams:
 
     Raises:
         SchemaError: not a JSON object, a required field (``kind``,
-            ``survival``, ``free_param``) missing, or unknown schema,
-            version or kind.
+            ``survival``, ``free_param``) missing, a field of the wrong
+            JSON type, or unknown schema, version or kind.
         Domain validation errors: out-of-range vector entries.
     """
     return load_params_document(path).params
@@ -224,6 +247,13 @@ def load_params_document(path) -> ParamsDocument:
         raise SchemaError(
             f"{path}: unknown model kind {document.get('kind')!r}"
         ) from None
+
+    for key, (expected, valid, nullable) in _FIELD_TYPES.items():
+        value = document.get(key)
+        if key in document and not (valid(value) or nullable and value is None):
+            raise SchemaError(
+                f"{path}: field {key!r} must be {expected}, got {json.dumps(value)[:40]}"
+            )
 
     survival = SurvivalVector(document["survival"])
     activation = (

@@ -119,7 +119,8 @@ def normalize(raw_counts, labels) -> AgeDistribution:
     """Build an AgeDistribution from raw (unnormalized) group counts.
 
     Trailing zero groups are dropped along with their labels; the remaining
-    counts are divided by their sum.
+    counts are divided by their sum (by the largest count first, when the
+    sum overflows).
 
     Raises:
         EmptyPopulation: all counts are zero.
@@ -132,7 +133,12 @@ def normalize(raw_counts, labels) -> AgeDistribution:
         raise ValueError(f"{len(labels)} labels for {counts.size} counts")
     if np.any(counts < 0):
         raise ValueError("counts must be non-negative")
-    total = counts.sum()
+    with np.errstate(over="ignore"):
+        total = counts.sum()
+    if not np.isfinite(total):
+        # The sum overflows: divide by the largest count first.
+        counts = counts / counts.max()
+        total = counts.sum()
     if total <= 0:
         raise EmptyPopulation("every age group is empty")
     if abs(total - 1.0) <= SUM_TOLERANCE:
@@ -142,8 +148,34 @@ def normalize(raw_counts, labels) -> AgeDistribution:
     return AgeDistribution(labels, counts / total)
 
 
+class _RateVector:
+    """A finite, read-only one-dimensional array of at least 3 per-group
+    rates in the dataclass field ``_field``. Messages call the vector and
+    its entries ``_names``; ``_check_range`` checks (or caps) them in place."""
+
+    def __post_init__(self):
+        kind, entries = self._names
+        arr = _as_vector(getattr(self, self._field), entries)
+        if arr.size < 3:
+            raise ValueError(f"{kind} vector needs at least 3 entries")
+        self._check_range(arr)
+        arr.setflags(write=False)
+        object.__setattr__(self, self._field, arr)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(getattr(self, self._field), dtype=dtype)
+
+    def __len__(self) -> int:
+        return getattr(self, self._field).size
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return np.array_equal(getattr(self, self._field), getattr(other, self._field))
+
+
 @dataclass(frozen=True, eq=False)
-class SurvivalVector:
+class SurvivalVector(_RateVector):
     """Per-group survival probabilities, each in [0, 1].
 
     A last entry of exactly 1 is capped to ``MAX_LAST_SURVIVAL`` (with a
@@ -152,11 +184,9 @@ class SurvivalVector:
     """
 
     probs: np.ndarray
+    _field, _names = "probs", ("survival", "survival probabilities")
 
-    def __post_init__(self):
-        arr = _as_vector(self.probs, "survival probabilities")
-        if arr.size < 3:
-            raise ValueError("survival vector needs at least 3 entries")
+    def _check_range(self, arr: np.ndarray) -> None:
         if np.any(arr < 0) or np.any(arr > 1):
             raise ValueError("survival probabilities must lie in [0, 1]")
         if arr[-1] >= 1.0:
@@ -165,50 +195,22 @@ class SurvivalVector:
                 arr[-1], MAX_LAST_SURVIVAL,
             )
             arr[-1] = MAX_LAST_SURVIVAL
-        arr.setflags(write=False)
-        object.__setattr__(self, "probs", arr)
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.probs, dtype=dtype)
-
-    def __len__(self) -> int:
-        return self.probs.size
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SurvivalVector):
-            return NotImplemented
-        return np.array_equal(self.probs, other.probs)
 
 
 @dataclass(frozen=True, eq=False)
-class ActivationVector:
+class ActivationVector(_RateVector):
     """Per-group activation rates, each in [ALPHA_MIN, 1]."""
 
     rates: np.ndarray
+    _field, _names = "rates", ("activation", "activation rates")
 
-    def __post_init__(self):
-        arr = _as_vector(self.rates, "activation rates")
-        if arr.size < 3:
-            raise ValueError("activation vector needs at least 3 entries")
+    def _check_range(self, arr: np.ndarray) -> None:
         if np.any(arr < ALPHA_MIN):
             raise ActivationTooSmall(
                 f"activation rates below the floor {ALPHA_MIN:g}"
             )
         if np.any(arr > 1):
             raise ValueError("activation rates must lie in [ALPHA_MIN, 1]")
-        arr.setflags(write=False)
-        object.__setattr__(self, "rates", arr)
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.rates, dtype=dtype)
-
-    def __len__(self) -> int:
-        return self.rates.size
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ActivationVector):
-            return NotImplemented
-        return np.array_equal(self.rates, other.rates)
 
 
 class ModelKind(Enum):

@@ -50,35 +50,29 @@ SHARE_FLOOR = 50_000
 _FLOOR_MARGIN = 1.0 + 4.0 * np.finfo(float).eps
 _FLOOR_OFFSET = 4.0 * np.finfo(float).smallest_subnormal
 
+#: Range of the mutation scale, redrawn uniformly every generation (dither).
+MUTATION_RANGE = (0.5, 1.0)
+#: Chance that a trial component comes from the mutant (binomial crossover).
+CROSSOVER_RATE = 0.9
+#: The search stops once the best mean absolute error drops below this.
+SUCCESS_THRESHOLD = 1e-4
+
 
 @dataclass
 class DEConfig:
-    """Differential-evolution settings.
+    """Search settings: population size (None: 15 per dimension, 30n for n
+    groups), generation budget and seed.
 
-    ``strategy`` picks the base vector for mutation: ``"best1bin"`` (the
-    default; mutate around the population's best member) or ``"rand1bin"``
-    (mutate around a random member). ``mutation_factor`` is either a fixed scale in
-    (0, 2] or a (low, high) pair, in which case the scale is redrawn
-    uniformly from that range every generation (dither). Dithered best/1/bin
-    converges an order of magnitude faster here than fixed-F rand/1/bin and
-    is what the success criterion is calibrated against; the flat landscape
-    along the solution manifold makes the usual premature-convergence worry
-    moot.
-
-    ``population_size`` and ``bounds`` default to None, meaning "derive from
-    the problem dimension when the search starts": 15 x dimension members,
-    survival components bounded to [0, 1 - 1e-9] and activation components
-    to [ALPHA_MIN, 1].
+    The search itself is fixed: dithered best/1/bin (Storn & Price 1997)
+    with the module's ``MUTATION_RANGE``, ``CROSSOVER_RATE`` and
+    ``SUCCESS_THRESHOLD``, in ``default_bounds``. It converges an order of
+    magnitude faster here than fixed-scale rand/1/bin; the flat landscape
+    along the solution manifold makes premature convergence moot.
     """
 
     population_size: Optional[int] = None
     max_iterations: int = 250
-    mutation_factor: object = (0.5, 1.0)
-    crossover_rate: float = 0.9
-    success_threshold: float = 1e-4
     seed: int = 0
-    bounds: Optional[np.ndarray] = None
-    strategy: str = "best1bin"
 
     def __post_init__(self):
         for name in ("population_size", "max_iterations", "seed"):
@@ -90,48 +84,14 @@ class DEConfig:
             raise ValueError("population_size must be at least 4")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        low, high = self.mutation_range()
-        if not 0.0 < low <= high <= 2.0:
-            raise ValueError("mutation_factor must lie in (0, 2]")
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ValueError("crossover_rate must lie in [0, 1]")
-        if self.success_threshold <= 0.0:
-            raise ValueError("success_threshold must be positive")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if self.strategy not in ("best1bin", "rand1bin"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.bounds is not None:
-            self.bounds = np.array(self.bounds, dtype=float)
-
-    def mutation_range(self) -> tuple:
-        if isinstance(self.mutation_factor, (int, float)):
-            f = float(self.mutation_factor)
-            return f, f
-        low, high = self.mutation_factor
-        return float(low), float(high)
-
-    def resolved_bounds(self, n_groups: int) -> np.ndarray:
-        """Per-parameter [low, high] rows for a 2n-dimensional search."""
-        if self.bounds is None:
-            return default_bounds(n_groups)
-        b = self.bounds
-        if b.shape != (2 * n_groups, 2):
-            raise ValueError(f"bounds must have shape {(2 * n_groups, 2)}, got {b.shape}")
-        if np.any(b[:, 0] > b[:, 1]):
-            raise ValueError("bounds rows must satisfy low <= high")
-        ref = default_bounds(n_groups)
-        if np.any(b[:, 0] < ref[:, 0]) or np.any(b[:, 1] > ref[:, 1]):
-            raise ValueError("bounds must respect the survival and activation ranges")
-        return b
 
 
 def default_bounds(n_groups: int) -> np.ndarray:
     """Search box: survival in [0, 1 - 1e-9], activation in [ALPHA_MIN, 1]."""
     lo = np.concatenate([np.zeros(n_groups), np.full(n_groups, ALPHA_MIN)])
-    hi = np.concatenate(
-        [np.full(n_groups, MAX_LAST_SURVIVAL), np.ones(n_groups)]
-    )
+    hi = np.concatenate([np.full(n_groups, MAX_LAST_SURVIVAL), np.ones(n_groups)])
     return np.column_stack([lo, hi])
 
 
@@ -276,22 +236,18 @@ def mae_objective(target) -> Callable[[np.ndarray], np.ndarray]:
     return evaluate
 
 
-def _distinct_rows(rng: np.random.Generator, m: int, count: int) -> list:
-    """``count`` index vectors over 0..m-1, distinct per row from each other
-    and from the row's own index."""
+def _distinct_pairs(rng: np.random.Generator, m: int) -> tuple:
+    """Two index vectors over 0..m-1, distinct per row from each other and
+    from the row's own index."""
     own = np.arange(m)
-    picks = [rng.integers(0, m, size=m) for _ in range(count)]
+    r1, r2 = rng.integers(0, m, size=m), rng.integers(0, m, size=m)
     while True:
-        bad = np.zeros(m, dtype=bool)
-        for i, a in enumerate(picks):
-            bad |= a == own
-            for b in picks[i + 1:]:
-                bad |= a == b
+        bad = (r1 == own) | (r2 == own) | (r1 == r2)
         if not bad.any():
-            return picks
+            return r1, r2
         k = int(bad.sum())
-        for a in picks:
-            a[bad] = rng.integers(0, m, size=k)
+        r1[bad] = rng.integers(0, m, size=k)
+        r2[bad] = rng.integers(0, m, size=k)
 
 
 def _bounce_back(x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -375,8 +331,9 @@ def optimize(
     """Search survival and activation rates reproducing ``target``.
 
     Binomial-crossover differential evolution over the 2n-dimensional joint
-    vector with elitist selection, bounce-back repair and an early stop once
-    the best mean absolute error drops below the success threshold.
+    vector (dithered best/1/bin, see ``DEConfig``) with elitist selection,
+    bounce-back repair into ``default_bounds`` and an early stop once the
+    best mean absolute error drops below ``SUCCESS_THRESHOLD``.
     Deterministic for a given seed: one generator drives every draw and
     selection replaces rows only once the whole generation is scored.
 
@@ -390,9 +347,9 @@ def optimize(
     searches (21-group ones among them) stay on the calling thread. Every
     row gets the same floats whatever the share count, so results are
     bitwise independent of it; restricting the CPU affinity gives a serial
-    search. A generation allocates nothing of the
-    population's size: the population, trial rows, crossover draws and the
-    objective's scratch live in buffers made once per call.
+    search. A generation allocates nothing of the population's size: the
+    population, trial rows, crossover draws and the objective's scratch live
+    in buffers made once per call.
 
     Non-convergence is reported through ``converged=False``, never raised.
     A non-finite objective value counts as ``+inf``: such a candidate never
@@ -407,11 +364,9 @@ def optimize(
     t = proportions_of(target)
     n = t.size
     dim = 2 * n
-    bounds = cfg.resolved_bounds(n)
-    lo, hi = bounds[:, 0].copy(), bounds[:, 1].copy()
+    lo, hi = default_bounds(n).T.copy()
     doubled = (2.0 * lo, 2.0 * hi)
     pop_size = cfg.population_size or 15 * dim
-    f_low, f_high = cfg.mutation_range()
     shares = _row_shares(pop_size, dim)
     scorers = [mae_objective(t) for _ in shares] if objective is None else None
 
@@ -435,20 +390,17 @@ def optimize(
         out[rows] = _finite_scores(scorers[k], candidates[rows])
 
     def build(k):
-        # Reads this generation's draws (factor, base, base_idx, r1, r2,
-        # forced) and the unchanged population; writes only share k's rows.
+        # Reads this generation's draws (factor, base, r1, r2, forced) and
+        # the unchanged population; writes only share k's rows.
         rows = shares[k]
-        out, gather, draws, mask = trials[rows], spare[rows], uniforms[rows], keep[rows]
-        np.greater_equal(draws, cfg.crossover_rate, out=mask)
+        out, gather, mask = trials[rows], spare[rows], keep[rows]
+        np.greater_equal(uniforms[rows], CROSSOVER_RATE, out=mask)
         mask[local[: len(out)], forced[rows]] = False
-        # The crossover draws are spent, so ``draws`` can hold the base rows.
-        share_base = base if base_idx is None else np.take(
-            population, base_idx[rows], axis=0, out=draws, mode="clip")
         np.take(population, r1[rows], axis=0, out=out, mode="clip")
         np.take(population, r2[rows], axis=0, out=gather, mode="clip")
         np.subtract(out, gather, out=out)
         np.multiply(out, factor, out=out)
-        np.add(out, share_base, out=out)
+        np.add(out, base, out=out)
         _bounce_back(out, lo, hi, gather, doubled)
         np.copyto(out, population[rows], where=mask)
         if scorers is not None:
@@ -463,13 +415,10 @@ def optimize(
             history.append(float(errors.min()))
 
         iterations = 0
-        while errors.min() >= cfg.success_threshold and iterations < cfg.max_iterations:
-            factor = f_low if f_low == f_high else rng.uniform(f_low, f_high)
-            if cfg.strategy == "best1bin":
-                r1, r2 = _distinct_rows(rng, pop_size, 2)
-                base_idx, base = None, population[int(errors.argmin())]
-            else:
-                base_idx, r1, r2 = _distinct_rows(rng, pop_size, 3)
+        while errors.min() >= SUCCESS_THRESHOLD and iterations < cfg.max_iterations:
+            factor = rng.uniform(*MUTATION_RANGE)
+            r1, r2 = _distinct_pairs(rng, pop_size)
+            base = population[int(errors.argmin())]
             rng.random(out=uniforms)
             forced = rng.integers(0, dim, size=pop_size)
             run(build)
@@ -489,5 +438,5 @@ def optimize(
         activation=ActivationVector(population[best, n:]),
         mae=mae,
         iterations_used=iterations,
-        converged=mae < cfg.success_threshold,
+        converged=mae < SUCCESS_THRESHOLD,
     )

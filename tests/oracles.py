@@ -14,6 +14,8 @@ bit.
 
 import numpy as np
 
+from agedist import model2
+
 
 def expected_update_plain(props, survival):
     """Expected next distribution of the plain process.
@@ -156,16 +158,16 @@ def reference_bounce_back(x, lo, hi):
 
 
 def reference_optimize(target, config, objective=None, history=None):
-    """The allocating differential-evolution loop, kept as the bitwise
-    reference for ``optimize``. Returns (probs, rates, mae, iterations)."""
+    """The allocating differential-evolution loop (dithered best/1/bin on
+    model2's search constants), kept as the bitwise reference for
+    ``optimize``. Returns (probs, rates, mae, iterations)."""
     cfg = config
     t = np.asarray(target, dtype=float)
     n = t.size
     dim = 2 * n
-    bounds = cfg.resolved_bounds(n)
+    bounds = model2.default_bounds(n)
     lo, hi = bounds[:, 0].copy(), bounds[:, 1].copy()
     pop_size = cfg.population_size or 15 * dim
-    f_low, f_high = cfg.mutation_range()
     evaluate = objective if objective is not None else reference_mae_objective(t)
 
     rng = np.random.default_rng(cfg.seed)
@@ -175,17 +177,13 @@ def reference_optimize(target, config, objective=None, history=None):
         history.append(float(errors.min()))
 
     iterations = 0
-    while errors.min() >= cfg.success_threshold and iterations < cfg.max_iterations:
-        factor = f_low if f_low == f_high else rng.uniform(f_low, f_high)
-        if cfg.strategy == "best1bin":
-            r1, r2 = _reference_distinct_rows(rng, pop_size, 2)
-            base = population[int(errors.argmin())]
-        else:
-            base_idx, r1, r2 = _reference_distinct_rows(rng, pop_size, 3)
-            base = population[base_idx]
+    while errors.min() >= model2.SUCCESS_THRESHOLD and iterations < cfg.max_iterations:
+        factor = rng.uniform(*model2.MUTATION_RANGE)
+        r1, r2 = _reference_distinct_rows(rng, pop_size, 2)
+        base = population[int(errors.argmin())]
         mutants = base + factor * (population[r1] - population[r2])
         mutants = reference_bounce_back(mutants, lo, hi)
-        cross = rng.random((pop_size, dim)) < cfg.crossover_rate
+        cross = rng.random((pop_size, dim)) < model2.CROSSOVER_RATE
         cross[np.arange(pop_size), rng.integers(0, dim, size=pop_size)] = True
         trials = np.where(cross, mutants, population)
         trial_errors = np.asarray(evaluate(trials), dtype=float)

@@ -1,5 +1,6 @@
-"""Smoke gates for the benchmark: a short traced ``wpp-cascade`` pass and a
-full-length untraced one must run and pass every output check."""
+"""Smoke gates for the benchmark: a short traced ``wpp-cascade`` pass, a
+full-length untraced one and a short traced ``fine-grid-solve`` pass must
+run and pass every output check."""
 
 import json
 import shutil
@@ -10,7 +11,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_bench(tmp_path, *args):
+def run_bench(tmp_path, workload, *args):
     """Run ``bench/run.py`` on a copy of the benchmark and the program, so
     that what it writes under bench/out/ lands in the temporary directory
     rather than in the source tree; returns its last output line, parsed."""
@@ -21,7 +22,7 @@ def run_bench(tmp_path, *args):
     shutil.copytree(ROOT / "src", tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
     result = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "wpp-cascade", "--seed", "1", *args],
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1", *args],
         cwd=tmp_path,
         capture_output=True,
         text=True,
@@ -36,15 +37,25 @@ def run_bench(tmp_path, *args):
 
 def test_traced_wpp_cascade_pass_is_correct(tmp_path):
     # A traced run takes no speed probes, so its passes may be short.
-    run_bench(tmp_path, "--seconds", "2.4", "--trace", "1")
+    run_bench(tmp_path, "wpp-cascade", "--seconds", "2.4", "--trace", "1")
 
 
 def test_untraced_wpp_cascade_pass_takes_probes(tmp_path):
     # At the declared length the timed pass must outlast at least two speed
     # probes: the end-to-end figures divide by their median.
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
-    run_bench(tmp_path, "--seconds", str(seconds), "--trace", "0")
+    run_bench(tmp_path, "wpp-cascade", "--seconds", str(seconds), "--trace", "0")
     record = json.loads(
         (tmp_path / "bench" / "out" / "wpp-cascade-seed1-trace0.json").read_text())
     assert record["correct"] is True
     assert record["timing"]["probes"] >= 2, record["timing"]
+
+
+def test_traced_fine_grid_solve_pass_is_correct(tmp_path):
+    # The warm-up searches with DEConfig(max_iterations=2), and the traced
+    # optimize hook counts evaluations from config.population_size.
+    metrics = run_bench(tmp_path, "fine-grid-solve", "--seconds", "1", "--trace", "1")["metrics"]
+    generations = metrics["model2.optimize.generations"]["value"]
+    assert metrics["model2.optimize.calls"]["value"] == 1
+    assert generations > 0
+    assert metrics["model2.optimize.evaluations"]["value"] == (generations + 1) * 30 * 101

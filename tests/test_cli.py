@@ -403,3 +403,16 @@ class TestPipeline:
         for name, entry in summary["per_country"].items():
             assert entry["route"] == "nearest_reachable", entry["failure_reason"]
             strict_load(out_dir / "params" / f"{name}.json")
+
+    def test_colliding_file_names_rejected_before_solving(self, tmp_path, capsys, monkeypatch):
+        path = write_dataset(tmp_path / "korea.csv", [
+            ("Korea Rep.", [50.0, 30.0, 20.0]),
+            ("Korea/Rep.", [40.0, 35.0, 25.0]),
+        ])
+        monkeypatch.setattr(pipeline, "run_dataset", lambda *_: pytest.fail("cascade ran"))
+        out_dir = tmp_path / "out"
+        assert main(["pipeline", "--input", str(path), "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "'Korea Rep.'" in err and "'Korea/Rep.'" in err and "Korea_Rep." in err
+        assert not out_dir.exists()

@@ -60,6 +60,13 @@ class TestIngest:
         with pytest.raises(CsvFormatError, match="line 3"):
             ingest_csv(path)
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_population_reports_line_number(self, tmp_path, raw):
+        path = tmp_path / "data.csv"
+        write_csv(path, ["X,a,50", f"X,b,{raw}", "X,c,20"])
+        with pytest.raises(CsvFormatError, match="line 3: population .* is not finite"):
+            ingest_csv(path)
+
     def test_duplicate_group_rejected(self, tmp_path):
         path = tmp_path / "data.csv"
         write_csv(path, ["X,a,50", "X,a,30", "X,c,20"])
@@ -220,3 +227,34 @@ class TestParamsFiles:
         path.write_text(json.dumps(raw))
         with pytest.raises(SchemaError, match=field):
             load_params(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("labels", 5),
+        ("labels", ["a", 2, "c"]),
+        ("survival", "abc"),
+        ("survival", None),
+        ("activation", "abc"),
+        ("free_param", "0.4"),
+        ("target", {"a": 0.5}),
+        ("target", [0.5, None, 0.2]),
+        ("diagnostics", [1, 2]),
+        ("config", 7),
+    ])
+    def test_wrong_field_type_rejected(self, tmp_path, field, value):
+        path = tmp_path / "params.json"
+        emit_params(solved_params(), path, labels=("a", "b", "c"), target=[0.5, 0.3, 0.2])
+        raw = json.loads(path.read_text())
+        raw[field] = value
+        path.write_text(json.dumps(raw))
+        with pytest.raises(SchemaError, match=f"field '{field}' must be"):
+            load_params_document(path)
+
+    @pytest.mark.parametrize("field", ["activation", "labels", "target", "config"])
+    def test_null_optional_field_accepted(self, tmp_path, field):
+        path = tmp_path / "params.json"
+        emit_params(solved_params(), path, labels=("a", "b", "c"), target=[0.5, 0.3, 0.2],
+                    config={"seed": 7})
+        raw = json.loads(path.read_text())
+        raw[field] = None
+        path.write_text(json.dumps(raw))
+        assert load_params_document(path).params == solved_params()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -68,6 +70,12 @@ class TestNormalize:
     def test_label_count_mismatch(self):
         with pytest.raises(ValueError):
             normalize([1, 2, 3], ["a", "b"])
+
+    def test_overflowing_sum_is_scaled_first(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = normalize([1e308, 1e308, 1e308], ["a", "b", "c"])
+        assert np.array_equal(d.proportions, np.full(3, 1.0 / 3.0))
 
     @given(counts_strategy)
     def test_constructed_distributions_satisfy_invariants(self, counts):
@@ -216,6 +224,27 @@ class TestVectors:
         with pytest.raises(ValueError):
             ActivationVector([0.5, 1.5, 0.5])
         assert ActivationVector([ALPHA_MIN, 1.0, 0.5]).rates[0] == ALPHA_MIN
+
+    @pytest.mark.parametrize("cls, kind, entries", [
+        (SurvivalVector, "survival", "survival probabilities"),
+        (ActivationVector, "activation", "activation rates"),
+    ])
+    def test_shared_checks_and_array_behaviour(self, cls, kind, entries):
+        with pytest.raises(ValueError, match=f"^{kind} vector needs at least 3 entries$"):
+            cls([0.5, 0.5])
+        with pytest.raises(ValueError, match=f"^{entries} must be finite$"):
+            cls([0.5, np.inf, 0.5])
+        with pytest.raises(ValueError, match=f"^{entries} must be one-dimensional"):
+            cls([[0.5, 0.5, 0.5]])
+        vec = cls([0.5, 0.25, 0.5])
+        assert len(vec) == 3
+        assert np.array_equal(np.asarray(vec), [0.5, 0.25, 0.5])
+        assert vec == cls([0.5, 0.25, 0.5])
+        assert vec != cls([0.5, 0.5, 0.5])
+        other = ActivationVector if cls is SurvivalVector else SurvivalVector
+        assert vec != other([0.5, 0.25, 0.5])
+        with pytest.raises(ValueError, match="read-only"):
+            np.asarray(vec)[0] = 1.0
 
 
 class TestModelParams:

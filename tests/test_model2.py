@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import sys
 import threading
@@ -26,7 +27,7 @@ from agedist.errors import (
     ResidualCheckFailed,
 )
 from agedist.model1 import steady_state
-from agedist.model2 import Model2Solution, _bounce_back, default_bounds, mae_objective
+from agedist.model2 import _bounce_back, default_bounds, mae_objective
 from agedist.pipeline import Route, run_dataset
 from agedist.simulator import SimConfig
 
@@ -434,17 +435,21 @@ class TestNearestReachable:
 
 
 class TestDEConfig:
+    def test_only_size_budget_and_seed_are_settable(self):
+        fields = [f.name for f in dataclasses.fields(DEConfig)]
+        assert fields == ["population_size", "max_iterations", "seed"]
+        for knob in ("strategy", "bounds", "mutation_factor", "crossover_rate",
+                     "success_threshold"):
+            with pytest.raises(TypeError):
+                DEConfig(**{knob: None})
+
     def test_field_validation(self):
-        with pytest.raises(ValueError):
-            DEConfig(mutation_factor=0.0)
-        with pytest.raises(ValueError):
-            DEConfig(mutation_factor=(0.9, 0.4))
-        with pytest.raises(ValueError):
-            DEConfig(crossover_rate=1.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least 4"):
+            DEConfig(population_size=3)
+        with pytest.raises(ValueError, match="positive"):
             DEConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            DEConfig(strategy="best2exp")
+        with pytest.raises(ValueError, match="unsigned 64-bit"):
+            DEConfig(seed=-1)
 
     @pytest.mark.parametrize("field", ["population_size", "max_iterations"])
     def test_sizes_must_be_integers(self, field):
@@ -464,15 +469,6 @@ class TestDEConfig:
         with pytest.raises(ValueError, match="unsigned 64-bit"):
             DEConfig(seed=2**64)
         assert DEConfig(seed=np.int64(7)).seed == 7
-
-    def test_bounds_must_respect_parameter_ranges(self):
-        cfg = DEConfig(bounds=np.tile([0.0, 2.0], (6, 1)))
-        with pytest.raises(ValueError):
-            cfg.resolved_bounds(3)
-        good = default_bounds(3)
-        assert np.array_equal(DEConfig(bounds=good).resolved_bounds(3), good)
-        with pytest.raises(ValueError):
-            DEConfig(bounds=good).resolved_bounds(4)
 
 
 class TestOptimize:
@@ -504,13 +500,14 @@ class TestOptimize:
         assert a.iterations_used == b.iterations_used
         assert a.converged == b.converged
 
-    def test_best_error_never_increases(self):
+    def test_best_error_never_increases(self, monkeypatch):
+        monkeypatch.setattr(model2, "SUCCESS_THRESHOLD", 1e-9)
         history = []
-        optimize(hump(), DEConfig(seed=5, success_threshold=1e-9,
-                                  max_iterations=60), history=history)
+        optimize(hump(), DEConfig(seed=5, max_iterations=60), history=history)
         assert all(b <= a + 0.0 for a, b in zip(history, history[1:]))
 
-    def test_all_candidates_respect_bounds(self):
+    def test_all_candidates_respect_bounds(self, monkeypatch):
+        monkeypatch.setattr(model2, "SUCCESS_THRESHOLD", 1e-9)
         target = hump()
         bounds = default_bounds(len(target))
         seen = []
@@ -520,21 +517,11 @@ class TestOptimize:
             seen.append(np.array(candidates, copy=True))
             return base(candidates)
 
-        optimize(target, DEConfig(seed=2, max_iterations=40,
-                                  success_threshold=1e-9), objective=spy)
+        optimize(target, DEConfig(seed=2, max_iterations=40), objective=spy)
         assert len(seen) == 41  # initialisation + 40 generations
         for batch in seen:
             assert np.all(batch >= bounds[:, 0])
             assert np.all(batch <= bounds[:, 1])
-
-    def test_rand1bin_strategy_available(self):
-        sol = optimize(
-            hump(),
-            DEConfig(seed=0, strategy="rand1bin", mutation_factor=0.8,
-                     max_iterations=400),
-        )
-        assert isinstance(sol, Model2Solution)
-        assert sol.converged
 
     def test_non_convergence_reported_not_raised(self):
         sol = optimize(hump(), DEConfig(seed=0, max_iterations=1))
@@ -582,14 +569,6 @@ def hump_target(n):
     return AgeDistribution(tuple(f"g{i}" for i in range(n)), values / values.sum())
 
 
-def narrow_bounds(n):
-    b = default_bounds(n)
-    b[:n, 0] = 0.2
-    b[:n, 1] = 0.95
-    b[n:, 0] = 0.05
-    return b
-
-
 def coarse_error(target):
     """Error rounded up to 0.01 steps: never zero, full of ties, so the
     selection rule's handling of equal scores shows."""
@@ -608,21 +587,18 @@ class TestMatchesReferenceLoop:
         "n, config",
         [
             (3, DEConfig(seed=3)),
-            (3, DEConfig(seed=1, strategy="rand1bin", mutation_factor=0.8,
-                         max_iterations=60)),
+            (3, DEConfig(seed=1, max_iterations=60)),
             (21, DEConfig(seed=0, max_iterations=40)),
-            (21, DEConfig(seed=7, strategy="rand1bin", max_iterations=30)),
-            (21, DEConfig(seed=2, mutation_factor=0.6, max_iterations=30)),
+            (21, DEConfig(seed=7, max_iterations=30)),
+            (41, DEConfig(seed=2, max_iterations=12)),
             (101, DEConfig(seed=1, max_iterations=3)),
-            (101, DEConfig(seed=2, strategy="rand1bin", mutation_factor=0.7,
-                           max_iterations=2)),
+            (101, DEConfig(seed=2, max_iterations=2)),
             (5, DEConfig(seed=4, population_size=9, max_iterations=80)),
-            (5, DEConfig(seed=5, bounds=narrow_bounds(5), max_iterations=80)),
-            (21, DEConfig(seed=6, population_size=50, bounds=narrow_bounds(21),
-                          strategy="rand1bin", max_iterations=50)),
+            (5, DEConfig(seed=5, max_iterations=80)),
+            (21, DEConfig(seed=6, population_size=50, max_iterations=50)),
         ],
-        ids=["n3", "n3-rand-fixed", "n21", "n21-rand", "n21-fixed", "n101",
-             "n101-rand-fixed", "own-population", "own-bounds", "own-both-rand"],
+        ids=["n3", "n3-seed1", "n21", "n21-seed7", "n41", "n101", "n101-seed2",
+             "own-population", "n5", "n21-own-population"],
     )
     def test_bitwise_equal(self, n, config):
         target = hump_target(n)
@@ -633,17 +609,16 @@ class TestMatchesReferenceLoop:
         assert sol.mae == mae
         assert sol.iterations_used == iterations
 
-    @pytest.mark.parametrize("strategy", ["best1bin", "rand1bin"])
-    def test_bitwise_equal_with_hooks(self, strategy):
+    def test_bitwise_equal_with_hooks(self):
+        # Coarse errors never fall below 0.01: the full budget runs.
         target = hump_target(8)
-        config = DEConfig(seed=9, strategy=strategy, max_iterations=70,
-                          success_threshold=1e-12)
+        config = DEConfig(seed=9, max_iterations=70)
         ours, theirs = [], []
         sol = optimize(target, config, objective=coarse_error(target), history=ours)
         probs, rates, mae, iterations = reference_optimize(
             target.proportions, config, objective=coarse_error(target), history=theirs)
         assert ours == theirs
-        assert len(ours) == iterations + 1
+        assert len(ours) == iterations + 1 == config.max_iterations + 1
         assert np.array_equal(sol.survival.probs, probs)
         assert np.array_equal(sol.activation.rates, rates)
         assert (sol.mae, sol.iterations_used) == (mae, iterations)
@@ -754,18 +729,14 @@ def scorer_threads(monkeypatch):
 
 SHARE_CASES = [
     (21, DEConfig(seed=0, max_iterations=25)),
-    (21, DEConfig(seed=7, strategy="rand1bin", mutation_factor=0.8,
-                  max_iterations=20)),
+    (21, DEConfig(seed=7, max_iterations=20)),
     (101, DEConfig(seed=1, max_iterations=3)),
-    (101, DEConfig(seed=2, strategy="rand1bin", mutation_factor=0.7,
-                   max_iterations=2)),
-    (21, DEConfig(seed=6, population_size=11, bounds=narrow_bounds(21),
-                  strategy="rand1bin", max_iterations=40)),
-    (101, DEConfig(seed=3, population_size=9, bounds=narrow_bounds(101),
-                   max_iterations=30)),
+    (101, DEConfig(seed=2, max_iterations=2)),
+    (21, DEConfig(seed=6, population_size=11, max_iterations=40)),
+    (101, DEConfig(seed=3, population_size=9, max_iterations=30)),
 ]
-SHARE_IDS = ["n21", "n21-rand-fixed", "n101", "n101-rand-fixed",
-             "n21-own-both-rand", "n101-own-both"]
+SHARE_IDS = ["n21", "n21-seed7", "n101", "n101-seed2",
+             "n21-own-population", "n101-own-population"]
 
 
 class TestRowShares:
@@ -805,12 +776,10 @@ class TestRowShares:
         assert len(seen) == config.population_size * (iterations + 1)
 
     @pytest.mark.parametrize("count", [2, 3, 11])
-    @pytest.mark.parametrize("strategy", ["best1bin", "rand1bin"])
-    def test_hooks_unchanged(self, split, count, strategy):
+    def test_hooks_unchanged(self, split, count):
         split(count)
         target = hump_target(21)
-        config = DEConfig(seed=9, strategy=strategy, population_size=11,
-                          max_iterations=40, success_threshold=1e-12)
+        config = DEConfig(seed=9, population_size=11, max_iterations=40)
         calls, ours, theirs = [], [], []
         score = coarse_error(target)
 
@@ -878,8 +847,7 @@ class TestRowShares:
     def test_concurrent_searches_equal_serial_ones(self, split):
         split(2)
         jobs = [(hump_target(101), DEConfig(seed=1, max_iterations=3)),
-                (hump_target(41), DEConfig(seed=5, strategy="rand1bin",
-                                           max_iterations=6))]
+                (hump_target(41), DEConfig(seed=5, max_iterations=6))]
         serial = [optimize(target, config) for target, config in jobs]
         results = [None, None]
 
