@@ -4,8 +4,9 @@ The family is constant at height A for groups before an integer breakpoint k
 and decays as A exp(-B (x - k)^C) from the breakpoint on. With B, C > 0 the
 curve is non-increasing, so its normalized evaluations always form a target
 the closed-form solver accepts. A, B and C are fitted by damped least
-squares for every breakpoint in 1..n and the breakpoint whose normalized
-curve sits closest to the original in Wasserstein distance wins.
+squares for every breakpoint in 1..n, all breakpoints in one stacked
+iteration, and the breakpoint whose normalized curve sits closest to the
+original in Wasserstein distance wins.
 """
 
 from __future__ import annotations
@@ -68,93 +69,136 @@ def eval_curve(params: CurveParams, x: int) -> float:
 
 def curve_values(params: CurveParams, n: int) -> np.ndarray:
     """Curve evaluated at x = 1..n."""
-    return _values(
-        np.log([params.plateau, params.decay_scale, params.decay_shape]),
-        params.breakpoint,
-        n,
-    )
+    log_params = np.log([[params.plateau, params.decay_scale, params.decay_shape]])
+    return _values_and_jacobian(log_params, np.array([params.breakpoint]), n)[0][0]
 
 
-def _values(log_params: np.ndarray, k: int, n: int) -> np.ndarray:
-    return _values_and_jacobian(log_params, k, n)[0]
-
-
-def _values_and_jacobian(log_params: np.ndarray, k: int, n: int):
-    """Model values and the Jacobian with respect to the log-parameters."""
-    a, b, c = np.exp(log_params)
-    x = np.arange(1, n + 1, dtype=float)
-    vals = np.full(n, a)
-    jac = np.zeros((n, 3))
-    jac[:, 0] = vals  # both branches scale linearly with the plateau
-    tail = x >= k
-    u = x[tail] - k
+def _values_and_jacobian(log_params: np.ndarray, breakpoints: np.ndarray, n: int):
+    """Model values (m, n) and Jacobians (m, n, 3) with respect to the
+    log-parameters, for m rows of log-parameters, each with its breakpoint.
+    Every row gets the floats that evaluating it alone would give: each
+    entry comes from the same elementwise operations in the same order."""
+    a, b, c = (column[:, None] for column in np.exp(log_params).T)
+    u = np.arange(1, n + 1, dtype=float) - breakpoints[:, None]
+    tail = u >= 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         t = u**c
         f = a * np.exp(-b * t)
-        vals[tail] = f
-        jac[tail, 0] = f
-        jac[tail, 1] = np.nan_to_num(-b * t * f, nan=0.0, posinf=0.0, neginf=0.0)
         logu = np.where(u > 0, np.log(np.maximum(u, 1.0)), 0.0)
-        jac[tail, 2] = np.nan_to_num(
-            -b * c * t * logu * f, nan=0.0, posinf=0.0, neginf=0.0
-        )
+        jac = np.zeros((len(u), n, 3))
+        jac[..., 0] = vals = np.where(tail, f, a)  # both branches scale with the plateau
+        jac[..., 1] = np.where(
+            tail, np.nan_to_num(-b * t * f, nan=0.0, posinf=0.0, neginf=0.0), 0.0)
+        jac[..., 2] = np.where(
+            tail, np.nan_to_num(-b * c * t * logu * f, nan=0.0, posinf=0.0, neginf=0.0), 0.0)
     return vals, jac
 
 
-def _fit_single_breakpoint(y: np.ndarray, k: int):
-    """Damped Gauss-Newton on (log A, log B, log C) for one breakpoint.
+def _solve_rows(systems: np.ndarray, rhs: np.ndarray) -> tuple:
+    """Damped normal-equation steps for a stack of 3 x 3 systems, and a
+    mask of the rows whose system is singular (their steps are zero)."""
+    try:
+        return np.linalg.solve(systems, rhs[..., None])[..., 0], np.zeros(len(rhs), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    # One singular system fails the whole stack: solve row by row.
+    steps = np.zeros_like(rhs)
+    singular = np.zeros(len(rhs), dtype=bool)
+    for row, (system, b) in enumerate(zip(systems, rhs)):
+        try:
+            steps[row] = np.linalg.solve(system, b)
+        except np.linalg.LinAlgError:
+            singular[row] = True
+    return steps, singular
 
-    Positivity comes free from the log parameterisation. Returns
-    (log_params, sse, converged); converged means an accepted or proposed
-    step shrank below STEP_TOLERANCE in infinity norm within the iteration
-    budget.
+
+def _sums_of_squares(residuals: np.ndarray) -> np.ndarray:
+    """Each row's r . r, by the BLAS dot that ``r @ r`` calls. An overflow
+    gives inf, which the caller rejects; it raises no warning."""
+    with np.errstate(over="ignore"):
+        return (residuals[:, None, :] @ residuals[:, :, None])[:, 0, 0]
+
+
+def _fit_breakpoints(y: np.ndarray) -> tuple:
+    """Damped Gauss-Newton on (log A, log B, log C) for every breakpoint k
+    in 1..n at once.
+
+    Positivity comes free from the log parameterisation. Each breakpoint
+    keeps its own damping, accept/reject decision, stop test and budget of
+    MAX_INNER_ITERATIONS steps, and leaves the stack once it stops; the
+    stacked ``np.matmul`` and ``np.linalg.solve`` make, for every row, the
+    BLAS and LAPACK calls a breakpoint-at-a-time loop makes, so each row's
+    floats are the same. A step whose sse overflows is rejected like any
+    other non-improving step. A singular damped system raises the damping
+    tenfold and spends the step. Returns (log_params (n, 3), sse (n,),
+    converged (n,)); converged means an accepted or proposed step shrank
+    below STEP_TOLERANCE in infinity norm, or the damping grew past 1e14,
+    within the budget.
     """
     n = y.size
-    a0 = float(y.max())
-    c0 = 1.0
-    b0 = math.log(2.0) / max(n - k, 1) ** c0
-    theta = np.log([a0, b0, c0])
-    vals, jac = _values_and_jacobian(theta, k, n)
+    rows = np.arange(n)
+    breakpoints = rows + 1
+    # Start at the data's peak, decay shape 1 and a scale that halves the
+    # curve over the tail.
+    theta = np.log(np.column_stack(
+        [np.full(n, y.max()), math.log(2.0) / np.maximum(n - breakpoints, 1), np.ones(n)]))
+    vals, jac = _values_and_jacobian(theta, breakpoints, n)
     residual = vals - y
-    sse = float(residual @ residual)
-    lam = 1e-3
+    sse = _sums_of_squares(residual)
+    lam = np.full(n, 1e-3)
+    fitted, fitted_sse = np.empty_like(theta), np.empty_like(sse)
+    converged = np.zeros(n, dtype=bool)
 
     for _ in range(MAX_INNER_ITERATIONS):
-        gram = jac.T @ jac
-        grad = jac.T @ residual
-        damping = np.diag(np.maximum(np.diag(gram), 1e-12))
-        try:
-            step = np.linalg.solve(gram + lam * damping, -grad)
-        except np.linalg.LinAlgError:
-            lam *= 10.0
-            continue
-        if float(np.abs(step).max()) < STEP_TOLERANCE:
-            return theta, sse, True
+        jac_t = jac.transpose(0, 2, 1)
+        with np.errstate(over="ignore"):
+            gram = jac_t @ jac
+            grad = (jac_t @ residual[:, :, None])[:, :, 0]
+        damping = np.zeros_like(gram)
+        damping[:, [0, 1, 2], [0, 1, 2]] = np.maximum(
+            np.diagonal(gram, axis1=1, axis2=2), 1e-12)
+        step, spent = _solve_rows(gram + lam[:, None, None] * damping, -grad)
+        lam[spent] *= 10.0
+        done = ~spent & (np.abs(step).max(axis=1) < STEP_TOLERANCE)
         trial = np.clip(theta + step, -LOG_PARAM_LIMIT, LOG_PARAM_LIMIT)
-        trial_vals, trial_jac = _values_and_jacobian(trial, k, n)
+        trial_vals, trial_jac = _values_and_jacobian(trial, breakpoints, n)
         trial_residual = trial_vals - y
-        trial_sse = float(trial_residual @ trial_residual)
-        if np.isfinite(trial_sse) and trial_sse < sse:
-            theta, residual, jac, sse = trial, trial_residual, trial_jac, trial_sse
-            lam = max(lam * 0.1, 1e-12)
-        else:
-            lam *= 10.0
-            if lam > 1e14:
-                # No improving direction left; the step sizes implied by
-                # further damping are below the tolerance.
-                return theta, sse, True
-    return theta, sse, False
+        trial_sse = _sums_of_squares(trial_residual)
+        moved = ~spent & ~done
+        better = moved & np.isfinite(trial_sse) & (trial_sse < sse)
+        worse = moved & ~better
+        theta[better], sse[better] = trial[better], trial_sse[better]
+        residual[better], jac[better] = trial_residual[better], trial_jac[better]
+        lam[better] = np.maximum(lam[better] * 0.1, 1e-12)
+        lam[worse] *= 10.0
+        # No improving direction left; the step sizes implied by further
+        # damping are below the tolerance.
+        done |= worse & (lam > 1e14)
+        fitted[rows[done]], fitted_sse[rows[done]] = theta[done], sse[done]
+        converged[rows[done]] = True
+        if done.any():
+            live = ~done
+            rows, breakpoints, theta, sse, lam = (
+                rows[live], breakpoints[live], theta[live], sse[live], lam[live])
+            residual, jac = residual[live], jac[live]
+            if not rows.size:
+                break
+    fitted[rows], fitted_sse[rows] = theta, sse
+    return fitted, fitted_sse, converged
 
 
 def fit(dist) -> CurveFitResult:
     """Fit the plateau-then-decay family to ``dist``, an AgeDistribution or
     a raw proportion vector (whose fit gets the labels g1..gn).
 
-    Runs the inner least squares for every breakpoint k in 1..n, normalizes
+    Runs the inner least squares for every breakpoint k in 1..n at once
+    (each breakpoint gets the floats that fitting it alone gives), normalizes
     each fitted curve into a distribution and keeps the breakpoint with the
     smallest Wasserstein distance to the original (ties go to the smallest
-    k). Breakpoints whose inner fit fails are recorded with infinite sse and
-    skipped.
+    k). Breakpoints whose inner fit runs out of budget are recorded with
+    infinite sse, and those whose curve underflows to an empty group with
+    infinite distance; both are skipped. An sse that overflows is handled
+    on purpose (the step is rejected) and raises no warning.
 
     Raises:
         InteriorZeroGroup: a raw vector has an empty group before a
@@ -164,17 +208,16 @@ def fit(dist) -> CurveFitResult:
     y = solver_proportions(dist)
     n = y.size
     labels = dist.labels if isinstance(dist, AgeDistribution) else default_labels(n)
+    thetas, sses, converged = _fit_breakpoints(y)
+    curves = _values_and_jacobian(thetas, np.arange(1, n + 1), n)[0]
     table = []
     best = None
 
-    for k in range(1, n + 1):
-        theta, sse, ok = _fit_single_breakpoint(y, k)
-        with np.errstate(over="ignore"):
-            abc = np.exp(theta)
-        if not ok or not np.all(np.isfinite(abc)) or np.any(abc <= 0):
+    rows = zip(range(1, n + 1), thetas, sses.tolist(), converged, curves)
+    for k, theta, sse, ok, vals in rows:
+        if not ok:
             table.append((k, float("inf"), float("inf")))
             continue
-        vals = _values(theta, k, n)
         try:
             # A decay steep enough to underflow leaves zero groups (trimmed
             # or rejected by the constructor); such a curve cannot feed the

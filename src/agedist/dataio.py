@@ -214,7 +214,9 @@ def load_params(path) -> ModelParams:
     Raises:
         SchemaError: not a JSON object, a required field (``kind``,
             ``survival``, ``free_param``) missing, a field of the wrong
-            JSON type, or unknown schema, version or kind.
+            JSON type, ``labels``, ``target``, ``survival`` and
+            ``activation`` of different lengths, or unknown schema,
+            version or kind.
         Domain validation errors: out-of-range vector entries.
     """
     return load_params_document(path).params
@@ -254,6 +256,12 @@ def load_params_document(path) -> ParamsDocument:
             raise SchemaError(
                 f"{path}: field {key!r} must be {expected}, got {json.dumps(value)[:40]}"
             )
+
+    lengths = {key: len(document[key]) for key in ("labels", "target", "survival", "activation")
+               if document.get(key) is not None}
+    if len(set(lengths.values())) > 1:
+        raise SchemaError(f"{path}: fields differ in length: " + ", ".join(
+            f"{key!r} has {size}" for key, size in lengths.items()))
 
     survival = SurvivalVector(document["survival"])
     activation = (

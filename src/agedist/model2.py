@@ -42,8 +42,11 @@ from .errors import ActivationTooSmall
 #: Population entries (rows x 2n) of a search generation for each thread
 #: it runs on: a generation of fewer than twice this runs on the calling
 #: thread alone. Results do not depend on it. Two shares against one on a
-#: 2-CPU machine: 0.69x at n = 21 (13k entries a share), break-even near
-#: n = 33 (33k), 1.2-1.3x at n = 41 (50k), 1.65x at n = 101 (306k).
+#: 2-CPU machine (medians of six alternating runs of a default search):
+#: 0.37x at n = 11 (3.6k entries a share), 0.60x at n = 21 (13k), 0.90x at
+#: n = 31 (29k), 0.99-1.27x at n = 41 (50k), 1.56x at n = 51 (78k) and
+#: 1.73x at n = 101 (306k). Break-even lies between n = 31 and n = 41,
+#: where the floor puts the switch.
 SHARE_FLOOR = 50_000
 
 #: Margins on the floors ``nearest_reachable`` raises groups to.
@@ -321,6 +324,20 @@ def _share_runner(count: int):
         yield run
 
 
+def _skip_doubles(bit_generator, count: int) -> dict:
+    """Move ``bit_generator`` past ``count`` doubles (one 64-bit output
+    each) and return its state from before the skip. ``advance`` clears
+    the buffered upper half of a 64-bit output that a 32-bit draw leaves;
+    the skip puts it back, so the next bounded integer draw reads the
+    stream exactly as after drawing the doubles."""
+    before = bit_generator.state
+    bit_generator.advance(count)
+    after = bit_generator.state
+    after["has_uint32"], after["uinteger"] = before["has_uint32"], before["uinteger"]
+    bit_generator.state = after
+    return before
+
+
 def optimize(
     target,
     config: Optional[DEConfig] = None,
@@ -334,22 +351,26 @@ def optimize(
     vector (dithered best/1/bin, see ``DEConfig``) with elitist selection,
     bounce-back repair into ``default_bounds`` and an early stop once the
     best mean absolute error drops below ``SUCCESS_THRESHOLD``.
-    Deterministic for a given seed: one generator drives every draw and
-    selection replaces rows only once the whole generation is scored.
+    Deterministic for a given seed: every draw comes from one PCG64 stream
+    in a fixed order, and selection replaces rows only once the whole
+    generation is built.
 
     A generation is synchronous, so its trial rows are built in row shares,
     one per CPU the process may run on (``os.sched_getaffinity``), on the
     calling thread and on worker threads that live only as long as the
-    call. The calling thread makes every random draw, in the serial order,
-    before the shares start; each share gathers, mutates, reflects and
-    crosses over its own rows and scores them with its own scratch. There
-    is at most one share per ``SHARE_FLOOR`` population entries, so small
-    searches (21-group ones among them) stay on the calling thread. Every
-    row gets the same floats whatever the share count, so results are
-    bitwise independent of it; restricting the CPU affinity gives a serial
-    search. A generation allocates nothing of the population's size: the
-    population, trial rows, crossover draws and the objective's scratch live
-    in buffers made once per call.
+    call. The calling thread draws the mutation scale, the row pairs and
+    the forced crossover components; each share draws its own rows of the
+    crossover uniforms from a copy of the stream advanced to them (the
+    calling thread skips past all of them), then gathers, mutates, reflects
+    and crosses over its rows and scores them with its own scratch. Once
+    every share has gathered from the parents, each share copies its
+    improved trial rows into the population. There is at most one share
+    per ``SHARE_FLOOR`` population entries, so small searches (21-group
+    ones among them) stay on the calling thread. Every row gets the same
+    floats whatever the share count, so results are bitwise independent of
+    it; restricting the CPU affinity gives a serial search. A generation
+    allocates nothing of the population's size: the population, trial rows
+    and the objective's scratch live in buffers made once per call.
 
     Non-convergence is reported through ``converged=False``, never raised.
     A non-finite objective value counts as ``+inf``: such a candidate never
@@ -372,14 +393,17 @@ def optimize(
 
     rng = np.random.default_rng(cfg.seed)
     population = rng.uniform(lo, hi, size=(pop_size, dim))
+    # A generator per share for its rows of the crossover uniforms; every
+    # generation sets its state from the calling thread's stream.
+    streams = [np.random.Generator(np.random.PCG64(cfg.seed)) for _ in shares]
 
     # Every generation writes into this workspace: trial rows, a second
-    # gather buffer, the crossover uniforms, the keep-parent mask and the
-    # trial scores. The row indices are always in range; mode="clip" only
-    # spares np.take a temporary copy of its output.
+    # buffer (crossover uniforms, then the second gather, then the rows
+    # selection moves), the keep-parent mask and the trial scores. The row
+    # indices are always in range; mode="clip" only spares np.take a
+    # temporary copy of its output.
     trials = np.empty_like(population)
     spare = np.empty_like(population)
-    uniforms = np.empty_like(population)
     keep = np.empty(population.shape, dtype=bool)
     errors = np.empty(pop_size)
     trial_errors = np.empty(pop_size)
@@ -390,11 +414,16 @@ def optimize(
         out[rows] = _finite_scores(scorers[k], candidates[rows])
 
     def build(k):
-        # Reads this generation's draws (factor, base, r1, r2, forced) and
-        # the unchanged population; writes only share k's rows.
+        # Reads this generation's draws (factor, base, r1, r2, forced, the
+        # stream state) and the unchanged population; writes only share
+        # k's rows.
         rows = shares[k]
         out, gather, mask = trials[rows], spare[rows], keep[rows]
-        np.greater_equal(uniforms[rows], CROSSOVER_RATE, out=mask)
+        stream = streams[k]
+        stream.bit_generator.state = crossover_state
+        stream.bit_generator.advance(rows.start * dim)
+        stream.random(out=gather)
+        np.greater_equal(gather, CROSSOVER_RATE, out=mask)
         mask[local[: len(out)], forced[rows]] = False
         np.take(population, r1[rows], axis=0, out=out, mode="clip")
         np.take(population, r2[rows], axis=0, out=gather, mode="clip")
@@ -405,6 +434,15 @@ def optimize(
         np.copyto(out, population[rows], where=mask)
         if scorers is not None:
             score(k, trials, trial_errors)
+
+    def select(k):
+        # Runs once every share has built: writes only share k's rows.
+        rows = shares[k]
+        won = rows.start + np.flatnonzero(trial_errors[rows] <= errors[rows])
+        moved = spare[rows][: won.size]
+        np.take(trials, won, axis=0, out=moved, mode="clip")
+        population[won] = moved
+        errors[won] = trial_errors[won]
 
     with _share_runner(len(shares)) as run:
         if objective is None:
@@ -419,14 +457,12 @@ def optimize(
             factor = rng.uniform(*MUTATION_RANGE)
             r1, r2 = _distinct_pairs(rng, pop_size)
             base = population[int(errors.argmin())]
-            rng.random(out=uniforms)
+            crossover_state = _skip_doubles(rng.bit_generator, pop_size * dim)
             forced = rng.integers(0, dim, size=pop_size)
             run(build)
             if objective is not None:
                 trial_errors = _finite_scores(objective, trials)
-            improved = trial_errors <= errors
-            np.copyto(population, trials, where=improved[:, None])
-            np.copyto(errors, trial_errors, where=improved)
+            run(select)
             iterations += 1
             if history is not None:
                 history.append(float(errors.min()))

@@ -7,14 +7,26 @@ fixed point, so agreement with the library is evidence, not tautology.
 
 The second half keeps the straightforward forms of the steady-state
 recursions, of the differential-evolution search (objective, reflection,
-generation loop) and of the simulator step and run. The library's batched
-kernel, in-place search and count-state run must reproduce them bit for
+generation loop), of the curve fit's breakpoint-at-a-time least squares and
+of the simulator step and run. The library's batched kernel, in-place
+search, batched curve fit and count-state run must reproduce them bit for
 bit.
 """
 
+import math
+
 import numpy as np
 
-from agedist import model2
+from agedist import AgeDistribution, model2
+from agedist.curvefit import (
+    LOG_PARAM_LIMIT,
+    MAX_INNER_ITERATIONS,
+    STEP_TOLERANCE,
+    CurveFitResult,
+    CurveParams,
+)
+from agedist.distributions import default_labels, solver_proportions, wasserstein
+from agedist.errors import AgedistError, CurveFitFailed
 
 
 def expected_update_plain(props, survival):
@@ -308,3 +320,100 @@ def reachable_l1_optimum(target, scale):
     )
     assert result.status == 0, result.message
     return result.fun * scale / n
+
+
+def _reference_curve(log_params, k, n):
+    """Plateau-then-decay values at x = 1..n and the Jacobian with respect
+    to the log-parameters, for one breakpoint k."""
+    a, b, c = np.exp(log_params)
+    x = np.arange(1, n + 1, dtype=float)
+    vals = np.full(n, a)
+    jac = np.zeros((n, 3))
+    jac[:, 0] = vals
+    tail = x >= k
+    u = x[tail] - k
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = u**c
+        f = a * np.exp(-b * t)
+        vals[tail] = f
+        jac[tail, 0] = f
+        jac[tail, 1] = np.nan_to_num(-b * t * f, nan=0.0, posinf=0.0, neginf=0.0)
+        logu = np.where(u > 0, np.log(np.maximum(u, 1.0)), 0.0)
+        jac[tail, 2] = np.nan_to_num(
+            -b * c * t * logu * f, nan=0.0, posinf=0.0, neginf=0.0
+        )
+    return vals, jac
+
+
+def _reference_breakpoint_fit(y, k):
+    """Damped Gauss-Newton on (log A, log B, log C) for one breakpoint.
+    Returns (log_params, sse, converged)."""
+    n = y.size
+    a0 = float(y.max())
+    c0 = 1.0
+    b0 = math.log(2.0) / max(n - k, 1) ** c0
+    theta = np.log([a0, b0, c0])
+    vals, jac = _reference_curve(theta, k, n)
+    residual = vals - y
+    sse = float(residual @ residual)
+    lam = 1e-3
+
+    for _ in range(MAX_INNER_ITERATIONS):
+        gram = jac.T @ jac
+        grad = jac.T @ residual
+        damping = np.diag(np.maximum(np.diag(gram), 1e-12))
+        try:
+            step = np.linalg.solve(gram + lam * damping, -grad)
+        except np.linalg.LinAlgError:
+            lam *= 10.0
+            continue
+        if float(np.abs(step).max()) < STEP_TOLERANCE:
+            return theta, sse, True
+        trial = np.clip(theta + step, -LOG_PARAM_LIMIT, LOG_PARAM_LIMIT)
+        trial_vals, trial_jac = _reference_curve(trial, k, n)
+        trial_residual = trial_vals - y
+        trial_sse = float(trial_residual @ trial_residual)
+        if np.isfinite(trial_sse) and trial_sse < sse:
+            theta, residual, jac, sse = trial, trial_residual, trial_jac, trial_sse
+            lam = max(lam * 0.1, 1e-12)
+        else:
+            lam *= 10.0
+            if lam > 1e14:
+                return theta, sse, True
+    return theta, sse, False
+
+
+def reference_fit(dist):
+    """The curve fit as first written: one breakpoint's least squares after
+    another, then the Wasserstein choice. Returns a ``CurveFitResult``."""
+    y = solver_proportions(dist)
+    n = y.size
+    labels = dist.labels if isinstance(dist, AgeDistribution) else default_labels(n)
+    table = []
+    best = None
+    for k in range(1, n + 1):
+        theta, sse, ok = _reference_breakpoint_fit(y, k)
+        with np.errstate(over="ignore"):
+            abc = np.exp(theta)
+        if not ok or not np.all(np.isfinite(abc)) or np.any(abc <= 0):
+            table.append((k, float("inf"), float("inf")))
+            continue
+        vals = _reference_curve(theta, k, n)[0]
+        try:
+            fitted = AgeDistribution(labels, vals / vals.sum())
+        except AgedistError:
+            table.append((k, sse, float("inf")))
+            continue
+        if len(fitted) != n:
+            table.append((k, sse, float("inf")))
+            continue
+        distance = wasserstein(fitted, dist)
+        table.append((k, sse, distance))
+        if best is None or distance < best[0]:
+            a, b, c = np.exp(theta)
+            best = (distance, CurveParams(float(a), float(b), float(c), k), fitted, sse)
+    if best is None:
+        raise CurveFitFailed("inner least squares failed for every breakpoint")
+    distance, params, fitted, sse = best
+    return CurveFitResult(params=params, fitted=fitted, wasserstein_to_original=distance,
+                          residual_sse=sse, per_k_table=tuple(table))

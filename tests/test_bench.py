@@ -53,9 +53,14 @@ def test_untraced_wpp_cascade_pass_takes_probes(tmp_path):
 
 def test_traced_fine_grid_solve_pass_is_correct(tmp_path):
     # The warm-up searches with DEConfig(max_iterations=2), and the traced
-    # optimize hook counts evaluations from config.population_size.
+    # optimize hook counts evaluations from config.population_size. The
+    # curve fit's hook counts the rows of its per-breakpoint table, one per
+    # group of the 101-group target.
     metrics = run_bench(tmp_path, "fine-grid-solve", "--seconds", "1", "--trace", "1")["metrics"]
     generations = metrics["model2.optimize.generations"]["value"]
     assert metrics["model2.optimize.calls"]["value"] == 1
     assert generations > 0
     assert metrics["model2.optimize.evaluations"]["value"] == (generations + 1) * 30 * 101
+    fits = metrics["curvefit.fit.calls"]["value"]
+    assert fits == metrics["route.curve_fit"]["value"] == 1
+    assert metrics["curvefit.fit.breakpoints"]["value"] == 101 * fits

@@ -1,5 +1,7 @@
+import importlib.util
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +10,11 @@ from hypothesis import strategies as st
 
 from agedist import AgeDistribution, CurveParams, eval_curve, fit, normalize
 from agedist.curvefit import curve_values
-from agedist.distributions import Classification, classify
+from agedist.distributions import Classification, classify, default_labels
 from agedist.errors import InteriorZeroGroup
 from agedist.model1 import FeasibleInterval, feasibility
+
+from oracles import reference_fit
 
 
 def curve_distribution(plateau, scale, shape, breakpoint, n):
@@ -132,3 +136,89 @@ class TestRawVectors:
             warnings.simplefilter("error")
             with pytest.raises(InteriorZeroGroup):
                 fit(entry)
+
+
+def bench_generator():
+    """``bench/gen.py``, which makes the benchmark's inputs with numpy alone."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def log_normal_target(seed, sigma, n):
+    values = np.exp(np.random.default_rng(seed).normal(0.0, sigma, n))
+    return normalize(values, default_labels(n))
+
+
+def assert_matches_reference(dist):
+    result = fit(dist)
+    # The reference lets an overflowing sse warn; its floats are the same.
+    with np.errstate(over="ignore"):
+        expected = reference_fit(dist)
+    assert result.params == expected.params
+    assert np.array_equal(result.fitted.proportions.view(np.uint64),
+                          expected.fitted.proportions.view(np.uint64))
+    assert result.fitted.labels == expected.fitted.labels
+    assert result.per_k_table == expected.per_k_table
+    assert result.residual_sse == expected.residual_sse
+    assert result.wasserstein_to_original == expected.wasserstein_to_original
+    return result
+
+
+class TestMatchesReferenceFit:
+    """The batched least squares gives the breakpoint-at-a-time fit bit for
+    bit: parameters, fitted proportions and the whole per-breakpoint table."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_bench_fine_grid_targets(self, seed):
+        gen = bench_generator()
+        for raw in gen.fine_grid_targets(seed, 2):
+            result = assert_matches_reference(normalize(raw, gen.FINE_LABELS))
+            assert len(result.per_k_table) == gen.FINE_GROUPS
+
+    @given(st.integers(3, 60), st.sampled_from([0.3, 2.0, 8.0]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_random_targets(self, n, sigma, seed):
+        # Sigma 8 spans hundreds of orders of magnitude between groups.
+        assert_matches_reference(log_normal_target(seed, sigma, n))
+
+    def test_failed_breakpoints(self):
+        result = assert_matches_reference(log_normal_target(79, 8.0, 12))
+        sse, distance = np.array([row[1:] for row in result.per_k_table]).T
+        # Inner fits out of budget, and curves that underflow to empty groups.
+        assert np.isinf(sse).sum() == 2
+        assert (np.isfinite(sse) & np.isinf(distance)).sum() == 2
+
+    def test_overflowing_sse_is_rejected_without_warning(self):
+        dist = log_normal_target(75, 8.0, 12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_matches_reference(dist)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            reference_fit(dist)
+
+    def test_singular_systems_fall_back_row_by_row(self, monkeypatch):
+        # Every stacked solve fails; so does every single one whose first
+        # entry has its low mantissa bits set a given way, identically in the
+        # batched fit's fallback and in the reference.
+        solve = np.linalg.solve
+        calls = {"stacked": 0, "singular": 0}
+
+        def flaky(a, b):
+            if a.ndim == 3:
+                calls["stacked"] += 1
+                raise np.linalg.LinAlgError("stacked")
+            if a.view(np.uint64)[0, 0] % 7 == 0:
+                calls["singular"] += 1
+                raise np.linalg.LinAlgError("singular")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", flaky)
+        gen = bench_generator()
+        for dist in (log_normal_target(79, 8.0, 12), log_normal_target(5, 2.0, 30),
+                     normalize(gen.fine_grid_targets(3, 1)[0][:40], gen.FINE_LABELS[:40])):
+            assert_matches_reference(dist)
+        assert calls["stacked"] > 0
+        assert calls["singular"] > 0

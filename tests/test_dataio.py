@@ -249,6 +249,25 @@ class TestParamsFiles:
         with pytest.raises(SchemaError, match=f"field '{field}' must be"):
             load_params_document(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("labels", ["a", "b"]),
+        ("labels", ["a", "b", "c", "d"]),
+        ("target", [0.25, 0.25, 0.25, 0.25]),
+        ("activation", [1.0, 1.0]),
+    ])
+    def test_fields_of_different_lengths_rejected(self, tmp_path, field, value):
+        path = tmp_path / "params.json"
+        emit_params(solved_params(ModelKind.MODEL2), path, labels=("a", "b", "c"),
+                    target=[0.3, 0.4, 0.3])
+        raw = json.loads(path.read_text())
+        raw[field] = value
+        path.write_text(json.dumps(raw))
+        with pytest.raises(SchemaError, match="differ in length") as caught:
+            load_params_document(path)
+        message = str(caught.value)
+        assert str(path) in message
+        assert f"'{field}' has {len(value)}" in message and "'survival' has 3" in message
+
     @pytest.mark.parametrize("field", ["activation", "labels", "target", "config"])
     def test_null_optional_field_accepted(self, tmp_path, field):
         path = tmp_path / "params.json"

@@ -888,3 +888,36 @@ class TestRowShares:
         if hasattr(os, "sched_getaffinity"):
             assert model2._cpu_count() == len(os.sched_getaffinity(0))
         assert model2._cpu_count() >= 1
+
+
+class TestBufferedRandomHalf:
+    """A bounded integer draw takes 32 bits and buffers the other half of
+    its 64-bit output. With an odd population, every other generation's
+    forced components leave one buffered, and the next generation's row
+    pairs take an even count, so it is still there after them. Skipping the
+    crossover uniforms must keep it for the forced components, as drawing
+    them would."""
+
+    N = 11
+    CONFIG = DEConfig(seed=8, population_size=15, max_iterations=30)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 15], ids=["1", "2", "3", "row-each"])
+    def test_bitwise_equal_to_reference(self, split, monkeypatch, count):
+        split(count)
+        buffered = []
+        pairs = model2._distinct_pairs
+
+        def recording(rng, m):
+            drawn = pairs(rng, m)
+            buffered.append(rng.bit_generator.state["has_uint32"])
+            return drawn
+
+        monkeypatch.setattr(model2, "_distinct_pairs", recording)
+        target = hump_target(self.N)
+        sol = optimize(target, self.CONFIG)
+        probs, rates, mae, iterations = reference_optimize(target.proportions, self.CONFIG)
+        assert np.array_equal(sol.survival.probs, probs)
+        assert np.array_equal(sol.activation.rates, rates)
+        assert (sol.mae, sol.iterations_used) == (mae, iterations)
+        assert len(buffered) == iterations == self.CONFIG.max_iterations
+        assert buffered == [g % 2 for g in range(iterations)]
