@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 logging.getLogger("agedist").addHandler(logging.NullHandler())
 
 from . import curvefit, dataio, model1, model2, pipeline, simulator  # noqa: E402
-from .curvefit import CurveFitResult, CurveParams, eval_curve, fit  # noqa: E402
+from .curvefit import CurveFitResult, CurveParams, fit  # noqa: E402
 from .distributions import (  # noqa: E402
     ALPHA_MIN,
     ActivationVector,
@@ -69,7 +69,6 @@ __all__ = [
     "curvefit",
     "dataio",
     "emit_params",
-    "eval_curve",
     "feasibility",
     "fit",
     "ingest_csv",

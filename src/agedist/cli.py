@@ -1,13 +1,15 @@
 """Command-line interface.
 
-Subcommands cover the whole workflow: ``classify`` (route eligibility per
-country), ``solve`` (closed-form parameterisation for one country; a model-2
-target beyond the closed form's reach is solved on its nearest reachable
-target), ``fit-curve`` (the original method's plateau-decay surrogate plus
-closed-form solve), ``simulate`` (stochastic validation of a parameter
-file) and ``pipeline`` (the full cascade over a dataset, emitting parameter
-files and plot-data CSVs). ``solve`` shares the pipeline's stations, so its
-files carry the pipeline's diagnostics.
+Subcommands cover the whole workflow: ``classify`` (each country's shape
+and the route the cascade takes for it), ``solve`` (closed-form
+parameterisation for one country; a model-2 target beyond the closed form's
+reach is solved on its nearest reachable target), ``fit-curve`` (the
+original method's plateau-decay surrogate plus closed-form solve),
+``simulate`` (stochastic validation of a parameter file) and ``pipeline``
+(the full cascade over a dataset, emitting parameter files and plot-data
+CSVs). ``solve`` shares the pipeline's stations, so its files carry the
+pipeline's diagnostics; ``classify``, ``solve --model auto`` and
+``pipeline`` all take the route that ``pipeline._solve_one`` picks.
 
 Every failure exits nonzero after printing a line prefixed ``error:`` to
 stderr. All subcommands are deterministic given identical inputs and
@@ -28,13 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, curvefit, dataio, model1, model2, pipeline, simulator
-from .distributions import (
-    Classification,
-    ModelKind,
-    classify,
-    mean_absolute_error,
-)
-from .errors import AgedistError, DegenerateLastGroup
+from .distributions import ModelKind, classify, mean_absolute_error
+from .errors import AgedistError
 
 logger = logging.getLogger("agedist")
 
@@ -105,12 +102,6 @@ def _parse_pn(text: str):
         ) from None
 
 
-def _default_burn_in(num_steps: int) -> int:
-    # Keep the canonical 300-of-350 split, scaled down for shorter runs:
-    # average over the final seventh of the steps.
-    return num_steps - max(1, num_steps // 7)
-
-
 def cmd_classify(args) -> int:
     skipped: list = []
     entries = _ingest(args, skipped=skipped)
@@ -118,9 +109,11 @@ def cmd_classify(args) -> int:
         entries = [(args.country, _find(entries, args.country))]
     print("country,classification,eligible_route")
     for name, dist in entries:
-        shape = classify(dist)
-        route = "model1" if shape is Classification.MONOTONE_NON_INCREASING else "model2"
-        print(f"{name},{shape.value},{route}")
+        try:
+            route = pipeline._solve_one(dist)[1].value
+        except AgedistError:
+            route = pipeline.Route.FAILED.value
+        print(f"{name},{classify(dist).value},{route}")
     for name, reason in skipped:
         print(f"{name},skipped,none")
     return 0
@@ -129,18 +122,13 @@ def cmd_classify(args) -> int:
 def cmd_solve(args) -> int:
     entries = _ingest(args)
     dist = _find(entries, args.country)
-    model = args.model
-    if model == "auto":
-        model = "1" if classify(dist) is Classification.MONOTONE_NON_INCREASING else "2"
-
-    try:
-        params, _ = (pipeline.solve_model1(dist, _parse_pn(args.pn), seed=args.seed)
-                     if model == "1" else pipeline.solve_model2(dist))
-    except DegenerateLastGroup:
-        # Like the cascade, auto gives model 2 a last group model 1 cannot hold.
-        if args.model != "auto":
-            raise
-        params, _ = pipeline.solve_model2(dist)
+    p_n = _parse_pn(args.pn)
+    if args.model == "auto":
+        params, route, _ = pipeline._solve_one(dist, p_n, seed=args.seed)
+    else:
+        params, _ = (pipeline.solve_model1(dist, p_n, seed=args.seed)
+                     if args.model == "1" else pipeline.solve_model2(dist))
+        route = params.kind
 
     dataio.emit_params(
         params,
@@ -149,7 +137,7 @@ def cmd_solve(args) -> int:
         target=dist.proportions,
         config={"seed": args.seed, "pn": args.pn, "model": args.model},
     )
-    print(f"{args.country}: route {params.kind.value}, mae {params.diagnostics['mae']:.3g}, "
+    print(f"{args.country}: route {route.value}, mae {params.diagnostics['mae']:.3g}, "
           f"wrote {args.out}")
     return 0
 
@@ -191,12 +179,11 @@ def cmd_simulate(args) -> int:
     else:
         analytic = model1.steady_state(params.survival, labels=labels)
 
-    burn_in = args.burn_in if args.burn_in is not None else _default_burn_in(args.steps)
     config = simulator.SimConfig(
         num_agents=args.agents,
         num_steps=args.steps,
         seed=args.seed,
-        burn_in=burn_in,
+        burn_in=args.burn_in,
         record_trajectory=args.trajectory is not None,
     )
     result = simulator.run(target if target is not None else analytic, params, config)
@@ -231,7 +218,6 @@ def cmd_pipeline(args) -> int:
         num_agents=args.agents,
         num_steps=args.steps,
         seed=args.seed,
-        burn_in=_default_burn_in(args.steps),
     )
     report = pipeline.run_dataset(entries, sim_config)
 
@@ -369,14 +355,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except AgedistError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # CLI contract: no bare tracebacks
-        logger.debug("unexpected failure", exc_info=True)
+        logger.debug("%s failed", args.command, exc_info=True)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

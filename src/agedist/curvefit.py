@@ -58,15 +58,6 @@ class CurveFitResult:
     per_k_table: tuple
 
 
-def eval_curve(params: CurveParams, x: int) -> float:
-    """Curve value at group position x (1-based)."""
-    if x < params.breakpoint:
-        return params.plateau
-    return params.plateau * math.exp(
-        -params.decay_scale * (x - params.breakpoint) ** params.decay_shape
-    )
-
-
 def curve_values(params: CurveParams, n: int) -> np.ndarray:
     """Curve evaluated at x = 1..n."""
     log_params = np.log([[params.plateau, params.decay_scale, params.decay_shape]])

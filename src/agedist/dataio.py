@@ -6,7 +6,8 @@ The canonical input is a long-format CSV with a header row and one row per
 in age order; interleaving countries is allowed.
 
 Parameter files are versioned JSON documents holding the model kind, the
-vectors, the free parameter, diagnostics and an optional target/config echo,
+vectors, the free parameter (a copy of the last survival entry, checked on
+load), diagnostics and an optional target/config echo,
 so one file fully specifies a reproducible simulation. Every JSON file the
 library writes is strict JSON (``write_json``): a non-finite number is
 written as null.
@@ -215,8 +216,10 @@ def load_params(path) -> ModelParams:
         SchemaError: not a JSON object, a required field (``kind``,
             ``survival``, ``free_param``) missing, a field of the wrong
             JSON type, ``labels``, ``target``, ``survival`` and
-            ``activation`` of different lengths, or unknown schema,
-            version or kind.
+            ``activation`` of different lengths, an ``activation`` list
+            present for a kind other than model 2 or absent for model 2,
+            a ``free_param`` other than the last survival entry, or
+            unknown schema, version or kind.
         Domain validation errors: out-of-range vector entries.
     """
     return load_params_document(path).params
@@ -262,18 +265,21 @@ def load_params_document(path) -> ParamsDocument:
     if len(set(lengths.values())) > 1:
         raise SchemaError(f"{path}: fields differ in length: " + ", ".join(
             f"{key!r} has {size}" for key, size in lengths.items()))
+    activation = document.get("activation")
+    if (kind is ModelKind.MODEL2) != (activation is not None):
+        raise SchemaError(f"{path}: kind {kind.value!r} " + (
+            "needs an 'activation' list" if activation is None
+            else "takes no 'activation' list (null or absent)"))
 
     survival = SurvivalVector(document["survival"])
-    activation = (
-        ActivationVector(document["activation"])
-        if document.get("activation") is not None
-        else None
-    )
+    last = document["survival"][-1]
+    if document["free_param"] != last:
+        raise SchemaError(f"{path}: field 'free_param' is {document['free_param']!r}, "
+                          f"but the last 'survival' entry is {last!r}")
     params = ModelParams(
         kind=kind,
         survival=survival,
-        activation=activation,
-        free_param=document["free_param"],
+        activation=ActivationVector(activation) if activation is not None else None,
         diagnostics=document.get("diagnostics", {}),
     )
     labels = tuple(document["labels"]) if document.get("labels") else None

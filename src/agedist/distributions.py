@@ -97,10 +97,6 @@ class AgeDistribution:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "proportions", props)
 
-    @property
-    def n_groups(self) -> int:
-        return self.proportions.size
-
     def __len__(self) -> int:
         return self.proportions.size
 
@@ -219,18 +215,18 @@ class ModelKind(Enum):
     MODEL1_ON_FITTED = "model1_on_fitted"
 
 
-@dataclass(eq=False)
+@dataclass
 class ModelParams:
     """A solved parameterisation plus its diagnostics.
 
     ``diagnostics`` maps metric names to values (numbers, or short strings
-    for provenance entries such as the free-parameter mode).
+    for provenance entries such as the free-parameter mode). The free
+    parameter is the last survival entry (``free_param``).
     """
 
     kind: ModelKind
     survival: SurvivalVector
     activation: Optional[ActivationVector] = None
-    free_param: float = field(default=None)  # type: ignore[assignment]
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -244,21 +240,11 @@ class ModelParams:
             raise ValueError("activation rates are present iff kind is MODEL2")
         if self.activation is not None and len(self.activation) != len(self.survival):
             raise ValueError("survival and activation vectors differ in length")
-        if self.free_param is None:
-            self.free_param = float(self.survival.probs[-1])
-        elif self.free_param != self.survival.probs[-1]:
-            raise ValueError("free_param must equal the last survival entry")
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ModelParams):
-            return NotImplemented
-        return (
-            self.kind is other.kind
-            and self.survival == other.survival
-            and self.activation == other.activation
-            and self.free_param == other.free_param
-            and self.diagnostics == other.diagnostics
-        )
+    @property
+    def free_param(self) -> float:
+        """The free last-group survival probability."""
+        return float(self.survival.probs[-1])
 
 
 class Classification(Enum):

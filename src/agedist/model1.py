@@ -118,9 +118,9 @@ def solve(dist, p_n="mid", *, seed: Optional[int] = None) -> SurvivalVector:
             f"proportions increase at group indices {list(interval.violations)}"
         )
     if isinstance(p_n, str):
-        if p_n in ("mid", "midpoint"):
+        if p_n == "mid":
             value = interval.midpoint
-        elif p_n in ("rand", "random"):
+        elif p_n == "rand":
             if seed is None:
                 raise ValueError("p_n='rand' requires a seed")
             value = float(np.random.default_rng(seed).uniform(

@@ -342,7 +342,6 @@ def optimize(
     target,
     config: Optional[DEConfig] = None,
     *,
-    objective: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     history: Optional[list] = None,
 ) -> Model2Solution:
     """Search survival and activation rates reproducing ``target``.
@@ -372,14 +371,13 @@ def optimize(
     allocates nothing of the population's size: the population, trial rows
     and the objective's scratch live in buffers made once per call.
 
+    Each share scores its rows with its own ``mae_objective(target)``,
+    once for the initial population and once per generation; the rows it
+    is handed are a view of a buffer that the search overwrites afterwards.
     Non-convergence is reported through ``converged=False``, never raised.
     A non-finite objective value counts as ``+inf``: such a candidate never
-    wins selection and never stops the search. ``objective`` replaces the
-    batched scorer (testing hook); it is called from the calling thread,
-    once for the initial population and once per generation, with the whole
-    candidate matrix. That matrix is a buffer that the search overwrites
-    afterwards, so a hook that keeps candidates must copy them. ``history``
-    receives the best error after initialisation and after each generation.
+    wins selection and never stops the search. ``history`` receives the
+    best error after initialisation and after each generation.
     """
     cfg = config if config is not None else DEConfig()
     t = proportions_of(target)
@@ -389,7 +387,7 @@ def optimize(
     doubled = (2.0 * lo, 2.0 * hi)
     pop_size = cfg.population_size or 15 * dim
     shares = _row_shares(pop_size, dim)
-    scorers = [mae_objective(t) for _ in shares] if objective is None else None
+    scorers = [mae_objective(t) for _ in shares]
 
     rng = np.random.default_rng(cfg.seed)
     population = rng.uniform(lo, hi, size=(pop_size, dim))
@@ -432,8 +430,7 @@ def optimize(
         np.add(out, base, out=out)
         _bounce_back(out, lo, hi, gather, doubled)
         np.copyto(out, population[rows], where=mask)
-        if scorers is not None:
-            score(k, trials, trial_errors)
+        score(k, trials, trial_errors)
 
     def select(k):
         # Runs once every share has built: writes only share k's rows.
@@ -445,10 +442,7 @@ def optimize(
         errors[won] = trial_errors[won]
 
     with _share_runner(len(shares)) as run:
-        if objective is None:
-            run(lambda k: score(k, population, errors))
-        else:
-            errors = _finite_scores(objective, population)
+        run(lambda k: score(k, population, errors))
         if history is not None:
             history.append(float(errors.min()))
 
@@ -460,8 +454,6 @@ def optimize(
             crossover_state = _skip_doubles(rng.bit_generator, pop_size * dim)
             forced = rng.integers(0, dim, size=pop_size)
             run(build)
-            if objective is not None:
-                trial_errors = _finite_scores(objective, trials)
             run(select)
             iterations += 1
             if history is not None:

@@ -8,9 +8,11 @@ runs an activation-rate search and then a curve fit on those targets; both
 stay available (``model2.optimize``, ``curvefit.fit``), but the cascade
 calls neither: no model-2 steady state or curve fit is closer to the target
 than the L1 projection, which the nearest reachable target comes within 1%
-of. ``solve_model1`` and ``solve_model2`` return each station's
-parameters, diagnostics and analytic steady state, for the cascade and the
-command line alike. Every solved parameter set is validated with one
+of. ``_solve_one`` is the only place that picks a route: the cascade and
+the command line's ``classify`` and ``solve --model auto`` all call it.
+``solve_model1`` and ``solve_model2`` return each station's parameters,
+diagnostics and analytic steady state, for the cascade and the command
+line alike. Every solved parameter set is validated with one
 stochastic run against its own analytic steady state. ``run_dataset``
 solves every entry first and then validates all of them in one
 ``simulator.run_many`` batch, which draws their shared uniform stream once.
@@ -19,6 +21,7 @@ solves every entry first and then validates all of them in one
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -111,7 +114,7 @@ def solve_model1(dist: AgeDistribution, p_n="mid", *,
     analytic = model1.steady_state(survival, labels=dist.labels)
     # model1.solve has rejected every other string.
     mode = ("explicit" if not isinstance(p_n, str)
-            else "midpoint" if p_n in ("mid", "midpoint") else "rand")
+            else "midpoint" if p_n == "mid" else "rand")
     diagnostics = {"mae": mean_absolute_error(analytic, dist), "free_param_mode": mode}
     if mode == "rand":
         diagnostics["seed"] = seed
@@ -167,10 +170,11 @@ def _fitted_params(dist: AgeDistribution, fit: curvefit.CurveFitResult) -> tuple
     return ModelParams(ModelKind.MODEL1_ON_FITTED, survival, diagnostics=diagnostics), analytic
 
 
-def _solve_one(dist: AgeDistribution) -> tuple:
-    """The solve-only cascade; returns (params, route, analytic steady
-    state). A monotone target whose last group model 1 cannot hold goes to
-    model 2."""
+def _solve_one(dist: AgeDistribution, p_n="mid", *, seed: Optional[int] = None) -> tuple:
+    """The solve-only cascade, and the one place that picks a route;
+    returns (params, route, analytic steady state). ``p_n`` and ``seed``
+    go to ``solve_model1``. A monotone target whose last group model 1
+    cannot hold goes to model 2."""
     if not isinstance(dist, AgeDistribution):
         raise InvalidEntry(
             f"expected an AgeDistribution, got {type(dist).__name__} "
@@ -179,7 +183,7 @@ def _solve_one(dist: AgeDistribution) -> tuple:
 
     if classify(dist) is Classification.MONOTONE_NON_INCREASING:
         try:
-            params, analytic = solve_model1(dist)
+            params, analytic = solve_model1(dist, p_n, seed=seed)
             return params, Route.MODEL1, analytic
         except DegenerateLastGroup:
             pass
@@ -204,7 +208,6 @@ def _validate(solved, sim_config: Optional[simulator.SimConfig]) -> list:
 def run_dataset(
     dataset,
     sim_config: Optional[simulator.SimConfig] = None,
-    warn_wasserstein: float = DEFAULT_WASSERSTEIN_WARN,
 ) -> PipelineReport:
     """Apply the cascade to every (name, distribution) entry.
 
@@ -216,14 +219,21 @@ def run_dataset(
     batch. A failed validation batch (such as the simulator's step guard
     raising ResidualCheckFailed, which names the member) records every
     solved entry as FAILED with its reason: a broken update rule is not
-    specific to one entry.
+    specific to one entry. Nearest-reachable entries that moved their
+    target by more than ``DEFAULT_WASSERSTEIN_WARN`` are flagged.
 
     Raises:
         EmptyDataset: no entries were supplied.
+        AgedistError: two entries share a name (checked before any solve).
     """
     entries = list(dataset)
     if not entries:
         raise EmptyDataset("no distributions to process")
+    repeated = [name for name, count in Counter(name for name, _ in entries).items()
+                if count > 1]
+    if repeated:
+        raise AgedistError(f"entry name(s) {repeated} appear more than once; "
+                           "every entry needs its own name")
 
     results = {}
     for name, dist in entries:
@@ -254,9 +264,10 @@ def run_dataset(
                     for route in Route}
     distances = {name: res.params.diagnostics["wasserstein_to_original"]
                  for name, res in per_country.items() if res.route is Route.NEAREST_REACHABLE}
-    flagged = tuple(name for name, value in distances.items() if value > warn_wasserstein)
+    flagged = tuple(name for name, value in distances.items()
+                    if value > DEFAULT_WASSERSTEIN_WARN)
     for name in flagged:
         logger.warning("%s: its nearest reachable target moved it by %.4g (threshold %.4g)",
-                       name, distances[name], warn_wasserstein)
+                       name, distances[name], DEFAULT_WASSERSTEIN_WARN)
     mean_distance = float(np.mean(list(distances.values()))) if distances else None
     return PipelineReport(per_country, route_counts, distances, mean_distance, flagged)

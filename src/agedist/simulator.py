@@ -41,8 +41,9 @@ class SimConfig:
     num_agents: int = 10_000
     num_steps: int = 350
     seed: int = 0
-    #: Steps discarded before time-averaging the steady-state estimate.
-    burn_in: int = 300
+    #: Steps discarded before time-averaging the steady-state estimate;
+    #: None keeps all but the final seventh of the steps (300 of 350).
+    burn_in: Optional[int] = None
     record_trajectory: bool = False
     #: Start from a uniform assignment instead of the target (convergence
     #: studies); the default starts at a rounding of the target itself.
@@ -51,10 +52,14 @@ class SimConfig:
     def __post_init__(self):
         for name in ("num_agents", "num_steps", "burn_in", "seed"):
             value = getattr(self, name)
+            if name == "burn_in" and value is None:
+                continue
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.num_agents < 1 or self.num_steps < 1:
             raise ValueError("num_agents and num_steps must be positive")
+        if self.burn_in is None:
+            self.burn_in = self.num_steps - max(1, self.num_steps // 7)
         if not 0 <= self.burn_in < self.num_steps:
             raise ValueError("burn_in must satisfy 0 <= burn_in < num_steps")
         if not 0 <= self.seed < 2**64:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import platform
 import re
@@ -9,6 +10,9 @@ from agedist import model2, pipeline
 from agedist.cli import main
 from agedist.distributions import ALPHA_MIN
 from agedist.dataio import load_params_document
+from agedist.errors import AgedistError
+
+from test_curvefit import bench_generator
 
 
 def strict_load(path):
@@ -50,6 +54,54 @@ class TestClassify:
         out = capsys.readouterr().out.splitlines()
         assert len(out) == 2
         assert out[1].startswith("Hump,")
+
+    def test_unsolvable_country_listed_as_failed(self, dataset, capsys, monkeypatch):
+        def refuse(dist):
+            raise AgedistError("no model-2 station")
+
+        monkeypatch.setattr(pipeline, "solve_model2", refuse)
+        assert main(["classify", "--input", str(dataset)]) == 0
+        table = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines()[1:])
+        assert table["Hump"] == "non_monotone,failed"
+        assert table["Pyramid"] == "monotone_non_increasing,model1"
+
+
+@pytest.fixture
+def route_dataset(tmp_path):
+    """One country per route: a pyramid, a hump, Steep (monotone, its last
+    group 5e9 times the one before it) and a Newtown-like target (first
+    group 0.3 against adults up to 1200)."""
+    return write_dataset(tmp_path / "routes.csv", [
+        ("Pyramid", [500, 300, 150, 50]),
+        ("Hump", [300, 400, 300]),
+        ("Steep", [1, 1e-10, 0.5]),
+        ("Newtown", [0.3, 500, 1200, 900]),
+    ])
+
+
+class TestRouteAgreement:
+    def test_classify_solve_and_pipeline_take_one_route(self, route_dataset, tmp_path, capsys):
+        data = str(route_dataset)
+        assert main(["classify", "--input", data]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        classified = {name: route for name, _, route in rows}
+
+        out_dir = tmp_path / "out"
+        assert main(["pipeline", "--input", data, "--out-dir", str(out_dir),
+                     "--agents", "500", "--steps", "30"]) == 0
+        summary = strict_load(out_dir / "summary.json")
+        piped = {name: entry["route"] for name, entry in summary["per_country"].items()}
+
+        solved = {}
+        for name in classified:
+            capsys.readouterr()
+            assert main(["solve", "--input", data, "--country", name,
+                         "--out", str(tmp_path / f"{name}.json")]) == 0
+            solved[name] = re.search(r": route (\w+),", capsys.readouterr().out).group(1)
+
+        assert classified == piped == solved == {
+            "Pyramid": "model1", "Hump": "model2",
+            "Steep": "nearest_reachable", "Newtown": "nearest_reachable"}
 
 
 class TestSolve:
@@ -416,3 +468,33 @@ class TestPipeline:
         assert err.startswith("error:")
         assert "'Korea Rep.'" in err and "'Korea/Rep.'" in err and "Korea_Rep." in err
         assert not out_dir.exists()
+
+
+def pipeline_digest(out_dir):
+    """SHA-256 over a pipeline run's parameter files, plot CSVs and
+    ``summary.json`` without its machine-dependent ``run`` object."""
+    digest = hashlib.sha256()
+    files = [*(out_dir / "params").glob("*.json"), *(out_dir / "plots").glob("*.csv")]
+    for path in sorted(files):
+        digest.update(path.relative_to(out_dir).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    summary = strict_load(out_dir / "summary.json")
+    del summary["run"]
+    digest.update(json.dumps(summary, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+#: ``pipeline_digest`` of ``agedist pipeline`` on ``wpp_csv(1, 83)``.
+GOLDEN_PIPELINE_DIGEST = "95e0939a723672a602b675783f30e211b5a686d290add3df986de00521f163ea"
+
+
+def test_pipeline_outputs_match_golden_digest(tmp_path):
+    """The pipeline's files on the benchmark's WPP-shaped dataset are pinned
+    byte for byte. Only a change that alters them on purpose (a new random
+    stream, a changed output contract), and records that in CHANGES.md,
+    may update the pin."""
+    data = tmp_path / "wpp.csv"
+    data.write_bytes(bench_generator().wpp_csv(1, 83))
+    out_dir = tmp_path / "out"
+    assert main(["pipeline", "--input", str(data), "--out-dir", str(out_dir)]) == 0
+    assert pipeline_digest(out_dir) == GOLDEN_PIPELINE_DIGEST

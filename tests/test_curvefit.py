@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agedist import AgeDistribution, CurveParams, eval_curve, fit, normalize
+from agedist import AgeDistribution, CurveParams, fit, normalize
 from agedist.curvefit import curve_values
 from agedist.distributions import Classification, classify, default_labels
 from agedist.errors import InteriorZeroGroup
@@ -25,16 +25,21 @@ def curve_distribution(plateau, scale, shape, breakpoint, n):
 
 
 class TestEvalCurve:
+    # curve_values works on log-parameters, so the plateau height comes
+    # back as exp(log(0.1)), within one ulp of 0.1.
     def test_plateau_branch(self):
-        assert eval_curve(CurveParams(0.1, 0.05, 2.0, 3), 2) == 0.1
+        values = curve_values(CurveParams(0.1, 0.05, 2.0, 3), 5)
+        assert values[0] == values[1]
+        assert abs(values[1] - 0.1) <= math.ulp(0.1)
 
     def test_breakpoint_itself_is_plateau_height(self):
-        assert eval_curve(CurveParams(0.1, 0.05, 2.0, 3), 3) == 0.1
+        values = curve_values(CurveParams(0.1, 0.05, 2.0, 3), 5)
+        assert values[2] == values[1]
 
     def test_decay_branch(self):
         # 0.1 * exp(-0.05 * (5-3)^2) = 0.1 * exp(-0.2)
         expected = 0.1 * math.exp(-0.2)
-        assert eval_curve(CurveParams(0.1, 0.05, 2.0, 3), 5) == pytest.approx(
+        assert curve_values(CurveParams(0.1, 0.05, 2.0, 3), 5)[4] == pytest.approx(
             expected, abs=1e-17
         )
         assert expected == pytest.approx(0.0818730753077982, abs=1e-16)

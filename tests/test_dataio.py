@@ -11,7 +11,7 @@ from agedist.dataio import (
     load_params_document,
     write_dataset_csv,
 )
-from agedist.distributions import ModelKind, ModelParams
+from agedist.distributions import MAX_LAST_SURVIVAL, ModelKind, ModelParams
 from agedist.errors import ColumnMappingError, CsvFormatError, SchemaError
 from agedist.model1 import solve
 
@@ -277,3 +277,40 @@ class TestParamsFiles:
         raw[field] = None
         path.write_text(json.dumps(raw))
         assert load_params_document(path).params == solved_params()
+
+    def test_model2_without_activation_rejected(self, tmp_path):
+        path = tmp_path / "params.json"
+        emit_params(solved_params(ModelKind.MODEL2), path)
+        raw = json.loads(path.read_text())
+        raw["activation"] = None
+        path.write_text(json.dumps(raw))
+        with pytest.raises(SchemaError, match="'model2' needs an 'activation' list"):
+            load_params_document(path)
+
+    def test_model1_with_activation_rejected(self, tmp_path):
+        path = tmp_path / "params.json"
+        emit_params(solved_params(), path)
+        raw = json.loads(path.read_text())
+        raw["activation"] = [1.0, 0.5, 1.0]
+        path.write_text(json.dumps(raw))
+        with pytest.raises(SchemaError, match="'model1' takes no 'activation' list"):
+            load_params_document(path)
+
+    def test_free_param_must_match_last_survival(self, tmp_path):
+        path = tmp_path / "params.json"
+        emit_params(solved_params(), path)
+        raw = json.loads(path.read_text())
+        raw["free_param"] = 0.5
+        path.write_text(json.dumps(raw))
+        with pytest.raises(SchemaError, match="'free_param' is 0.5, but the last 'survival' "
+                                              "entry is 0.4"):
+            load_params_document(path)
+
+    def test_last_survival_of_one_loads_capped(self, tmp_path):
+        path = tmp_path / "params.json"
+        emit_params(solved_params(), path)
+        raw = json.loads(path.read_text())
+        raw["survival"][-1] = raw["free_param"] = 1.0
+        path.write_text(json.dumps(raw))
+        params = load_params_document(path).params
+        assert params.survival.probs[-1] == params.free_param == MAX_LAST_SURVIVAL

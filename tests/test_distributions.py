@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -248,12 +249,12 @@ class TestVectors:
 
 
 class TestModelParams:
-    def test_free_param_must_match_last_survival(self):
-        sv = SurvivalVector([0.6, 0.4, 0.4])
-        params = ModelParams(kind=ModelKind.MODEL1, survival=sv)
-        assert params.free_param == 0.4
-        with pytest.raises(ValueError):
-            ModelParams(kind=ModelKind.MODEL1, survival=sv, free_param=0.5)
+    def test_free_param_is_the_last_survival_entry(self):
+        params = ModelParams(kind=ModelKind.MODEL1, survival=SurvivalVector([0.6, 0.4, 0.3]))
+        assert params.free_param == 0.3
+        assert "free_param" not in {f.name for f in dataclasses.fields(ModelParams)}
+        with pytest.raises(AttributeError):
+            params.free_param = 0.5
 
     def test_activation_presence_tied_to_kind(self):
         sv = SurvivalVector([0.6, 0.4, 0.4])

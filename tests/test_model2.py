@@ -517,7 +517,8 @@ class TestOptimize:
             seen.append(np.array(candidates, copy=True))
             return base(candidates)
 
-        optimize(target, DEConfig(seed=2, max_iterations=40), objective=spy)
+        monkeypatch.setattr(model2, "mae_objective", lambda t: spy)
+        optimize(target, DEConfig(seed=2, max_iterations=40))
         assert len(seen) == 41  # initialisation + 40 generations
         for batch in seen:
             assert np.all(batch >= bounds[:, 0])
@@ -536,7 +537,7 @@ class TestOptimize:
             np.abs(ss - WITNESS_TARGET).mean(), abs=1e-15
         )
 
-    def test_non_finite_scores_count_as_infinite(self):
+    def test_non_finite_scores_count_as_infinite(self, monkeypatch):
         # One NaN row at initialisation used to stop the search at
         # iteration 0 with mae=nan; it must lose selection instead.
         base = mae_objective(hump())
@@ -550,15 +551,17 @@ class TestOptimize:
             calls.append(1)
             return scores
 
+        monkeypatch.setattr(model2, "mae_objective", lambda t: poisoned)
         history = []
-        sol = optimize(hump(), DEConfig(seed=0), objective=poisoned, history=history)
+        sol = optimize(hump(), DEConfig(seed=0), history=history)
         assert sol.iterations_used > 0
         assert np.isfinite(sol.mae) and sol.converged
         assert all(np.isfinite(h) for h in history)
 
-    def test_all_non_finite_scores_run_the_full_budget(self):
-        sol = optimize(hump(), DEConfig(seed=0, max_iterations=3),
-                       objective=lambda c: np.full(len(c), np.nan))
+    def test_all_non_finite_scores_run_the_full_budget(self, monkeypatch):
+        monkeypatch.setattr(model2, "mae_objective",
+                            lambda t: lambda c: np.full(len(c), np.nan))
+        sol = optimize(hump(), DEConfig(seed=0, max_iterations=3))
         assert sol.iterations_used == 3
         assert sol.mae == np.inf and not sol.converged
 
@@ -609,12 +612,13 @@ class TestMatchesReferenceLoop:
         assert sol.mae == mae
         assert sol.iterations_used == iterations
 
-    def test_bitwise_equal_with_hooks(self):
+    def test_bitwise_equal_with_hooks(self, monkeypatch):
         # Coarse errors never fall below 0.01: the full budget runs.
         target = hump_target(8)
         config = DEConfig(seed=9, max_iterations=70)
         ours, theirs = [], []
-        sol = optimize(target, config, objective=coarse_error(target), history=ours)
+        monkeypatch.setattr(model2, "mae_objective", lambda t: coarse_error(target))
+        sol = optimize(target, config, history=ours)
         probs, rates, mae, iterations = reference_optimize(
             target.proportions, config, objective=coarse_error(target), history=theirs)
         assert ours == theirs
@@ -776,26 +780,34 @@ class TestRowShares:
         assert len(seen) == config.population_size * (iterations + 1)
 
     @pytest.mark.parametrize("count", [2, 3, 11])
-    def test_hooks_unchanged(self, split, count):
+    def test_hooks_unchanged(self, split, monkeypatch, count):
         split(count)
         target = hump_target(21)
         config = DEConfig(seed=9, population_size=11, max_iterations=40)
         calls, ours, theirs = [], [], []
-        score = coarse_error(target)
 
-        def hook(candidates):
-            calls.append((threading.get_ident(), candidates.shape))
-            return score(candidates)
+        def make(t):
+            score = coarse_error(target)
 
-        sol = optimize(target, config, objective=hook, history=ours)
+            def hook(candidates):
+                calls.append((threading.get_ident(), candidates.shape))
+                return score(candidates)
+
+            return hook
+
+        monkeypatch.setattr(model2, "mae_objective", make)
+        sol = optimize(target, config, history=ours)
         probs, rates, mae, iterations = reference_optimize(
             target.proportions, config, objective=coarse_error(target), history=theirs)
         assert ours == theirs
         assert np.array_equal(sol.survival.probs, probs)
         assert (sol.mae, sol.iterations_used) == (mae, iterations)
-        # One call per generation plus the initial population, each with
-        # the whole matrix, all from the calling thread.
-        assert calls == [(threading.get_ident(), (11, 42))] * (iterations + 1)
+        # Each share scores its own rows, once for the initial population
+        # and once per generation; the calling thread takes a share.
+        assert len(calls) == count * (iterations + 1)
+        assert sum(rows for _, (rows, _) in calls) == 11 * (iterations + 1)
+        assert {columns for _, (_, columns) in calls} == {42}
+        assert threading.get_ident() in {ident for ident, _ in calls}
 
     def test_history_bitwise_equal_across_share_counts(self, split):
         target = hump_target(101)

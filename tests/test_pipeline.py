@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from agedist import AgeDistribution, SimConfig, curvefit, model1, model2, normalize, simulator
+from agedist import (
+    AgeDistribution,
+    SimConfig,
+    curvefit,
+    model1,
+    model2,
+    normalize,
+    pipeline,
+    simulator,
+)
 from agedist.distributions import (
     ALPHA_MIN,
     Classification,
@@ -12,6 +21,7 @@ from agedist.distributions import (
     wasserstein,
 )
 from agedist.errors import (
+    AgedistError,
     DegenerateLastGroup,
     EmptyDataset,
     InvalidEntry,
@@ -165,8 +175,7 @@ class TestSelectAndSolve:
 
 
 class TestSolveModel1:
-    @pytest.mark.parametrize("p_n, mode", [("mid", "midpoint"), ("midpoint", "midpoint"),
-                                           (0.25, "explicit")])
+    @pytest.mark.parametrize("p_n, mode", [("mid", "midpoint"), (0.25, "explicit")])
     def test_free_param_mode(self, p_n, mode):
         params, analytic = solve_model1(MONO, p_n)
         assert params.kind is ModelKind.MODEL1
@@ -178,7 +187,6 @@ class TestSolveModel1:
         params, _ = solve_model1(MONO, "rand", seed=11)
         assert params.diagnostics["free_param_mode"] == "rand"
         assert params.diagnostics["seed"] == 11
-        assert params == solve_model1(MONO, "random", seed=11)[0]
 
 
 class TestSolveCurveFit:
@@ -289,7 +297,16 @@ class TestRunDataset:
         with pytest.raises(EmptyDataset):
             run_dataset([], sim_config)
 
-    def test_nearest_reachable_distances_collected(self, sim_config):
+    def test_repeated_name_rejected_before_solving(self, sim_config, monkeypatch):
+        solved = []
+        solve_one = pipeline._solve_one
+        monkeypatch.setattr(pipeline, "_solve_one",
+                            lambda dist: solved.append(dist) or solve_one(dist))
+        with pytest.raises(AgedistError, match="'A'"):
+            run_dataset([("A", MONO), ("B", HUMP), ("A", HUMP)], sim_config)
+        assert solved == []
+
+    def test_nearest_reachable_distances_collected(self, sim_config, monkeypatch):
         dataset = [("stubborn", flat_then_humped()), ("steep", STEEP), ("mono", MONO)]
         report = run_dataset(dataset, sim_config)
         distances = report.nearest_reachable_wasserstein
@@ -300,7 +317,8 @@ class TestRunDataset:
         # Both move their targets by about 1e-4, well within the default
         # warning threshold; a tighter one flags them.
         assert report.flagged == ()
-        tight = run_dataset(dataset, sim_config, warn_wasserstein=1e-5)
+        monkeypatch.setattr(pipeline, "DEFAULT_WASSERSTEIN_WARN", 1e-5)
+        tight = run_dataset(dataset, sim_config)
         assert tight.flagged == ("steep", "stubborn")
 
     def test_no_nearest_reachable_means_no_mean(self, sim_config):

@@ -600,6 +600,22 @@ class TestRun:
         assert run(np.full(4, 0.25), ModelParams(kind=ModelKind.MODEL1, survival=np.full(4, 0.5)),
                    config).total_deaths > 0
 
+    def test_default_burn_in_keeps_the_final_seventh(self):
+        assert SimConfig().burn_in == 300
+        assert SimConfig(num_steps=100).burn_in == 86
+        assert SimConfig(num_steps=6).burn_in == 5
+        assert SimConfig(num_steps=1).burn_in == 0
+
+    def test_explicit_burn_in_kept_and_validated(self):
+        assert SimConfig(num_steps=100, burn_in=10).burn_in == 10
+        assert SimConfig(burn_in=0).burn_in == 0
+        with pytest.raises(ValueError, match="0 <= burn_in < num_steps"):
+            SimConfig(num_steps=100, burn_in=100)
+        with pytest.raises(ValueError, match="0 <= burn_in < num_steps"):
+            SimConfig(burn_in=-1)
+        with pytest.raises(ValueError, match="burn_in must be an integer"):
+            SimConfig(burn_in=1.5)
+
 
 class TestTrajectoryCsv:
     def test_round_trip_at_ten_significant_digits(self, tmp_path, pyramid):
