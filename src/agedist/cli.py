@@ -9,7 +9,8 @@ original method's plateau-decay surrogate plus closed-form solve),
 (the full cascade over a dataset, emitting parameter files and plot-data
 CSVs). ``solve`` shares the pipeline's stations, so its files carry the
 pipeline's diagnostics; ``classify``, ``solve --model auto`` and
-``pipeline`` all take the route that ``pipeline._solve_one`` picks.
+``pipeline`` all take the route that ``pipeline._solve_one`` picks, and
+``solve`` names the route of every ``--model`` as the pipeline does.
 
 Every failure exits nonzero after printing a line prefixed ``error:`` to
 stderr. All subcommands are deterministic given identical inputs and
@@ -124,11 +125,15 @@ def cmd_solve(args) -> int:
     dist = _find(entries, args.country)
     p_n = _parse_pn(args.pn)
     if args.model == "auto":
-        params, route, _ = pipeline._solve_one(dist, p_n, seed=args.seed)
+        params, _, _ = pipeline._solve_one(dist, p_n, seed=args.seed)
     else:
         params, _ = (pipeline.solve_model1(dist, p_n, seed=args.seed)
                      if args.model == "1" else pipeline.solve_model2(dist))
-        route = params.kind
+    route = pipeline._route_of(params)
+    if route is not pipeline.Route.MODEL1 and args.pn != "mid":
+        raise AgedistError(
+            f"--pn {args.pn} applies to model 1 only: {args.country} takes route "
+            f"{route.value}, whose last-group survival is the midpoint")
 
     dataio.emit_params(
         params,
@@ -309,7 +314,7 @@ def build_parser() -> _Parser:
     p.add_argument("--country", required=True)
     p.add_argument("--model", choices=("auto", "1", "2"), default="auto")
     p.add_argument("--pn", default="mid",
-                   help="last-group survival: mid, rand or a number")
+                   help="last-group survival on route model1: mid, rand or a number")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="parameter file to write")
     p.set_defaults(func=cmd_solve)

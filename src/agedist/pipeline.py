@@ -12,10 +12,11 @@ of. ``_solve_one`` is the only place that picks a route: the cascade and
 the command line's ``classify`` and ``solve --model auto`` all call it.
 ``solve_model1`` and ``solve_model2`` return each station's parameters,
 diagnostics and analytic steady state, for the cascade and the command
-line alike. Every solved parameter set is validated with one
-stochastic run against its own analytic steady state. ``run_dataset``
-solves every entry first and then validates all of them in one
-``simulator.run_many`` batch, which draws their shared uniform stream once.
+line alike; ``_route_of`` names the route of their parameters. Every
+solved parameter set is validated with one stochastic run against its own
+analytic steady state. ``run_dataset`` solves every entry first and then
+validates all of them in one ``simulator.run_many`` batch, which draws
+their shared uniform stream once.
 """
 
 from __future__ import annotations
@@ -188,9 +189,17 @@ def _solve_one(dist: AgeDistribution, p_n="mid", *, seed: Optional[int] = None) 
         except DegenerateLastGroup:
             pass
     params, analytic = solve_model2(dist)
-    route = (Route.MODEL2 if params.diagnostics["solver"] == "closed_form"
-             else Route.NEAREST_REACHABLE)
-    return params, route, analytic
+    return params, _route_of(params), analytic
+
+
+def _route_of(params: ModelParams) -> Route:
+    """The route of a station's parameters (``solve_model1`` or
+    ``solve_model2``): a model-2 result is MODEL2 from the closed form and
+    NEAREST_REACHABLE otherwise."""
+    if params.kind is ModelKind.MODEL1:
+        return Route.MODEL1
+    closed_form = params.diagnostics["solver"] == "closed_form"
+    return Route.MODEL2 if closed_form else Route.NEAREST_REACHABLE
 
 
 def _validate(solved, sim_config: Optional[simulator.SimConfig]) -> list:

@@ -8,8 +8,10 @@ generator: an agent of group i advances one group below ``alpha_i p_i`` (the
 last group keeps its survivors), dies between ``alpha_i p_i`` and
 ``alpha_i``, and stays inactive above (``alpha = 1`` in the plain process).
 Every death is replaced by a fresh agent in group 1, so the population size
-never changes. The counts are, bit for bit, those of the per-agent ``step``
-on the group-sorted agents, sorted again after every step.
+never changes. The counts are, bit for bit, those of the per-agent
+single-draw update on the group-sorted agents, sorted again after every
+step (``reference_sorted_run`` in ``tests/oracles.py``). A run starts from
+the distribution it is given: a uniform one starts from equal shares.
 
 ``run_many`` simulates a batch of parameter sets under one config. Runs of
 one config read the same uniform stream whatever their counts, so the batch
@@ -45,11 +47,10 @@ class SimConfig:
     #: None keeps all but the final seventh of the steps (300 of 350).
     burn_in: Optional[int] = None
     record_trajectory: bool = False
-    #: Start from a uniform assignment instead of the target (convergence
-    #: studies); the default starts at a rounding of the target itself.
-    uniform_start: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.record_trajectory, (bool, np.bool_)):
+            raise ValueError(f"record_trajectory must be a bool, not {self.record_trajectory!r}")
         for name in ("num_agents", "num_steps", "burn_in", "seed"):
             value = getattr(self, name)
             if name == "burn_in" and value is None:
@@ -100,57 +101,20 @@ def apportion(proportions, total: int) -> np.ndarray:
 
 
 def start_counts(target, config: SimConfig) -> np.ndarray:
-    """Group counts at step 0: the target, or equal shares with
-    ``uniform_start``, apportioned to ``config.num_agents``. A target whose
-    proportions do not sum to 1 raises NotNormalized."""
+    """Group counts at step 0: the start distribution ``target``
+    apportioned to ``config.num_agents``. A target whose proportions do not
+    sum to 1 raises NotNormalized."""
     props = proportions_of(target)
     total = float(props.sum())
     if abs(total - 1.0) > SUM_TOLERANCE:
         raise NotNormalized(f"target proportions sum to {total!r}, not 1")
-    n = props.size
-    start = np.full(n, 1.0 / n) if config.uniform_start else props
-    return apportion(start, config.num_agents)
-
-
-def initialize(target, config: SimConfig) -> np.ndarray:
-    """Per-agent group indices at step 0, sorted by group."""
-    counts = start_counts(target, config)
-    return np.repeat(np.arange(counts.size), counts)
-
-
-def step(state, survival, activation, rng) -> tuple:
-    """One synchronous per-agent update; returns (new state, deaths).
-
-    Each agent takes one uniform ``u`` from ``rng``, in agent order. An
-    agent of group i advances when ``u < alpha_i p_i`` (the last group
-    keeps it), dies when ``alpha_i p_i <= u < alpha_i`` and is replaced in
-    the first group, and otherwise stays inactive where it is; ``alpha``
-    is 1 when ``activation`` is None (the plain process), so a plain agent
-    always advances or dies. ``run`` steps counts instead, with the same
-    draws as this update on group-sorted agents.
-    """
-    advance_below, stay_from = _thresholds(survival, activation)
-    u = rng.random(state.size)
-    advances = u < advance_below[state]
-    kept = advances if stay_from is None else advances | (u >= stay_from[state])
-    new_state = np.where(kept, np.minimum(state + advances, advance_below.size - 1), 0)
-    return new_state, int(state.size - np.count_nonzero(kept))
-
-
-def _thresholds(survival, activation) -> tuple:
-    """Per-group uniform thresholds of the single-draw rule: advance below
-    ``alpha * p``, stay from ``alpha`` up. The stay threshold is None for
-    the plain process, whose advance threshold is ``p`` itself."""
-    probs = np.asarray(survival, dtype=float)
-    if activation is None:
-        return probs, None
-    rates = np.asarray(activation, dtype=float)
-    return rates * probs, rates
+    return apportion(props, config.num_agents)
 
 
 def run(target, params: ModelParams, config: Optional[SimConfig] = None) -> SimResult:
-    """Simulate ``config.num_steps`` steps of one parameter set and estimate
-    its steady state: ``run_many`` on a batch of one."""
+    """Simulate ``config.num_steps`` steps of one parameter set from the
+    start distribution ``target`` and estimate its steady state:
+    ``run_many`` on a batch of one."""
     return run_many([target], [params], config)[0]
 
 
@@ -158,14 +122,16 @@ def run_many(targets, params, config: Optional[SimConfig] = None) -> list:
     """Simulate every (target, parameter set) pair under one config; returns
     one SimResult per pair, in order.
 
-    The state is the group counts. Each step draws one uniform per agent,
-    once for the whole batch, from the config's seeded generator, and every
-    member reads that same stream in its own group order. So each member's
-    results are, bit for bit, those of its own ``run``, and its counts
-    those of ``step`` on its group-sorted agents sorted again after every
-    step. The estimate is the time-average of the per-step group
-    proportions over the steps after ``burn_in``; the final snapshot is
-    also reported. Deterministic for a given seed.
+    Each member starts at its target, apportioned by ``start_counts``, and
+    takes its labels from it. The state is the group counts. Each step
+    draws one uniform per agent, once for the whole batch, from the
+    config's seeded generator, and every member reads that same stream in
+    its own group order. So each member's results are, bit for bit, those
+    of its own ``run``, and its counts those of the per-agent single-draw
+    update on its group-sorted agents sorted again after every step. The
+    estimate is the time-average of the per-step group proportions over the
+    steps after ``burn_in``; the final snapshot is also reported.
+    Deterministic for a given seed.
 
     Raises:
         ValueError: a parameter set and its target differ in group count.
@@ -227,15 +193,17 @@ def run_many(targets, params, config: Optional[SimConfig] = None) -> list:
 
 def _member(index: int, target, params: ModelParams, config: SimConfig) -> tuple:
     """A batch member's start counts, advance and stay thresholds, and
-    labels."""
+    labels: advance below ``alpha * p``, stay from ``alpha`` up; a plain
+    member advances below ``p`` and has no stay threshold."""
     n = proportions_of(target).size
     survival = params.survival.probs
     if survival.size != n:
         raise ValueError(
             f"member {index}: params have {survival.size} groups, target has {n}")
-    activation = params.activation.rates if params.activation is not None else None
+    rates = params.activation.rates if params.activation is not None else None
+    advance_below = survival if rates is None else rates * survival
     labels = tuple(target.labels) if hasattr(target, "labels") else default_labels(n)
-    return (start_counts(target, config), *_thresholds(survival, activation), labels)
+    return start_counts(target, config), advance_below, rates, labels
 
 
 class _Batch:
@@ -245,10 +213,9 @@ class _Batch:
     A step draws the uniforms once, in chunks of ``min(num_agents, BLOCK)``.
     Members are packed into tiles of at most ``BLOCK`` agents (one member a
     tile when a chunk is full width). Per chunk and tile, the members'
-    thresholds are repeated over their own uniforms into one (members,
-    chunk) row set, compared with the chunk by broadcasting and counted per
-    group with one ``np.add.reduceat``. The thresholds are per member, as
-    ``_thresholds`` gives them.
+    thresholds (from ``_member``) are repeated over their own uniforms into
+    one (members, chunk) row set, compared with the chunk by broadcasting
+    and counted per group with one ``np.add.reduceat``.
     """
 
     def __init__(self, advance_below, stay_from, num_agents: int):

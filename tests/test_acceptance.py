@@ -26,7 +26,7 @@ from agedist.cli import main
 from agedist.curvefit import curve_values
 from agedist.distributions import Classification, ModelKind, ModelParams
 from agedist.model1 import feasibility, solve, steady_state
-from agedist.simulator import run, step
+from agedist.simulator import run
 
 
 def report(number: int, description: str, ok: bool) -> None:
@@ -164,12 +164,12 @@ def test_criterion_6_conservation_and_determinism(tmp_path):
     survival = solve(dist, "mid")
     params = ModelParams(kind=ModelKind.MODEL1, survival=survival)
 
-    state = np.repeat(np.arange(4), [4000, 3000, 2000, 1000])
-    rng = np.random.default_rng(123)
-    conserved = True
-    for _ in range(100):
-        state, _ = step(state, survival.probs, None, rng)
-        conserved = conserved and state.size == 10_000
+    # The recorded trajectory holds every step's counts over 10,000 agents.
+    recorded = run(dist, params, SimConfig(num_agents=10_000, num_steps=100, seed=123,
+                                           record_trajectory=True)).trajectory
+    counts = np.rint(recorded * 10_000)
+    conserved = (recorded.shape == (100, 4) and np.array_equal(counts / 10_000, recorded)
+                 and np.all(counts.sum(axis=1) == 10_000) and np.all(counts >= 0))
 
     a = run(dist, params, SimConfig(seed=9, record_trajectory=True))
     b = run(dist, params, SimConfig(seed=9, record_trajectory=True))

@@ -92,14 +92,18 @@ class TestRouteAgreement:
         summary = strict_load(out_dir / "summary.json")
         piped = {name: entry["route"] for name, entry in summary["per_country"].items()}
 
-        solved = {}
-        for name in classified:
+        def solved_route(name, model):
             capsys.readouterr()
-            assert main(["solve", "--input", data, "--country", name,
-                         "--out", str(tmp_path / f"{name}.json")]) == 0
-            solved[name] = re.search(r": route (\w+),", capsys.readouterr().out).group(1)
+            assert main(["solve", "--input", data, "--country", name, "--model", model,
+                         "--out", str(tmp_path / f"{name}-{model}.json")]) == 0
+            return re.search(r": route (\w+),", capsys.readouterr().out).group(1)
 
-        assert classified == piped == solved == {
+        solved = {name: solved_route(name, "auto") for name in classified}
+        # The explicit model of each country's route names it the same way.
+        forced = {name: solved_route(name, "1" if name == "Pyramid" else "2")
+                  for name in classified}
+
+        assert classified == piped == solved == forced == {
             "Pyramid": "model1", "Hump": "model2",
             "Steep": "nearest_reachable", "Newtown": "nearest_reachable"}
 
@@ -131,12 +135,13 @@ class TestSolve:
         assert document.config["seed"] == 3
 
     def test_explicit_pn(self, dataset, tmp_path):
-        out_file = tmp_path / "pyramid.json"
-        assert main([
-            "solve", "--input", str(dataset), "--country", "Pyramid",
-            "--pn", "0.25", "--out", str(out_file),
-        ]) == 0
-        assert load_params_document(out_file).params.free_param == 0.25
+        for model in ("auto", "1"):
+            out_file = tmp_path / f"pyramid-{model}.json"
+            assert main([
+                "solve", "--input", str(dataset), "--country", "Pyramid",
+                "--model", model, "--pn", "0.25", "--out", str(out_file),
+            ]) == 0
+            assert load_params_document(out_file).params.free_param == 0.25
 
     @pytest.mark.parametrize("pn, mode", [("mid", "midpoint"), ("rand", "rand"),
                                           ("0.25", "explicit")])
@@ -151,6 +156,25 @@ class TestSolve:
         assert ("seed" in diagnostics) == (pn == "rand")
         if pn == "rand":
             assert diagnostics["seed"] == 4
+
+    @pytest.mark.parametrize("country, model, pn, route", [
+        ("Hump", "auto", "0.3", "model2"),
+        ("Hump", "2", "rand", "model2"),
+        ("Newtown", "auto", "0.3", "nearest_reachable"),
+    ])
+    def test_pn_on_a_model2_route_fails(self, tmp_path, capsys, country, model, pn, route):
+        # The model-2 stations always take the midpoint, so any other --pn
+        # would be echoed in the file's config but not applied.
+        data = write_dataset(tmp_path / "pn.csv", [
+            ("Hump", [100, 300, 200, 50]), ("Newtown", [0.3, 500, 1200, 900])])
+        out_file = tmp_path / "x.json"
+        code = main(["solve", "--input", str(data), "--country", country,
+                     "--model", model, "--pn", pn, "--out", str(out_file)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --pn {pn} applies to model 1 only")
+        assert f"route {route}," in err
+        assert not out_file.exists()
 
     def test_forcing_model1_on_hump_fails(self, dataset, tmp_path, capsys):
         code = main([

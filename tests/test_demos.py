@@ -1,13 +1,17 @@
 """Smoke gate: every narrated script in ``demos/``, and the README's library
-quick start, runs to completion."""
+quick start, runs to completion, and every name the README cites exists."""
 
+import importlib
 import os
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import oracles
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -44,3 +48,24 @@ def test_demo_exits_cleanly(script, tmp_path):
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
+
+
+MODULE_NAME = re.compile(
+    r"(?<![\w/.])(?:agedist\.)?"
+    r"(model1|model2|pipeline|simulator|dataio|curvefit|distributions)\.([A-Za-z_]\w*)")
+ORACLE_NAME = re.compile(r"tests/oracles\.py::(\w+)")
+
+
+def test_readme_names_resolve():
+    # Every module attribute and oracle that the README cites in backticks
+    # exists, so that a rename or deletion takes its description with it.
+    spans = re.findall(r"`([^`\n]+)`", README.read_text(encoding="utf-8"))
+    cited = {match for span in spans for match in MODULE_NAME.findall(span)}
+    assert len(cited) >= 10, cited
+    missing = [f"{module}.{name}" for module, name in sorted(cited)
+               if not hasattr(importlib.import_module(f"agedist.{module}"), name)]
+    cited_oracles = {name for span in spans for name in ORACLE_NAME.findall(span)}
+    assert cited_oracles
+    missing += [f"tests/oracles.py::{name}" for name in sorted(cited_oracles)
+                if not hasattr(oracles, name)]
+    assert not missing, missing

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from agedist import AgeDistribution, DEConfig, SimConfig, optimize, simulator
+from agedist import AgeDistribution, DEConfig, SimConfig, normalize, optimize, simulator
 from agedist.distributions import ModelKind, ModelParams
 from agedist.errors import NotNormalized, ResidualCheckFailed
 from agedist.model1 import solve, steady_state
 from agedist.model2 import steady_state2
-from agedist.simulator import (
-    apportion, initialize, run, run_many, step, write_trajectory_csv,
-)
+from agedist.simulator import apportion, run, run_many, start_counts, write_trajectory_csv
 
 from oracles import reference_single_draw_step, reference_sorted_run, reference_step
 
@@ -46,55 +44,74 @@ class TestApportionment:
             assert np.all(counts >= 0)
 
 
+def recorded_counts(result, num_agents):
+    """The group counts of every recorded step of a run."""
+    counts = np.rint(result.trajectory * num_agents).astype(np.int64)
+    assert np.array_equal(counts / num_agents, result.trajectory)
+    return counts
+
+
+def one_step(counts, params, seed=0):
+    """One recorded step of ``run`` from the given group counts; returns
+    (new counts, deaths)."""
+    total = int(np.sum(counts))
+    start = np.asarray(counts) / total
+    config = SimConfig(num_agents=total, num_steps=1, burn_in=0, seed=seed,
+                       record_trajectory=True)
+    assert np.array_equal(start_counts(start, config), counts)
+    result = run(start, params, config)
+    return recorded_counts(result, total)[0], result.total_deaths
+
+
 class TestStep:
+    """One step of ``run`` on counts."""
+
     def test_deterministic_hand_trace(self):
         # p in {0,1} removes all randomness: group 1 and 2 advance wholesale,
         # group 3 dies wholesale and is replaced in group 1.
-        state = np.repeat(np.arange(3), [5, 3, 2])
-        new_state, deaths = step(
-            state, np.array([1.0, 1.0, 0.0]), None, np.random.default_rng(0)
-        )
-        assert np.bincount(new_state, minlength=3).tolist() == [2, 5, 3]
+        params = ModelParams(kind=ModelKind.MODEL1, survival=np.array([1.0, 1.0, 0.0]))
+        counts, deaths = one_step([5, 3, 2], params)
+        assert counts.tolist() == [2, 5, 3]
         assert deaths == 2
 
     def test_population_conserved(self):
-        state = np.repeat(np.arange(3), [5000, 3000, 2000])
-        rng = np.random.default_rng(7)
-        probs = np.array([0.6, 0.4, 0.4])
-        for _ in range(20):
-            state, _ = step(state, probs, None, rng)
-            assert state.size == 10_000
+        params = ModelParams(kind=ModelKind.MODEL1, survival=np.array([0.6, 0.4, 0.4]))
+        config = SimConfig(num_agents=10_000, num_steps=20, burn_in=0, seed=7,
+                           record_trajectory=True)
+        result = run(np.array([0.5, 0.3, 0.2]), params, config)
+        counts = recorded_counts(result, 10_000)
+        assert counts.shape == (20, 3)
+        assert np.all(counts.sum(axis=1) == 10_000) and np.all(counts >= 0)
 
     def test_all_ones_activation_matches_plain_draw_layout(self):
         # With rates of 1 every agent is active and its one draw decides
         # survival exactly as in the plain process.
-        state = np.repeat(np.arange(3), [5, 3, 2])
-        new_state, deaths = step(
-            state,
-            np.array([1.0, 1.0, 0.0]),
-            np.array([1.0, 1.0, 1.0]),
-            np.random.default_rng(0),
-        )
-        assert np.bincount(new_state, minlength=3).tolist() == [2, 5, 3]
+        params = ModelParams(kind=ModelKind.MODEL2, survival=np.array([1.0, 1.0, 0.0]),
+                             activation=np.ones(3))
+        counts, deaths = one_step([5, 3, 2], params)
+        assert counts.tolist() == [2, 5, 3]
         assert deaths == 2
 
     def test_unit_activation_is_plain_step_bit_for_bit(self):
-        rng = np.random.default_rng(11)
-        survival = rng.uniform(0.05, 0.95, size=7)
-        state = np.repeat(np.arange(7), [300, 250, 200, 100, 80, 50, 20])
-        plain, activated = state, state
-        ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
-        for _ in range(30):
-            plain, plain_deaths = step(plain, survival, None, ours)
-            activated, deaths = step(activated, survival, np.ones(7), theirs)
-            assert np.array_equal(plain, activated) and plain_deaths == deaths
+        # Step after step, from the counts each step left behind.
+        survival = np.random.default_rng(11).uniform(0.05, 0.95, size=7)
+        plain = ModelParams(kind=ModelKind.MODEL1, survival=survival)
+        activated = ModelParams(kind=ModelKind.MODEL2, survival=survival,
+                                activation=np.ones(7))
+        counts = np.array([300, 250, 200, 100, 80, 50, 20])
+        for seed in range(30):
+            new_counts, plain_deaths = one_step(counts, plain, seed)
+            activated_counts, deaths = one_step(counts, activated, seed)
+            assert np.array_equal(new_counts, activated_counts) and plain_deaths == deaths
             assert type(deaths) is int
+            counts = new_counts
 
 
-# The plain cases pin step to the two-draw reference, which takes the
-# same single draw per agent when there is no activation. The activated
-# cases pin it to the single-draw reference: the two-draw layout has the
-# same law (TestDrawLayoutsAgree) but a different stream.
+# The plain cases pin the single-draw update to the two-draw reference,
+# which takes the same single draw per agent when there is no activation.
+# The activated cases pin run to the single-draw update itself: the
+# two-draw layout has the same law (TestDrawLayoutsAgree) but a different
+# stream.
 REFERENCES = [
     pytest.param(None, reference_step, id="None"),
     pytest.param(ACTIVATION, reference_single_draw_step, id="activation1"),
@@ -102,22 +119,24 @@ REFERENCES = [
 
 
 class TestMatchesReferenceStep:
-    """step reproduces the reference updates, and run the sorted per-agent
-    run, bit for bit."""
+    """One step of run reproduces the reference updates on group-sorted
+    agents, and run the sorted per-agent run, bit for bit."""
 
     @pytest.mark.parametrize("activation, reference", REFERENCES)
     def test_step(self, activation, reference):
+        kind = ModelKind.MODEL1 if activation is None else ModelKind.MODEL2
+        params = ModelParams(kind=kind, survival=SURVIVAL, activation=activation)
         state = np.repeat(np.arange(5), [400, 300, 150, 100, 50])
-        ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
-        expected = state
-        for _ in range(30):
-            state, deaths = step(state, SURVIVAL, activation, ours)
-            expected, expected_deaths = reference(expected, SURVIVAL, activation, theirs)
-            assert np.array_equal(state, expected) and deaths == expected_deaths
-        # step leaves its input untouched.
-        before = state.copy()
-        step(state, SURVIVAL, activation, ours)
-        assert np.array_equal(state, before)
+        for seed in range(30):
+            expected, expected_deaths = reference(
+                state, SURVIVAL, activation, np.random.default_rng(seed))
+            single, deaths = reference_single_draw_step(
+                state, SURVIVAL, activation, np.random.default_rng(seed))
+            assert np.array_equal(single, expected) and deaths == expected_deaths
+            counts, deaths = one_step(np.bincount(state, minlength=5), params, seed)
+            assert np.array_equal(counts, np.bincount(expected, minlength=5))
+            assert deaths == expected_deaths
+            state = np.sort(expected)
 
     @pytest.mark.parametrize("activation", [None, ACTIVATION])
     def test_run(self, activation):
@@ -137,8 +156,9 @@ def assert_matches_sorted_run(target, params, config, result=None):
     activation = None if params.activation is None else params.activation.rates
     if result is None:
         result = run(target, params, config)
+    start = np.repeat(np.arange(len(params.survival)), start_counts(target, config))
     trajectory, estimate, deaths = reference_sorted_run(
-        initialize(target, config), params.survival.probs, activation, config)
+        start, params.survival.probs, activation, config)
     if config.record_trajectory:
         assert np.array_equal(result.trajectory, trajectory)
     else:
@@ -174,7 +194,7 @@ class TestMatchesSortedRun:
         target = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0]) / 3.0
         config = SimConfig(num_agents=3, num_steps=80, burn_in=40, seed=6,
                            record_trajectory=True)
-        assert initialize(target, config).tolist() == [1, 3, 4]
+        assert start_counts(target, config).tolist() == [0, 1, 0, 1, 1, 0, 0]
         assert_matches_sorted_run(target, params, config)
 
     @pytest.mark.parametrize("activation", [None, ACTIVATION])
@@ -195,11 +215,12 @@ class TestMatchesSortedRun:
     def test_uniform_start(self, activation):
         kind = ModelKind.MODEL1 if activation is None else ModelKind.MODEL2
         params = ModelParams(kind=kind, survival=SURVIVAL, activation=activation)
-        target = steady_state2(SURVIVAL, np.ones(5))
+        uniform = normalize(np.ones(5), ("a", "b", "c", "d", "e"))
         config = SimConfig(num_agents=997, num_steps=30, burn_in=10, seed=3,
-                           uniform_start=True, record_trajectory=True)
-        assert simulator.start_counts(target, config).tolist() == [200, 200, 199, 199, 199]
-        assert_matches_sorted_run(target, params, config)
+                           record_trajectory=True)
+        assert start_counts(uniform, config).tolist() == [200, 200, 199, 199, 199]
+        result = assert_matches_sorted_run(uniform, params, config)
+        assert result.labels == ("a", "b", "c", "d", "e")
 
     def test_unit_activation_is_plain_run(self):
         target = steady_state(SURVIVAL)
@@ -275,7 +296,7 @@ class TestDrawLayoutsAgree:
         fourth = (c * spread * (1.0 - 6.0 * spread)).sum(axis=0) + 3.0 * var**2
         return mean, var, fourth
 
-    @pytest.mark.parametrize("layout", [step, reference_step])
+    @pytest.mark.parametrize("layout", [reference_single_draw_step, reference_step])
     def test_one_step_moments(self, layout):
         state = np.repeat(np.arange(5), self.COUNTS)
         samples = np.empty((self.SEEDS, 6))
@@ -301,7 +322,8 @@ class TestDrawLayoutsAgree:
         for seed in seeds:
             config = SimConfig(num_agents=2000, num_steps=100, burn_in=20, seed=seed)
             kernel.append(run(target, params, config).steady_estimate)
-            state, rng = initialize(target, config), np.random.default_rng(seed)
+            state = np.repeat(np.arange(5), start_counts(target, config))
+            rng = np.random.default_rng(seed)
             total = np.zeros(5)
             for step_index in range(1, config.num_steps + 1):
                 state, _ = reference_step(state, SURVIVAL, ACTIVATION, rng)
@@ -398,9 +420,10 @@ class TestRunMany:
     @pytest.mark.parametrize("block", [7, 32_768])
     def test_uniform_start_without_trajectory(self, block, monkeypatch):
         monkeypatch.setattr(simulator, "BLOCK", block)
-        config = SimConfig(num_agents=40, num_steps=30, burn_in=10, seed=5,
-                           uniform_start=True)
-        results = assert_batch_matches_own_runs(*batch_members(), config)
+        config = SimConfig(num_agents=40, num_steps=30, burn_in=10, seed=5)
+        targets, params = batch_members()
+        uniform = [np.full(len(target), 1.0 / len(target)) for target in targets]
+        results = assert_batch_matches_own_runs(uniform, params, config)
         assert all(result.trajectory is None for result in results)
 
     def test_batch_of_one(self):
@@ -522,9 +545,7 @@ class TestRun:
 
     def test_uniform_start_still_converges(self, pyramid):
         params = model1_params(pyramid)
-        result = run(
-            pyramid, params, SimConfig(seed=4, uniform_start=True)
-        )
+        result = run(normalize(np.ones(3), pyramid.labels), params, SimConfig(seed=4))
         analytic = steady_state(params.survival)
         assert np.abs(result.steady_estimate - analytic.proportions).mean() < 5e-3
 
@@ -566,9 +587,6 @@ class TestRun:
         for target in (np.ones(5), np.full(5, 0.2 + 1e-11)):
             with pytest.raises(NotNormalized, match="sum to"):
                 run(target, params, config)
-            with pytest.raises(NotNormalized):
-                run(target, params, SimConfig(num_agents=1000, num_steps=5, burn_in=1,
-                                              uniform_start=True))
             # One bad member stops the whole batch before any draw.
             with pytest.raises(NotNormalized):
                 run_many([np.full(5, 0.2), target], [params, params], config)
@@ -595,6 +613,11 @@ class TestRun:
                 SimConfig(seed=bad)
         with pytest.raises(ValueError, match="unsigned 64-bit"):
             SimConfig(seed=-1)
+        # A string would record a trajectory because it is truthy.
+        for bad in ("no", 1, None):
+            with pytest.raises(ValueError, match="record_trajectory must be a bool"):
+                SimConfig(record_trajectory=bad)
+        assert SimConfig(record_trajectory=np.bool_(True)).record_trajectory
         config = SimConfig(num_agents=np.int64(40), num_steps=np.int32(6), burn_in=2,
                            seed=np.uint64(2**64 - 1))
         assert run(np.full(4, 0.25), ModelParams(kind=ModelKind.MODEL1, survival=np.full(4, 0.5)),
