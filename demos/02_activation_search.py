@@ -10,21 +10,16 @@ model-2 closed form at the end picks one pair directly, with no search.
 
 import numpy as np
 
-from agedist import (
-    AgeDistribution,
-    DEConfig,
-    SimConfig,
-    model2,
-    optimize,
-    steady_state2,
-)
+from agedist import SimConfig, model2, optimize
 from agedist.distributions import (
+    AgeDistribution,
     Classification,
     ModelKind,
     ModelParams,
     classify,
     mean_absolute_error,
 )
+from agedist.model2 import DEConfig, steady_state2
 from agedist.simulator import run
 
 # A working-age hump: groups rise into the 20-30 band, then decay.

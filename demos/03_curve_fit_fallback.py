@@ -15,8 +15,8 @@ answer.
 
 import numpy as np
 
-from agedist import AgeDistribution, fit, pipeline
-from agedist.distributions import classify, mean_absolute_error, wasserstein
+from agedist import fit, pipeline
+from agedist.distributions import AgeDistribution, classify, mean_absolute_error, wasserstein
 from agedist.model1 import solve, steady_state
 
 # Flat through mid-life with gentle waves, then a decaying tail.

@@ -108,16 +108,17 @@ def cmd_classify(args) -> int:
     entries = _ingest(args, skipped=skipped)
     if args.country is not None:
         entries = [(args.country, _find(entries, args.country))]
-    print("country,classification,eligible_route")
-    for name, dist in entries:
-        try:
-            route = pipeline._solve_one(dist)[1].value
-        except AgedistError:
-            route = pipeline.Route.FAILED.value
-        print(f"{name},{classify(dist).value},{route}")
-    for name, reason in skipped:
-        print(f"{name},skipped,none")
+    rows = [[name, classify(dist).value, _route_name(dist)] for name, dist in entries]
+    rows += [[name, "skipped", "none"] for name, _ in skipped]
+    dataio.write_csv(sys.stdout, ["country", "classification", "eligible_route"], rows)
     return 0
+
+
+def _route_name(dist) -> str:
+    try:
+        return pipeline._solve_one(dist)[1].value
+    except AgedistError:
+        return pipeline.Route.FAILED.value
 
 
 def cmd_solve(args) -> int:
@@ -152,10 +153,7 @@ def cmd_fit_curve(args) -> int:
     dist = _find(entries, args.country)
     result = curvefit.fit(dist)
 
-    with open(args.fit_report, "w", encoding="utf-8", newline="") as fh:
-        fh.write("k,sse,wasserstein\n")
-        for k, sse, distance in result.per_k_table:
-            fh.write(f"{k},{sse:.10g},{distance:.10g}\n")
+    dataio.write_csv(args.fit_report, ["k", "sse", "wasserstein"], result.per_k_table)
 
     params, _ = pipeline._fitted_params(dist, result)
     # The file's target is the fitted surrogate: that is the distribution
@@ -248,19 +246,15 @@ def cmd_pipeline(args) -> int:
                 "num_steps": args.steps,
             },
         )
-        with open(plots_dir / f"{stem}_distribution.csv", "w",
-                  encoding="utf-8", newline="") as fh:
-            fh.write("age_group,target,analytic,simulated\n")
-            for label, t, a, s in zip(
-                dist.labels, dist.proportions, res.analytic, res.sim_estimate
-            ):
-                fh.write(f"{label},{t:.10g},{a:.10g},{s:.10g}\n")
+        dataio.write_csv(
+            plots_dir / f"{stem}_distribution.csv",
+            ["age_group", "target", "analytic", "simulated"],
+            zip(dist.labels, dist.proportions, res.analytic, res.sim_estimate),
+        )
 
-    with open(plots_dir / "nearest_reachable_wasserstein.csv", "w",
-              encoding="utf-8", newline="") as fh:
-        fh.write("country,wasserstein\n")
-        for name, value in report.nearest_reachable_wasserstein.items():
-            fh.write(f"{name},{value:.10g}\n")
+    dataio.write_csv(plots_dir / "nearest_reachable_wasserstein.csv",
+                     ["country", "wasserstein"],
+                     report.nearest_reachable_wasserstein.items())
 
     summary = {
         "library_version": __version__,
@@ -343,9 +337,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("pipeline", help="full cascade over a dataset")
     _add_input_options(p)
     p.add_argument("--out-dir", required=True)
-    # Still parsed: existing command lines (bench/run.py's warm-up) pass them.
+    # Still parsed: existing command lines (bench/run.py's warm-up) pass it.
     p.add_argument("--de-iters", type=int, default=250, help="ignored: no search runs")
-    p.add_argument("--de-threshold", type=float, default=1e-4, help="ignored: no search runs")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--agents", type=int, default=10_000)
     p.add_argument("--steps", type=int, default=350)

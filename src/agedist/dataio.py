@@ -1,9 +1,10 @@
-"""CSV ingestion and parameter-file serialization.
+"""CSV ingestion and output, and parameter-file serialization.
 
 The canonical input is a long-format CSV with a header row and one row per
 (country, age group): columns ``country``, ``age_group``, ``population``
 (renameable through the column arguments). Rows for one country must appear
-in age order; interleaving countries is allowed.
+in age order; interleaving countries is allowed. Every table the library
+writes goes through ``write_csv``.
 
 Parameter files are versioned JSON documents holding the model kind, the
 vectors, the free parameter (a copy of the last survival entry, checked on
@@ -82,7 +83,8 @@ def ingest_csv(
         ColumnMappingError: the configured columns are missing.
     """
     counts: dict = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig also reads the byte-order mark that spreadsheet exports add.
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise CsvFormatError(f"{path}: empty file, expected a header row")
@@ -135,12 +137,24 @@ def write_dataset_csv(entries, path, *, country_col="country", age_col="age_grou
     Proportions are written with full precision (repr round-trip), so
     ingesting the output reproduces every distribution exactly.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([country_col, age_col, pop_col])
-        for name, dist in entries:
-            for label, value in zip(dist.labels, dist.proportions):
-                writer.writerow([name, label, repr(float(value))])
+    write_csv(path, [country_col, age_col, pop_col],
+              ([name, label, repr(float(value))]
+               for name, dist in entries
+               for label, value in zip(dist.labels, dist.proportions)))
+
+
+def write_csv(path_or_stream, header, rows) -> None:
+    """Write a header and ``rows`` as CSV: minimal quoting, "\\n" line ends,
+    floats to 10 significant digits (pass a string for any other form).
+    A path is written as a UTF-8 file; a text stream is written as is."""
+    if not hasattr(path_or_stream, "write"):
+        with open(path_or_stream, "w", encoding="utf-8", newline="") as fh:
+            write_csv(fh, header, rows)
+        return
+    writer = csv.writer(path_or_stream, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([f"{value:.10g}" if isinstance(value, float) else value
+                      for value in row] for row in rows)
 
 
 @dataclass

@@ -15,7 +15,7 @@ plain process is the activation-rate process with every rate 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -62,31 +62,25 @@ class FeasibleInterval:
         return self.lower <= value <= self.upper
 
 
-@dataclass(frozen=True)
-class InfeasibleReport:
-    """Indices (0-based) of every group larger than its predecessor."""
+def feasibility(dist) -> FeasibleInterval:
+    """Admissible interval for the closed-form solver's free parameter.
 
-    violations: tuple
+    The lower bound `1 - N_{n-1}/N_n` is clamped to 0 (it is negative
+    whenever the second-to-last group is the larger one, and the ratio is
+    then not formed, since it overflows for a last group near underflow);
+    the upper bound stays strictly below 1.
 
-
-def feasibility(dist) -> Union[FeasibleInterval, InfeasibleReport]:
-    """Feasibility gate for the closed-form solver.
-
-    Returns the admissible interval for the free parameter when the target is
-    monotone non-increasing over its first n-1 groups, otherwise a report of
-    the offending indices. The interval's lower bound `1 - N_{n-1}/N_n` is
-    clamped to 0 (it is negative whenever the second-to-last group is the
-    larger one, and the ratio is then not formed, since it overflows for a
-    last group near underflow); the upper bound stays strictly below 1.
-    A raw vector with an empty group before a non-empty one raises
-    InteriorZeroGroup; a last group more than 1/(1 - MAX_LAST_SURVIVAL)
-    times the one before it, which puts the lower bound above
-    MAX_LAST_SURVIVAL, raises DegenerateLastGroup.
+    Raises:
+        NotModel1Eligible: the first n-1 groups are not monotone
+            non-increasing; the message names each group index (0-based)
+            larger than its predecessor.
+        InteriorZeroGroup, DegenerateLastGroup: as for ``solve``.
     """
     props = solver_proportions(dist)
     if classify(props) is Classification.NON_MONOTONE:
         bad = np.nonzero(np.diff(props[:-1]) > 0)[0] + 1
-        return InfeasibleReport(tuple(int(i) for i in bad))
+        raise NotModel1Eligible(
+            f"proportions increase at group indices {[int(i) for i in bad]}")
     lower = 0.0 if props[-2] >= props[-1] else 1.0 - props[-2] / props[-1]
     if lower > MAX_LAST_SURVIVAL:
         raise DegenerateLastGroup(
@@ -113,10 +107,6 @@ def solve(dist, p_n="mid", *, seed: Optional[int] = None) -> SurvivalVector:
         FreeParamOutOfRange: an explicit ``p_n`` lies outside the interval.
     """
     interval = feasibility(dist)
-    if isinstance(interval, InfeasibleReport):
-        raise NotModel1Eligible(
-            f"proportions increase at group indices {list(interval.violations)}"
-        )
     if isinstance(p_n, str):
         if p_n == "mid":
             value = interval.midpoint

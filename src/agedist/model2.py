@@ -254,7 +254,7 @@ def _distinct_pairs(rng: np.random.Generator, m: int) -> tuple:
 
 
 def _bounce_back(x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                 scratch: np.ndarray, doubled: Optional[tuple] = None) -> None:
+                 scratch: np.ndarray, doubled: tuple) -> None:
     """Reflect out-of-bounds components of ``x`` back into the box, in place.
 
     ``max(2lo - x, x)`` picks the reflection exactly when ``x < lo``:
@@ -266,10 +266,9 @@ def _bounce_back(x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     clip: on a zero of the other sign at a bound it returns the bound when
     the bounds vary along numpy's inner loop and ``x`` when they do not, and
     no fixed ``maximum``/``minimum`` pair does both.
-    ``scratch`` has the shape of ``x``; ``doubled`` is ``(2 * lo, 2 * hi)``
-    when the caller has them.
+    ``scratch`` has the shape of ``x``; ``doubled`` is ``(2 * lo, 2 * hi)``.
     """
-    twice_lo, twice_hi = doubled if doubled is not None else (2.0 * lo, 2.0 * hi)
+    twice_lo, twice_hi = doubled
     np.subtract(twice_lo, x, out=scratch)
     np.maximum(scratch, x, out=x)
     np.subtract(twice_hi, x, out=scratch)

@@ -29,6 +29,7 @@ from typing import Optional
 
 import numpy as np
 
+from .dataio import write_csv
 from .distributions import SUM_TOLERANCE, ModelParams, default_labels, proportions_of
 from .errors import NotNormalized, ResidualCheckFailed
 
@@ -299,7 +300,5 @@ def write_trajectory_csv(result: SimResult, path) -> None:
     significant digits."""
     if result.trajectory is None:
         raise ValueError("run was executed without record_trajectory")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("step," + ",".join(result.labels) + "\n")
-        for i, row in enumerate(result.trajectory, start=1):
-            fh.write(str(i) + "," + ",".join(f"{v:.10g}" for v in row) + "\n")
+    write_csv(path, ["step", *result.labels],
+              ([i, *row] for i, row in enumerate(result.trajectory, start=1)))

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from agedist import AgeDistribution, model2
+from agedist import model2
 from agedist.curvefit import (
     LOG_PARAM_LIMIT,
     MAX_INNER_ITERATIONS,
@@ -25,7 +25,12 @@ from agedist.curvefit import (
     CurveFitResult,
     CurveParams,
 )
-from agedist.distributions import default_labels, solver_proportions, wasserstein
+from agedist.distributions import (
+    AgeDistribution,
+    default_labels,
+    solver_proportions,
+    wasserstein,
+)
 from agedist.errors import AgedistError, CurveFitFailed
 
 

@@ -11,21 +11,12 @@ import time
 import numpy as np
 import pytest
 
-from agedist import (
-    AgeDistribution,
-    CurveParams,
-    DEConfig,
-    SimConfig,
-    classify,
-    fit,
-    normalize,
-    optimize,
-    steady_state2,
-)
+from agedist import SimConfig, classify, fit, normalize, optimize
 from agedist.cli import main
-from agedist.curvefit import curve_values
-from agedist.distributions import Classification, ModelKind, ModelParams
+from agedist.curvefit import CurveParams, curve_values
+from agedist.distributions import AgeDistribution, Classification, ModelKind, ModelParams
 from agedist.model1 import feasibility, solve, steady_state
+from agedist.model2 import DEConfig, steady_state2
 from agedist.simulator import run
 
 

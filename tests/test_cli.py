@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import platform
 import re
@@ -480,6 +482,15 @@ class TestPipeline:
             assert entry["route"] == "nearest_reachable", entry["failure_reason"]
             strict_load(out_dir / "params" / f"{name}.json")
 
+    def test_dropped_search_threshold_rejected(self, dataset, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["pipeline", "--input", str(dataset), "--out-dir", str(tmp_path / "out"),
+                  "--de-threshold", "1e-4"])
+        assert exit_info.value.code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("error: unrecognized arguments: --de-threshold")
+                   for line in err), err
+
     def test_colliding_file_names_rejected_before_solving(self, tmp_path, capsys, monkeypatch):
         path = write_dataset(tmp_path / "korea.csv", [
             ("Korea Rep.", [50.0, 30.0, 20.0]),
@@ -492,6 +503,71 @@ class TestPipeline:
         assert err.startswith("error:")
         assert "'Korea Rep.'" in err and "'Korea/Rep.'" in err and "Korea_Rep." in err
         assert not out_dir.exists()
+
+
+#: Age-group labels with a comma in one of them.
+COMMA_LABELS = ["0-4", "5-9", "10,14", "15+"]
+
+
+@pytest.fixture
+def comma_dataset(tmp_path):
+    """Names and a label holding commas: a pyramid, and a Newtown-like
+    target that the cascade solves on its nearest reachable target."""
+    path = tmp_path / "commas.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["country", "age_group", "population"])
+        for name, counts in [("Korea, Republic of", [500, 300, 150, 50]),
+                             ("Newtown, Upper", [0.3, 500, 1200, 900])]:
+            writer.writerows([name, label, count] for label, count in zip(COMMA_LABELS, counts))
+    return path
+
+
+def read_table(text):
+    """Rows of a CSV text, each checked to have the header's width."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert rows and all(len(row) == len(rows[0]) for row in rows), rows
+    return rows
+
+
+class TestQuotedTables:
+    def test_classify(self, comma_dataset, capsys):
+        assert main(["classify", "--input", str(comma_dataset)]) == 0
+        rows = read_table(capsys.readouterr().out)
+        assert rows[1:] == [["Korea, Republic of", "monotone_non_increasing", "model1"],
+                            ["Newtown, Upper", "non_monotone", "nearest_reachable"]]
+
+    def test_pipeline_plots(self, comma_dataset, tmp_path):
+        out_dir = tmp_path / "out"
+        assert main(["pipeline", "--input", str(comma_dataset), "--out-dir", str(out_dir),
+                     "--agents", "500", "--steps", "20"]) == 0
+        plots = out_dir / "plots"
+        rows = read_table((plots / "Korea_Republic_of_distribution.csv").read_text())
+        assert rows[0] == ["age_group", "target", "analytic", "simulated"]
+        assert [row[0] for row in rows[1:]] == COMMA_LABELS
+        rows = read_table((plots / "nearest_reachable_wasserstein.csv").read_text())
+        assert [row[0] for row in rows] == ["country", "Newtown, Upper"]
+
+    def test_trajectory(self, comma_dataset, tmp_path):
+        params_file = tmp_path / "korea.json"
+        assert main(["solve", "--input", str(comma_dataset), "--country",
+                     "Korea, Republic of", "--out", str(params_file)]) == 0
+        trajectory = tmp_path / "trajectory.csv"
+        assert main(["simulate", "--params", str(params_file), "--out",
+                     str(tmp_path / "result.json"), "--agents", "200", "--steps", "5",
+                     "--trajectory", str(trajectory)]) == 0
+        rows = read_table(trajectory.read_text())
+        assert rows[0] == ["step", *COMMA_LABELS]
+        assert [row[0] for row in rows[1:]] == ["1", "2", "3", "4", "5"]
+
+    def test_fit_report(self, comma_dataset, tmp_path):
+        report = tmp_path / "per_k.csv"
+        assert main(["fit-curve", "--input", str(comma_dataset), "--country",
+                     "Korea, Republic of", "--out", str(tmp_path / "fit.json"),
+                     "--fit-report", str(report)]) == 0
+        rows = read_table(report.read_text())
+        assert rows[0] == ["k", "sse", "wasserstein"]
+        assert [row[0] for row in rows[1:]] == ["1", "2", "3", "4"]
 
 
 def pipeline_digest(out_dir):

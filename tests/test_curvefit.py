@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agedist import AgeDistribution, CurveParams, fit, normalize
-from agedist.curvefit import curve_values
-from agedist.distributions import Classification, classify, default_labels
+from agedist import fit, normalize
+from agedist.curvefit import CurveParams, curve_values
+from agedist.distributions import AgeDistribution, Classification, classify, default_labels
 from agedist.errors import InteriorZeroGroup
 from agedist.model1 import FeasibleInterval, feasibility
 

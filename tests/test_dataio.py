@@ -1,9 +1,9 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from agedist import AgeDistribution, DEConfig, optimize
 from agedist.dataio import (
     emit_params,
     ingest_csv,
@@ -11,9 +11,10 @@ from agedist.dataio import (
     load_params_document,
     write_dataset_csv,
 )
-from agedist.distributions import MAX_LAST_SURVIVAL, ModelKind, ModelParams
+from agedist.distributions import MAX_LAST_SURVIVAL, AgeDistribution, ModelKind, ModelParams
 from agedist.errors import ColumnMappingError, CsvFormatError, SchemaError
 from agedist.model1 import solve
+from agedist.model2 import DEConfig, optimize
 
 
 def write_csv(path, rows, header="country,age_group,population"):
@@ -106,6 +107,27 @@ class TestIngest:
         assert [n for n, _ in again] == [n for n, _ in entries]
         for (_, a), (_, b) in zip(entries, again):
             assert a == b
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        # Spreadsheet programs save UTF-8 CSVs with a byte-order mark.
+        path = tmp_path / "data.csv"
+        write_csv(path, ["X,a,17", "X,b,11", "X,c,7", "Y,a,3", "Y,b,2", "Y,c,1"])
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert ingest_csv(marked) == ingest_csv(path)
+
+    def test_written_dataset_quotes_names_and_labels(self, tmp_path):
+        entries = [("Korea, Republic of", AgeDistribution(("0-4", "5-9", "10,14"),
+                                                          [0.5, 0.3, 0.2]))]
+        path = tmp_path / "data.csv"
+        write_dataset_csv(entries, path)
+        raw = path.read_bytes()
+        assert b"\r" not in raw and raw.endswith(b"\n")
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[:2] for row in rows[1:]] == [
+            ["Korea, Republic of", label] for label in ("0-4", "5-9", "10,14")]
+        assert ingest_csv(path) == entries
 
 
 def solved_params(kind=ModelKind.MODEL1):

@@ -69,3 +69,20 @@ def test_readme_names_resolve():
     missing += [f"tests/oracles.py::{name}" for name in sorted(cited_oracles)
                 if not hasattr(oracles, name)]
     assert not missing, missing
+
+
+def test_top_level_names_stay_few_and_documented():
+    # The top level is what the README shows; everything else is imported
+    # from its module.
+    import agedist
+
+    text = README.read_text(encoding="utf-8")
+    assert len(agedist.__all__) == len(set(agedist.__all__)) == 16
+    assert all(hasattr(agedist, name) for name in agedist.__all__)
+    undocumented = [name for name in agedist.__all__
+                    if name != "__version__" and not re.search(rf"\b{name}\b", text)]
+    assert not undocumented, undocumented
+    namespace: dict = {}
+    exec("from agedist import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(agedist.__all__)

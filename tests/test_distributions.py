@@ -7,19 +7,19 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agedist import (
+from agedist import classify, normalize
+from agedist.distributions import (
+    ALPHA_MIN,
+    MAX_LAST_SURVIVAL,
     ActivationVector,
     AgeDistribution,
     Classification,
     ModelKind,
     ModelParams,
     SurvivalVector,
-    classify,
     mean_absolute_error,
-    normalize,
     wasserstein,
 )
-from agedist.distributions import ALPHA_MIN, MAX_LAST_SURVIVAL
 from agedist.errors import (
     ActivationTooSmall,
     EmptyPopulation,

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agedist import AgeDistribution, model1, normalize
-from agedist.distributions import MAX_LAST_SURVIVAL
+from agedist import model1, normalize
+from agedist.distributions import MAX_LAST_SURVIVAL, AgeDistribution
 from agedist.errors import (
     DegenerateLastGroup,
     FreeParamOutOfRange,
@@ -14,7 +14,7 @@ from agedist.errors import (
     NotModel1Eligible,
     ResidualCheckFailed,
 )
-from agedist.model1 import FeasibleInterval, InfeasibleReport, feasibility, solve, steady_state
+from agedist.model1 import FeasibleInterval, feasibility, solve, steady_state
 
 from oracles import expected_update_plain, fixed_point
 
@@ -81,9 +81,9 @@ class TestFeasibility:
         assert interval.lower <= interval.upper == MAX_LAST_SURVIVAL
 
     def test_infeasible_lists_offending_indices(self):
-        report = feasibility(dist([0.3, 0.4, 0.3]))
-        assert isinstance(report, InfeasibleReport)
-        assert report.violations == (1,)  # group 1 (0-based) exceeds group 0
+        # Group 1 (0-based) exceeds group 0.
+        with pytest.raises(NotModel1Eligible, match=r"indices \[1\]"):
+            feasibility(dist([0.3, 0.4, 0.3]))
 
 
 class TestSolve:

@@ -10,16 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from agedist import (
-    AgeDistribution,
-    DEConfig,
-    model1,
-    model2,
-    normalize,
-    optimize,
-    steady_state2,
-)
-from agedist.distributions import ALPHA_MIN, MAX_LAST_SURVIVAL, default_labels
+from agedist import model1, model2, normalize, optimize
+from agedist.distributions import ALPHA_MIN, MAX_LAST_SURVIVAL, AgeDistribution, default_labels
 from agedist.errors import (
     ActivationTooSmall,
     DegenerateLastGroup,
@@ -27,7 +19,7 @@ from agedist.errors import (
     ResidualCheckFailed,
 )
 from agedist.model1 import steady_state
-from agedist.model2 import _bounce_back, default_bounds, mae_objective
+from agedist.model2 import DEConfig, _bounce_back, default_bounds, mae_objective, steady_state2
 from agedist.pipeline import Route, run_dataset
 from agedist.simulator import SimConfig
 
@@ -685,7 +677,7 @@ def test_reflection_equals_where_form_on_every_edge_pair():
                 xs = x.reshape(shape)
                 expected = reference_bounce_back(xs, lo, hi)
                 got = xs.copy()
-                _bounce_back(got, lo, hi, np.empty_like(got))
+                _bounce_back(got, lo, hi, np.empty_like(got), (2 * lo, 2 * hi))
                 same = np.array_equal(got.view(np.uint64), expected.view(np.uint64))
                 assert same, (a, b, shape)
 
@@ -696,7 +688,7 @@ def test_reflection_equals_where_form_bitwise(case):
     x, lo, hi = case
     expected = reference_bounce_back(x, lo, hi)
     got = x.copy()
-    _bounce_back(got, lo, hi, np.empty_like(got))
+    _bounce_back(got, lo, hi, np.empty_like(got), (2 * lo, 2 * hi))
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 

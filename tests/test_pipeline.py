@@ -1,18 +1,10 @@
 import numpy as np
 import pytest
 
-from agedist import (
-    AgeDistribution,
-    SimConfig,
-    curvefit,
-    model1,
-    model2,
-    normalize,
-    pipeline,
-    simulator,
-)
+from agedist import SimConfig, curvefit, model1, model2, normalize, pipeline, simulator
 from agedist.distributions import (
     ALPHA_MIN,
+    AgeDistribution,
     Classification,
     ModelKind,
     classify,

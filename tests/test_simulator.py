@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from agedist import AgeDistribution, DEConfig, SimConfig, normalize, optimize, simulator
-from agedist.distributions import ModelKind, ModelParams
+from agedist import SimConfig, normalize, optimize, simulator
+from agedist.distributions import AgeDistribution, ModelKind, ModelParams
 from agedist.errors import NotNormalized, ResidualCheckFailed
 from agedist.model1 import solve, steady_state
-from agedist.model2 import steady_state2
+from agedist.model2 import DEConfig, steady_state2
 from agedist.simulator import apportion, run, run_many, start_counts, write_trajectory_csv
 
 from oracles import reference_single_draw_step, reference_sorted_run, reference_step
