@@ -30,8 +30,8 @@ target = AgeDistribution(tuple(f"g{i}" for i in range(1, 12)), values / values.s
 print("classification:", classify(target).value)
 assert classify(target) is Classification.NON_MONOTONE
 
-history = []
-solution = optimize(target, DEConfig(seed=1), history=history)
+solution = optimize(target, DEConfig(seed=1))
+history = solution.history
 print(f"search: converged={solution.converged} after "
       f"{solution.iterations_used} generations, mae={solution.mae:.2e}")
 marks = [0, 5, 10, 20, 40, len(history) - 1]

@@ -9,8 +9,9 @@ original method's plateau-decay surrogate plus closed-form solve),
 (the full cascade over a dataset, emitting parameter files and plot-data
 CSVs). ``solve`` shares the pipeline's stations, so its files carry the
 pipeline's diagnostics; ``classify``, ``solve --model auto`` and
-``pipeline`` all take the route that ``pipeline._solve_one`` picks, and
-``solve`` names the route of every ``--model`` as the pipeline does.
+``pipeline`` all take the station that ``pipeline._solve_one`` picks and
+print ``pipeline._route_of``'s name for its route; ``--country`` also
+finds the countries that ingest skipped.
 
 Every failure exits nonzero after printing a line prefixed ``error:`` to
 stderr. All subcommands are deterministic given identical inputs and
@@ -50,23 +51,29 @@ def _configure_logging() -> None:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
 
 
-def _ingest(args, *, skipped=None):
-    return dataio.ingest_csv(
-        args.input,
-        country_col=args.country_col,
-        age_col=args.age_col,
-        pop_col=args.pop_col,
-        skipped=skipped,
-    )
+def _ingest(args, country=None) -> tuple:
+    """The input's (name, distribution) entries and the (name, reason)
+    records of the countries ingest skipped, both restricted to ``country``
+    when one is given; AgedistError when it is in neither."""
+    skipped: list = []
+    entries = dataio.ingest_csv(args.input, country_col=args.country_col, age_col=args.age_col,
+                                pop_col=args.pop_col, skipped=skipped)
+    if country is None:
+        return entries, skipped
+    found = ([entry for entry in entries if entry[0] == country],
+             [record for record in skipped if record[0] == country])
+    if not any(found):
+        raise AgedistError(f"country {country!r} not found ({len(entries)} countries "
+                           f"ingested, {len(skipped)} skipped)")
+    return found
 
 
-def _find(entries, name):
-    for entry_name, dist in entries:
-        if entry_name == name:
-            return dist
-    raise AgedistError(
-        f"country {name!r} not found ({len(entries)} countries ingested)"
-    )
+def _target(args):
+    """``args.country``'s distribution; AgedistError naming why ingest skipped it."""
+    entries, skipped = _ingest(args, args.country)
+    if skipped:
+        raise AgedistError(f"country {args.country!r} was skipped: {skipped[0][1]}")
+    return entries[0][1]
 
 
 def _add_input_options(sub) -> None:
@@ -74,6 +81,13 @@ def _add_input_options(sub) -> None:
     sub.add_argument("--country-col", default="country")
     sub.add_argument("--age-col", default="age_group")
     sub.add_argument("--pop-col", default="population")
+
+
+def _add_run_options(sub) -> None:
+    defaults = simulator.SimConfig  # a dataclass: its fields' defaults
+    sub.add_argument("--agents", type=int, default=defaults.num_agents)
+    sub.add_argument("--steps", type=int, default=defaults.num_steps)
+    sub.add_argument("--seed", type=int, default=defaults.seed)
 
 
 def _safe_name(name: str) -> str:
@@ -104,10 +118,7 @@ def _parse_pn(text: str):
 
 
 def cmd_classify(args) -> int:
-    skipped: list = []
-    entries = _ingest(args, skipped=skipped)
-    if args.country is not None:
-        entries = [(args.country, _find(entries, args.country))]
+    entries, skipped = _ingest(args, args.country)
     rows = [[name, classify(dist).value, _route_name(dist)] for name, dist in entries]
     rows += [[name, "skipped", "none"] for name, _ in skipped]
     dataio.write_csv(sys.stdout, ["country", "classification", "eligible_route"], rows)
@@ -116,17 +127,16 @@ def cmd_classify(args) -> int:
 
 def _route_name(dist) -> str:
     try:
-        return pipeline._solve_one(dist)[1].value
+        return pipeline._route_of(pipeline._solve_one(dist)[0]).value
     except AgedistError:
         return pipeline.Route.FAILED.value
 
 
 def cmd_solve(args) -> int:
-    entries = _ingest(args)
-    dist = _find(entries, args.country)
+    dist = _target(args)
     p_n = _parse_pn(args.pn)
     if args.model == "auto":
-        params, _, _ = pipeline._solve_one(dist, p_n, seed=args.seed)
+        params, _ = pipeline._solve_one(dist, p_n, seed=args.seed)
     else:
         params, _ = (pipeline.solve_model1(dist, p_n, seed=args.seed)
                      if args.model == "1" else pipeline.solve_model2(dist))
@@ -149,13 +159,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_fit_curve(args) -> int:
-    entries = _ingest(args)
-    dist = _find(entries, args.country)
+    dist = _target(args)
     result = curvefit.fit(dist)
 
     dataio.write_csv(args.fit_report, ["k", "sse", "wasserstein"], result.per_k_table)
 
-    params, _ = pipeline._fitted_params(dist, result)
+    params, _ = pipeline._fitted_params(result)
     # The file's target is the fitted surrogate: that is the distribution
     # these parameters reproduce.
     dataio.emit_params(
@@ -214,8 +223,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    skipped: list = []
-    entries = _ingest(args, skipped=skipped)
+    entries, skipped = _ingest(args)
     stems = _file_stems(entries)
     sim_config = simulator.SimConfig(
         num_agents=args.agents,
@@ -324,10 +332,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="stochastic run from a parameter file")
     p.add_argument("--params", required=True)
-    p.add_argument("--agents", type=int, default=10_000)
-    p.add_argument("--steps", type=int, default=350)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--burn-in", type=int, default=None,
+    _add_run_options(p)
+    p.add_argument("--burn-in", type=int, default=simulator.SimConfig.burn_in,
                    help="steps discarded before averaging "
                         "(default: all but the final seventh)")
     p.add_argument("--trajectory", help="optional per-step CSV dump")
@@ -339,9 +345,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out-dir", required=True)
     # Still parsed: existing command lines (bench/run.py's warm-up) pass it.
     p.add_argument("--de-iters", type=int, default=250, help="ignored: no search runs")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--agents", type=int, default=10_000)
-    p.add_argument("--steps", type=int, default=350)
+    _add_run_options(p)
     p.set_defaults(func=cmd_pipeline)
 
     return parser

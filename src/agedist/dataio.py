@@ -130,14 +130,14 @@ def ingest_csv(
     return entries
 
 
-def write_dataset_csv(entries, path, *, country_col="country", age_col="age_group",
-                      pop_col="population") -> None:
-    """Write (name, AgeDistribution) pairs back to the long format.
+def write_dataset_csv(entries, path) -> None:
+    """Write (name, AgeDistribution) pairs back to the long format, under
+    its default column names.
 
     Proportions are written with full precision (repr round-trip), so
     ingesting the output reproduces every distribution exactly.
     """
-    write_csv(path, [country_col, age_col, pop_col],
+    write_csv(path, ["country", "age_group", "population"],
               ([name, label, repr(float(value))]
                for name, dist in entries
                for label, value in zip(dist.labels, dist.proportions)))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
@@ -35,8 +35,6 @@ ALPHA_MIN = 1e-3
 #: Largest admissible last-group survival. Exactly 1 would make the final
 #: group absorbing with zero outflow, contradicting a positive predecessor.
 MAX_LAST_SURVIVAL = 1.0 - 1e-9
-
-VectorLike = Union[Sequence[float], np.ndarray, "SurvivalVector", "ActivationVector"]
 
 
 def _as_vector(values, name: str) -> np.ndarray:

@@ -105,6 +105,7 @@ class Model2Solution:
     mae: float
     iterations_used: int
     converged: bool
+    history: tuple  #: best error after initialisation and each generation
 
 
 def solve(dist) -> tuple:
@@ -337,12 +338,7 @@ def _skip_doubles(bit_generator, count: int) -> dict:
     return before
 
 
-def optimize(
-    target,
-    config: Optional[DEConfig] = None,
-    *,
-    history: Optional[list] = None,
-) -> Model2Solution:
+def optimize(target, config: Optional[DEConfig] = None) -> Model2Solution:
     """Search survival and activation rates reproducing ``target``.
 
     Binomial-crossover differential evolution over the 2n-dimensional joint
@@ -375,8 +371,8 @@ def optimize(
     is handed are a view of a buffer that the search overwrites afterwards.
     Non-convergence is reported through ``converged=False``, never raised.
     A non-finite objective value counts as ``+inf``: such a candidate never
-    wins selection and never stops the search. ``history`` receives the
-    best error after initialisation and after each generation.
+    wins selection and never stops the search. The solution's ``history``
+    holds the best error after initialisation and after each generation.
     """
     cfg = config if config is not None else DEConfig()
     t = proportions_of(target)
@@ -442,11 +438,10 @@ def optimize(
 
     with _share_runner(len(shares)) as run:
         run(lambda k: score(k, population, errors))
-        if history is not None:
-            history.append(float(errors.min()))
+        history = [float(errors.min())]
 
         iterations = 0
-        while errors.min() >= SUCCESS_THRESHOLD and iterations < cfg.max_iterations:
+        while history[-1] >= SUCCESS_THRESHOLD and iterations < cfg.max_iterations:
             factor = rng.uniform(*MUTATION_RANGE)
             r1, r2 = _distinct_pairs(rng, pop_size)
             base = population[int(errors.argmin())]
@@ -455,8 +450,7 @@ def optimize(
             run(build)
             run(select)
             iterations += 1
-            if history is not None:
-                history.append(float(errors.min()))
+            history.append(float(errors.min()))
 
     best = int(errors.argmin())
     mae = float(errors[best])
@@ -466,4 +460,5 @@ def optimize(
         mae=mae,
         iterations_used=iterations,
         converged=mae < SUCCESS_THRESHOLD,
+        history=tuple(history),
     )

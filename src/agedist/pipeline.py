@@ -8,22 +8,23 @@ runs an activation-rate search and then a curve fit on those targets; both
 stay available (``model2.optimize``, ``curvefit.fit``), but the cascade
 calls neither: no model-2 steady state or curve fit is closer to the target
 than the L1 projection, which the nearest reachable target comes within 1%
-of. ``_solve_one`` is the only place that picks a route: the cascade and
-the command line's ``classify`` and ``solve --model auto`` all call it.
-``solve_model1`` and ``solve_model2`` return each station's parameters,
-diagnostics and analytic steady state, for the cascade and the command
-line alike; ``_route_of`` names the route of their parameters. Every
-solved parameter set is validated with one stochastic run against its own
-analytic steady state. ``run_dataset`` solves every entry first and then
-validates all of them in one ``simulator.run_many`` batch, which draws
-their shared uniform stream once.
+of. ``_solve_one`` is the only place that picks a station: the cascade
+and the command line's ``classify`` and ``solve --model auto`` all call
+it. ``solve_model1`` and ``solve_model2`` return each station's
+parameters, diagnostics and analytic steady state, for the cascade and the
+command line alike; ``_route_of`` is the only place that names the route
+of their parameters. Every solved parameter set is validated with one
+stochastic run against its own analytic steady state. ``run_dataset``
+solves every entry first and then validates all of them in one
+``simulator.run_many`` batch, which draws their shared uniform stream
+once.
 """
 
 from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -86,10 +87,8 @@ class PipelineReport:
     flagged: tuple = field(default_factory=tuple)
 
 
-def select_and_solve(
-    dist: AgeDistribution,
-    sim_config: Optional[simulator.SimConfig] = None,
-) -> tuple:
+def select_and_solve(dist: AgeDistribution,
+                     sim_config: Optional[simulator.SimConfig] = None) -> tuple:
     """Route one target through the cascade; returns (params, route).
 
     The diagnostics are the station's (``solve_model1``, ``solve_model2``)
@@ -97,9 +96,9 @@ def select_and_solve(
     (``sim_mae``). Raises InvalidEntry when ``dist`` is not an
     AgeDistribution.
     """
-    params, route, analytic = _solve_one(dist)
+    params, analytic = _solve_one(dist)
     _validate([(params, analytic)], sim_config)
-    return params, route
+    return params, _route_of(params)
 
 
 def solve_model1(dist: AgeDistribution, p_n="mid", *,
@@ -148,34 +147,31 @@ def solve_model2(dist: AgeDistribution) -> tuple:
     return params, analytic
 
 
-def _fitted_params(dist: AgeDistribution, fit: curvefit.CurveFitResult) -> tuple:
-    """``agedist fit-curve``'s parameters: the model-1 closed form on the
-    fitted surrogate; returns (params, analytic steady state).
+def _fitted_params(fit: curvefit.CurveFitResult) -> tuple:
+    """``agedist fit-curve``'s parameters: the model-1 station on the fitted
+    surrogate; returns (params, analytic steady state).
 
     Diagnostics record the analytic mean absolute error against the
     surrogate, the fit's distance, residual and curve parameters, and the
     ``free_param_mode``.
     """
-    survival = model1.solve(fit.fitted, "mid")
-    analytic = model1.steady_state(survival, labels=dist.labels)
+    params, analytic = solve_model1(fit.fitted)
     diagnostics = {
-        "mae": mean_absolute_error(analytic, fit.fitted),
+        "mae": params.diagnostics["mae"],
         "wasserstein_to_original": fit.wasserstein_to_original,
         "residual_sse": fit.residual_sse,
-        "plateau": fit.params.plateau,
-        "decay_scale": fit.params.decay_scale,
-        "decay_shape": fit.params.decay_shape,
-        "breakpoint": fit.params.breakpoint,
-        "free_param_mode": "midpoint",
+        **asdict(fit.params),  # plateau, decay_scale, decay_shape, breakpoint
+        "free_param_mode": params.diagnostics["free_param_mode"],
     }
-    return ModelParams(ModelKind.MODEL1_ON_FITTED, survival, diagnostics=diagnostics), analytic
+    return ModelParams(ModelKind.MODEL1_ON_FITTED, params.survival,
+                       diagnostics=diagnostics), analytic
 
 
 def _solve_one(dist: AgeDistribution, p_n="mid", *, seed: Optional[int] = None) -> tuple:
-    """The solve-only cascade, and the one place that picks a route;
-    returns (params, route, analytic steady state). ``p_n`` and ``seed``
-    go to ``solve_model1``. A monotone target whose last group model 1
-    cannot hold goes to model 2."""
+    """The solve-only cascade, and the one place that picks a station;
+    returns (params, analytic steady state). ``p_n`` and ``seed`` go to
+    ``solve_model1``. A monotone target whose last group model 1 cannot
+    hold goes to model 2."""
     if not isinstance(dist, AgeDistribution):
         raise InvalidEntry(
             f"expected an AgeDistribution, got {type(dist).__name__} "
@@ -184,18 +180,16 @@ def _solve_one(dist: AgeDistribution, p_n="mid", *, seed: Optional[int] = None) 
 
     if classify(dist) is Classification.MONOTONE_NON_INCREASING:
         try:
-            params, analytic = solve_model1(dist, p_n, seed=seed)
-            return params, Route.MODEL1, analytic
+            return solve_model1(dist, p_n, seed=seed)
         except DegenerateLastGroup:
             pass
-    params, analytic = solve_model2(dist)
-    return params, _route_of(params), analytic
+    return solve_model2(dist)
 
 
 def _route_of(params: ModelParams) -> Route:
     """The route of a station's parameters (``solve_model1`` or
-    ``solve_model2``): a model-2 result is MODEL2 from the closed form and
-    NEAREST_REACHABLE otherwise."""
+    ``solve_model2``), and the only place that names one: a model-2 result
+    is MODEL2 from the closed form and NEAREST_REACHABLE otherwise."""
     if params.kind is ModelKind.MODEL1:
         return Route.MODEL1
     closed_form = params.diagnostics["solver"] == "closed_form"
@@ -214,10 +208,7 @@ def _validate(solved, sim_config: Optional[simulator.SimConfig]) -> list:
     return [validation.steady_estimate for validation in runs]
 
 
-def run_dataset(
-    dataset,
-    sim_config: Optional[simulator.SimConfig] = None,
-) -> PipelineReport:
+def run_dataset(dataset, sim_config: Optional[simulator.SimConfig] = None) -> PipelineReport:
     """Apply the cascade to every (name, distribution) entry.
 
     Every entry is solved first, then all solved entries are validated in
@@ -244,30 +235,27 @@ def run_dataset(
         raise AgedistError(f"entry name(s) {repeated} appear more than once; "
                            "every entry needs its own name")
 
-    results = {}
+    solved, failures = {}, {}
     for name, dist in entries:
         try:
-            results[name] = _solve_one(dist)
+            solved[name] = _solve_one(dist)
         except AgedistError as exc:
             logger.warning("%s: %s", name, exc)
-            results[name] = CountryResult(
-                name=name, route=Route.FAILED, failure_reason=str(exc)
-            )
-    solved = {name: value for name, value in results.items() if isinstance(value, tuple)}
+            failures[name] = str(exc)
     try:
-        estimates = _validate(
-            [(params, analytic) for params, _, analytic in solved.values()], sim_config)
+        estimates = _validate(list(solved.values()), sim_config)
     except AgedistError as exc:
         logger.warning("validation of %d entries failed: %s", len(solved), exc)
-        for name in solved:
-            results[name] = CountryResult(
-                name=name, route=Route.FAILED, failure_reason=str(exc))
-    else:
-        for (name, (params, route, analytic)), estimate in zip(solved.items(), estimates):
-            results[name] = CountryResult(
-                name=name, route=route, params=params, sim_mae=params.diagnostics["sim_mae"],
-                analytic=analytic.proportions, sim_estimate=estimate)
+        failures.update(dict.fromkeys(solved, str(exc)))
+        solved, estimates = {}, []
 
+    results = {name: CountryResult(name=name, route=Route.FAILED, failure_reason=reason)
+               for name, reason in failures.items()}
+    for (name, (params, analytic)), estimate in zip(solved.items(), estimates):
+        results[name] = CountryResult(
+            name=name, route=_route_of(params), params=params,
+            sim_mae=params.diagnostics["sim_mae"], analytic=analytic.proportions,
+            sim_estimate=estimate)
     per_country = {name: results[name] for name in sorted(results)}
     route_counts = {route: sum(res.route is route for res in per_country.values())
                     for route in Route}

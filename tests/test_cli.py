@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from agedist import model2, pipeline
-from agedist.cli import main
+from agedist.cli import build_parser, main
 from agedist.distributions import ALPHA_MIN
 from agedist.dataio import load_params_document
 from agedist.errors import AgedistError
+from agedist.simulator import SimConfig
 
 from test_curvefit import bench_generator
 
@@ -66,6 +67,61 @@ class TestClassify:
         table = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines()[1:])
         assert table["Hump"] == "non_monotone,failed"
         assert table["Pyramid"] == "monotone_non_increasing,model1"
+
+
+@pytest.fixture
+def skipping_dataset(tmp_path):
+    """A pyramid A, and B and C, which ingest skips for an empty interior
+    group (g1 in B, g2 in C)."""
+    return write_dataset(tmp_path / "skipping.csv", [
+        ("A", [500.0, 300.0, 150.0, 50.0]),
+        ("B", [300.0, 0.0, 200.0]),
+        ("C", [100.0, 80.0, 0.0, 20.0]),
+    ])
+
+
+class TestCountryLookup:
+    """``--country`` looks among the ingested and the skipped countries."""
+
+    def test_classify_prints_only_the_country_asked_for(self, skipping_dataset, capsys):
+        assert main(["classify", "--input", str(skipping_dataset), "--country", "A"]) == 0
+        assert capsys.readouterr().out == (
+            "country,classification,eligible_route\nA,monotone_non_increasing,model1\n")
+
+    def test_classify_prints_a_skipped_country(self, skipping_dataset, capsys):
+        assert main(["classify", "--input", str(skipping_dataset), "--country", "B"]) == 0
+        assert capsys.readouterr().out == "country,classification,eligible_route\nB,skipped,none\n"
+
+    @pytest.mark.parametrize("command", ["solve", "fit-curve"])
+    def test_skipped_country_fails_with_its_reason(self, skipping_dataset, tmp_path, capsys,
+                                                   command):
+        out, report = tmp_path / "params.json", tmp_path / "report.csv"
+        argv = [command, "--input", str(skipping_dataset), "--country", "B", "--out", str(out)]
+        if command == "fit-curve":
+            argv += ["--fit-report", str(report)]
+        assert main(argv) == 1
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error.startswith("error: country 'B' was skipped: group 'g1' (index 1) is empty")
+        assert not out.exists() and not report.exists()
+
+    @pytest.mark.parametrize("command", ["classify", "solve"])
+    def test_absent_country_not_found(self, skipping_dataset, tmp_path, capsys, command):
+        argv = [command, "--input", str(skipping_dataset), "--country", "Z"]
+        if command == "solve":
+            argv += ["--out", str(tmp_path / "params.json")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: country 'Z' not found (1 countries ingested, 2 skipped)")
+
+
+def test_run_option_defaults_are_the_simulation_defaults():
+    parser = build_parser()
+    simulate = parser.parse_args(["simulate", "--params", "p.json", "--out", "r.json"])
+    run = parser.parse_args(["pipeline", "--input", "d.csv", "--out-dir", "out"])
+    assert SimConfig(num_agents=simulate.agents, num_steps=simulate.steps,
+                     seed=simulate.seed, burn_in=simulate.burn_in) == SimConfig()
+    assert (run.agents, run.steps, run.seed) == (
+        SimConfig.num_agents, SimConfig.num_steps, SimConfig.seed)
 
 
 @pytest.fixture

@@ -1,12 +1,14 @@
 """Smoke gate: every narrated script in ``demos/``, and the README's library
 quick start, runs to completion, and every name the README cites exists."""
 
+import ast
 import importlib
 import os
 import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -86,3 +88,28 @@ def test_top_level_names_stay_few_and_documented():
     exec("from agedist import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(agedist.__all__)
+
+
+def test_every_top_level_name_is_used():
+    # Every name a module in src/agedist defines at its top level appears
+    # somewhere besides its own definition: in the library, the tests, the
+    # benchmark, the demos or the README. A name nothing uses is dead code.
+    sources = [*(ROOT / "src" / "agedist").glob("*.py"), *(ROOT / "tests").glob("*.py"),
+               *(ROOT / "bench").glob("*.py"), *DEMOS, README]
+    words = Counter(word for path in sources
+                    for word in re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    unused = []
+    for module in sorted((ROOT / "src" / "agedist").glob("*.py")):
+        source = module.read_text(encoding="utf-8")
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [name.id for target in targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name)]
+            else:
+                continue
+            own = Counter(re.findall(r"\w+", ast.get_source_segment(source, node)))
+            unused += [f"{module.stem}.{name}" for name in names if words[name] == own[name]]
+    assert not unused, unused

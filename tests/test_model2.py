@@ -494,8 +494,7 @@ class TestOptimize:
 
     def test_best_error_never_increases(self, monkeypatch):
         monkeypatch.setattr(model2, "SUCCESS_THRESHOLD", 1e-9)
-        history = []
-        optimize(hump(), DEConfig(seed=5, max_iterations=60), history=history)
+        history = optimize(hump(), DEConfig(seed=5, max_iterations=60)).history
         assert all(b <= a + 0.0 for a, b in zip(history, history[1:]))
 
     def test_all_candidates_respect_bounds(self, monkeypatch):
@@ -544,11 +543,10 @@ class TestOptimize:
             return scores
 
         monkeypatch.setattr(model2, "mae_objective", lambda t: poisoned)
-        history = []
-        sol = optimize(hump(), DEConfig(seed=0), history=history)
+        sol = optimize(hump(), DEConfig(seed=0))
         assert sol.iterations_used > 0
         assert np.isfinite(sol.mae) and sol.converged
-        assert all(np.isfinite(h) for h in history)
+        assert all(np.isfinite(h) for h in sol.history)
 
     def test_all_non_finite_scores_run_the_full_budget(self, monkeypatch):
         monkeypatch.setattr(model2, "mae_objective",
@@ -608,9 +606,10 @@ class TestMatchesReferenceLoop:
         # Coarse errors never fall below 0.01: the full budget runs.
         target = hump_target(8)
         config = DEConfig(seed=9, max_iterations=70)
-        ours, theirs = [], []
+        theirs = []
         monkeypatch.setattr(model2, "mae_objective", lambda t: coarse_error(target))
-        sol = optimize(target, config, history=ours)
+        sol = optimize(target, config)
+        ours = list(sol.history)
         probs, rates, mae, iterations = reference_optimize(
             target.proportions, config, objective=coarse_error(target), history=theirs)
         assert ours == theirs
@@ -776,7 +775,7 @@ class TestRowShares:
         split(count)
         target = hump_target(21)
         config = DEConfig(seed=9, population_size=11, max_iterations=40)
-        calls, ours, theirs = [], [], []
+        calls, theirs = [], []
 
         def make(t):
             score = coarse_error(target)
@@ -788,7 +787,8 @@ class TestRowShares:
             return hook
 
         monkeypatch.setattr(model2, "mae_objective", make)
-        sol = optimize(target, config, history=ours)
+        sol = optimize(target, config)
+        ours = list(sol.history)
         probs, rates, mae, iterations = reference_optimize(
             target.proportions, config, objective=coarse_error(target), history=theirs)
         assert ours == theirs
@@ -807,8 +807,7 @@ class TestRowShares:
         histories = []
         for count in (1, 2, 3):
             split(count)
-            histories.append([])
-            optimize(target, config, history=histories[-1])
+            histories.append(optimize(target, config).history)
         assert histories[0] == histories[1] == histories[2]
         assert len(histories[0]) == 5
 

@@ -185,20 +185,20 @@ class TestSolveCurveFit:
     def test_records_the_fit(self):
         dist = flat_then_humped()
         result = curvefit.fit(dist)
-        params, analytic = _fitted_params(dist, result)
+        params, analytic = _fitted_params(result)
         assert params.kind is ModelKind.MODEL1_ON_FITTED
         assert analytic.labels == dist.labels
-        assert params.diagnostics == {
-            "mae": mean_absolute_error(analytic, result.fitted),
-            "wasserstein_to_original": result.wasserstein_to_original,
-            "residual_sse": result.residual_sse,
-            "plateau": result.params.plateau,
-            "decay_scale": result.params.decay_scale,
-            "decay_shape": result.params.decay_shape,
-            "breakpoint": result.params.breakpoint,
-            "free_param_mode": "midpoint",
-        }
-
+        # In this order: the parameter file writes them so.
+        assert list(params.diagnostics.items()) == [
+            ("mae", mean_absolute_error(analytic, result.fitted)),
+            ("wasserstein_to_original", result.wasserstein_to_original),
+            ("residual_sse", result.residual_sse),
+            ("plateau", result.params.plateau),
+            ("decay_scale", result.params.decay_scale),
+            ("decay_shape", result.params.decay_shape),
+            ("breakpoint", result.params.breakpoint),
+            ("free_param_mode", "midpoint"),
+        ]
 
 
 class TestSolveModel2:
