@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, curvefit, dataio, model1, model2, pipeline, simulator
+from . import __version__, curvefit, dataio, model1, model2, parallel, pipeline, simulator
 from .distributions import ModelKind, classify, mean_absolute_error
 from .errors import AgedistError
 
@@ -273,7 +273,8 @@ def cmd_pipeline(args) -> int:
             "num_agents": sim_config.num_agents,
             "num_steps": sim_config.num_steps,
             "burn_in": sim_config.burn_in,
-            "cpu_count": model2._cpu_count(),
+            "cpu_count": parallel.cpu_count(),
+            "validation_shares": len(simulator.chunk_shares(sim_config.num_agents)),
         },
         "countries": len(entries),
         "skipped": [{"country": n, "reason": r} for n, r in skipped],

@@ -18,14 +18,12 @@ rates as its second row set.
 from __future__ import annotations
 
 import numbers
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import model1
+from . import model1, parallel
 from .distributions import (
     ALPHA_MIN,
     MAX_LAST_SURVIVAL,
@@ -283,47 +281,6 @@ def _finite_scores(evaluate, candidates: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(scores), scores, np.inf)
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on: its affinity mask where it has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _row_shares(pop_size: int, dim: int) -> list:
-    """Contiguous row slices of a generation, one per thread it runs on:
-    one per CPU, but at most one per SHARE_FLOOR population entries."""
-    count = max(1, min(_cpu_count(), pop_size * dim // SHARE_FLOOR, pop_size))
-    edges = [pop_size * k // count for k in range(count + 1)]
-    return [slice(a, b) for a, b in zip(edges, edges[1:])]
-
-
-@contextmanager
-def _share_runner(count: int):
-    """Yield ``run(task)``, which calls ``task(k)`` for k in 0..count-1 and
-    returns once all calls are done: share 0 on the calling thread, each
-    other share on a worker thread that lives only inside the ``with``."""
-    if count == 1:
-        yield lambda task: task(0)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(count - 1, thread_name_prefix="agedist-search") as pool:
-        def run(task):
-            pending = [pool.submit(task, k) for k in range(1, count)]
-            try:
-                task(0)
-            finally:
-                # Wait for every share, even when this one failed.
-                failures = [future.exception() for future in pending]
-            for failure in failures:
-                if failure is not None:
-                    raise failure
-
-        yield run
-
-
 def _skip_doubles(bit_generator, count: int) -> dict:
     """Move ``bit_generator`` past ``count`` doubles (one 64-bit output
     each) and return its state from before the skip. ``advance`` clears
@@ -381,7 +338,7 @@ def optimize(target, config: Optional[DEConfig] = None) -> Model2Solution:
     lo, hi = default_bounds(n).T.copy()
     doubled = (2.0 * lo, 2.0 * hi)
     pop_size = cfg.population_size or 15 * dim
-    shares = _row_shares(pop_size, dim)
+    shares = parallel.shares(pop_size, dim, SHARE_FLOOR)
     scorers = [mae_objective(t) for _ in shares]
 
     rng = np.random.default_rng(cfg.seed)
@@ -436,7 +393,7 @@ def optimize(target, config: Optional[DEConfig] = None) -> Model2Solution:
         population[won] = moved
         errors[won] = trial_errors[won]
 
-    with _share_runner(len(shares)) as run:
+    with parallel.runner(len(shares)) as run:
         run(lambda k: score(k, population, errors))
         history = [float(errors.min())]
 

@@ -1,0 +1,56 @@
+"""Work split over the CPUs this process may run on.
+
+The search splits a generation's rows and the simulator a step's uniform
+chunks into contiguous shares, one per CPU (``os.sched_getaffinity``).
+Share 0 runs on the calling thread and every other share on a worker
+thread that lives only as long as the ``runner`` block. Callers make every
+unit's result independent of the share count, so restricting the CPU
+affinity (``taskset -c 0``) gives a serial run with the same results.
+"""
+
+from __future__ import annotations
+
+import os
+from contextlib import contextmanager
+
+
+def cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where it has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def shares(units: int, size: int = 1, floor: int = 1) -> list:
+    """Contiguous slices of ``range(units)``, one per CPU, but at most one
+    per ``floor`` entries of work when a unit holds ``size`` entries."""
+    count = max(1, min(cpu_count(), units * size // floor, units))
+    edges = [units * k // count for k in range(count + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+@contextmanager
+def runner(count: int):
+    """Yield ``run(task)``, which calls ``task(k)`` for k in 0..count-1 and
+    returns once all calls are done: share 0 on the calling thread, each
+    other share on a worker thread that lives only inside the ``with``. A
+    failure in any share is raised unchanged once every share is done."""
+    if count == 1:
+        yield lambda task: task(0)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(count - 1, thread_name_prefix="agedist-share") as pool:
+        def run(task):
+            pending = [pool.submit(task, k) for k in range(1, count)]
+            try:
+                task(0)
+            finally:
+                # Wait for every share, even when this one failed.
+                failures = [future.exception() for future in pending]
+            for failure in failures:
+                if failure is not None:
+                    raise failure
+
+        yield run

@@ -17,8 +17,15 @@ the distribution it is given: a uniform one starts from equal shares.
 one config read the same uniform stream whatever their counts, so the batch
 draws it once and every member counts its own groups against it; each
 member's results are bit for bit those of its own ``run``, which is a batch
-of one. The uniforms are drawn in chunks of ``BLOCK``; results do not depend
-on it.
+of one. The uniforms are drawn in chunks of ``BLOCK``, and a step's chunks
+are split into contiguous shares, one per CPU the process may run on: share
+0 reads the run's generator on the calling thread, every other share a copy
+of it jumped ahead to its first chunk (PCG64 ``advance``) on a worker
+thread that lives only as long as the run. Every share counts into its own
+tallies, which are summed as integers, so results do not depend on the
+chunk size or on the CPU count; ``taskset -c 0`` gives a serial run with
+the same results. A run of at most ``BLOCK`` agents is one chunk, and runs
+on the calling thread alone.
 """
 
 from __future__ import annotations
@@ -29,13 +36,16 @@ from typing import Optional
 
 import numpy as np
 
+from . import parallel
 from .dataio import write_csv
 from .distributions import SUM_TOLERANCE, ModelParams, default_labels, proportions_of
 from .errors import NotNormalized, ResidualCheckFailed
 
 #: Uniforms per chunk of a step, and agents per tile of batch members: a
 #: tile's uniforms, repeated thresholds and flags (about 0.5 MB) fit in a
-#: per-core L2 cache. Results do not depend on it.
+#: per-core L2 cache. Chunks are the units a step's work is split in over
+#: the CPUs, so runs of at most this many agents use one thread. Results do
+#: not depend on it.
 BLOCK = 32_768
 
 
@@ -132,7 +142,11 @@ def run_many(targets, params, config: Optional[SimConfig] = None) -> list:
     update on its group-sorted agents sorted again after every step. The
     estimate is the time-average of the per-step group proportions over the
     steps after ``burn_in``; the final snapshot is also reported.
-    Deterministic for a given seed.
+    Deterministic for a given seed, and bit for bit the same whatever the
+    CPU count: a step's chunks of uniforms are counted in shares, one per
+    CPU (at most one per chunk), on the calling thread and on worker threads
+    that end with the call. A batch of at most ``BLOCK`` agents a member is
+    one chunk and starts no thread.
 
     Raises:
         ValueError: a parameter set and its target differ in group count.
@@ -160,22 +174,23 @@ def run_many(targets, params, config: Optional[SimConfig] = None) -> list:
     trajectory = np.empty((cfg.num_steps, counts.size)) if cfg.record_trajectory else None
     accumulator = np.zeros(counts.size)
     total_deaths = np.zeros(len(order), dtype=np.int64)
-    for step_index in range(1, cfg.num_steps + 1):
-        counts, deaths = batch.step(counts, rng)
-        total_deaths += deaths
-        tallies = np.add.reduceat(counts, first)
-        broken = (tallies != cfg.num_agents) | (np.minimum.reduceat(counts, first) < 0)
-        if broken.any():
-            k = min(np.flatnonzero(broken), key=lambda k: order[k])
-            raise ResidualCheckFailed(
-                f"member {order[k]}: an agent left the age groups: the step's tally "
-                f"holds {tallies[k]} of {cfg.num_agents} agents in counts "
-                f"{counts[offsets[k]:offsets[k + 1]].tolist()}; update rule broken")
-        snapshot = counts / cfg.num_agents
-        if trajectory is not None:
-            trajectory[step_index - 1] = snapshot
-        if step_index > cfg.burn_in:
-            accumulator += snapshot
+    with parallel.runner(len(batch.shares)) as batch.run:
+        for step_index in range(1, cfg.num_steps + 1):
+            counts, deaths = batch.step(counts, rng)
+            total_deaths += deaths
+            tallies = np.add.reduceat(counts, first)
+            broken = (tallies != cfg.num_agents) | (np.minimum.reduceat(counts, first) < 0)
+            if broken.any():
+                k = min(np.flatnonzero(broken), key=lambda k: order[k])
+                raise ResidualCheckFailed(
+                    f"member {order[k]}: an agent left the age groups: the step's tally "
+                    f"holds {tallies[k]} of {cfg.num_agents} agents in counts "
+                    f"{counts[offsets[k]:offsets[k + 1]].tolist()}; update rule broken")
+            snapshot = counts / cfg.num_agents
+            if trajectory is not None:
+                trajectory[step_index - 1] = snapshot
+            if step_index > cfg.burn_in:
+                accumulator += snapshot
 
     estimate = accumulator / (cfg.num_steps - cfg.burn_in)
     results = [None] * len(order)
@@ -190,6 +205,13 @@ def run_many(targets, params, config: Optional[SimConfig] = None) -> list:
             seed=cfg.seed,
         )
     return results
+
+
+def chunk_shares(num_agents: int) -> list:
+    """A step's chunks of ``BLOCK`` uniforms for ``num_agents`` agents,
+    split into contiguous shares, one per CPU but at most one per chunk;
+    each share is counted on its own thread."""
+    return parallel.shares(-(-num_agents // BLOCK))
 
 
 def _member(index: int, target, params: ModelParams, config: SimConfig) -> tuple:
@@ -216,22 +238,27 @@ class _Batch:
     tile when a chunk is full width). Per chunk and tile, the members'
     thresholds (from ``_member``) are repeated over their own uniforms into
     one (members, chunk) row set, compared with the chunk by broadcasting
-    and counted per group with one ``np.add.reduceat``.
+    and counted per group with one ``np.add.reduceat``. The chunks are
+    split into contiguous ``shares``, each with its own scratch; ``step``
+    hands them to ``run``, which ``run_many`` sets to a share runner
+    (``parallel.runner``).
     """
 
     def __init__(self, advance_below, stay_from, num_agents: int):
         sizes = [below.size for below in advance_below]
         self.offsets = np.concatenate(([0], np.cumsum(sizes)))
         self.first, self.last = self.offsets[:-1], self.offsets[1:] - 1
-        self.num_agents = num_agents
+        # A Python int: stream offsets derived from it go to PCG64.advance,
+        # which rejects numpy integers.
+        self.num_agents = int(num_agents)
         owner = np.repeat(np.arange(len(sizes)), sizes)
-        self.base = owner * num_agents
+        self.base = owner * self.num_agents
         flat_below = np.concatenate(advance_below)
         # A plain member never stays: no uniform reaches 1.
         flat_stay = np.concatenate([
             np.ones(below.size) if stay is None else stay
             for below, stay in zip(advance_below, stay_from)])
-        width = min(num_agents, BLOCK)
+        width = min(self.num_agents, BLOCK)
         per_tile = max(1, BLOCK // width)
         # Per tile: its groups, its member count, and its thresholds; a tile
         # of plain members skips the stay pass.
@@ -242,12 +269,19 @@ class _Batch:
             activated = any(stay is not None for stay in stay_from[a:b])
             self.tiles.append((part, b - a, flat_below[part],
                                flat_stay[part] if activated else None))
-        self.chunk_starts = np.arange(0, num_agents, width)[:, None]
-        self.chunk_sizes = np.minimum(width, num_agents - self.chunk_starts)
+        self.chunk_starts = np.arange(0, self.num_agents, width)[:, None]
+        self.chunk_sizes = np.minimum(width, self.num_agents - self.chunk_starts)
         # Where each group's row starts in its tile's flat flags, per chunk.
         self.row_starts = (owner % per_tile) * self.chunk_sizes
-        self.uniforms = np.empty((1, width))
-        self.flags = np.empty(per_tile * width + 1, dtype=bool)
+        self.shares = chunk_shares(self.num_agents)
+        # Per share: the uniforms before its first chunk (every chunk but
+        # the last is full width), its uniform row and flags, and for a
+        # worker share the generator it jumps ahead.
+        self.skips = [share.start * width for share in self.shares]
+        self.scratch = [(np.empty((1, width)), np.empty(per_tile * width + 1, dtype=bool))
+                        for _ in self.shares]
+        self.streams = [None] + [np.random.Generator(np.random.PCG64(0))
+                                 for _ in self.shares[1:]]
 
     def step(self, counts, rng) -> tuple:
         """One step of every member; returns (new counts, deaths per member).
@@ -262,17 +296,50 @@ class _Batch:
         lower = np.clip(ends - counts - self.chunk_starts, 0, self.chunk_sizes)
         sizes = np.clip(ends - self.chunk_starts, 0, self.chunk_sizes) - lower
         lower += self.row_starts
-        advanced, stayed = np.zeros((2, counts.size), dtype=np.int64)
-        for size, cuts, starts in zip(self.chunk_sizes[:, 0].tolist(), sizes, lower):
+        tallies = np.zeros((len(self.shares), 2, counts.size), dtype=np.int64)
+        # Worker shares read copies of the stream jumped ahead to their first
+        # chunk; share 0 reads the stream itself, which then skips the rest.
+        state = rng.bit_generator.state if len(self.shares) > 1 else None
+
+        def count_share(k):
+            stream = rng
+            if k:
+                stream = self.streams[k]
+                stream.bit_generator.state = state
+                stream.bit_generator.advance(self.skips[k])
+            self._count(k, stream, sizes, lower, tallies[k])
+
+        self.run(count_share)
+        if state is not None:
+            rng.bit_generator.advance(self.num_agents - self.skips[1])
+        advanced, stayed = tallies[0] if state is None else tallies.sum(axis=0)
+        new_counts = stayed
+        new_counts[1:] += advanced[:-1]
+        # A member's last group holds its survivors and feeds no other member.
+        last = self.last
+        new_counts[self.first[1:]] -= advanced[last[:-1]]
+        new_counts[last] += advanced[last]
+        deaths = self.num_agents - np.add.reduceat(new_counts, self.first)
+        new_counts[self.first] += deaths
+        return new_counts, deaths
+
+    def _count(self, k, rng, sizes, lower, tally) -> None:
+        """Count share k's chunks, drawn from ``rng``, into ``tally``: its
+        advances, then its stays."""
+        advanced, stayed = tally
+        uniforms, flag_buffer = self.scratch[k]
+        share = self.shares[k]
+        for size, cuts, starts in zip(self.chunk_sizes[share, 0].tolist(),
+                                      sizes[share], lower[share]):
             # One row, broadcast over the tile's members.
-            u = self.uniforms[:, :size]
+            u = uniforms[:, :size]
             rng.random(out=u)
             for part, rows, advance_below, stay_from in self.tiles:
                 # A False sentinel closes the tile's last group and gives
                 # trailing empty groups a valid start; np.minimum zeroes
                 # every empty group, whose reduceat entry is a single flag
                 # of the next group.
-                flags = self.flags[:rows * size + 1]
+                flags = flag_buffer[:rows * size + 1]
                 flags[-1] = False
                 grid = flags[:-1].reshape(rows, size)
                 cut, start = cuts[part], starts[part]
@@ -284,15 +351,6 @@ class _Batch:
                         u, np.repeat(stay_from, cut).reshape(rows, size), out=grid)
                     stayed[part] += np.minimum(
                         np.add.reduceat(flags, start, dtype=np.int32), cut)
-        new_counts = stayed
-        new_counts[1:] += advanced[:-1]
-        # A member's last group holds its survivors and feeds no other member.
-        last = self.last
-        new_counts[self.first[1:]] -= advanced[last[:-1]]
-        new_counts[last] += advanced[last]
-        deaths = self.num_agents - np.add.reduceat(new_counts, self.first)
-        new_counts[self.first] += deaths
-        return new_counts, deaths
 
 
 def write_trajectory_csv(result: SimResult, path) -> None:

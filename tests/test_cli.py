@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from agedist import model2, pipeline
+from agedist import parallel, pipeline, simulator
 from agedist.cli import build_parser, main
 from agedist.distributions import ALPHA_MIN
 from agedist.dataio import load_params_document
@@ -504,8 +504,21 @@ class TestPipeline:
             "num_agents": 600,
             "num_steps": 30,
             "burn_in": 30 - 30 // 7,  # all but the final seventh
-            "cpu_count": model2._cpu_count(),
+            "cpu_count": parallel.cpu_count(),
+            "validation_shares": 1,  # 600 agents are one chunk
         }
+
+    def test_summary_records_the_validation_shares(self, dataset, tmp_path, monkeypatch):
+        # 600 agents in chunks of 250 are three chunks: two shares on two CPUs.
+        monkeypatch.setattr(simulator, "BLOCK", 250)
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
+        out_dir = tmp_path / "out"
+        assert main([
+            "pipeline", "--input", str(dataset), "--out-dir", str(out_dir),
+            "--agents", "600", "--steps", "30",
+        ]) == 0
+        run = strict_load(out_dir / "summary.json")["run"]
+        assert (run["cpu_count"], run["validation_shares"]) == (2, 2)
 
     def test_nearest_reachable_written_to_outputs(self, flat_dataset, tmp_path):
         out_dir = tmp_path / "out"

@@ -54,7 +54,7 @@ def test_demo_exits_cleanly(script, tmp_path):
 
 MODULE_NAME = re.compile(
     r"(?<![\w/.])(?:agedist\.)?"
-    r"(model1|model2|pipeline|simulator|dataio|curvefit|distributions)\.([A-Za-z_]\w*)")
+    r"(model1|model2|pipeline|simulator|dataio|curvefit|distributions|parallel)\.([A-Za-z_]\w*)")
 ORACLE_NAME = re.compile(r"tests/oracles\.py::(\w+)")
 
 

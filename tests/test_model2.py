@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from agedist import model1, model2, normalize, optimize
+from agedist import model1, model2, normalize, optimize, parallel
 from agedist.distributions import ALPHA_MIN, MAX_LAST_SURVIVAL, AgeDistribution, default_labels
 from agedist.errors import (
     ActivationTooSmall,
@@ -698,7 +698,7 @@ def split(monkeypatch):
 
     def use(count):
         monkeypatch.setattr(model2, "SHARE_FLOOR", 1)
-        monkeypatch.setattr(model2, "_cpu_count", lambda: count)
+        monkeypatch.setattr(parallel, "cpu_count", lambda: count)
 
     return use
 
@@ -869,18 +869,18 @@ class TestRowShares:
             assert (got.mae, got.iterations_used) == (want.mae, want.iterations_used)
 
     def test_floor_keeps_small_searches_serial(self, monkeypatch):
-        monkeypatch.setattr(model2, "_cpu_count", lambda: 64)
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 64)
         # The cascade's 21-group search: 630 rows x 42 entries.
-        assert model2._row_shares(630, 42) == [slice(0, 630)]
-        shares = model2._row_shares(3030, 202)
+        assert parallel.shares(630, 42, model2.SHARE_FLOOR) == [slice(0, 630)]
+        shares = parallel.shares(3030, 202, model2.SHARE_FLOOR)
         assert len(shares) == 3030 * 202 // model2.SHARE_FLOOR
         assert all(
             (s.stop - s.start) * 202 >= model2.SHARE_FLOOR for s in shares)
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     def test_shares_cover_the_rows_in_order(self, monkeypatch, cpus):
-        monkeypatch.setattr(model2, "_cpu_count", lambda: cpus)
-        shares = model2._row_shares(3030, 202)
+        monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
+        shares = parallel.shares(3030, 202, model2.SHARE_FLOOR)
         assert len(shares) == cpus
         assert shares[0].start == 0 and shares[-1].stop == 3030
         assert all(a.stop == b.start for a, b in zip(shares, shares[1:]))
@@ -889,8 +889,8 @@ class TestRowShares:
 
     def test_cpu_count_follows_affinity(self):
         if hasattr(os, "sched_getaffinity"):
-            assert model2._cpu_count() == len(os.sched_getaffinity(0))
-        assert model2._cpu_count() >= 1
+            assert parallel.cpu_count() == len(os.sched_getaffinity(0))
+        assert parallel.cpu_count() >= 1
 
 
 class TestBufferedRandomHalf:

@@ -1,7 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
-from agedist import SimConfig, normalize, optimize, simulator
+from agedist import SimConfig, normalize, optimize, parallel, simulator
 from agedist.distributions import AgeDistribution, ModelKind, ModelParams
 from agedist.errors import NotNormalized, ResidualCheckFailed
 from agedist.model1 import solve, steady_state
@@ -481,6 +483,101 @@ class TestRunMany:
                 with pytest.raises(ResidualCheckFailed,
                                    match=f"member {member}: an agent left the age groups"):
                     run_many(targets, params, config)
+
+
+def share_threads():
+    """Names of the share runner's worker threads that are alive."""
+    return [thread.name for thread in threading.enumerate()
+            if thread.name.startswith("agedist-share")]
+
+
+def recording_shares(monkeypatch):
+    """Wrap ``_Batch._count`` so that every share records its index and
+    the thread it ran on."""
+    seen = []
+    count = simulator._Batch._count
+
+    def recording(self, k, *args):
+        seen.append((k, threading.get_ident()))
+        return count(self, k, *args)
+
+    monkeypatch.setattr(simulator._Batch, "_count", recording)
+    return seen
+
+
+class TestChunkShares:
+    """A step's chunks are counted in shares, one per CPU; results do not
+    depend on the share count."""
+
+    @pytest.mark.parametrize("block", [7, 500, 1000])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_results_independent_of_share_count(self, cpus, block, monkeypatch):
+        targets, params = batch_members()
+        # numpy integers: the stream offsets must still reach PCG64.advance
+        # as Python ints.
+        config = SimConfig(num_agents=np.int64(1500), num_steps=8, burn_in=3,
+                           seed=np.uint64(19), record_trajectory=True)
+        serial = run_many(targets, params, config)
+        monkeypatch.setattr(simulator, "BLOCK", block)
+        monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
+        chunks = -(-1500 // block)
+        assert len(simulator.chunk_shares(1500)) == min(cpus, chunks)
+        seen = recording_shares(monkeypatch)
+        results = assert_batch_matches_own_runs(targets, params, config)
+        assert {k for k, _ in seen} == set(range(min(cpus, chunks)))
+        for got, want in zip(results, serial):
+            assert np.array_equal(got.steady_estimate, want.steady_estimate)
+            assert np.array_equal(got.final_snapshot, want.final_snapshot)
+            assert np.array_equal(got.trajectory, want.trajectory)
+            assert got.total_deaths == want.total_deaths
+
+
+class TestThreadHygiene:
+    @pytest.fixture(autouse=True)
+    def two_shares(self, monkeypatch):
+        monkeypatch.setattr(simulator, "BLOCK", 500)
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
+
+    def test_no_worker_outlives_the_run(self, monkeypatch):
+        seen = recording_shares(monkeypatch)
+        targets, params = batch_members()
+        config = SimConfig(num_agents=1500, num_steps=6, burn_in=2, seed=4)
+        run_many(targets, params, config)
+        # Share 1 ran on a second thread, which ended with the call.
+        assert {k for k, _ in seen} == {0, 1}
+        assert len({ident for _, ident in seen}) == 2
+        assert (0, threading.get_ident()) in seen
+        assert share_threads() == []
+        run(targets[0], params[0], config)
+        assert share_threads() == []
+
+    def test_worker_failure_surfaces_unchanged(self, monkeypatch):
+        failure = RuntimeError("share 1 failed")
+        count = simulator._Batch._count
+
+        def failing(self, k, *args):
+            if k == 1:
+                raise failure
+            return count(self, k, *args)
+
+        monkeypatch.setattr(simulator._Batch, "_count", failing)
+        targets, params = batch_members()
+        with pytest.raises(RuntimeError) as raised:
+            run_many(targets, params, SimConfig(num_agents=1500, num_steps=6, burn_in=2))
+        assert raised.value is failure
+        assert share_threads() == []
+
+    def test_one_chunk_starts_no_thread(self, monkeypatch):
+        def no_thread(self):
+            raise AssertionError("started a thread for a one-chunk batch")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        seen = recording_shares(monkeypatch)
+        targets, params = batch_members()
+        config = SimConfig(num_agents=500, num_steps=6, burn_in=2, seed=4,
+                           record_trajectory=True)
+        assert_batch_matches_own_runs(targets, params, config)
+        assert set(seen) == {(0, threading.get_ident())}
 
 
 class TestRun:
