@@ -27,12 +27,13 @@ import os
 import platform
 import re
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, curvefit, dataio, model1, model2, parallel, pipeline, simulator
-from .distributions import ModelKind, classify, mean_absolute_error
+from .distributions import ModelKind, ModelParams, classify, mean_absolute_error
 from .errors import AgedistError
 
 logger = logging.getLogger("agedist")
@@ -158,13 +159,29 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _fitted_params(fit: curvefit.CurveFitResult) -> tuple:
+    """``fit-curve``'s parameters: the model-1 station on the fitted
+    surrogate, with the fit's distance, residual and curve parameters in
+    its diagnostics; returns (params, analytic steady state)."""
+    params, analytic = pipeline.solve_model1(fit.fitted)
+    diagnostics = {
+        "mae": params.diagnostics["mae"],
+        "wasserstein_to_original": fit.wasserstein_to_original,
+        "residual_sse": fit.residual_sse,
+        **asdict(fit.params),  # plateau, decay_scale, decay_shape, breakpoint
+        "free_param_mode": params.diagnostics["free_param_mode"],
+    }
+    return ModelParams(ModelKind.MODEL1_ON_FITTED, params.survival,
+                       diagnostics=diagnostics), analytic
+
+
 def cmd_fit_curve(args) -> int:
     dist = _target(args)
     result = curvefit.fit(dist)
 
     dataio.write_csv(args.fit_report, ["k", "sse", "wasserstein"], result.per_k_table)
 
-    params, _ = pipeline._fitted_params(result)
+    params, _ = _fitted_params(result)
     # The file's target is the fitted surrogate: that is the distribution
     # these parameters reproduce.
     dataio.emit_params(

@@ -266,17 +266,18 @@ def solver_proportions(dist) -> np.ndarray:
     the last non-empty one: a raw vector with an empty group there raises
     InteriorZeroGroup, as an AgeDistribution does."""
     props = proportions_of(dist)
-    _reject_interior_zero(props, default_labels(props.size))
+    _reject_interior_zero(props)
     return props
 
 
-def _reject_interior_zero(props: np.ndarray, labels: tuple) -> None:
+def _reject_interior_zero(props: np.ndarray, labels: Optional[tuple] = None) -> None:
     nonzero = np.flatnonzero(props)
     empty = np.flatnonzero(props[: nonzero[-1]] == 0) if nonzero.size else nonzero
     if empty.size:
         idx = int(empty[0])
+        label = (labels or default_labels(props.size))[idx]  # built only to name it
         raise InteriorZeroGroup(
-            f"group {labels[idx]!r} (index {idx}) is empty but later groups are not"
+            f"group {label!r} (index {idx}) is empty but later groups are not"
         )
 
 

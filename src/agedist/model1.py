@@ -38,8 +38,8 @@ from .errors import (
     ResidualCheckFailed,
 )
 
-#: Residual ceiling for the stationarity check in steady_state() and
-#: model2.steady_state2().
+#: Ceiling on the largest entry of stationarity_residual(), checked in
+#: steady_state() and model2.steady_state2().
 RESIDUAL_TOLERANCE = 1e-10
 
 
@@ -139,7 +139,7 @@ def solve(dist, p_n="mid", *, seed: Optional[int] = None) -> SurvivalVector:
 def steady_state(p, labels=None) -> AgeDistribution:
     """Stationary age distribution of the plain ageing process: the
     ``stationary_profiles`` recursion with every activation rate 1, checked
-    against every row of the full stationarity system.
+    against every equation of the stationarity system (in O(n)).
 
     Raises:
         DegenerateLastGroup: the last survival probability is >= 1.
@@ -198,7 +198,7 @@ def _steady_state(p, alpha, labels) -> AgeDistribution:
         )
 
     dist = stationary_profiles(probs[None], rates[None], np.empty((1, n)))[0]
-    worst = float(np.abs(stationarity_matrix(probs, rates) @ dist).max())
+    worst = float(np.abs(stationarity_residual(probs, rates, dist)).max())
     if worst >= RESIDUAL_TOLERANCE:
         raise ResidualCheckFailed(
             f"stationarity residual {worst:g} exceeds {RESIDUAL_TOLERANCE:g}"
@@ -206,19 +206,16 @@ def _steady_state(p, alpha, labels) -> AgeDistribution:
     return AgeDistribution(labels if labels is not None else default_labels(n), dist)
 
 
-def stationarity_matrix(probs: np.ndarray, rates=None) -> np.ndarray:
-    """Full linear system whose null vector is the stationary profile: the
-    expected one-step update minus the identity.
-
-    Row 0 balances the first group's outflow against the deaths replaced
-    into it; row i says group i is fed entirely by survivors of group i-1;
-    the last row balances final-group inflow against its deaths. Only the
-    active share alpha_j of group j moves, so ``rates`` scale column j
-    (none: the plain process).
-    """
-    probs = np.asarray(probs, dtype=float)
-    n = probs.size
-    m = np.diag(np.r_[-probs[0], np.full(n - 2, -1.0), probs[-1] - 1.0])
-    m[0, 1:] = 1.0 - probs[1:]
-    m[np.arange(1, n), np.arange(n - 1)] = probs[:-1]
-    return m if rates is None else m * np.asarray(rates, dtype=float)
+def stationarity_residual(probs, rates, profile) -> np.ndarray:
+    """(E - I) profile in O(n), E the expected one-step update. With active
+    mass y = alpha N and advances m = p y, row 0 is
+    sum_{j>=1} (y_j - m_j) - m_0 (deaths replaced into the first group
+    against its advances), row i is m_{i-1} - y_i, and the last row adds
+    back m_{n-1}, the survivors the last group keeps."""
+    active = rates * profile
+    advanced = probs * active
+    residual = np.empty_like(active)
+    residual[0] = np.sum(active[1:] - advanced[1:]) - advanced[0]
+    np.subtract(advanced[:-1], active[1:], out=residual[1:])
+    residual[-1] += advanced[-1]
+    return residual

@@ -203,8 +203,9 @@ def nearest_reachable(dist) -> AgeDistribution:
 def steady_state2(p, alpha, labels=None) -> AgeDistribution:
     """Stationary age distribution of the activation-rate process: the
     ``model1.stationary_profiles`` recursion, under the guards of
-    ``model1.steady_state`` with column j of the stationarity system scaled
-    by alpha_j. All activation rates 1 give the plain process bit for bit.
+    ``model1.steady_state``, whose residual check moves only the active
+    share alpha_j of group j. All activation rates 1 give the plain process
+    bit for bit.
     """
     return model1._steady_state(p, alpha, labels)
 

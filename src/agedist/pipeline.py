@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
-from . import curvefit, model1, model2, simulator
+from . import model1, model2, simulator
 from .distributions import (
     AgeDistribution,
     Classification,
@@ -145,26 +145,6 @@ def solve_model2(dist: AgeDistribution) -> tuple:
                        free_param_mode="midpoint", mae=mean_absolute_error(analytic, dist))
     params = ModelParams(ModelKind.MODEL2, survival, activation, diagnostics=diagnostics)
     return params, analytic
-
-
-def _fitted_params(fit: curvefit.CurveFitResult) -> tuple:
-    """``agedist fit-curve``'s parameters: the model-1 station on the fitted
-    surrogate; returns (params, analytic steady state).
-
-    Diagnostics record the analytic mean absolute error against the
-    surrogate, the fit's distance, residual and curve parameters, and the
-    ``free_param_mode``.
-    """
-    params, analytic = solve_model1(fit.fitted)
-    diagnostics = {
-        "mae": params.diagnostics["mae"],
-        "wasserstein_to_original": fit.wasserstein_to_original,
-        "residual_sse": fit.residual_sse,
-        **asdict(fit.params),  # plateau, decay_scale, decay_shape, breakpoint
-        "free_param_mode": params.diagnostics["free_param_mode"],
-    }
-    return ModelParams(ModelKind.MODEL1_ON_FITTED, params.survival,
-                       diagnostics=diagnostics), analytic
 
 
 def _solve_one(dist: AgeDistribution, p_n="mid", *, seed: Optional[int] = None) -> tuple:

@@ -70,22 +70,31 @@ def expected_update_activated(props, survival, activation):
     return out
 
 
+def stationarity_system(survival, activation):
+    """The dense stationarity system E - I of the activation-rate process.
+
+    The columns of the one-step expected-update matrix E come from the
+    bookkeeping above applied to each unit vector. Its product with a
+    profile is the residual that ``model1.stationarity_residual`` computes
+    in O(n).
+    """
+    unit = np.eye(len(survival))
+    return np.column_stack(
+        [expected_update_activated(column, survival, activation) for column in unit]
+    ) - unit
+
+
 def stationary_null_vector(survival, activation):
     """Stationary profile of the activation-rate process, solved directly.
 
-    The columns of the one-step expected-update matrix E come from the
-    bookkeeping above applied to each unit vector. The profile is the null
-    vector of E - I with entries summing to one; the first-group balance
-    row is implied by the others (columns of E sum to one), so it is
-    replaced by the normalisation row and the square system solved by LU.
+    The profile is the null vector of ``stationarity_system`` with entries
+    summing to one; the first-group balance row is implied by the others
+    (columns of E sum to one), so it is replaced by the normalisation row
+    and the square system solved by LU.
     """
-    n = len(survival)
-    unit = np.eye(n)
-    system = np.column_stack(
-        [expected_update_activated(unit[j], survival, activation) for j in range(n)]
-    ) - unit
+    system = stationarity_system(survival, activation)
     system[0, :] = 1.0
-    return np.linalg.solve(system, unit[0])
+    return np.linalg.solve(system, np.eye(len(survival))[0])
 
 
 def fixed_point(update, n_groups, tol=1e-14, max_iter=2_000_000):

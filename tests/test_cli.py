@@ -8,14 +8,15 @@ import re
 import numpy as np
 import pytest
 
-from agedist import parallel, pipeline, simulator
-from agedist.cli import build_parser, main
-from agedist.distributions import ALPHA_MIN
+from agedist import curvefit, parallel, pipeline, simulator
+from agedist.cli import _fitted_params, build_parser, main
+from agedist.distributions import ALPHA_MIN, ModelKind, mean_absolute_error
 from agedist.dataio import load_params_document
 from agedist.errors import AgedistError
 from agedist.simulator import SimConfig
 
 from test_curvefit import bench_generator
+from test_pipeline import flat_then_humped
 
 
 def strict_load(path):
@@ -364,6 +365,26 @@ class TestSolveModel2:
         diagnostics = load_params_document(out_file).params.diagnostics
         assert diagnostics["solver"] == "nearest_reachable"
         assert diagnostics["mae"] < 1e-9
+
+
+class TestSolveCurveFit:
+    def test_records_the_fit(self):
+        dist = flat_then_humped()
+        result = curvefit.fit(dist)
+        params, analytic = _fitted_params(result)
+        assert params.kind is ModelKind.MODEL1_ON_FITTED
+        assert analytic.labels == dist.labels
+        # In this order: the parameter file writes them so.
+        assert list(params.diagnostics.items()) == [
+            ("mae", mean_absolute_error(analytic, result.fitted)),
+            ("wasserstein_to_original", result.wasserstein_to_original),
+            ("residual_sse", result.residual_sse),
+            ("plateau", result.params.plateau),
+            ("decay_scale", result.params.decay_scale),
+            ("decay_shape", result.params.decay_shape),
+            ("breakpoint", result.params.breakpoint),
+            ("free_param_mode", "midpoint"),
+        ]
 
 
 class TestFitCurve:

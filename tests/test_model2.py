@@ -31,6 +31,7 @@ from oracles import (
     reference_mae_objective,
     reference_optimize,
     reference_steady_state,
+    stationarity_system,
     stationary_null_vector,
 )
 
@@ -68,10 +69,10 @@ def activation_vectors(draw, size):
 
 
 @st.composite
-def rate_pairs(draw, min_survival=0.0):
-    """(survival, activation) of 3..60 groups; rates at ALPHA_MIN, at 1 and
-    in between, the last survival up to MAX_LAST_SURVIVAL."""
-    n = draw(st.integers(3, 60))
+def rate_pairs(draw, min_survival=0.0, max_groups=60):
+    """(survival, activation) of 3..max_groups groups; rates at ALPHA_MIN,
+    at 1 and in between, the last survival up to MAX_LAST_SURVIVAL."""
+    n = draw(st.integers(3, max_groups))
     probs = draw(st.lists(st.floats(min_survival, 1.0), min_size=n, max_size=n))
     probs[-1] = draw(st.just(MAX_LAST_SURVIVAL) | st.floats(0.0, MAX_LAST_SURVIVAL))
     rate = st.sampled_from([ALPHA_MIN, 1.0]) | st.floats(ALPHA_MIN, 1.0)
@@ -79,16 +80,42 @@ def rate_pairs(draw, min_survival=0.0):
     return np.asarray(probs), np.asarray(rates)
 
 
+@st.composite
+def systems_and_profiles(draw):
+    """A rate pair of 3..200 groups and a profile on the simplex."""
+    probs, rates = draw(rate_pairs(max_groups=200))
+    weights = np.asarray(draw(st.lists(st.floats(0.0, 1.0), min_size=probs.size,
+                                       max_size=probs.size)))
+    assume(weights.sum() > 0.0)
+    return probs, rates, weights / weights.sum()
+
+
 class TestStationaryKernel:
-    @given(rate_pairs())
+    @given(systems_and_profiles())
     @settings(max_examples=150)
-    def test_stationarity_matrix_is_expected_update_minus_identity(self, pair):
-        probs, rates = pair
-        unit = np.eye(probs.size)
-        expected = np.column_stack(
-            [expected_update_activated(unit[j], probs, rates) for j in range(probs.size)]
-        )
-        assert np.abs(model1.stationarity_matrix(probs, rates) - (expected - unit)).max() <= 1e-15
+    def test_residual_is_the_dense_system_times_the_profile(self, case):
+        probs, rates, profile = case
+        dense = stationarity_system(probs, rates) @ profile
+        assert np.abs(model1.stationarity_residual(probs, rates, profile) - dense).max() <= 1e-15
+
+    @pytest.mark.parametrize("group", [0, 10, 20])
+    def test_residual_check_covers_every_group(self, group, monkeypatch):
+        # A profile off by 1e-6 in the first, a middle or the last group
+        # misses its equations by far more than RESIDUAL_TOLERANCE.
+        kernel = model1.stationary_profiles
+
+        def shifted(*args, **kwargs):
+            out = kernel(*args, **kwargs)
+            out[:, group] += 1e-6
+            return np.divide(out, out.sum(axis=1, keepdims=True), out=out)
+
+        monkeypatch.setattr(model1, "stationary_profiles", shifted)
+        probs = np.linspace(0.9, 0.5, 21)
+        rates = np.linspace(1.0, 0.2, 21)
+        with pytest.raises(ResidualCheckFailed, match="residual"):
+            steady_state(probs)
+        with pytest.raises(ResidualCheckFailed, match="residual"):
+            steady_state2(probs, rates)
 
     @given(rate_pairs(min_survival=0.01))
     @settings(max_examples=150)
