@@ -4,9 +4,9 @@ The family is constant at height A for groups before an integer breakpoint k
 and decays as A exp(-B (x - k)^C) from the breakpoint on. With B, C > 0 the
 curve is non-increasing, so its normalized evaluations always form a target
 the closed-form solver accepts. A, B and C are fitted by damped least
-squares for every breakpoint in 1..n, all breakpoints in one stacked
-iteration, and the breakpoint whose normalized curve sits closest to the
-original in Wasserstein distance wins.
+squares for every breakpoint in 1..n, a batch of breakpoints in one
+stacked iteration, and the breakpoint whose normalized curve sits closest
+to the original in Wasserstein distance wins.
 """
 
 from __future__ import annotations
@@ -29,6 +29,12 @@ STEP_TOLERANCE = 1e-10
 #: Log-parameter box. Flat data pushes log(decay_scale) toward -inf (the
 #: plateau-only limit); the clamp keeps every parameter positive and finite.
 LOG_PARAM_LIMIT = 600.0
+
+#: Entries (breakpoints x n x 3) of the Jacobian stack that one batch of
+#: breakpoints holds. A fit takes its breakpoints in batches of this size
+#: at most, so its memory grows linearly in n; up to 182 groups it takes
+#: them all at once.
+JACOBIAN_ENTRIES = 100_000
 
 
 @dataclass(frozen=True)
@@ -110,9 +116,9 @@ def _sums_of_squares(residuals: np.ndarray) -> np.ndarray:
         return (residuals[:, None, :] @ residuals[:, :, None])[:, 0, 0]
 
 
-def _fit_breakpoints(y: np.ndarray) -> tuple:
-    """Damped Gauss-Newton on (log A, log B, log C) for every breakpoint k
-    in 1..n at once.
+def _fit_breakpoints(y: np.ndarray, breakpoints: np.ndarray) -> tuple:
+    """Damped Gauss-Newton on (log A, log B, log C) for the given
+    breakpoints k (group indices in 1..n) at once.
 
     Positivity comes free from the log parameterisation. Each breakpoint
     keeps its own damping, accept/reject decision, stop test and budget of
@@ -121,24 +127,24 @@ def _fit_breakpoints(y: np.ndarray) -> tuple:
     BLAS and LAPACK calls a breakpoint-at-a-time loop makes, so each row's
     floats are the same. A step whose sse overflows is rejected like any
     other non-improving step. A singular damped system raises the damping
-    tenfold and spends the step. Returns (log_params (n, 3), sse (n,),
-    converged (n,)); converged means an accepted or proposed step shrank
-    below STEP_TOLERANCE in infinity norm, or the damping grew past 1e14,
-    within the budget.
+    tenfold and spends the step. Returns (log_params (m, 3), sse (m,),
+    converged (m,)) for the m breakpoints; converged means an accepted or
+    proposed step shrank below STEP_TOLERANCE in infinity norm, or the
+    damping grew past 1e14, within the budget.
     """
     n = y.size
-    rows = np.arange(n)
-    breakpoints = rows + 1
+    m = breakpoints.size
+    rows = np.arange(m)
     # Start at the data's peak, decay shape 1 and a scale that halves the
     # curve over the tail.
     theta = np.log(np.column_stack(
-        [np.full(n, y.max()), math.log(2.0) / np.maximum(n - breakpoints, 1), np.ones(n)]))
+        [np.full(m, y.max()), math.log(2.0) / np.maximum(n - breakpoints, 1), np.ones(m)]))
     vals, jac = _values_and_jacobian(theta, breakpoints, n)
     residual = vals - y
     sse = _sums_of_squares(residual)
-    lam = np.full(n, 1e-3)
+    lam = np.full(m, 1e-3)
     fitted, fitted_sse = np.empty_like(theta), np.empty_like(sse)
-    converged = np.zeros(n, dtype=bool)
+    converged = np.zeros(m, dtype=bool)
 
     for _ in range(MAX_INNER_ITERATIONS):
         jac_t = jac.transpose(0, 2, 1)
@@ -178,12 +184,27 @@ def _fit_breakpoints(y: np.ndarray) -> tuple:
     return fitted, fitted_sse, converged
 
 
+def _fits(y: np.ndarray):
+    """(k, log_params, sse, converged, curve values) for every breakpoint k
+    in 1..n, in order, fitted in batches of at most JACOBIAN_ENTRIES
+    Jacobian entries. Each row gets the floats that fitting it alone gives,
+    whatever its batch."""
+    n = y.size
+    size = max(1, JACOBIAN_ENTRIES // (3 * n))
+    for first in range(1, n + 1, size):
+        breakpoints = np.arange(first, min(first + size, n + 1))
+        thetas, sses, converged = _fit_breakpoints(y, breakpoints)
+        curves = _values_and_jacobian(thetas, breakpoints, n)[0]
+        yield from zip(breakpoints.tolist(), thetas, sses.tolist(), converged, curves)
+
+
 def fit(dist) -> CurveFitResult:
     """Fit the plateau-then-decay family to ``dist``, an AgeDistribution or
     a raw proportion vector (whose fit gets the labels g1..gn).
 
-    Runs the inner least squares for every breakpoint k in 1..n at once
-    (each breakpoint gets the floats that fitting it alone gives), normalizes
+    Runs the inner least squares for every breakpoint k in 1..n, in
+    batches of at most ``JACOBIAN_ENTRIES`` Jacobian entries (each
+    breakpoint gets the floats that fitting it alone gives), normalizes
     each fitted curve into a distribution and keeps the breakpoint with the
     smallest Wasserstein distance to the original (ties go to the smallest
     k). Breakpoints whose inner fit runs out of budget are recorded with
@@ -199,13 +220,10 @@ def fit(dist) -> CurveFitResult:
     y = solver_proportions(dist)
     n = y.size
     labels = dist.labels if isinstance(dist, AgeDistribution) else default_labels(n)
-    thetas, sses, converged = _fit_breakpoints(y)
-    curves = _values_and_jacobian(thetas, np.arange(1, n + 1), n)[0]
     table = []
     best = None
 
-    rows = zip(range(1, n + 1), thetas, sses.tolist(), converged, curves)
-    for k, theta, sse, ok, vals in rows:
+    for k, theta, sse, ok, vals in _fits(y):
         if not ok:
             table.append((k, float("inf"), float("inf")))
             continue

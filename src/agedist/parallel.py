@@ -22,12 +22,17 @@ def cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def split(rows: slice, count: int) -> list:
+    """``rows`` cut into ``count`` contiguous slices, in order, whose
+    lengths differ by at most one."""
+    edges = [rows.start + (rows.stop - rows.start) * k // count for k in range(count + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
 def shares(units: int, size: int = 1, floor: int = 1) -> list:
     """Contiguous slices of ``range(units)``, one per CPU, but at most one
     per ``floor`` entries of work when a unit holds ``size`` entries."""
-    count = max(1, min(cpu_count(), units * size // floor, units))
-    edges = [units * k // count for k in range(count + 1)]
-    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+    return split(slice(0, units), max(1, min(cpu_count(), units * size // floor, units)))
 
 
 @contextmanager

@@ -7,8 +7,8 @@ fixed point, so agreement with the library is evidence, not tautology.
 
 The second half keeps the straightforward forms of the steady-state
 recursions, of the differential-evolution search (objective, reflection,
-generation loop), of the curve fit's breakpoint-at-a-time least squares and
-of the simulator step and run. The library's batched kernel, in-place
+generation loop), of the nearest-reachable payment's counts, of the curve
+fit's breakpoint-at-a-time least squares and of the simulator step and run. The library's batched kernel, in-place
 search, batched curve fit and count-state run must reproduce them bit for
 bit.
 """
@@ -26,6 +26,7 @@ from agedist.curvefit import (
     CurveParams,
 )
 from agedist.distributions import (
+    ALPHA_MIN,
     AgeDistribution,
     default_labels,
     solver_proportions,
@@ -431,3 +432,22 @@ def reference_fit(dist):
     distance, params, fitted, sse = best
     return CurveFitResult(params=params, fitted=fitted, wasserstein_to_original=distance,
                           residual_sse=sse, per_k_table=tuple(table))
+
+
+def reference_paid_for(props, raised, later, bound):
+    """``model2._paid_for`` with its counts as first written: one Python
+    pass per raised group."""
+    head = props[:-1]
+    starts = np.flatnonzero(bound)
+    sizes = later[starts]
+    gains = np.array([np.count_nonzero(sizes[t:] == sizes[t]) for t in range(starts.size)])
+    payers = np.array([np.count_nonzero(head[j + 1:] == later[j]) for j in starts])
+    best = np.argmax(gains / payers)
+    first, size, slope = starts[best], sizes[best], gains[best] * ALPHA_MIN
+    heights = np.sort(head[first + 1:])[::-1]
+    levels = ((np.cumsum(heights) - (raised.sum() - props.sum()) + slope * size)
+              / (np.arange(1, heights.size + 1) + slope))
+    level = levels[np.argmax(levels >= np.append(heights[1:], 0.0))]
+    paid = props.copy()
+    paid[first + 1:-1] = np.minimum(head[first + 1:], max(level, 0.5 * size))
+    return paid

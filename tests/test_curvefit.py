@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agedist import fit, normalize
+from agedist import curvefit, fit, normalize
 from agedist.curvefit import CurveParams, curve_values
 from agedist.distributions import AgeDistribution, Classification, classify, default_labels
 from agedist.errors import InteriorZeroGroup
@@ -227,3 +228,50 @@ class TestMatchesReferenceFit:
             assert_matches_reference(dist)
         assert calls["stacked"] > 0
         assert calls["singular"] > 0
+
+
+class TestBatches:
+    """Breakpoints are fitted in batches whose Jacobian stack stays under
+    ``JACOBIAN_ENTRIES``; every batch gives the reference's floats."""
+
+    def batch_sizes(self, monkeypatch):
+        sizes = []
+        fit_batch = curvefit._fit_breakpoints
+
+        def recording(y, breakpoints):
+            sizes.append(breakpoints.size)
+            return fit_batch(y, breakpoints)
+
+        monkeypatch.setattr(curvefit, "_fit_breakpoints", recording)
+        return sizes
+
+    @pytest.mark.parametrize("dist, per_batch", [
+        (log_normal_target(79, 8.0, 12), 5),
+        (log_normal_target(75, 8.0, 12), 1),
+        (log_normal_target(5, 2.0, 30), 7),
+        (log_normal_target(11, 0.3, 41), 40),
+    ], ids=["failed-breakpoints", "overflow", "n30", "n41"])
+    def test_uneven_batches_match_reference(self, monkeypatch, dist, per_batch):
+        n = len(dist)
+        monkeypatch.setattr(curvefit, "JACOBIAN_ENTRIES", 3 * n * per_batch + 2)
+        sizes = self.batch_sizes(monkeypatch)
+        assert_matches_reference(dist)
+        assert sizes[:-1] == [per_batch] * (len(sizes) - 1)
+        assert sum(sizes) == n and 0 < sizes[-1] <= per_batch
+
+    def test_bench_fine_grid_fit_is_one_batch(self, monkeypatch):
+        gen = bench_generator()
+        sizes = self.batch_sizes(monkeypatch)
+        fit(normalize(gen.fine_grid_targets(1, 1)[0], gen.FINE_LABELS))
+        assert sizes == [gen.FINE_GROUPS]
+
+    def test_memory_grows_linearly(self):
+        # One stack of all 401 breakpoints peaked at 26.8 MB.
+        dist = log_normal_target(3, 0.3, 401)
+        tracemalloc.start()
+        try:
+            fit(dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import sys
 import threading
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -11,7 +12,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from agedist import model1, model2, normalize, optimize, parallel
-from agedist.distributions import ALPHA_MIN, MAX_LAST_SURVIVAL, AgeDistribution, default_labels
+from agedist.distributions import (
+    ALPHA_MIN,
+    MAX_LAST_SURVIVAL,
+    AgeDistribution,
+    default_labels,
+    solver_proportions,
+)
 from agedist.errors import (
     ActivationTooSmall,
     DegenerateLastGroup,
@@ -28,6 +35,7 @@ from oracles import (
     fixed_point,
     reachable_l1_optimum,
     reference_bounce_back,
+    reference_paid_for,
     reference_mae_objective,
     reference_optimize,
     reference_steady_state,
@@ -453,6 +461,55 @@ class TestNearestReachable:
         assert reachable.labels == default_labels(3)
 
 
+def payment_inputs(dist):
+    props = solver_proportions(dist)
+    raised, later = model2._raised_to_floors(props)
+    bound = (raised[:-1] > props[:-1]) & (
+        later * ALPHA_MIN > props[-1] * (1.0 - MAX_LAST_SURVIVAL))
+    return props, raised, later, bound
+
+
+@st.composite
+def tied_targets(draw, max_size=60):
+    """Unreachable targets whose groups repeat a few heights, so that the
+    raised groups share sizes and the tallest later groups come in ties."""
+    n = draw(st.integers(3, max_size))
+    heights = draw(st.lists(st.floats(-9.0, 0.0), min_size=1, max_size=4))
+    values = 10.0 ** np.array(draw(st.lists(st.sampled_from(heights), min_size=n, max_size=n)))
+    values[: draw(st.integers(1, n - 2))] *= 10.0 ** draw(st.floats(-8.0, -3.0))
+    return normalize(values, default_labels(n))
+
+
+class TestPaymentCounts:
+    """``_paid_for`` counts with sorted runs what the loop form counts one
+    raised group at a time, with the same floats."""
+
+    def assert_matches_loop(self, dist):
+        props, raised, later, bound = payment_inputs(dist)
+        if not bound.any():
+            return False
+        got = model2._paid_for(props, raised, later, bound)
+        expected = reference_paid_for(props, raised, later, bound)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        return True
+
+    @given(st.one_of(unreachable_targets(), tied_targets()))
+    @settings(max_examples=300, deadline=None)
+    def test_equal_to_loop_form(self, dist):
+        self.assert_matches_loop(dist)
+
+    @pytest.mark.parametrize("n", [1_001, 5_001, 20_001])
+    def test_equal_on_steep_rises(self, n):
+        # Every group but the last is raised: the loop form's worst case.
+        assert self.assert_matches_loop(normalize(np.geomspace(1e-6, 1.0, n), default_labels(n)))
+
+    def test_ties_in_sizes_and_payers(self):
+        dist = normalize([1e-9, 1.0, 1e-9, 1.0, 1e-9, 1.0, 0.5, 0.5], default_labels(8))
+        props, raised, later, bound = payment_inputs(dist)
+        assert bound.sum() == 3 and len(set(later[bound])) == 1
+        assert self.assert_matches_loop(dist)
+
+
 class TestDEConfig:
     def test_only_size_budget_and_seed_are_settable(self):
         fields = [f.name for f in dataclasses.fields(DEConfig)]
@@ -528,19 +585,20 @@ class TestOptimize:
         monkeypatch.setattr(model2, "SUCCESS_THRESHOLD", 1e-9)
         target = hump()
         bounds = default_bounds(len(target))
-        seen = []
-        base = mae_objective(target)
-
-        def spy(candidates):
-            seen.append(np.array(candidates, copy=True))
-            return base(candidates)
-
-        monkeypatch.setattr(model2, "mae_objective", lambda t: spy)
-        optimize(target, DEConfig(seed=2, max_iterations=40))
-        assert len(seen) == 41  # initialisation + 40 generations
-        for batch in seen:
-            assert np.all(batch >= bounds[:, 0])
-            assert np.all(batch <= bounds[:, 1])
+        # One tile of 90 rows, then 23 tiles of 3-4 rows.
+        for tile_rows, tiles in ((None, 1), (4, 23)):
+            with monkeypatch.context() as patch:
+                if tile_rows:
+                    patch.setattr(model2, "TILE_ENTRIES", 6 * tile_rows)
+                generations = scoring_log(patch)
+                optimize(target, DEConfig(seed=2, max_iterations=40))
+            assert len(generations) == 41  # initialisation + 40 generations
+            for calls in generations:
+                assert len(calls) == tiles
+                assert sorted(row for _, rows, _ in calls for row in rows) == list(range(90))
+                for _, _, batch in calls:
+                    assert np.all(batch >= bounds[:, 0])
+                    assert np.all(batch <= bounds[:, 1])
 
     def test_non_convergence_reported_not_raised(self):
         sol = optimize(hump(), DEConfig(seed=0, max_iterations=1))
@@ -654,7 +712,7 @@ class TestObjective:
         rng = np.random.default_rng(0)
         bounds = default_bounds(7)
         first = None
-        for m in (6, 3, 6, 1):
+        for m in (6, 3, 6, 1, 9, 2):
             x = rng.uniform(bounds[:, 0], bounds[:, 1], size=(m, 14))
             got = ours(x)
             assert np.array_equal(got, theirs(x))
@@ -749,6 +807,34 @@ def scorer_threads(monkeypatch):
     return seen
 
 
+def scoring_log(monkeypatch):
+    """Record every scorer call of later searches, one list per generation
+    (initialisation first): the calling thread, the rows of the population
+    buffer it scores, and a copy of the candidates."""
+    generations = [[]]
+    make, pairs = model2.mae_objective, model2._distinct_pairs
+
+    def recording(target):
+        evaluate = make(target)
+
+        def score(candidates):
+            buffer = candidates.base
+            first = (candidates.ctypes.data - buffer.ctypes.data) // candidates.strides[0]
+            generations[-1].append((threading.get_ident(), range(first, first + len(candidates)),
+                                    np.array(candidates, copy=True)))
+            return evaluate(candidates)
+
+        return score
+
+    def next_generation(rng, m):
+        generations.append([])
+        return pairs(rng, m)
+
+    monkeypatch.setattr(model2, "mae_objective", recording)
+    monkeypatch.setattr(model2, "_distinct_pairs", next_generation)
+    return generations
+
+
 SHARE_CASES = [
     (21, DEConfig(seed=0, max_iterations=25)),
     (21, DEConfig(seed=7, max_iterations=20)),
@@ -840,12 +926,30 @@ class TestRowShares:
 
     def test_calling_thread_takes_a_share(self, split, monkeypatch):
         split(3)
-        seen = scorer_threads(monkeypatch)
-        optimize(hump_target(21), DEConfig(seed=0, max_iterations=4))
-        threads = {ident for ident, _ in seen}
-        assert len(threads) == 3
-        assert threading.get_ident() in threads
-        assert sorted(rows for _, rows in seen[:3]) == [210, 210, 210]
+        # One tile a share, then four of 52-53 rows.
+        for tile_rows, tiles in ((None, 3), (64, 12)):
+            with monkeypatch.context() as patch:
+                if tile_rows:
+                    patch.setattr(model2, "TILE_ENTRIES", 42 * tile_rows)
+                generations = scoring_log(patch)
+                optimize(hump_target(21), DEConfig(seed=0, max_iterations=4))
+            assert len(generations) == 5
+            threads = set()
+            for calls in generations:
+                # Every row once; each share's 210 rows on one thread, the
+                # first share's on the calling thread.
+                assert len(calls) == tiles
+                scorer = {}
+                for ident, rows, _ in calls:
+                    for row in rows:
+                        assert scorer.setdefault(row, ident) == ident
+                assert sorted(scorer) == list(range(630))
+                assert sum(len(rows) for _, rows, _ in calls) == 630
+                owners = [{scorer[row] for row in range(a, a + 210)} for a in (0, 210, 420)]
+                assert all(len(owner) == 1 for owner in owners)
+                assert owners[0] == {threading.get_ident()}
+                threads |= set.union(*owners)
+            assert len(threads) == 3
 
     def test_no_worker_outlives_the_search(self, split):
         split(3)
@@ -918,6 +1022,66 @@ class TestRowShares:
         if hasattr(os, "sched_getaffinity"):
             assert parallel.cpu_count() == len(os.sched_getaffinity(0))
         assert parallel.cpu_count() >= 1
+
+
+TILE_CASES = [
+    (21, DEConfig(seed=0, max_iterations=25), 8),
+    (21, DEConfig(seed=6, population_size=11, max_iterations=40), 2),
+    (101, DEConfig(seed=3, max_iterations=3), 37),
+    (101, DEConfig(seed=3, population_size=10, max_iterations=30), 4),
+]
+TILE_IDS = ["n21-8-rows", "n21-own-population-2-rows", "n101-37-rows",
+            "n101-own-population-4-rows"]
+
+
+class TestTiles:
+    """Each share builds, scores and selects its rows in tiles of at most
+    TILE_ENTRIES entries; results do not depend on the tile size."""
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    @pytest.mark.parametrize("n, config, rows", TILE_CASES, ids=TILE_IDS)
+    def test_bitwise_equal_to_reference(self, split, monkeypatch, n, config, rows, count):
+        split(count)
+        monkeypatch.setattr(model2, "TILE_ENTRIES", 2 * n * rows + 1)
+        generations = scoring_log(monkeypatch)
+        target = hump_target(n)
+        sol = optimize(target, config)
+        history = []
+        probs, rates, mae, iterations = reference_optimize(
+            target.proportions, config, history=history)
+        assert sol.history == tuple(history)
+        assert np.array_equal(sol.survival.probs, probs)
+        assert np.array_equal(sol.activation.rates, rates)
+        assert (sol.mae, sol.iterations_used) == (mae, iterations)
+        # Tiles of at most ``rows`` rows, some shorter than others.
+        sizes = {len(tile) for calls in generations for _, tile, _ in calls}
+        assert max(sizes) <= rows and len(sizes) == 2
+
+    @pytest.mark.parametrize("start, stop, height", [
+        (0, 1515, 371), (1515, 3030, 371), (0, 3030, 371), (0, 7, 3), (5, 6, 4),
+        (0, 630, 1785), (3, 13, 5), (0, 11, 1)])
+    def test_tiles_cover_the_rows_in_order(self, start, stop, height):
+        tiles = model2._tiles(slice(start, stop), height)
+        assert tiles[0].start == start and tiles[-1].stop == stop
+        assert all(a.stop == b.start for a, b in zip(tiles, tiles[1:]))
+        sizes = [tile.stop - tile.start for tile in tiles]
+        assert len(tiles) == -(-(stop - start) // height)
+        assert max(sizes) <= height and min(sizes) >= max(sizes) - 1
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_two_population_buffers(self, monkeypatch, cpus):
+        # Parents and trial rows; tile scratch, row indices and scores stay
+        # well under a third buffer. Share-sized scratch read about 4.2x.
+        monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
+        target, config = hump_target(101), DEConfig(seed=1, max_iterations=3)
+        optimize(target, config)  # first-call allocations of numpy itself
+        tracemalloc.start()
+        try:
+            optimize(target, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * (3030 * 202 * 8)
 
 
 class TestBufferedRandomHalf:
