@@ -17,15 +17,17 @@ the distribution it is given: a uniform one starts from equal shares.
 one config read the same uniform stream whatever their counts, so the batch
 draws it once and every member counts its own groups against it; each
 member's results are bit for bit those of its own ``run``, which is a batch
-of one. The uniforms are drawn in chunks of ``BLOCK``, and a step's chunks
+of one. The uniforms are drawn in chunks of ``BLOCK``, counted one group
+segment at a time for a member whose groups average at least ``BLOCK / 5``
+agents (``by_segment``) and in tiles for narrower ones. A step's chunks
 are split into contiguous shares, one per CPU the process may run on: share
 0 reads the run's generator on the calling thread, every other share a copy
 of it jumped ahead to its first chunk (PCG64 ``advance``) on a worker
 thread that lives only as long as the run. Every share counts into its own
 tallies, which are summed as integers, so results do not depend on the
-chunk size or on the CPU count; ``taskset -c 0`` gives a serial run with
-the same results. A run of at most ``BLOCK`` agents is one chunk, and runs
-on the calling thread alone.
+chunk size, the counting path or the CPU count; ``taskset -c 0`` gives a
+serial run with the same results. A run of at most ``BLOCK`` agents is one
+chunk, and runs on the calling thread alone.
 """
 
 from __future__ import annotations
@@ -163,8 +165,9 @@ def run_many(targets, params, config: Optional[SimConfig] = None) -> list:
                for index, (target, member) in enumerate(zip(targets, params))]
     if not members:
         return []
-    # Plain members first, so that tiles of plain members skip the stay pass.
-    order = sorted(range(len(members)), key=lambda i: members[i][2] is not None)
+    # Tiled members before wide ones (by_segment), plain before activated in each.
+    order = sorted(range(len(members)), key=lambda i: (
+        by_segment(cfg.num_agents, members[i][1].size), members[i][2] is not None))
     starts, advance_below, stay_from, labels = zip(*(members[i] for i in order))
     batch = _Batch(advance_below, stay_from, cfg.num_agents)
     first, offsets = batch.first, batch.offsets
@@ -214,6 +217,14 @@ def chunk_shares(num_agents: int) -> list:
     return parallel.shares(-(-num_agents // BLOCK))
 
 
+def by_segment(num_agents: int, groups: int) -> bool:
+    """Whether a member is counted one group segment at a time: its groups
+    average at least ``BLOCK / 5`` agents. On batches of 83 21-group members
+    the measured crossover lies between 100,000 agents (4,762 a group;
+    faster on one CPU, slower on two) and 150,000 (faster on both)."""
+    return 5 * num_agents >= groups * BLOCK
+
+
 def _member(index: int, target, params: ModelParams, config: SimConfig) -> tuple:
     """A batch member's start counts, advance and stay thresholds, and
     labels: advance below ``alpha * p``, stay from ``alpha`` up; a plain
@@ -234,11 +245,12 @@ class _Batch:
     step that counts them all against one shared stream.
 
     A step draws the uniforms once, in chunks of ``min(num_agents, BLOCK)``.
-    Members are packed into tiles of at most ``BLOCK`` agents (one member a
-    tile when a chunk is full width). Per chunk and tile, the members'
-    thresholds (from ``_member``) are repeated over their own uniforms into
-    one (members, chunk) row set, compared with the chunk by broadcasting
-    and counted per group with one ``np.add.reduceat``. The chunks are
+    Narrow members come first, packed into tiles of at most ``BLOCK``
+    agents: per chunk and tile, their thresholds (from ``_member``) are
+    repeated over their own uniforms, compared with the chunk by
+    broadcasting and counted per group with one ``np.add.reduceat``. Wide
+    members (``by_segment``) come last: each non-empty (chunk, group)
+    segment is compared once with its group's thresholds. The chunks are
     split into contiguous ``shares``, each with its own scratch; ``step``
     hands them to ``run``, which ``run_many`` sets to a share runner
     (``parallel.runner``).
@@ -260,25 +272,28 @@ class _Batch:
             for below, stay in zip(advance_below, stay_from)])
         width = min(self.num_agents, BLOCK)
         per_tile = max(1, BLOCK // width)
+        tiled = sum(not by_segment(self.num_agents, size) for size in sizes)
         # Per tile: its groups, its member count, and its thresholds; a tile
         # of plain members skips the stay pass.
         self.tiles = []
-        for a in range(0, len(sizes), per_tile):
-            b = min(a + per_tile, len(sizes))
+        for a in range(0, tiled, per_tile):
+            b = min(a + per_tile, tiled)
             part = slice(int(self.offsets[a]), int(self.offsets[b]))
             activated = any(stay is not None for stay in stay_from[a:b])
             self.tiles.append((part, b - a, flat_below[part],
                                flat_stay[part] if activated else None))
+        self.wide = slice(int(self.offsets[tiled]), None)
+        self.wide_below, self.wide_stay = flat_below[self.wide], flat_stay[self.wide]
         self.chunk_starts = np.arange(0, self.num_agents, width)[:, None]
         self.chunk_sizes = np.minimum(width, self.num_agents - self.chunk_starts)
         # Where each group's row starts in its tile's flat flags, per chunk.
-        self.row_starts = (owner % per_tile) * self.chunk_sizes
+        self.row_starts = np.where(owner < tiled, owner % per_tile, 0) * self.chunk_sizes
         self.shares = chunk_shares(self.num_agents)
         # Per share: the uniforms before its first chunk (every chunk but
         # the last is full width), its uniform row and flags, and for a
         # worker share the generator it jumps ahead.
         self.skips = [share.start * width for share in self.shares]
-        self.scratch = [(np.empty((1, width)), np.empty(per_tile * width + 1, dtype=bool))
+        self.scratch = [(np.empty(width), np.empty(per_tile * width + 1, dtype=bool))
                         for _ in self.shares]
         self.streams = [None] + [np.random.Generator(np.random.PCG64(0))
                                  for _ in self.shares[1:]]
@@ -329,10 +344,18 @@ class _Batch:
         advanced, stayed = tally
         uniforms, flag_buffer = self.scratch[k]
         share = self.shares[k]
-        for size, cuts, starts in zip(self.chunk_sizes[share, 0].tolist(),
-                                      sizes[share], lower[share]):
+        # The wide members' non-empty (chunk, group) segments, in chunk order.
+        counts = sizes[share, self.wide]
+        chunk, group = np.nonzero(counts)
+        begin = lower[share, self.wide][chunk, group]
+        segments = list(zip(begin.tolist(), (begin + counts[chunk, group]).tolist(),
+                            self.wide_below[group].tolist(), self.wide_stay[group].tolist()))
+        ends = np.searchsorted(chunk, np.arange(1, share.stop - share.start + 1)).tolist()
+        advances, stays = [], []
+        for size, cuts, starts, end in zip(self.chunk_sizes[share, 0].tolist(),
+                                           sizes[share], lower[share], ends):
             # One row, broadcast over the tile's members.
-            u = uniforms[:, :size]
+            u = uniforms[:size]
             rng.random(out=u)
             for part, rows, advance_below, stay_from in self.tiles:
                 # A False sentinel closes the tile's last group and gives
@@ -351,6 +374,13 @@ class _Batch:
                         u, np.repeat(stay_from, cut).reshape(rows, size), out=grid)
                     stayed[part] += np.minimum(
                         np.add.reduceat(flags, start, dtype=np.int32), cut)
+            # The chunk's segments, after those already counted; no uniform
+            # reaches a stay threshold of 1.
+            for low, high, below, stay in segments[len(advances):end]:
+                segment = u[low:high]
+                advances.append(np.count_nonzero(segment < below))
+                stays.append(np.count_nonzero(segment >= stay) if stay < 1 else 0)
+        np.add.at(tally[:, self.wide], (slice(None), group), [advances, stays])
 
 
 def write_trajectory_csv(result: SimResult, path) -> None:

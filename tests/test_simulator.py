@@ -1,4 +1,5 @@
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -578,6 +579,109 @@ class TestThreadHygiene:
                            record_trajectory=True)
         assert_batch_matches_own_runs(targets, params, config)
         assert set(seen) == {(0, threading.get_ident())}
+
+
+def path_calls(monkeypatch):
+    """Count the calls that mark each counting path: ``np.less`` compares a
+    tile's chunk with its repeated thresholds, ``np.count_nonzero`` counts
+    the hits of one group segment."""
+    calls = Counter()
+    for name in ("less", "count_nonzero"):
+        def recording(*args, name=name, call=getattr(np, name), **kwargs):
+            calls[name] += 1
+            return call(*args, **kwargs)
+        monkeypatch.setattr(np, name, recording)
+    return calls
+
+
+class TestCountingPaths:
+    """The kernel's edge cases and the batch and share tests again, once
+    with every member packed into tiles and once with every member counted
+    by segment, whatever its width."""
+
+    @pytest.fixture(autouse=True, params=["tiles", "segments"])
+    def counting(self, request, monkeypatch):
+        monkeypatch.setattr(simulator, "by_segment",
+                            lambda num_agents, groups: request.param == "segments")
+
+    # Each assignment collects an existing test, with its parameters, once
+    # per path.
+    test_single_agent = TestMatchesSortedRun.test_single_agent
+    test_fewer_agents_than_groups = TestMatchesSortedRun.test_fewer_agents_than_groups
+    test_group_edge_on_chunk_edge = TestMatchesSortedRun.test_group_edge_on_chunk_edge
+    test_uniform_on_a_threshold = TestMatchesSortedRun.test_uniform_on_a_threshold
+    test_results_independent_of_block_size = TestBlocking.test_results_independent_of_block_size
+    test_members_match_their_own_runs = TestRunMany.test_members_match_their_own_runs
+    test_uniform_start_without_trajectory = TestRunMany.test_uniform_start_without_trajectory
+    test_results_independent_of_share_count = \
+        TestChunkShares.test_results_independent_of_share_count
+
+
+class TestSegments:
+    """Wide members, counted by segment under the width rule (``BLOCK``
+    patched to 64), against the sorted per-agent run on 1 to 3 CPUs."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("activation", [None, ACTIVATION])
+    @pytest.mark.parametrize("counts", [
+        pytest.param([63, 64, 65], id="groups-of-block-1-block-block+1"),
+        pytest.param([10, 300, 10], id="a-group-over-five-chunks"),
+        pytest.param([30, 0, 50, 0, 60], id="empty-groups-inside-chunks"),
+        pytest.param([64, 128, 64], id="group-edges-on-chunk-edges"),
+    ])
+    def test_matches_sorted_run(self, counts, activation, cpus, monkeypatch):
+        monkeypatch.setattr(simulator, "BLOCK", 64)
+        monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
+        n, total = len(counts), sum(counts)
+        rates = None if activation is None else activation[:n]
+        params = ModelParams(kind=ModelKind.MODEL1 if rates is None else ModelKind.MODEL2,
+                             survival=SURVIVAL[:n], activation=rates)
+        target = np.array(counts) / total
+        config = SimConfig(num_agents=total, num_steps=12, burn_in=4, seed=23,
+                           record_trajectory=True)
+        assert start_counts(target, config).tolist() == counts
+        assert simulator.by_segment(total, n)
+        calls = path_calls(monkeypatch)
+        result = run(target, params, config)
+        assert set(calls) == {"count_nonzero"}
+        assert_matches_sorted_run(target, params, config, result)
+
+
+class TestPathChoice:
+    """A member is counted by segment when its groups average at least a
+    fifth of a chunk of agents, and packed into tiles otherwise."""
+
+    def test_narrow_batch_packs_tiles(self, monkeypatch):
+        targets, params = batch_members()
+        calls = path_calls(monkeypatch)
+        run_many(targets, params, SimConfig(num_agents=10_000, num_steps=3, burn_in=1))
+        assert set(calls) == {"less"}
+
+    @pytest.mark.parametrize("num_agents, path",
+                             [(137_625, "less"), (137_626, "count_nonzero")])
+    def test_crossover_width(self, num_agents, path, monkeypatch):
+        # 21 groups average a fifth of a 32,768-uniform chunk from 137,626
+        # agents up.
+        survival = np.append(np.full(20, 0.95), 0.5)
+        params = ModelParams(kind=ModelKind.MODEL1, survival=survival)
+        calls = path_calls(monkeypatch)
+        run(steady_state(survival), params,
+            SimConfig(num_agents=num_agents, num_steps=2, burn_in=1))
+        assert set(calls) == {path}
+
+    def test_mixed_batch_counts_on_both_paths(self, monkeypatch):
+        # At 40,000 agents the 3-, 4- and 5-group members are wide and the
+        # 7-group members narrow.
+        targets, params = batch_members()
+        config = SimConfig(num_agents=40_000, num_steps=3, burn_in=1, seed=9,
+                           record_trajectory=True)
+        assert [simulator.by_segment(40_000, len(t)) for t in targets] == [
+            True, True, False, True, False, True]
+        calls = path_calls(monkeypatch)
+        results = run_many(targets, params, config)
+        assert set(calls) == {"less", "count_nonzero"}
+        for target, member, result in zip(targets, params, results):
+            assert_matches_sorted_run(target, member, config, result)
 
 
 class TestRun:
