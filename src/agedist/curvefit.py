@@ -215,6 +215,7 @@ def fit(dist) -> CurveFitResult:
     Raises:
         InteriorZeroGroup: a raw vector has an empty group before a
             non-empty one.
+        TooFewGroups: a raw vector has fewer than three groups.
         CurveFitFailed: no breakpoint produced a usable fit.
     """
     y = solver_proportions(dist)

@@ -84,8 +84,7 @@ class AgeDistribution:
             )
             labels, props = labels[:keep], props[:keep]
         _reject_interior_zero(props, labels)
-        if props.size < 3:
-            raise TooFewGroups(f"need at least 3 age groups, got {props.size}")
+        check_group_count(props)
         total = float(props.sum())
         if abs(total - 1.0) > SUM_TOLERANCE:
             raise NotNormalized(
@@ -264,9 +263,18 @@ def proportions_of(dist) -> np.ndarray:
 def solver_proportions(dist) -> np.ndarray:
     """``proportions_of`` for the solvers, which divide by each group before
     the last non-empty one: a raw vector with an empty group there raises
-    InteriorZeroGroup, as an AgeDistribution does."""
+    InteriorZeroGroup, and one of fewer than three groups TooFewGroups, as
+    an AgeDistribution does."""
     props = proportions_of(dist)
     _reject_interior_zero(props)
+    return check_group_count(props)
+
+
+def check_group_count(props: np.ndarray) -> np.ndarray:
+    """``props``, if it has the first, last and at least one intermediate
+    group that every solver needs; raises TooFewGroups otherwise."""
+    if props.size < 3:
+        raise TooFewGroups(f"need at least 3 age groups, got {props.size}")
     return props
 
 

@@ -56,7 +56,8 @@ class EmptyDataset(AgedistError):
 
 
 class InvalidEntry(AgedistError, TypeError):
-    """A batch entry is not an AgeDistribution."""
+    """A batch entry is not an AgeDistribution, or not a (name,
+    distribution) pair."""
 
 
 class CsvFormatError(AgedistError):

@@ -74,7 +74,8 @@ def feasibility(dist) -> FeasibleInterval:
         NotModel1Eligible: the first n-1 groups are not monotone
             non-increasing; the message names each group index (0-based)
             larger than its predecessor.
-        InteriorZeroGroup, DegenerateLastGroup: as for ``solve``.
+        InteriorZeroGroup, TooFewGroups, DegenerateLastGroup: as for
+            ``solve``.
     """
     props = solver_proportions(dist)
     if classify(props) is Classification.NON_MONOTONE:
@@ -101,6 +102,7 @@ def solve(dist, p_n="mid", *, seed: Optional[int] = None) -> SurvivalVector:
     Raises:
         InteriorZeroGroup: a raw vector has an empty group before a
             non-empty one.
+        TooFewGroups: a raw vector has fewer than three groups.
         NotModel1Eligible: the target is not monotone non-increasing.
         DegenerateLastGroup: the last group is more than
             1/(1 - MAX_LAST_SURVIVAL) times the one before it.

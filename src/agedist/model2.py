@@ -30,6 +30,7 @@ from .distributions import (
     ActivationVector,
     AgeDistribution,
     SurvivalVector,
+    check_group_count,
     default_labels,
     normalize,
     proportions_of,
@@ -135,6 +136,7 @@ def solve(dist) -> tuple:
     Raises:
         InteriorZeroGroup: a raw vector has an empty group before a
             non-empty one.
+        TooFewGroups: a raw vector has fewer than three groups.
         ActivationTooSmall: a group is more than 1/ALPHA_MIN times the
             smallest group before it. No m_i exceeds that running minimum,
             so no member of the family keeps alpha_i >= ALPHA_MIN.
@@ -232,29 +234,30 @@ def steady_state2(p, alpha, labels=None) -> AgeDistribution:
     return model1._steady_state(p, alpha, labels)
 
 
-def mae_objective(target) -> Callable[[np.ndarray], np.ndarray]:
+def mae_objective(target) -> Callable[..., np.ndarray]:
     """Batched search objective for a fixed target distribution.
 
-    Returns a function mapping a (m, 2n) matrix of candidate
-    (survival, activation) rows to a fresh array of the m mean absolute
-    errors between each candidate's stationary profile
-    (``model1.stationary_profiles``, unguarded) and the target. The function
-    keeps (m, n) profiles and (m, n-2) ratios scratch for the most rows it
-    has been called with, and uses its first rows for fewer, so one
-    instance must not be called from two threads at once.
+    Returns a function ``evaluate(candidates, scratch=None)`` mapping a
+    (m, 2n) matrix of candidate (survival, activation) rows to a fresh
+    array of the m mean absolute errors between each candidate's stationary
+    profile (``model1.stationary_profiles``, unguarded) and the target.
+    The (m, n) profiles and (m, n-2) ratios it works in are contiguous
+    views carved from ``scratch``, a C-contiguous float array of at least
+    m (2n - 2) entries whose contents it overwrites (a (m, 2n) one does),
+    or, without one, allocated for the call. The function keeps no state
+    of its own, so threads may call one instance at once, each with its own
+    scratch.
     """
     t = proportions_of(target)
     n = t.size
-    weights = ratios = np.empty((0, n))
 
-    def evaluate(candidates: np.ndarray) -> np.ndarray:
-        nonlocal weights, ratios
+    def evaluate(candidates: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
         x = np.atleast_2d(np.asarray(candidates, dtype=float))
         m = x.shape[0]
-        if weights.shape[0] < m:
-            weights, ratios = np.empty((m, n)), np.empty((m, n - 2))
-        profiles = weights[:m]
-        model1.stationary_profiles(x[:, :n], x[:, n:], profiles, ratios[:m])
+        flat = np.empty(m * (2 * n - 2)) if scratch is None else scratch.reshape(-1)
+        profiles = flat[: m * n].reshape(m, n)
+        ratios = flat[m * n : m * (2 * n - 2)].reshape(m, n - 2)
+        model1.stationary_profiles(x[:, :n], x[:, n:], profiles, ratios)
         np.subtract(profiles, t, out=profiles)
         np.abs(profiles, out=profiles)
         return profiles.mean(axis=1)
@@ -299,9 +302,10 @@ def _bounce_back(x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     np.clip(x, lo, hi, out=x)
 
 
-def _finite_scores(evaluate, candidates: np.ndarray) -> np.ndarray:
-    """Objective values of ``candidates``, non-finite ones counted as +inf."""
-    scores = np.asarray(evaluate(candidates), dtype=float)
+def _finite_scores(evaluate, candidates: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Objective values of ``candidates``, scored in ``scratch``, non-finite
+    ones counted as +inf."""
+    scores = np.asarray(evaluate(candidates, scratch), dtype=float)
     return np.where(np.isfinite(scores), scores, np.inf)
 
 
@@ -355,25 +359,30 @@ def optimize(target, config: Optional[DEConfig] = None) -> Model2Solution:
     independent of both; restricting the CPU affinity gives a serial
     search. A search keeps two buffers of the population's size, the
     parents and the trial rows; the rest of a generation's work lives in
-    each share's tile scratch (a tile's uniforms, mask and objective
-    scratch), made once per call. In ``tracemalloc`` a two-share search
-    peaks at 13.6 MB at 101 groups (3030 x 202 rows, 4.9 MB a buffer) and
-    at 42.7 MB at 201 groups, against 20.5 and 80.5 MB with share-sized
-    scratch. Every share has its own tile, so at 101 groups the peak is
-    2.4 buffers on one share, 3.2 on four and, as with share-sized
-    scratch, 4.3 on eight, where a share is no larger than a tile.
+    each share's tile scratch (a tile's uniforms and mask), made once per
+    call, in which the objective also scores the tile: the uniforms lie
+    idle from crossover to selection. In ``tracemalloc`` a two-share search
+    peaks at 12.0 MB at 101 groups (3030 x 202 rows, 4.9 MB a buffer) and
+    at 41.1 MB at 201 groups, against 20.5 and 80.5 MB with share-sized
+    scratch and 13.6 and 43.2 MB with an objective scratch of its own.
+    Every share has its own tile, so at 101 groups the peak is 2.2 buffers
+    on one share, 2.5 on two, 2.7 on four and 3.3 on eight, where a share
+    is no larger than a tile.
 
     Each share scores its rows with its own ``mae_objective(target)``, one
-    tile at a time, for the initial population and in every generation; the
-    rows it is handed are a view of a buffer that the search overwrites
-    afterwards. Non-convergence is reported through ``converged=False``,
-    never raised. A non-finite objective value counts as ``+inf``: such a
-    candidate never wins selection and never stops the search. The
-    solution's ``history`` holds the best error after initialisation and
-    after each generation.
+    tile at a time and in that tile's scratch, for the initial population
+    and in every generation; the rows and the scratch it is handed are
+    views of buffers that the search overwrites afterwards.
+    Non-convergence is reported through ``converged=False``, never raised.
+    A non-finite objective value counts as ``+inf``: such a candidate never
+    wins selection and never stops the search. The solution's ``history``
+    holds the best error after initialisation and after each generation.
+
+    Raises:
+        TooFewGroups: ``target`` has fewer than three groups.
     """
     cfg = config if config is not None else DEConfig()
-    t = proportions_of(target)
+    t = check_group_count(proportions_of(target))
     n = t.size
     dim = 2 * n
     lo, hi = default_bounds(n).T.copy()
@@ -391,9 +400,10 @@ def optimize(target, config: Optional[DEConfig] = None) -> Model2Solution:
 
     # The trial rows, then the next generation. Each share's tile scratch
     # holds the crossover uniforms, then the second gather, the
-    # reflection's scratch and the parents that selection keeps, and the
-    # keep-parent mask. The row indices are always in range; mode="clip"
-    # only spares np.take a temporary copy of its output.
+    # reflection's scratch, the objective's profiles and ratios and the
+    # parents that selection keeps, and the keep-parent mask. The row
+    # indices are always in range; mode="clip" only spares np.take a
+    # temporary copy of its output.
     trials = np.empty_like(population)
     spare = [np.empty((max(tile.stop - tile.start for tile in share), dim)) for share in tiles]
     keep = [np.empty(gather.shape, dtype=bool) for gather in spare]
@@ -402,7 +412,7 @@ def optimize(target, config: Optional[DEConfig] = None) -> Model2Solution:
 
     def score(k):
         for rows in tiles[k]:
-            errors[rows] = _finite_scores(scorers[k], population[rows])
+            errors[rows] = _finite_scores(scorers[k], population[rows], spare[k])
 
     def build(k):
         # Reads this generation's draws (factor, base, r1, r2, forced, the
@@ -424,7 +434,7 @@ def optimize(target, config: Optional[DEConfig] = None) -> Model2Solution:
             np.add(out, base, out=out)
             _bounce_back(out, lo, hi, gather, doubled)
             np.copyto(out, parents, where=mask)
-            scores = _finite_scores(scorers[k], out)
+            scores = _finite_scores(scorers[k], out, gather)
             # A trial replaces its parent unless it scores worse.
             won = scores <= errors[rows]
             lost = np.flatnonzero(~won)

@@ -188,6 +188,16 @@ def _validate(solved, sim_config: Optional[simulator.SimConfig]) -> list:
     return [validation.steady_estimate for validation in runs]
 
 
+def _pair(index: int, entry) -> tuple:
+    """Dataset entry ``index`` as a (name, distribution) pair."""
+    try:
+        name, dist = entry
+    except (TypeError, ValueError):
+        raise InvalidEntry(f"dataset entry {index} is not a (name, distribution) pair: "
+                           f"{type(entry).__name__}") from None
+    return name, dist
+
+
 def run_dataset(dataset, sim_config: Optional[simulator.SimConfig] = None) -> PipelineReport:
     """Apply the cascade to every (name, distribution) entry.
 
@@ -204,9 +214,11 @@ def run_dataset(dataset, sim_config: Optional[simulator.SimConfig] = None) -> Pi
 
     Raises:
         EmptyDataset: no entries were supplied.
+        InvalidEntry: an entry is not a (name, distribution) pair; the
+            message names its index (checked before any solve).
         AgedistError: two entries share a name (checked before any solve).
     """
-    entries = list(dataset)
+    entries = [_pair(index, entry) for index, entry in enumerate(dataset)]
     if not entries:
         raise EmptyDataset("no distributions to process")
     repeated = [name for name, count in Counter(name for name, _ in entries).items()

@@ -7,7 +7,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agedist import classify, normalize
+from agedist import classify, curvefit, model1, model2, normalize
 from agedist.distributions import (
     ALPHA_MIN,
     MAX_LAST_SURVIVAL,
@@ -103,6 +103,18 @@ class TestAgeDistribution:
     def test_equality(self):
         assert dist([0.5, 0.3, 0.2]) == dist([0.5, 0.3, 0.2])
         assert dist([0.5, 0.3, 0.2]) != dist([0.5, 0.2, 0.3])
+
+
+@pytest.mark.parametrize("solver", [
+    model1.solve, model1.feasibility, curvefit.fit, model2.optimize, model2.solve,
+    model2.nearest_reachable,
+], ids=lambda solver: f"{solver.__module__.rsplit('.', 1)[1]}.{solver.__name__}")
+def test_every_solver_rejects_a_raw_vector_of_two_groups(solver, monkeypatch):
+    # The same typed error as an AgeDistribution of two groups, before any
+    # work: the search never builds its objective.
+    monkeypatch.setattr(model2, "mae_objective", None)
+    with pytest.raises(TooFewGroups, match="got 2"):
+        solver([0.6, 0.4])
 
 
 class TestClassify:

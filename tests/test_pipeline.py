@@ -391,6 +391,13 @@ class TestRunDataset:
         assert report.per_country["mono"].route is Route.MODEL1
         assert report.route_counts[Route.FAILED] == 1
 
+    @pytest.mark.parametrize("entry", [MONO, ("x",), ("x", MONO, 1), None],
+                             ids=["bare-distribution", "name-only", "triple", "none"])
+    def test_entry_that_is_not_a_pair_raises_before_any_solve(self, monkeypatch, entry):
+        monkeypatch.setattr(pipeline, "_solve_one", None)
+        with pytest.raises(InvalidEntry, match="entry 1 is not a"):
+            run_dataset([("mono", MONO), entry])
+
     def test_select_and_solve_rejects_raw_vector(self, sim_config):
         with pytest.raises(InvalidEntry):
             select_and_solve([0.5, 0.3, 0.2], sim_config)
