@@ -1,7 +1,8 @@
 """Survival and activation rates that make a constant-population,
 death-replacement ageing process settle on a target age distribution.
 
-The library solves the inverse steady-state problem in closed form:
+``distributions`` holds the process's stationary law, which every other
+module reads; the library inverts it in closed form:
 
 * ``model1``: survival rates for monotone non-increasing targets;
 * ``model2``: joint survival and activation rates for targets whose groups

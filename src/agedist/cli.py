@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, curvefit, dataio, model1, model2, parallel, pipeline, simulator
+from . import __version__, curvefit, dataio, distributions, parallel, pipeline, simulator
 from .distributions import ModelKind, ModelParams, classify, mean_absolute_error
 from .errors import AgedistError
 
@@ -203,10 +203,7 @@ def cmd_simulate(args) -> int:
     params = document.params
     target = document.target_distribution()
     labels = target.labels if target is not None else None
-    if params.kind is ModelKind.MODEL2:
-        analytic = model2.steady_state2(params.survival, params.activation, labels=labels)
-    else:
-        analytic = model1.steady_state(params.survival, labels=labels)
+    analytic = distributions.stationary_distribution(params.survival, params.activation, labels)
 
     config = simulator.SimConfig(
         num_agents=args.agents,

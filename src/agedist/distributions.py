@@ -1,8 +1,12 @@
 """Core domain types: age distributions, survival/activation vectors,
-classification and distance metrics.
+classification and distance metrics, and the one home of the stationary law
+of the ageing process they parameterise: ``stationary_profiles``,
+``stationarity_residual``, ``stationary_distribution`` and
+``step_thresholds``.
 
-Everything here is an immutable value type or a pure function; all other
-modules build on these primitives. Safe for concurrent use without locks.
+Everything here is an immutable value type or a function that keeps no
+state; all other modules build on these primitives. Safe for concurrent use
+without locks.
 """
 
 from __future__ import annotations
@@ -16,10 +20,12 @@ import numpy as np
 
 from .errors import (
     ActivationTooSmall,
+    DegenerateLastGroup,
     EmptyPopulation,
     IncomparableDistributions,
     InteriorZeroGroup,
     NotNormalized,
+    ResidualCheckFailed,
     TooFewGroups,
 )
 
@@ -35,6 +41,10 @@ ALPHA_MIN = 1e-3
 #: Largest admissible last-group survival. Exactly 1 would make the final
 #: group absorbing with zero outflow, contradicting a positive predecessor.
 MAX_LAST_SURVIVAL = 1.0 - 1e-9
+
+#: Ceiling on the largest entry of stationarity_residual(), checked in
+#: stationary_distribution().
+RESIDUAL_TOLERANCE = 1e-10
 
 
 def _as_vector(values, name: str) -> np.ndarray:
@@ -328,3 +338,91 @@ def mean_absolute_error(a, b) -> float:
     """Mean over groups of the absolute proportion differences."""
     pa, pb = _comparable(a, b, check_labels=False)
     return float(np.abs(pa - pb).mean())
+
+
+def stationary_profiles(probs: np.ndarray, rates: np.ndarray, out: np.ndarray,
+                        ratios: Optional[np.ndarray] = None) -> np.ndarray:
+    """Stationary profiles of (m, n) survival and activation rows, written
+    into ``out`` (m, n) and returned.
+
+    The active mass alpha_i N_i obeys m_{i+1} = p_i m_i over the
+    intermediate groups, so row by row N_1 = 1,
+    N_{i+1} = (alpha_i p_i / alpha_{i+1}) N_i and
+    N_n = alpha_{n-1} p_{n-1} N_{n-1} / (alpha_n (1 - p_n)), normalized.
+    Rates of 1 give the plain process bit for bit. The group-to-group
+    ratios are formed in ``ratios``, a contiguous (m, n-2) scratch (made
+    when absent): dividing in place into a column slice of ``out`` is
+    slower.
+    """
+    n = probs.shape[1]
+    if ratios is None:
+        ratios = np.empty((probs.shape[0], n - 2))
+    inner = out[:, 1 : n - 1]
+    out[:, 0] = 1.0
+    np.multiply(rates[:, : n - 2], probs[:, : n - 2], out=ratios)
+    np.divide(ratios, rates[:, 1 : n - 1], out=ratios)
+    np.cumprod(ratios, axis=1, out=inner)
+    out[:, n - 1] = (
+        rates[:, n - 2] * probs[:, n - 2] * out[:, n - 2]
+        / (rates[:, n - 1] * (1.0 - probs[:, n - 1]))
+    )
+    return np.divide(out, out.sum(axis=1, keepdims=True), out=out)
+
+
+def stationary_distribution(p, alpha=None, labels=None) -> AgeDistribution:
+    """Stationary age distribution of either process (``alpha`` None: the
+    plain one): the ``stationary_profiles`` recursion, checked against every
+    stationarity equation (in O(n)) by ``stationarity_residual``.
+
+    Raises:
+        DegenerateLastGroup: the last survival probability is >= 1.
+        InteriorZeroGroup: an intermediate survival probability is 0.
+        ResidualCheckFailed: the largest residual reaches ``RESIDUAL_TOLERANCE``.
+    """
+    raw = np.asarray(p, dtype=float)
+    if raw.size and raw[-1] >= 1.0:
+        raise DegenerateLastGroup(
+            f"last-group survival {raw[-1]!r} leaves the final group with no outflow"
+        )
+    probs = SurvivalVector(raw).probs
+    n = probs.size
+    rates = np.ones(n) if alpha is None else ActivationVector(alpha).rates
+    if rates.size != n:
+        raise ValueError(f"survival has {n} entries, activation has {rates.size}")
+    if np.any(probs[: n - 1] == 0.0):
+        idx = int(np.nonzero(probs[: n - 1] == 0.0)[0][0])
+        raise InteriorZeroGroup(
+            f"survival of 0 in group {idx} empties every later group"
+        )
+
+    dist = stationary_profiles(probs[None], rates[None], np.empty((1, n)))[0]
+    worst = float(np.abs(stationarity_residual(probs, rates, dist)).max())
+    if worst >= RESIDUAL_TOLERANCE:
+        raise ResidualCheckFailed(
+            f"stationarity residual {worst:g} exceeds {RESIDUAL_TOLERANCE:g}"
+        )
+    return AgeDistribution(labels if labels is not None else default_labels(n), dist)
+
+
+def stationarity_residual(probs, rates, profile) -> np.ndarray:
+    """(E - I) profile in O(n), E the expected one-step update. With active
+    mass y = alpha N and advances m = p y, row 0 is
+    sum_{j>=1} (y_j - m_j) - m_0 (deaths replaced into the first group
+    against its advances), row i is m_{i-1} - y_i, and the last row adds
+    back m_{n-1}, the survivors the last group keeps."""
+    active = rates * profile
+    advanced = probs * active
+    residual = np.empty_like(active)
+    residual[0] = np.sum(active[1:] - advanced[1:]) - advanced[0]
+    np.subtract(advanced[:-1], active[1:], out=residual[1:])
+    residual[-1] += advanced[-1]
+    return residual
+
+
+def step_thresholds(params: ModelParams) -> tuple:
+    """One agent's step as thresholds on a uniform draw: it advances below
+    alpha * p, dies below alpha and stays from alpha up; a plain agent
+    advances below p and never stays (None)."""
+    rates = params.activation.rates if params.activation is not None else None
+    probs = params.survival.probs
+    return (probs if rates is None else rates * probs), rates

@@ -7,9 +7,8 @@ survival probabilities that make the target the stationary profile have a
 closed form, with the last-group survival p_n left free inside a feasibility
 interval.
 
-The steady state of both processes comes from one batched kernel,
-``stationary_profiles``, over rows of survival and activation rates; the
-plain process is the activation-rate process with every rate 1.
+The stationary law of both processes lives in ``distributions``; this
+module keeps only the closed form and ``steady_state``, a call into it.
 """
 
 from __future__ import annotations
@@ -21,26 +20,15 @@ import numpy as np
 
 from .distributions import (
     MAX_LAST_SURVIVAL,
-    ActivationVector,
     AgeDistribution,
     Classification,
     SurvivalVector,
     classify,
-    default_labels,
     proportions_of,
     solver_proportions,
+    stationary_distribution,
 )
-from .errors import (
-    DegenerateLastGroup,
-    FreeParamOutOfRange,
-    InteriorZeroGroup,
-    NotModel1Eligible,
-    ResidualCheckFailed,
-)
-
-#: Ceiling on the largest entry of stationarity_residual(), checked in
-#: steady_state() and model2.steady_state2().
-RESIDUAL_TOLERANCE = 1e-10
+from .errors import DegenerateLastGroup, FreeParamOutOfRange, NotModel1Eligible
 
 
 @dataclass(frozen=True)
@@ -139,85 +127,5 @@ def solve(dist, p_n="mid", *, seed: Optional[int] = None) -> SurvivalVector:
 
 
 def steady_state(p, labels=None) -> AgeDistribution:
-    """Stationary age distribution of the plain ageing process: the
-    ``stationary_profiles`` recursion with every activation rate 1, checked
-    against every equation of the stationarity system (in O(n)).
-
-    Raises:
-        DegenerateLastGroup: the last survival probability is >= 1.
-        InteriorZeroGroup: an intermediate survival probability is 0.
-        ResidualCheckFailed: the result misses a stationarity equation by
-            ``RESIDUAL_TOLERANCE`` or more.
-    """
-    return _steady_state(p, None, labels)
-
-
-def stationary_profiles(probs: np.ndarray, rates: np.ndarray, out: np.ndarray,
-                        ratios: Optional[np.ndarray] = None) -> np.ndarray:
-    """Stationary profiles of (m, n) survival and activation rows, written
-    into ``out`` (m, n) and returned.
-
-    The active mass alpha_i N_i obeys m_{i+1} = p_i m_i over the
-    intermediate groups, so row by row N_1 = 1,
-    N_{i+1} = (alpha_i p_i / alpha_{i+1}) N_i and
-    N_n = alpha_{n-1} p_{n-1} N_{n-1} / (alpha_n (1 - p_n)), normalized.
-    Rates of 1 give the plain process bit for bit. The group-to-group
-    ratios are formed in ``ratios``, a contiguous (m, n-2) scratch (made
-    when absent): dividing in place into a column slice of ``out`` is
-    slower.
-    """
-    n = probs.shape[1]
-    if ratios is None:
-        ratios = np.empty((probs.shape[0], n - 2))
-    inner = out[:, 1 : n - 1]
-    out[:, 0] = 1.0
-    np.multiply(rates[:, : n - 2], probs[:, : n - 2], out=ratios)
-    np.divide(ratios, rates[:, 1 : n - 1], out=ratios)
-    np.cumprod(ratios, axis=1, out=inner)
-    out[:, n - 1] = (
-        rates[:, n - 2] * probs[:, n - 2] * out[:, n - 2]
-        / (rates[:, n - 1] * (1.0 - probs[:, n - 1]))
-    )
-    return np.divide(out, out.sum(axis=1, keepdims=True), out=out)
-
-
-def _steady_state(p, alpha, labels) -> AgeDistribution:
-    """Guarded steady state of either process (``alpha`` None: plain)."""
-    raw = np.asarray(p, dtype=float)
-    if raw.size and raw[-1] >= 1.0:
-        raise DegenerateLastGroup(
-            f"last-group survival {raw[-1]!r} leaves the final group with no outflow"
-        )
-    probs = SurvivalVector(raw).probs
-    n = probs.size
-    rates = np.ones(n) if alpha is None else ActivationVector(alpha).rates
-    if rates.size != n:
-        raise ValueError(f"survival has {n} entries, activation has {rates.size}")
-    if np.any(probs[: n - 1] == 0.0):
-        idx = int(np.nonzero(probs[: n - 1] == 0.0)[0][0])
-        raise InteriorZeroGroup(
-            f"survival of 0 in group {idx} empties every later group"
-        )
-
-    dist = stationary_profiles(probs[None], rates[None], np.empty((1, n)))[0]
-    worst = float(np.abs(stationarity_residual(probs, rates, dist)).max())
-    if worst >= RESIDUAL_TOLERANCE:
-        raise ResidualCheckFailed(
-            f"stationarity residual {worst:g} exceeds {RESIDUAL_TOLERANCE:g}"
-        )
-    return AgeDistribution(labels if labels is not None else default_labels(n), dist)
-
-
-def stationarity_residual(probs, rates, profile) -> np.ndarray:
-    """(E - I) profile in O(n), E the expected one-step update. With active
-    mass y = alpha N and advances m = p y, row 0 is
-    sum_{j>=1} (y_j - m_j) - m_0 (deaths replaced into the first group
-    against its advances), row i is m_{i-1} - y_i, and the last row adds
-    back m_{n-1}, the survivors the last group keeps."""
-    active = rates * profile
-    advanced = probs * active
-    residual = np.empty_like(active)
-    residual[0] = np.sum(active[1:] - advanced[1:]) - advanced[0]
-    np.subtract(advanced[:-1], active[1:], out=residual[1:])
-    residual[-1] += advanced[-1]
-    return residual
+    """``distributions.stationary_distribution`` of the plain process."""
+    return stationary_distribution(p, None, labels)

@@ -11,8 +11,8 @@ as little as it can. ``optimize`` is the search of the original method: a
 bounded differential evolution over the joint vector (p_1..p_n,
 alpha_1..alpha_n) that minimises the mean absolute error between the
 candidate's stationary profile and the target. ``steady_state2`` and the
-search objective both use model 1's stationary kernel, with the activation
-rates as its second row set.
+search objective both read the process's stationary law from
+``distributions``, with the activation rates as its second row set.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ from .distributions import (
     normalize,
     proportions_of,
     solver_proportions,
+    stationary_distribution,
+    stationary_profiles,
 )
 from .errors import ActivationTooSmall
 
@@ -225,13 +227,9 @@ def nearest_reachable(dist) -> AgeDistribution:
 
 
 def steady_state2(p, alpha, labels=None) -> AgeDistribution:
-    """Stationary age distribution of the activation-rate process: the
-    ``model1.stationary_profiles`` recursion, under the guards of
-    ``model1.steady_state``, whose residual check moves only the active
-    share alpha_j of group j. All activation rates 1 give the plain process
-    bit for bit.
-    """
-    return model1._steady_state(p, alpha, labels)
+    """``distributions.stationary_distribution`` of the activation-rate
+    process; rates of 1 give the plain process bit for bit."""
+    return stationary_distribution(p, alpha, labels)
 
 
 def mae_objective(target) -> Callable[..., np.ndarray]:
@@ -240,7 +238,7 @@ def mae_objective(target) -> Callable[..., np.ndarray]:
     Returns a function ``evaluate(candidates, scratch=None)`` mapping a
     (m, 2n) matrix of candidate (survival, activation) rows to a fresh
     array of the m mean absolute errors between each candidate's stationary
-    profile (``model1.stationary_profiles``, unguarded) and the target.
+    profile (``distributions.stationary_profiles``, unguarded) and the target.
     The (m, n) profiles and (m, n-2) ratios it works in are contiguous
     views carved from ``scratch``, a C-contiguous float array of at least
     m (2n - 2) entries whose contents it overwrites (a (m, 2n) one does),
@@ -257,7 +255,7 @@ def mae_objective(target) -> Callable[..., np.ndarray]:
         flat = np.empty(m * (2 * n - 2)) if scratch is None else scratch.reshape(-1)
         profiles = flat[: m * n].reshape(m, n)
         ratios = flat[m * n : m * (2 * n - 2)].reshape(m, n - 2)
-        model1.stationary_profiles(x[:, :n], x[:, n:], profiles, ratios)
+        stationary_profiles(x[:, :n], x[:, n:], profiles, ratios)
         np.subtract(profiles, t, out=profiles)
         np.abs(profiles, out=profiles)
         return profiles.mean(axis=1)
@@ -369,10 +367,10 @@ def optimize(target, config: Optional[DEConfig] = None) -> Model2Solution:
     on one share, 2.5 on two, 2.7 on four and 3.3 on eight, where a share
     is no larger than a tile.
 
-    Each share scores its rows with its own ``mae_objective(target)``, one
-    tile at a time and in that tile's scratch, for the initial population
-    and in every generation; the rows and the scratch it is handed are
-    views of buffers that the search overwrites afterwards.
+    Every share scores its rows with the search's one (stateless)
+    ``mae_objective(target)``, a tile at a time in that tile's scratch, for
+    the initial population and in every generation; the rows and scratch it
+    is handed are views of buffers that the search overwrites afterwards.
     Non-convergence is reported through ``converged=False``, never raised.
     A non-finite objective value counts as ``+inf``: such a candidate never
     wins selection and never stops the search. The solution's ``history``
@@ -389,7 +387,7 @@ def optimize(target, config: Optional[DEConfig] = None) -> Model2Solution:
     doubled = (2.0 * lo, 2.0 * hi)
     pop_size = cfg.population_size or 15 * dim
     shares = parallel.shares(pop_size, dim, SHARE_FLOOR)
-    scorers = [mae_objective(t) for _ in shares]
+    objective = mae_objective(t)
     tiles = [_tiles(rows, max(1, TILE_ENTRIES // dim)) for rows in shares]
 
     rng = np.random.default_rng(cfg.seed)
@@ -412,7 +410,7 @@ def optimize(target, config: Optional[DEConfig] = None) -> Model2Solution:
 
     def score(k):
         for rows in tiles[k]:
-            errors[rows] = _finite_scores(scorers[k], population[rows], spare[k])
+            errors[rows] = _finite_scores(objective, population[rows], spare[k])
 
     def build(k):
         # Reads this generation's draws (factor, base, r1, r2, forced, the
@@ -434,7 +432,7 @@ def optimize(target, config: Optional[DEConfig] = None) -> Model2Solution:
             np.add(out, base, out=out)
             _bounce_back(out, lo, hi, gather, doubled)
             np.copyto(out, parents, where=mask)
-            scores = _finite_scores(scorers[k], out, gather)
+            scores = _finite_scores(objective, out, gather)
             # A trial replaces its parent unless it scores worse.
             won = scores <= errors[rows]
             lost = np.flatnonzero(~won)

@@ -189,12 +189,15 @@ def _validate(solved, sim_config: Optional[simulator.SimConfig]) -> list:
 
 
 def _pair(index: int, entry) -> tuple:
-    """Dataset entry ``index`` as a (name, distribution) pair."""
+    """Dataset entry ``index`` as a (name, distribution) pair with a str name."""
     try:
         name, dist = entry
     except (TypeError, ValueError):
         raise InvalidEntry(f"dataset entry {index} is not a (name, distribution) pair: "
                            f"{type(entry).__name__}") from None
+    if not isinstance(name, str):
+        raise InvalidEntry(f"dataset entry {index} has a name that is not a str: "
+                           f"{type(name).__name__}")
     return name, dist
 
 
@@ -214,8 +217,9 @@ def run_dataset(dataset, sim_config: Optional[simulator.SimConfig] = None) -> Pi
 
     Raises:
         EmptyDataset: no entries were supplied.
-        InvalidEntry: an entry is not a (name, distribution) pair; the
-            message names its index (checked before any solve).
+        InvalidEntry: an entry is not a (name, distribution) pair, or its
+            name is not a str; the message names its index (checked before
+            any solve).
         AgedistError: two entries share a name (checked before any solve).
     """
     entries = [_pair(index, entry) for index, entry in enumerate(dataset)]

@@ -6,12 +6,13 @@ carries only the group counts. Each step takes the agents as sorted by group
 and draws one uniform per agent, in that order, from the run's single seeded
 generator: an agent of group i advances one group below ``alpha_i p_i`` (the
 last group keeps its survivors), dies between ``alpha_i p_i`` and
-``alpha_i``, and stays inactive above (``alpha = 1`` in the plain process).
-Every death is replaced by a fresh agent in group 1, so the population size
-never changes. The counts are, bit for bit, those of the per-agent
-single-draw update on the group-sorted agents, sorted again after every
-step (``reference_sorted_run`` in ``tests/oracles.py``). A run starts from
-the distribution it is given: a uniform one starts from equal shares.
+``alpha_i``, and stays inactive above (``alpha = 1`` in the plain process),
+the thresholds that ``distributions.step_thresholds`` gives. Every death is
+replaced by a fresh agent in group 1, so the population size never changes.
+The counts are, bit for bit, those of the per-agent single-draw update on
+the group-sorted agents, sorted again after every step
+(``reference_sorted_run`` in ``tests/oracles.py``). A run starts from the
+distribution it is given: a uniform one starts from equal shares.
 
 ``run_many`` simulates a batch of parameter sets under one config. Runs of
 one config read the same uniform stream whatever their counts, so the batch
@@ -40,7 +41,8 @@ import numpy as np
 
 from . import parallel
 from .dataio import write_csv
-from .distributions import SUM_TOLERANCE, ModelParams, default_labels, proportions_of
+from .distributions import (
+    SUM_TOLERANCE, ModelParams, default_labels, proportions_of, step_thresholds)
 from .errors import NotNormalized, ResidualCheckFailed
 
 #: Uniforms per chunk of a step, and agents per tile of batch members: a
@@ -226,18 +228,14 @@ def by_segment(num_agents: int, groups: int) -> bool:
 
 
 def _member(index: int, target, params: ModelParams, config: SimConfig) -> tuple:
-    """A batch member's start counts, advance and stay thresholds, and
-    labels: advance below ``alpha * p``, stay from ``alpha`` up; a plain
-    member advances below ``p`` and has no stay threshold."""
+    """A batch member's start counts, advance and stay thresholds
+    (``distributions.step_thresholds``), and labels."""
     n = proportions_of(target).size
-    survival = params.survival.probs
-    if survival.size != n:
+    if len(params.survival) != n:
         raise ValueError(
-            f"member {index}: params have {survival.size} groups, target has {n}")
-    rates = params.activation.rates if params.activation is not None else None
-    advance_below = survival if rates is None else rates * survival
+            f"member {index}: params have {len(params.survival)} groups, target has {n}")
     labels = tuple(target.labels) if hasattr(target, "labels") else default_labels(n)
-    return start_counts(target, config), advance_below, rates, labels
+    return (start_counts(target, config), *step_thresholds(params), labels)
 
 
 class _Batch:

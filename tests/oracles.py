@@ -76,8 +76,8 @@ def stationarity_system(survival, activation):
 
     The columns of the one-step expected-update matrix E come from the
     bookkeeping above applied to each unit vector. Its product with a
-    profile is the residual that ``model1.stationarity_residual`` computes
-    in O(n).
+    profile is the residual that ``distributions.stationarity_residual``
+    computes in O(n).
     """
     unit = np.eye(len(survival))
     return np.column_stack(

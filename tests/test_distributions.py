@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from agedist.distributions import (
     ModelParams,
     SurvivalVector,
     mean_absolute_error,
+    step_thresholds,
     wasserstein,
 )
 from agedist.errors import (
@@ -277,3 +280,61 @@ class TestModelParams:
             ModelParams(kind=ModelKind.MODEL2, survival=sv)
         params = ModelParams(kind=ModelKind.MODEL2, survival=sv, activation=av)
         assert len(params.activation) == len(params.survival)
+
+
+#: The stationary law of the ageing process, which lives in distributions.py only.
+LAW = ("RESIDUAL_TOLERANCE", "stationary_profiles", "stationarity_residual",
+       "stationary_distribution", "step_thresholds")
+
+
+def source_trees():
+    src = Path(model1.__file__).parent
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(src.glob("*.py"))}
+
+
+def defined_names(node) -> list:
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [target.id for target in targets if isinstance(target, ast.Name)]
+    return []
+
+
+class TestTheLawHasOneHome:
+    def test_the_law_is_defined_only_in_distributions(self):
+        homes = {name: [] for name in LAW}
+        for module, tree in source_trees().items():
+            for node in ast.walk(tree):
+                for name in defined_names(node):
+                    if name in homes:
+                        homes[name].append(module)
+        assert homes == {name: ["distributions.py"] for name in LAW}
+
+    def test_no_module_reads_model1_private_steady_state(self):
+        readers = []
+        for module, tree in source_trees().items():
+            for node in ast.walk(tree):
+                attribute = isinstance(node, ast.Attribute) and node.attr == "_steady_state"
+                imported = isinstance(node, ast.ImportFrom) and any(
+                    alias.name == "_steady_state" for alias in node.names)
+                if attribute or imported:
+                    readers.append(module)
+        assert readers == []
+
+    def test_model1_keeps_only_its_closed_form_and_steady_state(self):
+        tree = source_trees()["model1.py"]
+        top = [name for node in tree.body for name in defined_names(node)]
+        assert sorted(top) == ["FeasibleInterval", "feasibility", "solve", "steady_state"]
+
+    def test_step_thresholds(self):
+        survival = SurvivalVector([0.6, 0.4, 0.3])
+        plain = ModelParams(kind=ModelKind.MODEL1, survival=survival)
+        activated = ModelParams(kind=ModelKind.MODEL2, survival=survival,
+                                activation=ActivationVector([1.0, 0.5, 0.25]))
+        below, stay = step_thresholds(plain)
+        assert stay is None and np.array_equal(below, survival.probs)
+        below, stay = step_thresholds(activated)
+        assert np.array_equal(below, [0.6, 0.2, 0.075])
+        assert np.array_equal(stay, [1.0, 0.5, 0.25])

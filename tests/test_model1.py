@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agedist import model1, normalize
+from agedist import distributions, normalize
 from agedist.distributions import MAX_LAST_SURVIVAL, AgeDistribution
 from agedist.errors import (
     DegenerateLastGroup,
@@ -152,7 +152,7 @@ class TestSteadyState:
         assert ss.labels == ("a", "b", "c")
 
     def test_residual_guard_raises_typed_error(self, monkeypatch):
-        monkeypatch.setattr(model1, "RESIDUAL_TOLERANCE", 0.0)
+        monkeypatch.setattr(distributions, "RESIDUAL_TOLERANCE", 0.0)
         with pytest.raises(ResidualCheckFailed, match="residual"):
             steady_state([0.6, 0.4, 0.4])
 

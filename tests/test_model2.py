@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from agedist import model1, model2, normalize, optimize, parallel
+from agedist import distributions, model1, model2, normalize, optimize, parallel
 from agedist.distributions import (
     ALPHA_MIN,
     MAX_LAST_SURVIVAL,
@@ -104,20 +104,20 @@ class TestStationaryKernel:
     def test_residual_is_the_dense_system_times_the_profile(self, case):
         probs, rates, profile = case
         dense = stationarity_system(probs, rates) @ profile
-        assert np.abs(model1.stationarity_residual(probs, rates, profile) - dense).max() <= 1e-15
+        assert np.abs(distributions.stationarity_residual(probs, rates, profile) - dense).max() <= 1e-15
 
     @pytest.mark.parametrize("group", [0, 10, 20])
     def test_residual_check_covers_every_group(self, group, monkeypatch):
         # A profile off by 1e-6 in the first, a middle or the last group
         # misses its equations by far more than RESIDUAL_TOLERANCE.
-        kernel = model1.stationary_profiles
+        kernel = distributions.stationary_profiles
 
         def shifted(*args, **kwargs):
             out = kernel(*args, **kwargs)
             out[:, group] += 1e-6
             return np.divide(out, out.sum(axis=1, keepdims=True), out=out)
 
-        monkeypatch.setattr(model1, "stationary_profiles", shifted)
+        monkeypatch.setattr(distributions, "stationary_profiles", shifted)
         probs = np.linspace(0.9, 0.5, 21)
         rates = np.linspace(1.0, 0.2, 21)
         with pytest.raises(ResidualCheckFailed, match="residual"):
@@ -130,8 +130,8 @@ class TestStationaryKernel:
     def test_one_row_equals_both_steady_states(self, pair):
         probs, rates = pair
         n = probs.size
-        plain = model1.stationary_profiles(probs[None], np.ones((1, n)), np.empty((1, n)))
-        activated = model1.stationary_profiles(probs[None], rates[None], np.empty((1, n)))
+        plain = distributions.stationary_profiles(probs[None], np.ones((1, n)), np.empty((1, n)))
+        activated = distributions.stationary_profiles(probs[None], rates[None], np.empty((1, n)))
         assert np.array_equal(plain[0], reference_steady_state(probs))
         assert np.array_equal(activated[0], reference_steady_state(probs, rates))
         assert np.array_equal(plain[0], steady_state(probs).proportions)
@@ -141,9 +141,9 @@ class TestStationaryKernel:
         rng = np.random.default_rng(5)
         probs = rng.uniform(0.05, MAX_LAST_SURVIVAL, (40, 21))
         rates = rng.uniform(ALPHA_MIN, 1.0, (40, 21))
-        batch = model1.stationary_profiles(probs, rates, np.empty((40, 21)))
+        batch = distributions.stationary_profiles(probs, rates, np.empty((40, 21)))
         for i in (0, 17, 39):
-            row = model1.stationary_profiles(probs[i:i + 1], rates[i:i + 1], np.empty((1, 21)))
+            row = distributions.stationary_profiles(probs[i:i + 1], rates[i:i + 1], np.empty((1, 21)))
             assert np.array_equal(batch[i], row[0])
 
 
@@ -180,7 +180,7 @@ class TestSteadyState2:
             steady_state2([0.5, 0.4, 0.3], [1.0, 1.0, 1.0, 1.0])
 
     def test_balance_guard_raises_typed_error(self, monkeypatch):
-        monkeypatch.setattr(model1, "RESIDUAL_TOLERANCE", 0.0)
+        monkeypatch.setattr(distributions, "RESIDUAL_TOLERANCE", 0.0)
         with pytest.raises(ResidualCheckFailed, match="stationarity residual"):
             steady_state2(WITNESS_P, WITNESS_ALPHA)
 

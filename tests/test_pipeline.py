@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from agedist import SimConfig, curvefit, model1, model2, normalize, pipeline, simulator
+from agedist import SimConfig, curvefit, distributions, model1, model2, normalize, pipeline, simulator
 from agedist.distributions import (
     ALPHA_MIN,
     AgeDistribution,
@@ -330,7 +330,7 @@ class TestRunDataset:
 
         def zero_tolerance(*args, **kwargs):
             with monkeypatch.context() as patch:
-                patch.setattr(model1, "RESIDUAL_TOLERANCE", 0.0)
+                patch.setattr(distributions, "RESIDUAL_TOLERANCE", 0.0)
                 return checked(*args, **kwargs)
 
         monkeypatch.setattr(model2, "steady_state2", zero_tolerance)
@@ -397,6 +397,15 @@ class TestRunDataset:
         monkeypatch.setattr(pipeline, "_solve_one", None)
         with pytest.raises(InvalidEntry, match="entry 1 is not a"):
             run_dataset([("mono", MONO), entry])
+
+    @pytest.mark.parametrize("name", [1, ["x"]], ids=["mixed-type", "unhashable"])
+    def test_name_that_is_not_a_str_raises_before_any_solve(self, monkeypatch, name):
+        def never(dist):
+            raise AssertionError("an entry was solved")
+
+        monkeypatch.setattr(pipeline, "_solve_one", never)
+        with pytest.raises(InvalidEntry, match="entry 1 has a name that is not a str"):
+            run_dataset([("a", MONO), (name, MONO)])
 
     def test_select_and_solve_rejects_raw_vector(self, sim_config):
         with pytest.raises(InvalidEntry):
