@@ -21,6 +21,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -151,7 +152,11 @@ def write_csv(path_or_stream, header, rows) -> None:
         with open(path_or_stream, "w", encoding="utf-8", newline="") as fh:
             write_csv(fh, header, rows)
         return
-    writer = csv.writer(path_or_stream, lineterminator="\n")
+    # A writer quotes a field holding "\r" only when its own line end holds
+    # one. So it ends its records with "\r\n", and each record, which it
+    # hands over in one write, is written ending in "\n".
+    records = SimpleNamespace(write=lambda record: path_or_stream.write(record[:-2] + "\n"))
+    writer = csv.writer(records, lineterminator="\r\n")
     writer.writerow(header)
     writer.writerows([f"{value:.10g}" if isinstance(value, float) else value
                       for value in row] for row in rows)

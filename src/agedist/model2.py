@@ -307,20 +307,6 @@ def _finite_scores(evaluate, candidates: np.ndarray, scratch: np.ndarray) -> np.
     return np.where(np.isfinite(scores), scores, np.inf)
 
 
-def _skip_doubles(bit_generator, count: int) -> dict:
-    """Move ``bit_generator`` past ``count`` doubles (one 64-bit output
-    each) and return its state from before the skip. ``advance`` clears
-    the buffered upper half of a 64-bit output that a 32-bit draw leaves;
-    the skip puts it back, so the next bounded integer draw reads the
-    stream exactly as after drawing the doubles."""
-    before = bit_generator.state
-    bit_generator.advance(count)
-    after = bit_generator.state
-    after["has_uint32"], after["uinteger"] = before["has_uint32"], before["uinteger"]
-    bit_generator.state = after
-    return before
-
-
 def _tiles(rows: slice, height: int) -> list:
     """``rows`` cut into the fewest contiguous tiles of at most ``height``
     rows, their lengths within one row of each other."""
@@ -343,11 +329,12 @@ def optimize(target, config: Optional[DEConfig] = None) -> Model2Solution:
     calling thread and on worker threads that live only as long as the
     call. The calling thread draws the mutation scale, the row pairs and
     the forced crossover components; each share draws its own rows of the
-    crossover uniforms from a copy of the stream advanced to them (the
-    calling thread skips past all of them). There is at most one share per
-    ``SHARE_FLOOR`` population entries, so small searches (21-group ones
-    among them) stay on the calling thread. A share works through its rows
-    in tiles of ``TILE_ENTRIES`` entries: it draws a tile's crossover
+    crossover uniforms from its own generator, which ``parallel.position``
+    jumps ahead to them as the calling thread's stream skips past all of
+    them. There is at most one share per ``SHARE_FLOOR`` population
+    entries, so small searches (21-group ones among them) stay on the
+    calling thread. A share works through its rows in tiles of
+    ``TILE_ENTRIES`` entries: it draws a tile's crossover
     uniforms, gathers, mutates, reflects and crosses over its rows, scores
     them and writes into the trial buffer, for every row, the trial or, if
     the trial scores worse, the parent. Once every share has gathered from
@@ -393,8 +380,9 @@ def optimize(target, config: Optional[DEConfig] = None) -> Model2Solution:
     rng = np.random.default_rng(cfg.seed)
     population = rng.uniform(lo, hi, size=(pop_size, dim))
     # A generator per share for its rows of the crossover uniforms; every
-    # generation sets its state from the calling thread's stream.
+    # generation jumps it ahead to them on the calling thread's stream.
     streams = [np.random.Generator(np.random.PCG64(cfg.seed)) for _ in shares]
+    skips = [rows.start * dim for rows in shares]
 
     # The trial rows, then the next generation. Each share's tile scratch
     # holds the crossover uniforms, then the second gather, the
@@ -413,16 +401,13 @@ def optimize(target, config: Optional[DEConfig] = None) -> Model2Solution:
             errors[rows] = _finite_scores(objective, population[rows], spare[k])
 
     def build(k):
-        # Reads this generation's draws (factor, base, r1, r2, forced, the
-        # stream state) and the unchanged population; writes only share
-        # k's rows of the trial buffer and of the errors.
-        stream = streams[k]
-        stream.bit_generator.state = crossover_state
-        stream.bit_generator.advance(shares[k].start * dim)
+        # Reads this generation's draws (factor, base, r1, r2, forced, its
+        # positioned stream) and the unchanged population; writes only
+        # share k's rows of the trial buffer and of the errors.
         for rows in tiles[k]:
             out, parents = trials[rows], population[rows]
             gather, mask = spare[k][: len(out)], keep[k][: len(out)]
-            stream.random(out=gather)
+            streams[k].random(out=gather)
             np.greater_equal(gather, CROSSOVER_RATE, out=mask)
             mask[local[: len(out)], forced[rows]] = False
             np.take(population, r1[rows], axis=0, out=out, mode="clip")
@@ -450,7 +435,7 @@ def optimize(target, config: Optional[DEConfig] = None) -> Model2Solution:
             factor = rng.uniform(*MUTATION_RANGE)
             r1, r2 = _distinct_pairs(rng, pop_size)
             base = population[int(errors.argmin())]
-            crossover_state = _skip_doubles(rng.bit_generator, pop_size * dim)
+            parallel.position(rng, streams, skips, pop_size * dim)
             forced = rng.integers(0, dim, size=pop_size)
             run(build)
             population, trials = trials, population

@@ -3,9 +3,11 @@
 The search splits a generation's rows and the simulator a step's uniform
 chunks into contiguous shares, one per CPU (``os.sched_getaffinity``).
 Share 0 runs on the calling thread and every other share on a worker
-thread that lives only as long as the ``runner`` block. Callers make every
-unit's result independent of the share count, so restricting the CPU
-affinity (``taskset -c 0``) gives a serial run with the same results.
+thread that lives only as long as the ``runner`` block. Every share reads
+its doubles from its own generator, which ``position`` sets to the seeded
+stream jumped ahead to the share's first double, so every unit's result is
+independent of the share count and restricting the CPU affinity
+(``taskset -c 0``) gives a serial run with the same results.
 """
 
 from __future__ import annotations
@@ -33,6 +35,24 @@ def shares(units: int, size: int = 1, floor: int = 1) -> list:
     """Contiguous slices of ``range(units)``, one per CPU, but at most one
     per ``floor`` entries of work when a unit holds ``size`` entries."""
     return split(slice(0, units), max(1, min(cpu_count(), units * size // floor, units)))
+
+
+def position(rng, streams, starts, total) -> None:
+    """Jump ``streams[k]`` to ``rng``'s stream from its ``starts[k]``-th
+    64-bit output on, and move ``rng`` past ``total`` outputs, as if it had
+    drawn ``total`` doubles (one output each) itself. PCG64's ``advance``
+    clears the buffered upper half of an output that a 32-bit draw leaves;
+    ``rng`` gets it back, so its next bounded integer draw reads the stream
+    exactly as after drawing the doubles."""
+    state = rng.bit_generator.state
+    for stream, start in zip(streams, starts):
+        stream.bit_generator.state = state
+        # PCG64.advance rejects numpy integers.
+        stream.bit_generator.advance(int(start))
+    rng.bit_generator.advance(int(total))
+    after = rng.bit_generator.state
+    after["has_uint32"], after["uinteger"] = state["has_uint32"], state["uinteger"]
+    rng.bit_generator.state = after
 
 
 @contextmanager

@@ -22,13 +22,13 @@ of one. The uniforms are drawn in chunks of ``BLOCK``, counted one group
 segment at a time for a member whose groups average at least ``BLOCK / 5``
 agents (``by_segment``) and in tiles for narrower ones. A step's chunks
 are split into contiguous shares, one per CPU the process may run on: share
-0 reads the run's generator on the calling thread, every other share a copy
-of it jumped ahead to its first chunk (PCG64 ``advance``) on a worker
-thread that lives only as long as the run. Every share counts into its own
-tallies, which are summed as integers, so results do not depend on the
-chunk size, the counting path or the CPU count; ``taskset -c 0`` gives a
-serial run with the same results. A run of at most ``BLOCK`` agents is one
-chunk, and runs on the calling thread alone.
+0 on the calling thread, every other share on a worker thread that lives
+only as long as the run. Each share reads its own generator, which
+``parallel.position`` jumps ahead on the run's seeded stream to the share's
+first chunk, and counts into its own tallies, which are summed as integers,
+so results do not depend on the chunk size, the counting path or the CPU
+count; ``taskset -c 0`` gives a serial run with the same results. A run of
+at most ``BLOCK`` agents is one chunk, and runs on the calling thread alone.
 """
 
 from __future__ import annotations
@@ -149,8 +149,9 @@ def run_many(targets, params, config: Optional[SimConfig] = None) -> list:
     Deterministic for a given seed, and bit for bit the same whatever the
     CPU count: a step's chunks of uniforms are counted in shares, one per
     CPU (at most one per chunk), on the calling thread and on worker threads
-    that end with the call. A batch of at most ``BLOCK`` agents a member is
-    one chunk and starts no thread.
+    that end with the call, each share from the config's stream jumped
+    ahead to its first chunk (``parallel.position``). A batch of at most
+    ``BLOCK`` agents a member is one chunk and starts no thread.
 
     Raises:
         ValueError: a parameter set and its target differ in group count.
@@ -249,17 +250,17 @@ class _Batch:
     broadcasting and counted per group with one ``np.add.reduceat``. Wide
     members (``by_segment``) come last: each non-empty (chunk, group)
     segment is compared once with its group's thresholds. The chunks are
-    split into contiguous ``shares``, each with its own scratch; ``step``
-    hands them to ``run``, which ``run_many`` sets to a share runner
-    (``parallel.runner``).
+    split into contiguous ``shares``, each with its own scratch and
+    generator; ``step`` positions the generators on the run's stream
+    (``parallel.position``) and hands the shares to ``run``, which
+    ``run_many`` sets to a share runner (``parallel.runner``).
     """
 
     def __init__(self, advance_below, stay_from, num_agents: int):
         sizes = [below.size for below in advance_below]
         self.offsets = np.concatenate(([0], np.cumsum(sizes)))
         self.first, self.last = self.offsets[:-1], self.offsets[1:] - 1
-        # A Python int: stream offsets derived from it go to PCG64.advance,
-        # which rejects numpy integers.
+        # A Python int: a numpy unsigned one would turn the counts to floats.
         self.num_agents = int(num_agents)
         owner = np.repeat(np.arange(len(sizes)), sizes)
         self.base = owner * self.num_agents
@@ -288,13 +289,12 @@ class _Batch:
         self.row_starts = np.where(owner < tiled, owner % per_tile, 0) * self.chunk_sizes
         self.shares = chunk_shares(self.num_agents)
         # Per share: the uniforms before its first chunk (every chunk but
-        # the last is full width), its uniform row and flags, and for a
-        # worker share the generator it jumps ahead.
+        # the last is full width), its uniform row and flags, and the
+        # generator that ``parallel.position`` jumps ahead to its chunks.
         self.skips = [share.start * width for share in self.shares]
         self.scratch = [(np.empty(width), np.empty(per_tile * width + 1, dtype=bool))
                         for _ in self.shares]
-        self.streams = [None] + [np.random.Generator(np.random.PCG64(0))
-                                 for _ in self.shares[1:]]
+        self.streams = [np.random.Generator(np.random.PCG64(0)) for _ in self.shares]
 
     def step(self, counts, rng) -> tuple:
         """One step of every member; returns (new counts, deaths per member).
@@ -310,22 +310,9 @@ class _Batch:
         sizes = np.clip(ends - self.chunk_starts, 0, self.chunk_sizes) - lower
         lower += self.row_starts
         tallies = np.zeros((len(self.shares), 2, counts.size), dtype=np.int64)
-        # Worker shares read copies of the stream jumped ahead to their first
-        # chunk; share 0 reads the stream itself, which then skips the rest.
-        state = rng.bit_generator.state if len(self.shares) > 1 else None
-
-        def count_share(k):
-            stream = rng
-            if k:
-                stream = self.streams[k]
-                stream.bit_generator.state = state
-                stream.bit_generator.advance(self.skips[k])
-            self._count(k, stream, sizes, lower, tallies[k])
-
-        self.run(count_share)
-        if state is not None:
-            rng.bit_generator.advance(self.num_agents - self.skips[1])
-        advanced, stayed = tallies[0] if state is None else tallies.sum(axis=0)
+        parallel.position(rng, self.streams, self.skips, self.num_agents)
+        self.run(lambda k: self._count(k, sizes, lower, tallies[k]))
+        advanced, stayed = tallies.sum(axis=0)
         new_counts = stayed
         new_counts[1:] += advanced[:-1]
         # A member's last group holds its survivors and feeds no other member.
@@ -336,9 +323,9 @@ class _Batch:
         new_counts[self.first] += deaths
         return new_counts, deaths
 
-    def _count(self, k, rng, sizes, lower, tally) -> None:
-        """Count share k's chunks, drawn from ``rng``, into ``tally``: its
-        advances, then its stays."""
+    def _count(self, k, sizes, lower, tally) -> None:
+        """Count share k's chunks, drawn from its generator, into
+        ``tally``: its advances, then its stays."""
         advanced, stayed = tally
         uniforms, flag_buffer = self.scratch[k]
         share = self.shares[k]
@@ -354,7 +341,7 @@ class _Batch:
                                            sizes[share], lower[share], ends):
             # One row, broadcast over the tile's members.
             u = uniforms[:size]
-            rng.random(out=u)
+            self.streams[k].random(out=u)
             for part, rows, advance_below, stay_from in self.tiles:
                 # A False sentinel closes the tile's last group and gives
                 # trailing empty groups a valid start; np.minimum zeroes

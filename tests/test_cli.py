@@ -1,12 +1,19 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 import platform
 import re
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agedist import curvefit, parallel, pipeline, simulator
 from agedist.cli import _fitted_params, build_parser, main
@@ -688,3 +695,125 @@ def test_pipeline_outputs_match_golden_digest(tmp_path):
     out_dir = tmp_path / "out"
     assert main(["pipeline", "--input", str(data), "--out-dir", str(out_dir)]) == 0
     assert pipeline_digest(out_dir) == GOLDEN_PIPELINE_DIGEST
+
+
+#: Country names with commas, quotes or unicode, and ones whose file stems
+#: collide ("a b", "a_b" and "a/b"; "" and " ").
+CSV_NAMES = st.one_of(
+    st.sampled_from(["Korea, Republic of", 'Say "hi"', "Ünïcødé 国", "a b", "a_b", "a/b",
+                     "", " "]),
+    st.text(max_size=4))
+#: Counts that ingest reads, subnormal, huge and zero (an interior zero
+#: skips its country) among them; and counts it rejects.
+GOOD_COUNTS = st.one_of(st.floats(1, 1e6), st.sampled_from([5e-324, 1e-320, 1e308, 0.0])).map(repr)
+BAD_COUNTS = st.sampled_from(["nan", "inf", "-inf", "-1", "", "many"])
+COUNTRIES = st.lists(
+    st.tuples(CSV_NAMES, st.lists(st.sampled_from(["0-4", "5-9", "10+", "15+", "age 20", "x"]),
+                                  min_size=3, max_size=6, unique=True)),
+    min_size=1, max_size=3, unique_by=lambda country: country[0])
+
+
+def hostile_csv(data, countries, spoil) -> tuple:
+    """A long-format CSV of ``countries``, spoiled one way: a rejected
+    count, a missing column, a ragged row, a repeated label or a country
+    whose file stem collides with the first one's. Returns the file's bytes
+    and its country names."""
+    header = ["country", "age_group", "population"]
+    if spoil == "stems":
+        countries = countries + [(countries[0][0] + "?", countries[0][1])]
+    blocks = [[[name, label, data.draw(GOOD_COUNTS)] for label in labels]
+              for name, labels in countries]
+    if spoil == "label":
+        blocks[0].append(list(blocks[0][0]))
+    if data.draw(st.booleans()):
+        # Countries interleaved row by row.
+        rows = [row for group in itertools.zip_longest(*blocks) for row in group if row]
+    else:
+        rows = [row for block in blocks for row in block]
+    where = data.draw(st.integers(0, len(rows) - 1))
+    if spoil == "count":
+        rows[where][2] = data.draw(BAD_COUNTS)
+    elif spoil == "ragged":
+        rows[where] = rows[where][:-1] if data.draw(st.booleans()) else rows[where] + ["9"]
+    elif spoil == "column":
+        dropped = data.draw(st.integers(0, 2))
+        header, *rows = [row[:dropped] + row[dropped + 1:] for row in [header, *rows]]
+    text = io.StringIO()
+    # A "\n" writer leaves a field holding "\r" bare: it quotes every field.
+    crlf = data.draw(st.booleans())
+    writer = csv.writer(text, lineterminator="\r\n" if crlf else "\n",
+                        quoting=csv.QUOTE_MINIMAL if crlf else csv.QUOTE_ALL)
+    writer.writerows([header, *rows])
+    bom = "\ufeff" if data.draw(st.booleans()) else ""
+    return (bom + text.getvalue()).encode("utf-8"), {name for name, _ in countries}
+
+
+def run_main(argv) -> tuple:
+    """``main(argv)`` in-process: (exit code, stdout, stderr, warnings)."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), caught
+
+
+def assert_exit_contract(code, err, caught):
+    """Exit 0, or exit 1 with exactly one ``error:`` line; never a traceback
+    or a RuntimeWarning."""
+    assert code in (0, 1)
+    assert "Traceback" not in err
+    assert len([line for line in err.split("\n") if line.startswith("error:")]) == code
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+class TestHostileCsv:
+    """``pipeline`` and ``classify`` on hostile long-format CSVs keep the
+    command line's contract: exit 0 or 1, one ``error:`` line on failure,
+    strict JSON, full-width CSV rows, and every country either processed or
+    listed as skipped with its reason."""
+
+    @pytest.mark.parametrize(
+        "spoil", ["clean", "count", "column", "ragged", "label", "stems", "options"])
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(data=st.data(), countries=COUNTRIES)
+    def test_exit_and_output_contract(self, data, countries, spoil):
+        content, names = hostile_csv(data, countries, spoil)
+        # Options argparse rejects: a bad value, and one classify lacks.
+        pipeline_options, classify_options = (
+            (["--agents", "fifty"], ["--agents", "50"]) if spoil == "options"
+            else (["--agents", "50"], []))
+        with tempfile.TemporaryDirectory() as scratch:
+            source, out_dir = Path(scratch) / "data.csv", Path(scratch) / "out"
+            source.write_bytes(content)
+            code, out, err, caught = run_main(
+                ["pipeline", "--input", str(source), "--out-dir", str(out_dir),
+                 "--steps", "5", *pipeline_options])
+            assert_exit_contract(code, err, caught)
+            skipped = None
+            if code == 0:
+                summary = strict_load(out_dir / "summary.json")
+                for path in out_dir.rglob("*.json"):
+                    strict_load(path)
+                for path in out_dir.rglob("*.csv"):
+                    read_table(path.read_bytes().decode("utf-8"))
+                printed = re.search(r"processed (\d+) countries \(([^)]*)\)", out)
+                assert int(printed[1]) == summary["countries"]
+                assert dict(pair.split("=") for pair in printed[2].split(", ")) == {
+                    route: str(count) for route, count in summary["route_counts"].items()}
+                skipped = {record["country"]: record["reason"] for record in summary["skipped"]}
+                assert all(isinstance(reason, str) and reason for reason in skipped.values())
+                assert set(summary["per_country"]) | set(skipped) == names
+
+            code, out, err, caught = run_main(
+                ["classify", "--input", str(source), *classify_options])
+            assert_exit_contract(code, err, caught)
+            if code == 0:
+                rows = read_table(out)
+                assert rows[0] == ["country", "classification", "eligible_route"]
+                assert {row[0] for row in rows[1:]} == names
+                if skipped is not None:
+                    assert {row[0] for row in rows[1:] if row[1] == "skipped"} == set(skipped)

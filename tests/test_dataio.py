@@ -129,6 +129,17 @@ class TestIngest:
             ["Korea, Republic of", label] for label in ("0-4", "5-9", "10,14")]
         assert ingest_csv(path) == entries
 
+    def test_written_dataset_quotes_carriage_returns(self, tmp_path):
+        # A bare "\r" ends a CSV record as "\n" does.
+        entries = [(name, AgeDistribution(("0-4", "5\r9", "10+"), [0.5, 0.3, 0.2]))
+                   for name in ("Line\rbreak", "Line\r\nbreak", "Plain")]
+        path = tmp_path / "data.csv"
+        write_dataset_csv(entries, path)
+        raw = path.read_bytes()
+        assert b'"Line\rbreak","5\r9"' in raw
+        assert b"0.2\r" not in raw and raw.endswith(b"0.2\n")
+        assert ingest_csv(path) == entries
+
 
 def solved_params(kind=ModelKind.MODEL1):
     dist = AgeDistribution(("a", "b", "c"), [0.5, 0.3, 0.2])

@@ -1,9 +1,12 @@
 import ast
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agedist import SimConfig, curvefit, distributions, model1, model2, normalize, pipeline, simulator
 from agedist.distributions import (
@@ -410,6 +413,75 @@ class TestRunDataset:
     def test_select_and_solve_rejects_raw_vector(self, sim_config):
         with pytest.raises(InvalidEntry):
             select_and_solve([0.5, 0.3, 0.2], sim_config)
+
+
+def counts_or_distribution(counts):
+    """``counts`` as a normalized distribution, or as the raw vector they
+    are when ``normalize`` rejects them (a group underflows to zero)."""
+    try:
+        return normalize(counts, default_labels(len(counts)))
+    except AgedistError:
+        return counts
+
+
+#: Positive counts spanning subnormals to near the largest double.
+COUNTS = st.lists(st.floats(1e-320, 1e308), min_size=3, max_size=8)
+#: Distributions from those counts or from ordinary ones; a huge last group
+#: (up to 1e300 times the largest before it); a first group below 1/1000 of
+#: the smallest adult one.
+TARGETS = st.one_of(
+    COUNTS,
+    st.lists(st.floats(1, 1e3), min_size=3, max_size=8),
+    st.builds(lambda counts, factor: counts + [min(max(counts) * factor, 1e308)],
+              COUNTS, st.floats(1e9, 1e300)),
+    st.builds(lambda counts, share: [min(counts) * share] + counts,
+              COUNTS, st.floats(1e-12, 1e-3)),
+).map(counts_or_distribution)
+RAW_VECTORS = st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=5)
+PAIRS = st.lists(st.tuples(st.text(max_size=4), st.one_of(TARGETS, RAW_VECTORS)),
+                 max_size=5, unique_by=lambda pair: pair[0])
+#: Entries that are not (str, anything) pairs, and "ab", which is one.
+ODD_ENTRIES = st.one_of(
+    st.tuples(st.one_of(st.integers(), st.floats(), st.none(), st.binary(max_size=2),
+                        st.lists(st.integers(), max_size=2)), TARGETS),
+    st.sampled_from([None, 7, "ab", "abc", ("only",), ("a", MONO, "extra")]),
+    TARGETS,
+)
+
+
+class TestHostileEntries:
+    """``run_dataset`` on arbitrary entries raises only typed errors, warns
+    of nothing, and every entry it solves reproduces its route's target."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(PAIRS, st.sampled_from(["clean", "repeat", "odd"]), ODD_ENTRIES, st.integers(0, 5))
+    def test_only_typed_errors_and_exact_routes(self, pairs, spoil, odd, where):
+        dataset = list(pairs)
+        if spoil == "repeat":
+            dataset += pairs[:1]
+        elif spoil == "odd":
+            dataset.insert(where, odd)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                report = run_dataset(dataset, SimConfig(num_agents=200, num_steps=5))
+            except AgedistError:
+                report = None
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        if report is None:
+            return
+        # Every entry was a pair with a name of its own.
+        targets = dict(dataset)
+        assert set(report.per_country) == set(targets)
+        for name, result in report.per_country.items():
+            if result.route is Route.FAILED:
+                assert result.params is None and result.failure_reason
+                continue
+            params, target = result.params, targets[name]
+            if result.route is Route.NEAREST_REACHABLE:
+                target = nearest_reachable(target)
+            steady = distributions.stationary_distribution(params.survival, params.activation)
+            assert np.abs(steady.proportions - target.proportions).max() <= 1e-12
 
 
 def many_groups(shape, n):
