@@ -15,8 +15,8 @@ finds the countries that ingest skipped.
 
 Every failure exits nonzero after printing a line prefixed ``error:`` to
 stderr. All subcommands are deterministic given identical inputs and
-``--seed``. The AGEDIST_LOG environment variable (debug/info/warning/error)
-controls verbosity.
+``--seed``. The AGEDIST_LOG environment variable sets the log level (debug,
+info, warning, error or critical); any other value is an error.
 """
 
 from __future__ import annotations
@@ -48,8 +48,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _configure_logging() -> None:
-    level = os.environ.get("AGEDIST_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    name = os.environ.get("AGEDIST_LOG", "warning")
+    level = getattr(logging, name.upper(), None)
+    if not isinstance(level, int):
+        raise AgedistError(f"AGEDIST_LOG={name!r} is not debug, info, warning, error or critical")
+    logging.basicConfig(level=level)
 
 
 def _ingest(args, country=None) -> tuple:
@@ -367,10 +370,10 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _configure_logging()
         return args.func(args)
     except Exception as exc:  # CLI contract: no bare tracebacks
         logger.debug("%s failed", args.command, exc_info=True)

@@ -288,6 +288,20 @@ def check_group_count(props: np.ndarray) -> np.ndarray:
     return props
 
 
+def check_integer(name: str, value):
+    """``value`` if it is an integer but not a bool; else ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
+def check_seed(seed):
+    """``seed`` if it is an integer in [0, 2**64), as a seeded stream takes."""
+    if not 0 <= check_integer("seed", seed) < 2**64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    return seed
+
+
 def _reject_interior_zero(props: np.ndarray, labels: Optional[tuple] = None) -> None:
     nonzero = np.flatnonzero(props)
     empty = np.flatnonzero(props[: nonzero[-1]] == 0) if nonzero.size else nonzero

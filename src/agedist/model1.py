@@ -23,6 +23,7 @@ from .distributions import (
     AgeDistribution,
     Classification,
     SurvivalVector,
+    check_seed,
     classify,
     proportions_of,
     solver_proportions,
@@ -95,6 +96,7 @@ def solve(dist, p_n="mid", *, seed: Optional[int] = None) -> SurvivalVector:
         DegenerateLastGroup: the last group is more than
             1/(1 - MAX_LAST_SURVIVAL) times the one before it.
         FreeParamOutOfRange: an explicit ``p_n`` lies outside the interval.
+        ValueError: ``p_n`` is "rand" without a valid ``seed``.
     """
     interval = feasibility(dist)
     if isinstance(p_n, str):
@@ -103,7 +105,7 @@ def solve(dist, p_n="mid", *, seed: Optional[int] = None) -> SurvivalVector:
         elif p_n == "rand":
             if seed is None:
                 raise ValueError("p_n='rand' requires a seed")
-            value = float(np.random.default_rng(seed).uniform(
+            value = float(np.random.default_rng(check_seed(seed)).uniform(
                 interval.lower, interval.upper
             ))
         else:

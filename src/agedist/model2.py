@@ -17,7 +17,6 @@ search objective both read the process's stationary law from
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -31,6 +30,8 @@ from .distributions import (
     AgeDistribution,
     SurvivalVector,
     check_group_count,
+    check_integer,
+    check_seed,
     default_labels,
     normalize,
     proportions_of,
@@ -40,25 +41,15 @@ from .distributions import (
 )
 from .errors import ActivationTooSmall
 
-#: Population entries (rows x 2n) of a search generation for each thread
-#: it runs on: a generation of fewer than twice this runs on the calling
-#: thread alone. Results do not depend on it. Two shares against one on a
-#: 2-CPU machine (medians of six alternating runs of a default search):
-#: 0.37x at n = 11 (3.6k entries a share), 0.60x at n = 21 (13k), 0.90x at
-#: n = 31 (29k), 0.99-1.27x at n = 41 (50k), 1.56x at n = 51 (78k) and
-#: 1.73x at n = 101 (306k). Break-even lies between n = 31 and n = 41,
-#: where the floor puts the switch.
-SHARE_FLOOR = 50_000
-
 #: Population entries (rows x 2n) that a search share builds, scores and
 #: selects at a time: a share's rows are cut into the fewest tiles of at
 #: most this many entries, within one row of each other (three of 505 rows
-#: for each of two shares at n = 101). Results do not depend on it. On a
-#: 2-CPU machine a 101-group search on one thread runs about 8% faster in
-#: tiles than in whole shares, as the rows stay in cache. On two threads
-#: every numpy call of a tile passes the GIL back and forth: these tiles
-#: measured 0-10% slower than whole shares there, five tiles of 303 rows
-#: 18-34%, for 1.4 MB less memory.
+#: for each of two shares at n = 101), and a generation has a share per
+#: tile at most. Results do not depend on it. On a 2-CPU machine a 101-group
+#: search on one thread runs about 8% faster in tiles than in whole shares,
+#: as the rows stay in cache. On two threads every numpy call of a tile
+#: passes the GIL back and forth: these tiles measured 0-10% slower than
+#: whole shares there, five tiles of 303 rows 18-34%, for 1.4 MB less memory.
 TILE_ENTRIES = 110_000
 
 #: Margins on the floors ``nearest_reachable`` raises groups to.
@@ -90,17 +81,12 @@ class DEConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("population_size", "max_iterations", "seed"):
-            value = getattr(self, name)
-            if not (value is None and name == "population_size") and (
-                    isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
-        if self.population_size is not None and self.population_size < 4:
+        if self.population_size is not None and check_integer(
+                "population_size", self.population_size) < 4:
             raise ValueError("population_size must be at least 4")
-        if self.max_iterations < 1:
+        if check_integer("max_iterations", self.max_iterations) < 1:
             raise ValueError("max_iterations must be positive")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        check_seed(self.seed)
 
 
 def default_bounds(n_groups: int) -> np.ndarray:
@@ -331,17 +317,16 @@ def optimize(target, config: Optional[DEConfig] = None) -> Model2Solution:
     the forced crossover components; each share draws its own rows of the
     crossover uniforms from its own generator, which ``parallel.position``
     jumps ahead to them as the calling thread's stream skips past all of
-    them. There is at most one share per ``SHARE_FLOOR`` population
-    entries, so small searches (21-group ones among them) stay on the
-    calling thread. A share works through its rows in tiles of
-    ``TILE_ENTRIES`` entries: it draws a tile's crossover
-    uniforms, gathers, mutates, reflects and crosses over its rows, scores
-    them and writes into the trial buffer, for every row, the trial or, if
-    the trial scores worse, the parent. Once every share has gathered from
-    the parents, the trial buffer becomes the population and the old
-    population the next trial buffer. Every row gets the same floats
-    whatever the share count and the tile size, so results are bitwise
-    independent of both; restricting the CPU affinity gives a serial
+    them. There is at most one share per tile (``parallel.shares``), so
+    default searches of up to 42 groups stay on the calling thread. A share
+    works through its rows in tiles of ``TILE_ENTRIES`` entries: it draws a
+    tile's crossover uniforms, gathers, mutates, reflects and crosses over
+    its rows, scores them and writes into the trial buffer, for every row,
+    the trial or, if the trial scores worse, the parent. Once every share
+    has gathered from the parents, the trial buffer becomes the population
+    and the old population the next trial buffer. Every row gets the same
+    floats whatever the share count and the tile size, so results are
+    bitwise independent of both; restricting the CPU affinity gives a serial
     search. A search keeps two buffers of the population's size, the
     parents and the trial rows; the rest of a generation's work lives in
     each share's tile scratch (a tile's uniforms and mask), made once per
@@ -351,8 +336,8 @@ def optimize(target, config: Optional[DEConfig] = None) -> Model2Solution:
     at 41.1 MB at 201 groups, against 20.5 and 80.5 MB with share-sized
     scratch and 13.6 and 43.2 MB with an objective scratch of its own.
     Every share has its own tile, so at 101 groups the peak is 2.2 buffers
-    on one share, 2.5 on two, 2.7 on four and 3.3 on eight, where a share
-    is no larger than a tile.
+    on one share, 2.5 on two, 2.7 on four and 3.2 on six, where a share is
+    one tile: the most shares it gets.
 
     Every share scores its rows with the search's one (stateless)
     ``mae_objective(target)``, a tile at a time in that tile's scratch, for
@@ -373,9 +358,10 @@ def optimize(target, config: Optional[DEConfig] = None) -> Model2Solution:
     lo, hi = default_bounds(n).T.copy()
     doubled = (2.0 * lo, 2.0 * hi)
     pop_size = cfg.population_size or 15 * dim
-    shares = parallel.shares(pop_size, dim, SHARE_FLOOR)
+    height = max(1, TILE_ENTRIES // dim)
+    shares = parallel.shares(pop_size, height)
     objective = mae_objective(t)
-    tiles = [_tiles(rows, max(1, TILE_ENTRIES // dim)) for rows in shares]
+    tiles = [_tiles(rows, height) for rows in shares]
 
     rng = np.random.default_rng(cfg.seed)
     population = rng.uniform(lo, hi, size=(pop_size, dim))

@@ -1,13 +1,14 @@
 """Work split over the CPUs this process may run on.
 
 The search splits a generation's rows and the simulator a step's uniform
-chunks into contiguous shares, one per CPU (``os.sched_getaffinity``).
-Share 0 runs on the calling thread and every other share on a worker
-thread that lives only as long as the ``runner`` block. Every share reads
-its doubles from its own generator, which ``position`` sets to the seeded
-stream jumped ahead to the share's first double, so every unit's result is
-independent of the share count and restricting the CPU affinity
-(``taskset -c 0``) gives a serial run with the same results.
+chunks into contiguous shares, one per CPU but at most one per work unit
+each already cuts: a tile of rows, a chunk of uniforms. Share 0 runs on the
+calling thread and every other share on a worker thread that lives only as
+long as the ``runner`` block. Every share reads its doubles from its own
+generator, which ``position`` sets to the seeded stream jumped ahead to the
+share's first double, so every unit's result is independent of the share
+count and restricting the CPU affinity (``taskset -c 0``) gives a serial run
+with the same results.
 """
 
 from __future__ import annotations
@@ -31,10 +32,9 @@ def split(rows: slice, count: int) -> list:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def shares(units: int, size: int = 1, floor: int = 1) -> list:
-    """Contiguous slices of ``range(units)``, one per CPU, but at most one
-    per ``floor`` entries of work when a unit holds ``size`` entries."""
-    return split(slice(0, units), max(1, min(cpu_count(), units * size // floor, units)))
+def shares(units: int, per: int = 1) -> list:
+    """``range(units)`` in contiguous slices, one per CPU but at most ceil(units / per)."""
+    return split(slice(0, units), min(cpu_count(), -(-units // per)))
 
 
 def position(rng, streams, starts, total) -> None:

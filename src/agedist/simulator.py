@@ -20,10 +20,9 @@ draws it once and every member counts its own groups against it; each
 member's results are bit for bit those of its own ``run``, which is a batch
 of one. The uniforms are drawn in chunks of ``BLOCK``, counted one group
 segment at a time for a member whose groups average at least ``BLOCK / 5``
-agents (``by_segment``) and in tiles for narrower ones. A step's chunks
-are split into contiguous shares, one per CPU the process may run on: share
-0 on the calling thread, every other share on a worker thread that lives
-only as long as the run. Each share reads its own generator, which
+agents (``by_segment``) and in tiles for narrower ones. A step's chunks are
+split into contiguous shares, one per CPU but at most one per chunk
+(``parallel.shares``). Each share reads its own generator, which
 ``parallel.position`` jumps ahead on the run's seeded stream to the share's
 first chunk, and counts into its own tallies, which are summed as integers,
 so results do not depend on the chunk size, the counting path or the CPU
@@ -33,7 +32,6 @@ at most ``BLOCK`` agents is one chunk, and runs on the calling thread alone.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,7 +40,8 @@ import numpy as np
 from . import parallel
 from .dataio import write_csv
 from .distributions import (
-    SUM_TOLERANCE, ModelParams, default_labels, proportions_of, step_thresholds)
+    SUM_TOLERANCE, ModelParams, check_integer, check_seed, default_labels, proportions_of,
+    step_thresholds)
 from .errors import NotNormalized, ResidualCheckFailed
 
 #: Uniforms per chunk of a step, and agents per tile of batch members: a
@@ -66,20 +65,15 @@ class SimConfig:
     def __post_init__(self):
         if not isinstance(self.record_trajectory, (bool, np.bool_)):
             raise ValueError(f"record_trajectory must be a bool, not {self.record_trajectory!r}")
-        for name in ("num_agents", "num_steps", "burn_in", "seed"):
-            value = getattr(self, name)
-            if name == "burn_in" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
+        check_integer("num_agents", self.num_agents)
+        check_integer("num_steps", self.num_steps)
         if self.num_agents < 1 or self.num_steps < 1:
             raise ValueError("num_agents and num_steps must be positive")
         if self.burn_in is None:
             self.burn_in = self.num_steps - max(1, self.num_steps // 7)
-        if not 0 <= self.burn_in < self.num_steps:
+        if not 0 <= check_integer("burn_in", self.burn_in) < self.num_steps:
             raise ValueError("burn_in must satisfy 0 <= burn_in < num_steps")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        check_seed(self.seed)
 
 
 @dataclass
@@ -118,11 +112,13 @@ def apportion(proportions, total: int) -> np.ndarray:
 def start_counts(target, config: SimConfig) -> np.ndarray:
     """Group counts at step 0: the start distribution ``target``
     apportioned to ``config.num_agents``. A target whose proportions do not
-    sum to 1 raises NotNormalized."""
+    sum to 1, or include a negative one, raises NotNormalized."""
     props = proportions_of(target)
     total = float(props.sum())
     if abs(total - 1.0) > SUM_TOLERANCE:
         raise NotNormalized(f"target proportions sum to {total!r}, not 1")
+    if props.min() < 0:
+        raise NotNormalized(f"target has a negative proportion, {float(props.min())!r}")
     return apportion(props, config.num_agents)
 
 
@@ -147,15 +143,14 @@ def run_many(targets, params, config: Optional[SimConfig] = None) -> list:
     estimate is the time-average of the per-step group proportions over the
     steps after ``burn_in``; the final snapshot is also reported.
     Deterministic for a given seed, and bit for bit the same whatever the
-    CPU count: a step's chunks of uniforms are counted in shares, one per
-    CPU (at most one per chunk), on the calling thread and on worker threads
-    that end with the call, each share from the config's stream jumped
-    ahead to its first chunk (``parallel.position``). A batch of at most
-    ``BLOCK`` agents a member is one chunk and starts no thread.
+    CPU count: a step's chunks of uniforms are counted in ``chunk_shares``,
+    each from the config's stream jumped ahead to its first chunk
+    (``parallel.position``). A batch of at most ``BLOCK`` agents a member
+    is one chunk and starts no thread.
 
     Raises:
         ValueError: a parameter set and its target differ in group count.
-        NotNormalized: a target's proportions do not sum to 1.
+        NotNormalized: a target is negative somewhere or does not sum to 1.
         ResidualCheckFailed: a step left a member without exactly
             ``num_agents`` agents, or with a negative count; the message
             names the member by its index in the batch.
@@ -214,9 +209,8 @@ def run_many(targets, params, config: Optional[SimConfig] = None) -> list:
 
 
 def chunk_shares(num_agents: int) -> list:
-    """A step's chunks of ``BLOCK`` uniforms for ``num_agents`` agents,
-    split into contiguous shares, one per CPU but at most one per chunk;
-    each share is counted on its own thread."""
+    """``parallel.shares`` of a step's chunks of ``BLOCK`` uniforms for
+    ``num_agents`` agents: one per CPU, at most one per chunk."""
     return parallel.shares(-(-num_agents // BLOCK))
 
 

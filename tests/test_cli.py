@@ -3,8 +3,11 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import platform
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -17,8 +20,9 @@ from hypothesis import strategies as st
 
 from agedist import curvefit, parallel, pipeline, simulator
 from agedist.cli import _fitted_params, build_parser, main
-from agedist.distributions import ALPHA_MIN, ModelKind, mean_absolute_error
-from agedist.dataio import load_params_document
+from agedist.distributions import (
+    ALPHA_MIN, ModelKind, mean_absolute_error, stationary_distribution)
+from agedist.dataio import load_params, load_params_document
 from agedist.errors import AgedistError
 from agedist.simulator import SimConfig
 
@@ -49,6 +53,22 @@ def dataset(tmp_path):
             for label, count in groups:
                 fh.write(f"{name},{label},{count}\n")
     return path
+
+
+@pytest.mark.parametrize("level, code", [("basic_format", 1), ("bogus", 1), ("ERROR", 0)])
+def test_agedist_log_takes_only_a_level(dataset, level, code):
+    # A child process: basicConfig ignores a level once a handler (such as
+    # pytest's) is installed. logging.BASIC_FORMAT is a format string.
+    path = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, AGEDIST_LOG=level, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    result = subprocess.run([sys.executable, "-m", "agedist.cli", "classify", "--input",
+                             str(dataset)], env=env, capture_output=True, text=True)
+    assert (result.returncode, "Traceback" in result.stderr) == (code, False)
+    errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+    assert errors == ([f"error: AGEDIST_LOG={level!r} is not debug, info, warning, error "
+                       "or critical"] if code else [])
+    if code == 0:
+        assert result.stdout.startswith("country,classification,eligible_route")
 
 
 class TestClassify:
@@ -771,10 +791,11 @@ def assert_exit_contract(code, err, caught):
 
 
 class TestHostileCsv:
-    """``pipeline`` and ``classify`` on hostile long-format CSVs keep the
-    command line's contract: exit 0 or 1, one ``error:`` line on failure,
-    strict JSON, full-width CSV rows, and every country either processed or
-    listed as skipped with its reason."""
+    """``pipeline``, ``classify`` and ``solve`` on hostile long-format CSVs
+    keep the command line's contract: exit 0 or 1, one ``error:`` line on
+    failure, strict JSON, full-width CSV rows, every country either
+    processed or listed as skipped with its reason, and a solved file that
+    loads and reproduces its target."""
 
     @pytest.mark.parametrize(
         "spoil", ["clean", "count", "column", "ragged", "label", "stems", "options"])
@@ -783,9 +804,9 @@ class TestHostileCsv:
     def test_exit_and_output_contract(self, data, countries, spoil):
         content, names = hostile_csv(data, countries, spoil)
         # Options argparse rejects: a bad value, and one classify lacks.
-        pipeline_options, classify_options = (
-            (["--agents", "fifty"], ["--agents", "50"]) if spoil == "options"
-            else (["--agents", "50"], []))
+        pipeline_options, classify_options, solve_options = (
+            (["--agents", "fifty"], ["--agents", "50"], ["--model", "3"]) if spoil == "options"
+            else (["--agents", "50"], [], []))
         with tempfile.TemporaryDirectory() as scratch:
             source, out_dir = Path(scratch) / "data.csv", Path(scratch) / "out"
             source.write_bytes(content)
@@ -817,3 +838,16 @@ class TestHostileCsv:
                 assert {row[0] for row in rows[1:]} == names
                 if skipped is not None:
                     assert {row[0] for row in rows[1:] if row[1] == "skipped"} == set(skipped)
+
+            params_file = Path(scratch) / "params.json"
+            code, out, err, caught = run_main(
+                ["solve", "--input", str(source), f"--country={countries[0][0]}",
+                 "--out", str(params_file), *solve_options])
+            assert_exit_contract(code, err, caught)
+            if code == 0:
+                params = load_params(params_file)
+                if pipeline._route_of(params) is not pipeline.Route.NEAREST_REACHABLE:
+                    alpha = params.activation.rates if params.activation else None
+                    steady = stationary_distribution(params.survival.probs, alpha)
+                    target = load_params_document(params_file).target
+                    assert np.max(np.abs(steady.proportions - target)) <= 1e-12

@@ -31,6 +31,7 @@ from agedist.errors import (
     NotNormalized,
     TooFewGroups,
 )
+from agedist.simulator import SimConfig
 
 
 def dist(values, labels=None):
@@ -118,6 +119,22 @@ def test_every_solver_rejects_a_raw_vector_of_two_groups(solver, monkeypatch):
     monkeypatch.setattr(model2, "mae_objective", None)
     with pytest.raises(TooFewGroups, match="got 2"):
         solver([0.6, 0.4])
+
+
+@pytest.mark.parametrize("seed, message", [
+    (1.5, "seed must be an integer"), ("7", "seed must be an integer"),
+    (True, "seed must be an integer"), (-1, "unsigned 64-bit"), (2**64, "unsigned 64-bit"),
+], ids=["float", "str", "bool", "negative", "2**64"])
+@pytest.mark.parametrize("seeded", [
+    lambda seed: model1.solve([0.5, 0.3, 0.2], "rand", seed=seed),
+    lambda seed: SimConfig(seed=seed),
+    lambda seed: model2.DEConfig(seed=seed),
+], ids=["model1.solve", "SimConfig", "DEConfig"])
+def test_every_seed_passes_one_check(seeded, seed, message):
+    # A float or a string would fail inside default_rng with an untyped
+    # TypeError; a bool or an out-of-range integer would be taken.
+    with pytest.raises(ValueError, match=message):
+        seeded(seed)
 
 
 class TestClassify:

@@ -581,11 +581,12 @@ class TestOptimize:
         history = optimize(hump(), DEConfig(seed=5, max_iterations=60)).history
         assert all(b <= a + 0.0 for a, b in zip(history, history[1:]))
 
-    def test_all_candidates_respect_bounds(self, monkeypatch):
+    def test_all_candidates_respect_bounds(self, split, monkeypatch):
+        split(1)
         monkeypatch.setattr(model2, "SUCCESS_THRESHOLD", 1e-9)
         target = hump()
         bounds = default_bounds(len(target))
-        # One tile of 90 rows, then 23 tiles of 3-4 rows.
+        # One share: one tile of 90 rows, then 23 tiles of 3-4 rows.
         for tile_rows, tiles in ((None, 1), (4, 23)):
             with monkeypatch.context() as patch:
                 if tile_rows:
@@ -827,11 +828,11 @@ def test_reflection_equals_where_form_bitwise(case):
 @pytest.fixture
 def split(monkeypatch):
     """``split(count)`` makes every later search run in ``count`` row
-    shares, whatever its size and the machine's CPU count."""
+    shares, whatever its size, its tile count and the machine's CPU count."""
 
     def use(count):
-        monkeypatch.setattr(model2, "SHARE_FLOOR", 1)
-        monkeypatch.setattr(parallel, "cpu_count", lambda: count)
+        monkeypatch.setattr(parallel, "shares",
+                            lambda units, per=1: parallel.split(slice(0, units), count))
 
     return use
 
@@ -1047,24 +1048,36 @@ class TestRowShares:
             assert np.array_equal(got.activation.rates, want.activation.rates)
             assert (got.mae, got.iterations_used) == (want.mae, want.iterations_used)
 
-    def test_floor_keeps_small_searches_serial(self, monkeypatch):
+    def test_at_most_one_share_per_tile(self, monkeypatch):
         monkeypatch.setattr(parallel, "cpu_count", lambda: 64)
-        # The cascade's 21-group search: 630 rows x 42 entries.
-        assert parallel.shares(630, 42, model2.SHARE_FLOOR) == [slice(0, 630)]
-        shares = parallel.shares(3030, 202, model2.SHARE_FLOOR)
-        assert len(shares) == 3030 * 202 // model2.SHARE_FLOOR
-        assert all(
-            (s.stop - s.start) * 202 >= model2.SHARE_FLOOR for s in shares)
+        # The cascade's 21-group search: 630 rows x 42 entries, one tile.
+        assert parallel.shares(630, model2.TILE_ENTRIES // 42) == [slice(0, 630)]
+        # A 42-group one: 1260 rows in one tile of up to 1309.
+        assert parallel.shares(1260, model2.TILE_ENTRIES // 84) == [slice(0, 1260)]
+        height = model2.TILE_ENTRIES // 202
+        assert len(parallel.shares(3030, height)) == -(-3030 // height) == 6
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 6, 8, 64])
     def test_shares_cover_the_rows_in_order(self, monkeypatch, cpus):
         monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
-        shares = parallel.shares(3030, 202, model2.SHARE_FLOOR)
-        assert len(shares) == cpus
+        height = model2.TILE_ENTRIES // 202
+        shares = parallel.shares(3030, height)
+        assert len(shares) == min(cpus, 6)
         assert shares[0].start == 0 and shares[-1].stop == 3030
         assert all(a.stop == b.start for a, b in zip(shares, shares[1:]))
         sizes = [s.stop - s.start for s in shares]
-        assert max(sizes) - min(sizes) <= 1
+        # At least one tile of the generation cut whole (505 rows) each.
+        tile = min(t.stop - t.start for t in model2._tiles(slice(0, 3030), height))
+        assert max(sizes) - min(sizes) <= 1 and min(sizes) >= tile
+
+    def test_two_cpus_cut_the_fine_grid_as_before(self, monkeypatch):
+        # 3030 x 202 rows: two shares of three 505-row tiles each.
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
+        height = model2.TILE_ENTRIES // 202
+        shares = parallel.shares(3030, height)
+        assert shares == [slice(0, 1515), slice(1515, 3030)]
+        assert [[tile.stop - tile.start for tile in model2._tiles(rows, height)]
+                for rows in shares] == [[505] * 3] * 2
 
     def test_cpu_count_follows_affinity(self):
         if hasattr(os, "sched_getaffinity"):

@@ -778,18 +778,21 @@ class TestRun:
 
     def test_unnormalized_target_rejected_before_any_draw(self, monkeypatch):
         # Raw counts would start the run with their sum times num_agents
-        # agents and fail after step 1, blaming the update rule.
+        # agents and fail after step 1, blaming the update rule. A negative
+        # proportion in a sum of 1 would have its count dropped by the
+        # clipped chunk ranges, and the run would go on.
         def no_step(*args):
             raise AssertionError("stepped an unnormalized target")
 
         monkeypatch.setattr(simulator._Batch, "step", no_step)
         params = ModelParams(kind=ModelKind.MODEL1, survival=np.full(5, 0.5))
         config = SimConfig(num_agents=1000, num_steps=5, burn_in=1)
-        for target in (np.ones(5), np.full(5, 0.2 + 1e-11)):
-            with pytest.raises(NotNormalized, match="sum to"):
+        for target, message in ((np.ones(5), "sum to"), (np.full(5, 0.2 + 1e-11), "sum to"),
+                                ([1.5, -0.5, 0.0, 0.0, 0.0], "negative proportion, -0.5")):
+            with pytest.raises(NotNormalized, match=message):
                 run(target, params, config)
             # One bad member stops the whole batch before any draw.
-            with pytest.raises(NotNormalized):
+            with pytest.raises(NotNormalized, match=message):
                 run_many([np.full(5, 0.2), target], [params, params], config)
 
     def test_raw_target_gets_default_labels(self):
