@@ -222,9 +222,9 @@ def cmd_simulate(args) -> int:
         simulator.write_trajectory_csv(result, args.trajectory)
 
     output = {
-        "labels": list(result.labels),
-        "steady_estimate": [float(v) for v in result.steady_estimate],
-        "final_snapshot": [float(v) for v in result.final_snapshot],
+        "labels": result.labels,
+        "steady_estimate": result.steady_estimate,
+        "final_snapshot": result.final_snapshot,
         "mae_vs_analytic": mae,
         "total_deaths": result.total_deaths,
         "seed": result.seed,

@@ -213,8 +213,8 @@ def fit(dist) -> CurveFitResult:
     on purpose (the step is rejected) and raises no warning.
 
     Raises:
-        InteriorZeroGroup: a raw vector has an empty group before a
-            non-empty one.
+        InteriorZeroGroup: a raw vector has an empty group
+            (EmptyPopulation when every group is).
         TooFewGroups: a raw vector has fewer than three groups.
         CurveFitFailed: no breakpoint produced a usable fit.
     """
@@ -229,14 +229,11 @@ def fit(dist) -> CurveFitResult:
             table.append((k, float("inf"), float("inf")))
             continue
         try:
-            # A decay steep enough to underflow leaves zero groups (trimmed
-            # or rejected by the constructor); such a curve cannot feed the
+            # A decay steep enough to underflow leaves an empty group, which
+            # the constructor rejects; such a curve cannot feed the
             # closed-form solver, so treat the fit as failed.
             fitted = AgeDistribution(labels, vals / vals.sum())
         except AgedistError:
-            table.append((k, sse, float("inf")))
-            continue
-        if len(fitted) != n:
             table.append((k, sse, float("inf")))
             continue
         distance = wasserstein(fitted, dist)

@@ -73,7 +73,7 @@ def ingest_csv(
 ):
     """Read a long-format CSV into a list of (name, AgeDistribution).
 
-    Trailing zero groups are trimmed and counts normalized per country.
+    Each country's counts go through ``normalize`` (trailing empty groups dropped).
     Countries failing validation (interior zeros, fewer than three groups)
     are logged and skipped; pass a list as ``skipped`` to collect
     (name, reason) records.
@@ -195,16 +195,12 @@ def emit_params(
         "schema_version": PARAMS_SCHEMA_VERSION,
         "library_version": __version__,
         "kind": params.kind.value,
-        "survival": [float(v) for v in params.survival.probs],
-        "activation": (
-            [float(v) for v in params.activation.rates]
-            if params.activation is not None
-            else None
-        ),
-        "free_param": float(params.free_param),
+        "survival": params.survival.probs,
+        "activation": params.activation.rates if params.activation is not None else None,
+        "free_param": params.free_param,
         "diagnostics": params.diagnostics,
-        "labels": list(labels) if labels is not None else None,
-        "target": [float(v) for v in target] if target is not None else None,
+        "labels": labels,
+        "target": np.asarray(target, dtype=float) if target is not None else None,
         "config": config,
     }
     write_json(document, path)
@@ -212,14 +208,18 @@ def emit_params(
 
 def write_json(document, path) -> None:
     """Write ``document`` as indented strict JSON, which has no NaN or
-    Infinity: every non-finite float in it is written as null."""
+    Infinity: a non-finite float is written as null, a numpy value as its
+    Python value. The text is built before the file is opened, so a
+    document that cannot be serialized leaves no file."""
+    text = json.dumps(_finite_or_null(document), indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_finite_or_null(document), fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _finite_or_null(value):
-    if isinstance(value, float):  # numpy's float64 included
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, float):
         return value if math.isfinite(value) else None
     if isinstance(value, dict):
         return {key: _finite_or_null(item) for key, item in value.items()}
@@ -238,8 +238,9 @@ def load_params(path) -> ModelParams:
             ``activation`` of different lengths, an ``activation`` list
             present for a kind other than model 2 or absent for model 2,
             a ``free_param`` other than the last survival entry, or
-            unknown schema, version or kind.
-        Domain validation errors: out-of-range vector entries.
+            unknown schema, version or kind; or a ``survival`` or
+            ``activation`` list its value type refuses with a ValueError.
+        DegenerateLastGroup, ActivationTooSmall: as the value types raise.
     """
     return load_params_document(path).params
 
@@ -290,7 +291,7 @@ def load_params_document(path) -> ParamsDocument:
             "needs an 'activation' list" if activation is None
             else "takes no 'activation' list (null or absent)"))
 
-    survival = SurvivalVector(document["survival"])
+    survival = _vector(path, document, "survival", SurvivalVector)
     last = document["survival"][-1]
     if document["free_param"] != last:
         raise SchemaError(f"{path}: field 'free_param' is {document['free_param']!r}, "
@@ -298,7 +299,8 @@ def load_params_document(path) -> ParamsDocument:
     params = ModelParams(
         kind=kind,
         survival=survival,
-        activation=ActivationVector(activation) if activation is not None else None,
+        activation=(_vector(path, document, "activation", ActivationVector)
+                    if activation is not None else None),
         diagnostics=document.get("diagnostics", {}),
     )
     labels = tuple(document["labels"]) if document.get("labels") else None
@@ -314,3 +316,11 @@ def load_params_document(path) -> ParamsDocument:
         config=document.get("config"),
         library_version=document.get("library_version", "unknown"),
     )
+
+
+def _vector(path, document, key: str, cls):
+    """``cls`` of the field ``key``; its ValueError becomes a SchemaError."""
+    try:
+        return cls(document[key])
+    except ValueError as exc:
+        raise SchemaError(f"{path}: field {key!r}: {exc}") from None

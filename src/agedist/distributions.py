@@ -38,8 +38,8 @@ SUM_TOLERANCE = 1e-12
 #: the steady-state relations.
 ALPHA_MIN = 1e-3
 
-#: Largest admissible last-group survival. Exactly 1 would make the final
-#: group absorbing with zero outflow, contradicting a positive predecessor.
+#: Largest last-group survival the solvers choose. ``SurvivalVector``
+#: refuses 1, which would make the final group absorbing with zero outflow.
 MAX_LAST_SURVIVAL = 1.0 - 1e-9
 
 #: Ceiling on the largest entry of stationarity_residual(), checked in
@@ -65,10 +65,9 @@ def default_labels(n: int) -> tuple:
 class AgeDistribution:
     """Ordered age groups with strictly positive proportions summing to one.
 
-    Trailing empty groups are trimmed (with their labels) at construction,
-    since a population that never reaches them carries no information.
-    Interior empty groups are rejected: every solver divides by the size of
-    the preceding group.
+    An empty group anywhere is rejected (``check_groups``): every solver
+    divides by the size of each group before the last. Only ``normalize``,
+    which takes raw counts, drops trailing empty groups.
     """
 
     labels: tuple
@@ -83,18 +82,7 @@ class AgeDistribution:
             )
         if np.any(props < 0):
             raise ValueError("proportions must be non-negative")
-        nonzero = np.nonzero(props)[0]
-        if nonzero.size == 0:
-            raise EmptyPopulation("every age group is empty")
-        keep = nonzero[-1] + 1
-        if keep < props.size:
-            logger.info(
-                "trimming %d trailing empty group(s): %s",
-                props.size - keep, ", ".join(labels[keep:]),
-            )
-            labels, props = labels[:keep], props[:keep]
-        _reject_interior_zero(props, labels)
-        check_group_count(props)
+        check_groups(props, labels)
         total = float(props.sum())
         if abs(total - 1.0) > SUM_TOLERANCE:
             raise NotNormalized(
@@ -121,9 +109,10 @@ class AgeDistribution:
 def normalize(raw_counts, labels) -> AgeDistribution:
     """Build an AgeDistribution from raw (unnormalized) group counts.
 
-    Trailing zero groups are dropped along with their labels; the remaining
-    counts are divided by their sum (by the largest count first, when the
-    sum overflows).
+    The counts are divided by their sum (by the largest count first, when
+    the sum overflows); then trailing groups that are empty, or that
+    underflowed to zero, are dropped with their labels. This is the only
+    constructor that drops groups.
 
     Raises:
         EmptyPopulation: all counts are zero.
@@ -144,24 +133,26 @@ def normalize(raw_counts, labels) -> AgeDistribution:
         total = counts.sum()
     if total <= 0:
         raise EmptyPopulation("every age group is empty")
-    if abs(total - 1.0) <= SUM_TOLERANCE:
-        # Already normalized; keep the exact bits so re-ingesting emitted
-        # proportions is an identity.
-        return AgeDistribution(labels, counts)
-    return AgeDistribution(labels, counts / total)
+    # Proportions that already sum to one keep their bits (re-ingesting is exact).
+    props = counts if abs(total - 1.0) <= SUM_TOLERANCE else counts / total
+    keep = np.flatnonzero(props)[-1] + 1  # the largest count stays positive
+    if keep < props.size:
+        logger.info("trimming %d trailing empty group(s): %s", props.size - keep,
+                    ", ".join(map(str, labels[keep:])))
+    return AgeDistribution(labels[:keep], props[:keep])
 
 
 class _RateVector:
     """A finite, read-only one-dimensional array of at least 3 per-group
     rates in the dataclass field ``_field``. Messages call the vector and
-    its entries ``_names``; ``_check_range`` checks (or caps) them in place."""
+    its entries ``_names``; ``_check_range`` checks them before the length."""
 
     def __post_init__(self):
         kind, entries = self._names
         arr = _as_vector(getattr(self, self._field), entries)
+        self._check_range(arr)
         if arr.size < 3:
             raise ValueError(f"{kind} vector needs at least 3 entries")
-        self._check_range(arr)
         arr.setflags(write=False)
         object.__setattr__(self, self._field, arr)
 
@@ -179,25 +170,22 @@ class _RateVector:
 
 @dataclass(frozen=True, eq=False)
 class SurvivalVector(_RateVector):
-    """Per-group survival probabilities, each in [0, 1].
+    """Per-group survival probabilities, each in [0, 1], the last below 1.
 
-    A last entry of exactly 1 is capped to ``MAX_LAST_SURVIVAL`` (with a
-    logged notice): an absorbing final group has no steady state compatible
-    with positive earlier groups.
+    A last entry of 1 or more raises DegenerateLastGroup (the one place
+    that judges it): an absorbing final group has no steady state
+    compatible with positive earlier groups.
     """
 
     probs: np.ndarray
     _field, _names = "probs", ("survival", "survival probabilities")
 
     def _check_range(self, arr: np.ndarray) -> None:
+        if arr.size and arr[-1] >= 1.0:
+            raise DegenerateLastGroup(f"last-group survival {float(arr[-1])!r} leaves the "
+                                      "final group with no outflow")
         if np.any(arr < 0) or np.any(arr > 1):
             raise ValueError("survival probabilities must lie in [0, 1]")
-        if arr[-1] >= 1.0:
-            logger.info(
-                "capping last-group survival %.17g to %.17g",
-                arr[-1], MAX_LAST_SURVIVAL,
-            )
-            arr[-1] = MAX_LAST_SURVIVAL
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,11 +260,22 @@ def proportions_of(dist) -> np.ndarray:
 
 def solver_proportions(dist) -> np.ndarray:
     """``proportions_of`` for the solvers, which divide by each group before
-    the last non-empty one: a raw vector with an empty group there raises
-    InteriorZeroGroup, and one of fewer than three groups TooFewGroups, as
-    an AgeDistribution does."""
-    props = proportions_of(dist)
-    _reject_interior_zero(props)
+    the last: a raw vector passes ``check_groups``, as an AgeDistribution's
+    proportions do."""
+    return check_groups(proportions_of(dist))
+
+
+def check_groups(props: np.ndarray, labels: Optional[tuple] = None) -> np.ndarray:
+    """``props``, if no group is empty and there are at least three; else
+    EmptyPopulation (every group empty), InteriorZeroGroup naming the first
+    empty group by ``labels`` (default g1..gn) and index, or TooFewGroups."""
+    empty = np.flatnonzero(props == 0)
+    if empty.size == props.size:
+        raise EmptyPopulation("every age group is empty")
+    if empty.size:
+        idx = int(empty[0])
+        label = (labels or default_labels(props.size))[idx]  # built only to name it
+        raise InteriorZeroGroup(f"group {label!r} (index {idx}) is empty")
     return check_group_count(props)
 
 
@@ -300,17 +299,6 @@ def check_seed(seed):
     if not 0 <= check_integer("seed", seed) < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     return seed
-
-
-def _reject_interior_zero(props: np.ndarray, labels: Optional[tuple] = None) -> None:
-    nonzero = np.flatnonzero(props)
-    empty = np.flatnonzero(props[: nonzero[-1]] == 0) if nonzero.size else nonzero
-    if empty.size:
-        idx = int(empty[0])
-        label = (labels or default_labels(props.size))[idx]  # built only to name it
-        raise InteriorZeroGroup(
-            f"group {label!r} (index {idx}) is empty but later groups are not"
-        )
 
 
 def _comparable(a, b, check_labels: bool) -> tuple:
@@ -390,15 +378,11 @@ def stationary_distribution(p, alpha=None, labels=None) -> AgeDistribution:
 
     Raises:
         DegenerateLastGroup: the last survival probability is >= 1.
-        InteriorZeroGroup: an intermediate survival probability is 0.
+        InteriorZeroGroup: a survival probability before the last is 0, or
+            the profile underflows to an empty group.
         ResidualCheckFailed: the largest residual reaches ``RESIDUAL_TOLERANCE``.
     """
-    raw = np.asarray(p, dtype=float)
-    if raw.size and raw[-1] >= 1.0:
-        raise DegenerateLastGroup(
-            f"last-group survival {raw[-1]!r} leaves the final group with no outflow"
-        )
-    probs = SurvivalVector(raw).probs
+    probs = SurvivalVector(p).probs
     n = probs.size
     rates = np.ones(n) if alpha is None else ActivationVector(alpha).rates
     if rates.size != n:

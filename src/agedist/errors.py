@@ -10,7 +10,8 @@ class EmptyPopulation(AgedistError):
 
 
 class InteriorZeroGroup(AgedistError):
-    """An empty group sits before a non-empty one; the solvers divide by it."""
+    """A group is empty while others are not (anywhere: only ``normalize``
+    drops trailing empty groups); the solvers divide by the groups."""
 
 
 class TooFewGroups(AgedistError):
@@ -68,9 +69,9 @@ class ColumnMappingError(AgedistError):
     """The configured column names are absent from the CSV header."""
 
 
-class SchemaError(AgedistError):
+class SchemaError(AgedistError, ValueError):
     """A parameter file is not a JSON object, lacks a required field, or has
-    an unknown schema, version or field value."""
+    an unknown schema, version or field value (a vector its type refuses)."""
 
 
 class ResidualCheckFailed(AgedistError, RuntimeError):

@@ -89,8 +89,8 @@ def solve(dist, p_n="mid", *, seed: Optional[int] = None) -> SurvivalVector:
     interval (``seed`` is then required).
 
     Raises:
-        InteriorZeroGroup: a raw vector has an empty group before a
-            non-empty one.
+        InteriorZeroGroup: a raw vector has an empty group
+            (EmptyPopulation when every group is).
         TooFewGroups: a raw vector has fewer than three groups.
         NotModel1Eligible: the target is not monotone non-increasing.
         DegenerateLastGroup: the last group is more than

@@ -122,8 +122,8 @@ def solve(dist) -> tuple:
     target gets alpha = 1 and ``model1.solve(dist, "mid")`` bit for bit.
 
     Raises:
-        InteriorZeroGroup: a raw vector has an empty group before a
-            non-empty one.
+        InteriorZeroGroup: a raw vector has an empty group
+            (EmptyPopulation when every group is).
         TooFewGroups: a raw vector has fewer than three groups.
         ActivationTooSmall: a group is more than 1/ALPHA_MIN times the
             smallest group before it. No m_i exceeds that running minimum,

@@ -12,7 +12,14 @@ from agedist.dataio import (
     write_dataset_csv,
 )
 from agedist.distributions import MAX_LAST_SURVIVAL, AgeDistribution, ModelKind, ModelParams
-from agedist.errors import ColumnMappingError, CsvFormatError, SchemaError
+from agedist.errors import (
+    ActivationTooSmall,
+    ColumnMappingError,
+    CsvFormatError,
+    DegenerateLastGroup,
+    SchemaError,
+)
+from agedist.pipeline import solve_model1
 from agedist.model1 import solve
 from agedist.model2 import DEConfig, optimize
 
@@ -339,11 +346,58 @@ class TestParamsFiles:
                                               "entry is 0.4"):
             load_params_document(path)
 
-    def test_last_survival_of_one_loads_capped(self, tmp_path):
+    def test_last_survival_of_one_is_refused_on_load(self, tmp_path):
         path = tmp_path / "params.json"
         emit_params(solved_params(), path)
         raw = json.loads(path.read_text())
         raw["survival"][-1] = raw["free_param"] = 1.0
         path.write_text(json.dumps(raw))
-        params = load_params_document(path).params
-        assert params.survival.probs[-1] == params.free_param == MAX_LAST_SURVIVAL
+        with pytest.raises(DegenerateLastGroup, match="last-group survival 1.0 "):
+            load_params_document(path)
+        raw["survival"][-1] = raw["free_param"] = MAX_LAST_SURVIVAL
+        path.write_text(json.dumps(raw))
+        assert load_params_document(path).params.free_param == MAX_LAST_SURVIVAL
+
+    @pytest.mark.parametrize("kind, field, value, message", [
+        (ModelKind.MODEL1, "survival", [0.5, 1.5, 0.3], "must lie in"),
+        (ModelKind.MODEL1, "survival", [0.5, float("nan"), 0.3], "must be finite"),
+        (ModelKind.MODEL1, "survival", [0.5, 0.3], "at least 3 entries"),
+        (ModelKind.MODEL2, "activation", [1.0, 1.5, 1.0], "must lie in"),
+    ], ids=["out-of-range", "nan", "two-entries", "activation-above-1"])
+    def test_vector_the_value_types_refuse_is_a_schema_error(self, tmp_path, kind, field,
+                                                             value, message):
+        path = tmp_path / "params.json"
+        emit_params(solved_params(kind), path)
+        raw = json.loads(path.read_text())
+        raw[field] = value
+        if field == "survival":
+            raw["free_param"] = value[-1]
+        path.write_text(json.dumps(raw))
+        with pytest.raises(SchemaError, match=message) as caught:
+            load_params(path)
+        assert str(caught.value).startswith(f"{path}: field {field!r}: ")
+
+    def test_typed_vector_errors_pass_through(self, tmp_path):
+        path = tmp_path / "params.json"
+        emit_params(solved_params(ModelKind.MODEL2), path)
+        raw = json.loads(path.read_text())
+        raw["activation"] = [1.0, 1e-4, 1.0]
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ActivationTooSmall):
+            load_params(path)
+
+    def test_numpy_seed_round_trips(self, tmp_path):
+        params, _ = solve_model1(AgeDistribution(("a", "b", "c"), [0.5, 0.3, 0.2]), "rand",
+                                 seed=np.int64(5))
+        path = tmp_path / "params.json"
+        emit_params(params, path)
+        assert json.loads(path.read_text())["diagnostics"]["seed"] == 5
+        assert load_params(path) == params
+
+    def test_a_document_that_cannot_be_serialized_leaves_no_file(self, tmp_path):
+        params = solved_params()
+        params.diagnostics["note"] = object()
+        path = tmp_path / "params.json"
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            emit_params(params, path)
+        assert not path.exists()

@@ -19,12 +19,16 @@ from agedist.distributions import (
     ModelKind,
     ModelParams,
     SurvivalVector,
+    default_labels,
     mean_absolute_error,
+    stationary_distribution,
     step_thresholds,
     wasserstein,
 )
 from agedist.errors import (
     ActivationTooSmall,
+    AgedistError,
+    DegenerateLastGroup,
     EmptyPopulation,
     IncomparableDistributions,
     InteriorZeroGroup,
@@ -82,6 +86,13 @@ class TestNormalize:
             d = normalize([1e308, 1e308, 1e308], ["a", "b", "c"])
         assert np.array_equal(d.proportions, np.full(3, 1.0 / 3.0))
 
+    def test_a_trailing_count_that_underflows_is_dropped(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = normalize([1e308, 1e308, 1e308, 1e-320], "abcd")
+        assert d.labels == ("a", "b", "c")
+        assert np.array_equal(d.proportions, np.full(3, 1.0 / 3.0))
+
     @given(counts_strategy)
     def test_constructed_distributions_satisfy_invariants(self, counts):
         d = normalize(counts, [str(i) for i in range(len(counts))])
@@ -108,6 +119,16 @@ class TestAgeDistribution:
         assert dist([0.5, 0.3, 0.2]) == dist([0.5, 0.3, 0.2])
         assert dist([0.5, 0.3, 0.2]) != dist([0.5, 0.2, 0.3])
 
+    def test_an_empty_group_anywhere_is_rejected(self):
+        # Only normalize drops trailing empty groups; the constructor keeps
+        # every group it is given or raises.
+        with pytest.raises(InteriorZeroGroup, match=r"^group 'd' \(index 3\) is empty$"):
+            AgeDistribution(tuple("abcd"), [0.4, 0.3, 0.3, 0.0])
+        with pytest.raises(InteriorZeroGroup, match="index 1"):
+            AgeDistribution(tuple("abcd"), [0.4, 0.0, 0.3, 0.3])
+        with pytest.raises(EmptyPopulation):
+            AgeDistribution(tuple("abc"), [0.0, 0.0, 0.0])
+
 
 @pytest.mark.parametrize("solver", [
     model1.solve, model1.feasibility, curvefit.fit, model2.optimize, model2.solve,
@@ -119,6 +140,62 @@ def test_every_solver_rejects_a_raw_vector_of_two_groups(solver, monkeypatch):
     monkeypatch.setattr(model2, "mae_objective", None)
     with pytest.raises(TooFewGroups, match="got 2"):
         solver([0.6, 0.4])
+
+
+@pytest.mark.parametrize("solver", [
+    model1.solve, model1.feasibility, curvefit.fit, model2.solve, model2.nearest_reachable,
+], ids=lambda solver: f"{solver.__module__.rsplit('.', 1)[1]}.{solver.__name__}")
+@pytest.mark.parametrize("raw, error, message", [
+    ([1.0, 0.0, 0.0], InteriorZeroGroup, "'g2' (index 1)"),
+    ([0.5, 0.3, 0.2, 0.0], InteriorZeroGroup, "'g4' (index 3)"),
+    ([0.0, 0.0, 0.0], EmptyPopulation, "every age group"),
+], ids=["interior", "trailing", "all"])
+def test_every_solver_rejects_a_raw_vector_with_an_empty_group(solver, raw, error, message):
+    # The check an AgeDistribution makes, before any division by a group.
+    # (The search divides by no group of its target, so it is not here.)
+    with pytest.raises(error) as caught:
+        solver(raw)
+    assert message in str(caught.value)
+
+
+@st.composite
+def raw_counts(draw):
+    """A raw count vector as a modeller might hand it over: 2-25 groups,
+    each empty or a count between 1e-3 and 1e6 (far from subnormals and
+    overflow); each draw empties at most three groups."""
+    counts = draw(st.lists(st.floats(1e-3, 1e6), min_size=2, max_size=25))
+    for index in draw(st.lists(st.integers(0, len(counts) - 1), max_size=3)):
+        counts[index] = 0.0
+    return np.array(counts)
+
+
+def reproduced(solver, v):
+    """(what ``solver`` on ``v`` should reproduce, the stationary
+    distribution of the rates it leads to), each labelled g1..gn."""
+    labels = default_labels(v.size)
+    if solver is model1.solve:
+        return normalize(v, labels), stationary_distribution(model1.solve(v, "mid"), labels=labels)
+    if solver is model2.solve:
+        return normalize(v, labels), stationary_distribution(*model2.solve(v), labels)
+    if solver is model2.nearest_reachable:
+        target = model2.nearest_reachable(v)
+        return target, stationary_distribution(*model2.solve(target), labels)
+    target = curvefit.fit(v).fitted
+    return target, stationary_distribution(model1.solve(target, "mid"), labels=labels)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(raw_counts())
+def test_solvers_on_raw_vectors_raise_typed_errors_or_reproduce_every_group(v):
+    for solver in (model1.solve, model2.solve, model2.nearest_reachable, curvefit.fit):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                expected, steady = reproduced(solver, v)
+            except AgedistError:
+                continue
+        assert len(expected) == len(steady) == v.size, solver.__name__
+        assert np.abs(steady.proportions - expected.proportions).max() <= 1e-12, solver.__name__
 
 
 @pytest.mark.parametrize("seed, message", [
@@ -245,11 +322,30 @@ class TestVectors:
         with pytest.raises(ValueError):
             SurvivalVector([-0.1, 0.5, 0.4])
 
-    def test_last_entry_of_one_is_capped(self):
-        sv = SurvivalVector([0.5, 0.5, 1.0])
-        assert sv.probs[-1] == MAX_LAST_SURVIVAL
+    def test_last_entry_of_one_is_refused(self):
+        # Checked before the length, with the value as a plain float.
+        for probs in ([0.5, 0.5, 1.0], [0.5, 1.0]):
+            with pytest.raises(DegenerateLastGroup, match=r"^last-group survival 1\.0 leaves "
+                                                          "the final group with no outflow$"):
+                SurvivalVector(probs)
+        with pytest.raises(DegenerateLastGroup, match="survival 1.5 "):
+            SurvivalVector([0.5, 0.5, 1.5])
+        assert SurvivalVector([0.5, 0.5, MAX_LAST_SURVIVAL]).probs[-1] == MAX_LAST_SURVIVAL
         # Intermediate entries of exactly 1 are legitimate.
         assert SurvivalVector([1.0, 1.0, 0.5]).probs[0] == 1.0
+
+    def test_a_survival_vector_is_judged_as_the_bare_list_is(self):
+        with pytest.raises(DegenerateLastGroup) as bare:
+            model1.steady_state([0.5, 0.4, 1.0])
+        with pytest.raises(DegenerateLastGroup) as typed:
+            model1.steady_state(SurvivalVector([0.5, 0.4, 1.0]))
+        assert str(typed.value) == str(bare.value)
+
+    def test_a_profile_that_underflows_to_an_empty_group_is_refused(self):
+        # The last group's share, 1e-200 * 1.25e-201 / 0.5, underflows to 0:
+        # six survival rates give six groups or an error, never five.
+        with pytest.raises(InteriorZeroGroup, match=r"'g6' \(index 5\)"):
+            stationary_distribution([0.5, 0.5, 0.5, 1e-200, 1e-200, 0.5])
 
     def test_activation_floor(self):
         with pytest.raises(ActivationTooSmall):
