@@ -200,7 +200,9 @@ def _fits(y: np.ndarray):
 
 def fit(dist) -> CurveFitResult:
     """Fit the plateau-then-decay family to ``dist``, an AgeDistribution or
-    a raw proportion vector (whose fit gets the labels g1..gn).
+    a raw vector (whose fit gets the labels g1..gn). A raw count vector is
+    fitted, and compared with its fits, at the scale ``solver_proportions``
+    gives it.
 
     Runs the inner least squares for every breakpoint k in 1..n, in
     batches of at most ``JACOBIAN_ENTRIES`` Jacobian entries (each
@@ -236,7 +238,7 @@ def fit(dist) -> CurveFitResult:
         except AgedistError:
             table.append((k, sse, float("inf")))
             continue
-        distance = wasserstein(fitted, dist)
+        distance = wasserstein(fitted, y)
         table.append((k, sse, distance))
         if best is None or distance < best[0]:
             a, b, c = np.exp(theta)

@@ -260,9 +260,23 @@ def proportions_of(dist) -> np.ndarray:
 
 def solver_proportions(dist) -> np.ndarray:
     """``proportions_of`` for the solvers, which divide by each group before
-    the last: a raw vector passes ``check_groups``, as an AgeDistribution's
-    proportions do."""
-    return check_groups(proportions_of(dist))
+    the last and sum the groups; the result passes ``check_groups``, as an
+    AgeDistribution's proportions do.
+
+    A vector that sums to 1 is taken as it is, as ``normalize`` takes it.
+    Any other raw vector holds counts, anywhere in the positive float
+    range: it is scaled by a power of two to a largest group in [0.5, 1),
+    near a distribution's largest proportion, so that no sum overflows and
+    no group is subnormal that need not be. The scaling is exact, so the
+    groups' ratios keep their bits, unless a group goes subnormal; a group
+    that underflows to 0 is refused as empty, as ``normalize`` refuses it.
+    """
+    props = proportions_of(dist)
+    with np.errstate(over="ignore"):
+        total = props.sum()
+    if abs(total - 1.0) > SUM_TOLERANCE:
+        props = np.ldexp(props, -np.frexp(props.max(initial=0.0))[1])
+    return check_groups(props)
 
 
 def check_groups(props: np.ndarray, labels: Optional[tuple] = None) -> np.ndarray:

@@ -25,7 +25,6 @@ from .distributions import (
     SurvivalVector,
     check_seed,
     classify,
-    proportions_of,
     solver_proportions,
     stationary_distribution,
 )
@@ -76,7 +75,7 @@ def feasibility(dist) -> FeasibleInterval:
         raise DegenerateLastGroup(
             "last group is more than 1/(1 - MAX_LAST_SURVIVAL) = "
             f"{1.0 / (1.0 - MAX_LAST_SURVIVAL):.4g} times the one before it "
-            f"(its survival would be at least {lower!r})")
+            f"(its survival would be at least {float(lower)!r})")
     return FeasibleInterval(lower, MAX_LAST_SURVIVAL)
 
 
@@ -117,7 +116,7 @@ def solve(dist, p_n="mid", *, seed: Optional[int] = None) -> SurvivalVector:
                 f"p_n={value!r} outside [{interval.lower!r}, {interval.upper!r}]"
             )
 
-    props = proportions_of(dist)
+    props = solver_proportions(dist)
     n = props.size
     p = np.empty(n)
     p[: n - 2] = props[1 : n - 1] / props[: n - 2]

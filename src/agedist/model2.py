@@ -269,21 +269,31 @@ def _bounce_back(x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 
     ``max(2lo - x, x)`` picks the reflection exactly when ``x < lo``:
     rounding is monotone, so ``x >= lo`` gives ``fl(2lo - x) <= x``. The
-    same holds for the upper side, and the final clip catches reflections
+    same holds for the upper side, and the final clamp catches reflections
     that overshoot the far bound. numpy's maximum and minimum return their
     second operand on ties, so ``x`` keeps its own signed zero as in the
-    where/where/clip form, which this equals bit for bit. The clip stays a
-    clip: on a zero of the other sign at a bound it returns the bound when
-    the bounds vary along numpy's inner loop and ``x`` when they do not, and
-    no fixed ``maximum``/``minimum`` pair does both.
-    ``scratch`` has the shape of ``x``; ``doubled`` is ``(2 * lo, 2 * hi)``.
+    where/where/clip form, which this equals bit for bit.
+
+    The clamp is that form's ``np.clip``, which on a zero of the other sign
+    at a bound returns the bound when the bounds vary along numpy's inner
+    loop and ``x`` when they do not. Across the columns of a tile the bounds
+    vary, so ``maximum(x, lo)`` then ``minimum(x, hi)``, which return the
+    bound on such a tie, clamp a multi-column ``x`` bit for bit: they skip
+    clip's Python wrapper and generic loop and take half its time at 101
+    groups. A one-column ``x`` reads each bound as a scalar, so it keeps the
+    clip. ``scratch`` has the shape of ``x``; ``doubled`` is
+    ``(2 * lo, 2 * hi)``.
     """
     twice_lo, twice_hi = doubled
     np.subtract(twice_lo, x, out=scratch)
     np.maximum(scratch, x, out=x)
     np.subtract(twice_hi, x, out=scratch)
     np.minimum(scratch, x, out=x)
-    np.clip(x, lo, hi, out=x)
+    if x.shape[-1] == 1:
+        np.clip(x, lo, hi, out=x)
+    else:
+        np.maximum(x, lo, out=x)
+        np.minimum(x, hi, out=x)
 
 
 def _finite_scores(evaluate, candidates: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -402,7 +412,7 @@ def optimize(target, config: Optional[DEConfig] = None) -> Model2Solution:
             np.multiply(out, factor, out=out)
             np.add(out, base, out=out)
             _bounce_back(out, lo, hi, gather, doubled)
-            np.copyto(out, parents, where=mask)
+            np.putmask(out, mask, parents)
             scores = _finite_scores(objective, out, gather)
             # A trial replaces its parent unless it scores worse.
             won = scores <= errors[rows]

@@ -21,6 +21,7 @@ from agedist.distributions import (
     SurvivalVector,
     default_labels,
     mean_absolute_error,
+    solver_proportions,
     stationary_distribution,
     step_thresholds,
     wasserstein,
@@ -149,7 +150,8 @@ def test_every_solver_rejects_a_raw_vector_of_two_groups(solver, monkeypatch):
     ([1.0, 0.0, 0.0], InteriorZeroGroup, "'g2' (index 1)"),
     ([0.5, 0.3, 0.2, 0.0], InteriorZeroGroup, "'g4' (index 3)"),
     ([0.0, 0.0, 0.0], EmptyPopulation, "every age group"),
-], ids=["interior", "trailing", "all"])
+    ([1e308, 1e308, 5e-324, 5e-324], InteriorZeroGroup, "'g3' (index 2)"),
+], ids=["interior", "trailing", "all", "underflow"])
 def test_every_solver_rejects_a_raw_vector_with_an_empty_group(solver, raw, error, message):
     # The check an AgeDistribution makes, before any division by a group.
     # (The search divides by no group of its target, so it is not here.)
@@ -158,12 +160,25 @@ def test_every_solver_rejects_a_raw_vector_with_an_empty_group(solver, raw, erro
     assert message in str(caught.value)
 
 
+@pytest.mark.parametrize("shift", [1000, -1070], ids=["near-overflow", "subnormal"])
+def test_solvers_see_a_count_vector_at_one_scale(shift):
+    # Counts times 2**shift reach every solver as the same floats.
+    counts = np.array([3.0, 2.0, 1.5, 1.0, 2.5])
+    scaled = np.ldexp(counts, shift)
+    assert np.array_equal(solver_proportions(scaled), solver_proportions(counts))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert curvefit.fit(scaled).per_k_table == curvefit.fit(counts).per_k_table
+
+
 @st.composite
 def raw_counts(draw):
     """A raw count vector as a modeller might hand it over: 2-25 groups,
-    each empty or a count between 1e-3 and 1e6 (far from subnormals and
-    overflow); each draw empties at most three groups."""
-    counts = draw(st.lists(st.floats(1e-3, 1e6), min_size=2, max_size=25))
+    each empty, a count between 1e-3 and 1e6, or one at either end of the
+    positive float range (5e-324, 1e-320, 1e308); each draw empties at most
+    three groups."""
+    count = st.one_of(st.floats(1e-3, 1e6), st.sampled_from([5e-324, 1e-320, 1e308]))
+    counts = draw(st.lists(count, min_size=2, max_size=25))
     for index in draw(st.lists(st.integers(0, len(counts) - 1), max_size=3)):
         counts[index] = 0.0
     return np.array(counts)

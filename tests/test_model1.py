@@ -76,6 +76,13 @@ class TestFeasibility:
         with pytest.raises(DegenerateLastGroup, match="1/\\(1 - MAX_LAST_SURVIVAL\\)"):
             entry(normalize([1, 0.5, 1e-10, 1], "abcd"))
 
+    def test_degenerate_last_group_message_prints_a_plain_float(self):
+        # The ratio 2e-20 leaves a lower bound that rounds to 1.
+        with pytest.raises(DegenerateLastGroup) as caught:
+            solve([0.5, 1e-20, 0.5], "mid")
+        assert str(caught.value).endswith("(its survival would be at least 1.0)")
+        assert "np.float64" not in str(caught.value)
+
     def test_last_group_at_the_limit_is_feasible(self):
         interval = feasibility(normalize([1, 0.5, 1e-9, 1e-9 / (1 - MAX_LAST_SURVIVAL)], "abcd"))
         assert interval.lower <= interval.upper == MAX_LAST_SURVIVAL

@@ -672,12 +672,13 @@ class TestMatchesReferenceLoop:
             (41, DEConfig(seed=2, max_iterations=12)),
             (101, DEConfig(seed=1, max_iterations=3)),
             (101, DEConfig(seed=2, max_iterations=2)),
+            (101, DEConfig(seed=3, max_iterations=25)),
             (5, DEConfig(seed=4, population_size=9, max_iterations=80)),
             (5, DEConfig(seed=5, max_iterations=80)),
             (21, DEConfig(seed=6, population_size=50, max_iterations=50)),
         ],
         ids=["n3", "n3-seed1", "n21", "n21-seed7", "n41", "n101", "n101-seed2",
-             "own-population", "n5", "n21-own-population"],
+             "n101-seed3", "own-population", "n5", "n21-own-population"],
     )
     def test_bitwise_equal(self, n, config):
         target = hump_target(n)
