@@ -15,12 +15,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .distributions import (
-    AgeDistribution,
-    default_labels,
-    solver_proportions,
-    wasserstein,
-)
+from .distributions import AgeDistribution, as_distribution, wasserstein
 from .errors import AgedistError, CurveFitFailed
 
 MAX_INNER_ITERATIONS = 200
@@ -200,9 +195,9 @@ def _fits(y: np.ndarray):
 
 def fit(dist) -> CurveFitResult:
     """Fit the plateau-then-decay family to ``dist``, an AgeDistribution or
-    a raw vector (whose fit gets the labels g1..gn). A raw count vector is
-    fitted, and compared with its fits, at the scale ``solver_proportions``
-    gives it.
+    a raw vector of counts, which is fitted as ``distributions.as_distribution``
+    makes it (its proportions, labelled g1..gn): the plateau and the
+    distances are in proportion units.
 
     Runs the inner least squares for every breakpoint k in 1..n, in
     batches of at most ``JACOBIAN_ENTRIES`` Jacobian entries (each
@@ -215,14 +210,12 @@ def fit(dist) -> CurveFitResult:
     on purpose (the step is rejected) and raises no warning.
 
     Raises:
-        InteriorZeroGroup: a raw vector has an empty group
-            (EmptyPopulation when every group is).
-        TooFewGroups: a raw vector has fewer than three groups.
+        ValueError, EmptyPopulation, InteriorZeroGroup, TooFewGroups: as
+            ``distributions.as_distribution`` raises them for a raw vector.
         CurveFitFailed: no breakpoint produced a usable fit.
     """
-    y = solver_proportions(dist)
-    n = y.size
-    labels = dist.labels if isinstance(dist, AgeDistribution) else default_labels(n)
+    dist = as_distribution(dist)
+    y, labels = dist.proportions, dist.labels
     table = []
     best = None
 

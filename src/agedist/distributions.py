@@ -109,33 +109,59 @@ class AgeDistribution:
 def normalize(raw_counts, labels) -> AgeDistribution:
     """Build an AgeDistribution from raw (unnormalized) group counts.
 
-    The counts are divided by their sum (by the largest count first, when
-    the sum overflows); then trailing groups that are empty, or that
-    underflowed to zero, are dropped with their labels. This is the only
-    constructor that drops groups.
+    The counts are divided by their sum, by the largest count first when
+    the sum overflows (counts that already sum to 1 keep their bits); then
+    trailing groups that are empty, or that underflowed to zero, are
+    dropped with their labels. This is the only constructor that drops
+    groups.
 
     Raises:
+        ValueError: a count is negative.
         EmptyPopulation: all counts are zero.
-        InteriorZeroGroup: a zero count sits before a positive one.
+        InteriorZeroGroup: a zero count, or a positive one that underflows
+            to zero, sits before a positive one.
         TooFewGroups: fewer than three groups remain after trimming.
     """
-    counts = _as_vector(raw_counts, "raw_counts")
-    labels = tuple(labels)
+    return _divided(_as_vector(raw_counts, "raw_counts"), tuple(labels), trim=True)
+
+
+def as_distribution(dist) -> AgeDistribution:
+    """``dist`` if it is an AgeDistribution, else a raw vector made one as
+    ``normalize(v, g1..gn)`` makes it, but keeping every group: the one
+    door into the solvers. Raises as ``normalize`` does, and
+    InteriorZeroGroup for a trailing empty group too."""
+    if isinstance(dist, AgeDistribution):
+        return dist
+    counts = _as_vector(dist, "proportions")
+    return _divided(counts, default_labels(counts.size), trim=False)
+
+
+def _divided(counts: np.ndarray, labels: tuple, trim: bool) -> AgeDistribution:
+    """The AgeDistribution that ``normalize`` (``trim``) or
+    ``as_distribution`` makes of ``counts``. A group whose positive count
+    underflows is named so before the constructor calls it empty."""
     if len(labels) != counts.size:
         raise ValueError(f"{len(labels)} labels for {counts.size} counts")
     if np.any(counts < 0):
         raise ValueError("counts must be non-negative")
     with np.errstate(over="ignore"):
         total = counts.sum()
+    scaled = counts
     if not np.isfinite(total):
         # The sum overflows: divide by the largest count first.
-        counts = counts / counts.max()
-        total = counts.sum()
+        scaled = counts / counts.max()
+        total = scaled.sum()
     if total <= 0:
         raise EmptyPopulation("every age group is empty")
     # Proportions that already sum to one keep their bits (re-ingesting is exact).
-    props = counts if abs(total - 1.0) <= SUM_TOLERANCE else counts / total
-    keep = np.flatnonzero(props)[-1] + 1  # the largest count stays positive
+    props = scaled if abs(total - 1.0) <= SUM_TOLERANCE else scaled / total
+    # The largest count stays positive.
+    keep = np.flatnonzero(props)[-1] + 1 if trim else props.size
+    empty = np.flatnonzero(props[:keep] == 0)
+    if empty.size and counts[empty[0]] > 0:
+        idx = int(empty[0])
+        raise InteriorZeroGroup(f"group {labels[idx]!r} (index {idx}) underflows to 0 "
+                                f"(count {float(counts[idx])!r} of {float(counts.max())!r})")
     if keep < props.size:
         logger.info("trimming %d trailing empty group(s): %s", props.size - keep,
                     ", ".join(map(str, labels[keep:])))
@@ -248,57 +274,30 @@ class Classification(Enum):
 
 
 def proportions_of(dist) -> np.ndarray:
-    """Extract a proportion array from an AgeDistribution or a raw vector.
+    """Extract a proportion array from an AgeDistribution or a raw vector,
+    as it is, for the metrics, ``classify`` and the simulator.
 
-    Raw vectors are permitted for metric-only use (they may contain zeros,
-    which a full AgeDistribution may not).
+    Raw vectors may contain zeros, which a full AgeDistribution may not.
+    The solvers take theirs through ``as_distribution`` instead.
     """
     if isinstance(dist, AgeDistribution):
         return dist.proportions
     return _as_vector(dist, "proportions")
 
 
-def solver_proportions(dist) -> np.ndarray:
-    """``proportions_of`` for the solvers, which divide by each group before
-    the last and sum the groups; the result passes ``check_groups``, as an
-    AgeDistribution's proportions do.
-
-    A vector that sums to 1 is taken as it is, as ``normalize`` takes it.
-    Any other raw vector holds counts, anywhere in the positive float
-    range: it is scaled by a power of two to a largest group in [0.5, 1),
-    near a distribution's largest proportion, so that no sum overflows and
-    no group is subnormal that need not be. The scaling is exact, so the
-    groups' ratios keep their bits, unless a group goes subnormal; a group
-    that underflows to 0 is refused as empty, as ``normalize`` refuses it.
-    """
-    props = proportions_of(dist)
-    with np.errstate(over="ignore"):
-        total = props.sum()
-    if abs(total - 1.0) > SUM_TOLERANCE:
-        props = np.ldexp(props, -np.frexp(props.max(initial=0.0))[1])
-    return check_groups(props)
-
-
-def check_groups(props: np.ndarray, labels: Optional[tuple] = None) -> np.ndarray:
-    """``props``, if no group is empty and there are at least three; else
+def check_groups(props: np.ndarray, labels: tuple) -> None:
+    """Refuse ``props`` unless no group is empty and there are the first,
+    last and at least one intermediate group that every solver needs:
     EmptyPopulation (every group empty), InteriorZeroGroup naming the first
-    empty group by ``labels`` (default g1..gn) and index, or TooFewGroups."""
+    empty group by its label and index, or TooFewGroups."""
     empty = np.flatnonzero(props == 0)
     if empty.size == props.size:
         raise EmptyPopulation("every age group is empty")
     if empty.size:
         idx = int(empty[0])
-        label = (labels or default_labels(props.size))[idx]  # built only to name it
-        raise InteriorZeroGroup(f"group {label!r} (index {idx}) is empty")
-    return check_group_count(props)
-
-
-def check_group_count(props: np.ndarray) -> np.ndarray:
-    """``props``, if it has the first, last and at least one intermediate
-    group that every solver needs; raises TooFewGroups otherwise."""
+        raise InteriorZeroGroup(f"group {labels[idx]!r} (index {idx}) is empty")
     if props.size < 3:
         raise TooFewGroups(f"need at least 3 age groups, got {props.size}")
-    return props
 
 
 def check_integer(name: str, value):

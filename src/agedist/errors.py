@@ -10,8 +10,8 @@ class EmptyPopulation(AgedistError):
 
 
 class InteriorZeroGroup(AgedistError):
-    """A group is empty while others are not (anywhere: only ``normalize``
-    drops trailing empty groups); the solvers divide by the groups."""
+    """A group is empty (or its count underflowed to 0) while others are
+    not; only ``normalize`` drops trailing ones. Solvers divide by groups."""
 
 
 class TooFewGroups(AgedistError):

@@ -23,9 +23,9 @@ from .distributions import (
     AgeDistribution,
     Classification,
     SurvivalVector,
+    as_distribution,
     check_seed,
     classify,
-    solver_proportions,
     stationary_distribution,
 )
 from .errors import DegenerateLastGroup, FreeParamOutOfRange, NotModel1Eligible
@@ -62,10 +62,10 @@ def feasibility(dist) -> FeasibleInterval:
         NotModel1Eligible: the first n-1 groups are not monotone
             non-increasing; the message names each group index (0-based)
             larger than its predecessor.
-        InteriorZeroGroup, TooFewGroups, DegenerateLastGroup: as for
-            ``solve``.
+        ValueError, EmptyPopulation, InteriorZeroGroup, TooFewGroups,
+        DegenerateLastGroup: as for ``solve``.
     """
-    props = solver_proportions(dist)
+    props = as_distribution(dist).proportions
     if classify(props) is Classification.NON_MONOTONE:
         bad = np.nonzero(np.diff(props[:-1]) > 0)[0] + 1
         raise NotModel1Eligible(
@@ -88,15 +88,15 @@ def solve(dist, p_n="mid", *, seed: Optional[int] = None) -> SurvivalVector:
     interval (``seed`` is then required).
 
     Raises:
-        InteriorZeroGroup: a raw vector has an empty group
-            (EmptyPopulation when every group is).
-        TooFewGroups: a raw vector has fewer than three groups.
+        ValueError, EmptyPopulation, InteriorZeroGroup, TooFewGroups: as
+            ``distributions.as_distribution`` raises them for a raw vector.
         NotModel1Eligible: the target is not monotone non-increasing.
         DegenerateLastGroup: the last group is more than
             1/(1 - MAX_LAST_SURVIVAL) times the one before it.
         FreeParamOutOfRange: an explicit ``p_n`` lies outside the interval.
         ValueError: ``p_n`` is "rand" without a valid ``seed``.
     """
+    dist = as_distribution(dist)
     interval = feasibility(dist)
     if isinstance(p_n, str):
         if p_n == "mid":
@@ -116,7 +116,7 @@ def solve(dist, p_n="mid", *, seed: Optional[int] = None) -> SurvivalVector:
                 f"p_n={value!r} outside [{interval.lower!r}, {interval.upper!r}]"
             )
 
-    props = solver_proportions(dist)
+    props = dist.proportions
     n = props.size
     p = np.empty(n)
     p[: n - 2] = props[1 : n - 1] / props[: n - 2]

@@ -29,13 +29,10 @@ from .distributions import (
     ActivationVector,
     AgeDistribution,
     SurvivalVector,
-    check_group_count,
+    as_distribution,
     check_integer,
     check_seed,
-    default_labels,
     normalize,
-    proportions_of,
-    solver_proportions,
     stationary_distribution,
     stationary_profiles,
 )
@@ -122,16 +119,15 @@ def solve(dist) -> tuple:
     target gets alpha = 1 and ``model1.solve(dist, "mid")`` bit for bit.
 
     Raises:
-        InteriorZeroGroup: a raw vector has an empty group
-            (EmptyPopulation when every group is).
-        TooFewGroups: a raw vector has fewer than three groups.
+        ValueError, EmptyPopulation, InteriorZeroGroup, TooFewGroups: as
+            ``distributions.as_distribution`` raises them for a raw vector.
         ActivationTooSmall: a group is more than 1/ALPHA_MIN times the
             smallest group before it. No m_i exceeds that running minimum,
             so no member of the family keeps alpha_i >= ALPHA_MIN.
         DegenerateLastGroup: the last group is more than
             1/(1 - MAX_LAST_SURVIVAL) times the smallest group before it.
     """
-    props = solver_proportions(dist)
+    props = as_distribution(dist).proportions
     active = np.minimum.accumulate(props[:-1])
     rates = np.append(active / props[:-1], 1.0)
     if rates.min() < ALPHA_MIN:
@@ -140,8 +136,7 @@ def solve(dist) -> tuple:
             f"group index {worst} is more than 1/ALPHA_MIN = {1.0 / ALPHA_MIN:g} "
             f"times the smallest group before it (activation {rates[worst]:.4g})"
         )
-    masses = normalize(np.append(active, props[-1]), default_labels(props.size))
-    return model1.solve(masses, "mid"), ActivationVector(rates)
+    return model1.solve(np.append(active, props[-1]), "mid"), ActivationVector(rates)
 
 
 def _raised_to_floors(props: np.ndarray) -> tuple:
@@ -201,15 +196,15 @@ def nearest_reachable(dist) -> AgeDistribution:
     renormalizing gives one. As in the projection, the groups that set the
     floors first give up the mass the raise adds (``_paid_for``).
     """
-    props = solver_proportions(dist)
+    dist = as_distribution(dist)
+    props = dist.proportions
     raised, later = _raised_to_floors(props)
     # Raised groups whose floor a later group of the first n-1 sets.
     bound = (raised[:-1] > props[:-1]) & (
         later * ALPHA_MIN > props[-1] * (1.0 - MAX_LAST_SURVIVAL))
     if bound.any():
         raised, _ = _raised_to_floors(_paid_for(props, raised, later, bound))
-    labels = dist.labels if isinstance(dist, AgeDistribution) else default_labels(props.size)
-    return normalize(raised, labels)
+    return normalize(raised, dist.labels)
 
 
 def steady_state2(p, alpha, labels=None) -> AgeDistribution:
@@ -232,7 +227,7 @@ def mae_objective(target) -> Callable[..., np.ndarray]:
     of its own, so threads may call one instance at once, each with its own
     scratch.
     """
-    t = proportions_of(target)
+    t = as_distribution(target).proportions
     n = t.size
 
     def evaluate(candidates: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
@@ -270,8 +265,12 @@ def _bounce_back(x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     ``max(2lo - x, x)`` picks the reflection exactly when ``x < lo``:
     rounding is monotone, so ``x >= lo`` gives ``fl(2lo - x) <= x``. The
     same holds for the upper side, and the final clamp catches reflections
-    that overshoot the far bound. numpy's maximum and minimum return their
-    second operand on ties, so ``x`` keeps its own signed zero as in the
+    that overshoot the far bound. Rounding makes that happen: ``uniform``
+    draws the mutation scale 0.5 + 0.5u, which is 1.0 for u = 1 - 2**-53,
+    and with base = r1 = 1 and r2 = ALPHA_MIN in an activation column the
+    mutant fl(1 + fl(1 - 0.001)) reflects off 1 to 0.0009999999999998899,
+    below ALPHA_MIN. numpy's maximum and minimum return their second
+    operand on ties, so ``x`` keeps its own signed zero as in the
     where/where/clip form, which this equals bit for bit.
 
     The clamp is that form's ``np.clip``, which on a zero of the other sign
@@ -359,18 +358,19 @@ def optimize(target, config: Optional[DEConfig] = None) -> Model2Solution:
     holds the best error after initialisation and after each generation.
 
     Raises:
-        TooFewGroups: ``target`` has fewer than three groups.
+        ValueError, EmptyPopulation, InteriorZeroGroup, TooFewGroups: as
+            ``distributions.as_distribution`` raises them for a raw vector.
     """
     cfg = config if config is not None else DEConfig()
-    t = check_group_count(proportions_of(target))
-    n = t.size
+    target = as_distribution(target)
+    n = len(target)
     dim = 2 * n
     lo, hi = default_bounds(n).T.copy()
     doubled = (2.0 * lo, 2.0 * hi)
     pop_size = cfg.population_size or 15 * dim
     height = max(1, TILE_ENTRIES // dim)
     shares = parallel.shares(pop_size, height)
-    objective = mae_objective(t)
+    objective = mae_objective(target)
     tiles = [_tiles(rows, height) for rows in shares]
 
     rng = np.random.default_rng(cfg.seed)

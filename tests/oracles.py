@@ -28,8 +28,7 @@ from agedist.curvefit import (
 from agedist.distributions import (
     ALPHA_MIN,
     AgeDistribution,
-    default_labels,
-    solver_proportions,
+    as_distribution,
     wasserstein,
 )
 from agedist.errors import AgedistError, CurveFitFailed
@@ -401,9 +400,8 @@ def _reference_breakpoint_fit(y, k):
 def reference_fit(dist):
     """The curve fit as first written: one breakpoint's least squares after
     another, then the Wasserstein choice. Returns a ``CurveFitResult``."""
-    y = solver_proportions(dist)
-    n = y.size
-    labels = dist.labels if isinstance(dist, AgeDistribution) else default_labels(n)
+    dist = as_distribution(dist)
+    y, labels, n = dist.proportions, dist.labels, len(dist)
     table = []
     best = None
     for k in range(1, n + 1):

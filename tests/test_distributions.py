@@ -19,9 +19,9 @@ from agedist.distributions import (
     ModelKind,
     ModelParams,
     SurvivalVector,
+    as_distribution,
     default_labels,
     mean_absolute_error,
-    solver_proportions,
     stationary_distribution,
     step_thresholds,
     wasserstein,
@@ -131,10 +131,19 @@ class TestAgeDistribution:
             AgeDistribution(tuple("abc"), [0.0, 0.0, 0.0])
 
 
-@pytest.mark.parametrize("solver", [
-    model1.solve, model1.feasibility, curvefit.fit, model2.optimize, model2.solve,
-    model2.nearest_reachable,
-], ids=lambda solver: f"{solver.__module__.rsplit('.', 1)[1]}.{solver.__name__}")
+#: The public solver entry points: each takes an AgeDistribution or a raw
+#: vector, which it reads through ``as_distribution``.
+ENTRY_POINTS = [
+    model1.feasibility, model1.solve, model2.solve, model2.nearest_reachable,
+    model2.mae_objective, model2.optimize, curvefit.fit,
+]
+
+
+def entry_point_id(solver):
+    return f"{solver.__module__.rsplit('.', 1)[1]}.{solver.__name__}"
+
+
+@pytest.mark.parametrize("solver", ENTRY_POINTS, ids=entry_point_id)
 def test_every_solver_rejects_a_raw_vector_of_two_groups(solver, monkeypatch):
     # The same typed error as an AgeDistribution of two groups, before any
     # work: the search never builds its objective.
@@ -143,21 +152,37 @@ def test_every_solver_rejects_a_raw_vector_of_two_groups(solver, monkeypatch):
         solver([0.6, 0.4])
 
 
-@pytest.mark.parametrize("solver", [
-    model1.solve, model1.feasibility, curvefit.fit, model2.solve, model2.nearest_reachable,
-], ids=lambda solver: f"{solver.__module__.rsplit('.', 1)[1]}.{solver.__name__}")
+@pytest.mark.parametrize("solver", ENTRY_POINTS, ids=entry_point_id)
 @pytest.mark.parametrize("raw, error, message", [
-    ([1.0, 0.0, 0.0], InteriorZeroGroup, "'g2' (index 1)"),
-    ([0.5, 0.3, 0.2, 0.0], InteriorZeroGroup, "'g4' (index 3)"),
+    ([1.0, 0.0, 0.0], InteriorZeroGroup, "'g2' (index 1) is empty"),
+    ([0.5, 0.3, 0.2, 0.0], InteriorZeroGroup, "'g4' (index 3) is empty"),
     ([0.0, 0.0, 0.0], EmptyPopulation, "every age group"),
-    ([1e308, 1e308, 5e-324, 5e-324], InteriorZeroGroup, "'g3' (index 2)"),
+    ([1e308, 1e308, 5e-324, 5e-324], InteriorZeroGroup, "'g3' (index 2) underflows to 0"),
 ], ids=["interior", "trailing", "all", "underflow"])
 def test_every_solver_rejects_a_raw_vector_with_an_empty_group(solver, raw, error, message):
     # The check an AgeDistribution makes, before any division by a group.
-    # (The search divides by no group of its target, so it is not here.)
     with pytest.raises(error) as caught:
         solver(raw)
     assert message in str(caught.value)
+
+
+@pytest.mark.parametrize("solver", ENTRY_POINTS, ids=entry_point_id)
+def test_every_solver_rejects_a_negative_entry(solver):
+    with pytest.raises(ValueError, match="counts must be non-negative"):
+        solver([0.6, -0.1, 0.5])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: model1.solve([5e-324, 5e-324, 1e308], "mid"),
+     "group 'g1' (index 0) underflows to 0 (count 5e-324 of 1e+308)"),
+    (lambda: normalize([5e-324, 1.0, 1e308], "abc"),
+     "group 'a' (index 0) underflows to 0 (count 5e-324 of 1e+308)"),
+], ids=["model1.solve", "normalize"])
+def test_a_positive_count_that_underflows_is_called_underflowed(call, message):
+    # An exact 0 is "empty"; a positive count that divides to 0 is not.
+    with pytest.raises(InteriorZeroGroup) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("shift", [1000, -1070], ids=["near-overflow", "subnormal"])
@@ -165,10 +190,16 @@ def test_solvers_see_a_count_vector_at_one_scale(shift):
     # Counts times 2**shift reach every solver as the same floats.
     counts = np.array([3.0, 2.0, 1.5, 1.0, 2.5])
     scaled = np.ldexp(counts, shift)
-    assert np.array_equal(solver_proportions(scaled), solver_proportions(counts))
+    assert np.array_equal(as_distribution(scaled).proportions,
+                          as_distribution(counts).proportions)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert curvefit.fit(scaled).per_k_table == curvefit.fit(counts).per_k_table
+
+
+def test_as_distribution_takes_a_distribution_as_it_is():
+    d = dist([0.5, 0.3, 0.2], "abc")
+    assert as_distribution(d) is d
 
 
 @st.composite
@@ -211,6 +242,58 @@ def test_solvers_on_raw_vectors_raise_typed_errors_or_reproduce_every_group(v):
                 continue
         assert len(expected) == len(steady) == v.size, solver.__name__
         assert np.abs(steady.proportions - expected.proportions).max() <= 1e-12, solver.__name__
+
+
+#: A search small enough to run on every example.
+SMALL_SEARCH = model2.DEConfig(population_size=8, max_iterations=3)
+
+
+def bits(value):
+    """``value`` with every float and float array as its bytes, so that two
+    results compare equal only if they are equal bit for bit."""
+    if dataclasses.is_dataclass(value):
+        fields = [getattr(value, f.name) for f in dataclasses.fields(value)]
+        return type(value).__name__, bits(fields)
+    if isinstance(value, (tuple, list)):
+        return tuple(map(bits, value))
+    if isinstance(value, (float, np.floating, np.ndarray)):
+        return np.asarray(value, dtype=float).tobytes()
+    return value
+
+
+def outcome(solver, target):
+    """The bits of what ``solver`` returns for ``target`` (the objective's
+    scores of four fixed rows, for ``mae_objective``), or the typed error
+    it raises."""
+    try:
+        if solver is model2.optimize:
+            return bits(solver(target, SMALL_SEARCH))
+        if solver is model2.mae_objective:
+            n = len(target)
+            rows = np.random.default_rng(0).uniform(*model2.default_bounds(n).T, size=(4, 2 * n))
+            return bits(solver(target)(rows))
+        return bits(solver(target))
+    except AgedistError as error:
+        return "raised", type(error), str(error)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(st.floats(1e-3, 1e6), st.sampled_from([5e-324, 1e-320, 1e308])),
+                min_size=2, max_size=12))
+def test_every_solver_takes_a_raw_vector_as_normalize_makes_it(counts):
+    # A raw vector with no empty group is solved bit for bit as its
+    # normalized distribution; one with a group that underflows is refused.
+    v = np.array(counts)
+    labels = default_labels(v.size)
+    try:
+        normalized = normalize(v, labels)
+    except AgedistError:
+        normalized = None
+    for solver in ENTRY_POINTS:
+        if normalized is not None and len(normalized) == v.size:
+            assert outcome(solver, v) == outcome(solver, normalized), entry_point_id(solver)
+        else:
+            assert outcome(solver, v)[0] == "raised", entry_point_id(solver)
 
 
 @pytest.mark.parametrize("seed, message", [

@@ -16,8 +16,8 @@ from agedist.distributions import (
     ALPHA_MIN,
     MAX_LAST_SURVIVAL,
     AgeDistribution,
+    as_distribution,
     default_labels,
-    solver_proportions,
 )
 from agedist.errors import (
     ActivationTooSmall,
@@ -462,7 +462,7 @@ class TestNearestReachable:
 
 
 def payment_inputs(dist):
-    props = solver_proportions(dist)
+    props = as_distribution(dist).proportions
     raised, later = model2._raised_to_floors(props)
     bound = (raised[:-1] > props[:-1]) & (
         later * ALPHA_MIN > props[-1] * (1.0 - MAX_LAST_SURVIVAL))
@@ -824,6 +824,29 @@ def test_reflection_equals_where_form_bitwise(case):
     got = x.copy()
     _bounce_back(got, lo, hi, np.empty_like(got), (2 * lo, 2 * hi))
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_the_final_clamp_lifts_a_reflection_that_rounds_past_the_far_bound():
+    # uniform(*MUTATION_RANGE) draws 0.5 + 0.5 u, which rounds to 1.0 at
+    # u = 1 - 2**-53. A mutant built as the search builds it from base =
+    # r1 = hi and r2 = lo is fl(hi + fl(hi - lo)): in a survival column it
+    # reflects off hi exactly onto 0, in an activation column to just below
+    # ALPHA_MIN, where only the clamp lifts it back.
+    low, high = model2.MUTATION_RANGE
+    factor = low + (high - low) * (1.0 - 2.0**-53)
+    assert factor == 1.0
+    lo, hi = default_bounds(3).T.copy()
+    out, gather = hi[None].copy(), lo[None].copy()
+    np.subtract(out, gather, out=out)
+    np.multiply(out, factor, out=out)
+    np.add(out, hi, out=out)
+    reflected = 2 * hi - out
+    assert np.all(reflected[0, :3] == 0.0) and np.all(reflected[0, 3:] < ALPHA_MIN)
+    expected = reference_bounce_back(out, lo, hi)
+    _bounce_back(out, lo, hi, gather, (2 * lo, 2 * hi))
+    clamped = np.concatenate([np.zeros(3), np.full(3, ALPHA_MIN)])
+    assert np.array_equal(out[0].view(np.uint64), clamped.view(np.uint64))
+    assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
 
 
 @pytest.fixture
