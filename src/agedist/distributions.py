@@ -431,9 +431,9 @@ def stationarity_residual(probs, rates, profile) -> np.ndarray:
 
 
 def step_thresholds(params: ModelParams) -> tuple:
-    """One agent's step as thresholds on a uniform draw: it advances below
-    alpha * p, dies below alpha and stays from alpha up; a plain agent
-    advances below p and never stays (None)."""
-    rates = params.activation.rates if params.activation is not None else None
+    """One agent's step as thresholds on a uniform draw, (alpha * p, alpha):
+    it advances below alpha * p, dies below alpha and stays from alpha up. A
+    plain set's rates are ones: 1 * p is p, and no uniform reaches 1."""
     probs = params.survival.probs
-    return (probs if rates is None else rates * probs), rates
+    rates = np.ones(probs.size) if params.activation is None else params.activation.rates
+    return rates * probs, rates

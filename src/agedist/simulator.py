@@ -163,9 +163,9 @@ def run_many(targets, params, config: Optional[SimConfig] = None) -> list:
                for index, (target, member) in enumerate(zip(targets, params))]
     if not members:
         return []
-    # Tiled members before wide ones (by_segment), plain before activated in each.
+    # Tiled members before wide ones (by_segment), in each those that never stay first.
     order = sorted(range(len(members)), key=lambda i: (
-        by_segment(cfg.num_agents, members[i][1].size), members[i][2] is not None))
+        by_segment(cfg.num_agents, members[i][1].size), (members[i][2] < 1).any()))
     starts, advance_below, stay_from, labels = zip(*(members[i] for i in order))
     batch = _Batch(advance_below, stay_from, cfg.num_agents)
     first, offsets = batch.first, batch.offsets
@@ -243,9 +243,11 @@ class _Batch:
     repeated over their own uniforms, compared with the chunk by
     broadcasting and counted per group with one ``np.add.reduceat``. Wide
     members (``by_segment``) come last: each non-empty (chunk, group)
-    segment is compared once with its group's thresholds. The chunks are
-    split into contiguous ``shares``, each with its own scratch and
-    generator; ``step`` positions the generators on the run's stream
+    segment is compared once with its group's thresholds. No uniform
+    reaches 1, so a tile or segment whose stay thresholds are all 1 (every
+    plain member's) skips the stay pass. The chunks are split into
+    contiguous ``shares``, each with its own scratch and generator;
+    ``step`` positions the generators on the run's stream
     (``parallel.position``) and hands the shares to ``run``, which
     ``run_many`` sets to a share runner (``parallel.runner``).
     """
@@ -258,23 +260,17 @@ class _Batch:
         self.num_agents = int(num_agents)
         owner = np.repeat(np.arange(len(sizes)), sizes)
         self.base = owner * self.num_agents
-        flat_below = np.concatenate(advance_below)
-        # A plain member never stays: no uniform reaches 1.
-        flat_stay = np.concatenate([
-            np.ones(below.size) if stay is None else stay
-            for below, stay in zip(advance_below, stay_from)])
+        flat_below, flat_stay = np.concatenate(advance_below), np.concatenate(stay_from)
         width = min(self.num_agents, BLOCK)
         per_tile = max(1, BLOCK // width)
         tiled = sum(not by_segment(self.num_agents, size) for size in sizes)
-        # Per tile: its groups, its member count, and its thresholds; a tile
-        # of plain members skips the stay pass.
+        # Per tile: its groups, its member count, and its thresholds.
         self.tiles = []
         for a in range(0, tiled, per_tile):
             b = min(a + per_tile, tiled)
             part = slice(int(self.offsets[a]), int(self.offsets[b]))
-            activated = any(stay is not None for stay in stay_from[a:b])
-            self.tiles.append((part, b - a, flat_below[part],
-                               flat_stay[part] if activated else None))
+            stay = flat_stay[part]
+            self.tiles.append((part, b - a, flat_below[part], stay if (stay < 1).any() else None))
         self.wide = slice(int(self.offsets[tiled]), None)
         self.wide_below, self.wide_stay = flat_below[self.wide], flat_stay[self.wide]
         self.chunk_starts = np.arange(0, self.num_agents, width)[:, None]

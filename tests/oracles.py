@@ -3,7 +3,8 @@
 These implement the expected one-step population update directly from the
 per-group balance bookkeeping (who leaves, who arrives), not the closed-form
 recursions under test. Steady states are found by iterating the update to a
-fixed point, so agreement with the library is evidence, not tautology.
+fixed point, so agreement with the library is evidence, not tautology. The
+exact law of a few agents' counts one step on is enumerated fate by fate.
 
 The second half keeps the straightforward forms of the steady-state
 recursions, of the differential-evolution search (objective, reflection,
@@ -13,6 +14,7 @@ search, batched curve fit and count-state run must reproduce them bit for
 bit.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -282,6 +284,30 @@ def reference_sorted_run(start, survival, activation, config):
         if index >= config.burn_in:
             accumulator += trajectory[index]
     return trajectory, accumulator / (config.num_steps - config.burn_in), deaths
+
+
+def one_step_count_law(counts, survival, activation):
+    """Exact distribution of the group counts one step after ``counts``,
+    by enumerating every agent's fate. Each agent of group i independently
+    advances with probability alpha_i p_i (the last group keeps the agents
+    it advances), dies into group 1 with probability alpha_i (1 - p_i) and
+    stays with probability 1 - alpha_i (alpha is 1 for the plain process).
+    Returns {next counts as a tuple: probability}, impossible outcomes left
+    out. It takes 3 ** agents terms, so it is for a few agents only."""
+    probs = np.asarray(survival, dtype=float)
+    n = probs.size
+    rates = np.ones(n) if activation is None else np.asarray(activation, dtype=float)
+    agents = np.repeat(np.arange(n), counts).tolist()
+    law = {}
+    for fates in itertools.product(range(3), repeat=len(agents)):
+        chance, new_counts = 1.0, [0] * n
+        for group, fate in zip(agents, fates):
+            a, p = rates[group], probs[group]
+            chance *= (a * p, a * (1.0 - p), 1.0 - a)[fate]
+            new_counts[(min(group + 1, n - 1), 0, group)[fate]] += 1
+        if chance > 0:
+            law[tuple(new_counts)] = law.get(tuple(new_counts), 0.0) + chance
+    return law
 
 
 def reachable_l1_optimum(target, scale):

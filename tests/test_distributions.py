@@ -540,12 +540,13 @@ class TestTheLawHasOneHome:
         assert sorted(top) == ["FeasibleInterval", "feasibility", "solve", "steady_state"]
 
     def test_step_thresholds(self):
+        # Every kind gets two arrays; a plain set's are p and ones.
         survival = SurvivalVector([0.6, 0.4, 0.3])
-        plain = ModelParams(kind=ModelKind.MODEL1, survival=survival)
+        for kind in (ModelKind.MODEL1, ModelKind.MODEL1_ON_FITTED):
+            below, stay = step_thresholds(ModelParams(kind=kind, survival=survival))
+            assert np.array_equal(below, survival.probs) and np.array_equal(stay, np.ones(3))
         activated = ModelParams(kind=ModelKind.MODEL2, survival=survival,
                                 activation=ActivationVector([1.0, 0.5, 0.25]))
-        below, stay = step_thresholds(plain)
-        assert stay is None and np.array_equal(below, survival.probs)
         below, stay = step_thresholds(activated)
         assert np.array_equal(below, [0.6, 0.2, 0.075])
         assert np.array_equal(stay, [1.0, 0.5, 0.25])

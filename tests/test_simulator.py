@@ -3,15 +3,19 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.stats
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from agedist import SimConfig, normalize, optimize, parallel, simulator
-from agedist.distributions import AgeDistribution, ModelKind, ModelParams
+from agedist.distributions import ALPHA_MIN, AgeDistribution, ModelKind, ModelParams
 from agedist.errors import NotNormalized, ResidualCheckFailed
 from agedist.model1 import solve, steady_state
 from agedist.model2 import DEConfig, steady_state2
 from agedist.simulator import apportion, run, run_many, start_counts, write_trajectory_csv
 
-from oracles import reference_single_draw_step, reference_sorted_run, reference_step
+from oracles import (
+    one_step_count_law, reference_single_draw_step, reference_sorted_run, reference_step)
 
 SURVIVAL = np.array([0.9, 0.8, 0.6, 0.5, 0.3])
 ACTIVATION = np.array([1.0, 0.4, 0.7, 0.2, 0.5])
@@ -343,6 +347,41 @@ class TestDrawLayoutsAgree:
             assert np.abs(estimates.mean(axis=0) - target.proportions).max() < 5e-3
 
 
+class TestOneStepLaw:
+    """One step of three agents, one a group, against the exact law of the
+    next counts (``one_step_count_law``), by a chi-square statistic over
+    independent seeds. Each seed is a run of its own: the members of one
+    batch share their draws."""
+
+    #: Fixed before the first run: a chi-square tail of 1e-6 a set, so the
+    #: two sets false-alarm with probability 2e-6. 2000 seeds put at least
+    #: 50 expected runs in every outcome (the rarest has probability 0.025).
+    FALSE_ALARM = 1e-6
+    SEEDS = 2000
+
+    @pytest.mark.parametrize("survival, activation", [
+        pytest.param([0.6, 0.5, 0.3], None, id="plain"),
+        pytest.param([0.7, 0.5, 0.4], [0.6, 0.8, 0.5], id="activated"),
+    ])
+    def test_matches_exact_law(self, survival, activation):
+        kind = ModelKind.MODEL1 if activation is None else ModelKind.MODEL2
+        params = ModelParams(kind=kind, survival=survival, activation=activation)
+        target = np.full(3, 1 / 3)
+        assert start_counts(target, SimConfig(num_agents=3)).tolist() == [1, 1, 1]
+        law = one_step_count_law([1, 1, 1], survival, activation)
+        seen = Counter()
+        for seed in range(self.SEEDS):
+            config = SimConfig(num_agents=3, num_steps=1, burn_in=0, seed=seed)
+            snapshot = run(target, params, config).final_snapshot
+            seen[tuple(np.rint(snapshot * 3).astype(int).tolist())] += 1
+        assert set(seen) <= set(law), (seen, law)
+        expected = np.array(list(law.values())) * self.SEEDS
+        observed = np.array([seen[outcome] for outcome in law])
+        statistic = float(((observed - expected) ** 2 / expected).sum())
+        bound = scipy.stats.chi2.isf(self.FALSE_ALARM, len(law) - 1)
+        assert statistic < bound, (statistic, bound, seen, law)
+
+
 class TestBlocking:
     @pytest.mark.parametrize("activation", [None, ACTIVATION])
     @pytest.mark.parametrize("block", [1, 7, 1000, 1500])
@@ -404,6 +443,25 @@ def assert_batch_matches_own_runs(targets, params, config):
     return results
 
 
+@st.composite
+def plain_runs(draw):
+    """A survival vector, a start target of its length (empty groups
+    allowed), activation rates of its length and a config, whose 1 to
+    40,000 agents reach both counting paths. Returns (survival, target,
+    rates, config)."""
+    n = draw(st.integers(3, 8))
+    survival = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    survival[-1] = draw(st.floats(0.0, 0.999))
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    assume(weights.sum() > 0)
+    rates = draw(st.lists(st.floats(ALPHA_MIN, 1.0), min_size=n, max_size=n))
+    steps = draw(st.integers(1, 6))
+    config = SimConfig(num_agents=draw(st.integers(1, 300) | st.integers(13_000, 40_000)),
+                       num_steps=steps, burn_in=draw(st.integers(0, steps - 1)),
+                       seed=draw(st.integers(0, 2**64 - 1)))
+    return survival, weights / weights.sum(), rates, config
+
+
 class TestRunMany:
     """A batch reads one shared stream; each member's results are bit for
     bit those of its own run."""
@@ -446,6 +504,25 @@ class TestRunMany:
         for i, result in zip(order, part):
             assert np.array_equal(result.steady_estimate, whole[i].steady_estimate)
             assert result.total_deaths == whole[i].total_deaths
+
+    @given(plain_runs())
+    @settings(max_examples=60, deadline=None)
+    def test_plain_members_step_as_unit_activation(self, case):
+        # A plain set and its twin with every activation rate 1 give the
+        # same results bit for bit, alone and side by side in one batch
+        # with an activated member.
+        survival, target, rates, config = case
+        plain = ModelParams(kind=ModelKind.MODEL1, survival=survival)
+        unit = ModelParams(kind=ModelKind.MODEL2, survival=survival,
+                           activation=np.ones(len(survival)))
+        activated = ModelParams(kind=ModelKind.MODEL2, survival=survival, activation=rates)
+        expected = run(target, plain, config)
+        alone = run(target, unit, config)
+        _, *batch = run_many([target] * 3, [activated, unit, plain], config)
+        for result in (alone, *batch):
+            assert np.array_equal(result.steady_estimate, expected.steady_estimate)
+            assert np.array_equal(result.final_snapshot, expected.final_snapshot)
+            assert result.total_deaths == expected.total_deaths
 
     def test_empty_and_mismatched_batches(self):
         assert run_many([], [], SimConfig()) == []
