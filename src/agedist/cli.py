@@ -8,10 +8,10 @@ original method's plateau-decay surrogate plus closed-form solve),
 ``simulate`` (stochastic validation of a parameter file) and ``pipeline``
 (the full cascade over a dataset, emitting parameter files and plot-data
 CSVs). ``solve`` shares the pipeline's stations, so its files carry the
-pipeline's diagnostics; ``classify``, ``solve --model auto`` and
-``pipeline`` all take the station that ``pipeline._solve_one`` picks and
-print ``pipeline._route_of``'s name for its route; ``--country`` also
-finds the countries that ingest skipped.
+pipeline's diagnostics; ``classify``, ``solve`` and ``pipeline`` all take
+the station that ``pipeline._solve_one`` picks and print
+``pipeline._route_of``'s name for its route; ``--country`` also finds the
+countries that ingest skipped.
 
 Every failure exits nonzero after printing a line prefixed ``error:`` to
 stderr. All subcommands are deterministic given identical inputs and
@@ -138,12 +138,7 @@ def _route_name(dist) -> str:
 
 def cmd_solve(args) -> int:
     dist = _target(args)
-    p_n = _parse_pn(args.pn)
-    if args.model == "auto":
-        params, _ = pipeline._solve_one(dist, p_n, seed=args.seed)
-    else:
-        params, _ = (pipeline.solve_model1(dist, p_n, seed=args.seed)
-                     if args.model == "1" else pipeline.solve_model2(dist))
+    params, _ = pipeline._solve_one(dist, _parse_pn(args.pn), seed=args.seed)
     route = pipeline._route_of(params)
     if route is not pipeline.Route.MODEL1 and args.pn != "mid":
         raise AgedistError(
@@ -155,7 +150,7 @@ def cmd_solve(args) -> int:
         args.out,
         labels=dist.labels,
         target=dist.proportions,
-        config={"seed": args.seed, "pn": args.pn, "model": args.model},
+        config={"seed": args.seed, "pn": args.pn},
     )
     print(f"{args.country}: route {route.value}, mae {params.diagnostics['mae']:.3g}, "
           f"wrote {args.out}")
@@ -332,7 +327,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("solve", help="parameterise one country")
     _add_input_options(p)
     p.add_argument("--country", required=True)
-    p.add_argument("--model", choices=("auto", "1", "2"), default="auto")
     p.add_argument("--pn", default="mid",
                    help="last-group survival on route model1: mid, rand or a number")
     p.add_argument("--seed", type=int, default=0)

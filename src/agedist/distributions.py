@@ -300,16 +300,16 @@ def check_groups(props: np.ndarray, labels: tuple) -> None:
         raise TooFewGroups(f"need at least 3 age groups, got {props.size}")
 
 
-def check_integer(name: str, value):
-    """``value`` if it is an integer but not a bool; else ValueError naming ``name``."""
+def check_integer(name: str, value) -> int:
+    """``value`` as a Python int if it is an integer but not a bool; else ValueError."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, not {value!r}")
-    return value
+    return int(value)
 
 
-def check_seed(seed):
-    """``seed`` if it is an integer in [0, 2**64), as a seeded stream takes."""
-    if not 0 <= check_integer("seed", seed) < 2**64:
+def check_seed(seed) -> int:
+    """``seed`` as a Python int if it is an integer in [0, 2**64), as a seeded stream takes."""
+    if not 0 <= (seed := check_integer("seed", seed)) < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     return seed
 

@@ -64,7 +64,7 @@ SUCCESS_THRESHOLD = 1e-4
 @dataclass
 class DEConfig:
     """Search settings: population size (None: 15 per dimension, 30n for n
-    groups), generation budget and seed.
+    groups), generation budget and seed, stored as Python ints.
 
     The search itself is fixed: dithered best/1/bin (Storn & Price 1997)
     with the module's ``MUTATION_RANGE``, ``CROSSOVER_RATE`` and
@@ -78,12 +78,14 @@ class DEConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.population_size is not None and check_integer(
-                "population_size", self.population_size) < 4:
-            raise ValueError("population_size must be at least 4")
-        if check_integer("max_iterations", self.max_iterations) < 1:
+        if self.population_size is not None:
+            self.population_size = check_integer("population_size", self.population_size)
+            if self.population_size < 4:
+                raise ValueError("population_size must be at least 4")
+        self.max_iterations = check_integer("max_iterations", self.max_iterations)
+        if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        check_seed(self.seed)
+        self.seed = check_seed(self.seed)
 
 
 def default_bounds(n_groups: int) -> np.ndarray:

@@ -40,16 +40,16 @@ def shares(units: int, per: int = 1) -> list:
 def position(rng, streams, starts, total) -> None:
     """Jump ``streams[k]`` to ``rng``'s stream from its ``starts[k]``-th
     64-bit output on, and move ``rng`` past ``total`` outputs, as if it had
-    drawn ``total`` doubles (one output each) itself. PCG64's ``advance``
-    clears the buffered upper half of an output that a 32-bit draw leaves;
-    ``rng`` gets it back, so its next bounded integer draw reads the stream
-    exactly as after drawing the doubles."""
+    drawn ``total`` doubles (one output each) itself. The offsets are Python
+    ints, as PCG64's ``advance`` takes; it clears the buffered upper half of
+    an output that a 32-bit draw leaves, and ``rng`` gets it back, so its
+    next bounded integer draw reads the stream exactly as after drawing the
+    doubles."""
     state = rng.bit_generator.state
     for stream, start in zip(streams, starts):
         stream.bit_generator.state = state
-        # PCG64.advance rejects numpy integers.
-        stream.bit_generator.advance(int(start))
-    rng.bit_generator.advance(int(total))
+        stream.bit_generator.advance(start)
+    rng.bit_generator.advance(total)
     after = rng.bit_generator.state
     after["has_uint32"], after["uinteger"] = state["has_uint32"], state["uinteger"]
     rng.bit_generator.state = after

@@ -9,11 +9,11 @@ stay available (``model2.optimize``, ``curvefit.fit``), but the cascade
 calls neither: no model-2 steady state or curve fit is closer to the target
 than the L1 projection, which the nearest reachable target comes within 1%
 of. ``_solve_one`` is the only place that picks a station: the cascade
-and the command line's ``classify`` and ``solve --model auto`` all call
-it. ``solve_model1`` and ``solve_model2`` return each station's
-parameters, diagnostics and analytic steady state, for the cascade and the
-command line alike; ``_route_of`` is the only place that names the route
-of their parameters. Every solved parameter set is validated with one
+and the command line's ``classify`` and ``solve`` all call it.
+``solve_model1`` and ``solve_model2`` return each station's parameters,
+diagnostics and analytic steady state, for the cascade and the command
+line alike; ``_route_of`` is the only place that names the route of their
+parameters. Every solved parameter set is validated with one
 stochastic run against its own analytic steady state. ``run_dataset``
 solves every entry first and then validates all of them in one
 ``simulator.run_many`` batch, which draws their shared uniform stream

@@ -54,6 +54,9 @@ BLOCK = 32_768
 
 @dataclass
 class SimConfig:
+    """Run settings; integer fields are stored as Python ints, so that no
+    numpy dtype a caller passes sets the run's arithmetic."""
+
     num_agents: int = 10_000
     num_steps: int = 350
     seed: int = 0
@@ -65,15 +68,16 @@ class SimConfig:
     def __post_init__(self):
         if not isinstance(self.record_trajectory, (bool, np.bool_)):
             raise ValueError(f"record_trajectory must be a bool, not {self.record_trajectory!r}")
-        check_integer("num_agents", self.num_agents)
-        check_integer("num_steps", self.num_steps)
+        self.num_agents = check_integer("num_agents", self.num_agents)
+        self.num_steps = check_integer("num_steps", self.num_steps)
         if self.num_agents < 1 or self.num_steps < 1:
             raise ValueError("num_agents and num_steps must be positive")
         if self.burn_in is None:
             self.burn_in = self.num_steps - max(1, self.num_steps // 7)
-        if not 0 <= check_integer("burn_in", self.burn_in) < self.num_steps:
+        self.burn_in = check_integer("burn_in", self.burn_in)
+        if not 0 <= self.burn_in < self.num_steps:
             raise ValueError("burn_in must satisfy 0 <= burn_in < num_steps")
-        check_seed(self.seed)
+        self.seed = check_seed(self.seed)
 
 
 @dataclass
@@ -256,8 +260,7 @@ class _Batch:
         sizes = [below.size for below in advance_below]
         self.offsets = np.concatenate(([0], np.cumsum(sizes)))
         self.first, self.last = self.offsets[:-1], self.offsets[1:] - 1
-        # A Python int: a numpy unsigned one would turn the counts to floats.
-        self.num_agents = int(num_agents)
+        self.num_agents = num_agents
         owner = np.repeat(np.arange(len(sizes)), sizes)
         self.base = owner * self.num_agents
         flat_below, flat_stay = np.concatenate(advance_below), np.concatenate(stay_from)

@@ -4,7 +4,8 @@ These implement the expected one-step population update directly from the
 per-group balance bookkeeping (who leaves, who arrives), not the closed-form
 recursions under test. Steady states are found by iterating the update to a
 fixed point, so agreement with the library is evidence, not tautology. The
-exact law of a few agents' counts one step on is enumerated fate by fate.
+exact law of a few agents' counts one step on is enumerated fate by fate,
+and the count chain's transition matrix is built from it row by row.
 
 The second half keeps the straightforward forms of the steady-state
 recursions, of the differential-evolution search (objective, reflection,
@@ -308,6 +309,22 @@ def one_step_count_law(counts, survival, activation):
         if chance > 0:
             law[tuple(new_counts)] = law.get(tuple(new_counts), 0.0) + chance
     return law
+
+
+def count_transition_matrix(agents, survival, activation):
+    """The exact transition matrix of the group counts of ``agents`` agents,
+    row by row from ``one_step_count_law``; returns (states, matrix). The
+    states are every way to put the agents in the groups, in lexicographic
+    order, and row k of the matrix is the law of the next state after
+    ``states[k]``."""
+    n = len(survival)
+    states = [s for s in itertools.product(range(agents + 1), repeat=n) if sum(s) == agents]
+    index = {state: k for k, state in enumerate(states)}
+    matrix = np.zeros((len(states), len(states)))
+    for k, state in enumerate(states):
+        for outcome, chance in one_step_count_law(state, survival, activation).items():
+            matrix[k, index[outcome]] = chance
+    return states, matrix
 
 
 def reachable_l1_optimum(target, scale):

@@ -18,12 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agedist import curvefit, parallel, pipeline, simulator
+from agedist import curvefit, dataio, parallel, pipeline, simulator
 from agedist.cli import _fitted_params, build_parser, main
 from agedist.distributions import (
     ALPHA_MIN, ModelKind, mean_absolute_error, stationary_distribution)
 from agedist.dataio import load_params, load_params_document
-from agedist.errors import AgedistError
+from agedist.errors import AgedistError, DegenerateLastGroup
 from agedist.simulator import SimConfig
 
 from test_curvefit import bench_generator
@@ -178,16 +178,27 @@ class TestRouteAgreement:
         summary = strict_load(out_dir / "summary.json")
         piped = {name: entry["route"] for name, entry in summary["per_country"].items()}
 
-        def solved_route(name, model):
+        def solved_route(name):
             capsys.readouterr()
-            assert main(["solve", "--input", data, "--country", name, "--model", model,
-                         "--out", str(tmp_path / f"{name}-{model}.json")]) == 0
+            assert main(["solve", "--input", data, "--country", name,
+                         "--out", str(tmp_path / f"{name}.json")]) == 0
             return re.search(r": route (\w+),", capsys.readouterr().out).group(1)
 
-        solved = {name: solved_route(name, "auto") for name in classified}
-        # The explicit model of each country's route names it the same way.
-        forced = {name: solved_route(name, "1" if name == "Pyramid" else "2")
-                  for name in classified}
+        solved = {name: solved_route(name) for name in classified}
+        forced = {}
+        for name, dist in dataio.ingest_csv(data):
+            written = strict_load(tmp_path / f"{name}.json")
+            # Equal JSON text: a float's repr round-trips, so solve writes
+            # the pipeline's rates bit for bit.
+            pipeline_file = strict_load(out_dir / "params" / f"{name}.json")
+            for key in ("survival", "activation"):
+                assert json.dumps(written[key]) == json.dumps(pipeline_file[key]), (name, key)
+            # Each route's own station, called directly, returns what solve
+            # wrote and names the route the same way.
+            station = pipeline.solve_model1 if name == "Pyramid" else pipeline.solve_model2
+            params, _ = station(dist)
+            assert load_params(tmp_path / f"{name}.json") == params
+            forced[name] = pipeline._route_of(params).value
 
         assert classified == piped == solved == forced == {
             "Pyramid": "model1", "Hump": "model2",
@@ -218,16 +229,15 @@ class TestSolve:
         # The closed form draws nothing: the seed is echoed, not recorded
         # as a diagnostic.
         assert "seed" not in document.params.diagnostics
-        assert document.config["seed"] == 3
+        assert document.config == {"seed": 3, "pn": "mid"}
 
     def test_explicit_pn(self, dataset, tmp_path):
-        for model in ("auto", "1"):
-            out_file = tmp_path / f"pyramid-{model}.json"
-            assert main([
-                "solve", "--input", str(dataset), "--country", "Pyramid",
-                "--model", model, "--pn", "0.25", "--out", str(out_file),
-            ]) == 0
-            assert load_params_document(out_file).params.free_param == 0.25
+        out_file = tmp_path / "pyramid.json"
+        assert main([
+            "solve", "--input", str(dataset), "--country", "Pyramid",
+            "--pn", "0.25", "--out", str(out_file),
+        ]) == 0
+        assert load_params_document(out_file).params.free_param == 0.25
 
     @pytest.mark.parametrize("pn, mode", [("mid", "midpoint"), ("rand", "rand"),
                                           ("0.25", "explicit")])
@@ -243,32 +253,37 @@ class TestSolve:
         if pn == "rand":
             assert diagnostics["seed"] == 4
 
-    @pytest.mark.parametrize("country, model, pn, route", [
-        ("Hump", "auto", "0.3", "model2"),
-        ("Hump", "2", "rand", "model2"),
-        ("Newtown", "auto", "0.3", "nearest_reachable"),
+    @pytest.mark.parametrize("country, pn, route", [
+        ("Hump", "0.3", "model2"),
+        ("Hump", "rand", "model2"),
+        ("Newtown", "0.3", "nearest_reachable"),
     ])
-    def test_pn_on_a_model2_route_fails(self, tmp_path, capsys, country, model, pn, route):
+    def test_pn_on_a_model2_route_fails(self, tmp_path, capsys, country, pn, route):
         # The model-2 stations always take the midpoint, so any other --pn
         # would be echoed in the file's config but not applied.
         data = write_dataset(tmp_path / "pn.csv", [
             ("Hump", [100, 300, 200, 50]), ("Newtown", [0.3, 500, 1200, 900])])
         out_file = tmp_path / "x.json"
         code = main(["solve", "--input", str(data), "--country", country,
-                     "--model", model, "--pn", pn, "--out", str(out_file)])
+                     "--pn", pn, "--out", str(out_file)])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: --pn {pn} applies to model 1 only")
         assert f"route {route}," in err
         assert not out_file.exists()
 
-    def test_forcing_model1_on_hump_fails(self, dataset, tmp_path, capsys):
-        code = main([
-            "solve", "--input", str(dataset), "--country", "Hump",
-            "--model", "1", "--out", str(tmp_path / "x.json"),
-        ])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error:")
+    @pytest.mark.parametrize("model", ["auto", "1", "2"])
+    def test_model_option_is_gone(self, dataset, tmp_path, capsys, model):
+        # The cascade picks the model: solve takes no --model.
+        out_file = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["solve", "--input", str(dataset), "--country", "Pyramid",
+                  "--model", model, "--out", str(out_file)])
+        assert exit_info.value.code == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: unrecognized arguments: --model " + model]
+        assert not out_file.exists()
 
     def test_missing_country(self, dataset, tmp_path, capsys):
         code = main([
@@ -335,7 +350,7 @@ class TestSolveModel2:
         out_file = tmp_path / "flat.json"
         assert main([
             "solve", "--input", str(flat_dataset), "--country", "Flatland",
-            "--model", "2", "--out", str(out_file),
+            "--out", str(out_file),
         ]) == 0
         params = load_params_document(out_file).params
         assert params.kind.value == "model2"
@@ -359,14 +374,11 @@ class TestSolveModel2:
         assert 0 < diagnostics["wasserstein_to_original"] < 1e-3
         assert diagnostics["mae"] < 1e-4
 
-    @pytest.mark.parametrize("model", ["auto", "2"])
-    def test_unreachable_shape_solved_on_nearest_reachable(
-        self, flat_dataset, tmp_path, model
-    ):
+    def test_unreachable_shape_solved_on_nearest_reachable(self, flat_dataset, tmp_path):
         out_file = tmp_path / "cliff.json"
         assert main([
             "solve", "--input", str(flat_dataset), "--country", "Cliff",
-            "--model", model, "--out", str(out_file),
+            "--out", str(out_file),
         ]) == 0
         document = load_params_document(out_file)
         assert document.params.kind.value == "model2"
@@ -374,16 +386,13 @@ class TestSolveModel2:
         # The curve fit this shape used to fall back to ended at 0.22.
         assert document.params.diagnostics["mae"] < 4e-4
 
-    def test_huge_last_group(self, unreachable_dataset, tmp_path, capsys):
-        # model 1 reports the typed failure; auto, like the cascade, hands
-        # the pyramid to the model-2 stations.
-        code = main([
-            "solve", "--input", str(unreachable_dataset), "--country", "Huge",
-            "--model", "1", "--out", str(tmp_path / "x.json"),
-        ])
-        assert code == 1
-        assert capsys.readouterr().err.startswith(
-            "error: last group is more than 1/(1 - MAX_LAST_SURVIVAL)")
+    def test_huge_last_group(self, unreachable_dataset, tmp_path):
+        # The model-1 station reports the typed failure; solve, like the
+        # cascade, hands the pyramid to the model-2 stations.
+        huge = dict(dataio.ingest_csv(unreachable_dataset))["Huge"]
+        with pytest.raises(DegenerateLastGroup,
+                           match=re.escape("last group is more than 1/(1 - MAX_LAST_SURVIVAL)")):
+            pipeline.solve_model1(huge)
         out_file = tmp_path / "huge.json"
         assert main([
             "solve", "--input", str(unreachable_dataset), "--country", "Huge",
@@ -803,9 +812,9 @@ class TestHostileCsv:
     @given(data=st.data(), countries=COUNTRIES)
     def test_exit_and_output_contract(self, data, countries, spoil):
         content, names = hostile_csv(data, countries, spoil)
-        # Options argparse rejects: a bad value, and one classify lacks.
+        # Options argparse rejects: bad values, and one classify lacks.
         pipeline_options, classify_options, solve_options = (
-            (["--agents", "fifty"], ["--agents", "50"], ["--model", "3"]) if spoil == "options"
+            (["--agents", "fifty"], ["--agents", "50"], ["--seed", "seven"]) if spoil == "options"
             else (["--agents", "50"], [], []))
         with tempfile.TemporaryDirectory() as scratch:
             source, out_dir = Path(scratch) / "data.csv", Path(scratch) / "out"

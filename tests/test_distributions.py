@@ -9,7 +9,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agedist import classify, curvefit, model1, model2, normalize
+from agedist import classify, curvefit, model1, model2, normalize, simulator
 from agedist.distributions import (
     ALPHA_MIN,
     MAX_LAST_SURVIVAL,
@@ -550,3 +550,101 @@ class TestTheLawHasOneHome:
         below, stay = step_thresholds(activated)
         assert np.array_equal(below, [0.6, 0.2, 0.075])
         assert np.array_equal(stay, [1.0, 0.5, 0.25])
+
+
+#: Every numpy integer type (``np.sctypeDict`` also lists aliases such as
+#: ``np.intc`` and ``np.longlong``), narrowest first.
+INTEGER_TYPES = sorted({t for t in np.sctypeDict.values() if np.dtype(t).kind in "iu"},
+                       key=lambda t: (np.dtype(t).itemsize, np.dtype(t).kind, t.__name__))
+
+
+@st.composite
+def numpy_integers(draw, low, high):
+    """(a numpy integer, its Python int) in [low, high] and the type's range."""
+    kind = draw(st.sampled_from(INTEGER_TYPES))
+    info = np.iinfo(kind)
+    value = draw(st.integers(max(low, int(info.min)), min(high, int(info.max))))
+    return kind(value), value
+
+
+def sim_results_equal(a, b) -> bool:
+    return (np.array_equal(a.steady_estimate.view(np.uint64), b.steady_estimate.view(np.uint64))
+            and np.array_equal(a.final_snapshot.view(np.uint64), b.final_snapshot.view(np.uint64))
+            and a.total_deaths == b.total_deaths and a.seed == b.seed)
+
+
+ACTIVATED = ModelParams(kind=ModelKind.MODEL2, survival=[0.7, 0.5, 0.4],
+                        activation=[0.6, 0.8, 0.5])
+START = np.array([0.5, 0.3, 0.2])
+
+
+class TestConfigsHoldPythonInts:
+    """``check_integer`` returns a Python int and the configs store it, so a
+    numpy integer of any type gives the Python int's results bit for bit,
+    with no warning: numpy arithmetic on a narrow type would overflow."""
+
+    @pytest.mark.parametrize("fields", [
+        dict(num_steps=np.int8(127), burn_in=np.int8(120)),  # range(1, num_steps + 1)
+        dict(num_agents=np.int8(100)),  # by_segment's 5 * num_agents
+    ])
+    def test_narrow_sim_config(self, fields):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = simulator.run(START, ACTIVATED, SimConfig(**fields))
+        want = simulator.run(START, ACTIVATED,
+                             SimConfig(**{key: int(value) for key, value in fields.items()}))
+        assert sim_results_equal(got, want)
+
+    def test_narrow_population_size(self):
+        # parallel.split's arithmetic on the population size.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = model2.optimize(START, model2.DEConfig(population_size=np.int8(100),
+                                                         max_iterations=3))
+        want = model2.optimize(START, model2.DEConfig(population_size=100, max_iterations=3))
+        assert got == want
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_sim_config(self, data):
+        steps, steps_int = data.draw(numpy_integers(1, 150))
+        burn_in, burn_in_int = data.draw(numpy_integers(0, steps_int - 1))
+        agents, agents_int = data.draw(numpy_integers(1, 300_000 // steps_int))
+        seed, seed_int = data.draw(numpy_integers(0, 2**64 - 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            config = SimConfig(num_agents=agents, num_steps=steps, burn_in=burn_in, seed=seed)
+            got = simulator.run(START, ACTIVATED, config)
+        fields = (config.num_agents, config.num_steps, config.burn_in, config.seed)
+        assert [type(value) for value in fields] == [int] * 4
+        assert fields == (agents_int, steps_int, burn_in_int, seed_int)
+        want = simulator.run(START, ACTIVATED, SimConfig(
+            num_agents=agents_int, num_steps=steps_int, burn_in=burn_in_int, seed=seed_int))
+        assert sim_results_equal(got, want)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_de_config(self, data):
+        size, size_int = data.draw(numpy_integers(4, 150))
+        budget, budget_int = data.draw(numpy_integers(1, 130))
+        seed, seed_int = data.draw(numpy_integers(0, 2**64 - 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            config = model2.DEConfig(population_size=size, max_iterations=budget, seed=seed)
+            got = model2.optimize(START, config)
+        fields = (config.population_size, config.max_iterations, config.seed)
+        assert [type(value) for value in fields] == [int] * 3
+        assert fields == (size_int, budget_int, seed_int)
+        want = model2.optimize(START, model2.DEConfig(
+            population_size=size_int, max_iterations=budget_int, seed=seed_int))
+        assert got == want
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=numpy_integers(0, 2**64 - 1))
+    def test_model1_rand_seed(self, seed):
+        pyramid = dist([0.5, 0.3, 0.2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = model1.solve(pyramid, "rand", seed=seed[0])
+        want = model1.solve(pyramid, "rand", seed=seed[1])
+        assert np.array_equal(got.probs.view(np.uint64), want.probs.view(np.uint64))

@@ -36,7 +36,7 @@ class TestPosition:
         doubles = reference.random(total)
 
         streams = [generator() for _ in starts]
-        parallel.position(rng, streams, [np.int64(start) for start in starts], np.int64(total))
+        parallel.position(rng, streams, starts, total)
 
         for stream, start in zip(streams, starts):
             assert np.array_equal(stream.random(total - start), doubles[start:])

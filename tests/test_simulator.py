@@ -1,3 +1,4 @@
+import math
 import threading
 from collections import Counter
 
@@ -8,14 +9,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from agedist import SimConfig, normalize, optimize, parallel, simulator
-from agedist.distributions import ALPHA_MIN, AgeDistribution, ModelKind, ModelParams
+from agedist.distributions import (
+    ALPHA_MIN, AgeDistribution, ModelKind, ModelParams, stationary_distribution)
 from agedist.errors import NotNormalized, ResidualCheckFailed
 from agedist.model1 import solve, steady_state
 from agedist.model2 import DEConfig, steady_state2
 from agedist.simulator import apportion, run, run_many, start_counts, write_trajectory_csv
 
 from oracles import (
-    one_step_count_law, reference_single_draw_step, reference_sorted_run, reference_step)
+    count_transition_matrix, one_step_count_law, reference_single_draw_step,
+    reference_sorted_run, reference_step, stationarity_system)
 
 SURVIVAL = np.array([0.9, 0.8, 0.6, 0.5, 0.3])
 ACTIVATION = np.array([1.0, 0.4, 0.7, 0.2, 0.5])
@@ -347,6 +350,39 @@ class TestDrawLayoutsAgree:
             assert np.abs(estimates.mean(axis=0) - target.proportions).max() < 5e-3
 
 
+#: The plain and the activated three-group sets of the small-chain checks.
+SMALL_CHAINS = [
+    pytest.param([0.6, 0.5, 0.3], None, id="plain"),
+    pytest.param([0.7, 0.5, 0.4], [0.6, 0.8, 0.5], id="activated"),
+]
+
+
+def small_chain_params(survival, activation):
+    kind = ModelKind.MODEL1 if activation is None else ModelKind.MODEL2
+    return ModelParams(kind=kind, survival=survival, activation=activation)
+
+
+def final_counts(target, params, num_agents, num_steps, seeds):
+    """The group counts after ``num_steps`` steps from ``target``, a row
+    for each seed in ``range(seeds)``, each seed a run of its own."""
+    return np.array([
+        np.rint(run(target, params, SimConfig(num_agents=num_agents, num_steps=num_steps,
+                                              burn_in=0, seed=seed)).final_snapshot * num_agents)
+        for seed in range(seeds)]).astype(int)
+
+
+def assert_fits_law(law, counts, false_alarm):
+    """Chi-square test of ``counts``, a row of counts a run, against
+    ``law`` ({counts: probability}), with false-alarm chance ``false_alarm``."""
+    seen = Counter(map(tuple, counts.tolist()))
+    assert set(seen) <= set(law), (seen, law)
+    expected = np.array(list(law.values())) * len(counts)
+    observed = np.array([seen[outcome] for outcome in law])
+    statistic = float(((observed - expected) ** 2 / expected).sum())
+    bound = scipy.stats.chi2.isf(false_alarm, len(law) - 1)
+    assert statistic < bound, (statistic, bound, seen, law)
+
+
 class TestOneStepLaw:
     """One step of three agents, one a group, against the exact law of the
     next counts (``one_step_count_law``), by a chi-square statistic over
@@ -359,27 +395,89 @@ class TestOneStepLaw:
     FALSE_ALARM = 1e-6
     SEEDS = 2000
 
-    @pytest.mark.parametrize("survival, activation", [
-        pytest.param([0.6, 0.5, 0.3], None, id="plain"),
-        pytest.param([0.7, 0.5, 0.4], [0.6, 0.8, 0.5], id="activated"),
-    ])
+    @pytest.mark.parametrize("survival, activation", SMALL_CHAINS)
     def test_matches_exact_law(self, survival, activation):
-        kind = ModelKind.MODEL1 if activation is None else ModelKind.MODEL2
-        params = ModelParams(kind=kind, survival=survival, activation=activation)
+        params = small_chain_params(survival, activation)
         target = np.full(3, 1 / 3)
         assert start_counts(target, SimConfig(num_agents=3)).tolist() == [1, 1, 1]
         law = one_step_count_law([1, 1, 1], survival, activation)
-        seen = Counter()
-        for seed in range(self.SEEDS):
-            config = SimConfig(num_agents=3, num_steps=1, burn_in=0, seed=seed)
-            snapshot = run(target, params, config).final_snapshot
-            seen[tuple(np.rint(snapshot * 3).astype(int).tolist())] += 1
-        assert set(seen) <= set(law), (seen, law)
-        expected = np.array(list(law.values())) * self.SEEDS
-        observed = np.array([seen[outcome] for outcome in law])
-        statistic = float(((observed - expected) ** 2 / expected).sum())
-        bound = scipy.stats.chi2.isf(self.FALSE_ALARM, len(law) - 1)
-        assert statistic < bound, (statistic, bound, seen, law)
+        assert_fits_law(law, final_counts(target, params, 3, 1, self.SEEDS), self.FALSE_ALARM)
+
+
+class TestMultiStepLaw:
+    """Four steps of three agents, one a group, against the exact law of the
+    counts then: the row of (1, 1, 1) in the fourth power of the transition
+    matrix of the count chain's 10 states (``count_transition_matrix``). A
+    chi-square statistic over independent seeds, as in TestOneStepLaw."""
+
+    #: Fixed before the first run, as in TestOneStepLaw: a chi-square tail
+    #: of 1e-6 a set, over 2000 seeds, with at least 5 expected runs in
+    #: every outcome (the rarest have probability 0.0098 and 0.0125).
+    FALSE_ALARM = 1e-6
+    SEEDS = 2000
+    STEPS = 4
+
+    @pytest.mark.parametrize("survival, activation", SMALL_CHAINS)
+    def test_matches_exact_law(self, survival, activation):
+        states, matrix = count_transition_matrix(3, survival, activation)
+        row = np.linalg.matrix_power(matrix, self.STEPS)[states.index((1, 1, 1))]
+        law = dict(zip(states, row))
+        assert len(law) == 10 and min(law.values()) * self.SEEDS >= 5
+        counts = final_counts(np.full(3, 1 / 3), small_chain_params(survival, activation),
+                              3, self.STEPS, self.SEEDS)
+        assert_fits_law(law, counts, self.FALSE_ALARM)
+
+    @pytest.mark.parametrize("survival, activation", SMALL_CHAINS)
+    def test_count_chain_mixes_to_a_multinomial(self, survival, activation):
+        # The agents move independently, so from every start the counts
+        # tend to Multinomial(3, pi), pi the stationary distribution.
+        states, matrix = count_transition_matrix(3, survival, activation)
+        assert np.allclose(matrix.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        pi = stationary_distribution(survival, activation).proportions
+        multinomial = [math.factorial(3) / math.prod(map(math.factorial, state))
+                       * np.prod(pi ** np.array(state)) for state in states]
+        assert np.allclose(np.linalg.matrix_power(matrix, 60), multinomial, rtol=0, atol=1e-12)
+
+
+class TestMixedStepMoments:
+    """Agent slots are independent copies of one n-state chain, so once
+    mixed one step's counts are Multinomial(N, pi): group i's count has
+    mean N pi_i and variance N pi_i (1 - pi_i), its proportion variance
+    pi_i (1 - pi_i) / N. Checked by z-statistics over independent seeds,
+    after enough steps that the exact moments (from each agent's law, a
+    power of the expected-update matrix) are within 1e-4 of the mixed
+    ones."""
+
+    #: Fixed before the first run: |z| below 5 for each group's mean and
+    #: variance, a two-sided normal tail of 5.7e-7 each (12 statistics).
+    Z_BOUND = 5.0
+    AGENTS = 50
+    STEPS = 15
+    SEEDS = 1000
+
+    @pytest.mark.parametrize("survival, activation", SMALL_CHAINS)
+    def test_one_step_counts_are_multinomial(self, survival, activation):
+        n, agents, seeds = 3, self.AGENTS, self.SEEDS
+        alpha = np.ones(n) if activation is None else np.asarray(activation)
+        pi = stationary_distribution(survival, activation).proportions
+        mean, variance = agents * pi, agents * pi * (1 - pi)
+        # Column g of the expected-update matrix is the next group's law
+        # for an agent of group g; one column per agent after STEPS steps.
+        start = start_counts(pi, SimConfig(num_agents=agents))
+        update = stationarity_system(survival, alpha) + np.eye(n)
+        laws = np.repeat(np.linalg.matrix_power(update, self.STEPS), start, axis=1)
+        assert np.allclose(laws.sum(axis=1), mean, rtol=1e-4, atol=0)
+        assert np.allclose((laws * (1 - laws)).sum(axis=1), variance, rtol=1e-4, atol=0)
+
+        counts = final_counts(pi, small_chain_params(survival, activation),
+                              agents, self.STEPS, seeds)
+        z_mean = (counts.mean(axis=0) - mean) / np.sqrt(variance / seeds)
+        # The sample variance's variance, from the binomial fourth moment.
+        fourth = variance * (1 + 3 * (agents - 2) * pi * (1 - pi))
+        spread = np.sqrt(fourth / seeds - variance**2 * (seeds - 3) / (seeds * (seeds - 1)))
+        z_variance = (counts.var(axis=0, ddof=1) - variance) / spread
+        assert np.abs(z_mean).max() < self.Z_BOUND, z_mean
+        assert np.abs(z_variance).max() < self.Z_BOUND, z_variance
 
 
 class TestBlocking:
@@ -591,8 +689,8 @@ class TestChunkShares:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_results_independent_of_share_count(self, cpus, block, monkeypatch):
         targets, params = batch_members()
-        # numpy integers: the stream offsets must still reach PCG64.advance
-        # as Python ints.
+        # numpy integers: SimConfig stores them as Python ints, which is
+        # what PCG64.advance takes for the stream offsets.
         config = SimConfig(num_agents=np.int64(1500), num_steps=8, burn_in=3,
                            seed=np.uint64(19), record_trajectory=True)
         serial = run_many(targets, params, config)
