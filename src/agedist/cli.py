@@ -145,13 +145,7 @@ def cmd_solve(args) -> int:
             f"--pn {args.pn} applies to model 1 only: {args.country} takes route "
             f"{route.value}, whose last-group survival is the midpoint")
 
-    dataio.emit_params(
-        params,
-        args.out,
-        labels=dist.labels,
-        target=dist.proportions,
-        config={"seed": args.seed, "pn": args.pn},
-    )
+    dataio.emit_params(params, args.out, target=dist, config={"seed": args.seed, "pn": args.pn})
     print(f"{args.country}: route {route.value}, mae {params.diagnostics['mae']:.3g}, "
           f"wrote {args.out}")
     return 0
@@ -182,13 +176,8 @@ def cmd_fit_curve(args) -> int:
     params, _ = _fitted_params(result)
     # The file's target is the fitted surrogate: that is the distribution
     # these parameters reproduce.
-    dataio.emit_params(
-        params,
-        args.out,
-        labels=result.fitted.labels,
-        target=result.fitted.proportions,
-        config={"source_country": args.country},
-    )
+    dataio.emit_params(params, args.out, target=result.fitted,
+                       config={"source_country": args.country})
     print(
         f"{args.country}: breakpoint {result.params.breakpoint}, "
         f"wasserstein {result.wasserstein_to_original:.10g}, wrote {args.out}"
@@ -198,8 +187,7 @@ def cmd_fit_curve(args) -> int:
 
 def cmd_simulate(args) -> int:
     document = dataio.load_params_document(args.params)
-    params = document.params
-    target = document.target_distribution()
+    params, target = document.params, document.target
     labels = target.labels if target is not None else None
     analytic = distributions.stationary_distribution(params.survival, params.activation, labels)
 
@@ -258,13 +246,8 @@ def cmd_pipeline(args) -> int:
         dataio.emit_params(
             res.params,
             params_dir / f"{stem}.json",
-            labels=dist.labels,
-            target=dist.proportions,
-            config={
-                "seed": args.seed,
-                "num_agents": args.agents,
-                "num_steps": args.steps,
-            },
+            target=dist,
+            config={"seed": args.seed, "num_agents": args.agents, "num_steps": args.steps},
         )
         dataio.write_csv(
             plots_dir / f"{stem}_distribution.csv",

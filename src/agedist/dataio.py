@@ -20,6 +20,7 @@ import csv
 import json
 import logging
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Optional
@@ -33,6 +34,8 @@ from .distributions import (
     ModelKind,
     ModelParams,
     SurvivalVector,
+    as_distribution,
+    default_labels,
     normalize,
 )
 from .errors import AgedistError, ColumnMappingError, CsvFormatError, SchemaError
@@ -79,13 +82,14 @@ def ingest_csv(
     (name, reason) records.
 
     Raises:
-        CsvFormatError: unreadable rows, populations that are not finite
-            non-negative numbers (message carries the line number).
+        CsvFormatError: a file that is not UTF-8, unreadable rows,
+            populations that are not finite non-negative numbers (message
+            carries the line number).
         ColumnMappingError: the configured columns are missing.
     """
     counts: dict = {}
     # utf-8-sig also reads the byte-order mark that spreadsheet exports add.
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with _utf8_text(path, CsvFormatError, encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise CsvFormatError(f"{path}: empty file, expected a header row")
@@ -131,6 +135,18 @@ def ingest_csv(
     return entries
 
 
+@contextmanager
+def _utf8_text(path, error, encoding="utf-8", **options):
+    """``path`` open for reading as UTF-8 text; a byte that does not decode
+    raises ``error`` naming the file."""
+    try:
+        with open(path, encoding=encoding, **options) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x}: "
+                    f"{exc.reason})") from None
+
+
 def write_dataset_csv(entries, path) -> None:
     """Write (name, AgeDistribution) pairs back to the long format, under
     its default column names.
@@ -167,29 +183,19 @@ class ParamsDocument:
     """Everything a parameter file carries beyond the ModelParams proper."""
 
     params: ModelParams
-    labels: Optional[tuple] = None
-    target: Optional[np.ndarray] = None
+    target: Optional[AgeDistribution] = None
     config: Optional[dict] = None
     library_version: str = __version__
 
-    def target_distribution(self) -> Optional[AgeDistribution]:
-        if self.labels is None or self.target is None:
-            return None
-        return AgeDistribution(self.labels, self.target)
 
-
-def emit_params(
-    params: ModelParams,
-    path,
-    *,
-    labels=None,
-    target=None,
-    config: Optional[dict] = None,
-) -> None:
+def emit_params(params: ModelParams, path, *, target=None, config: Optional[dict] = None) -> None:
     """Serialize a parameter set (plus optional target/config echo) to JSON.
 
+    ``target`` is an AgeDistribution, or a raw vector that
+    ``as_distribution`` makes one; its labels and proportions are written.
     Floats are written through ``repr`` (via json), so loading is lossless.
     """
+    target = as_distribution(target) if target is not None else None
     document = {
         "schema": PARAMS_SCHEMA,
         "schema_version": PARAMS_SCHEMA_VERSION,
@@ -199,8 +205,8 @@ def emit_params(
         "activation": params.activation.rates if params.activation is not None else None,
         "free_param": params.free_param,
         "diagnostics": params.diagnostics,
-        "labels": labels,
-        "target": np.asarray(target, dtype=float) if target is not None else None,
+        "labels": target.labels if target is not None else None,
+        "target": target.proportions if target is not None else None,
         "config": config,
     }
     write_json(document, path)
@@ -237,17 +243,19 @@ def load_params(path) -> ModelParams:
             JSON type, ``labels``, ``target``, ``survival`` and
             ``activation`` of different lengths, an ``activation`` list
             present for a kind other than model 2 or absent for model 2,
-            a ``free_param`` other than the last survival entry, or
-            unknown schema, version or kind; or a ``survival`` or
-            ``activation`` list its value type refuses with a ValueError.
+            a ``free_param`` other than the last survival entry, unknown
+            schema, version (a bool too) or kind, or bytes that are not
+            UTF-8; or a ``survival`` or ``activation`` list its value type
+            refuses with a ValueError, or a ``target`` AgeDistribution does.
         DegenerateLastGroup, ActivationTooSmall: as the value types raise.
     """
     return load_params_document(path).params
 
 
 def load_params_document(path) -> ParamsDocument:
-    """Load a parameter file with its target/config echo."""
-    with open(path, encoding="utf-8") as fh:
+    """Load a parameter file with its config echo and its target, labelled
+    g1..gn when the file has no labels; raises as ``load_params`` does."""
+    with _utf8_text(path, SchemaError) as fh:
         try:
             document = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -258,11 +266,9 @@ def load_params_document(path) -> ParamsDocument:
     if document.get("schema") != PARAMS_SCHEMA:
         raise SchemaError(f"{path}: unknown schema {document.get('schema')!r}")
     version = document.get("schema_version")
-    if version != PARAMS_SCHEMA_VERSION:
-        raise SchemaError(
-            f"{path}: schema version {version!r} unsupported "
-            f"(expected {PARAMS_SCHEMA_VERSION})"
-        )
+    if isinstance(version, bool) or version != PARAMS_SCHEMA_VERSION:
+        raise SchemaError(f"{path}: schema version {version!r} unsupported "
+                          f"(expected {PARAMS_SCHEMA_VERSION})")
     missing = [key for key in ("kind", "survival", "free_param") if key not in document]
     if missing:
         raise SchemaError(f"{path}: missing field(s) {missing}")
@@ -291,7 +297,7 @@ def load_params_document(path) -> ParamsDocument:
             "needs an 'activation' list" if activation is None
             else "takes no 'activation' list (null or absent)"))
 
-    survival = _vector(path, document, "survival", SurvivalVector)
+    survival = _field(path, document, "survival", SurvivalVector)
     last = document["survival"][-1]
     if document["free_param"] != last:
         raise SchemaError(f"{path}: field 'free_param' is {document['free_param']!r}, "
@@ -299,28 +305,27 @@ def load_params_document(path) -> ParamsDocument:
     params = ModelParams(
         kind=kind,
         survival=survival,
-        activation=(_vector(path, document, "activation", ActivationVector)
+        activation=(_field(path, document, "activation", ActivationVector)
                     if activation is not None else None),
         diagnostics=document.get("diagnostics", {}),
     )
-    labels = tuple(document["labels"]) if document.get("labels") else None
-    target = (
-        np.asarray(document["target"], dtype=float)
-        if document.get("target") is not None
-        else None
-    )
+    target = document.get("target")
+    if target is not None:
+        labels = document.get("labels") or default_labels(len(target))
+        target = _field(path, document, "target", lambda props: AgeDistribution(labels, props),
+                        refused=(ValueError, AgedistError))
     return ParamsDocument(
         params=params,
-        labels=labels,
         target=target,
         config=document.get("config"),
         library_version=document.get("library_version", "unknown"),
     )
 
 
-def _vector(path, document, key: str, cls):
-    """``cls`` of the field ``key``; its ValueError becomes a SchemaError."""
+def _field(path, document, key: str, make, refused=ValueError):
+    """``make`` of the field ``key``; a ``refused`` error it raises becomes a
+    SchemaError naming the file and the field."""
     try:
-        return cls(document[key])
-    except ValueError as exc:
+        return make(document[key])
+    except refused as exc:
         raise SchemaError(f"{path}: field {key!r}: {exc}") from None

@@ -392,7 +392,7 @@ def stationary_distribution(p, alpha=None, labels=None) -> AgeDistribution:
     Raises:
         DegenerateLastGroup: the last survival probability is >= 1.
         InteriorZeroGroup: a survival probability before the last is 0, or
-            the profile underflows to an empty group.
+            a share of the profile underflows to 0 (so named).
         ResidualCheckFailed: the largest residual reaches ``RESIDUAL_TOLERANCE``.
     """
     probs = SurvivalVector(p).probs
@@ -412,7 +412,14 @@ def stationary_distribution(p, alpha=None, labels=None) -> AgeDistribution:
         raise ResidualCheckFailed(
             f"stationarity residual {worst:g} exceeds {RESIDUAL_TOLERANCE:g}"
         )
-    return AgeDistribution(labels if labels is not None else default_labels(n), dist)
+    labels = labels if labels is not None else default_labels(n)
+    try:
+        return AgeDistribution(labels, dist)
+    except InteriorZeroGroup:
+        # No survival before the last is 0, so an empty share underflowed.
+        idx = int(np.flatnonzero(dist == 0)[0])
+        raise InteriorZeroGroup(f"group {str(labels[idx])!r} (index {idx}) underflows to 0 "
+                                "in the stationary profile") from None
 
 
 def stationarity_residual(probs, rates, profile) -> np.ndarray:

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from agedist import curvefit, dataio, parallel, pipeline, simulator
 from agedist.cli import _fitted_params, build_parser, main
 from agedist.distributions import (
-    ALPHA_MIN, ModelKind, mean_absolute_error, stationary_distribution)
+    ALPHA_MIN, AgeDistribution, ModelKind, default_labels, mean_absolute_error,
+    stationary_distribution)
 from agedist.dataio import load_params, load_params_document
 from agedist.errors import AgedistError, DegenerateLastGroup
 from agedist.simulator import SimConfig
@@ -214,7 +215,7 @@ class TestSolve:
         ]) == 0
         document = load_params_document(out_file)
         assert document.params.kind.value == "model1"
-        assert document.labels == ("0-4", "5-9", "10-14", "15+")
+        assert document.target.labels == ("0-4", "5-9", "10-14", "15+")
         assert document.params.diagnostics["mae"] < 1e-12
 
     def test_model2_with_seed(self, dataset, tmp_path):
@@ -492,6 +493,40 @@ class TestSimulate:
         assert outs[0] == outs[1]
 
 
+    def test_an_unlabelled_target_is_the_start(self, dataset, tmp_path):
+        params_file = tmp_path / "pyramid.json"
+        assert main(["solve", "--input", str(dataset), "--country", "Pyramid",
+                     "--out", str(params_file)]) == 0
+        raw = json.loads(params_file.read_text())
+        # Far from the solved target, so the start shows in a short run.
+        raw.update(labels=None, target=[0.25] * 4)
+        params_file.write_text(json.dumps(raw))
+        result_file = tmp_path / "result.json"
+        assert main(["simulate", "--params", str(params_file), "--out", str(result_file),
+                     "--agents", "1000", "--steps", "2", "--burn-in", "0", "--seed", "5"]) == 0
+        result = json.loads(result_file.read_text())
+        start = AgeDistribution(default_labels(4), [0.25] * 4)
+        expected = simulator.run(start, load_params(params_file),
+                                 SimConfig(num_agents=1000, num_steps=2, burn_in=0, seed=5))
+        assert result["labels"] == ["g1", "g2", "g3", "g4"]
+        assert result["final_snapshot"] == expected.final_snapshot.tolist()
+        assert result["steady_estimate"] == expected.steady_estimate.tolist()
+
+    def test_a_raw_count_target_is_refused_naming_the_file(self, dataset, tmp_path, capsys):
+        params_file = tmp_path / "pyramid.json"
+        assert main(["solve", "--input", str(dataset), "--country", "Pyramid",
+                     "--out", str(params_file)]) == 0
+        raw = json.loads(params_file.read_text())
+        raw["target"] = [500, 300, 150, 50]
+        params_file.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert main(["simulate", "--params", str(params_file),
+                     "--out", str(tmp_path / "result.json")]) == 1
+        assert capsys.readouterr().err == (f"error: {params_file}: field 'target': proportions "
+                                           "sum to 1000.0; use normalize() for raw counts\n")
+        assert not (tmp_path / "result.json").exists()
+
+
 class TestPipeline:
     def test_full_dataset_outputs(self, dataset, tmp_path, capsys):
         out_dir = tmp_path / "out"
@@ -525,7 +560,7 @@ class TestPipeline:
             "--de-iters", "10", "--agents", "1000", "--steps", "40",
         ]) == 0
         document = load_params_document(out_dir / "params" / "Tail.json")
-        assert document.labels == ("0-4", "5-9", "10-14")
+        assert document.target.labels == ("0-4", "5-9", "10-14")
 
     def test_non_finite_diagnostics_written_as_null(
         self, flat_dataset, tmp_path, monkeypatch
@@ -744,9 +779,9 @@ COUNTRIES = st.lists(
 
 def hostile_csv(data, countries, spoil) -> tuple:
     """A long-format CSV of ``countries``, spoiled one way: a rejected
-    count, a missing column, a ragged row, a repeated label or a country
-    whose file stem collides with the first one's. Returns the file's bytes
-    and its country names."""
+    count, a missing column, a ragged row, a repeated label, a country
+    whose file stem collides with the first one's or a count holding a
+    byte that is not UTF-8. Returns the file's bytes and its country names."""
     header = ["country", "age_group", "population"]
     if spoil == "stems":
         countries = countries + [(countries[0][0] + "?", countries[0][1])]
@@ -764,6 +799,9 @@ def hostile_csv(data, countries, spoil) -> tuple:
         rows[where][2] = data.draw(BAD_COUNTS)
     elif spoil == "ragged":
         rows[where] = rows[where][:-1] if data.draw(st.booleans()) else rows[where] + ["9"]
+    elif spoil == "encoding":
+        # Encoded below as the byte 0xff.
+        rows[where][2] += "\udcff"
     elif spoil == "column":
         dropped = data.draw(st.integers(0, 2))
         header, *rows = [row[:dropped] + row[dropped + 1:] for row in [header, *rows]]
@@ -774,7 +812,8 @@ def hostile_csv(data, countries, spoil) -> tuple:
                         quoting=csv.QUOTE_MINIMAL if crlf else csv.QUOTE_ALL)
     writer.writerows([header, *rows])
     bom = "\ufeff" if data.draw(st.booleans()) else ""
-    return (bom + text.getvalue()).encode("utf-8"), {name for name, _ in countries}
+    return ((bom + text.getvalue()).encode("utf-8", "surrogateescape"),
+            {name for name, _ in countries})
 
 
 def run_main(argv) -> tuple:
@@ -790,13 +829,16 @@ def run_main(argv) -> tuple:
     return code, out.getvalue(), err.getvalue(), caught
 
 
-def assert_exit_contract(code, err, caught):
+def assert_exit_contract(code, err, caught, refusal=None):
     """Exit 0, or exit 1 with exactly one ``error:`` line; never a traceback
-    or a RuntimeWarning."""
+    or a RuntimeWarning. With ``refusal``, exit 1 on an error line that
+    starts with it."""
     assert code in (0, 1)
     assert "Traceback" not in err
     assert len([line for line in err.split("\n") if line.startswith("error:")]) == code
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    if refusal is not None:
+        assert code == 1 and err.startswith(f"error: {refusal}")
 
 
 class TestHostileCsv:
@@ -807,7 +849,7 @@ class TestHostileCsv:
     loads and reproduces its target."""
 
     @pytest.mark.parametrize(
-        "spoil", ["clean", "count", "column", "ragged", "label", "stems", "options"])
+        "spoil", ["clean", "count", "column", "ragged", "label", "stems", "options", "encoding"])
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(data=st.data(), countries=COUNTRIES)
     def test_exit_and_output_contract(self, data, countries, spoil):
@@ -819,10 +861,11 @@ class TestHostileCsv:
         with tempfile.TemporaryDirectory() as scratch:
             source, out_dir = Path(scratch) / "data.csv", Path(scratch) / "out"
             source.write_bytes(content)
+            refusal = f"{source}: not UTF-8 text (byte 0xff: " if spoil == "encoding" else None
             code, out, err, caught = run_main(
                 ["pipeline", "--input", str(source), "--out-dir", str(out_dir),
                  "--steps", "5", *pipeline_options])
-            assert_exit_contract(code, err, caught)
+            assert_exit_contract(code, err, caught, refusal)
             skipped = None
             if code == 0:
                 summary = strict_load(out_dir / "summary.json")
@@ -840,7 +883,7 @@ class TestHostileCsv:
 
             code, out, err, caught = run_main(
                 ["classify", "--input", str(source), *classify_options])
-            assert_exit_contract(code, err, caught)
+            assert_exit_contract(code, err, caught, refusal)
             if code == 0:
                 rows = read_table(out)
                 assert rows[0] == ["country", "classification", "eligible_route"]
@@ -852,11 +895,35 @@ class TestHostileCsv:
             code, out, err, caught = run_main(
                 ["solve", "--input", str(source), f"--country={countries[0][0]}",
                  "--out", str(params_file), *solve_options])
-            assert_exit_contract(code, err, caught)
+            assert_exit_contract(code, err, caught, refusal)
             if code == 0:
                 params = load_params(params_file)
                 if pipeline._route_of(params) is not pipeline.Route.NEAREST_REACHABLE:
                     alpha = params.activation.rates if params.activation else None
                     steady = stationary_distribution(params.survival.probs, alpha)
-                    target = load_params_document(params_file).target
+                    target = load_params_document(params_file).target.proportions
                     assert np.max(np.abs(steady.proportions - target)) <= 1e-12
+
+
+@pytest.mark.parametrize("command", ["classify", "solve", "fit-curve", "pipeline", "simulate"])
+def test_a_file_that_is_not_utf8_is_one_error_line(dataset, tmp_path, command):
+    # A cp1252 spreadsheet export of "Côte d'Ivoire", and a parameter file
+    # edited into cp1252.
+    source = tmp_path / "cp1252.csv"
+    source.write_bytes(dataset.read_bytes() + "Côte d'Ivoire,0-4,1\n".encode("cp1252"))
+    params_file = tmp_path / "params.json"
+    assert main(["solve", "--input", str(dataset), "--country", "Pyramid",
+                 "--out", str(params_file)]) == 0
+    params_file.write_bytes(params_file.read_bytes().replace(b'"0-4"', b'"0\x964"'))
+    out = ["--out", str(tmp_path / "out.json")]
+    argv, named = {
+        "classify": (["--input", str(source)], source),
+        "solve": (["--input", str(source), "--country", "Pyramid", *out], source),
+        "fit-curve": (["--input", str(source), "--country", "Hump", *out,
+                       "--fit-report", str(tmp_path / "report.csv")], source),
+        "pipeline": (["--input", str(source), "--out-dir", str(tmp_path / "run")], source),
+        "simulate": (["--params", str(params_file), *out], params_file),
+    }[command]
+    code, out, err, caught = run_main([command, *argv])
+    assert_exit_contract(code, err, caught, refusal=f"{named}: not UTF-8 text (byte ")
+    assert out == ""

@@ -1,8 +1,12 @@
 import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agedist.dataio import (
     emit_params,
@@ -11,7 +15,8 @@ from agedist.dataio import (
     load_params_document,
     write_dataset_csv,
 )
-from agedist.distributions import MAX_LAST_SURVIVAL, AgeDistribution, ModelKind, ModelParams
+from agedist.distributions import (
+    MAX_LAST_SURVIVAL, AgeDistribution, ModelKind, ModelParams, default_labels, normalize)
 from agedist.errors import (
     ActivationTooSmall,
     ColumnMappingError,
@@ -19,7 +24,7 @@ from agedist.errors import (
     DegenerateLastGroup,
     SchemaError,
 )
-from agedist.pipeline import solve_model1
+from agedist.pipeline import solve_model1, solve_model2
 from agedist.model1 import solve
 from agedist.model2 import DEConfig, optimize
 
@@ -123,6 +128,15 @@ class TestIngest:
         marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
         assert ingest_csv(marked) == ingest_csv(path)
 
+    @pytest.mark.parametrize("row", [b"X,c,7\xff", b"C\xf4te d'Ivoire,c,7"],
+                             ids=["population", "cp1252-name"])
+    def test_bytes_that_are_not_utf8_are_a_csv_format_error(self, tmp_path, row):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"country,age_group,population\nX,a,17\nX,b,11\n" + row + b"\n")
+        with pytest.raises(CsvFormatError, match="not UTF-8 text") as caught:
+            ingest_csv(path)
+        assert str(caught.value).startswith(f"{path}: ")
+
     def test_written_dataset_quotes_names_and_labels(self, tmp_path):
         entries = [("Korea, Republic of", AgeDistribution(("0-4", "5-9", "10,14"),
                                                           [0.5, 0.3, 0.2]))]
@@ -148,12 +162,14 @@ class TestIngest:
         assert ingest_csv(path) == entries
 
 
+ABC = AgeDistribution(("a", "b", "c"), [0.5, 0.3, 0.2])
+
+
 def solved_params(kind=ModelKind.MODEL1):
-    dist = AgeDistribution(("a", "b", "c"), [0.5, 0.3, 0.2])
     if kind is ModelKind.MODEL1:
         return ModelParams(
             kind=kind,
-            survival=solve(dist, 0.4),
+            survival=solve(ABC, 0.4),
             diagnostics={"mae": 0.0, "free_param_mode": "explicit", "seed": 7},
         )
     sol = optimize(
@@ -178,18 +194,62 @@ class TestParamsFiles:
     def test_document_echo(self, tmp_path):
         params = solved_params()
         path = tmp_path / "params.json"
-        emit_params(
-            params,
-            path,
-            labels=("a", "b", "c"),
-            target=[0.5, 0.3, 0.2],
-            config={"seed": 7},
-        )
+        emit_params(params, path, target=ABC, config={"seed": 7})
         document = load_params_document(path)
-        assert document.labels == ("a", "b", "c")
-        assert np.array_equal(document.target, [0.5, 0.3, 0.2])
+        assert document.target == ABC
         assert document.config == {"seed": 7}
-        assert document.target_distribution().labels == ("a", "b", "c")
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(counts=st.lists(st.floats(1e-3, 1e6), min_size=3, max_size=30),
+           data=st.data(), kind=st.sampled_from([ModelKind.MODEL1, ModelKind.MODEL2]))
+    def test_target_round_trips_bit_for_bit(self, counts, data, kind):
+        labels = data.draw(st.lists(st.text(max_size=8), min_size=len(counts),
+                                    max_size=len(counts)))
+        if kind is ModelKind.MODEL1:
+            counts = sorted(counts, reverse=True)
+        target = normalize(counts, labels)
+        station = solve_model1 if kind is ModelKind.MODEL1 else solve_model2
+        params, _ = station(target)
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "params.json"
+            emit_params(params, path, target=target)
+            document = load_params_document(path)
+        assert document.target == target
+        assert document.target.proportions.tobytes() == target.proportions.tobytes()
+        assert document.params == params
+
+    def test_a_raw_vector_target_is_written_as_the_solvers_take_it(self, tmp_path):
+        path = tmp_path / "params.json"
+        emit_params(solved_params(), path, target=[5, 3, 2])
+        raw = json.loads(path.read_text())
+        assert raw["labels"] == ["g1", "g2", "g3"]
+        assert raw["target"] == [0.5, 0.3, 0.2]
+
+    @pytest.mark.parametrize("labels", [["a", "b", "c"], None], ids=["labelled", "unlabelled"])
+    @pytest.mark.parametrize("target, message", [
+        ([3, 2, 1], "proportions sum to 6.0"),
+        ([0.5, 0.0, 0.5], r"group '(b|g2)' \(index 1\) is empty"),
+        ([0.5, 0.5, 0.0], r"group '(c|g3)' \(index 2\) is empty"),
+    ], ids=["raw-counts", "interior-empty", "trailing-empty"])
+    def test_a_target_that_is_not_a_distribution_is_refused_at_load(self, tmp_path, labels,
+                                                                    target, message):
+        path = tmp_path / "params.json"
+        emit_params(solved_params(), path, target=ABC)
+        raw = json.loads(path.read_text())
+        raw.update(labels=labels, target=target)
+        path.write_text(json.dumps(raw))
+        with pytest.raises(SchemaError, match=message) as caught:
+            load_params_document(path)
+        assert str(caught.value).startswith(f"{path}: field 'target': ")
+
+    def test_bytes_that_are_not_utf8_are_a_schema_error(self, tmp_path):
+        path = tmp_path / "params.json"
+        emit_params(solved_params(), path, target=ABC)
+        # A label saved as cp1252 by a text editor.
+        path.write_bytes(path.read_bytes().replace(b'"c"', "\"Côte\"".encode("cp1252")))
+        with pytest.raises(SchemaError, match="not UTF-8 text") as caught:
+            load_params_document(path)
+        assert str(caught.value).startswith(f"{path}: ")
 
     def test_non_finite_diagnostics_written_as_null(self, tmp_path):
         params = solved_params()
@@ -216,14 +276,16 @@ class TestParamsFiles:
         raw = json.loads(path.read_text())
         assert raw["library_version"] == agedist.__version__
 
-    def test_schema_version_mismatch(self, tmp_path):
+    # True == 1 in Python, but a bool is no version number.
+    @pytest.mark.parametrize("version", [99, True])
+    def test_schema_version_mismatch(self, tmp_path, version):
         params = solved_params()
         path = tmp_path / "params.json"
         emit_params(params, path)
         raw = json.loads(path.read_text())
-        raw["schema_version"] = 99
+        raw["schema_version"] = version
         path.write_text(json.dumps(raw))
-        with pytest.raises(SchemaError, match="version"):
+        with pytest.raises(SchemaError, match=f"schema version {version} unsupported"):
             load_params(path)
 
     def test_unknown_kind_rejected(self, tmp_path):
@@ -282,7 +344,7 @@ class TestParamsFiles:
     ])
     def test_wrong_field_type_rejected(self, tmp_path, field, value):
         path = tmp_path / "params.json"
-        emit_params(solved_params(), path, labels=("a", "b", "c"), target=[0.5, 0.3, 0.2])
+        emit_params(solved_params(), path, target=ABC)
         raw = json.loads(path.read_text())
         raw[field] = value
         path.write_text(json.dumps(raw))
@@ -297,8 +359,8 @@ class TestParamsFiles:
     ])
     def test_fields_of_different_lengths_rejected(self, tmp_path, field, value):
         path = tmp_path / "params.json"
-        emit_params(solved_params(ModelKind.MODEL2), path, labels=("a", "b", "c"),
-                    target=[0.3, 0.4, 0.3])
+        emit_params(solved_params(ModelKind.MODEL2), path,
+                    target=AgeDistribution(("a", "b", "c"), [0.3, 0.4, 0.3]))
         raw = json.loads(path.read_text())
         raw[field] = value
         path.write_text(json.dumps(raw))
@@ -311,12 +373,15 @@ class TestParamsFiles:
     @pytest.mark.parametrize("field", ["activation", "labels", "target", "config"])
     def test_null_optional_field_accepted(self, tmp_path, field):
         path = tmp_path / "params.json"
-        emit_params(solved_params(), path, labels=("a", "b", "c"), target=[0.5, 0.3, 0.2],
-                    config={"seed": 7})
+        emit_params(solved_params(), path, target=ABC, config={"seed": 7})
         raw = json.loads(path.read_text())
         raw[field] = None
         path.write_text(json.dumps(raw))
-        assert load_params_document(path).params == solved_params()
+        document = load_params_document(path)
+        assert document.params == solved_params()
+        # Labels without a target give no target; a target without labels is g1..gn.
+        target = {"target": None, "labels": AgeDistribution(default_labels(3), ABC.proportions)}
+        assert document.target == target.get(field, ABC)
 
     def test_model2_without_activation_rejected(self, tmp_path):
         path = tmp_path / "params.json"

@@ -442,8 +442,18 @@ class TestVectors:
     def test_a_profile_that_underflows_to_an_empty_group_is_refused(self):
         # The last group's share, 1e-200 * 1.25e-201 / 0.5, underflows to 0:
         # six survival rates give six groups or an error, never five.
-        with pytest.raises(InteriorZeroGroup, match=r"'g6' \(index 5\)"):
+        with pytest.raises(InteriorZeroGroup, match=r"'g6' \(index 5\) underflows to 0"):
             stationary_distribution([0.5, 0.5, 0.5, 1e-200, 1e-200, 0.5])
+
+    @pytest.mark.parametrize("p, labels, group", [
+        ([1e-300] * 5 + [0.5], None, "'g3' (index 2)"),
+        ([1e-300] * 5 + [0.5], "abcdef", "'c' (index 2)"),
+    ], ids=["interior", "labelled"])
+    def test_a_share_that_underflows_is_called_underflowed(self, p, labels, group):
+        # As normalize says of counts: the share is positive, not empty.
+        with pytest.raises(InteriorZeroGroup) as caught:
+            stationary_distribution(p, labels=labels)
+        assert str(caught.value) == f"group {group} underflows to 0 in the stationary profile"
 
     def test_activation_floor(self):
         with pytest.raises(ActivationTooSmall):
