@@ -38,7 +38,7 @@ from .distributions import (
     default_labels,
     normalize,
 )
-from .errors import AgedistError, ColumnMappingError, CsvFormatError, SchemaError
+from .errors import AgedistError, ColumnMappingError, CsvFormatError, NotNormalized, SchemaError
 
 logger = logging.getLogger("agedist")
 
@@ -82,45 +82,44 @@ def ingest_csv(
     (name, reason) records.
 
     Raises:
-        CsvFormatError: a file that is not UTF-8, unreadable rows,
-            populations that are not finite non-negative numbers (message
-            carries the line number).
+        CsvFormatError: a file that is not UTF-8, rows the csv module
+            refuses or that are short, populations that are not finite
+            non-negative numbers (message carries the line number).
         ColumnMappingError: the configured columns are missing.
     """
     counts: dict = {}
     # utf-8-sig also reads the byte-order mark that spreadsheet exports add.
     with _utf8_text(path, CsvFormatError, encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise CsvFormatError(f"{path}: empty file, expected a header row")
-        missing = [c for c in (country_col, age_col, pop_col) if c not in reader.fieldnames]
-        if missing:
-            raise ColumnMappingError(
-                f"{path}: column(s) {missing} not in header {reader.fieldnames}"
-            )
-        for row in reader:
-            line = reader.line_num
-            country = row[country_col]
-            age = row[age_col]
-            raw = row[pop_col]
-            if country is None or age is None or raw is None:
-                raise CsvFormatError(f"{path}: line {line}: short row")
-            try:
-                population = float(raw)
-            except ValueError:
-                raise CsvFormatError(
-                    f"{path}: line {line}: population {raw!r} is not a number"
-                ) from None
-            if not math.isfinite(population):
-                raise CsvFormatError(f"{path}: line {line}: population {raw!r} is not finite")
-            if population < 0:
-                raise CsvFormatError(f"{path}: line {line}: negative population")
-            groups = counts.setdefault(country, {})
-            if age in groups:
-                raise CsvFormatError(
-                    f"{path}: line {line}: duplicate age group {age!r} for {country!r}"
-                )
-            groups[age] = population
+        try:
+            if reader.fieldnames is None:
+                raise CsvFormatError(f"{path}: empty file, expected a header row")
+            missing = [c for c in (country_col, age_col, pop_col) if c not in reader.fieldnames]
+            if missing:
+                raise ColumnMappingError(f"{path}: column(s) {missing} not in header "
+                                         f"{reader.fieldnames}")
+            for row in reader:
+                line = reader.line_num
+                country, age, raw = row[country_col], row[age_col], row[pop_col]
+                if country is None or age is None or raw is None:
+                    raise CsvFormatError(f"{path}: line {line}: short row")
+                try:
+                    population = float(raw)
+                except ValueError:
+                    raise CsvFormatError(f"{path}: line {line}: population {raw!r} "
+                                         "is not a number") from None
+                if not math.isfinite(population):
+                    raise CsvFormatError(f"{path}: line {line}: population {raw!r} is not finite")
+                if population < 0:
+                    raise CsvFormatError(f"{path}: line {line}: negative population")
+                groups = counts.setdefault(country, {})
+                if age in groups:
+                    raise CsvFormatError(f"{path}: line {line}: duplicate age group {age!r} "
+                                         f"for {country!r}")
+                groups[age] = population
+        except csv.Error as exc:  # such as a field past the csv module's size limit
+            # Not reader.line_num: a DictReader's lags a line behind on an error.
+            raise CsvFormatError(f"{path}: line {reader.reader.line_num}: {exc}") from None
 
     entries = []
     for country, groups in counts.items():
@@ -244,9 +243,10 @@ def load_params(path) -> ModelParams:
             ``activation`` of different lengths, an ``activation`` list
             present for a kind other than model 2 or absent for model 2,
             a ``free_param`` other than the last survival entry, unknown
-            schema, version (a bool too) or kind, or bytes that are not
-            UTF-8; or a ``survival`` or ``activation`` list its value type
-            refuses with a ValueError, or a ``target`` AgeDistribution does.
+            schema, version (a bool too) or kind, bytes that are not UTF-8,
+            or JSON that Python's reader refuses; or a ``survival`` or
+            ``activation`` list its value type refuses with a ValueError
+            or an OverflowError, or a ``target`` AgeDistribution does.
         DegenerateLastGroup, ActivationTooSmall: as the value types raise.
     """
     return load_params_document(path).params
@@ -256,10 +256,11 @@ def load_params_document(path) -> ParamsDocument:
     """Load a parameter file with its config echo and its target, labelled
     g1..gn when the file has no labels; raises as ``load_params`` does."""
     with _utf8_text(path, SchemaError) as fh:
-        try:
-            document = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON ({exc})") from None
+        text = fh.read()
+    try:
+        document = json.loads(text)
+    except (RecursionError, ValueError) as exc:  # bad JSON, deep nesting, 4300+ digit ints
+        raise SchemaError(f"{path}: cannot read JSON ({exc})") from None
     if not isinstance(document, dict):
         raise SchemaError(f"{path}: expected a JSON object, got {type(document).__name__}")
 
@@ -313,7 +314,7 @@ def load_params_document(path) -> ParamsDocument:
     if target is not None:
         labels = document.get("labels") or default_labels(len(target))
         target = _field(path, document, "target", lambda props: AgeDistribution(labels, props),
-                        refused=(ValueError, AgedistError))
+                        refused=(ValueError, OverflowError, AgedistError))
     return ParamsDocument(
         params=params,
         target=target,
@@ -322,10 +323,13 @@ def load_params_document(path) -> ParamsDocument:
     )
 
 
-def _field(path, document, key: str, make, refused=ValueError):
+def _field(path, document, key: str, make, refused=(ValueError, OverflowError)):
     """``make`` of the field ``key``; a ``refused`` error it raises becomes a
     SchemaError naming the file and the field."""
     try:
         return make(document[key])
+    except NotNormalized:  # worded for the file's editor, not a library caller
+        total = float(np.array(document[key], dtype=float).sum())
+        raise SchemaError(f"{path}: field {key!r}: proportions sum to {total!r}, not 1") from None
     except refused as exc:
         raise SchemaError(f"{path}: field {key!r}: {exc}") from None

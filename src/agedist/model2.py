@@ -263,6 +263,7 @@ def _distinct_pairs(rng: np.random.Generator, m: int) -> tuple:
 def _bounce_back(x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                  scratch: np.ndarray, doubled: tuple) -> None:
     """Reflect out-of-bounds components of ``x`` back into the box, in place.
+    ``x`` is a tile of the search's 2n columns.
 
     ``max(2lo - x, x)`` picks the reflection exactly when ``x < lo``:
     rounding is monotone, so ``x >= lo`` gives ``fl(2lo - x) <= x``. The
@@ -273,28 +274,21 @@ def _bounce_back(x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     mutant fl(1 + fl(1 - 0.001)) reflects off 1 to 0.0009999999999998899,
     below ALPHA_MIN. numpy's maximum and minimum return their second
     operand on ties, so ``x`` keeps its own signed zero as in the
-    where/where/clip form, which this equals bit for bit.
-
-    The clamp is that form's ``np.clip``, which on a zero of the other sign
-    at a bound returns the bound when the bounds vary along numpy's inner
-    loop and ``x`` when they do not. Across the columns of a tile the bounds
-    vary, so ``maximum(x, lo)`` then ``minimum(x, hi)``, which return the
-    bound on such a tie, clamp a multi-column ``x`` bit for bit: they skip
-    clip's Python wrapper and generic loop and take half its time at 101
-    groups. A one-column ``x`` reads each bound as a scalar, so it keeps the
-    clip. ``scratch`` has the shape of ``x``; ``doubled`` is
-    ``(2 * lo, 2 * hi)``.
+    where/where/clip form, which this equals bit for bit. The final clamp
+    stands in for that form's ``np.clip``. On a zero of the other sign at a
+    bound, clip returns the bound when the bounds vary along numpy's inner
+    loop, as they do along a tile's columns; ``maximum(x, lo)`` then
+    ``minimum(x, hi)`` return it too, and skip clip's Python wrapper and
+    generic loop, taking half its time at 101 groups. ``scratch`` has the
+    shape of ``x``; ``doubled`` is ``(2 * lo, 2 * hi)``.
     """
     twice_lo, twice_hi = doubled
     np.subtract(twice_lo, x, out=scratch)
     np.maximum(scratch, x, out=x)
     np.subtract(twice_hi, x, out=scratch)
     np.minimum(scratch, x, out=x)
-    if x.shape[-1] == 1:
-        np.clip(x, lo, hi, out=x)
-    else:
-        np.maximum(x, lo, out=x)
-        np.minimum(x, hi, out=x)
+    np.maximum(x, lo, out=x)
+    np.minimum(x, hi, out=x)
 
 
 def _finite_scores(evaluate, candidates: np.ndarray, scratch: np.ndarray) -> np.ndarray:

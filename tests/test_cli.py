@@ -523,7 +523,7 @@ class TestSimulate:
         assert main(["simulate", "--params", str(params_file),
                      "--out", str(tmp_path / "result.json")]) == 1
         assert capsys.readouterr().err == (f"error: {params_file}: field 'target': proportions "
-                                           "sum to 1000.0; use normalize() for raw counts\n")
+                                           "sum to 1000.0, not 1\n")
         assert not (tmp_path / "result.json").exists()
 
 
@@ -927,3 +927,31 @@ def test_a_file_that_is_not_utf8_is_one_error_line(dataset, tmp_path, command):
     code, out, err, caught = run_main([command, *argv])
     assert_exit_contract(code, err, caught, refusal=f"{named}: not UTF-8 text (byte ")
     assert out == ""
+
+
+@pytest.mark.parametrize("command", ["classify", "solve", "pipeline"])
+def test_a_field_past_the_csv_field_limit_is_one_error_line(dataset, tmp_path, command):
+    source = tmp_path / "long.csv"
+    source.write_text(dataset.read_text() + 'Long,0-4,"' + "1" * 200_000 + '"\n')
+    argv = {
+        "classify": [],
+        "solve": ["--country", "Pyramid", "--out", str(tmp_path / "out.json")],
+        "pipeline": ["--out-dir", str(tmp_path / "run")],
+    }[command]
+    code, out, err, caught = run_main([command, "--input", str(source), *argv])
+    assert_exit_contract(code, err, caught,
+                         refusal=f"{source}: line 13: field larger than field limit (")
+    assert out == ""
+
+
+def test_a_survival_past_the_float_range_is_one_error_line(dataset, tmp_path):
+    params_file = tmp_path / "pyramid.json"
+    assert main(["solve", "--input", str(dataset), "--country", "Pyramid",
+                 "--out", str(params_file)]) == 0
+    raw = json.loads(params_file.read_text())
+    raw["survival"][0] = "spoilt"
+    params_file.write_text(json.dumps(raw).replace('"spoilt"', "1" + "0" * 400))
+    code, out, err, caught = run_main(["simulate", "--params", str(params_file),
+                                       "--out", str(tmp_path / "result.json")])
+    assert_exit_contract(code, err, caught, refusal=f"{params_file}: field 'survival': ")
+    assert out == "" and not (tmp_path / "result.json").exists()

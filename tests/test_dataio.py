@@ -137,6 +137,15 @@ class TestIngest:
             ingest_csv(path)
         assert str(caught.value).startswith(f"{path}: ")
 
+    def test_a_field_past_the_csv_field_limit_is_a_csv_format_error(self, tmp_path):
+        limit = csv.field_size_limit()
+        path = tmp_path / "data.csv"
+        write_csv(path, ["X,a,17", 'X,b,"' + "1" * 200_000 + '"', "X,c,7"])
+        with pytest.raises(CsvFormatError) as caught:
+            ingest_csv(path)
+        assert str(caught.value) == f"{path}: line 3: field larger than field limit ({limit})"
+        assert csv.field_size_limit() == limit
+
     def test_written_dataset_quotes_names_and_labels(self, tmp_path):
         entries = [("Korea, Republic of", AgeDistribution(("0-4", "5-9", "10,14"),
                                                           [0.5, 0.3, 0.2]))]
@@ -227,7 +236,7 @@ class TestParamsFiles:
 
     @pytest.mark.parametrize("labels", [["a", "b", "c"], None], ids=["labelled", "unlabelled"])
     @pytest.mark.parametrize("target, message", [
-        ([3, 2, 1], "proportions sum to 6.0"),
+        ([3, 2, 1], "proportions sum to 6.0, not 1$"),
         ([0.5, 0.0, 0.5], r"group '(b|g2)' \(index 1\) is empty"),
         ([0.5, 0.5, 0.0], r"group '(c|g3)' \(index 2\) is empty"),
     ], ids=["raw-counts", "interior-empty", "trailing-empty"])
@@ -248,6 +257,27 @@ class TestParamsFiles:
         # A label saved as cp1252 by a text editor.
         path.write_bytes(path.read_bytes().replace(b'"c"', "\"Côte\"".encode("cp1252")))
         with pytest.raises(SchemaError, match="not UTF-8 text") as caught:
+            load_params_document(path)
+        assert str(caught.value).startswith(f"{path}: ")
+
+    # Python's json reads neither nesting past the recursion limit nor an
+    # integer of more than 4300 digits, and numpy makes no float of an
+    # integer past 1.8e308.
+    @pytest.mark.parametrize("field, text, message", [
+        ("diagnostics", "[" * 100_000 + "]" * 100_000, "cannot read JSON"),
+        ("free_param", "4" * 5_000, "cannot read JSON"),
+        ("survival", "[0.5, 0.5, 1" + "0" * 400 + "]",
+         "field 'survival': int too large to convert to float"),
+        ("target", "[0.5, 0.5, 1" + "0" * 400 + "]",
+         "field 'target': int too large to convert to float"),
+    ], ids=["deep-nesting", "5000-digits", "survival-400-digits", "target-400-digits"])
+    def test_json_past_pythons_limits_is_a_schema_error(self, tmp_path, field, text, message):
+        path = tmp_path / "params.json"
+        emit_params(solved_params(), path, target=ABC)
+        raw = json.loads(path.read_text())
+        raw[field] = "spoilt"
+        path.write_text(json.dumps(raw).replace('"spoilt"', text))
+        with pytest.raises(SchemaError, match=message) as caught:
             load_params_document(path)
         assert str(caught.value).startswith(f"{path}: ")
 

@@ -781,7 +781,7 @@ EDGES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-3, 0.5, 1.0 - 1e-9, 1.0]
 @st.composite
 def reflection_cases(draw):
     rows = draw(st.integers(1, 4))
-    cols = draw(st.integers(1, 40))
+    cols = draw(st.integers(2, 40))
     edge = st.sampled_from(EDGES) | st.floats(0.0, 1.0)
     lo, hi = np.empty(cols), np.empty(cols)
     for j in range(cols):
@@ -798,14 +798,14 @@ def reflection_cases(draw):
 
 
 def test_reflection_equals_where_form_on_every_edge_pair():
-    # Every value against every bound pair, as one column (bounds broadcast
-    # like scalars) and as one row (bounds read as arrays).
+    # Every value against every bound pair, as one row and as two rows of
+    # half as many columns: the search hands over tiles of 2n columns.
     for a in EDGES:
         for b in EDGES:
             if a > b:
                 continue
             x = np.array(SPECIAL + [a, b, np.nextafter(a, -1), np.nextafter(b, 2)])
-            for shape in ((x.size, 1), (1, x.size)):
+            for shape in ((1, x.size), (2, x.size // 2)):
                 cols = shape[1]
                 lo, hi = np.full(cols, a), np.full(cols, b)
                 xs = x.reshape(shape)
@@ -847,6 +847,21 @@ def test_the_final_clamp_lifts_a_reflection_that_rounds_past_the_far_bound():
     clamped = np.concatenate([np.zeros(3), np.full(3, ALPHA_MIN)])
     assert np.array_equal(out[0].view(np.uint64), clamped.view(np.uint64))
     assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("groups", [3, 21, 101])
+def test_the_search_reflects_only_tiles_of_its_2n_columns(monkeypatch, groups):
+    # The final clamp equals np.clip only where the bounds vary along
+    # numpy's inner loop, which a tile's 2n >= 6 columns guarantee.
+    shapes = []
+
+    def recording(x, *args):
+        shapes.append(x.shape)
+        _bounce_back(x, *args)
+
+    monkeypatch.setattr(model2, "_bounce_back", recording)
+    optimize(hump_target(groups), DEConfig(max_iterations=2, seed=3))
+    assert shapes and all(len(shape) == 2 and shape[1] == 2 * groups for shape in shapes)
 
 
 @pytest.fixture
