@@ -50,6 +50,6 @@ print(f"sanity: wasserstein(surrogate, original) = "
       f"{wasserstein(result.fitted, target):.4f}")
 
 # The cascade's answer for the same target: the model-2 closed form.
-params, analytic = pipeline.solve_model2(target)
+params, analytic = pipeline._solve_one(target)
 print(f"\ncascade: {params.diagnostics['solver']} model 2, steady state matches "
       f"the original to {params.diagnostics['mae']:.2e}")

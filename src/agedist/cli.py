@@ -7,11 +7,11 @@ reach is solved on its nearest reachable target), ``fit-curve`` (the
 original method's plateau-decay surrogate plus closed-form solve),
 ``simulate`` (stochastic validation of a parameter file) and ``pipeline``
 (the full cascade over a dataset, emitting parameter files and plot-data
-CSVs). ``solve`` shares the pipeline's stations, so its files carry the
-pipeline's diagnostics; ``classify``, ``solve`` and ``pipeline`` all take
-the station that ``pipeline._solve_one`` picks and print
-``pipeline._route_of``'s name for its route; ``--country`` also finds the
-countries that ingest skipped.
+CSVs). ``classify``, ``solve`` and ``pipeline`` all call the pipeline's one
+station, ``pipeline._solve_one``, so ``solve``'s files carry the pipeline's
+diagnostics, and print ``pipeline._route_of``'s name for its route.
+``solve --pn`` sets the last group's survival on every route; ``--country``
+also finds the countries that ingest skipped.
 
 Every failure exits nonzero after printing a line prefixed ``error:`` to
 stderr. All subcommands are deterministic given identical inputs and
@@ -140,11 +140,6 @@ def cmd_solve(args) -> int:
     dist = _target(args)
     params, _ = pipeline._solve_one(dist, _parse_pn(args.pn), seed=args.seed)
     route = pipeline._route_of(params)
-    if route is not pipeline.Route.MODEL1 and args.pn != "mid":
-        raise AgedistError(
-            f"--pn {args.pn} applies to model 1 only: {args.country} takes route "
-            f"{route.value}, whose last-group survival is the midpoint")
-
     dataio.emit_params(params, args.out, target=dist, config={"seed": args.seed, "pn": args.pn})
     print(f"{args.country}: route {route.value}, mae {params.diagnostics['mae']:.3g}, "
           f"wrote {args.out}")
@@ -152,10 +147,11 @@ def cmd_solve(args) -> int:
 
 
 def _fitted_params(fit: curvefit.CurveFitResult) -> tuple:
-    """``fit-curve``'s parameters: the model-1 station on the fitted
-    surrogate, with the fit's distance, residual and curve parameters in
-    its diagnostics; returns (params, analytic steady state)."""
-    params, analytic = pipeline.solve_model1(fit.fitted)
+    """``fit-curve``'s parameters: the station on the fitted surrogate
+    (monotone, so a MODEL1 set), with the fit's distance, residual and
+    curve parameters in its diagnostics; returns (params, analytic steady
+    state)."""
+    params, analytic = pipeline._solve_one(fit.fitted)
     diagnostics = {
         "mae": params.diagnostics["mae"],
         "wasserstein_to_original": fit.wasserstein_to_original,
@@ -311,7 +307,7 @@ def build_parser() -> _Parser:
     _add_input_options(p)
     p.add_argument("--country", required=True)
     p.add_argument("--pn", default="mid",
-                   help="last-group survival on route model1: mid, rand or a number")
+                   help="last-group survival: mid, rand (drawn with --seed) or a number")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="parameter file to write")
     p.set_defaults(func=cmd_solve)

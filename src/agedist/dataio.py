@@ -20,6 +20,7 @@ import csv
 import json
 import logging
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -252,13 +253,23 @@ def load_params(path) -> ModelParams:
     return load_params_document(path).params
 
 
+def _json_int(text: str) -> int:
+    """``int(text)``, whose error past Python's digit limit gives the digit
+    count and the limit, not the setting that changes it."""
+    try:
+        return int(text)
+    except ValueError:  # the digit limit: json passes only well-formed integers
+        raise ValueError(f"an integer of {len(text.lstrip('-'))} digits is past this "
+                         f"Python's limit of {sys.get_int_max_str_digits()}") from None
+
+
 def load_params_document(path) -> ParamsDocument:
     """Load a parameter file with its config echo and its target, labelled
     g1..gn when the file has no labels; raises as ``load_params`` does."""
     with _utf8_text(path, SchemaError) as fh:
         text = fh.read()
     try:
-        document = json.loads(text)
+        document = json.loads(text, parse_int=_json_int)
     except (RecursionError, ValueError) as exc:  # bad JSON, deep nesting, 4300+ digit ints
         raise SchemaError(f"{path}: cannot read JSON ({exc})") from None
     if not isinstance(document, dict):

@@ -33,7 +33,7 @@ from .errors import DegenerateLastGroup, FreeParamOutOfRange, NotModel1Eligible
 
 @dataclass(frozen=True)
 class FeasibleInterval:
-    """Admissible range for the free last-group survival probability."""
+    """Admissible range (Python floats) for the free last-group survival."""
 
     lower: float
     upper: float
@@ -70,12 +70,12 @@ def feasibility(dist) -> FeasibleInterval:
         bad = np.nonzero(np.diff(props[:-1]) > 0)[0] + 1
         raise NotModel1Eligible(
             f"proportions increase at group indices {[int(i) for i in bad]}")
-    lower = 0.0 if props[-2] >= props[-1] else 1.0 - props[-2] / props[-1]
+    lower = 0.0 if props[-2] >= props[-1] else float(1.0 - props[-2] / props[-1])
     if lower > MAX_LAST_SURVIVAL:
         raise DegenerateLastGroup(
             "last group is more than 1/(1 - MAX_LAST_SURVIVAL) = "
             f"{1.0 / (1.0 - MAX_LAST_SURVIVAL):.4g} times the one before it "
-            f"(its survival would be at least {float(lower)!r})")
+            f"(its survival would be at least {lower!r})")
     return FeasibleInterval(lower, MAX_LAST_SURVIVAL)
 
 

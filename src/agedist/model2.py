@@ -105,7 +105,7 @@ class Model2Solution:
     history: tuple  #: best error after initialisation and each generation
 
 
-def solve(dist) -> tuple:
+def solve(dist, p_n="mid", *, seed: Optional[int] = None) -> tuple:
     """Survival and activation rates whose steady state equals ``dist``
     exactly; returns (SurvivalVector, ActivationVector).
 
@@ -116,9 +116,9 @@ def solve(dist) -> tuple:
     m_i <= N_i gives a solution, with alpha_i = m_i / N_i. This one is the
     maximal-activation member: m is the running minimum of N over the first
     n-1 groups and alpha_n = 1, so alpha_i = 1 wherever N_i is a running
-    minimum, and the survival rates are model 1's closed form for
-    (m_1..m_{n-1}, N_n) with p_n at the midpoint of its interval. A monotone
-    target gets alpha = 1 and ``model1.solve(dist, "mid")`` bit for bit.
+    minimum, and the survival rates are ``model1.solve`` on (m_1..m_{n-1},
+    N_n) with ``p_n`` and ``seed``. A monotone target gets alpha = 1 and
+    model 1's rates bit for bit.
 
     Raises:
         ValueError, EmptyPopulation, InteriorZeroGroup, TooFewGroups: as
@@ -128,6 +128,8 @@ def solve(dist) -> tuple:
             so no member of the family keeps alpha_i >= ALPHA_MIN.
         DegenerateLastGroup: the last group is more than
             1/(1 - MAX_LAST_SURVIVAL) times the smallest group before it.
+        FreeParamOutOfRange, ValueError: a ``p_n`` or ``seed`` that
+            ``model1.solve`` refuses.
     """
     props = as_distribution(dist).proportions
     active = np.minimum.accumulate(props[:-1])
@@ -138,7 +140,7 @@ def solve(dist) -> tuple:
             f"group index {worst} is more than 1/ALPHA_MIN = {1.0 / ALPHA_MIN:g} "
             f"times the smallest group before it (activation {rates[worst]:.4g})"
         )
-    return model1.solve(np.append(active, props[-1]), "mid"), ActivationVector(rates)
+    return model1.solve(np.append(active, props[-1]), p_n, seed=seed), ActivationVector(rates)
 
 
 def _raised_to_floors(props: np.ndarray) -> tuple:

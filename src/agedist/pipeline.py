@@ -1,23 +1,20 @@
 """Model-selection cascade and dataset-level batch driver.
 
-A single target goes through three closed forms: model 1 when it is
-monotone non-increasing; otherwise model 2, which solves every target whose
-groups stay within 1/ALPHA_MIN of each earlier group; for the rest, model 2
-on the nearest target it reaches (``model2.nearest_reachable``). The paper
-runs an activation-rate search and then a curve fit on those targets; both
-stay available (``model2.optimize``, ``curvefit.fit``), but the cascade
-calls neither: no model-2 steady state or curve fit is closer to the target
-than the L1 projection, which the nearest reachable target comes within 1%
-of. ``_solve_one`` is the only place that picks a station: the cascade
-and the command line's ``classify`` and ``solve`` all call it.
-``solve_model1`` and ``solve_model2`` return each station's parameters,
-diagnostics and analytic steady state, for the cascade and the command
-line alike; ``_route_of`` is the only place that names the route of their
-parameters. Every solved parameter set is validated with one
-stochastic run against its own analytic steady state. ``run_dataset``
-solves every entry first and then validates all of them in one
-``simulator.run_many`` batch, which draws their shared uniform stream
-once.
+One station, ``_solve_one``, solves every target with the model-2 closed
+form (``model2.solve``): on the target itself when every group stays within
+1/ALPHA_MIN of each earlier one, else on the nearest target it reaches
+(``model2.nearest_reachable``). Model 1 is its member with every
+activation 1, which a monotone target gets. The paper's activation-rate
+search and curve fit stay available (``model2.optimize``,
+``curvefit.fit``), but the cascade calls neither: no model-2 steady state
+or curve fit is closer to the target than the L1 projection, which the
+nearest reachable target comes within 1% of. The cascade and the command
+line's ``classify`` and ``solve`` all call the station; ``_route_of`` is
+the only place that names the route of its parameters. Every solved
+parameter set is validated with one stochastic run against its own
+analytic steady state. ``run_dataset`` solves every entry first and then
+validates all of them in one ``simulator.run_many`` batch, which draws
+their shared uniform stream once.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import model1, model2, simulator
+from . import model2, simulator
 from .distributions import (
     AgeDistribution,
     Classification,
@@ -91,85 +88,54 @@ def select_and_solve(dist: AgeDistribution,
                      sim_config: Optional[simulator.SimConfig] = None) -> tuple:
     """Route one target through the cascade; returns (params, route).
 
-    The diagnostics are the station's (``solve_model1``, ``solve_model2``)
-    plus the validation run's error against the analytic steady state
-    (``sim_mae``). Raises InvalidEntry when ``dist`` is not an
-    AgeDistribution.
+    The diagnostics are the station's (``_solve_one``) plus the validation
+    run's error against the analytic steady state (``sim_mae``). Raises
+    InvalidEntry when ``dist`` is not an AgeDistribution.
     """
     params, analytic = _solve_one(dist)
     _validate([(params, analytic)], sim_config)
     return params, _route_of(params)
 
 
-def solve_model1(dist: AgeDistribution, p_n="mid", *,
-                 seed: Optional[int] = None) -> tuple:
-    """Model-1 station: ``model1.solve`` (``p_n`` and ``seed`` as there);
-    returns (params, analytic steady state).
-
-    Diagnostics record the analytic mean absolute error against ``dist``
-    and the ``free_param_mode``: "midpoint", "rand" (with its ``seed``) or
-    "explicit".
-    """
-    survival = model1.solve(dist, p_n, seed=seed)
-    analytic = model1.steady_state(survival, labels=dist.labels)
-    # model1.solve has rejected every other string.
-    mode = ("explicit" if not isinstance(p_n, str)
-            else "midpoint" if p_n == "mid" else "rand")
-    diagnostics = {"mae": mean_absolute_error(analytic, dist), "free_param_mode": mode}
-    if mode == "rand":
-        diagnostics["seed"] = seed
-    return ModelParams(ModelKind.MODEL1, survival, diagnostics=diagnostics), analytic
-
-
-def solve_model2(dist: AgeDistribution) -> tuple:
-    """Model-2 stations: ``model2.solve`` on ``dist`` or, where it rejects
-    ``dist``, on ``model2.nearest_reachable(dist)``; returns (params,
-    analytic steady state).
-
-    Diagnostics record the ``solver`` ("closed_form" or
-    "nearest_reachable"; the latter adds the Wasserstein distance from
-    ``dist`` to the target it reproduces), the smallest activation rate, the
-    free-parameter mode and the analytic mean absolute error against
-    ``dist``.
-    """
-    diagnostics = {"solver": "closed_form"}
-    try:
-        survival, activation = model2.solve(dist)
-    except (ActivationTooSmall, DegenerateLastGroup):
-        reachable = model2.nearest_reachable(dist)
-        diagnostics = {"solver": "nearest_reachable",
-                       "wasserstein_to_original": wasserstein(reachable, dist)}
-        survival, activation = model2.solve(reachable)
-    analytic = model2.steady_state2(survival, activation, labels=dist.labels)
-    diagnostics.update(min_activation=float(activation.rates.min()),
-                       free_param_mode="midpoint", mae=mean_absolute_error(analytic, dist))
-    params = ModelParams(ModelKind.MODEL2, survival, activation, diagnostics=diagnostics)
-    return params, analytic
-
-
 def _solve_one(dist: AgeDistribution, p_n="mid", *, seed: Optional[int] = None) -> tuple:
-    """The solve-only cascade, and the one place that picks a station;
-    returns (params, analytic steady state). ``p_n`` and ``seed`` go to
-    ``solve_model1``. A monotone target whose last group model 1 cannot
-    hold goes to model 2."""
+    """The one station: ``model2.solve`` (``p_n`` and ``seed`` as there) on
+    ``dist`` or, where it rejects ``dist``, on its nearest reachable target;
+    returns (params, analytic steady state). A monotone target solved as
+    given has every activation 1 and returns as MODEL1, with model 1's
+    diagnostics: the ``mae`` against ``dist`` and the ``free_param_mode``
+    ("midpoint", "rand" with its ``seed``, or "explicit"). MODEL2 adds the
+    ``solver`` ("closed_form", or "nearest_reachable" with the
+    ``wasserstein_to_original`` it moved) and the smallest activation."""
     if not isinstance(dist, AgeDistribution):
         raise InvalidEntry(
             f"expected an AgeDistribution, got {type(dist).__name__} "
             "(build one with normalize())"
         )
 
-    if classify(dist) is Classification.MONOTONE_NON_INCREASING:
-        try:
-            return solve_model1(dist, p_n, seed=seed)
-        except DegenerateLastGroup:
-            pass
-    return solve_model2(dist)
+    monotone = classify(dist) is Classification.MONOTONE_NON_INCREASING
+    diagnostics = {"solver": "closed_form"}
+    try:
+        survival, activation = model2.solve(dist, p_n, seed=seed)
+    except (ActivationTooSmall, DegenerateLastGroup):
+        reachable = model2.nearest_reachable(dist)
+        diagnostics = {"solver": "nearest_reachable",
+                       "wasserstein_to_original": wasserstein(reachable, dist)}
+        survival, activation = model2.solve(reachable, p_n, seed=seed)
+    analytic = model2.steady_state2(survival, activation, labels=dist.labels)
+    # model2.solve has rejected every other string.
+    mode = "explicit" if not isinstance(p_n, str) else "midpoint" if p_n == "mid" else "rand"
+    free = {"free_param_mode": mode, **({"seed": seed} if mode == "rand" else {})}
+    mae = mean_absolute_error(analytic, dist)
+    if monotone and diagnostics["solver"] == "closed_form":
+        return ModelParams(ModelKind.MODEL1, survival, diagnostics={"mae": mae, **free}), analytic
+    diagnostics.update(min_activation=float(activation.rates.min()), **free, mae=mae)
+    return ModelParams(ModelKind.MODEL2, survival, activation, diagnostics=diagnostics), analytic
 
 
 def _route_of(params: ModelParams) -> Route:
-    """The route of a station's parameters (``solve_model1`` or
-    ``solve_model2``), and the only place that names one: a model-2 result
-    is MODEL2 from the closed form and NEAREST_REACHABLE otherwise."""
+    """The route of the station's parameters (``_solve_one``), and the only
+    place that names one: a model-2 result is MODEL2 from the closed form
+    and NEAREST_REACHABLE otherwise."""
     if params.kind is ModelKind.MODEL1:
         return Route.MODEL1
     closed_form = params.diagnostics["solver"] == "closed_form"

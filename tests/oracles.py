@@ -10,9 +10,10 @@ and the count chain's transition matrix is built from it row by row.
 The second half keeps the straightforward forms of the steady-state
 recursions, of the differential-evolution search (objective, reflection,
 generation loop), of the nearest-reachable payment's counts, of the curve
-fit's breakpoint-at-a-time least squares and of the simulator step and run. The library's batched kernel, in-place
-search, batched curve fit and count-state run must reproduce them bit for
-bit.
+fit's breakpoint-at-a-time least squares, of the simulator step and run and
+of the cascade's two stations. The library's batched kernel, in-place
+search, batched curve fit, count-state run and one station must reproduce
+them bit for bit.
 """
 
 import itertools
@@ -20,7 +21,7 @@ import math
 
 import numpy as np
 
-from agedist import model2
+from agedist import model1, model2
 from agedist.curvefit import (
     LOG_PARAM_LIMIT,
     MAX_INNER_ITERATIONS,
@@ -31,10 +32,20 @@ from agedist.curvefit import (
 from agedist.distributions import (
     ALPHA_MIN,
     AgeDistribution,
+    Classification,
+    ModelKind,
+    ModelParams,
     as_distribution,
+    classify,
+    mean_absolute_error,
     wasserstein,
 )
-from agedist.errors import AgedistError, CurveFitFailed
+from agedist.errors import (
+    ActivationTooSmall,
+    AgedistError,
+    CurveFitFailed,
+    DegenerateLastGroup,
+)
 
 
 def expected_update_plain(props, survival):
@@ -492,3 +503,38 @@ def reference_paid_for(props, raised, later, bound):
     paid = props.copy()
     paid[first + 1:-1] = np.minimum(head[first + 1:], max(level, 0.5 * size))
     return paid
+
+
+def reference_solve_one(dist, p_n="mid", *, seed=None):
+    """``pipeline._solve_one`` as two stations; returns (params, analytic
+    steady state). A monotone target goes to model 1 (``p_n`` and ``seed``
+    as ``model1.solve`` takes them, its steady state from
+    ``model1.steady_state``) and falls through to model 2 when its last
+    group is too large. Model 2 is the closed form at the midpoint on the
+    target or, where the closed form rejects it, on its nearest reachable
+    target."""
+    if classify(dist) is Classification.MONOTONE_NON_INCREASING:
+        try:
+            survival = model1.solve(dist, p_n, seed=seed)
+        except DegenerateLastGroup:
+            pass
+        else:
+            analytic = model1.steady_state(survival, labels=dist.labels)
+            mode = ("explicit" if not isinstance(p_n, str)
+                    else "midpoint" if p_n == "mid" else "rand")
+            diagnostics = {"mae": mean_absolute_error(analytic, dist), "free_param_mode": mode}
+            if mode == "rand":
+                diagnostics["seed"] = seed
+            return ModelParams(ModelKind.MODEL1, survival, diagnostics=diagnostics), analytic
+    diagnostics = {"solver": "closed_form"}
+    try:
+        survival, activation = model2.solve(dist)
+    except (ActivationTooSmall, DegenerateLastGroup):
+        reachable = model2.nearest_reachable(dist)
+        diagnostics = {"solver": "nearest_reachable",
+                       "wasserstein_to_original": wasserstein(reachable, dist)}
+        survival, activation = model2.solve(reachable)
+    analytic = model2.steady_state2(survival, activation, labels=dist.labels)
+    diagnostics.update(min_activation=float(activation.rates.min()),
+                       free_param_mode="midpoint", mae=mean_absolute_error(analytic, dist))
+    return ModelParams(ModelKind.MODEL2, survival, activation, diagnostics=diagnostics), analytic

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agedist import curvefit, dataio, parallel, pipeline, simulator
+from agedist import curvefit, dataio, model1, model2, parallel, pipeline, simulator
 from agedist.cli import _fitted_params, build_parser, main
 from agedist.distributions import (
     ALPHA_MIN, AgeDistribution, ModelKind, default_labels, mean_absolute_error,
@@ -27,6 +27,7 @@ from agedist.dataio import load_params, load_params_document
 from agedist.errors import AgedistError, DegenerateLastGroup
 from agedist.simulator import SimConfig
 
+from oracles import reference_solve_one
 from test_curvefit import bench_generator
 from test_pipeline import flat_then_humped
 
@@ -88,10 +89,15 @@ class TestClassify:
         assert out[1].startswith("Hump,")
 
     def test_unsolvable_country_listed_as_failed(self, dataset, capsys, monkeypatch):
-        def refuse(dist):
-            raise AgedistError("no model-2 station")
+        solve_one = pipeline._solve_one
 
-        monkeypatch.setattr(pipeline, "solve_model2", refuse)
+        def refuse(dist):
+            params, analytic = solve_one(dist)
+            if params.kind is not ModelKind.MODEL1:
+                raise AgedistError("no model-2 station")
+            return params, analytic
+
+        monkeypatch.setattr(pipeline, "_solve_one", refuse)
         assert main(["classify", "--input", str(dataset)]) == 0
         table = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines()[1:])
         assert table["Hump"] == "non_monotone,failed"
@@ -194,16 +200,21 @@ class TestRouteAgreement:
             pipeline_file = strict_load(out_dir / "params" / f"{name}.json")
             for key in ("survival", "activation"):
                 assert json.dumps(written[key]) == json.dumps(pipeline_file[key]), (name, key)
-            # Each route's own station, called directly, returns what solve
-            # wrote and names the route the same way.
-            station = pipeline.solve_model1 if name == "Pyramid" else pipeline.solve_model2
-            params, _ = station(dist)
+            # The two-station reference returns what solve wrote and names
+            # the route the same way.
+            params, _ = reference_solve_one(dist)
             assert load_params(tmp_path / f"{name}.json") == params
             forced[name] = pipeline._route_of(params).value
 
         assert classified == piped == solved == forced == {
             "Pyramid": "model1", "Hump": "model2",
             "Steep": "nearest_reachable", "Newtown": "nearest_reachable"}
+
+
+#: A model-2 target, a nearest-reachable one and a pyramid whose last group
+#: outgrows the one before it.
+PN_COUNTRIES = [("Hump", [100, 300, 200, 50]), ("Newtown", [0.3, 500, 1200, 900]),
+                ("Rising", [100, 80, 60, 70])]
 
 
 class TestSolve:
@@ -254,23 +265,50 @@ class TestSolve:
         if pn == "rand":
             assert diagnostics["seed"] == 4
 
-    @pytest.mark.parametrize("country, pn, route", [
-        ("Hump", "0.3", "model2"),
-        ("Hump", "rand", "model2"),
-        ("Newtown", "0.3", "nearest_reachable"),
+    @pytest.mark.parametrize("country, route, pn", [
+        ("Hump", "model2", "0.3"),
+        ("Hump", "model2", "rand"),
+        # Newtown's interval is [0.99867.., 0.999999999]: 0.3 is outside.
+        ("Newtown", "nearest_reachable", "0.9995"),
+        ("Newtown", "nearest_reachable", "rand"),
     ])
-    def test_pn_on_a_model2_route_fails(self, tmp_path, capsys, country, pn, route):
-        # The model-2 stations always take the midpoint, so any other --pn
-        # would be echoed in the file's config but not applied.
-        data = write_dataset(tmp_path / "pn.csv", [
-            ("Hump", [100, 300, 200, 50]), ("Newtown", [0.3, 500, 1200, 900])])
+    def test_pn_on_a_model2_route_applies(self, tmp_path, capsys, country, route, pn):
+        # The last survival is model 1's free parameter on the active mass
+        # of the target the closed form solves: the running minimum of its
+        # first n-1 groups, then its last group.
+        data = write_dataset(tmp_path / "pn.csv", PN_COUNTRIES)
         out_file = tmp_path / "x.json"
-        code = main(["solve", "--input", str(data), "--country", country,
-                     "--pn", pn, "--out", str(out_file)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: --pn {pn} applies to model 1 only")
-        assert f"route {route}," in err
+        assert main(["solve", "--input", str(data), "--country", country,
+                     "--pn", pn, "--seed", "4", "--out", str(out_file)]) == 0
+        assert f": route {route}," in capsys.readouterr().out
+        document = load_params_document(out_file)
+        solved = document.target if route == "model2" else model2.nearest_reachable(
+            document.target)
+        props = solved.proportions
+        interval = model1.feasibility(np.append(np.minimum.accumulate(props[:-1]), props[-1]))
+        drawn = (np.random.default_rng(4).uniform(interval.lower, interval.upper)
+                 if pn == "rand" else float(pn))
+        assert interval.contains(drawn)
+        assert document.params.free_param == document.params.survival.probs[-1] == drawn
+        diagnostics = document.params.diagnostics
+        assert diagnostics["free_param_mode"] == ("rand" if pn == "rand" else "explicit")
+        assert diagnostics.get("seed") == (4 if pn == "rand" else None)
+        assert main(["simulate", "--params", str(out_file), "--agents", "200",
+                     "--steps", "20", "--out", str(tmp_path / "sim.json")]) == 0
+
+    @pytest.mark.parametrize("country, pn, interval", [
+        ("Rising", "0.1", "[0.1428571428571429, 0.999999999]"),
+        ("Hump", "1.5", "[0.0, 0.999999999]"),
+        ("Newtown", "0.3", "[0.9986676656676656, 0.999999999]"),
+    ])
+    def test_pn_outside_the_interval_is_one_error_line(self, tmp_path, capsys, country, pn,
+                                                       interval):
+        # Python floats, not numpy scalars, in the message.
+        data = write_dataset(tmp_path / "pn.csv", PN_COUNTRIES)
+        out_file = tmp_path / "x.json"
+        assert main(["solve", "--input", str(data), "--country", country,
+                     "--pn", pn, "--out", str(out_file)]) == 1
+        assert capsys.readouterr().err == f"error: p_n={float(pn)!r} outside {interval}\n"
         assert not out_file.exists()
 
     @pytest.mark.parametrize("model", ["auto", "1", "2"])
@@ -388,12 +426,12 @@ class TestSolveModel2:
         assert document.params.diagnostics["mae"] < 4e-4
 
     def test_huge_last_group(self, unreachable_dataset, tmp_path):
-        # The model-1 station reports the typed failure; solve, like the
-        # cascade, hands the pyramid to the model-2 stations.
+        # The closed form reports the typed failure; solve, like the
+        # cascade, solves the pyramid on its nearest reachable target.
         huge = dict(dataio.ingest_csv(unreachable_dataset))["Huge"]
         with pytest.raises(DegenerateLastGroup,
                            match=re.escape("last group is more than 1/(1 - MAX_LAST_SURVIVAL)")):
-            pipeline.solve_model1(huge)
+            model2.solve(huge)
         out_file = tmp_path / "huge.json"
         assert main([
             "solve", "--input", str(unreachable_dataset), "--country", "Huge",

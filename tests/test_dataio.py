@@ -1,5 +1,6 @@
 import csv
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from agedist.errors import (
     DegenerateLastGroup,
     SchemaError,
 )
-from agedist.pipeline import solve_model1, solve_model2
+from agedist.pipeline import _solve_one
 from agedist.model1 import solve
 from agedist.model2 import DEConfig, optimize
 
@@ -217,8 +218,7 @@ class TestParamsFiles:
         if kind is ModelKind.MODEL1:
             counts = sorted(counts, reverse=True)
         target = normalize(counts, labels)
-        station = solve_model1 if kind is ModelKind.MODEL1 else solve_model2
-        params, _ = station(target)
+        params, _ = _solve_one(target)
         with tempfile.TemporaryDirectory() as scratch:
             path = Path(scratch) / "params.json"
             emit_params(params, path, target=target)
@@ -265,7 +265,8 @@ class TestParamsFiles:
     # integer past 1.8e308.
     @pytest.mark.parametrize("field, text, message", [
         ("diagnostics", "[" * 100_000 + "]" * 100_000, "cannot read JSON"),
-        ("free_param", "4" * 5_000, "cannot read JSON"),
+        ("free_param", "4" * 5_000, r"cannot read JSON \(an integer of 5000 digits is past "
+         rf"this Python's limit of {sys.get_int_max_str_digits()}\)"),
         ("survival", "[0.5, 0.5, 1" + "0" * 400 + "]",
          "field 'survival': int too large to convert to float"),
         ("target", "[0.5, 0.5, 1" + "0" * 400 + "]",
@@ -280,6 +281,8 @@ class TestParamsFiles:
         with pytest.raises(SchemaError, match=message) as caught:
             load_params_document(path)
         assert str(caught.value).startswith(f"{path}: ")
+        # Advice to change the interpreter's limit helps no one editing the file.
+        assert "int_max_str_digits" not in str(caught.value)
 
     def test_non_finite_diagnostics_written_as_null(self, tmp_path):
         params = solved_params()
@@ -482,8 +485,8 @@ class TestParamsFiles:
             load_params(path)
 
     def test_numpy_seed_round_trips(self, tmp_path):
-        params, _ = solve_model1(AgeDistribution(("a", "b", "c"), [0.5, 0.3, 0.2]), "rand",
-                                 seed=np.int64(5))
+        params, _ = _solve_one(AgeDistribution(("a", "b", "c"), [0.5, 0.3, 0.2]), "rand",
+                               seed=np.int64(5))
         path = tmp_path / "params.json"
         emit_params(params, path)
         assert json.loads(path.read_text())["diagnostics"]["seed"] == 5

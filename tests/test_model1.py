@@ -54,6 +54,8 @@ class TestFeasibility:
     def test_growing_tail_gives_positive_lower_bound(self):
         interval = feasibility(dist([0.5, 0.2, 0.3]))
         assert interval.lower == pytest.approx(1.0 - 0.2 / 0.3)
+        # Python floats, which the out-of-range message prints plainly.
+        assert type(interval.lower) is type(interval.upper) is float
 
     def test_subnormal_last_group_gives_zero_lower_bound(self):
         values = np.array([0.6, 0.4, 5e-321])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from agedist import SimConfig, curvefit, distributions, model1, model2, normalize, pipeline, simulator
 from agedist.distributions import (
     ALPHA_MIN,
+    MAX_LAST_SURVIVAL,
     AgeDistribution,
     Classification,
     ModelKind,
@@ -23,18 +24,15 @@ from agedist.errors import (
     AgedistError,
     DegenerateLastGroup,
     EmptyDataset,
+    FreeParamOutOfRange,
     InvalidEntry,
     ResidualCheckFailed,
 )
 from agedist.model1 import steady_state
 from agedist.model2 import nearest_reachable, steady_state2
-from agedist.pipeline import (
-    Route,
-    run_dataset,
-    select_and_solve,
-    solve_model1,
-    solve_model2,
-)
+from agedist.pipeline import Route, _solve_one, run_dataset, select_and_solve
+
+from oracles import reference_solve_one
 
 
 def flat_then_humped(first=5e-5):
@@ -175,21 +173,21 @@ class TestSelectAndSolve:
 class TestSolveModel1:
     @pytest.mark.parametrize("p_n, mode", [("mid", "midpoint"), (0.25, "explicit")])
     def test_free_param_mode(self, p_n, mode):
-        params, analytic = solve_model1(MONO, p_n)
+        params, analytic = _solve_one(MONO, p_n)
         assert params.kind is ModelKind.MODEL1
         assert params.diagnostics == {
             "mae": mean_absolute_error(analytic, MONO), "free_param_mode": mode}
         assert analytic == steady_state(params.survival, labels=MONO.labels)
 
     def test_random_free_param_records_seed(self):
-        params, _ = solve_model1(MONO, "rand", seed=11)
+        params, _ = _solve_one(MONO, "rand", seed=11)
         assert params.diagnostics["free_param_mode"] == "rand"
         assert params.diagnostics["seed"] == 11
 
 
 class TestSolveModel2:
     def test_closed_form_diagnostics(self):
-        params, analytic = solve_model2(HUMP)
+        params, analytic = _solve_one(HUMP)
         ratio = 0.3 / 0.4
         assert params.diagnostics == {
             "solver": "closed_form",
@@ -200,7 +198,7 @@ class TestSolveModel2:
         assert np.array_equal(params.activation.rates, [1.0, ratio, 1.0])
 
     def test_nearest_reachable_when_closed_form_rejects(self):
-        params, analytic = solve_model2(STEEP)
+        params, analytic = _solve_one(STEEP)
         reachable = nearest_reachable(STEEP)
         survival, activation = model2.solve(reachable)
         assert params.kind is ModelKind.MODEL2
@@ -219,7 +217,7 @@ class TestSolveModel2:
     def test_degenerate_last_group_takes_nearest_reachable(self):
         with pytest.raises(DegenerateLastGroup):
             model2.solve(HUGE_LAST)
-        params, analytic = solve_model2(HUGE_LAST)
+        params, analytic = _solve_one(HUGE_LAST)
         assert params.diagnostics["solver"] == "nearest_reachable"
         assert params.diagnostics["mae"] == mean_absolute_error(analytic, HUGE_LAST) < 1e-9
 
@@ -228,19 +226,19 @@ class TestSolveModel2:
         # The original method's tools on the same target, at their default
         # budgets; the curve fit's parameters reproduce its surrogate.
         dist = {"newtown": NEWTOWN, "cliff": CLIFF, "stubborn": flat_then_humped()}[name]
-        params, _ = solve_model2(dist)
+        params, _ = _solve_one(dist)
         assert params.diagnostics["solver"] == "nearest_reachable"
         assert params.diagnostics["mae"] <= model2.optimize(dist).mae
         assert params.diagnostics["mae"] <= mean_absolute_error(curvefit.fit(dist).fitted, dist)
 
     def test_closed_form_records_no_history(self):
-        params, _ = solve_model2(HUMP)
+        params, _ = _solve_one(HUMP)
         assert "search_history" not in params.diagnostics
 
     def test_cascade_entry_adds_only_the_validation_error(self, sim_config):
         params, route = select_and_solve(flat_then_humped(), sim_config)
         assert route is Route.NEAREST_REACHABLE
-        station, _ = solve_model2(flat_then_humped())
+        station, _ = _solve_one(flat_then_humped())
         assert list(params.diagnostics) == list(station.diagnostics) + ["sim_mae"]
 
     def test_the_cascade_never_searches_or_fits(self, sim_config, monkeypatch):
@@ -255,6 +253,92 @@ class TestSolveModel2:
         assert report.route_counts[Route.NEAREST_REACHABLE] == 4
         for name, dist in dataset:
             assert reproduces_nearest_reachable(report.per_country[name].params, dist)
+
+
+def station_outcome(solve, dist, p_n, seed):
+    """What a station makes of ``dist``: its kind, route, rates, analytic
+    steady state and diagnostics in order, as bytes where they are floats;
+    or the type and message of the typed error it raises."""
+    try:
+        params, analytic = solve(dist, p_n, seed=seed)
+    except AgedistError as exc:
+        return type(exc), str(exc)
+    activation = None if params.activation is None else params.activation.rates.tobytes()
+    return (params.kind, pipeline._route_of(params), params.survival.probs.tobytes(),
+            activation, analytic.proportions.tobytes(), analytic.labels,
+            list(params.diagnostics.items()))
+
+
+def one_station_target(shape, n, draw):
+    """An n-group target: monotone (its last group free, up to 10 times
+    the one before), a hump, a hump behind a first group below 1/1000 of the
+    others (steep), or a monotone one whose last group is 1e10-1e250 times
+    the one before (huge last)."""
+    sizes = st.lists(st.floats(1e-3, 1e3), min_size=n - 1, max_size=n - 1)
+    if shape in ("monotone", "huge_last"):
+        head = sorted(draw(sizes), reverse=True)
+        factor = (draw(st.floats(1e-3, 10.0)) if shape == "monotone"
+                  else draw(st.floats(1e10, 1e250)))
+        values = head + [head[-1] * factor]
+    else:
+        x = np.linspace(0.0, 1.0, n)
+        centre, width = draw(st.floats(0.2, 0.8)), draw(st.floats(0.05, 0.5))
+        values = np.exp(-(((x - centre) / width) ** 2)) + draw(st.floats(0.01, 0.5))
+        if shape == "steep":
+            values[0] = values[1:].min() * draw(st.floats(1e-9, 9e-4))
+    return normalize(values, default_labels(n))
+
+
+#: "mid", "rand" or an explicit value; the steep and huge-last targets admit
+#: only values near MAX_LAST_SURVIVAL.
+FREE_PARAMS = st.one_of(st.just("mid"), st.just("rand"), st.one_of(
+    st.floats(0.0, 1.0), st.floats(0.999, MAX_LAST_SURVIVAL), st.just(MAX_LAST_SURVIVAL)))
+
+
+class TestOneStation:
+    """``_solve_one`` against its two-station reference
+    (``tests/oracles.py::reference_solve_one``)."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(shape=st.sampled_from(["monotone", "hump", "steep", "huge_last"]),
+           n=st.integers(3, 60), p_n=FREE_PARAMS, seed=st.integers(0, 2**64 - 1),
+           data=st.data())
+    def test_matches_the_two_stations(self, shape, n, p_n, seed, data):
+        dist = one_station_target(shape, n, data.draw)
+        ours = station_outcome(_solve_one, dist, p_n, seed)
+        if p_n == "mid" or shape == "monotone":
+            assert ours == station_outcome(reference_solve_one, dist, p_n, seed)
+            return
+        # The reference takes the midpoint on the model-2 routes, where the
+        # station applies p_n: the same route, with p_n's last survival.
+        midpoint = station_outcome(reference_solve_one, dist, "mid", seed)
+        if ours[0] is FreeParamOutOfRange:
+            assert not isinstance(p_n, str)
+            return
+        assert ours[:2] == midpoint[:2]
+        diagnostics = dict(ours[-1])
+        assert diagnostics["free_param_mode"] == ("rand" if p_n == "rand" else "explicit")
+        assert diagnostics.get("seed") == (seed if p_n == "rand" else None)
+        if p_n != "rand":
+            assert np.frombuffer(ours[2])[-1] == p_n
+
+    def test_classify_runs_once_per_entry_before_any_solve(self, sim_config, monkeypatch):
+        # The benchmark's tracer tags each entry's spans by wrapping
+        # pipeline.classify, so every entry calls it first, and once.
+        calls = []
+        for module, name in ((pipeline, "classify"), (model1, "solve"), (model2, "solve")):
+            def recorded(*args, _call=getattr(module, name),
+                         _name=f"{module.__name__.split('.')[-1]}.{name}", **kwargs):
+                calls.append(_name)
+                return _call(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, recorded)
+        run_dataset([("huge", HUGE_LAST), ("hump", HUMP), ("mono", MONO), ("steep", STEEP)],
+                    sim_config)
+        solve = ["model2.solve", "model1.solve"]
+        assert calls == (["pipeline.classify", *solve, *solve]  # huge: nearest reachable
+                         + ["pipeline.classify", *solve] * 2  # hump, mono
+                         + ["pipeline.classify", "model2.solve", *solve])  # steep
 
 
 class TestRunDataset:
@@ -327,16 +411,17 @@ class TestRunDataset:
 
     def test_failed_residual_check_recorded_not_raised(self, sim_config, monkeypatch):
         # A zero tolerance fails every stationarity residual check. Set only
-        # while a model-2 steady state is computed, it fails the hump entry,
-        # which must be recorded as failed while the batch carries on.
-        checked = model2.steady_state2
+        # while the hump entry is solved, it fails that entry, which must be
+        # recorded as failed while the batch carries on.
+        solve_one = pipeline._solve_one
 
-        def zero_tolerance(*args, **kwargs):
+        def zero_tolerance_for_hump(dist):
             with monkeypatch.context() as patch:
-                patch.setattr(distributions, "RESIDUAL_TOLERANCE", 0.0)
-                return checked(*args, **kwargs)
+                if dist is HUMP:
+                    patch.setattr(distributions, "RESIDUAL_TOLERANCE", 0.0)
+                return solve_one(dist)
 
-        monkeypatch.setattr(model2, "steady_state2", zero_tolerance)
+        monkeypatch.setattr(pipeline, "_solve_one", zero_tolerance_for_hump)
         report = run_dataset([("hump", HUMP), ("mono", MONO)], sim_config)
         assert report.per_country["hump"].route is Route.FAILED
         assert "stationarity residual" in report.per_country["hump"].failure_reason
