@@ -94,7 +94,8 @@ def solve(dist, p_n="mid", *, seed: Optional[int] = None) -> SurvivalVector:
         DegenerateLastGroup: the last group is more than
             1/(1 - MAX_LAST_SURVIVAL) times the one before it.
         FreeParamOutOfRange: an explicit ``p_n`` lies outside the interval.
-        ValueError: ``p_n`` is "rand" without a valid ``seed``.
+        ValueError: ``p_n`` is "rand" without a valid ``seed``, an unknown
+            mode or a bool.
     """
     dist = as_distribution(dist)
     interval = feasibility(dist)
@@ -109,6 +110,8 @@ def solve(dist, p_n="mid", *, seed: Optional[int] = None) -> SurvivalVector:
             ))
         else:
             raise ValueError(f"unknown free-parameter mode {p_n!r}")
+    elif isinstance(p_n, (bool, np.bool_)):
+        raise ValueError(f"free parameter must be a number, 'mid' or 'rand', not {p_n!r}")
     else:
         value = float(p_n)
         if not interval.contains(value):

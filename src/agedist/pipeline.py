@@ -33,6 +33,7 @@ from .distributions import (
     Classification,
     ModelKind,
     ModelParams,
+    check_seed,
     classify,
     mean_absolute_error,
     wasserstein,
@@ -124,7 +125,7 @@ def _solve_one(dist: AgeDistribution, p_n="mid", *, seed: Optional[int] = None) 
     analytic = model2.steady_state2(survival, activation, labels=dist.labels)
     # model2.solve has rejected every other string.
     mode = "explicit" if not isinstance(p_n, str) else "midpoint" if p_n == "mid" else "rand"
-    free = {"free_param_mode": mode, **({"seed": seed} if mode == "rand" else {})}
+    free = {"free_param_mode": mode, **({"seed": check_seed(seed)} if mode == "rand" else {})}
     mae = mean_absolute_error(analytic, dist)
     if monotone and diagnostics["solver"] == "closed_form":
         return ModelParams(ModelKind.MODEL1, survival, diagnostics={"mae": mae, **free}), analytic

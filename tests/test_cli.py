@@ -41,22 +41,6 @@ def strict_load(path):
     return json.loads(path.read_text(), parse_constant=reject)
 
 
-@pytest.fixture
-def dataset(tmp_path):
-    path = tmp_path / "data.csv"
-    rows = [
-        ("Pyramid", [("0-4", 500), ("5-9", 300), ("10-14", 150), ("15+", 50)]),
-        ("Hump", [("0-4", 300), ("5-9", 400), ("10-14", 300)]),
-        ("Tail", [("0-4", 60), ("5-9", 30), ("10-14", 10), ("15+", 0)]),
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("country,age_group,population\n")
-        for name, groups in rows:
-            for label, count in groups:
-                fh.write(f"{name},{label},{count}\n")
-    return path
-
-
 @pytest.mark.parametrize("level, code", [("basic_format", 1), ("bogus", 1), ("ERROR", 0)])
 def test_agedist_log_takes_only_a_level(dataset, level, code):
     # A child process: basicConfig ignores a level once a handler (such as
@@ -530,7 +514,6 @@ class TestSimulate:
             outs.append(out_file.read_bytes())
         assert outs[0] == outs[1]
 
-
     def test_an_unlabelled_target_is_the_start(self, dataset, tmp_path):
         params_file = tmp_path / "pyramid.json"
         assert main(["solve", "--input", str(dataset), "--country", "Pyramid",
@@ -637,18 +620,6 @@ class TestPipeline:
             "cpu_count": parallel.cpu_count(),
             "validation_shares": 1,  # 600 agents are one chunk
         }
-
-    def test_summary_records_the_validation_shares(self, dataset, tmp_path, monkeypatch):
-        # 600 agents in chunks of 250 are three chunks: two shares on two CPUs.
-        monkeypatch.setattr(simulator, "BLOCK", 250)
-        monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
-        out_dir = tmp_path / "out"
-        assert main([
-            "pipeline", "--input", str(dataset), "--out-dir", str(out_dir),
-            "--agents", "600", "--steps", "30",
-        ]) == 0
-        run = strict_load(out_dir / "summary.json")["run"]
-        assert (run["cpu_count"], run["validation_shares"]) == (2, 2)
 
     def test_nearest_reachable_written_to_outputs(self, flat_dataset, tmp_path):
         out_dir = tmp_path / "out"

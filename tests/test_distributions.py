@@ -9,7 +9,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agedist import classify, curvefit, model1, model2, normalize, simulator
+from agedist import classify, curvefit, model1, model2, normalize, pipeline, simulator
 from agedist.distributions import (
     ALPHA_MIN,
     MAX_LAST_SURVIVAL,
@@ -658,3 +658,15 @@ class TestConfigsHoldPythonInts:
             got = model1.solve(pyramid, "rand", seed=seed[0])
         want = model1.solve(pyramid, "rand", seed=seed[1])
         assert np.array_equal(got.probs.view(np.uint64), want.probs.view(np.uint64))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=numpy_integers(0, 2**64 - 1))
+    def test_solve_station_records_a_python_int_seed(self, seed):
+        # A model-1 and a model-2 route: the files carry the seed as the
+        # configs hold it.
+        for target in ([3, 2, 1], [1, 3, 2]):
+            got, _ = pipeline._solve_one(normalize(target, "abc"), "rand", seed=seed[0])
+            want, _ = pipeline._solve_one(normalize(target, "abc"), "rand", seed=seed[1])
+            assert type(got.diagnostics["seed"]) is int
+            assert got.diagnostics == want.diagnostics
+            assert got.survival == want.survival and got.activation == want.activation

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -111,6 +112,15 @@ class TestSolve:
     def test_out_of_range_free_param_rejected(self):
         with pytest.raises(FreeParamOutOfRange):
             solve(dist([0.5, 0.2, 0.3]), 0.1)  # lower bound is 1/3
+
+    @pytest.mark.parametrize("p_n", [False, True, np.False_, np.True_],
+                             ids=["False", "True", "numpy-False", "numpy-True"])
+    def test_bool_free_param_rejected(self, p_n):
+        # As every integer field refuses a bool: False would solve as a last
+        # survival of 0, recorded as an explicit choice.
+        with pytest.raises(ValueError, match=re.escape(
+                f"free parameter must be a number, 'mid' or 'rand', not {p_n!r}")):
+            solve(dist([0.5, 0.3, 0.2]), p_n)
 
     def test_midpoint_default(self):
         d = dist([0.5, 0.3, 0.2])

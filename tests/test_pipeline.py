@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agedist import SimConfig, curvefit, distributions, model1, model2, normalize, pipeline, simulator
+from agedist import SimConfig, curvefit, distributions, model1, model2, normalize, pipeline
 from agedist.distributions import (
     ALPHA_MIN,
     MAX_LAST_SURVIVAL,
@@ -26,7 +26,6 @@ from agedist.errors import (
     EmptyDataset,
     FreeParamOutOfRange,
     InvalidEntry,
-    ResidualCheckFailed,
 )
 from agedist.model1 import steady_state
 from agedist.model2 import nearest_reachable, steady_state2
@@ -50,11 +49,6 @@ def flat_then_humped(first=5e-5):
     )
     values = values / values.sum()
     return AgeDistribution(tuple(f"g{i}" for i in range(1, 22)), values)
-
-
-@pytest.fixture
-def sim_config():
-    return SimConfig(seed=0)
 
 
 MONO = AgeDistribution(("a", "b", "c"), [0.5, 0.3, 0.2])
@@ -426,40 +420,6 @@ class TestRunDataset:
         assert report.per_country["hump"].route is Route.FAILED
         assert "stationarity residual" in report.per_country["hump"].failure_reason
         assert report.per_country["mono"].route is Route.MODEL1
-
-    def test_validation_runs_match_single_entries(self, sim_config):
-        # One batch for the dataset gives every entry the validation run
-        # that select_and_solve makes for it alone.
-        dataset = [("hump", HUMP), ("mono", MONO), ("steep", STEEP),
-                   ("stubborn", flat_then_humped()), ("huge", HUGE_LAST)]
-        report = run_dataset(dataset, sim_config)
-        for name, dist in dataset:
-            params, route = select_and_solve(dist, sim_config)
-            res = report.per_country[name]
-            assert res.route is route
-            assert res.sim_mae == params.diagnostics["sim_mae"]
-
-    def test_broken_step_fails_every_validated_entry(self, sim_config, monkeypatch):
-        # The simulator's step guard names the member; a broken update
-        # rule is not specific to it, so every solved entry fails with the
-        # guard's reason, and an entry that failed to solve keeps its own.
-        def leaking(self, counts, rng):
-            new_counts = counts.copy()
-            new_counts[-1] -= 1
-            return new_counts, 0
-
-        monkeypatch.setattr(simulator._Batch, "step", leaking)
-        report = run_dataset([("bad", [0.5, 0.3, 0.2]), ("hump", HUMP), ("mono", MONO)],
-                             sim_config)
-        assert report.route_counts[Route.FAILED] == 3
-        assert "AgeDistribution" in report.per_country["bad"].failure_reason
-        for name in ("hump", "mono"):
-            result = report.per_country[name]
-            assert result.params is None and result.sim_mae is None
-            assert "an agent left the age groups" in result.failure_reason
-            assert result.failure_reason.startswith("member ")
-        with pytest.raises(ResidualCheckFailed, match="member 0: an agent left"):
-            select_and_solve(MONO, sim_config)
 
     @pytest.mark.parametrize(
         "entry",
