@@ -7,7 +7,9 @@ module reads; the library inverts it in closed form:
 * ``model1``: survival rates for monotone non-increasing targets;
 * ``model2``: joint survival and activation rates for targets whose groups
   stay within 1/ALPHA_MIN of every earlier group, and, for the rest, for
-  the nearest target that does (``model2.nearest_reachable``).
+  the nearest target that does (``model2.nearest_reachable``); each
+  admissible active mass gives one member of the solution family
+  (``model2.member``), and ``model2.solve`` is the running-minimum one.
 
 The original method's tools for targets beyond that ratio stay available:
 a bounded differential-evolution search (``model2.optimize``, dithered

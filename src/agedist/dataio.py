@@ -21,6 +21,7 @@ import json
 import logging
 import math
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -153,11 +154,29 @@ def write_dataset_csv(entries, path) -> None:
 
     Proportions are written with full precision (repr round-trip), so
     ingesting the output reproduces every distribution exactly.
+
+    Raises:
+        ValueError: a name repeats, or a label repeats within one entry;
+            ``ingest_csv`` would refuse the file or merge the entries. No
+            file is opened.
     """
+    entries = list(entries)
+    repeat = _first_repeat(str(name) for name, _ in entries)
+    if repeat is not None:
+        raise ValueError(f"entry {repeat!r} appears more than once")
+    for name, dist in entries:
+        repeat = _first_repeat(dist.labels)
+        if repeat is not None:
+            raise ValueError(f"entry {name!r} repeats age group {repeat!r}")
     write_csv(path, ["country", "age_group", "population"],
               ([name, label, repr(float(value))]
                for name, dist in entries
                for label, value in zip(dist.labels, dist.proportions)))
+
+
+def _first_repeat(items):
+    """The first item of ``items`` that occurs more than once, else None."""
+    return next((item for item, count in Counter(items).items() if count > 1), None)
 
 
 def write_csv(path_or_stream, header, rows) -> None:
@@ -194,8 +213,15 @@ def emit_params(params: ModelParams, path, *, target=None, config: Optional[dict
     ``target`` is an AgeDistribution, or a raw vector that
     ``as_distribution`` makes one; its labels and proportions are written.
     Floats are written through ``repr`` (via json), so loading is lossless.
+
+    Raises:
+        ValueError: the target's group count differs from the survival
+            vector's, which ``load_params`` would refuse; no file is opened.
     """
     target = as_distribution(target) if target is not None else None
+    if target is not None and len(target) != len(params.survival):
+        raise ValueError(f"a target of {len(target)} groups for "
+                         f"{len(params.survival)} survival entries")
     document = {
         "schema": PARAMS_SCHEMA,
         "schema_version": PARAMS_SCHEMA_VERSION,

@@ -4,15 +4,17 @@ search for the activation-rate process.
 Adding a per-group activation rate alpha_i (an agent only undergoes the
 ageing/survival draw when active) widens the family of achievable stationary
 profiles to non-monotone shapes. At stationarity the active mass
-m_i = alpha_i N_i obeys m_{i+1} = p_i m_i, so ``solve`` inverts any target
-whose groups stay within 1/ALPHA_MIN of every earlier group exactly, in
-closed form; ``nearest_reachable`` moves any other target into its reach,
-as little as it can. ``optimize`` is the search of the original method: a
-bounded differential evolution over the joint vector (p_1..p_n,
-alpha_1..alpha_n) that minimises the mean absolute error between the
-candidate's stationary profile and the target. ``steady_state2`` and the
-search objective both read the process's stationary law from
-``distributions``, with the activation rates as its second row set.
+m_i = alpha_i N_i obeys m_{i+1} = p_i m_i, so each admissible m gives an
+exact solution in closed form (``member``). ``solve``, the member whose m
+is the running minimum of the target, inverts any target whose groups stay
+within 1/ALPHA_MIN of every earlier group; ``nearest_reachable`` moves any
+other target into its reach, as little as it can. ``optimize`` is the
+search of the original method: a bounded differential evolution over the
+joint vector (p_1..p_n, alpha_1..alpha_n) that minimises the mean absolute
+error between the candidate's stationary profile and the target.
+``steady_state2`` and the search objective both read the process's
+stationary law from ``distributions``, with the activation rates as its
+second row set.
 """
 
 from __future__ import annotations
@@ -105,20 +107,62 @@ class Model2Solution:
     history: tuple  #: best error after initialisation and each generation
 
 
-def solve(dist, p_n="mid", *, seed: Optional[int] = None) -> tuple:
+def member(dist, active, p_n="mid", *, seed: Optional[int] = None) -> tuple:
     """Survival and activation rates whose steady state equals ``dist``
-    exactly; returns (SurvivalVector, ActivationVector).
+    exactly, for the active mass ``active``; returns (SurvivalVector,
+    ActivationVector).
 
     With m_i = alpha_i N_i the stationary equations read m_{i+1} = p_i m_i
-    over the intermediate groups and (1 - p_n) alpha_n N_n = p_{n-1} m_{n-1}
-    for the last, so (m_1..m_{n-1}, alpha_n N_n) is the steady state of the
-    plain process with the same survival rates. Every non-increasing m with
-    m_i <= N_i gives a solution, with alpha_i = m_i / N_i. This one is the
-    maximal-activation member: m is the running minimum of N over the first
-    n-1 groups and alpha_n = 1, so alpha_i = 1 wherever N_i is a running
-    minimum, and the survival rates are ``model1.solve`` on (m_1..m_{n-1},
-    N_n) with ``p_n`` and ``seed``. A monotone target gets alpha = 1 and
-    model 1's rates bit for bit.
+    over the intermediate groups and (1 - p_n) m_n = p_{n-1} m_{n-1} for
+    the last, so m is the steady state of the plain process with the same
+    survival rates. Every m with m_i <= N_i, non-increasing over the first
+    n-1 groups, gives a solution: the survival rates are ``model1.solve``
+    on m with ``p_n`` and ``seed`` (model 1's interval for p_n is that of
+    m), and alpha = m / N. ``active`` is the full length-n vector m, so the
+    last activation may be below 1. m = N on a monotone target gives
+    alpha = 1 and model 1's rates bit for bit.
+
+    Raises:
+        ValueError, EmptyPopulation, InteriorZeroGroup, TooFewGroups: as
+            ``distributions.as_distribution`` raises them for a raw ``dist``.
+        ValueError: ``active`` is not a vector of one entry per group, or
+            an entry is not finite and positive, rises over the first n-1
+            groups or exceeds its group; the message names the group index.
+        ActivationTooSmall: an m_i below ALPHA_MIN N_i, a group more than
+            1/ALPHA_MIN times its active mass; the message names the group.
+        DegenerateLastGroup: m_n is more than 1/(1 - MAX_LAST_SURVIVAL)
+            times m_{n-1}.
+        FreeParamOutOfRange, ValueError: a ``p_n`` or ``seed`` that
+            ``model1.solve`` refuses.
+    """
+    props = as_distribution(dist).proportions
+    m = np.array(active, dtype=float)
+    if m.shape != props.shape:
+        raise ValueError(f"active mass of shape {m.shape} for {props.size} groups")
+    checks = (
+        (~(np.isfinite(m) & (m > 0)), "is not finite and positive"),
+        (np.append(False, m[1:-1] > m[:-2]), "rises above the one before it"),
+        (m > props, "exceeds its group"),
+    )
+    for bad, reason in checks:
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(f"active mass {float(m[i])!r} at group index {i} {reason}")
+    rates = m / props
+    if rates.min() < ALPHA_MIN:
+        worst = int(rates.argmin())
+        raise ActivationTooSmall(
+            f"group index {worst} is more than 1/ALPHA_MIN = {1.0 / ALPHA_MIN:g} "
+            f"times its active mass (activation {rates[worst]:.4g})"
+        )
+    return model1.solve(m, p_n, seed=seed), ActivationVector(rates)
+
+
+def solve(dist, p_n="mid", *, seed: Optional[int] = None) -> tuple:
+    """The maximal-activation ``member`` of the family for ``dist``: m is
+    the running minimum of N over the first n-1 groups and m_n = N_n, so
+    alpha_i = 1 wherever N_i is a running minimum and in the last group.
+    A monotone target gets alpha = 1 and model 1's rates bit for bit.
 
     Raises:
         ValueError, EmptyPopulation, InteriorZeroGroup, TooFewGroups: as
@@ -131,16 +175,9 @@ def solve(dist, p_n="mid", *, seed: Optional[int] = None) -> tuple:
         FreeParamOutOfRange, ValueError: a ``p_n`` or ``seed`` that
             ``model1.solve`` refuses.
     """
-    props = as_distribution(dist).proportions
-    active = np.minimum.accumulate(props[:-1])
-    rates = np.append(active / props[:-1], 1.0)
-    if rates.min() < ALPHA_MIN:
-        worst = int(rates.argmin())
-        raise ActivationTooSmall(
-            f"group index {worst} is more than 1/ALPHA_MIN = {1.0 / ALPHA_MIN:g} "
-            f"times the smallest group before it (activation {rates[worst]:.4g})"
-        )
-    return model1.solve(np.append(active, props[-1]), p_n, seed=seed), ActivationVector(rates)
+    dist = as_distribution(dist)
+    props = dist.proportions
+    return member(dist, np.append(np.minimum.accumulate(props[:-1]), props[-1]), p_n, seed=seed)
 
 
 def _raised_to_floors(props: np.ndarray) -> tuple:

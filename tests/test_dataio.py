@@ -171,6 +171,24 @@ class TestIngest:
         assert b"0.2\r" not in raw and raw.endswith(b"0.2\n")
         assert ingest_csv(path) == entries
 
+    @pytest.mark.parametrize("entries, message", [
+        ([("X", AgeDistribution(("0-4", "5-9", "5-9"), [0.5, 0.3, 0.2]))],
+         "entry 'X' repeats age group '5-9'"),
+        ([("X", AgeDistribution(("a", "b", "c"), [0.5, 0.3, 0.2])),
+          ("X", AgeDistribution(("a", "b", "c"), [0.2, 0.3, 0.5]))],
+         "entry 'X' appears more than once"),
+        ([("X", AgeDistribution(("a", "b", "c"), [0.5, 0.3, 0.2])),
+          ("X", AgeDistribution(("d", "e", "f"), [0.2, 0.3, 0.5]))],
+         "entry 'X' appears more than once"),
+    ], ids=["label", "name", "name-merged-on-ingest"])
+    def test_a_dataset_that_would_not_ingest_is_refused_before_writing(self, tmp_path, entries,
+                                                                     message):
+        # ingest_csv refuses a repeated label and merges entries of one name.
+        path = tmp_path / "data.csv"
+        with pytest.raises(ValueError, match=message):
+            write_dataset_csv(iter(entries), path)
+        assert not path.exists()
+
 
 ABC = AgeDistribution(("a", "b", "c"), [0.5, 0.3, 0.2])
 
@@ -483,6 +501,13 @@ class TestParamsFiles:
         path.write_text(json.dumps(raw))
         with pytest.raises(ActivationTooSmall):
             load_params(path)
+
+    def test_a_target_of_another_group_count_is_refused_before_writing(self, tmp_path):
+        # load_params would refuse the file: its fields differ in length.
+        path = tmp_path / "params.json"
+        with pytest.raises(ValueError, match="a target of 4 groups for 3 survival entries"):
+            emit_params(solved_params(), path, target=[4, 3, 2, 1])
+        assert not path.exists()
 
     def test_numpy_seed_round_trips(self, tmp_path):
         params, _ = _solve_one(AgeDistribution(("a", "b", "c"), [0.5, 0.3, 0.2]), "rand",

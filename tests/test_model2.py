@@ -20,6 +20,7 @@ from agedist.distributions import (
 from agedist.errors import (
     ActivationTooSmall,
     DegenerateLastGroup,
+    FreeParamOutOfRange,
     InteriorZeroGroup,
     ResidualCheckFailed,
 )
@@ -346,6 +347,131 @@ class TestSolve:
         assert np.all(rates[:-1][is_min] == 1.0)
         assert np.all(rates[:-1][~is_min] < 1.0)
         assert rates[-1] == 1.0
+
+
+def within_reach(dist):
+    """``dist``, or its nearest reachable target where ``solve`` refuses it."""
+    try:
+        model2.solve(dist)
+    except (ActivationTooSmall, DegenerateLastGroup):
+        return model2.nearest_reachable(dist)
+    return dist
+
+
+def activation_floor(props):
+    """The least active masses m_i whose activation m_i / N_i rounds to at
+    least ALPHA_MIN."""
+    floor = props * ALPHA_MIN
+    while (low := floor / props < ALPHA_MIN).any():
+        floor[low] = np.nextafter(floor[low], np.inf)
+    while (fits := np.nextafter(floor, 0.0) / props >= ALPHA_MIN).any():
+        floor[fits] = np.nextafter(floor[fits], 0.0)
+    return floor
+
+
+@st.composite
+def admissible_members(draw, max_size=60, unit_last=False):
+    """A target within ``solve``'s reach and an active mass m of its
+    family. Each of the first n-1 entries lies between the floor that its
+    own and later groups set and the running minimum of the target; the
+    last lies between its floor and N_n (N_n itself with ``unit_last``).
+    Shares of 0 and 1, which Hypothesis draws often, put activations
+    exactly at ALPHA_MIN and at 1."""
+    dist = within_reach(draw(positive_targets(max_size=max_size)))
+    props = dist.proportions
+    floor = activation_floor(props)
+    low = np.maximum.accumulate(floor[-2::-1])[::-1]
+    high = np.minimum.accumulate(props[:-1])
+    shares = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=props.size,
+                                    max_size=props.size)))
+    head = np.minimum.accumulate(np.minimum(low + shares[:-1] * (high - low), high))
+    last = props[-1] if unit_last else min(
+        floor[-1] + shares[-1] * (props[-1] - floor[-1]), props[-1])
+    return dist, np.append(head, last)
+
+
+MEMBER_TARGET = AgeDistribution(tuple("abcde"), [0.2, 0.1, 0.3, 0.25, 0.15])
+
+
+class TestMember:
+    """The whole solution family, one member per admissible active mass."""
+
+    @given(admissible_members())
+    @settings(max_examples=150, deadline=None)
+    def test_reproduces_target_through_null_vector(self, case):
+        dist, active = case
+        try:
+            survival, activation = model2.member(dist, active)
+        except DegenerateLastGroup:
+            assert active[-1] > 1e8 * active[-2]
+            return
+        assert activation.rates.min() >= ALPHA_MIN
+        assert np.array_equal(activation.rates, active / dist.proportions)
+        x = stationary_null_vector(survival.probs, activation.rates)
+        assert np.abs(x - dist.proportions).max() < 1e-12
+        analytic = steady_state2(survival, activation)
+        assert np.abs(analytic.proportions - dist.proportions).max() < 1e-12
+
+    @given(positive_targets(monotone=True))
+    @settings(max_examples=60, deadline=None)
+    def test_full_activation_on_a_monotone_target_is_model1_bit_for_bit(self, dist):
+        survival, activation = model2.member(dist, dist.proportions)
+        assert np.all(activation.rates == 1.0)
+        assert survival == model1.solve(dist, "mid")
+
+    @given(admissible_members(unit_last=True))
+    @settings(max_examples=100, deadline=None)
+    def test_no_fully_active_last_group_widens_the_pn_interval(self, case):
+        # With alpha_n = 1 the lower bound is 1 - m_{n-1} / N_n, and no
+        # m_{n-1} exceeds the running minimum. The bounds are taken on m
+        # normalized, whose rounding may differ by an ulp or two.
+        dist, active = case
+        props = dist.proportions
+        running = np.append(np.minimum.accumulate(props[:-1]), props[-1])
+        try:
+            lower = model1.feasibility(active).lower
+        except DegenerateLastGroup:  # no interval at all
+            return
+        assert lower >= model1.feasibility(running).lower - 1e-15
+
+    def test_a_last_activation_below_one_admits_a_low_pn(self):
+        # Newtown's reachable target: solve's member admits p_n from
+        # 0.9987 on. With m_n = m_{n-1} / (1 - 0.3) the lower bound drops
+        # to 0.3, at alpha_n of about 0.0019.
+        reachable = model2.nearest_reachable(normalize([0.3, 500, 1200, 900], "abcd"))
+        props = reachable.proportions
+        with pytest.raises(FreeParamOutOfRange, match="p_n=0.3 "):
+            model2.solve(reachable, 0.3)
+        head = np.minimum.accumulate(props[:-1])
+        active = np.append(head, head[-1] / (1 - 0.3) * (1 - 1e-12))
+        survival, activation = model2.member(reachable, active, 0.3)
+        assert survival.probs[-1] == 0.3
+        assert activation.rates[-1] == pytest.approx(0.0019, rel=0.01)
+        assert np.abs(steady_state2(survival, activation).proportions - props).max() < 1e-15
+        x = stationary_null_vector(survival.probs, activation.rates)
+        assert np.abs(x - props).max() < 1e-12
+
+    @pytest.mark.parametrize("active, error, message", [
+        ([0.1, 0.1, 0.1, 0.1], ValueError, "shape \\(4,\\) for 5 groups"),
+        ([[0.1] * 5], ValueError, "shape \\(1, 5\\) for 5 groups"),
+        ([0.1, 0.1, np.nan, 0.1, 0.1], ValueError, "group index 2 is not finite"),
+        ([0.1, np.inf, 0.1, 0.1, 0.1], ValueError, "group index 1 is not finite"),
+        ([0.1, 0.1, 0.1, 0.0, 0.1], ValueError, "group index 3 is not finite and positive"),
+        ([-0.1, -0.1, -0.1, -0.1, 0.1], ValueError, "group index 0 is not finite and positive"),
+        ([0.1, 0.05, 0.08, 0.05, 0.1], ValueError, "group index 2 rises"),
+        ([0.1, 0.1, 0.1, 0.1, 0.2], ValueError, "group index 4 exceeds its group"),
+        ([0.25, 0.1, 0.1, 0.1, 0.1], ValueError, "group index 0 exceeds its group"),
+        ([0.1, 0.05, 0.05, 1e-5, 0.1], ActivationTooSmall, "group index 3 .*1/ALPHA_MIN"),
+        ([0.1, 0.1, 0.1, 0.1, 1e-4], ActivationTooSmall, "group index 4 .*1/ALPHA_MIN"),
+        # m_n is 1e10 times m_{n-1}, a DegenerateLastGroup in the closed
+        # form; the floor is checked first, as solve checks it.
+        ([1e-12, 1e-12, 1e-12, 1e-12, 0.01], ActivationTooSmall, "group index 2 .*1/ALPHA_MIN"),
+    ], ids=["short", "two-dimensional", "nan", "inf", "zero", "negative", "rising",
+            "last-exceeds", "first-exceeds", "inactive", "inactive-last",
+            "inactive-before-closed-form"])
+    def test_each_input_check_names_the_group(self, active, error, message):
+        with pytest.raises(error, match=message):
+            model2.member(MEMBER_TARGET, active)
 
 
 @st.composite
