@@ -87,7 +87,8 @@ def ingest_csv(
         CsvFormatError: a file that is not UTF-8, rows the csv module
             refuses or that are short, populations that are not finite
             non-negative numbers (message carries the line number).
-        ColumnMappingError: the configured columns are missing.
+        ColumnMappingError: a configured column is missing, named twice in
+            the header, or named by two column arguments (before any row).
     """
     counts: dict = {}
     # utf-8-sig also reads the byte-order mark that spreadsheet exports add.
@@ -96,10 +97,20 @@ def ingest_csv(
         try:
             if reader.fieldnames is None:
                 raise CsvFormatError(f"{path}: empty file, expected a header row")
-            missing = [c for c in (country_col, age_col, pop_col) if c not in reader.fieldnames]
+            columns = (country_col, age_col, pop_col)
+            missing = [c for c in columns if c not in reader.fieldnames]
             if missing:
                 raise ColumnMappingError(f"{path}: column(s) {missing} not in header "
                                          f"{reader.fieldnames}")
+            shared = _first_repeat(columns)
+            if shared is not None:
+                raise ColumnMappingError(f"{path}: column {shared!r} is configured for more "
+                                         "than one of country, age group and population")
+            # A DictReader would read a repeated column from its last copy.
+            repeated = _first_repeat(c for c in reader.fieldnames if c in columns)
+            if repeated is not None:
+                raise ColumnMappingError(f"{path}: column {repeated!r} appears more than once "
+                                         f"in header {reader.fieldnames}")
             for row in reader:
                 line = reader.line_num
                 country, age, raw = row[country_col], row[age_col], row[pop_col]
@@ -271,9 +282,10 @@ def load_params(path) -> ModelParams:
             present for a kind other than model 2 or absent for model 2,
             a ``free_param`` other than the last survival entry, unknown
             schema, version (a bool too) or kind, bytes that are not UTF-8,
-            or JSON that Python's reader refuses; or a ``survival`` or
-            ``activation`` list its value type refuses with a ValueError
-            or an OverflowError, or a ``target`` AgeDistribution does.
+            a key repeated in one object, or JSON that Python's reader
+            refuses; or a ``survival`` or ``activation`` list its value
+            type refuses with a ValueError or an OverflowError, or a
+            ``target`` AgeDistribution does.
         DegenerateLastGroup, ActivationTooSmall: as the value types raise.
     """
     return load_params_document(path).params
@@ -289,14 +301,23 @@ def _json_int(text: str) -> int:
                          f"Python's limit of {sys.get_int_max_str_digits()}") from None
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's (key, value) pairs as a dict; a repeated key, which
+    ``json`` would read from its last copy, raises ValueError naming it."""
+    repeat = _first_repeat(key for key, _ in pairs)
+    if repeat is not None:
+        raise ValueError(f"key {repeat!r} appears more than once in one object")
+    return dict(pairs)
+
+
 def load_params_document(path) -> ParamsDocument:
     """Load a parameter file with its config echo and its target, labelled
     g1..gn when the file has no labels; raises as ``load_params`` does."""
     with _utf8_text(path, SchemaError) as fh:
         text = fh.read()
-    try:
-        document = json.loads(text, parse_int=_json_int)
-    except (RecursionError, ValueError) as exc:  # bad JSON, deep nesting, 4300+ digit ints
+    try:  # refuses bad JSON, a repeated key, deep nesting and 4300+ digit ints
+        document = json.loads(text, parse_int=_json_int, object_pairs_hook=_unique_keys)
+    except (RecursionError, ValueError) as exc:
         raise SchemaError(f"{path}: cannot read JSON ({exc})") from None
     if not isinstance(document, dict):
         raise SchemaError(f"{path}: expected a JSON object, got {type(document).__name__}")

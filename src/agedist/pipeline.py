@@ -10,11 +10,10 @@ search and curve fit stay available (``model2.optimize``,
 or curve fit is closer to the target than the L1 projection, which the
 nearest reachable target comes within 1% of. The cascade and the command
 line's ``classify`` and ``solve`` all call the station; ``_route_of`` is
-the only place that names the route of its parameters. Every solved
-parameter set is validated with one stochastic run against its own
-analytic steady state. ``run_dataset`` solves every entry first and then
-validates all of them in one ``simulator.run_many`` batch, which draws
-their shared uniform stream once.
+the only place that names the route of its parameters. ``run_dataset``,
+the one validated entry, checks every solved parameter set against its
+own analytic steady state with one stochastic run, all in one
+``simulator.run_many`` batch that draws their shared uniform stream once.
 """
 
 from __future__ import annotations
@@ -85,19 +84,6 @@ class PipelineReport:
     flagged: tuple = field(default_factory=tuple)
 
 
-def select_and_solve(dist: AgeDistribution,
-                     sim_config: Optional[simulator.SimConfig] = None) -> tuple:
-    """Route one target through the cascade; returns (params, route).
-
-    The diagnostics are the station's (``_solve_one``) plus the validation
-    run's error against the analytic steady state (``sim_mae``). Raises
-    InvalidEntry when ``dist`` is not an AgeDistribution.
-    """
-    params, analytic = _solve_one(dist)
-    _validate([(params, analytic)], sim_config)
-    return params, _route_of(params)
-
-
 def _solve_one(dist: AgeDistribution, p_n="mid", *, seed: Optional[int] = None) -> tuple:
     """The one station: ``model2.solve`` (``p_n`` and ``seed`` as there) on
     ``dist`` or, where it rejects ``dist``, on its nearest reachable target;
@@ -143,18 +129,6 @@ def _route_of(params: ModelParams) -> Route:
     return Route.MODEL2 if closed_form else Route.NEAREST_REACHABLE
 
 
-def _validate(solved, sim_config: Optional[simulator.SimConfig]) -> list:
-    """Validate (params, analytic steady state) pairs in one simulator batch
-    (``simulator.run_many``); records each run's error against its analytic
-    steady state as ``sim_mae`` and returns the steady-state estimates."""
-    runs = simulator.run_many([analytic for _, analytic in solved],
-                              [params for params, _ in solved], sim_config)
-    for (params, analytic), validation in zip(solved, runs):
-        params.diagnostics["sim_mae"] = mean_absolute_error(
-            validation.steady_estimate, analytic.proportions)
-    return [validation.steady_estimate for validation in runs]
-
-
 def _pair(index: int, entry) -> tuple:
     """Dataset entry ``index`` as a (name, distribution) pair with a str name."""
     try:
@@ -172,15 +146,17 @@ def run_dataset(dataset, sim_config: Optional[simulator.SimConfig] = None) -> Pi
     """Apply the cascade to every (name, distribution) entry.
 
     Every entry is solved first, then all solved entries are validated in
-    one ``simulator.run_many`` batch; each entry's validation run is bit
-    for bit the one ``select_and_solve`` makes. The report is sorted by
-    name. Per-entry failures, including an entry that is not an
-    AgeDistribution, are recorded with route FAILED and never abort the
-    batch. A failed validation batch (such as the simulator's step guard
-    raising ResidualCheckFailed, which names the member) records every
-    solved entry as FAILED with its reason: a broken update rule is not
-    specific to one entry. Nearest-reachable entries that moved their
-    target by more than ``DEFAULT_WASSERSTEIN_WARN`` are flagged.
+    one ``simulator.run_many`` batch (``sim_mae``, also in the parameters'
+    diagnostics); each entry's validation is bit for bit the run a dataset
+    of that entry alone gets, so ``[(name, dist)]`` solves and validates
+    one target. The report is sorted by name. Per-entry failures,
+    including an entry that is not an AgeDistribution, are recorded with
+    route FAILED and never abort the batch. A failed validation batch
+    (such as the simulator's step guard raising ResidualCheckFailed, which
+    names the member) records every solved entry as FAILED with its
+    reason: a broken update rule is not specific to one entry.
+    Nearest-reachable entries that moved their target by more than
+    ``DEFAULT_WASSERSTEIN_WARN`` are flagged.
 
     Raises:
         EmptyDataset: no entries were supplied.
@@ -206,19 +182,21 @@ def run_dataset(dataset, sim_config: Optional[simulator.SimConfig] = None) -> Pi
             logger.warning("%s: %s", name, exc)
             failures[name] = str(exc)
     try:
-        estimates = _validate(list(solved.values()), sim_config)
+        runs = simulator.run_many([analytic for _, analytic in solved.values()],
+                                  [params for params, _ in solved.values()], sim_config)
     except AgedistError as exc:
         logger.warning("validation of %d entries failed: %s", len(solved), exc)
         failures.update(dict.fromkeys(solved, str(exc)))
-        solved, estimates = {}, []
+        solved, runs = {}, []
 
     results = {name: CountryResult(name=name, route=Route.FAILED, failure_reason=reason)
                for name, reason in failures.items()}
-    for (name, (params, analytic)), estimate in zip(solved.items(), estimates):
+    for (name, (params, analytic)), validation in zip(solved.items(), runs):
+        params.diagnostics["sim_mae"] = sim_mae = mean_absolute_error(
+            validation.steady_estimate, analytic.proportions)
         results[name] = CountryResult(
-            name=name, route=_route_of(params), params=params,
-            sim_mae=params.diagnostics["sim_mae"], analytic=analytic.proportions,
-            sim_estimate=estimate)
+            name=name, route=_route_of(params), params=params, sim_mae=sim_mae,
+            analytic=analytic.proportions, sim_estimate=validation.steady_estimate)
     per_country = {name: results[name] for name in sorted(results)}
     route_counts = {route: sum(res.route is route for res in per_country.values())
                     for route in Route}

@@ -20,7 +20,7 @@ from agedist.distributions import ALPHA_MIN, ModelKind, ModelParams
 from agedist.errors import NotNormalized, ResidualCheckFailed
 from agedist.model1 import steady_state
 from agedist.model2 import steady_state2
-from agedist.pipeline import Route, run_dataset, select_and_solve
+from agedist.pipeline import Route, run_dataset
 from agedist.simulator import run, run_many, start_counts
 
 from oracles import reference_single_draw_step, reference_sorted_run, reference_step
@@ -574,15 +574,15 @@ class TestRunDataset:
 
     def test_validation_runs_match_single_entries(self, sim_config):
         # One batch for the dataset gives every entry the validation run
-        # that select_and_solve makes for it alone.
+        # that a dataset of that entry alone gets.
         dataset = [("hump", HUMP), ("mono", MONO), ("steep", STEEP),
                    ("stubborn", flat_then_humped()), ("huge", HUGE_LAST)]
         report = run_dataset(dataset, sim_config)
         for name, dist in dataset:
-            params, route = select_and_solve(dist, sim_config)
+            single = run_dataset([(name, dist)], sim_config).per_country[name]
             res = report.per_country[name]
-            assert res.route is route
-            assert res.sim_mae == params.diagnostics["sim_mae"]
+            assert res.route is single.route
+            assert res.sim_mae == single.params.diagnostics["sim_mae"]
 
     def test_broken_step_fails_every_validated_entry(self, sim_config, monkeypatch):
         # The simulator's step guard names the member; a broken update
@@ -603,8 +603,6 @@ class TestRunDataset:
             assert result.params is None and result.sim_mae is None
             assert "an agent left the age groups" in result.failure_reason
             assert result.failure_reason.startswith("member ")
-        with pytest.raises(ResidualCheckFailed, match="member 0: an agent left"):
-            select_and_solve(MONO, sim_config)
 
 
 class TestPipeline:

@@ -964,3 +964,34 @@ def test_a_survival_past_the_float_range_is_one_error_line(dataset, tmp_path):
                                        "--out", str(tmp_path / "result.json")])
     assert_exit_contract(code, err, caught, refusal=f"{params_file}: field 'survival': ")
     assert out == "" and not (tmp_path / "result.json").exists()
+
+
+# One CSV column read as two, and a parameter file with a key given twice.
+@pytest.mark.parametrize("case", ["repeated-column", "age-col-is-country-col", "repeated-key"])
+def test_a_field_given_twice_is_one_error_line(dataset, tmp_path, case):
+    source = tmp_path / "twice.csv"
+    params_file = tmp_path / "params.json"
+    out = ["--out", str(tmp_path / "out.json")]
+    if case == "repeated-key":
+        assert main(["solve", "--input", str(dataset), "--country", "Pyramid",
+                     "--out", str(params_file)]) == 0
+        text = params_file.read_text()
+        params_file.write_text(text.replace('\n  "free_param"', '\n  "survival": '
+                                            + json.dumps(json.loads(text)["survival"])
+                                            + ',\n  "free_param"'))
+        argv, refusal = (["simulate", "--params", str(params_file), *out],
+                         f"{params_file}: cannot read JSON (key 'survival' appears more ")
+    elif case == "repeated-column":
+        source.write_text("country,age_group,population,population\n"
+                          "A,0,1,9\nA,1,2,5\nA,2,3,1\n")
+        argv, refusal = (["solve", "--input", str(source), "--country", "A", *out],
+                         f"{source}: column 'population' appears more than once")
+    else:
+        source.write_text("country,age_group,population\nA,0,1\nA,1,2\nA,2,3\n")
+        argv, refusal = (["solve", "--input", str(source), "--country", "A",
+                          "--age-col", "country", *out],
+                         f"{source}: column 'country' is configured for more than one")
+    code, printed, err, caught = run_main(argv)
+    assert_exit_contract(code, err, caught, refusal=refusal)
+    assert printed == "" and len(err.splitlines()) == 1
+    assert not (tmp_path / "out.json").exists()

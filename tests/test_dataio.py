@@ -93,6 +93,30 @@ class TestIngest:
         with pytest.raises(ColumnMappingError):
             ingest_csv(path)
 
+    # A DictReader reads a repeated column from its last copy, and one
+    # column configured as two is read as both.
+    @pytest.mark.parametrize("header, rows, columns, column", [
+        ("country,age_group,population,population", ["A,0,1,9", "A,1,2,5", "A,2,3,1"], {},
+         "population"),
+        # A bad population: the header is checked before any row is read.
+        ("country,country,age_group,population", ["A,A,0,oops"], {}, "country"),
+        ("country,age_group,population", ["A,0,1", "A,1,2", "A,2,3"], {"age_col": "country"},
+         "country"),
+    ], ids=["repeated-population", "repeated-country", "age-col-is-country-col"])
+    def test_a_column_read_twice_is_refused(self, tmp_path, header, rows, columns, column):
+        path = tmp_path / "data.csv"
+        write_csv(path, rows, header=header)
+        with pytest.raises(ColumnMappingError) as caught:
+            ingest_csv(path, **columns)
+        assert str(caught.value).startswith(f"{path}: column {column!r} ")
+
+    def test_a_repeated_column_that_is_not_read_is_accepted(self, tmp_path):
+        path = tmp_path / "data.csv"
+        write_csv(path, ["X,a,50,,", "X,b,30,,", "X,c,20,,"],
+                  header="country,age_group,population,note,note")
+        (_, dist), = ingest_csv(path)
+        assert np.allclose(dist.proportions, [0.5, 0.3, 0.2])
+
     def test_column_mapping(self, tmp_path):
         path = tmp_path / "data.csv"
         write_csv(path, ["X,a,50", "X,b,30", "X,c,20"],
@@ -301,6 +325,28 @@ class TestParamsFiles:
         assert str(caught.value).startswith(f"{path}: ")
         # Advice to change the interpreter's limit helps no one editing the file.
         assert "int_max_str_digits" not in str(caught.value)
+
+    # json reads a repeated key from its last copy, at any depth.
+    @pytest.mark.parametrize("key", ["survival", "target", "mae"])
+    def test_a_repeated_key_is_a_schema_error(self, tmp_path, key):
+        path = tmp_path / "params.json"
+        params = solved_params()
+        emit_params(params, path, target=ABC)
+        text = path.read_text()
+        # The second survival list keeps the last entry, which free_param copies.
+        survival = json.dumps([0.9, 0.9, params.free_param])
+        spoilt = {
+            "survival": text.replace('\n  "free_param"',
+                                     f'\n  "survival": {survival},\n  "free_param"'),
+            "target": text.replace('\n  "config"', '\n  "target": [0.2, 0.3, 0.5],\n  "config"'),
+            "mae": text.replace('"mae": 0.0', '"mae": 0.0, "mae": 1.0'),
+        }[key]
+        assert spoilt != text
+        path.write_text(spoilt)
+        with pytest.raises(SchemaError) as caught:
+            load_params_document(path)
+        assert str(caught.value) == (f"{path}: cannot read JSON "
+                                     f"(key {key!r} appears more than once in one object)")
 
     def test_non_finite_diagnostics_written_as_null(self, tmp_path):
         params = solved_params()

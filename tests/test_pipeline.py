@@ -29,7 +29,7 @@ from agedist.errors import (
 )
 from agedist.model1 import steady_state
 from agedist.model2 import nearest_reachable, steady_state2
-from agedist.pipeline import Route, _solve_one, run_dataset, select_and_solve
+from agedist.pipeline import Route, _solve_one, run_dataset
 
 from oracles import reference_solve_one
 
@@ -73,16 +73,22 @@ def reproduces_nearest_reachable(params, dist):
     return np.abs(analytic.proportions - nearest_reachable(dist).proportions).max() < 1e-12
 
 
-class TestSelectAndSolve:
+def alone(dist, sim_config):
+    """``dist`` solved and validated as a one-entry dataset: (params, route)."""
+    result = run_dataset([("entry", dist)], sim_config).per_country["entry"]
+    return result.params, result.route
+
+
+class TestOneEntryDataset:
     def test_monotone_takes_closed_form(self, sim_config):
-        params, route = select_and_solve(MONO, sim_config)
+        params, route = alone(MONO, sim_config)
         assert route is Route.MODEL1
         assert params.kind is ModelKind.MODEL1
         assert params.diagnostics["mae"] < 1e-12
         assert params.diagnostics["sim_mae"] < 5e-3
 
     def test_hump_takes_search(self, sim_config):
-        params, route = select_and_solve(HUMP, sim_config)
+        params, route = alone(HUMP, sim_config)
         assert route is Route.MODEL2
         assert params.kind is ModelKind.MODEL2
         assert params.diagnostics["mae"] < 1e-4
@@ -91,7 +97,7 @@ class TestSelectAndSolve:
 
     def test_stubborn_shape_takes_nearest_reachable(self, sim_config):
         dist = flat_then_humped()
-        params, route = select_and_solve(dist, sim_config)
+        params, route = alone(dist, sim_config)
         assert route is Route.NEAREST_REACHABLE
         assert params.kind is ModelKind.MODEL2
         assert params.diagnostics["solver"] == "nearest_reachable"
@@ -101,7 +107,7 @@ class TestSelectAndSolve:
 
     def test_nearest_reachable_records_distance_not_search(self, sim_config):
         dist = flat_then_humped()
-        params, route = select_and_solve(dist, sim_config)
+        params, route = alone(dist, sim_config)
         assert route is Route.NEAREST_REACHABLE
         assert params.diagnostics["wasserstein_to_original"] == wasserstein(
             nearest_reachable(dist), dist)
@@ -110,7 +116,7 @@ class TestSelectAndSolve:
 
     def test_flat_then_humped_takes_model2_closed_form(self, sim_config):
         dist = flat_then_humped(first=0.060)
-        params, route = select_and_solve(dist, sim_config)
+        params, route = alone(dist, sim_config)
         assert route is Route.MODEL2
         assert params.diagnostics["solver"] == "closed_form"
         analytic = steady_state2(params.survival, params.activation)
@@ -119,7 +125,7 @@ class TestSelectAndSolve:
 
     def test_route_follows_classification(self, sim_config):
         for dist in (MONO, HUMP):
-            _, route = select_and_solve(dist, sim_config)
+            _, route = alone(dist, sim_config)
             monotone = classify(dist) is Classification.MONOTONE_NON_INCREASING
             assert (route is Route.MODEL1) == monotone
 
@@ -127,7 +133,7 @@ class TestSelectAndSolve:
         # Closed form and converged search: analytic steady state must land
         # on the original within the success threshold.
         for dist, route_expected in ((MONO, Route.MODEL1), (HUMP, Route.MODEL2)):
-            params, route = select_and_solve(dist, sim_config)
+            params, route = alone(dist, sim_config)
             assert route is route_expected
             if params.kind is ModelKind.MODEL2:
                 analytic = steady_state2(
@@ -141,7 +147,7 @@ class TestSelectAndSolve:
         # The search's success threshold, which the curve fit it fell back
         # to never met, is met on the original target.
         dist = flat_then_humped()
-        params, route = select_and_solve(dist, sim_config)
+        params, route = alone(dist, sim_config)
         assert route is Route.NEAREST_REACHABLE
         analytic = steady_state2(params.survival, params.activation, labels=dist.labels)
         assert params.diagnostics["mae"] == mean_absolute_error(analytic, dist) < 1e-4
@@ -152,16 +158,16 @@ class TestSelectAndSolve:
         # what any survival below MAX_LAST_SURVIVAL holds.
         with pytest.raises(DegenerateLastGroup):
             model1.solve(HUGE_LAST)
-        params, route = select_and_solve(HUGE_LAST, sim_config)
+        params, route = alone(HUGE_LAST, sim_config)
         assert route is Route.NEAREST_REACHABLE
         assert params.kind is ModelKind.MODEL2
         assert params.diagnostics["mae"] < 1e-9
         assert reproduces_nearest_reachable(params, HUGE_LAST)
 
     def test_deterministic(self, sim_config):
-        a, _ = select_and_solve(HUMP, sim_config)
-        b, _ = select_and_solve(HUMP, sim_config)
-        assert a == b
+        a, _ = alone(HUMP, sim_config)
+        b, _ = alone(HUMP, sim_config)
+        assert a is not None and a == b
 
 
 class TestSolveModel1:
@@ -230,7 +236,7 @@ class TestSolveModel2:
         assert "search_history" not in params.diagnostics
 
     def test_cascade_entry_adds_only_the_validation_error(self, sim_config):
-        params, route = select_and_solve(flat_then_humped(), sim_config)
+        params, route = alone(flat_then_humped(), sim_config)
         assert route is Route.NEAREST_REACHABLE
         station, _ = _solve_one(flat_then_humped())
         assert list(params.diagnostics) == list(station.diagnostics) + ["sim_mae"]
@@ -454,10 +460,6 @@ class TestRunDataset:
         monkeypatch.setattr(pipeline, "_solve_one", never)
         with pytest.raises(InvalidEntry, match="entry 1 has a name that is not a str"):
             run_dataset([("a", MONO), (name, MONO)])
-
-    def test_select_and_solve_rejects_raw_vector(self, sim_config):
-        with pytest.raises(InvalidEntry):
-            select_and_solve([0.5, 0.3, 0.2], sim_config)
 
 
 def counts_or_distribution(counts):
