@@ -58,7 +58,7 @@ report = run_dataset(entries, SimConfig(num_agents=10_000, num_steps=350, seed=0
 print("\nroutes taken:")
 for name, res in report.per_country.items():
     extras = ""
-    diagnostics = res.params.diagnostics
+    diagnostics = res.solution.params.diagnostics
     if diagnostics.get("solver") == "closed_form":
         extras = (f"  (closed form, mae {diagnostics['mae']:.1e}, "
                   f"smallest activation {diagnostics['min_activation']:.3f})")

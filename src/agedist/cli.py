@@ -8,8 +8,8 @@ original method's plateau-decay surrogate plus closed-form solve),
 ``simulate`` (stochastic validation of a parameter file) and ``pipeline``
 (the full cascade over a dataset, emitting parameter files and plot-data
 CSVs). ``classify``, ``solve`` and ``pipeline`` all call the pipeline's one
-station, ``pipeline._solve_one``, so ``solve``'s files carry the pipeline's
-diagnostics, and print ``pipeline._route_of``'s name for its route.
+station, ``pipeline.solve``, so ``solve``'s files carry the pipeline's
+diagnostics, and print the name of the route its ``Solution`` took.
 ``solve --pn`` sets the last group's survival on every route; ``--country``
 also finds the countries that ingest skipped.
 
@@ -131,17 +131,17 @@ def cmd_classify(args) -> int:
 
 def _route_name(dist) -> str:
     try:
-        return pipeline._route_of(pipeline._solve_one(dist)[0]).value
+        return pipeline.solve(dist).route.value
     except AgedistError:
         return pipeline.Route.FAILED.value
 
 
 def cmd_solve(args) -> int:
     dist = _target(args)
-    params, _ = pipeline._solve_one(dist, _parse_pn(args.pn), seed=args.seed)
-    route = pipeline._route_of(params)
+    solution = pipeline.solve(dist, _parse_pn(args.pn), seed=args.seed)
+    params = solution.params
     dataio.emit_params(params, args.out, target=dist, config={"seed": args.seed, "pn": args.pn})
-    print(f"{args.country}: route {route.value}, mae {params.diagnostics['mae']:.3g}, "
+    print(f"{args.country}: route {solution.route.value}, mae {params.diagnostics['mae']:.3g}, "
           f"wrote {args.out}")
     return 0
 
@@ -151,16 +151,16 @@ def _fitted_params(fit: curvefit.CurveFitResult) -> tuple:
     (monotone, so a MODEL1 set), with the fit's distance, residual and
     curve parameters in its diagnostics; returns (params, analytic steady
     state)."""
-    params, analytic = pipeline._solve_one(fit.fitted)
+    solution = pipeline.solve(fit.fitted)
     diagnostics = {
-        "mae": params.diagnostics["mae"],
+        "mae": solution.params.diagnostics["mae"],
         "wasserstein_to_original": fit.wasserstein_to_original,
         "residual_sse": fit.residual_sse,
         **asdict(fit.params),  # plateau, decay_scale, decay_shape, breakpoint
-        "free_param_mode": params.diagnostics["free_param_mode"],
+        "free_param_mode": solution.params.diagnostics["free_param_mode"],
     }
-    return ModelParams(ModelKind.MODEL1_ON_FITTED, params.survival,
-                       diagnostics=diagnostics), analytic
+    return ModelParams(ModelKind.MODEL1_ON_FITTED, solution.params.survival,
+                       diagnostics=diagnostics), solution.analytic
 
 
 def cmd_fit_curve(args) -> int:
@@ -236,11 +236,11 @@ def cmd_pipeline(args) -> int:
 
     targets = dict(entries)
     for name, res in report.per_country.items():
-        if res.params is None:
+        if res.solution is None:
             continue
         dist, stem = targets[name], stems[name]
         dataio.emit_params(
-            res.params,
+            res.solution.params,
             params_dir / f"{stem}.json",
             target=dist,
             config={"seed": args.seed, "num_agents": args.agents, "num_steps": args.steps},
@@ -248,7 +248,8 @@ def cmd_pipeline(args) -> int:
         dataio.write_csv(
             plots_dir / f"{stem}_distribution.csv",
             ["age_group", "target", "analytic", "simulated"],
-            zip(dist.labels, dist.proportions, res.analytic, res.sim_estimate),
+            zip(dist.labels, dist.proportions, res.solution.analytic.proportions,
+                res.sim_estimate),
         )
 
     dataio.write_csv(plots_dir / "nearest_reachable_wasserstein.csv",
@@ -279,7 +280,7 @@ def cmd_pipeline(args) -> int:
                 "route": res.route.value,
                 "sim_mae": res.sim_mae,
                 "failure_reason": res.failure_reason,
-                "diagnostics": res.params.diagnostics if res.params else None,
+                "diagnostics": res.solution.params.diagnostics if res.solution else None,
             }
             for name, res in report.per_country.items()
         },

@@ -113,7 +113,8 @@ def solve(dist, p_n="mid", *, seed: Optional[int] = None) -> SurvivalVector:
     elif isinstance(p_n, (bool, np.bool_)):
         raise ValueError(f"free parameter must be a number, 'mid' or 'rand', not {p_n!r}")
     else:
-        value = float(p_n)
+        # Adding +0.0 turns -0.0 into +0.0 and keeps every other value.
+        value = float(p_n) + 0.0
         if not interval.contains(value):
             raise FreeParamOutOfRange(
                 f"p_n={value!r} outside [{interval.lower!r}, {interval.upper!r}]"

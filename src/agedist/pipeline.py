@@ -1,7 +1,7 @@
 """Model-selection cascade and dataset-level batch driver.
 
-One station, ``_solve_one``, solves every target with the model-2 closed
-form (``model2.solve``): on the target itself when every group stays within
+One station, ``solve``, takes any target to its route: the model-2 closed
+form (``model2.solve``) on the target itself when every group stays within
 1/ALPHA_MIN of each earlier one, else on the nearest target it reaches
 (``model2.nearest_reachable``). Model 1 is its member with every
 activation 1, which a monotone target gets. The paper's activation-rate
@@ -9,8 +9,8 @@ search and curve fit stay available (``model2.optimize``,
 ``curvefit.fit``), but the cascade calls neither: no model-2 steady state
 or curve fit is closer to the target than the L1 projection, which the
 nearest reachable target comes within 1% of. The cascade and the command
-line's ``classify`` and ``solve`` all call the station; ``_route_of`` is
-the only place that names the route of its parameters. ``run_dataset``,
+line's ``classify`` and ``solve`` all call the station, and the route of
+its ``Solution`` is set where the station decides it. ``run_dataset``,
 the one validated entry, checks every solved parameter set against its
 own analytic steady state with one stochastic run, all in one
 ``simulator.run_many`` batch that draws their shared uniform stream once.
@@ -27,9 +27,8 @@ from typing import Optional
 import numpy as np
 
 from . import model2, simulator
-from .distributions import (
+from .distributions import (  # noqa: F401 (classify: bench/run.py's tracer wraps it here)
     AgeDistribution,
-    Classification,
     ModelKind,
     ModelParams,
     check_seed,
@@ -59,17 +58,26 @@ class Route(Enum):
     FAILED = "failed"
 
 
+@dataclass(frozen=True)
+class Solution:
+    """One target solved by ``solve``: its route, parameters and their steady state."""
+
+    route: Route
+    params: ModelParams
+    analytic: AgeDistribution
+
+
 @dataclass
 class CountryResult:
-    name: str
-    route: Route
-    params: Optional[ModelParams] = None
-    sim_mae: Optional[float] = None
+    solution: Optional[Solution] = None
     failure_reason: Optional[str] = None
-    #: Analytic steady state of the solved parameters (proportions).
-    analytic: Optional[np.ndarray] = None
+    sim_mae: Optional[float] = None
     #: Steady-state estimate from the validation run (proportions).
     sim_estimate: Optional[np.ndarray] = None
+
+    @property
+    def route(self) -> Route:
+        return Route.FAILED if self.solution is None else self.solution.route
 
 
 @dataclass
@@ -84,49 +92,40 @@ class PipelineReport:
     flagged: tuple = field(default_factory=tuple)
 
 
-def _solve_one(dist: AgeDistribution, p_n="mid", *, seed: Optional[int] = None) -> tuple:
-    """The one station: ``model2.solve`` (``p_n`` and ``seed`` as there) on
-    ``dist`` or, where it rejects ``dist``, on its nearest reachable target;
-    returns (params, analytic steady state). A monotone target solved as
-    given has every activation 1 and returns as MODEL1, with model 1's
-    diagnostics: the ``mae`` against ``dist`` and the ``free_param_mode``
-    ("midpoint", "rand" with its ``seed``, or "explicit"). MODEL2 adds the
-    ``solver`` ("closed_form", or "nearest_reachable" with the
-    ``wasserstein_to_original`` it moved) and the smallest activation."""
+def solve(dist: AgeDistribution, p_n="mid", *, seed: Optional[int] = None) -> Solution:
+    """The one station, for any target: ``model2.solve`` (``p_n`` and
+    ``seed`` as there) on ``dist``, or where it rejects ``dist`` on its
+    nearest reachable target (route NEAREST_REACHABLE). A target solved as
+    given is MODEL1 when every activation is exactly 1, as only a monotone
+    one's are, and MODEL2 otherwise. Every route records the ``mae``
+    against ``dist`` and the ``free_param_mode`` ("midpoint", "rand" with
+    its ``seed``, or "explicit"); all but MODEL1 add the ``solver``
+    ("closed_form", or "nearest_reachable" with the
+    ``wasserstein_to_original`` it moved) and the smallest activation.
+    InvalidEntry: ``dist`` is not an AgeDistribution."""
     if not isinstance(dist, AgeDistribution):
-        raise InvalidEntry(
-            f"expected an AgeDistribution, got {type(dist).__name__} "
-            "(build one with normalize())"
-        )
+        raise InvalidEntry(f"expected an AgeDistribution, got {type(dist).__name__} "
+                           "(build one with normalize())")
 
-    monotone = classify(dist) is Classification.MONOTONE_NON_INCREASING
-    diagnostics = {"solver": "closed_form"}
+    route, diagnostics = Route.MODEL2, {"solver": "closed_form"}
     try:
         survival, activation = model2.solve(dist, p_n, seed=seed)
     except (ActivationTooSmall, DegenerateLastGroup):
         reachable = model2.nearest_reachable(dist)
-        diagnostics = {"solver": "nearest_reachable",
-                       "wasserstein_to_original": wasserstein(reachable, dist)}
+        route, diagnostics = Route.NEAREST_REACHABLE, {
+            "solver": "nearest_reachable", "wasserstein_to_original": wasserstein(reachable, dist)}
         survival, activation = model2.solve(reachable, p_n, seed=seed)
     analytic = model2.steady_state2(survival, activation, labels=dist.labels)
     # model2.solve has rejected every other string.
     mode = "explicit" if not isinstance(p_n, str) else "midpoint" if p_n == "mid" else "rand"
     free = {"free_param_mode": mode, **({"seed": check_seed(seed)} if mode == "rand" else {})}
     mae = mean_absolute_error(analytic, dist)
-    if monotone and diagnostics["solver"] == "closed_form":
-        return ModelParams(ModelKind.MODEL1, survival, diagnostics={"mae": mae, **free}), analytic
+    if route is Route.MODEL2 and (activation.rates == 1.0).all():
+        params = ModelParams(ModelKind.MODEL1, survival, diagnostics={"mae": mae, **free})
+        return Solution(Route.MODEL1, params, analytic)
     diagnostics.update(min_activation=float(activation.rates.min()), **free, mae=mae)
-    return ModelParams(ModelKind.MODEL2, survival, activation, diagnostics=diagnostics), analytic
-
-
-def _route_of(params: ModelParams) -> Route:
-    """The route of the station's parameters (``_solve_one``), and the only
-    place that names one: a model-2 result is MODEL2 from the closed form
-    and NEAREST_REACHABLE otherwise."""
-    if params.kind is ModelKind.MODEL1:
-        return Route.MODEL1
-    closed_form = params.diagnostics["solver"] == "closed_form"
-    return Route.MODEL2 if closed_form else Route.NEAREST_REACHABLE
+    return Solution(route, ModelParams(ModelKind.MODEL2, survival, activation,
+                                       diagnostics=diagnostics), analytic)
 
 
 def _pair(index: int, entry) -> tuple:
@@ -177,30 +176,28 @@ def run_dataset(dataset, sim_config: Optional[simulator.SimConfig] = None) -> Pi
     solved, failures = {}, {}
     for name, dist in entries:
         try:
-            solved[name] = _solve_one(dist)
+            solved[name] = solve(dist)
         except AgedistError as exc:
             logger.warning("%s: %s", name, exc)
             failures[name] = str(exc)
     try:
-        runs = simulator.run_many([analytic for _, analytic in solved.values()],
-                                  [params for params, _ in solved.values()], sim_config)
+        runs = simulator.run_many([solution.analytic for solution in solved.values()],
+                                  [solution.params for solution in solved.values()], sim_config)
     except AgedistError as exc:
         logger.warning("validation of %d entries failed: %s", len(solved), exc)
         failures.update(dict.fromkeys(solved, str(exc)))
         solved, runs = {}, []
 
-    results = {name: CountryResult(name=name, route=Route.FAILED, failure_reason=reason)
-               for name, reason in failures.items()}
-    for (name, (params, analytic)), validation in zip(solved.items(), runs):
-        params.diagnostics["sim_mae"] = sim_mae = mean_absolute_error(
-            validation.steady_estimate, analytic.proportions)
-        results[name] = CountryResult(
-            name=name, route=_route_of(params), params=params, sim_mae=sim_mae,
-            analytic=analytic.proportions, sim_estimate=validation.steady_estimate)
+    results = {name: CountryResult(failure_reason=reason) for name, reason in failures.items()}
+    for (name, solution), validation in zip(solved.items(), runs):
+        solution.params.diagnostics["sim_mae"] = sim_mae = mean_absolute_error(
+            validation.steady_estimate, solution.analytic.proportions)
+        results[name] = CountryResult(solution, sim_mae=sim_mae,
+                                      sim_estimate=validation.steady_estimate)
     per_country = {name: results[name] for name in sorted(results)}
     route_counts = {route: sum(res.route is route for res in per_country.values())
                     for route in Route}
-    distances = {name: res.params.diagnostics["wasserstein_to_original"]
+    distances = {name: res.solution.params.diagnostics["wasserstein_to_original"]
                  for name, res in per_country.items() if res.route is Route.NEAREST_REACHABLE}
     flagged = tuple(name for name, value in distances.items()
                     if value > DEFAULT_WASSERSTEIN_WARN)

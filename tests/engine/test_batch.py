@@ -582,7 +582,7 @@ class TestRunDataset:
             single = run_dataset([(name, dist)], sim_config).per_country[name]
             res = report.per_country[name]
             assert res.route is single.route
-            assert res.sim_mae == single.params.diagnostics["sim_mae"]
+            assert res.sim_mae == single.solution.params.diagnostics["sim_mae"]
 
     def test_broken_step_fails_every_validated_entry(self, sim_config, monkeypatch):
         # The simulator's step guard names the member; a broken update
@@ -600,7 +600,7 @@ class TestRunDataset:
         assert "AgeDistribution" in report.per_country["bad"].failure_reason
         for name in ("hump", "mono"):
             result = report.per_country[name]
-            assert result.params is None and result.sim_mae is None
+            assert result.solution is None and result.sim_mae is None
             assert "an agent left the age groups" in result.failure_reason
             assert result.failure_reason.startswith("member ")
 

@@ -513,7 +513,7 @@ def reference_paid_for(props, raised, later, bound):
 
 
 def reference_solve_one(dist, p_n="mid", *, seed=None):
-    """``pipeline._solve_one`` as two stations; returns (params, analytic
+    """``pipeline.solve`` as two stations; returns (params, analytic
     steady state). A monotone target goes to model 1 (``p_n`` and ``seed``
     as ``model1.solve`` takes them, its steady state from
     ``model1.steady_state``) and falls through to model 2 when its last
@@ -545,3 +545,12 @@ def reference_solve_one(dist, p_n="mid", *, seed=None):
     diagnostics.update(min_activation=float(activation.rates.min()),
                        free_param_mode="midpoint", mae=mean_absolute_error(analytic, dist))
     return ModelParams(ModelKind.MODEL2, survival, activation, diagnostics=diagnostics), analytic
+
+
+def reference_route(params) -> str:
+    """The route's name, read from a station's parameters by kind and
+    solver, as ``reference_solve_one`` builds them: model 1, the model-2
+    closed form or its nearest reachable target."""
+    if params.kind is ModelKind.MODEL1:
+        return "model1"
+    return "model2" if params.diagnostics["solver"] == "closed_form" else "nearest_reachable"

@@ -27,7 +27,7 @@ from agedist.dataio import load_params, load_params_document
 from agedist.errors import AgedistError, DegenerateLastGroup
 from agedist.simulator import SimConfig
 
-from oracles import reference_solve_one
+from oracles import reference_route, reference_solve_one
 from test_curvefit import bench_generator
 from test_pipeline import flat_then_humped
 
@@ -57,6 +57,17 @@ def test_agedist_log_takes_only_a_level(dataset, level, code):
         assert result.stdout.startswith("country,classification,eligible_route")
 
 
+def test_the_command_line_imports_no_optional_module():
+    # The benchmark's setup_s times this import in a fresh interpreter.
+    code = ("import sys, agedist, agedist.cli; agedist.cli.build_parser(); print(sorted("
+            "{'scipy', 'hypothesis', 'concurrent.futures', 'matplotlib'} & set(sys.modules)))")
+    path = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout == "[]\n"
+
+
 class TestClassify:
     def test_lists_every_country(self, dataset, capsys):
         assert main(["classify", "--input", str(dataset)]) == 0
@@ -73,15 +84,15 @@ class TestClassify:
         assert out[1].startswith("Hump,")
 
     def test_unsolvable_country_listed_as_failed(self, dataset, capsys, monkeypatch):
-        solve_one = pipeline._solve_one
+        solve = pipeline.solve
 
         def refuse(dist):
-            params, analytic = solve_one(dist)
-            if params.kind is not ModelKind.MODEL1:
+            solution = solve(dist)
+            if solution.route is not pipeline.Route.MODEL1:
                 raise AgedistError("no model-2 station")
-            return params, analytic
+            return solution
 
-        monkeypatch.setattr(pipeline, "_solve_one", refuse)
+        monkeypatch.setattr(pipeline, "solve", refuse)
         assert main(["classify", "--input", str(dataset)]) == 0
         table = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines()[1:])
         assert table["Hump"] == "non_monotone,failed"
@@ -188,7 +199,7 @@ class TestRouteAgreement:
             # the route the same way.
             params, _ = reference_solve_one(dist)
             assert load_params(tmp_path / f"{name}.json") == params
-            forced[name] = pipeline._route_of(params).value
+            forced[name] = reference_route(params)
 
         assert classified == piped == solved == forced == {
             "Pyramid": "model1", "Hump": "model2",
@@ -234,6 +245,15 @@ class TestSolve:
             "--pn", "0.25", "--out", str(out_file),
         ]) == 0
         assert load_params_document(out_file).params.free_param == 0.25
+
+    @pytest.mark.parametrize("country", ["Pyramid", "Hump"])
+    def test_a_signed_zero_pn_writes_a_positive_zero(self, dataset, tmp_path, country):
+        out_file = tmp_path / "zero.json"
+        assert main(["solve", "--input", str(dataset), "--country", country,
+                     "--pn", "-0.0", "--out", str(out_file)]) == 0
+        written = strict_load(out_file)
+        assert not np.signbit(written["free_param"])
+        assert not np.signbit(written["survival"][-1])
 
     @pytest.mark.parametrize("pn, mode", [("mid", "midpoint"), ("rand", "rand"),
                                           ("0.25", "explicit")])
@@ -907,7 +927,7 @@ class TestHostileCsv:
             assert_exit_contract(code, err, caught, refusal)
             if code == 0:
                 params = load_params(params_file)
-                if pipeline._route_of(params) is not pipeline.Route.NEAREST_REACHABLE:
+                if reference_route(params) != "nearest_reachable":
                     alpha = params.activation.rates if params.activation else None
                     steady = stationary_distribution(params.survival.probs, alpha)
                     target = load_params_document(params_file).target.proportions

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agedist import pipeline
 from agedist.dataio import (
     emit_params,
     ingest_csv,
@@ -25,7 +26,6 @@ from agedist.errors import (
     DegenerateLastGroup,
     SchemaError,
 )
-from agedist.pipeline import _solve_one
 from agedist.model1 import solve
 from agedist.model2 import DEConfig, optimize
 
@@ -260,7 +260,7 @@ class TestParamsFiles:
         if kind is ModelKind.MODEL1:
             counts = sorted(counts, reverse=True)
         target = normalize(counts, labels)
-        params, _ = _solve_one(target)
+        params = pipeline.solve(target).params
         with tempfile.TemporaryDirectory() as scratch:
             path = Path(scratch) / "params.json"
             emit_params(params, path, target=target)
@@ -556,8 +556,8 @@ class TestParamsFiles:
         assert not path.exists()
 
     def test_numpy_seed_round_trips(self, tmp_path):
-        params, _ = _solve_one(AgeDistribution(("a", "b", "c"), [0.5, 0.3, 0.2]), "rand",
-                               seed=np.int64(5))
+        params = pipeline.solve(AgeDistribution(("a", "b", "c"), [0.5, 0.3, 0.2]), "rand",
+                                seed=np.int64(5)).params
         path = tmp_path / "params.json"
         emit_params(params, path)
         assert json.loads(path.read_text())["diagnostics"]["seed"] == 5

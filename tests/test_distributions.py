@@ -665,8 +665,8 @@ class TestConfigsHoldPythonInts:
         # A model-1 and a model-2 route: the files carry the seed as the
         # configs hold it.
         for target in ([3, 2, 1], [1, 3, 2]):
-            got, _ = pipeline._solve_one(normalize(target, "abc"), "rand", seed=seed[0])
-            want, _ = pipeline._solve_one(normalize(target, "abc"), "rand", seed=seed[1])
+            got = pipeline.solve(normalize(target, "abc"), "rand", seed=seed[0]).params
+            want = pipeline.solve(normalize(target, "abc"), "rand", seed=seed[1]).params
             assert type(got.diagnostics["seed"]) is int
             assert got.diagnostics == want.diagnostics
             assert got.survival == want.survival and got.activation == want.activation

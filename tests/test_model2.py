@@ -327,6 +327,13 @@ class TestSolve:
         with pytest.raises(ActivationTooSmall, match="1/ALPHA_MIN"):
             model2.solve(dist)
 
+    @pytest.mark.parametrize("target", [[0.5, 0.3, 0.2], [0.3, 0.4, 0.3]],
+                             ids=["monotone", "hump"])
+    def test_a_signed_zero_pn_gives_a_positive_zero(self, target):
+        survival, _ = model2.solve(target, -0.0)
+        assert not np.signbit(survival.probs[-1])
+        assert survival.probs.tobytes() == model2.solve(target, 0.0)[0].probs.tobytes()
+
     @given(positive_targets(monotone=True))
     @settings(max_examples=60, deadline=None)
     def test_monotone_target_is_model1_bit_for_bit(self, dist):
@@ -515,7 +522,7 @@ class TestNearestReachable:
         assert result.route is not Route.FAILED, result.failure_reason
         solved = (model2.nearest_reachable(dist) if result.route is Route.NEAREST_REACHABLE
                   else dist)
-        assert np.abs(result.analytic - solved.proportions).max() < 1e-12
+        assert np.abs(result.solution.analytic.proportions - solved.proportions).max() < 1e-12
 
     @given(unreachable_targets())
     @settings(max_examples=200, deadline=None)

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -21,6 +22,7 @@ from agedist.distributions import (
     wasserstein,
 )
 from agedist.errors import (
+    ActivationTooSmall,
     AgedistError,
     DegenerateLastGroup,
     EmptyDataset,
@@ -29,9 +31,9 @@ from agedist.errors import (
 )
 from agedist.model1 import steady_state
 from agedist.model2 import nearest_reachable, steady_state2
-from agedist.pipeline import Route, _solve_one, run_dataset
+from agedist.pipeline import Route, run_dataset
 
-from oracles import reference_solve_one
+from oracles import reference_route, reference_solve_one
 
 
 def flat_then_humped(first=5e-5):
@@ -76,7 +78,7 @@ def reproduces_nearest_reachable(params, dist):
 def alone(dist, sim_config):
     """``dist`` solved and validated as a one-entry dataset: (params, route)."""
     result = run_dataset([("entry", dist)], sim_config).per_country["entry"]
-    return result.params, result.route
+    return result.solution.params, result.route
 
 
 class TestOneEntryDataset:
@@ -173,21 +175,23 @@ class TestOneEntryDataset:
 class TestSolveModel1:
     @pytest.mark.parametrize("p_n, mode", [("mid", "midpoint"), (0.25, "explicit")])
     def test_free_param_mode(self, p_n, mode):
-        params, analytic = _solve_one(MONO, p_n)
+        solution = pipeline.solve(MONO, p_n)
+        params, analytic = solution.params, solution.analytic
         assert params.kind is ModelKind.MODEL1
         assert params.diagnostics == {
             "mae": mean_absolute_error(analytic, MONO), "free_param_mode": mode}
         assert analytic == steady_state(params.survival, labels=MONO.labels)
 
     def test_random_free_param_records_seed(self):
-        params, _ = _solve_one(MONO, "rand", seed=11)
+        params = pipeline.solve(MONO, "rand", seed=11).params
         assert params.diagnostics["free_param_mode"] == "rand"
         assert params.diagnostics["seed"] == 11
 
 
 class TestSolveModel2:
     def test_closed_form_diagnostics(self):
-        params, analytic = _solve_one(HUMP)
+        solution = pipeline.solve(HUMP)
+        params, analytic = solution.params, solution.analytic
         ratio = 0.3 / 0.4
         assert params.diagnostics == {
             "solver": "closed_form",
@@ -198,7 +202,8 @@ class TestSolveModel2:
         assert np.array_equal(params.activation.rates, [1.0, ratio, 1.0])
 
     def test_nearest_reachable_when_closed_form_rejects(self):
-        params, analytic = _solve_one(STEEP)
+        solution = pipeline.solve(STEEP)
+        params, analytic = solution.params, solution.analytic
         reachable = nearest_reachable(STEEP)
         survival, activation = model2.solve(reachable)
         assert params.kind is ModelKind.MODEL2
@@ -217,7 +222,8 @@ class TestSolveModel2:
     def test_degenerate_last_group_takes_nearest_reachable(self):
         with pytest.raises(DegenerateLastGroup):
             model2.solve(HUGE_LAST)
-        params, analytic = _solve_one(HUGE_LAST)
+        solution = pipeline.solve(HUGE_LAST)
+        params, analytic = solution.params, solution.analytic
         assert params.diagnostics["solver"] == "nearest_reachable"
         assert params.diagnostics["mae"] == mean_absolute_error(analytic, HUGE_LAST) < 1e-9
 
@@ -226,19 +232,19 @@ class TestSolveModel2:
         # The original method's tools on the same target, at their default
         # budgets; the curve fit's parameters reproduce its surrogate.
         dist = {"newtown": NEWTOWN, "cliff": CLIFF, "stubborn": flat_then_humped()}[name]
-        params, _ = _solve_one(dist)
+        params = pipeline.solve(dist).params
         assert params.diagnostics["solver"] == "nearest_reachable"
         assert params.diagnostics["mae"] <= model2.optimize(dist).mae
         assert params.diagnostics["mae"] <= mean_absolute_error(curvefit.fit(dist).fitted, dist)
 
     def test_closed_form_records_no_history(self):
-        params, _ = _solve_one(HUMP)
+        params = pipeline.solve(HUMP).params
         assert "search_history" not in params.diagnostics
 
     def test_cascade_entry_adds_only_the_validation_error(self, sim_config):
         params, route = alone(flat_then_humped(), sim_config)
         assert route is Route.NEAREST_REACHABLE
-        station, _ = _solve_one(flat_then_humped())
+        station = pipeline.solve(flat_then_humped()).params
         assert list(params.diagnostics) == list(station.diagnostics) + ["sim_mae"]
 
     def test_the_cascade_never_searches_or_fits(self, sim_config, monkeypatch):
@@ -252,21 +258,33 @@ class TestSolveModel2:
         report = run_dataset(dataset, sim_config)
         assert report.route_counts[Route.NEAREST_REACHABLE] == 4
         for name, dist in dataset:
-            assert reproduces_nearest_reachable(report.per_country[name].params, dist)
+            assert reproduces_nearest_reachable(report.per_country[name].solution.params, dist)
 
 
-def station_outcome(solve, dist, p_n, seed):
-    """What a station makes of ``dist``: its kind, route, rates, analytic
-    steady state and diagnostics in order, as bytes where they are floats;
-    or the type and message of the typed error it raises."""
+def station_outcome(station, dist, p_n, seed):
+    """What a station makes of ``dist``: its kind, route name, rates,
+    analytic steady state and diagnostics in order, as bytes where they are
+    floats; or the type and message of the typed error it raises."""
     try:
-        params, analytic = solve(dist, p_n, seed=seed)
+        route, params, analytic = station(dist, p_n, seed=seed)
     except AgedistError as exc:
         return type(exc), str(exc)
     activation = None if params.activation is None else params.activation.rates.tobytes()
-    return (params.kind, pipeline._route_of(params), params.survival.probs.tobytes(),
+    return (params.kind, route, params.survival.probs.tobytes(),
             activation, analytic.proportions.tobytes(), analytic.labels,
             list(params.diagnostics.items()))
+
+
+def the_station(dist, p_n, *, seed):
+    """``pipeline.solve``, with the route it set."""
+    solution = pipeline.solve(dist, p_n, seed=seed)
+    return solution.route.value, solution.params, solution.analytic
+
+
+def the_reference(dist, p_n, *, seed):
+    """The two-station reference, with the route read from its kind and solver."""
+    params, analytic = reference_solve_one(dist, p_n, seed=seed)
+    return reference_route(params), params, analytic
 
 
 def one_station_target(shape, n, draw):
@@ -295,8 +313,26 @@ FREE_PARAMS = st.one_of(st.just("mid"), st.just("rand"), st.one_of(
     st.floats(0.0, 1.0), st.floats(0.999, MAX_LAST_SURVIVAL), st.just(MAX_LAST_SURVIVAL)))
 
 
+#: Integer counts, so many ties; a monotone head with a last group up to
+#: 1e10 times the one before it, around 1/(1 - MAX_LAST_SURVIVAL) = 1e9 among
+#: them; a group within 1e-9 of 1/ALPHA_MIN times the one before it; and
+#: one a few ulp above it.
+_TIES = st.lists(st.integers(1, 4), min_size=3, max_size=12)
+_HEADS = _TIES.map(lambda counts: sorted(counts, reverse=True))
+ROUTE_COUNTS = st.one_of(
+    _TIES,
+    _HEADS,
+    st.builds(lambda head, factor: head + [head[-1] * factor], _HEADS,
+              st.one_of(st.floats(1.0, 1e10), st.floats(0.999e9, 1.001e9))),
+    st.builds(lambda head, factor, tail: head + [head[-1] / ALPHA_MIN * factor] + tail,
+              _HEADS, st.floats(1 - 1e-9, 1 + 1e-9), _TIES),
+    st.builds(lambda head, ulps, tail: head + [head[-1] * (1 + ulps * 2.0**-52)] + tail,
+              _HEADS, st.integers(1, 8), _TIES),
+)
+
+
 class TestOneStation:
-    """``_solve_one`` against its two-station reference
+    """``pipeline.solve`` against its two-station reference
     (``tests/oracles.py::reference_solve_one``)."""
 
     @settings(max_examples=400, deadline=None, derandomize=True)
@@ -305,13 +341,13 @@ class TestOneStation:
            data=st.data())
     def test_matches_the_two_stations(self, shape, n, p_n, seed, data):
         dist = one_station_target(shape, n, data.draw)
-        ours = station_outcome(_solve_one, dist, p_n, seed)
+        ours = station_outcome(the_station, dist, p_n, seed)
         if p_n == "mid" or shape == "monotone":
-            assert ours == station_outcome(reference_solve_one, dist, p_n, seed)
+            assert ours == station_outcome(the_reference, dist, p_n, seed)
             return
         # The reference takes the midpoint on the model-2 routes, where the
         # station applies p_n: the same route, with p_n's last survival.
-        midpoint = station_outcome(reference_solve_one, dist, "mid", seed)
+        midpoint = station_outcome(the_reference, dist, "mid", seed)
         if ours[0] is FreeParamOutOfRange:
             assert not isinstance(p_n, str)
             return
@@ -322,9 +358,8 @@ class TestOneStation:
         if p_n != "rand":
             assert np.frombuffer(ours[2])[-1] == p_n
 
-    def test_classify_runs_once_per_entry_before_any_solve(self, sim_config, monkeypatch):
-        # The benchmark's tracer tags each entry's spans by wrapping
-        # pipeline.classify, so every entry calls it first, and once.
+    def test_each_entry_calls_the_closed_form_alone(self, sim_config, monkeypatch):
+        # The route is read from the rates, so no entry calls classify.
         calls = []
         for module, name in ((pipeline, "classify"), (model1, "solve"), (model2, "solve")):
             def recorded(*args, _call=getattr(module, name),
@@ -336,9 +371,26 @@ class TestOneStation:
         run_dataset([("huge", HUGE_LAST), ("hump", HUMP), ("mono", MONO), ("steep", STEEP)],
                     sim_config)
         solve = ["model2.solve", "model1.solve"]
-        assert calls == (["pipeline.classify", *solve, *solve]  # huge: nearest reachable
-                         + ["pipeline.classify", *solve] * 2  # hump, mono
-                         + ["pipeline.classify", "model2.solve", *solve])  # steep
+        assert calls == ([*solve, *solve]  # huge: nearest reachable
+                         + solve * 2  # hump, mono
+                         + ["model2.solve", *solve])  # steep
+
+    def test_a_solution_is_frozen(self):
+        solution = pipeline.solve(HUMP)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            solution.route = Route.MODEL1
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(counts=ROUTE_COUNTS)
+    def test_model1_is_a_monotone_target_the_closed_form_accepts(self, counts):
+        dist = normalize(counts, default_labels(len(counts)))
+        try:
+            model2.solve(dist)
+            accepted = True
+        except (ActivationTooSmall, DegenerateLastGroup):
+            accepted = False
+        monotone = classify(dist) is Classification.MONOTONE_NON_INCREASING
+        assert (pipeline.solve(dist).route is Route.MODEL1) == (monotone and accepted)
 
 
 class TestRunDataset:
@@ -361,9 +413,8 @@ class TestRunDataset:
 
     def test_repeated_name_rejected_before_solving(self, sim_config, monkeypatch):
         solved = []
-        solve_one = pipeline._solve_one
-        monkeypatch.setattr(pipeline, "_solve_one",
-                            lambda dist: solved.append(dist) or solve_one(dist))
+        solve = pipeline.solve
+        monkeypatch.setattr(pipeline, "solve", lambda dist: solved.append(dist) or solve(dist))
         with pytest.raises(AgedistError, match="'A'"):
             run_dataset([("A", MONO), ("B", HUMP), ("A", HUMP)], sim_config)
         assert solved == []
@@ -397,31 +448,31 @@ class TestRunDataset:
     def test_per_country_results_carry_validation_vectors(self, sim_config):
         report = run_dataset([("mono", MONO)], sim_config)
         res = report.per_country["mono"]
-        assert res.analytic.shape == (3,)
+        assert res.solution.analytic.proportions.shape == (3,)
         assert res.sim_estimate.shape == (3,)
-        assert res.sim_mae == res.params.diagnostics["sim_mae"]
+        assert res.sim_mae == res.solution.params.diagnostics["sim_mae"]
 
     def test_determinism_across_calls(self, sim_config):
         dataset = [("hump", HUMP), ("mono", MONO)]
         a = run_dataset(dataset, sim_config)
         b = run_dataset(dataset, sim_config)
         for name in a.per_country:
-            assert a.per_country[name].params == b.per_country[name].params
+            assert a.per_country[name].solution.params == b.per_country[name].solution.params
             assert a.per_country[name].route == b.per_country[name].route
 
     def test_failed_residual_check_recorded_not_raised(self, sim_config, monkeypatch):
         # A zero tolerance fails every stationarity residual check. Set only
         # while the hump entry is solved, it fails that entry, which must be
         # recorded as failed while the batch carries on.
-        solve_one = pipeline._solve_one
+        solve = pipeline.solve
 
         def zero_tolerance_for_hump(dist):
             with monkeypatch.context() as patch:
                 if dist is HUMP:
                     patch.setattr(distributions, "RESIDUAL_TOLERANCE", 0.0)
-                return solve_one(dist)
+                return solve(dist)
 
-        monkeypatch.setattr(pipeline, "_solve_one", zero_tolerance_for_hump)
+        monkeypatch.setattr(pipeline, "solve", zero_tolerance_for_hump)
         report = run_dataset([("hump", HUMP), ("mono", MONO)], sim_config)
         assert report.per_country["hump"].route is Route.FAILED
         assert "stationarity residual" in report.per_country["hump"].failure_reason
@@ -448,7 +499,7 @@ class TestRunDataset:
     @pytest.mark.parametrize("entry", [MONO, ("x",), ("x", MONO, 1), None],
                              ids=["bare-distribution", "name-only", "triple", "none"])
     def test_entry_that_is_not_a_pair_raises_before_any_solve(self, monkeypatch, entry):
-        monkeypatch.setattr(pipeline, "_solve_one", None)
+        monkeypatch.setattr(pipeline, "solve", None)
         with pytest.raises(InvalidEntry, match="entry 1 is not a"):
             run_dataset([("mono", MONO), entry])
 
@@ -457,7 +508,7 @@ class TestRunDataset:
         def never(dist):
             raise AssertionError("an entry was solved")
 
-        monkeypatch.setattr(pipeline, "_solve_one", never)
+        monkeypatch.setattr(pipeline, "solve", never)
         with pytest.raises(InvalidEntry, match="entry 1 has a name that is not a str"):
             run_dataset([("a", MONO), (name, MONO)])
 
@@ -522,9 +573,9 @@ class TestHostileEntries:
         assert set(report.per_country) == set(targets)
         for name, result in report.per_country.items():
             if result.route is Route.FAILED:
-                assert result.params is None and result.failure_reason
+                assert result.solution is None and result.failure_reason
                 continue
-            params, target = result.params, targets[name]
+            params, target = result.solution.params, targets[name]
             if result.route is Route.NEAREST_REACHABLE:
                 target = nearest_reachable(target)
             steady = distributions.stationary_distribution(params.survival, params.activation)
@@ -555,10 +606,10 @@ class TestManyGroups:
     @pytest.mark.parametrize("shape", sorted(SHAPE_ROUTES))
     def test_round_trip(self, shape, n):
         dist = many_groups(shape, n)
-        params, analytic = pipeline._solve_one(dist)
-        assert pipeline._route_of(params) is SHAPE_ROUTES[shape]
+        solution = pipeline.solve(dist)
+        assert solution.route is SHAPE_ROUTES[shape]
         solved = dist if shape != "newtown" else nearest_reachable(dist)
-        assert np.abs(analytic.proportions - solved.proportions).max() <= 1e-12
+        assert np.abs(solution.analytic.proportions - solved.proportions).max() <= 1e-12
 
     @pytest.mark.parametrize("shape", sorted(SHAPE_ROUTES))
     def test_solve_memory_is_linear(self, shape):
@@ -567,7 +618,7 @@ class TestManyGroups:
         dist = many_groups(shape, 5001)
         tracemalloc.start()
         try:
-            pipeline._solve_one(dist)
+            pipeline.solve(dist)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
