@@ -239,7 +239,7 @@ def emit_params(params: ModelParams, path, *, target=None, config: Optional[dict
         "library_version": __version__,
         "kind": params.kind.value,
         "survival": params.survival.probs,
-        "activation": params.activation.rates if params.activation is not None else None,
+        "activation": params.activation.rates if params.kind is ModelKind.MODEL2 else None,
         "free_param": params.free_param,
         "diagnostics": params.diagnostics,
         "labels": target.labels if target is not None else None,
@@ -361,13 +361,9 @@ def load_params_document(path) -> ParamsDocument:
     if document["free_param"] != last:
         raise SchemaError(f"{path}: field 'free_param' is {document['free_param']!r}, "
                           f"but the last 'survival' entry is {last!r}")
-    params = ModelParams(
-        kind=kind,
-        survival=survival,
-        activation=(_field(path, document, "activation", ActivationVector)
-                    if activation is not None else None),
-        diagnostics=document.get("diagnostics", {}),
-    )
+    if kind is ModelKind.MODEL2:
+        activation = _field(path, document, "activation", ActivationVector)
+    params = ModelParams(kind, survival, activation, document.get("diagnostics", {}))
     target = document.get("target")
     if target is not None:
         labels = document.get("labels") or default_labels(len(target))

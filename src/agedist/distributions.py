@@ -240,9 +240,13 @@ class ModelKind(Enum):
 class ModelParams:
     """A solved parameterisation plus its diagnostics.
 
-    ``diagnostics`` maps metric names to values (numbers, or short strings
-    for provenance entries such as the free-parameter mode). The free
-    parameter is the last survival entry (``free_param``).
+    Every set carries both vectors: model 1 is the activation process at
+    rates 1, so a MODEL1 or MODEL1_ON_FITTED set's ``activation`` is ones
+    when None, and other rates raise ValueError, as does a MODEL2 set with
+    none. ``kind`` may be a ModelKind's value ("model1"). ``diagnostics`` is
+    a dict mapping metric names to values (numbers, or short strings for
+    provenance entries such as the free-parameter mode). The free parameter
+    is the last survival entry (``free_param``).
     """
 
     kind: ModelKind
@@ -251,15 +255,21 @@ class ModelParams:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        self.kind = ModelKind(self.kind)
+        if not isinstance(self.diagnostics, dict):
+            raise TypeError(f"diagnostics must be a dict, got {type(self.diagnostics).__name__}")
         if not isinstance(self.survival, SurvivalVector):
             self.survival = SurvivalVector(self.survival)
-        if self.activation is not None and not isinstance(
-            self.activation, ActivationVector
-        ):
+        plain = self.kind is not ModelKind.MODEL2
+        if self.activation is None and plain:
+            self.activation = np.ones(len(self.survival))
+        if self.activation is None:
+            raise ValueError("a MODEL2 set needs activation rates")
+        if not isinstance(self.activation, ActivationVector):
             self.activation = ActivationVector(self.activation)
-        if (self.kind is ModelKind.MODEL2) != (self.activation is not None):
-            raise ValueError("activation rates are present iff kind is MODEL2")
-        if self.activation is not None and len(self.activation) != len(self.survival):
+        if plain and np.any(self.activation.rates != 1.0):
+            raise ValueError(f"a {self.kind.value} set's activation rates are all 1")
+        if len(self.activation) != len(self.survival):
             raise ValueError("survival and activation vectors differ in length")
 
     @property
@@ -440,7 +450,6 @@ def stationarity_residual(probs, rates, profile) -> np.ndarray:
 def step_thresholds(params: ModelParams) -> tuple:
     """One agent's step as thresholds on a uniform draw, (alpha * p, alpha):
     it advances below alpha * p, dies below alpha and stays from alpha up. A
-    plain set's rates are ones: 1 * p is p, and no uniform reaches 1."""
-    probs = params.survival.probs
-    rates = np.ones(probs.size) if params.activation is None else params.activation.rates
-    return rates * probs, rates
+    plain set carries rates of ones: 1 * p is p, and no uniform reaches 1."""
+    rates = params.activation.rates
+    return rates * params.survival.probs, rates

@@ -121,7 +121,7 @@ def solve(dist: AgeDistribution, p_n="mid", *, seed: Optional[int] = None) -> So
     free = {"free_param_mode": mode, **({"seed": check_seed(seed)} if mode == "rand" else {})}
     mae = mean_absolute_error(analytic, dist)
     if route is Route.MODEL2 and (activation.rates == 1.0).all():
-        params = ModelParams(ModelKind.MODEL1, survival, diagnostics={"mae": mae, **free})
+        params = ModelParams(ModelKind.MODEL1, survival, activation, {"mae": mae, **free})
         return Solution(Route.MODEL1, params, analytic)
     diagnostics.update(min_activation=float(activation.rates.min()), **free, mae=mae)
     return Solution(route, ModelParams(ModelKind.MODEL2, survival, activation,

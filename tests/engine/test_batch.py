@@ -75,12 +75,11 @@ class TestMatchesReferenceStep:
 def assert_matches_sorted_run(target, params, config, result=None):
     """``run`` (or a given result of it) equals the sorted per-agent
     reference bit for bit; returns the result."""
-    activation = None if params.activation is None else params.activation.rates
     if result is None:
         result = run(target, params, config)
     start = np.repeat(np.arange(len(params.survival)), start_counts(target, config))
     trajectory, estimate, deaths = reference_sorted_run(
-        start, params.survival.probs, activation, config)
+        start, params.survival.probs, params.activation.rates, config)
     if config.record_trajectory:
         assert np.array_equal(result.trajectory, trajectory)
     else:

@@ -928,8 +928,7 @@ class TestHostileCsv:
             if code == 0:
                 params = load_params(params_file)
                 if reference_route(params) != "nearest_reachable":
-                    alpha = params.activation.rates if params.activation else None
-                    steady = stationary_distribution(params.survival.probs, alpha)
+                    steady = stationary_distribution(params.survival, params.activation)
                     target = load_params_document(params_file).target.proportions
                     assert np.max(np.abs(steady.proportions - target)) <= 1e-12
 

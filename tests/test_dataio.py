@@ -218,7 +218,7 @@ ABC = AgeDistribution(("a", "b", "c"), [0.5, 0.3, 0.2])
 
 
 def solved_params(kind=ModelKind.MODEL1):
-    if kind is ModelKind.MODEL1:
+    if kind is not ModelKind.MODEL2:
         return ModelParams(
             kind=kind,
             survival=solve(ABC, 0.4),
@@ -236,12 +236,22 @@ def solved_params(kind=ModelKind.MODEL1):
 
 
 class TestParamsFiles:
-    @pytest.mark.parametrize("kind", [ModelKind.MODEL1, ModelKind.MODEL2])
+    @pytest.mark.parametrize("kind", [ModelKind.MODEL1, ModelKind.MODEL2,
+                                      ModelKind.MODEL1_ON_FITTED])
     def test_round_trip_exact(self, tmp_path, kind):
         params = solved_params(kind)
         path = tmp_path / "params.json"
         emit_params(params, path)
         assert load_params(path) == params
+
+    @pytest.mark.parametrize("diagnostics", [None, [("mae", 0.0)]], ids=["null", "list"])
+    def test_diagnostics_that_would_not_load_write_no_file(self, tmp_path, diagnostics):
+        # load_params refuses a 'diagnostics' field that is not an object.
+        path = tmp_path / "params.json"
+        with pytest.raises(TypeError, match="diagnostics must be a dict"):
+            emit_params(ModelParams(ModelKind.MODEL1, solve(ABC, 0.4), diagnostics=diagnostics),
+                        path)
+        assert not path.exists()
 
     def test_document_echo(self, tmp_path):
         params = solved_params()

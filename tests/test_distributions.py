@@ -9,7 +9,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agedist import classify, curvefit, model1, model2, normalize, pipeline, simulator
+from agedist import classify, curvefit, dataio, model1, model2, normalize, pipeline, simulator
 from agedist.distributions import (
     ALPHA_MIN,
     MAX_LAST_SURVIVAL,
@@ -501,6 +501,45 @@ class TestModelParams:
             ModelParams(kind=ModelKind.MODEL2, survival=sv)
         params = ModelParams(kind=ModelKind.MODEL2, survival=sv, activation=av)
         assert len(params.activation) == len(params.survival)
+
+    def test_a_plain_set_carries_rates_of_one(self, tmp_path):
+        sv = SurvivalVector([0.6, 0.4, 0.4])
+        for kind in (ModelKind.MODEL1, ModelKind.MODEL1_ON_FITTED):
+            plain = ModelParams(kind=kind, survival=sv)
+            assert np.array_equal(plain.activation.rates, np.ones(3))
+            assert ModelParams(kind=kind, survival=sv, activation=[1.0, 1.0, 1.0]) == plain
+            assert ModelParams(kind=kind, survival=sv, activation=None) == plain
+            for rates in ([1.0, 1.0, 0.5], [1.0, 1.0, 1.0 - 2.0 ** -53]):
+                with pytest.raises(ValueError, match="activation rates are all 1"):
+                    ModelParams(kind=kind, survival=sv, activation=rates)
+            with pytest.raises(ValueError, match="differ in length"):
+                ModelParams(kind=kind, survival=sv, activation=np.ones(4))
+        # Every plain set that the library returns carries ones.
+        pyramid = normalize([500, 300, 150, 50], default_labels(4))
+        solution = pipeline.solve(pyramid)
+        returned = [solution.params]
+        for kind in (ModelKind.MODEL1, ModelKind.MODEL1_ON_FITTED):
+            path = tmp_path / f"{kind.value}.json"
+            dataio.emit_params(ModelParams(kind, solution.params.survival), path)
+            returned.append(dataio.load_params(path))
+        assert solution.route is pipeline.Route.MODEL1
+        assert [params.kind for params in returned] == [
+            ModelKind.MODEL1, ModelKind.MODEL1, ModelKind.MODEL1_ON_FITTED]
+        for params in returned:
+            assert np.array_equal(params.activation.rates, np.ones(4))
+
+    def test_kind_is_coerced_to_a_model_kind(self, tmp_path):
+        sv = [0.5, 0.5, 0.5]
+        params = ModelParams("model1", sv)
+        assert params.kind is ModelKind.MODEL1
+        path = tmp_path / "params.json"
+        dataio.emit_params(params, path)
+        assert dataio.load_params(path) == params
+        with pytest.raises(ValueError, match="MODEL2 set needs activation rates"):
+            ModelParams("model2", sv)
+        assert ModelParams("model2", sv, [1.0, 0.5, 0.5]).kind is ModelKind.MODEL2
+        with pytest.raises(ValueError, match="'model3' is not a valid ModelKind"):
+            ModelParams("model3", sv)
 
 
 #: The stationary law of the ageing process, which lives in distributions.py only.

@@ -269,9 +269,8 @@ def station_outcome(station, dist, p_n, seed):
         route, params, analytic = station(dist, p_n, seed=seed)
     except AgedistError as exc:
         return type(exc), str(exc)
-    activation = None if params.activation is None else params.activation.rates.tobytes()
     return (params.kind, route, params.survival.probs.tobytes(),
-            activation, analytic.proportions.tobytes(), analytic.labels,
+            params.activation.rates.tobytes(), analytic.proportions.tobytes(), analytic.labels,
             list(params.diagnostics.items()))
 
 
