@@ -208,7 +208,7 @@ def write_csv(path_or_stream, header, rows) -> None:
                       for value in row] for row in rows)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParamsDocument:
     """Everything a parameter file carries beyond the ModelParams proper."""
 

@@ -236,17 +236,18 @@ class ModelKind(Enum):
     MODEL1_ON_FITTED = "model1_on_fitted"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelParams:
-    """A solved parameterisation plus its diagnostics.
+    """A solved parameterisation plus its diagnostics, frozen once checked.
 
     Every set carries both vectors: model 1 is the activation process at
     rates 1, so a MODEL1 or MODEL1_ON_FITTED set's ``activation`` is ones
     when None, and other rates raise ValueError, as does a MODEL2 set with
-    none. ``kind`` may be a ModelKind's value ("model1"). ``diagnostics`` is
-    a dict mapping metric names to values (numbers, or short strings for
-    provenance entries such as the free-parameter mode). The free parameter
-    is the last survival entry (``free_param``).
+    none. ``kind`` may be a ModelKind's value ("model1"). ``diagnostics`` maps
+    str names to None, bools, ints, floats, strs, and lists or str-keyed dicts
+    of these, as a parameter file loads them back equal; anything else raises
+    TypeError naming the key. Writing into it after construction is outside
+    that promise. The free parameter is the last survival entry (``free_param``).
     """
 
     kind: ModelKind
@@ -255,18 +256,18 @@ class ModelParams:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.kind = ModelKind(self.kind)
+        object.__setattr__(self, "kind", ModelKind(self.kind))
         if not isinstance(self.diagnostics, dict):
             raise TypeError(f"diagnostics must be a dict, got {type(self.diagnostics).__name__}")
+        _check_loadable(self.diagnostics)
         if not isinstance(self.survival, SurvivalVector):
-            self.survival = SurvivalVector(self.survival)
+            object.__setattr__(self, "survival", SurvivalVector(self.survival))
         plain = self.kind is not ModelKind.MODEL2
-        if self.activation is None and plain:
-            self.activation = np.ones(len(self.survival))
-        if self.activation is None:
+        if self.activation is None and not plain:
             raise ValueError("a MODEL2 set needs activation rates")
         if not isinstance(self.activation, ActivationVector):
-            self.activation = ActivationVector(self.activation)
+            object.__setattr__(self, "activation", ActivationVector(
+                np.ones(len(self.survival)) if self.activation is None else self.activation))
         if plain and np.any(self.activation.rates != 1.0):
             raise ValueError(f"a {self.kind.value} set's activation rates are all 1")
         if len(self.activation) != len(self.survival):
@@ -276,6 +277,19 @@ class ModelParams:
     def free_param(self) -> float:
         """The free last-group survival probability."""
         return float(self.survival.probs[-1])
+
+
+def _check_loadable(value, key=None) -> None:
+    """TypeError naming the key of a diagnostics entry that ``ModelParams`` refuses."""
+    if isinstance(value, (dict, list)):
+        pairs = value.items() if isinstance(value, dict) else ((key, item) for item in value)
+        for inner, item in pairs:
+            if not isinstance(inner, str):
+                raise TypeError(f"diagnostics key {inner!r} is not a str")
+            _check_loadable(item, inner)
+    elif value is not None and not isinstance(value, (int, float, str)):
+        raise TypeError(f"diagnostics entry {key!r} has type {type(value).__name__}, "
+                        "which a parameter file cannot load back equal")
 
 
 class Classification(Enum):

@@ -63,10 +63,10 @@ CROSSOVER_RATE = 0.9
 SUCCESS_THRESHOLD = 1e-4
 
 
-@dataclass
+@dataclass(frozen=True)
 class DEConfig:
-    """Search settings: population size (None: 15 per dimension, 30n for n
-    groups), generation budget and seed, stored as Python ints.
+    """Frozen search settings: population size (None: 15 per dimension, 30n
+    for n groups), generation budget and seed, stored as Python ints.
 
     The search itself is fixed: dithered best/1/bin (Storn & Price 1997)
     with the module's ``MUTATION_RANGE``, ``CROSSOVER_RATE`` and
@@ -81,13 +81,13 @@ class DEConfig:
 
     def __post_init__(self):
         if self.population_size is not None:
-            self.population_size = check_integer("population_size", self.population_size)
-            if self.population_size < 4:
+            if (size := check_integer("population_size", self.population_size)) < 4:
                 raise ValueError("population_size must be at least 4")
-        self.max_iterations = check_integer("max_iterations", self.max_iterations)
-        if self.max_iterations < 1:
+            object.__setattr__(self, "population_size", size)
+        if (iterations := check_integer("max_iterations", self.max_iterations)) < 1:
             raise ValueError("max_iterations must be positive")
-        self.seed = check_seed(self.seed)
+        object.__setattr__(self, "max_iterations", iterations)
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 def default_bounds(n_groups: int) -> np.ndarray:
@@ -97,7 +97,7 @@ def default_bounds(n_groups: int) -> np.ndarray:
     return np.column_stack([lo, hi])
 
 
-@dataclass
+@dataclass(frozen=True)
 class Model2Solution:
     survival: SurvivalVector
     activation: ActivationVector

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
 
@@ -67,7 +67,7 @@ class Solution:
     analytic: AgeDistribution
 
 
-@dataclass
+@dataclass(frozen=True)
 class CountryResult:
     solution: Optional[Solution] = None
     failure_reason: Optional[str] = None
@@ -80,7 +80,7 @@ class CountryResult:
         return Route.FAILED if self.solution is None else self.solution.route
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineReport:
     per_country: dict
     route_counts: dict
@@ -145,17 +145,17 @@ def run_dataset(dataset, sim_config: Optional[simulator.SimConfig] = None) -> Pi
     """Apply the cascade to every (name, distribution) entry.
 
     Every entry is solved first, then all solved entries are validated in
-    one ``simulator.run_many`` batch (``sim_mae``, also in the parameters'
-    diagnostics); each entry's validation is bit for bit the run a dataset
-    of that entry alone gets, so ``[(name, dist)]`` solves and validates
-    one target. The report is sorted by name. Per-entry failures,
-    including an entry that is not an AgeDistribution, are recorded with
-    route FAILED and never abort the batch. A failed validation batch
-    (such as the simulator's step guard raising ResidualCheckFailed, which
-    names the member) records every solved entry as FAILED with its
-    reason: a broken update rule is not specific to one entry.
-    Nearest-reachable entries that moved their target by more than
-    ``DEFAULT_WASSERSTEIN_WARN`` are flagged.
+    one ``simulator.run_many`` batch; the report's solutions hold new
+    parameter sets whose diagnostics carry their ``sim_mae``. Each entry's
+    validation is bit for bit the run a dataset of that entry alone gets, so
+    ``[(name, dist)]`` solves and validates one target. The report is sorted
+    by name. Per-entry failures, including an entry that is not an
+    AgeDistribution, are recorded with route FAILED and never abort the
+    batch. A failed validation batch (such as the simulator's step guard
+    raising ResidualCheckFailed, which names the member) records every
+    solved entry as FAILED with its reason: a broken update rule is not
+    specific to one entry. Nearest-reachable entries that moved their target
+    by more than ``DEFAULT_WASSERSTEIN_WARN`` are flagged.
 
     Raises:
         EmptyDataset: no entries were supplied.
@@ -190,8 +190,9 @@ def run_dataset(dataset, sim_config: Optional[simulator.SimConfig] = None) -> Pi
 
     results = {name: CountryResult(failure_reason=reason) for name, reason in failures.items()}
     for (name, solution), validation in zip(solved.items(), runs):
-        solution.params.diagnostics["sim_mae"] = sim_mae = mean_absolute_error(
-            validation.steady_estimate, solution.analytic.proportions)
+        sim_mae = mean_absolute_error(validation.steady_estimate, solution.analytic.proportions)
+        diagnostics = {**solution.params.diagnostics, "sim_mae": sim_mae}
+        solution = replace(solution, params=replace(solution.params, diagnostics=diagnostics))
         results[name] = CountryResult(solution, sim_mae=sim_mae,
                                       sim_estimate=validation.steady_estimate)
     per_country = {name: results[name] for name in sorted(results)}

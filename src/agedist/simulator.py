@@ -52,10 +52,10 @@ from .errors import NotNormalized, ResidualCheckFailed
 BLOCK = 32_768
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
-    """Run settings; integer fields are stored as Python ints, so that no
-    numpy dtype a caller passes sets the run's arithmetic."""
+    """Run settings, frozen once checked; integer fields are stored as Python
+    ints, so that no numpy dtype a caller passes sets the run's arithmetic."""
 
     num_agents: int = 10_000
     num_steps: int = 350
@@ -68,19 +68,19 @@ class SimConfig:
     def __post_init__(self):
         if not isinstance(self.record_trajectory, (bool, np.bool_)):
             raise ValueError(f"record_trajectory must be a bool, not {self.record_trajectory!r}")
-        self.num_agents = check_integer("num_agents", self.num_agents)
-        self.num_steps = check_integer("num_steps", self.num_steps)
+        object.__setattr__(self, "num_agents", check_integer("num_agents", self.num_agents))
+        object.__setattr__(self, "num_steps", check_integer("num_steps", self.num_steps))
         if self.num_agents < 1 or self.num_steps < 1:
             raise ValueError("num_agents and num_steps must be positive")
         if self.burn_in is None:
-            self.burn_in = self.num_steps - max(1, self.num_steps // 7)
-        self.burn_in = check_integer("burn_in", self.burn_in)
+            object.__setattr__(self, "burn_in", self.num_steps - max(1, self.num_steps // 7))
+        object.__setattr__(self, "burn_in", check_integer("burn_in", self.burn_in))
         if not 0 <= self.burn_in < self.num_steps:
             raise ValueError("burn_in must satisfy 0 <= burn_in < num_steps")
-        self.seed = check_seed(self.seed)
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimResult:
     """Measured outputs of one run.
 

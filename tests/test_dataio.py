@@ -16,6 +16,7 @@ from agedist.dataio import (
     load_params,
     load_params_document,
     write_dataset_csv,
+    write_json,
 )
 from agedist.distributions import (
     MAX_LAST_SURVIVAL, AgeDistribution, ModelKind, ModelParams, default_labels, normalize)
@@ -253,6 +254,29 @@ class TestParamsFiles:
                         path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("diagnostics, message", [
+        ({1: 0.5, "span": (1, 2)}, "key 1 is not a str"),
+        ({"span": (1, 2)}, "'span' has type tuple"),
+        ({"ids": {3}}, "'ids' has type set"),
+        ({"history": np.array([0.5, 0.25])}, "'history' has type ndarray"),
+        ({"iterations": np.int64(3)}, "'iterations' has type int64"),
+        ({"fit": {"rows": [{"k": object()}]}}, "'k' has type object"),
+        ({"fit": {"rows": [{2: 0.5}]}}, "key 2 is not a str"),
+    ], ids=["int-key", "tuple", "set", "ndarray", "numpy-int", "nested-object", "nested-key"])
+    def test_diagnostics_that_would_not_load_back_equal_are_refused(self, diagnostics,
+                                                                     message):
+        # A file would load {1: 0.5, "span": (1, 2)} back as {"1": 0.5, "span": [1, 2]}.
+        with pytest.raises(TypeError, match=message):
+            ModelParams(ModelKind.MODEL1, solve(ABC, 0.4), diagnostics=diagnostics)
+
+    def test_nested_json_diagnostics_round_trip(self, tmp_path):
+        diagnostics = {"ok": True, "none": None, "n": -3, "x": np.float64(0.25), "s": "é",
+                       "rows": [[1, 2.5], {"k": [False, "a"]}], "empty": {}}
+        params = ModelParams(ModelKind.MODEL1, solve(ABC, 0.4), diagnostics=diagnostics)
+        path = tmp_path / "params.json"
+        emit_params(params, path)
+        assert load_params(path) == params
+
     def test_document_echo(self, tmp_path):
         params = solved_params()
         path = tmp_path / "params.json"
@@ -359,10 +383,8 @@ class TestParamsFiles:
                                      f"(key {key!r} appears more than once in one object)")
 
     def test_non_finite_diagnostics_written_as_null(self, tmp_path):
-        params = solved_params()
-        params.diagnostics.update(
-            {"model2_mae": float("inf"), "history": [np.float64("nan"), 0.5]}
-        )
+        params = ModelParams(ModelKind.MODEL1, solve(ABC, 0.4), diagnostics={
+            "model2_mae": float("inf"), "history": [np.float64("nan"), 0.5]})
         path = tmp_path / "params.json"
         emit_params(params, path)
 
@@ -574,9 +596,9 @@ class TestParamsFiles:
         assert load_params(path) == params
 
     def test_a_document_that_cannot_be_serialized_leaves_no_file(self, tmp_path):
-        params = solved_params()
-        params.diagnostics["note"] = object()
+        # ModelParams refuses such diagnostics, so write the document
+        # directly, as summary.json is written.
         path = tmp_path / "params.json"
         with pytest.raises(TypeError, match="not JSON serializable"):
-            emit_params(params, path)
+            write_json({"diagnostics": {"note": object()}}, path)
         assert not path.exists()

@@ -1,5 +1,8 @@
 import ast
 import dataclasses
+import importlib
+import pickle
+import pkgutil
 import warnings
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import agedist
 from agedist import classify, curvefit, dataio, model1, model2, normalize, pipeline, simulator
 from agedist.distributions import (
     ALPHA_MIN,
@@ -540,6 +544,38 @@ class TestModelParams:
         assert ModelParams("model2", sv, [1.0, 0.5, 0.5]).kind is ModelKind.MODEL2
         with pytest.raises(ValueError, match="'model3' is not a valid ModelKind"):
             ModelParams("model3", sv)
+
+    def test_a_set_and_a_config_survive_pickle_and_replace(self):
+        # Frozen values still travel to worker processes and copy with a change.
+        params = pipeline.solve(normalize([3, 4, 3], default_labels(3))).params
+        config = SimConfig(num_agents=500, num_steps=20, seed=3)
+        for value in (params, config):
+            assert pickle.loads(pickle.dumps(value)) == value
+            assert dataclasses.replace(value) == value
+        assert dataclasses.replace(config, seed=1) == SimConfig(num_agents=500, num_steps=20,
+                                                                seed=1)
+        changed = dataclasses.replace(params, diagnostics={"note": "copy"})
+        assert changed.survival == params.survival and "note" not in params.diagnostics
+        # replace builds anew, so the constructor's checks run again.
+        with pytest.raises(TypeError, match="'span' has type tuple"):
+            dataclasses.replace(params, diagnostics={"span": (1, 2)})
+        with pytest.raises(ValueError, match="must be positive"):
+            dataclasses.replace(config, num_agents=0)
+
+
+def test_every_dataclass_is_frozen():
+    # A constructor's checks hold only while no field can be reassigned.
+    found, thawed = [], []
+    for info in pkgutil.iter_modules(agedist.__path__):
+        module = importlib.import_module(f"agedist.{info.name}")
+        for name, value in vars(module).items():
+            if (isinstance(value, type) and dataclasses.is_dataclass(value)
+                    and value.__module__ == module.__name__):
+                found.append(f"{info.name}.{name}")
+                if not value.__dataclass_params__.frozen:
+                    thawed.append(found[-1])
+    assert {"distributions.AgeDistribution", "simulator.SimConfig"} <= set(found)
+    assert not thawed, f"not frozen: {', '.join(thawed)}"
 
 
 #: The stationary law of the ageing process, which lives in distributions.py only.

@@ -374,10 +374,25 @@ class TestOneStation:
                          + solve * 2  # hump, mono
                          + ["model2.solve", *solve])  # steep
 
-    def test_a_solution_is_frozen(self):
-        solution = pipeline.solve(HUMP)
+    @pytest.mark.parametrize("build, name, value", [
+        (lambda: pipeline.solve(HUMP), "route", Route.MODEL1),
+        (lambda: SimConfig(num_agents=500, num_steps=20), "burn_in", 400),
+        (lambda: SimConfig(num_agents=500, num_steps=20), "num_agents", 0),
+        (lambda: model2.DEConfig(), "population_size", 2),
+        (lambda: pipeline.solve(MONO).params, "activation", None),
+    ], ids=["Solution.route", "SimConfig.burn_in", "SimConfig.num_agents",
+            "DEConfig.population_size", "ModelParams.activation"])
+    def test_a_built_value_is_frozen(self, build, name, value):
+        # Each assignment would get round a constructor check: burn_in 400 of
+        # 20 steps would make simulator.run return all -0.0, num_agents 0
+        # raise a stray ZeroDivisionError, population_size 2 make
+        # model2.optimize never return, and activation None make
+        # step_thresholds raise a stray AttributeError.
+        built = build()
+        before = getattr(built, name)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            solution.route = Route.MODEL1
+            setattr(built, name, value)
+        assert getattr(built, name) is before
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(counts=ROUTE_COUNTS)
@@ -393,6 +408,17 @@ class TestOneStation:
 
 
 class TestRunDataset:
+    def test_the_station_set_is_left_alone(self, sim_config, monkeypatch):
+        # The report carries new sets with sim_mae; a solved set never changes.
+        built = pipeline.solve(HUMP)
+        before = dict(built.params.diagnostics)
+        monkeypatch.setattr(pipeline, "solve", lambda dist: built)
+        entry = run_dataset([("hump", HUMP)], sim_config).per_country["hump"]
+        assert built.params.diagnostics == before and "sim_mae" not in before
+        assert entry.solution.params.diagnostics == {**before, "sim_mae": entry.sim_mae}
+        assert entry.solution.params.survival == built.params.survival
+        assert entry.solution.analytic is built.analytic
+
     def test_three_route_composition(self, sim_config):
         dataset = [("mono", MONO), ("hump", HUMP), ("stubborn", flat_then_humped())]
         report = run_dataset(dataset, sim_config)
