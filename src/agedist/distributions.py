@@ -12,7 +12,7 @@ without locks.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Optional
 
@@ -61,8 +61,39 @@ def default_labels(n: int) -> tuple:
     return tuple(f"g{i}" for i in range(1, n + 1))
 
 
+class _Value:
+    """The value rule of a frozen dataclass: equal to a value of its own
+    type whose fields are equal (arrays by ``np.array_equal``), and copied
+    or pickled by rebuilding through the constructor, whose checks and
+    freezing run again on the copy."""
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+                   else a == b for a, b in pairs)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+class _Vector(_Value):
+    """A value whose field ``_field`` is a finite, read-only one-dimensional
+    float array, checked by ``_check``; messages call its entries ``_entries``."""
+
+    def __post_init__(self):
+        arr = _as_vector(getattr(self, self._field), self._entries)
+        self._check(arr)
+        arr.setflags(write=False)
+        object.__setattr__(self, self._field, arr)
+
+    def __len__(self) -> int:
+        return getattr(self, self._field).size
+
+
 @dataclass(frozen=True, eq=False)
-class AgeDistribution:
+class AgeDistribution(_Vector):
     """Ordered age groups with strictly positive proportions summing to one.
 
     An empty group anywhere is rejected (``check_groups``): every solver
@@ -72,10 +103,10 @@ class AgeDistribution:
 
     labels: tuple
     proportions: np.ndarray
+    _field = _entries = "proportions"
 
-    def __post_init__(self):
+    def _check(self, props: np.ndarray) -> None:
         labels = tuple(str(lab) for lab in self.labels)
-        props = _as_vector(self.proportions, "proportions")
         if len(labels) != props.size:
             raise ValueError(
                 f"{len(labels)} labels for {props.size} proportions"
@@ -88,19 +119,7 @@ class AgeDistribution:
             raise NotNormalized(
                 f"proportions sum to {total!r}; use normalize() for raw counts"
             )
-        props.setflags(write=False)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "proportions", props)
-
-    def __len__(self) -> int:
-        return self.proportions.size
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AgeDistribution):
-            return NotImplemented
-        return self.labels == other.labels and np.array_equal(
-            self.proportions, other.proportions
-        )
 
     def __repr__(self) -> str:
         return f"AgeDistribution(n={len(self)}, {self.labels[0]}..{self.labels[-1]})"
@@ -168,30 +187,18 @@ def _divided(counts: np.ndarray, labels: tuple, trim: bool) -> AgeDistribution:
     return AgeDistribution(labels[:keep], props[:keep])
 
 
-class _RateVector:
-    """A finite, read-only one-dimensional array of at least 3 per-group
-    rates in the dataclass field ``_field``. Messages call the vector and
-    its entries ``_names``; ``_check_range`` checks them before the length."""
+class _RateVector(_Vector):
+    """At least 3 per-group rates; messages call the vector ``_kind``, and
+    ``_check_range`` checks its entries before the length."""
 
-    def __post_init__(self):
-        kind, entries = self._names
-        arr = _as_vector(getattr(self, self._field), entries)
+    def _check(self, arr: np.ndarray) -> None:
         self._check_range(arr)
         if arr.size < 3:
-            raise ValueError(f"{kind} vector needs at least 3 entries")
-        arr.setflags(write=False)
-        object.__setattr__(self, self._field, arr)
+            raise ValueError(f"{self._kind} vector needs at least 3 entries")
 
     def __array__(self, dtype=None, copy=None):
-        return np.asarray(getattr(self, self._field), dtype=dtype)
-
-    def __len__(self) -> int:
-        return getattr(self, self._field).size
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return np.array_equal(getattr(self, self._field), getattr(other, self._field))
+        arr = getattr(self, self._field)
+        return np.array(arr, dtype=dtype) if copy else np.asarray(arr, dtype=dtype)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,7 +211,7 @@ class SurvivalVector(_RateVector):
     """
 
     probs: np.ndarray
-    _field, _names = "probs", ("survival", "survival probabilities")
+    _field, _kind, _entries = "probs", "survival", "survival probabilities"
 
     def _check_range(self, arr: np.ndarray) -> None:
         if arr.size and arr[-1] >= 1.0:
@@ -219,7 +226,7 @@ class ActivationVector(_RateVector):
     """Per-group activation rates, each in [ALPHA_MIN, 1]."""
 
     rates: np.ndarray
-    _field, _names = "rates", ("activation", "activation rates")
+    _field, _kind, _entries = "rates", "activation", "activation rates"
 
     def _check_range(self, arr: np.ndarray) -> None:
         if np.any(arr < ALPHA_MIN):

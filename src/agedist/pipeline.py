@@ -31,6 +31,7 @@ from .distributions import (  # noqa: F401 (classify: bench/run.py's tracer wrap
     AgeDistribution,
     ModelKind,
     ModelParams,
+    _Value,
     check_seed,
     classify,
     mean_absolute_error,
@@ -67,8 +68,8 @@ class Solution:
     analytic: AgeDistribution
 
 
-@dataclass(frozen=True)
-class CountryResult:
+@dataclass(frozen=True, eq=False)
+class CountryResult(_Value):
     solution: Optional[Solution] = None
     failure_reason: Optional[str] = None
     sim_mae: Optional[float] = None

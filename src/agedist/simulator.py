@@ -40,7 +40,7 @@ import numpy as np
 from . import parallel
 from .dataio import write_csv
 from .distributions import (
-    SUM_TOLERANCE, ModelParams, check_integer, check_seed, default_labels, proportions_of,
+    SUM_TOLERANCE, ModelParams, _Value, check_integer, check_seed, default_labels, proportions_of,
     step_thresholds)
 from .errors import NotNormalized, ResidualCheckFailed
 
@@ -80,13 +80,13 @@ class SimConfig:
         object.__setattr__(self, "seed", check_seed(self.seed))
 
 
-@dataclass(frozen=True)
-class SimResult:
-    """Measured outputs of one run.
+@dataclass(frozen=True, eq=False)
+class SimResult(_Value):
+    """Measured outputs of one run, equal to another with equal fields.
 
-    The measured vectors are plain proportion arrays rather than
-    AgeDistribution values: a small group can legitimately stay empty for a
-    whole run, which a validated distribution may not represent.
+    The measured vectors are plain, writable proportion arrays, compared by
+    value, rather than AgeDistribution values: a small group can stay empty
+    for a whole run, which a validated distribution may not represent.
     """
 
     labels: tuple

@@ -1,4 +1,5 @@
 import ast
+import copy
 import dataclasses
 import importlib
 import pickle
@@ -486,6 +487,11 @@ class TestVectors:
         assert vec != other([0.5, 0.25, 0.5])
         with pytest.raises(ValueError, match="read-only"):
             np.asarray(vec)[0] = 1.0
+        # np.array honours numpy's copy argument: a copy is the caller's to write.
+        held = vec.probs if cls is SurvivalVector else vec.rates
+        assert np.shares_memory(np.asarray(vec), held)
+        copied = np.array(vec)
+        assert copied.flags.writeable and not np.shares_memory(copied, held)
 
 
 class TestModelParams:
@@ -547,11 +553,22 @@ class TestModelParams:
 
     def test_a_set_and_a_config_survive_pickle_and_replace(self):
         # Frozen values still travel to worker processes and copy with a change.
-        params = pipeline.solve(normalize([3, 4, 3], default_labels(3))).params
+        solution = pipeline.solve(normalize([3, 4, 3], default_labels(3)))
+        params = solution.params
         config = SimConfig(num_agents=500, num_steps=20, seed=3)
         for value in (params, config):
             assert pickle.loads(pickle.dumps(value)) == value
             assert dataclasses.replace(value) == value
+        # A copy is rebuilt through the constructors, so it is frozen all the
+        # way down: no worker can write a survival of 1 into its copy.
+        values = (solution.analytic, params.survival, params.activation, params, solution)
+        for copier in (lambda value: pickle.loads(pickle.dumps(value)), copy.copy,
+                       copy.deepcopy):
+            for value in values:
+                copied = copier(value)
+                assert copied == value
+                held = arrays_of(copied)
+                assert held and not any(arr.flags.writeable for arr in held)
         assert dataclasses.replace(config, seed=1) == SimConfig(num_agents=500, num_steps=20,
                                                                 seed=1)
         changed = dataclasses.replace(params, diagnostics={"note": "copy"})
@@ -576,6 +593,32 @@ def test_every_dataclass_is_frozen():
                     thawed.append(found[-1])
     assert {"distributions.AgeDistribution", "simulator.SimConfig"} <= set(found)
     assert not thawed, f"not frozen: {', '.join(thawed)}"
+
+
+def arrays_of(value) -> list:
+    """Every array that a dataclass value holds, at any depth."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if not dataclasses.is_dataclass(value):
+        return []
+    return [arr for field in dataclasses.fields(value)
+            for arr in arrays_of(getattr(value, field.name))]
+
+
+def test_every_dataclass_that_holds_an_array_keeps_the_value_rule():
+    # Compared field by field, an array field raises ValueError for a
+    # default dataclass __eq__; the base compares it with np.array_equal.
+    stray = []
+    for info in pkgutil.iter_modules(agedist.__path__):
+        module = importlib.import_module(f"agedist.{info.name}")
+        for name, value in vars(module).items():
+            if (isinstance(value, type) and dataclasses.is_dataclass(value)
+                    and value.__module__ == module.__name__
+                    and any("np.ndarray" in str(field.type)
+                            for field in dataclasses.fields(value))
+                    and not issubclass(value, agedist.distributions._Value)):
+                stray.append(f"{info.name}.{name}")
+    assert not stray, f"hold arrays without the value rule: {', '.join(stray)}"
 
 
 #: The stationary law of the ageing process, which lives in distributions.py only.

@@ -419,6 +419,16 @@ class TestRunDataset:
         assert entry.solution.params.survival == built.params.survival
         assert entry.solution.analytic is built.analytic
 
+    def test_reports_and_entries_compare_by_value(self, sim_config):
+        # Entries hold their run's estimate array, compared by value.
+        dataset = [("mono", MONO), ("hump", HUMP), ("stubborn", flat_then_humped())]
+        report = run_dataset(dataset, sim_config)
+        again = run_dataset(dataset, sim_config)
+        other = run_dataset(dataset, dataclasses.replace(sim_config, seed=1))
+        assert report == again and report != other
+        for name, entry in report.per_country.items():
+            assert entry == again.per_country[name] and entry != other.per_country[name]
+
     def test_three_route_composition(self, sim_config):
         dataset = [("mono", MONO), ("hump", HUMP), ("stubborn", flat_then_humped())]
         report = run_dataset(dataset, sim_config)

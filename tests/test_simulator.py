@@ -431,12 +431,14 @@ class TestRun:
         assert np.array_equal(a.trajectory, b.trajectory)
         assert a.total_deaths == b.total_deaths
         assert a.seed == b.seed
+        assert a == b
 
     def test_different_seeds_differ(self, pyramid):
         params = model1_params(pyramid)
         a = run(pyramid, params, SimConfig(seed=1))
         b = run(pyramid, params, SimConfig(seed=2))
         assert not np.array_equal(a.steady_estimate, b.steady_estimate)
+        assert a != b
 
     def test_trajectory_rows_are_distributions(self, pyramid):
         params = model1_params(pyramid)
