@@ -185,7 +185,11 @@ def cmd_simulate(args) -> int:
     document = dataio.load_params_document(args.params)
     params, target = document.params, document.target
     labels = target.labels if target is not None else None
-    analytic = distributions.stationary_distribution(params.survival, params.activation, labels)
+    try:
+        analytic = distributions.stationary_distribution(params.survival, params.activation,
+                                                         labels)
+    except AgedistError as exc:  # rates the value types accept but the law refuses
+        raise type(exc)(f"{args.params}: {exc}") from None
 
     config = simulator.SimConfig(
         num_agents=args.agents,

@@ -286,7 +286,8 @@ def load_params(path) -> ModelParams:
             refuses; or a ``survival`` or ``activation`` list its value
             type refuses with a ValueError or an OverflowError, or a
             ``target`` AgeDistribution does.
-        DegenerateLastGroup, ActivationTooSmall: as the value types raise.
+        DegenerateLastGroup, ActivationTooSmall: as the value types raise
+            them, the message prefixed with the file and the field.
     """
     return load_params_document(path).params
 
@@ -379,7 +380,8 @@ def load_params_document(path) -> ParamsDocument:
 
 def _field(path, document, key: str, make, refused=(ValueError, OverflowError)):
     """``make`` of the field ``key``; a ``refused`` error it raises becomes a
-    SchemaError naming the file and the field."""
+    SchemaError, and any other AgedistError keeps its type, each with a
+    message that names the file and the field."""
     try:
         return make(document[key])
     except NotNormalized:  # worded for the file's editor, not a library caller
@@ -387,3 +389,5 @@ def _field(path, document, key: str, make, refused=(ValueError, OverflowError)):
         raise SchemaError(f"{path}: field {key!r}: proportions sum to {total!r}, not 1") from None
     except refused as exc:
         raise SchemaError(f"{path}: field {key!r}: {exc}") from None
+    except AgedistError as exc:
+        raise type(exc)(f"{path}: field {key!r}: {exc}") from None

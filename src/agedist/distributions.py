@@ -56,6 +56,11 @@ def _as_vector(values, name: str) -> np.ndarray:
     return arr
 
 
+def _first(bad: np.ndarray) -> Optional[int]:
+    """Index of the first True entry of ``bad``, or None."""
+    return int(bad.argmax()) if bad.any() else None
+
+
 def default_labels(n: int) -> tuple:
     """Generic group labels g1..gn for callers that have none."""
     return tuple(f"g{i}" for i in range(1, n + 1))
@@ -176,9 +181,7 @@ def _divided(counts: np.ndarray, labels: tuple, trim: bool) -> AgeDistribution:
     props = scaled if abs(total - 1.0) <= SUM_TOLERANCE else scaled / total
     # The largest count stays positive.
     keep = np.flatnonzero(props)[-1] + 1 if trim else props.size
-    empty = np.flatnonzero(props[:keep] == 0)
-    if empty.size and counts[empty[0]] > 0:
-        idx = int(empty[0])
+    if (idx := _first(props[:keep] == 0)) is not None and counts[idx] > 0:
         raise InteriorZeroGroup(f"group {labels[idx]!r} (index {idx}) underflows to 0 "
                                 f"(count {float(counts[idx])!r} of {float(counts.max())!r})")
     if keep < props.size:
@@ -217,8 +220,9 @@ class SurvivalVector(_RateVector):
         if arr.size and arr[-1] >= 1.0:
             raise DegenerateLastGroup(f"last-group survival {float(arr[-1])!r} leaves the "
                                       "final group with no outflow")
-        if np.any(arr < 0) or np.any(arr > 1):
-            raise ValueError("survival probabilities must lie in [0, 1]")
+        if (i := _first((arr < 0) | (arr > 1))) is not None:
+            raise ValueError(f"survival probabilities must lie in [0, 1]: group index {i} "
+                             f"has {float(arr[i])!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,12 +233,14 @@ class ActivationVector(_RateVector):
     _field, _kind, _entries = "rates", "activation", "activation rates"
 
     def _check_range(self, arr: np.ndarray) -> None:
-        if np.any(arr < ALPHA_MIN):
+        if (i := _first(arr < ALPHA_MIN)) is not None:
             raise ActivationTooSmall(
-                f"activation rates below the floor {ALPHA_MIN:g}"
-            )
-        if np.any(arr > 1):
-            raise ValueError("activation rates must lie in [ALPHA_MIN, 1]")
+                f"activation {float(arr[i])!r} at group index {i} is below the floor "
+                f"{ALPHA_MIN:g}: the group is more than 1/ALPHA_MIN = {1.0 / ALPHA_MIN:g} "
+                "times its active mass")
+        if (i := _first(arr > 1)) is not None:
+            raise ValueError(f"activation rates must lie in [ALPHA_MIN, 1]: group index {i} "
+                             f"has {float(arr[i])!r}")
 
 
 class ModelKind(Enum):
@@ -321,11 +327,9 @@ def check_groups(props: np.ndarray, labels: tuple) -> None:
     last and at least one intermediate group that every solver needs:
     EmptyPopulation (every group empty), InteriorZeroGroup naming the first
     empty group by its label and index, or TooFewGroups."""
-    empty = np.flatnonzero(props == 0)
-    if empty.size == props.size:
+    if not props.any():
         raise EmptyPopulation("every age group is empty")
-    if empty.size:
-        idx = int(empty[0])
+    if (idx := _first(props == 0)) is not None:
         raise InteriorZeroGroup(f"group {labels[idx]!r} (index {idx}) is empty")
     if props.size < 3:
         raise TooFewGroups(f"need at least 3 age groups, got {props.size}")
@@ -431,11 +435,8 @@ def stationary_distribution(p, alpha=None, labels=None) -> AgeDistribution:
     rates = np.ones(n) if alpha is None else ActivationVector(alpha).rates
     if rates.size != n:
         raise ValueError(f"survival has {n} entries, activation has {rates.size}")
-    if np.any(probs[: n - 1] == 0.0):
-        idx = int(np.nonzero(probs[: n - 1] == 0.0)[0][0])
-        raise InteriorZeroGroup(
-            f"survival of 0 in group {idx} empties every later group"
-        )
+    if (idx := _first(probs[: n - 1] == 0.0)) is not None:
+        raise InteriorZeroGroup(f"survival of 0 in group {idx} empties every later group")
 
     dist = stationary_profiles(probs[None], rates[None], np.empty((1, n)))[0]
     worst = float(np.abs(stationarity_residual(probs, rates, dist)).max())

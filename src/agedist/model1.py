@@ -8,7 +8,7 @@ closed form, with the last-group survival p_n left free inside a feasibility
 interval.
 
 The stationary law of both processes lives in ``distributions``; this
-module keeps only the closed form and ``steady_state``, a call into it.
+module keeps only the closed form and ``steady_state``, a name of that law.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 
 from .distributions import (
     MAX_LAST_SURVIVAL,
-    AgeDistribution,
     Classification,
     SurvivalVector,
     as_distribution,
@@ -131,6 +130,5 @@ def solve(dist, p_n="mid", *, seed: Optional[int] = None) -> SurvivalVector:
     return SurvivalVector(p)
 
 
-def steady_state(p, labels=None) -> AgeDistribution:
-    """``distributions.stationary_distribution`` of the plain process."""
-    return stationary_distribution(p, None, labels)
+#: ``distributions.stationary_distribution``, whose default is the plain process.
+steady_state = stationary_distribution

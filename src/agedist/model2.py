@@ -12,9 +12,9 @@ other target into its reach, as little as it can. ``optimize`` is the
 search of the original method: a bounded differential evolution over the
 joint vector (p_1..p_n, alpha_1..alpha_n) that minimises the mean absolute
 error between the candidate's stationary profile and the target.
-``steady_state2`` and the search objective both read the process's
-stationary law from ``distributions``, with the activation rates as its
-second row set.
+``steady_state2`` is a name of the process's stationary law in
+``distributions``, and the search objective reads that law with the
+activation rates as its second row set.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .distributions import (
     stationary_distribution,
     stationary_profiles,
 )
-from .errors import ActivationTooSmall
 
 #: Population entries (rows x 2n) that a search share builds, scores and
 #: selects at a time: a share's rows are cut into the fewest tiles of at
@@ -125,13 +124,16 @@ def member(dist, active, p_n="mid", *, seed: Optional[int] = None) -> tuple:
     Raises:
         ValueError, EmptyPopulation, InteriorZeroGroup, TooFewGroups: as
             ``distributions.as_distribution`` raises them for a raw ``dist``.
-        ValueError: ``active`` is not a vector of one entry per group, or
-            an entry is not finite and positive, rises over the first n-1
-            groups or exceeds its group; the message names the group index.
-        ActivationTooSmall: an m_i below ALPHA_MIN N_i, a group more than
-            1/ALPHA_MIN times its active mass; the message names the group.
+        ValueError: ``active`` is not a vector of one entry per group, or an
+            entry (or its activation m_i / N_i) is not finite, exceeds its
+            group (an activation above 1) or rises over the first n-1
+            groups; the last two name the group index.
+        ActivationTooSmall: an m_i below ALPHA_MIN N_i (zero and negative
+            ones too), a group more than 1/ALPHA_MIN times its active mass;
+            the message names the first such group index.
         DegenerateLastGroup: m_n is more than 1/(1 - MAX_LAST_SURVIVAL)
-            times m_{n-1}.
+            times m_{n-1}; the closed form judges it after
+            ``ActivationVector(m / N)`` has judged every entry.
         FreeParamOutOfRange, ValueError: a ``p_n`` or ``seed`` that
             ``model1.solve`` refuses.
     """
@@ -139,23 +141,13 @@ def member(dist, active, p_n="mid", *, seed: Optional[int] = None) -> tuple:
     m = np.array(active, dtype=float)
     if m.shape != props.shape:
         raise ValueError(f"active mass of shape {m.shape} for {props.size} groups")
-    checks = (
-        (~(np.isfinite(m) & (m > 0)), "is not finite and positive"),
-        (np.append(False, m[1:-1] > m[:-2]), "rises above the one before it"),
-        (m > props, "exceeds its group"),
-    )
-    for bad, reason in checks:
-        if bad.any():
-            i = int(bad.argmax())
-            raise ValueError(f"active mass {float(m[i])!r} at group index {i} {reason}")
-    rates = m / props
-    if rates.min() < ALPHA_MIN:
-        worst = int(rates.argmin())
-        raise ActivationTooSmall(
-            f"group index {worst} is more than 1/ALPHA_MIN = {1.0 / ALPHA_MIN:g} "
-            f"times its active mass (activation {rates[worst]:.4g})"
-        )
-    return model1.solve(m, p_n, seed=seed), ActivationVector(rates)
+    with np.errstate(over="ignore"):  # an m_i / N_i that overflows is refused as not finite
+        activation = ActivationVector(m / props)
+    if (rises := np.flatnonzero(m[1:-1] > m[:-2])).size:
+        i = int(rises[0]) + 1
+        raise ValueError(f"active mass {float(m[i])!r} at group index {i} rises above "
+                         "the one before it")
+    return model1.solve(m, p_n, seed=seed), activation
 
 
 def solve(dist, p_n="mid", *, seed: Optional[int] = None) -> tuple:
@@ -168,8 +160,9 @@ def solve(dist, p_n="mid", *, seed: Optional[int] = None) -> tuple:
         ValueError, EmptyPopulation, InteriorZeroGroup, TooFewGroups: as
             ``distributions.as_distribution`` raises them for a raw vector.
         ActivationTooSmall: a group is more than 1/ALPHA_MIN times the
-            smallest group before it. No m_i exceeds that running minimum,
-            so no member of the family keeps alpha_i >= ALPHA_MIN.
+            smallest group before it; the message names the first such
+            group index and its activation. No m_i exceeds that running
+            minimum, so no member of the family keeps alpha_i >= ALPHA_MIN.
         DegenerateLastGroup: the last group is more than
             1/(1 - MAX_LAST_SURVIVAL) times the smallest group before it.
         FreeParamOutOfRange, ValueError: a ``p_n`` or ``seed`` that
@@ -248,10 +241,8 @@ def nearest_reachable(dist) -> AgeDistribution:
     return normalize(raised, dist.labels)
 
 
-def steady_state2(p, alpha, labels=None) -> AgeDistribution:
-    """``distributions.stationary_distribution`` of the activation-rate
-    process; rates of 1 give the plain process bit for bit."""
-    return stationary_distribution(p, alpha, labels)
+#: ``distributions.stationary_distribution``; rates of 1 give the plain process.
+steady_state2 = stationary_distribution
 
 
 def mae_objective(target) -> Callable[..., np.ndarray]:

@@ -567,6 +567,36 @@ class TestSimulate:
                                            "sum to 1000.0, not 1\n")
         assert not (tmp_path / "result.json").exists()
 
+    @pytest.mark.parametrize("country, edit, message", [
+        ("Hump", {"activation": [1.0, 1e-4, 1.0]},
+         "field 'activation': activation 0.0001 at group index 1 is below the floor 0.001: "),
+        ("Pyramid", {"survival": [0.6, 0.5, 0.3, 1.0], "free_param": 1.0},
+         "field 'survival': last-group survival 1.0 leaves the final group with no outflow"),
+        ("Pyramid", {"survival": [0.6, 0.0, 0.3, 0.5], "free_param": 0.5},
+         "survival of 0 in group 1 empties every later group"),
+        ("Pyramid", {"survival": [1e-300] * 4, "free_param": 1e-300},
+         "group '10-14' (index 2) underflows to 0 in the stationary profile"),
+        ("Pyramid", {"survival": [1e-300] * 4, "free_param": 1e-300, "labels": None,
+                     "target": None},
+         "group 'g3' (index 2) underflows to 0 in the stationary profile"),
+    ], ids=["activation-below-floor", "last-survival-one", "interior-zero-survival",
+            "underflow-with-target", "underflow-without-target"])
+    def test_rates_that_are_refused_are_an_error_naming_the_file(self, dataset, tmp_path,
+                                                                 capsys, country, edit, message):
+        params_file = tmp_path / "hostile.json"
+        assert main(["solve", "--input", str(dataset), "--country", country,
+                     "--out", str(params_file)]) == 0
+        raw = json.loads(params_file.read_text())
+        raw.update(edit)
+        params_file.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert main(["simulate", "--params", str(params_file),
+                     "--out", str(tmp_path / "result.json")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {params_file}: ")
+        assert message in lines[0]
+        assert not (tmp_path / "result.json").exists()
+
 
 class TestPipeline:
     def test_full_dataset_outputs(self, dataset, tmp_path, capsys):

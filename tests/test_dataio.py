@@ -572,13 +572,24 @@ class TestParamsFiles:
         assert str(caught.value).startswith(f"{path}: field {field!r}: ")
 
     def test_typed_vector_errors_pass_through(self, tmp_path):
+        # Each keeps its type, and its message names the file and the field.
         path = tmp_path / "params.json"
         emit_params(solved_params(ModelKind.MODEL2), path)
         raw = json.loads(path.read_text())
         raw["activation"] = [1.0, 1e-4, 1.0]
         path.write_text(json.dumps(raw))
-        with pytest.raises(ActivationTooSmall):
+        with pytest.raises(ActivationTooSmall) as caught:
             load_params(path)
+        assert str(caught.value).startswith(
+            f"{path}: field 'activation': activation 0.0001 at group index 1 is below the floor")
+        raw = json.loads(path.read_text())
+        raw["activation"] = [1.0, 1.0, 1.0]
+        raw["survival"][-1] = raw["free_param"] = 1.0
+        path.write_text(json.dumps(raw))
+        with pytest.raises(DegenerateLastGroup) as caught:
+            load_params(path)
+        assert str(caught.value) == (f"{path}: field 'survival': last-group survival 1.0 "
+                                     "leaves the final group with no outflow")
 
     def test_a_target_of_another_group_count_is_refused_before_writing(self, tmp_path):
         # load_params would refuse the file: its fields differ in length.

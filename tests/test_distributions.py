@@ -467,11 +467,25 @@ class TestVectors:
             ActivationVector([0.5, 1.5, 0.5])
         assert ActivationVector([ALPHA_MIN, 1.0, 0.5]).rates[0] == ALPHA_MIN
 
-    @pytest.mark.parametrize("cls, kind, entries", [
-        (SurvivalVector, "survival", "survival probabilities"),
-        (ActivationVector, "activation", "activation rates"),
-    ])
-    def test_shared_checks_and_array_behaviour(self, cls, kind, entries):
+    @pytest.mark.parametrize("cls, kind, entries, refusals", [
+        (SurvivalVector, "survival", "survival probabilities", [
+            ([0.5, -0.25, 1.5, 0.5], ValueError,
+             r"survival probabilities must lie in \[0, 1\]: group index 1 has -0.25"),
+        ]),
+        (ActivationVector, "activation", "activation rates", [
+            ([0.5, 1e-4, 1e-5, 0.5], ActivationTooSmall,
+             "activation 0.0001 at group index 1 is below the floor 0.001: the group is "
+             "more than 1/ALPHA_MIN = 1000 times its active mass"),
+            ([0.5, 1.5, 2.0, 0.5], ValueError,
+             r"activation rates must lie in \[ALPHA_MIN, 1\]: group index 1 has 1.5"),
+        ]),
+    ], ids=["SurvivalVector-survival-survival probabilities",
+            "ActivationVector-activation-activation rates"])
+    def test_shared_checks_and_array_behaviour(self, cls, kind, entries, refusals):
+        # A range refusal names the first offending group index and its value.
+        for values, error, message in refusals:
+            with pytest.raises(error, match=f"^{message}$"):
+                cls(values)
         with pytest.raises(ValueError, match=f"^{kind} vector needs at least 3 entries$"):
             cls([0.5, 0.5])
         with pytest.raises(ValueError, match=f"^{entries} must be finite$"):

@@ -461,21 +461,31 @@ class TestMember:
     @pytest.mark.parametrize("active, error, message", [
         ([0.1, 0.1, 0.1, 0.1], ValueError, "shape \\(4,\\) for 5 groups"),
         ([[0.1] * 5], ValueError, "shape \\(1, 5\\) for 5 groups"),
-        ([0.1, 0.1, np.nan, 0.1, 0.1], ValueError, "group index 2 is not finite"),
-        ([0.1, np.inf, 0.1, 0.1, 0.1], ValueError, "group index 1 is not finite"),
-        ([0.1, 0.1, 0.1, 0.0, 0.1], ValueError, "group index 3 is not finite and positive"),
-        ([-0.1, -0.1, -0.1, -0.1, 0.1], ValueError, "group index 0 is not finite and positive"),
+        ([0.1, 0.1, np.nan, 0.1, 0.1], ValueError, "^activation rates must be finite$"),
+        ([0.1, np.inf, 0.1, 0.1, 0.1], ValueError, "^activation rates must be finite$"),
+        # m_1 / N_1 overflows: refused as not finite, with no warning.
+        ([1e308, 0.1, 0.1, 0.1, 0.1], ValueError, "^activation rates must be finite$"),
+        ([0.1, 0.1, 0.1, 0.0, 0.1], ActivationTooSmall,
+         "^activation 0.0 at group index 3 is below the floor 0.001: "),
+        ([-0.1, -0.1, -0.1, -0.1, 0.1], ActivationTooSmall,
+         "^activation -0.5 at group index 0 is below the floor"),
         ([0.1, 0.05, 0.08, 0.05, 0.1], ValueError, "group index 2 rises"),
-        ([0.1, 0.1, 0.1, 0.1, 0.2], ValueError, "group index 4 exceeds its group"),
-        ([0.25, 0.1, 0.1, 0.1, 0.1], ValueError, "group index 0 exceeds its group"),
-        ([0.1, 0.05, 0.05, 1e-5, 0.1], ActivationTooSmall, "group index 3 .*1/ALPHA_MIN"),
+        ([0.1, 0.1, 0.1, 0.1, 0.2], ValueError,
+         r"^activation rates must lie in \[ALPHA_MIN, 1\]: group index 4 has 1.333"),
+        ([0.25, 0.1, 0.1, 0.1, 0.1], ValueError, "group index 0 has 1.25$"),
+        # Any m_i above N_i gives a rate above 1: the division rounds up.
+        ([0.1, 0.1, 0.1, 0.1, np.nextafter(0.15, 1.0)], ValueError,
+         "group index 4 has 1.0000000000000002$"),
+        ([0.1, 0.05, 0.05, 1e-5, 0.1], ActivationTooSmall,
+         "^activation 4e-05 at group index 3 is below the floor 0.001: the group is more "
+         "than 1/ALPHA_MIN = 1000 times its active mass$"),
         ([0.1, 0.1, 0.1, 0.1, 1e-4], ActivationTooSmall, "group index 4 .*1/ALPHA_MIN"),
         # m_n is 1e10 times m_{n-1}, a DegenerateLastGroup in the closed
         # form; the floor is checked first, as solve checks it.
-        ([1e-12, 1e-12, 1e-12, 1e-12, 0.01], ActivationTooSmall, "group index 2 .*1/ALPHA_MIN"),
-    ], ids=["short", "two-dimensional", "nan", "inf", "zero", "negative", "rising",
-            "last-exceeds", "first-exceeds", "inactive", "inactive-last",
-            "inactive-before-closed-form"])
+        ([1e-12, 1e-12, 1e-12, 1e-12, 0.01], ActivationTooSmall, "group index 0 .*1/ALPHA_MIN"),
+    ], ids=["short", "two-dimensional", "nan", "inf", "overflow", "zero", "negative", "rising",
+            "last-exceeds", "first-exceeds", "last-exceeds-by-one-ulp", "inactive",
+            "inactive-last", "inactive-before-closed-form"])
     def test_each_input_check_names_the_group(self, active, error, message):
         with pytest.raises(error, match=message):
             model2.member(MEMBER_TARGET, active)
