@@ -20,7 +20,10 @@ and a plateau-then-decay surrogate handed back to model 1 (``curvefit``).
 ``cli`` cover CSV ingestion, parameter files and the command line.
 
 The top level holds the README's names and the modules; every other name
-is imported from its module.
+is imported from its module. Its ``solve`` is the station, ``pipeline.solve``
+(a ``Solution`` for any AgeDistribution; ``model1.solve`` gives a monotone
+target's bare ``SurvivalVector``), and its ``steady_state`` is the law,
+``distributions.stationary_distribution``.
 """
 
 import logging
@@ -32,9 +35,10 @@ logging.getLogger("agedist").addHandler(logging.NullHandler())
 from . import curvefit, dataio, distributions, model1, model2, pipeline, simulator  # noqa: E402
 from .curvefit import fit  # noqa: E402
 from .distributions import classify, normalize  # noqa: E402
+from .distributions import stationary_distribution as steady_state  # noqa: E402
 from .errors import AgedistError  # noqa: E402
-from .model1 import solve, steady_state  # noqa: E402
 from .model2 import optimize  # noqa: E402
+from .pipeline import solve  # noqa: E402
 from .simulator import SimConfig  # noqa: E402
 
 __all__ = [

@@ -187,7 +187,7 @@ def cmd_simulate(args) -> int:
     labels = target.labels if target is not None else None
     try:
         analytic = distributions.stationary_distribution(params.survival, params.activation,
-                                                         labels)
+                                                         labels=labels)
     except AgedistError as exc:  # rates the value types accept but the law refuses
         raise type(exc)(f"{args.params}: {exc}") from None
 

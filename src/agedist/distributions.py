@@ -48,7 +48,10 @@ RESIDUAL_TOLERANCE = 1e-10
 
 
 def _as_vector(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+    arr = np.asarray(values)
+    if arr.dtype.kind in "OSU" and any(isinstance(v, (str, bytes)) for v in arr.flat):
+        raise ValueError(f"{name} must be numbers, not text")
+    arr = np.array(arr, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -419,10 +422,11 @@ def stationary_profiles(probs: np.ndarray, rates: np.ndarray, out: np.ndarray,
     return np.divide(out, out.sum(axis=1, keepdims=True), out=out)
 
 
-def stationary_distribution(p, alpha=None, labels=None) -> AgeDistribution:
+def stationary_distribution(p, alpha=None, *, labels=None) -> AgeDistribution:
     """Stationary age distribution of either process (``alpha`` None: the
     plain one): the ``stationary_profiles`` recursion, checked against every
-    stationarity equation (in O(n)) by ``stationarity_residual``.
+    stationarity equation (in O(n)) by ``stationarity_residual``. ``labels``
+    go by keyword only, so that labels are never read as rates.
 
     Raises:
         DegenerateLastGroup: the last survival probability is >= 1.

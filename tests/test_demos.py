@@ -90,6 +90,17 @@ def test_top_level_names_stay_few_and_documented():
     assert sorted(namespace) == sorted(agedist.__all__)
 
 
+def test_the_top_level_solve_is_the_station_and_steady_state_the_law():
+    import agedist
+    from agedist import distributions, pipeline
+    from agedist.errors import InvalidEntry
+
+    assert agedist.solve is pipeline.solve
+    assert agedist.steady_state is distributions.stationary_distribution
+    with pytest.raises(InvalidEntry, match="expected an AgeDistribution"):
+        agedist.solve([0.5, 0.3, 0.2])
+
+
 def test_every_top_level_name_is_used():
     # Every name a module in src/agedist defines at its top level appears
     # somewhere besides its own definition: in the library, the tests, the

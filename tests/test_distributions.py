@@ -86,6 +86,11 @@ class TestNormalize:
         with pytest.raises(ValueError):
             normalize([1, 2, 3], ["a", "b"])
 
+    @pytest.mark.parametrize("counts", [["1", "2", "3"], [3, "2", 1]], ids=["text", "mixed"])
+    def test_text_counts_are_refused(self, counts):
+        with pytest.raises(ValueError, match="^raw_counts must be numbers, not text$"):
+            normalize(counts, "abc")
+
     def test_overflowing_sum_is_scaled_first(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -115,6 +120,10 @@ class TestAgeDistribution:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             AgeDistribution(("a", "b", "c"), [1.2, -0.1, -0.1])
+
+    def test_text_proportions_rejected(self):
+        with pytest.raises(ValueError, match="^proportions must be numbers, not text$"):
+            AgeDistribution(("a", "b", "c"), ["0.5", "0.25", "0.25"])
 
     def test_immutable(self):
         d = dist([0.5, 0.3, 0.2])
@@ -177,6 +186,12 @@ def test_every_solver_rejects_a_negative_entry(solver):
         solver([0.6, -0.1, 0.5])
 
 
+@pytest.mark.parametrize("solver", ENTRY_POINTS, ids=entry_point_id)
+def test_every_solver_rejects_a_text_entry(solver):
+    with pytest.raises(ValueError, match="^proportions must be numbers, not text$"):
+        solver([0.6, "0.1", 0.5])
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: model1.solve([5e-324, 5e-324, 1e308], "mid"),
      "group 'g1' (index 0) underflows to 0 (count 5e-324 of 1e+308)"),
@@ -227,10 +242,10 @@ def reproduced(solver, v):
     if solver is model1.solve:
         return normalize(v, labels), stationary_distribution(model1.solve(v, "mid"), labels=labels)
     if solver is model2.solve:
-        return normalize(v, labels), stationary_distribution(*model2.solve(v), labels)
+        return normalize(v, labels), stationary_distribution(*model2.solve(v), labels=labels)
     if solver is model2.nearest_reachable:
         target = model2.nearest_reachable(v)
-        return target, stationary_distribution(*model2.solve(target), labels)
+        return target, stationary_distribution(*model2.solve(target), labels=labels)
     target = curvefit.fit(v).fitted
     return target, stationary_distribution(model1.solve(target, "mid"), labels=labels)
 
@@ -460,6 +475,17 @@ class TestVectors:
             stationary_distribution(p, labels=labels)
         assert str(caught.value) == f"group {group} underflows to 0 in the stationary profile"
 
+    @pytest.mark.parametrize("labels", [("1", "1", "1"), ("a", "b", "c"), ("0", "5", "10")],
+                             ids=["ones", "letters", "ages"])
+    def test_labels_passed_by_position_are_refused(self, labels):
+        # In the second place they are activation rates, and text is no
+        # rate: never a g1..g3 distribution, nor an activation of 0.
+        with pytest.raises(ValueError, match="^activation rates must be numbers, not text$"):
+            model1.steady_state([0.9, 0.8, 0.5], labels)
+        with pytest.raises(TypeError, match="positional"):
+            model1.steady_state([0.9, 0.8, 0.5], None, labels)
+        assert model1.steady_state([0.9, 0.8, 0.5], labels=labels).labels == labels
+
     def test_activation_floor(self):
         with pytest.raises(ActivationTooSmall):
             ActivationVector([0.5, 1e-4, 0.5])
@@ -492,6 +518,9 @@ class TestVectors:
             cls([0.5, np.inf, 0.5])
         with pytest.raises(ValueError, match=f"^{entries} must be one-dimensional"):
             cls([[0.5, 0.5, 0.5]])
+        for text in (["0.5"] * 3, np.array([0.5, b"0.5", 0.5], dtype=object)):
+            with pytest.raises(ValueError, match=f"^{entries} must be numbers, not text$"):
+                cls(text)
         vec = cls([0.5, 0.25, 0.5])
         assert len(vec) == 3
         assert np.array_equal(np.asarray(vec), [0.5, 0.25, 0.5])
