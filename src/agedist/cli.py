@@ -202,7 +202,7 @@ def cmd_simulate(args) -> int:
     mae = mean_absolute_error(result.steady_estimate, analytic.proportions)
 
     if args.trajectory is not None:
-        simulator.write_trajectory_csv(result, args.trajectory)
+        dataio.write_trajectory_csv(result, args.trajectory)
 
     output = {
         "labels": result.labels,

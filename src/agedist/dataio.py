@@ -185,6 +185,19 @@ def write_dataset_csv(entries, path) -> None:
                for label, value in zip(dist.labels, dist.proportions)))
 
 
+def write_trajectory_csv(result, path) -> None:
+    """Write a ``simulator.SimResult``'s trajectory: one row per step, the
+    step index and then the per-group proportions to 10 significant digits.
+
+    Raises:
+        ValueError: the run was made without ``record_trajectory``.
+    """
+    if result.trajectory is None:
+        raise ValueError("run was executed without record_trajectory")
+    write_csv(path, ["step", *result.labels],
+              ([i, *row] for i, row in enumerate(result.trajectory, start=1)))
+
+
 def _first_repeat(items):
     """The first item of ``items`` that occurs more than once, else None."""
     return next((item for item, count in Counter(items).items() if count > 1), None)

@@ -368,13 +368,18 @@ def _comparable(a, b, check_labels: bool) -> tuple:
     return pa, pb
 
 
+def rises(values: np.ndarray) -> np.ndarray:
+    """The indices 1..n-2 of ``values`` whose entry is larger than the one
+    before it: where the first n-1 groups fail to be non-increasing. The
+    last group is unconstrained because its survival probability is free."""
+    return np.flatnonzero(values[1:-1] > values[:-2]) + 1
+
+
 def classify(dist) -> Classification:
-    """Monotone check over groups 1..n-1; the last group is unconstrained
-    because its survival probability is free."""
-    p = proportions_of(dist)
-    if np.all(np.diff(p[:-1]) <= 0):
-        return Classification.MONOTONE_NON_INCREASING
-    return Classification.NON_MONOTONE
+    """Monotone check over groups 1..n-1 (``rises``)."""
+    if rises(proportions_of(dist)).size:
+        return Classification.NON_MONOTONE
+    return Classification.MONOTONE_NON_INCREASING
 
 
 def wasserstein(a, b) -> float:

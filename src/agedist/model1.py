@@ -20,11 +20,10 @@ import numpy as np
 
 from .distributions import (
     MAX_LAST_SURVIVAL,
-    Classification,
     SurvivalVector,
     as_distribution,
     check_seed,
-    classify,
+    rises,
     stationary_distribution,
 )
 from .errors import DegenerateLastGroup, FreeParamOutOfRange, NotModel1Eligible
@@ -65,8 +64,7 @@ def feasibility(dist) -> FeasibleInterval:
         DegenerateLastGroup: as for ``solve``.
     """
     props = as_distribution(dist).proportions
-    if classify(props) is Classification.NON_MONOTONE:
-        bad = np.nonzero(np.diff(props[:-1]) > 0)[0] + 1
+    if (bad := rises(props)).size:
         raise NotModel1Eligible(
             f"proportions increase at group indices {[int(i) for i in bad]}")
     lower = 0.0 if props[-2] >= props[-1] else float(1.0 - props[-2] / props[-1])

@@ -35,6 +35,7 @@ from .distributions import (
     check_integer,
     check_seed,
     normalize,
+    rises,
     stationary_distribution,
     stationary_profiles,
 )
@@ -127,10 +128,13 @@ def member(dist, active, p_n="mid", *, seed: Optional[int] = None) -> tuple:
         ValueError: ``active`` is not a vector of one entry per group, or an
             entry (or its activation m_i / N_i) is not finite, exceeds its
             group (an activation above 1) or rises over the first n-1
-            groups; the last two name the group index.
+            groups (``distributions.rises``); the last two name the first
+            such group index, and the activation one its rate. An m_i even
+            one ulp above N_i is refused: a correctly rounded m_i / N_i is
+            then above 1.
         ActivationTooSmall: an m_i below ALPHA_MIN N_i (zero and negative
             ones too), a group more than 1/ALPHA_MIN times its active mass;
-            the message names the first such group index.
+            the message names the first such group index and its rate.
         DegenerateLastGroup: m_n is more than 1/(1 - MAX_LAST_SURVIVAL)
             times m_{n-1}; the closed form judges it after
             ``ActivationVector(m / N)`` has judged every entry.
@@ -143,8 +147,8 @@ def member(dist, active, p_n="mid", *, seed: Optional[int] = None) -> tuple:
         raise ValueError(f"active mass of shape {m.shape} for {props.size} groups")
     with np.errstate(over="ignore"):  # an m_i / N_i that overflows is refused as not finite
         activation = ActivationVector(m / props)
-    if (rises := np.flatnonzero(m[1:-1] > m[:-2])).size:
-        i = int(rises[0]) + 1
+    if (up := rises(m)).size:
+        i = int(up[0])
         raise ValueError(f"active mass {float(m[i])!r} at group index {i} rises above "
                          "the one before it")
     return model1.solve(m, p_n, seed=seed), activation
@@ -345,15 +349,11 @@ def optimize(target, config: Optional[DEConfig] = None) -> Model2Solution:
     in a fixed order, and selection replaces rows only once the whole
     generation is built.
 
-    A generation is synchronous, so its trial rows are built in row shares,
-    one per CPU the process may run on (``os.sched_getaffinity``), on the
-    calling thread and on worker threads that live only as long as the
-    call. The calling thread draws the mutation scale, the row pairs and
-    the forced crossover components; each share draws its own rows of the
-    crossover uniforms from its own generator, which ``parallel.position``
-    jumps ahead to them as the calling thread's stream skips past all of
-    them. There is at most one share per tile (``parallel.shares``), so
-    default searches of up to 42 groups stay on the calling thread. A share
+    A generation is synchronous, so its trial rows are built in the row
+    shares of ``parallel``. There is at most one share per tile, so default
+    searches of up to 42 groups stay on the calling thread. The calling
+    thread draws the mutation scale, the row pairs and the forced crossover
+    components, and each share its rows of the crossover uniforms. A share
     works through its rows in tiles of ``TILE_ENTRIES`` entries: it draws a
     tile's crossover uniforms, gathers, mutates, reflects and crosses over
     its rows, scores them and writes into the trial buffer, for every row,
@@ -361,18 +361,16 @@ def optimize(target, config: Optional[DEConfig] = None) -> Model2Solution:
     has gathered from the parents, the trial buffer becomes the population
     and the old population the next trial buffer. Every row gets the same
     floats whatever the share count and the tile size, so results are
-    bitwise independent of both; restricting the CPU affinity gives a serial
-    search. A search keeps two buffers of the population's size, the
-    parents and the trial rows; the rest of a generation's work lives in
-    each share's tile scratch (a tile's uniforms and mask), made once per
-    call, in which the objective also scores the tile: the uniforms lie
-    idle from crossover to selection. In ``tracemalloc`` a two-share search
-    peaks at 12.0 MB at 101 groups (3030 x 202 rows, 4.9 MB a buffer) and
-    at 41.1 MB at 201 groups, against 20.5 and 80.5 MB with share-sized
-    scratch and 13.6 and 43.2 MB with an objective scratch of its own.
-    Every share has its own tile, so at 101 groups the peak is 2.2 buffers
-    on one share, 2.5 on two, 2.7 on four and 3.2 on six, where a share is
-    one tile: the most shares it gets.
+    bitwise independent of both. A search keeps two buffers of the
+    population's size, the parents and the trial rows; the rest of a
+    generation's work lives in each share's tile scratch (a tile's uniforms
+    and mask), made once per call, in which the objective also scores the
+    tile: the uniforms lie idle from crossover to selection. In
+    ``tracemalloc`` a two-share search peaks at 12.0 MB at 101 groups (3030
+    x 202 rows, 4.9 MB a buffer) and at 41.1 MB at 201 groups. Every share
+    has its own tile, so at 101 groups the peak is 2.2 buffers on one
+    share, 2.5 on two, 2.7 on four and 3.2 on six, where a share is one
+    tile: the most shares it gets.
 
     Every share scores its rows with the search's one (stateless)
     ``mae_objective(target)``, a tile at a time in that tile's scratch, for

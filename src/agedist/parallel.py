@@ -1,14 +1,17 @@
-"""Work split over the CPUs this process may run on.
+"""Work split over the CPUs this process may run on, and the one home of
+the share-and-stream rule that the search and the simulator follow.
 
 The search splits a generation's rows and the simulator a step's uniform
-chunks into contiguous shares, one per CPU but at most one per work unit
-each already cuts: a tile of rows, a chunk of uniforms. Share 0 runs on the
-calling thread and every other share on a worker thread that lives only as
-long as the ``runner`` block. Every share reads its doubles from its own
-generator, which ``position`` sets to the seeded stream jumped ahead to the
-share's first double, so every unit's result is independent of the share
-count and restricting the CPU affinity (``taskset -c 0``) gives a serial run
-with the same results.
+chunks into contiguous ``shares``, one per CPU (``os.sched_getaffinity``)
+but at most one per work unit each already cuts: a tile of rows, a chunk of
+uniforms. Share 0 runs on the calling thread and every other share on a
+worker thread that lives only as long as the ``runner`` block. Every share
+reads its doubles from its own generator, which ``position`` sets to the
+seeded stream jumped ahead to the share's first double; the stream itself
+moves past every share's doubles, so its next draws are those a serial run
+makes. So every unit gets the floats a serial run gives it, results are bit
+for bit independent of the share count, and restricting the CPU affinity
+(``taskset -c 0``) gives a serial run with the same results.
 """
 
 from __future__ import annotations

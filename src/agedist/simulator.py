@@ -20,14 +20,9 @@ draws it once and every member counts its own groups against it; each
 member's results are bit for bit those of its own ``run``, which is a batch
 of one. The uniforms are drawn in chunks of ``BLOCK``, counted one group
 segment at a time for a member whose groups average at least ``BLOCK / 5``
-agents (``by_segment``) and in tiles for narrower ones. A step's chunks are
-split into contiguous shares, one per CPU but at most one per chunk
-(``parallel.shares``). Each share reads its own generator, which
-``parallel.position`` jumps ahead on the run's seeded stream to the share's
-first chunk, and counts into its own tallies, which are summed as integers,
-so results do not depend on the chunk size, the counting path or the CPU
-count; ``taskset -c 0`` gives a serial run with the same results. A run of
-at most ``BLOCK`` agents is one chunk, and runs on the calling thread alone.
+agents (``by_segment``) and in tiles for narrower ones, and a step's chunks
+are split over the CPUs as ``parallel`` states. Results do not depend on
+the chunk size, the tile size, the counting path or the CPU count.
 """
 
 from __future__ import annotations
@@ -38,7 +33,6 @@ from typing import Optional
 import numpy as np
 
 from . import parallel
-from .dataio import write_csv
 from .distributions import (
     SUM_TOLERANCE, ModelParams, _Value, check_integer, check_seed, default_labels, proportions_of,
     step_thresholds)
@@ -147,10 +141,7 @@ def run_many(targets, params, config: Optional[SimConfig] = None) -> list:
     estimate is the time-average of the per-step group proportions over the
     steps after ``burn_in``; the final snapshot is also reported.
     Deterministic for a given seed, and bit for bit the same whatever the
-    CPU count: a step's chunks of uniforms are counted in ``chunk_shares``,
-    each from the config's stream jumped ahead to its first chunk
-    (``parallel.position``). A batch of at most ``BLOCK`` agents a member
-    is one chunk and starts no thread.
+    CPU count.
 
     Raises:
         ValueError: a parameter set and its target differ in group count.
@@ -214,7 +205,7 @@ def run_many(targets, params, config: Optional[SimConfig] = None) -> list:
 
 def chunk_shares(num_agents: int) -> list:
     """``parallel.shares`` of a step's chunks of ``BLOCK`` uniforms for
-    ``num_agents`` agents: one per CPU, at most one per chunk."""
+    ``num_agents`` agents."""
     return parallel.shares(-(-num_agents // BLOCK))
 
 
@@ -249,11 +240,10 @@ class _Batch:
     members (``by_segment``) come last: each non-empty (chunk, group)
     segment is compared once with its group's thresholds. No uniform
     reaches 1, so a tile or segment whose stay thresholds are all 1 (every
-    plain member's) skips the stay pass. The chunks are split into
-    contiguous ``shares``, each with its own scratch and generator;
-    ``step`` positions the generators on the run's stream
-    (``parallel.position``) and hands the shares to ``run``, which
-    ``run_many`` sets to a share runner (``parallel.runner``).
+    plain member's) skips the stay pass. Each of the step's chunk
+    ``shares`` has its own scratch, generator and integer tallies, which
+    ``step`` sums; it hands the shares to ``run``, which ``run_many`` sets
+    to their ``parallel.runner``.
     """
 
     def __init__(self, advance_below, stay_from, num_agents: int):
@@ -359,12 +349,3 @@ class _Batch:
                 advances.append(np.count_nonzero(segment < below))
                 stays.append(np.count_nonzero(segment >= stay) if stay < 1 else 0)
         np.add.at(tally[:, self.wide], (slice(None), group), [advances, stays])
-
-
-def write_trajectory_csv(result: SimResult, path) -> None:
-    """One row per step: step index, then per-group proportions to 10
-    significant digits."""
-    if result.trajectory is None:
-        raise ValueError("run was executed without record_trajectory")
-    write_csv(path, ["step", *result.labels],
-              ([i, *row] for i, row in enumerate(result.trajectory, start=1)))

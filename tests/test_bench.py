@@ -1,6 +1,6 @@
 """Smoke gates for the benchmark: a short traced ``wpp-cascade`` pass, a
-full-length untraced one and a short traced ``fine-grid-solve`` pass must
-run and pass every output check."""
+full-length untraced one and short traced ``fine-grid-solve`` and
+``population-scale`` passes must run and pass every output check."""
 
 import json
 import shutil
@@ -64,3 +64,11 @@ def test_traced_fine_grid_solve_pass_is_correct(tmp_path):
     fits = metrics["curvefit.fit.calls"]["value"]
     assert fits == metrics["route.curve_fit"]["value"] == 1
     assert metrics["curvefit.fit.breakpoints"]["value"] == 101 * fits
+
+
+def test_traced_population_scale_pass_is_correct(tmp_path):
+    # One plain and one activated run of 1M agents x 350 steps; the warm-up
+    # run is not traced.
+    metrics = run_bench(tmp_path, "population-scale", "--seconds", "1", "--trace", "1")["metrics"]
+    assert metrics["simulator.run.calls"]["value"] == 2
+    assert metrics["simulator.run.agent_steps"]["value"] == 2 * 1_000_000 * 350

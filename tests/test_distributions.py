@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import pickle
 import pkgutil
+import re
 import warnings
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from agedist.distributions import (
     as_distribution,
     default_labels,
     mean_absolute_error,
+    rises,
     stationary_distribution,
     step_thresholds,
     wasserstein,
@@ -38,6 +40,7 @@ from agedist.errors import (
     EmptyPopulation,
     IncomparableDistributions,
     InteriorZeroGroup,
+    NotModel1Eligible,
     NotNormalized,
     TooFewGroups,
 )
@@ -359,6 +362,37 @@ class TestClassify:
         base = classify(normalize(counts, labels))
         scaled = classify(normalize(np.asarray(counts, dtype=float) * factor, labels))
         assert base is scaled
+
+
+@pytest.mark.parametrize("counts, expected", [
+    ([2, 3, 2.5, 1.5, 1], [1]),
+    ([3, 2.5, 1.5, 2, 1], [3]),
+    ([2, 4, 3, 5, 1], [1, 3]),
+    ([2.5, 2.5, 2, 2, 1], []),
+    ([3, 2.5, 2, 1, 1.5], []),
+    ([3, 4, 3], [1]),
+    ([5, 2, 3], []),
+], ids=["rise-at-1", "rise-at-n-2", "two-rises", "ties", "rise-into-last", "n3-rise",
+        "n3-rise-into-last"])
+def test_one_non_increasing_rule(counts, expected):
+    # classify, model 1's eligibility and model 2's family member all read
+    # distributions.rises: the indices 1..n-2 larger than the group before.
+    target = normalize(counts, default_labels(len(counts)))
+    props = target.proportions
+    assert rises(props).tolist() == expected
+    assert (classify(target) is Classification.NON_MONOTONE) == bool(expected)
+    if expected:
+        with pytest.raises(NotModel1Eligible,
+                           match=re.escape(f"proportions increase at group indices {expected}")):
+            model1.feasibility(target)
+        first = expected[0]
+        with pytest.raises(ValueError, match=re.escape(
+                f"active mass {float(props[first])!r} at group index {first} rises above")):
+            model2.member(target, props)
+    else:
+        model1.feasibility(target)
+        survival, activation = model2.member(target, props)
+        assert survival == model1.solve(target) and np.all(activation.rates == 1.0)
 
 
 class TestWasserstein:

@@ -6,11 +6,12 @@ import pytest
 import scipy.stats
 
 from agedist import SimConfig, normalize, optimize
+from agedist.dataio import write_trajectory_csv
 from agedist.distributions import (
     AgeDistribution, ModelKind, ModelParams, stationary_distribution)
 from agedist.model1 import solve, steady_state
 from agedist.model2 import DEConfig, steady_state2
-from agedist.simulator import apportion, run, run_many, start_counts, write_trajectory_csv
+from agedist.simulator import apportion, run, run_many, start_counts
 
 from oracles import (
     count_transition_matrix, one_step_count_law, reference_single_draw_step, reference_step,
