@@ -13,7 +13,7 @@ module reads; the library inverts it in closed form:
 
 The original method's tools for targets beyond that ratio stay available:
 a bounded differential-evolution search (``model2.optimize``, dithered
-best/1/bin; ``model2.DEConfig`` sets its population size, budget and seed)
+best/1/bin; ``DEConfig`` sets its population size, budget and seed)
 and a plateau-then-decay surrogate handed back to model 1 (``curvefit``).
 ``simulator`` validates any parameterisation with a finite agent population,
 ``pipeline`` cascades the closed forms over whole datasets, and ``dataio`` /
@@ -37,13 +37,14 @@ from .curvefit import fit  # noqa: E402
 from .distributions import classify, normalize  # noqa: E402
 from .distributions import stationary_distribution as steady_state  # noqa: E402
 from .errors import AgedistError  # noqa: E402
-from .model2 import optimize  # noqa: E402
+from .model2 import DEConfig, optimize  # noqa: E402
 from .pipeline import solve  # noqa: E402
 from .simulator import SimConfig  # noqa: E402
 
 __all__ = [
     "__version__",
     "AgedistError",
+    "DEConfig",
     "SimConfig",
     "classify",
     "curvefit",

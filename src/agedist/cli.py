@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, curvefit, dataio, distributions, parallel, pipeline, simulator
+from . import __version__, curvefit, dataio, distributions, pipeline, simulator
 from .distributions import ModelKind, ModelParams, classify, mean_absolute_error
 from .errors import AgedistError
 
@@ -269,8 +269,6 @@ def cmd_pipeline(args) -> int:
             "num_agents": sim_config.num_agents,
             "num_steps": sim_config.num_steps,
             "burn_in": sim_config.burn_in,
-            "cpu_count": parallel.cpu_count(),
-            "validation_shares": len(simulator.chunk_shares(sim_config.num_agents)),
         },
         "countries": len(entries),
         "skipped": [{"country": n, "reason": r} for n, r in skipped],

@@ -203,12 +203,6 @@ def run_many(targets, params, config: Optional[SimConfig] = None) -> list:
     return results
 
 
-def chunk_shares(num_agents: int) -> list:
-    """``parallel.shares`` of a step's chunks of ``BLOCK`` uniforms for
-    ``num_agents`` agents."""
-    return parallel.shares(-(-num_agents // BLOCK))
-
-
 def by_segment(num_agents: int, groups: int) -> bool:
     """Whether a member is counted one group segment at a time: its groups
     average at least ``BLOCK / 5`` agents. On batches of 83 21-group members
@@ -270,7 +264,7 @@ class _Batch:
         self.chunk_sizes = np.minimum(width, self.num_agents - self.chunk_starts)
         # Where each group's row starts in its tile's flat flags, per chunk.
         self.row_starts = np.where(owner < tiled, owner % per_tile, 0) * self.chunk_sizes
-        self.shares = chunk_shares(self.num_agents)
+        self.shares = parallel.shares(len(self.chunk_starts))
         # Per share: the uniforms before its first chunk (every chunk but
         # the last is full width), its uniform row and flags, and the
         # generator that ``parallel.position`` jumps ahead to its chunks.

@@ -24,7 +24,6 @@ from agedist.pipeline import Route, run_dataset
 from agedist.simulator import run, run_many, start_counts
 
 from oracles import reference_single_draw_step, reference_sorted_run, reference_step
-from test_cli import strict_load
 from test_pipeline import HUGE_LAST, HUMP, MONO, STEEP, flat_then_humped
 from test_simulator import ACTIVATION, SURVIVAL, batch_members, model1_params, one_step
 
@@ -362,7 +361,7 @@ class TestChunkShares:
         monkeypatch.setattr(simulator, "BLOCK", block)
         monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
         chunks = -(-1500 // block)
-        assert len(simulator.chunk_shares(1500)) == min(cpus, chunks)
+        assert len(parallel.shares(chunks)) == min(cpus, chunks)
         seen = recording_shares(monkeypatch)
         results = assert_batch_matches_own_runs(targets, params, config)
         assert {k for k, _ in seen} == set(range(min(cpus, chunks)))
@@ -605,17 +604,24 @@ class TestRunDataset:
 
 
 class TestPipeline:
-    """``summary.json`` records how many thread shares counted the
-    validation batch's chunks."""
+    """``agedist pipeline`` writes the same files whatever the CPU count."""
 
-    def test_summary_records_the_validation_shares(self, dataset, tmp_path, monkeypatch):
-        # 600 agents in chunks of 250 are three chunks: two shares on two CPUs.
+    def test_output_tree_independent_of_cpu_count(self, dataset, tmp_path, monkeypatch):
+        # 600 agents in chunks of 250 are three chunks: one share on one
+        # CPU, two on two.
         monkeypatch.setattr(simulator, "BLOCK", 250)
-        monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
-        out_dir = tmp_path / "out"
-        assert main([
-            "pipeline", "--input", str(dataset), "--out-dir", str(out_dir),
-            "--agents", "600", "--steps", "30",
-        ]) == 0
-        run = strict_load(out_dir / "summary.json")["run"]
-        assert (run["cpu_count"], run["validation_shares"]) == (2, 2)
+        seen = recording_shares(monkeypatch)
+        trees = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
+            seen.clear()
+            out_dir = tmp_path / f"cpus-{cpus}"
+            assert main([
+                "pipeline", "--input", str(dataset), "--out-dir", str(out_dir),
+                "--agents", "600", "--steps", "30",
+            ]) == 0
+            assert {k for k, _ in seen} == set(range(cpus))
+            trees.append({path.relative_to(out_dir).as_posix(): path.read_bytes()
+                          for path in out_dir.rglob("*") if path.is_file()})
+        assert "summary.json" in trees[0]
+        assert trees[0] == trees[1]

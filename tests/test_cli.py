@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agedist import curvefit, dataio, model1, model2, parallel, pipeline, simulator
+from agedist import curvefit, dataio, model1, model2, pipeline, simulator
 from agedist.cli import _fitted_params, build_parser, main
 from agedist.distributions import (
     ALPHA_MIN, AgeDistribution, ModelKind, default_labels, mean_absolute_error,
@@ -667,8 +667,6 @@ class TestPipeline:
             "num_agents": 600,
             "num_steps": 30,
             "burn_in": 30 - 30 // 7,  # all but the final seventh
-            "cpu_count": parallel.cpu_count(),
-            "validation_shares": 1,  # 600 agents are one chunk
         }
 
     def test_nearest_reachable_written_to_outputs(self, flat_dataset, tmp_path):

@@ -79,7 +79,7 @@ def test_top_level_names_stay_few_and_documented():
     import agedist
 
     text = README.read_text(encoding="utf-8")
-    assert len(agedist.__all__) == len(set(agedist.__all__)) == 16
+    assert len(agedist.__all__) == len(set(agedist.__all__)) == 17
     assert all(hasattr(agedist, name) for name in agedist.__all__)
     undocumented = [name for name in agedist.__all__
                     if name != "__version__" and not re.search(rf"\b{name}\b", text)]
