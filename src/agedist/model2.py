@@ -406,10 +406,9 @@ def optimize(target, config: Optional[DEConfig] = None) -> Model2Solution:
 
     # The trial rows, then the next generation. Each share's tile scratch
     # holds the crossover uniforms, then the second gather, the
-    # reflection's scratch, the objective's profiles and ratios and the
-    # parents that selection keeps, and the keep-parent mask. The row
-    # indices are always in range; mode="clip" only spares np.take a
-    # temporary copy of its output.
+    # reflection's scratch and the objective's profiles and ratios, and
+    # the keep-parent mask. The row indices are always in range;
+    # mode="clip" only spares np.take a temporary copy of its output.
     trials = np.empty_like(population)
     spare = [np.empty((max(tile.stop - tile.start for tile in share), dim)) for share in tiles]
     keep = [np.empty(gather.shape, dtype=bool) for gather in spare]
@@ -438,13 +437,10 @@ def optimize(target, config: Optional[DEConfig] = None) -> Model2Solution:
             _bounce_back(out, lo, hi, gather, doubled)
             np.putmask(out, mask, parents)
             scores = _finite_scores(objective, out, gather)
-            # A trial replaces its parent unless it scores worse.
-            won = scores <= errors[rows]
-            lost = np.flatnonzero(~won)
-            moved = gather[: lost.size]
-            np.take(parents, lost, axis=0, out=moved, mode="clip")
-            out[lost] = moved
-            np.copyto(errors[rows], scores, where=won)
+            # A trial replaces its parent unless it scores worse. No score is
+            # NaN (``_finite_scores``) or -0.0 (a mean of |x|): ">" negates "<=".
+            np.copyto(out, parents, where=(scores > errors[rows])[:, None])
+            np.minimum(errors[rows], scores, out=errors[rows])
 
     with parallel.runner(len(shares)) as run:
         run(score)

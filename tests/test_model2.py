@@ -817,9 +817,14 @@ class TestMatchesReferenceLoop:
             (5, DEConfig(seed=4, population_size=9, max_iterations=80)),
             (5, DEConfig(seed=5, max_iterations=80)),
             (21, DEConfig(seed=6, population_size=50, max_iterations=50)),
+            # The smallest populations: generations in which every trial
+            # wins, and in which every trial loses.
+            (3, DEConfig(seed=3, population_size=4, max_iterations=60)),
+            (3, DEConfig(seed=28, population_size=5, max_iterations=60)),
         ],
         ids=["n3", "n3-seed1", "n21", "n21-seed7", "n41", "n101", "n101-seed2",
-             "n101-seed3", "own-population", "n5", "n21-own-population"],
+             "n101-seed3", "own-population", "n5", "n21-own-population",
+             "n3-population-4", "n3-population-5"],
     )
     def test_bitwise_equal(self, n, config):
         target = hump_target(n)
@@ -842,6 +847,20 @@ class TestMatchesReferenceLoop:
             target.proportions, config, objective=coarse_error(target), history=theirs)
         assert ours == theirs
         assert len(ours) == iterations + 1 == config.max_iterations + 1
+        assert np.array_equal(sol.survival.probs, probs)
+        assert np.array_equal(sol.activation.rates, rates)
+        assert (sol.mae, sol.iterations_used) == (mae, iterations)
+
+    def test_bitwise_equal_with_constant_scores(self, monkeypatch):
+        # Every trial ties its parent, so every row takes its trial.
+        target = hump_target(8)
+        config = DEConfig(seed=9, max_iterations=40)
+        constant = lambda candidates, scratch=None: np.full(len(candidates), 0.5)
+        monkeypatch.setattr(model2, "mae_objective", lambda t: constant)
+        sol = optimize(target, config)
+        probs, rates, mae, iterations = reference_optimize(
+            target.proportions, config, objective=constant)
+        assert sol.history == (0.5,) * (config.max_iterations + 1)
         assert np.array_equal(sol.survival.probs, probs)
         assert np.array_equal(sol.activation.rates, rates)
         assert (sol.mae, sol.iterations_used) == (mae, iterations)
