@@ -5,13 +5,12 @@ death-replacement ageing process settle on a target age distribution.
 module reads; the library inverts it in closed form:
 
 * ``model1``: survival rates for monotone non-increasing targets;
-* ``model2``: joint survival and activation rates for targets whose groups
-  stay within 1/ALPHA_MIN of every earlier group, and, for the rest, for
-  the nearest target that does (``model2.nearest_reachable``); each
-  admissible active mass gives one member of the solution family
-  (``model2.member``), and ``model2.solve`` is the running-minimum one.
+* ``model2``: joint survival and activation rates, one set per active mass
+  in the target's ``model2.band`` (``model2.member``; ``model2.solve`` takes
+  its upper edge), and, where the band is empty, for the nearest target
+  whose band is not (``model2.nearest_reachable``).
 
-The original method's tools for targets beyond that ratio stay available:
+The original method's tools for targets whose band is empty stay available:
 a bounded differential-evolution search (``model2.optimize``, dithered
 best/1/bin; ``DEConfig`` sets its population size, budget and seed)
 and a plateau-then-decay surrogate handed back to model 1 (``curvefit``).

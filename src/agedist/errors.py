@@ -39,8 +39,7 @@ class FreeParamOutOfRange(AgedistError):
 
 class DegenerateLastGroup(AgedistError):
     """Last-group survival of 1 leaves the final group with no outflow and
-    no steady state. A last group more than 1/(1 - MAX_LAST_SURVIVAL) = 1e9
-    times the smallest group before it would need such a survival."""
+    no steady state; ``model2.band``'s last term says when a last group needs it."""
 
 
 class ActivationTooSmall(AgedistError):

@@ -3,16 +3,14 @@ search for the activation-rate process.
 
 Adding a per-group activation rate alpha_i (an agent only undergoes the
 ageing/survival draw when active) widens the family of achievable stationary
-profiles to non-monotone shapes. At stationarity the active mass
-m_i = alpha_i N_i obeys m_{i+1} = p_i m_i, so each admissible m gives an
-exact solution in closed form (``member``). ``solve``, the member whose m
-is the running minimum of the target, inverts any target whose groups stay
-within 1/ALPHA_MIN of every earlier group; ``nearest_reachable`` moves any
-other target into its reach, as little as it can. ``optimize`` is the
-search of the original method: a bounded differential evolution over the
-joint vector (p_1..p_n, alpha_1..alpha_n) that minimises the mean absolute
-error between the candidate's stationary profile and the target.
-``steady_state2`` is a name of the process's stationary law in
+profiles to non-monotone shapes: each active mass m_i = alpha_i N_i in the
+target's ``band`` gives an exact solution in closed form (``member``).
+``solve`` is the member on the band's upper edge, and ``nearest_reachable``
+moves a target whose band is empty into reach, as little as it can.
+``optimize`` is the search of the original method: a bounded differential
+evolution over the joint vector (p_1..p_n, alpha_1..alpha_n) that minimises
+the mean absolute error between the candidate's stationary profile and the
+target. ``steady_state2`` is a name of the process's stationary law in
 ``distributions``, and the search objective reads that law with the
 activation rates as its second row set.
 """
@@ -35,6 +33,7 @@ from .distributions import (
     check_integer,
     check_seed,
     normalize,
+    proportions_of,
     rises,
     stationary_distribution,
     stationary_profiles,
@@ -115,12 +114,12 @@ def member(dist, active, p_n="mid", *, seed: Optional[int] = None) -> tuple:
     With m_i = alpha_i N_i the stationary equations read m_{i+1} = p_i m_i
     over the intermediate groups and (1 - p_n) m_n = p_{n-1} m_{n-1} for
     the last, so m is the steady state of the plain process with the same
-    survival rates. Every m with m_i <= N_i, non-increasing over the first
-    n-1 groups, gives a solution: the survival rates are ``model1.solve``
-    on m with ``p_n`` and ``seed`` (model 1's interval for p_n is that of
-    m), and alpha = m / N. ``active`` is the full length-n vector m, so the
-    last activation may be below 1. m = N on a monotone target gives
-    alpha = 1 and model 1's rates bit for bit.
+    survival rates. Every path m inside ``band`` (m_n = N_n, or below it,
+    which lowers the band's last term) gives a solution: the survival rates
+    are ``model1.solve`` on m with ``p_n`` and ``seed`` (model 1's interval
+    for p_n is that of m), and alpha = m / N. ``active`` is the full
+    length-n vector m. m = N on a monotone target gives alpha = 1 and
+    model 1's rates bit for bit.
 
     Raises:
         ValueError, EmptyPopulation, InteriorZeroGroup, TooFewGroups: as
@@ -133,8 +132,7 @@ def member(dist, active, p_n="mid", *, seed: Optional[int] = None) -> tuple:
             one ulp above N_i is refused: a correctly rounded m_i / N_i is
             then above 1.
         ActivationTooSmall: an m_i below ALPHA_MIN N_i (zero and negative
-            ones too), a group more than 1/ALPHA_MIN times its active mass;
-            the message names the first such group index and its rate.
+            ones too); the message names the first such group index and its rate.
         DegenerateLastGroup: m_n is more than 1/(1 - MAX_LAST_SURVIVAL)
             times m_{n-1}; the closed form judges it after
             ``ActivationVector(m / N)`` has judged every entry.
@@ -154,36 +152,43 @@ def member(dist, active, p_n="mid", *, seed: Optional[int] = None) -> tuple:
     return model1.solve(m, p_n, seed=seed), activation
 
 
+def band(dist) -> tuple:
+    """The edges (lower, upper), read-only over the first n-1 groups, of the
+    active masses m with m_n = N_n, as in ``solve``, that reproduce ``dist``
+    as given (``distributions.proportions_of``): the non-increasing paths
+    with m_i <= upper_i = min_{j<=i} N_j, as m <= N, and m_i >= lower_i =
+    max(ALPHA_MIN max_{i<=j<n} N_j, (1 - MAX_LAST_SURVIVAL) N_n), as
+    alpha >= ALPHA_MIN and p_n <= MAX_LAST_SURVIVAL. So ``solve`` accepts
+    ``dist`` exactly when lower <= upper, up to rounding: ``lower`` is only
+    correctly rounded, and m_i = lower_i may give alpha_i an ulp below ALPHA_MIN.
+    """
+    props = proportions_of(dist)
+    upper = np.minimum.accumulate(props[:-1])
+    lower = np.maximum(np.maximum.accumulate(props[-2::-1])[::-1] * ALPHA_MIN,
+                       props[-1] * (1.0 - MAX_LAST_SURVIVAL))
+    upper.flags.writeable = lower.flags.writeable = False
+    return lower, upper
+
+
 def solve(dist, p_n="mid", *, seed: Optional[int] = None) -> tuple:
-    """The maximal-activation ``member`` of the family for ``dist``: m is
-    the running minimum of N over the first n-1 groups and m_n = N_n, so
-    alpha_i = 1 wherever N_i is a running minimum and in the last group.
-    A monotone target gets alpha = 1 and model 1's rates bit for bit.
+    """The maximal-activation ``member`` for ``dist``: m is ``band``'s upper
+    edge and m_n = N_n, so alpha_i = 1 wherever N_i is a running minimum and
+    in the last group (a monotone target gets model 1's rates bit for bit).
 
     Raises:
-        ValueError, EmptyPopulation, InteriorZeroGroup, TooFewGroups: as
-            ``distributions.as_distribution`` raises them for a raw vector.
-        ActivationTooSmall: a group is more than 1/ALPHA_MIN times the
-            smallest group before it; the message names the first such
-            group index and its activation. No m_i exceeds that running
-            minimum, so no member of the family keeps alpha_i >= ALPHA_MIN.
-        DegenerateLastGroup: the last group is more than
-            1/(1 - MAX_LAST_SURVIVAL) times the smallest group before it.
-        FreeParamOutOfRange, ValueError: a ``p_n`` or ``seed`` that
-            ``model1.solve`` refuses.
+        What ``member`` raises on this m: ActivationTooSmall or
+            DegenerateLastGroup where ``band`` is empty.
     """
     dist = as_distribution(dist)
-    props = dist.proportions
-    return member(dist, np.append(np.minimum.accumulate(props[:-1]), props[-1]), p_n, seed=seed)
+    return member(dist, np.append(band(dist)[1], dist.proportions[-1]), p_n, seed=seed)
 
 
 def _raised_to_floors(props: np.ndarray) -> tuple:
-    """``props`` with its first n-1 groups raised to their floors (see
-    ``nearest_reachable``), and each one's largest later group among them."""
+    """``props`` with its first n-1 groups raised to ``band``'s lower edge
+    (see ``nearest_reachable``), and each one's largest later group."""
     head = props[:-1]
     later = np.append(np.maximum.accumulate(head[:0:-1])[::-1], 0.0)
-    floor = np.maximum(later * ALPHA_MIN, props[-1] * (1.0 - MAX_LAST_SURVIVAL))
-    raised = np.maximum(head, floor * _FLOOR_MARGIN + _FLOOR_OFFSET)
+    raised = np.maximum(head, band(props)[0] * _FLOOR_MARGIN + _FLOOR_OFFSET)
     return np.append(raised, props[-1]), later
 
 
@@ -225,21 +230,16 @@ def nearest_reachable(dist) -> AgeDistribution:
     """A target that ``solve`` reproduces, for a ``dist`` it rejects: on
     mean absolute error within 1% of the nearest one (the L1 projection).
 
-    ``solve`` accepts the targets in which no group of the first n-1 is
-    more than 1/ALPHA_MIN times an earlier one and the last group is at
-    most 1/(1 - MAX_LAST_SURVIVAL) times the smallest before it; every
-    model-2 steady state is one. Raising each group j of the first n-1 to
-    ``max(N_j, max_{j<i<=n-1} N_i * ALPHA_MIN, N_n * (1 - MAX_LAST_SURVIVAL))``,
-    times 1 + 4 eps plus 4 subnormal steps to stay clear of rounding, and
+    Raising each of the first n-1 groups to ``band``'s lower edge, times
+    1 + 4 eps plus 4 subnormal steps to stay clear of rounding, and
     renormalizing gives one. As in the projection, the groups that set the
     floors first give up the mass the raise adds (``_paid_for``).
     """
     dist = as_distribution(dist)
     props = dist.proportions
     raised, later = _raised_to_floors(props)
-    # Raised groups whose floor a later group of the first n-1 sets.
-    bound = (raised[:-1] > props[:-1]) & (
-        later * ALPHA_MIN > props[-1] * (1.0 - MAX_LAST_SURVIVAL))
+    # Raised groups whose floor a later group sets: their own ALPHA_MIN N_i never does.
+    bound = (raised[:-1] > props[:-1]) & (band(props)[0] > props[-1] * (1.0 - MAX_LAST_SURVIVAL))
     if bound.any():
         raised, _ = _raised_to_floors(_paid_for(props, raised, later, bound))
     return normalize(raised, dist.labels)

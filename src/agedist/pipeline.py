@@ -1,8 +1,8 @@
 """Model-selection cascade and dataset-level batch driver.
 
 One station, ``solve``, takes any target to its route: the model-2 closed
-form (``model2.solve``) on the target itself when every group stays within
-1/ALPHA_MIN of each earlier one, else on the nearest target it reaches
+form (``model2.solve``) on the target itself when its ``model2.band`` is
+not empty, else on the nearest target it reaches
 (``model2.nearest_reachable``). Model 1 is its member with every
 activation 1, which a monotone target gets. The paper's activation-rate
 search and curve fit stay available (``model2.optimize``,

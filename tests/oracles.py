@@ -13,11 +13,13 @@ generation loop), of the nearest-reachable payment's counts, of the curve
 fit's breakpoint-at-a-time least squares, of the simulator step and run and
 of the cascade's two stations. The library's batched kernel, in-place
 search, batched curve fit, count-state run and one station must reproduce
-them bit for bit.
+them bit for bit. The reachable band is kept in exact rationals, which
+``model2.band`` meets to within an ulp.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from agedist.curvefit import (
 )
 from agedist.distributions import (
     ALPHA_MIN,
+    MAX_LAST_SURVIVAL,
     AgeDistribution,
     Classification,
     ModelKind,
@@ -491,6 +494,20 @@ def reference_fit(dist):
     distance, params, fitted, sse = best
     return CurveFitResult(params=params, fitted=fitted, wasserstein_to_original=distance,
                           residual_sse=sse, per_k_table=tuple(table))
+
+
+def reachable_band(props):
+    """``model2.band`` of the float vector ``props`` in exact rationals, as
+    lists of Fractions over the first n-1 groups: lower_i is the larger of
+    ALPHA_MIN times the largest group from i on and (1 - MAX_LAST_SURVIVAL)
+    times the last group, upper_i the smallest group up to i. The constants
+    are the floats' exact values."""
+    exact = [Fraction(float(v)) for v in props]
+    head, last = exact[:-1], exact[-1]
+    largest_from = list(itertools.accumulate(reversed(head), max))[::-1]
+    last_floor = (1 - Fraction(MAX_LAST_SURVIVAL)) * last
+    lower = [max(Fraction(ALPHA_MIN) * v, last_floor) for v in largest_from]
+    return lower, list(itertools.accumulate(head, min))
 
 
 def reference_paid_for(props, raised, later, bound):

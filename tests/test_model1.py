@@ -75,8 +75,11 @@ class TestFeasibility:
     @pytest.mark.parametrize("entry", [feasibility, solve])
     def test_huge_last_group_raises_typed_error(self, entry):
         # The last group is 1e10 times the one before it: the lower bound
-        # 1 - 1e-10 lies above MAX_LAST_SURVIVAL.
-        with pytest.raises(DegenerateLastGroup, match="1/\\(1 - MAX_LAST_SURVIVAL\\)"):
+        # 1 - 1e-10 lies above MAX_LAST_SURVIVAL. The message gives the
+        # ratio's value and the survival it would need, in full.
+        message = ("last group is more than 1/(1 - MAX_LAST_SURVIVAL) = 1e+09 times the one "
+                   "before it (its survival would be at least 0.9999999999)")
+        with pytest.raises(DegenerateLastGroup, match=f"^{re.escape(message)}$"):
             entry(normalize([1, 0.5, 1e-10, 1], "abcd"))
 
     def test_degenerate_last_group_message_prints_a_plain_float(self):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import threading
 import tracemalloc
 import warnings
@@ -32,6 +33,7 @@ from agedist.simulator import SimConfig
 from oracles import (
     expected_update_activated,
     fixed_point,
+    reachable_band,
     reachable_l1_optimum,
     reference_bounce_back,
     reference_paid_for,
@@ -458,6 +460,24 @@ class TestMember:
         x = stationary_null_vector(survival.probs, activation.rates)
         assert np.abs(x - props).max() < 1e-12
 
+    def test_a_last_activation_below_one_reaches_a_target_outside_the_band(self):
+        # ``band`` holds solve's family, m_n = N_n, and this target's last
+        # group lies beyond its last term (1e10 times the smallest group
+        # before it), so solve refuses the target. With m_n = ALPHA_MIN N_n
+        # the last term drops a thousandfold, and member reproduces it.
+        dist = normalize([1e-10, 2e-10, 1e-10, 1.0], "abcd")
+        props = dist.proportions
+        lower, upper = model2.band(dist)
+        assert (lower > upper).any()
+        with pytest.raises(DegenerateLastGroup):
+            model2.solve(dist)
+        active = [props[0], props[0], props[2], ALPHA_MIN * props[3]]
+        survival, activation = model2.member(dist, active)
+        assert activation.rates[-1] == ALPHA_MIN
+        assert survival.probs[-1] == pytest.approx(1 - 5e-8, abs=1e-9)
+        steady = steady_state2(survival, activation).proportions
+        assert np.abs(steady / props - 1).max() < 1e-15
+
     @pytest.mark.parametrize("active, error, message", [
         ([0.1, 0.1, 0.1, 0.1], ValueError, "shape \\(4,\\) for 5 groups"),
         ([[0.1] * 5], ValueError, "shape \\(1, 5\\) for 5 groups"),
@@ -602,6 +622,58 @@ class TestNearestReachable:
         assert reachable.labels == default_labels(3)
 
 
+SUBNORMAL_STEP = Fraction(float(np.finfo(float).smallest_subnormal))
+
+
+def near_an_edge(props):
+    """Whether rounding may decide ``solve``'s verdict on ``props``. Its
+    activation floor is judged on the rounded quotient m_j / N_j, so an
+    upper edge within a relative 1e-14 of ALPHA_MIN N_j may go either way,
+    and ``band`` rounds ALPHA_MIN N_j to a subnormal step. Its last term is
+    judged as 1 - m_{n-1} / N_n against MAX_LAST_SURVIVAL, 1e-9 below 1 and
+    spaced 1.1e-16 from its neighbours, so there the zone is a relative
+    2e-7, plus two steps for masses that normalizing rounds."""
+    exact = [Fraction(float(v)) for v in props]
+    _, upper = reachable_band(props)
+    if any(abs(u - Fraction(ALPHA_MIN) * v) <= Fraction(ALPHA_MIN) * v / 10**14 + SUBNORMAL_STEP
+           for u, v in zip(upper, exact)):
+        return True
+    last = (1 - Fraction(MAX_LAST_SURVIVAL)) * exact[-1]
+    return abs(upper[-1] - last) <= last * Fraction(2, 10**7) + 2 * SUBNORMAL_STEP
+
+
+class TestBand:
+    """The reachable band against exact rationals, and against ``solve``."""
+
+    @given(st.one_of(positive_targets(), near_floor_targets(), unreachable_targets()))
+    @settings(max_examples=150, deadline=None)
+    def test_edges_match_exact_rationals(self, dist):
+        lower, upper = model2.band(dist)
+        exact_lower, exact_upper = reachable_band(dist.proportions)
+        assert not (lower.flags.writeable or upper.flags.writeable)
+        assert [Fraction(v) for v in upper.tolist()] == exact_upper
+        assert all(abs(Fraction(v) - e) <= Fraction(math.ulp(v))
+                   for v, e in zip(lower.tolist(), exact_lower))
+
+    @given(st.one_of(positive_targets(), near_floor_targets(), unreachable_targets()))
+    @settings(max_examples=300, deadline=None)
+    def test_not_empty_exactly_where_solve_accepts(self, dist):
+        assume(not near_an_edge(dist.proportions))
+        lower, upper = model2.band(dist)
+        try:
+            model2.solve(dist)
+        except (ActivationTooSmall, DegenerateLastGroup):
+            assert (lower > upper).any()
+        else:
+            assert (lower <= upper).all()
+
+    def test_reads_a_raw_vector_as_it_is(self):
+        # nearest_reachable's second pass hands it masses that do not sum to 1.
+        lower, upper = model2.band([2.0, 4.0, 1.0])
+        assert upper.tolist() == [2.0, 2.0]
+        assert lower.tolist() == [4.0 * ALPHA_MIN, 4.0 * ALPHA_MIN]
+
+
 def payment_inputs(dist):
     props = as_distribution(dist).proportions
     raised, later = model2._raised_to_floors(props)
@@ -649,6 +721,17 @@ class TestPaymentCounts:
         props, raised, later, bound = payment_inputs(dist)
         assert bound.sum() == 3 and len(set(later[bound])) == 1
         assert self.assert_matches_loop(dist)
+
+    def test_a_level_tied_with_the_next_height(self):
+        # The level that caps the tallest group after the raised one equals
+        # the next height exactly in floats, so the tallest ends equal to
+        # it. In exact arithmetic the following level is the same; in
+        # floats it is an ulp off, so a strict ">" would cap elsewhere.
+        values = [7.593201980087514e-05, 0.3565084322904177, 0.20675465632527448,
+                  0.3567890087029073, 0.07987197066159968]
+        assert self.assert_matches_loop(values)
+        paid = model2._paid_for(*payment_inputs(values))
+        assert paid[3] == paid[1] == values[1] < values[3]
 
 
 class TestDEConfig:
