@@ -11,7 +11,8 @@ import numpy as np
 
 from agedist import SimConfig, normalize
 from agedist.distributions import ModelKind, ModelParams, mean_absolute_error
-from agedist.model1 import feasibility, solve, steady_state
+from agedist.model1 import solve, steady_state
+from agedist.model2 import feasibility
 from agedist.simulator import run
 
 # An Egypt-style expansive pyramid on 5-year groups (counts in thousands).

@@ -2,13 +2,14 @@
 death-replacement ageing process settle on a target age distribution.
 
 ``distributions`` holds the process's stationary law, which every other
-module reads; the library inverts it in closed form:
-
-* ``model1``: survival rates for monotone non-increasing targets;
-* ``model2``: joint survival and activation rates, one set per active mass
-  in the target's ``model2.band`` (``model2.member``; ``model2.solve`` takes
-  its upper edge), and, where the band is empty, for the nearest target
-  whose band is not (``model2.nearest_reachable``).
+module reads; ``model2`` inverts it in closed form: joint survival and
+activation rates, one set per active mass in the target's ``model2.band``
+(``model2.member``; ``model2.solve`` takes its upper edge), and, where the
+band is empty, for the nearest target whose band is not
+(``model2.nearest_reachable``). The paper's Model 1 is ``model2.member``
+with m = N, every activation 1, on a monotone non-increasing target;
+``model1`` holds the two names of it that the benchmark reads, ``solve``
+and ``steady_state``.
 
 The original method's tools for targets whose band is empty stay available:
 a bounded differential-evolution search (``model2.optimize``, dithered

@@ -1,12 +1,15 @@
-"""Steady-state evaluator, closed-form inverse and differential-evolution
+"""Closed-form inverse, steady-state evaluator and differential-evolution
 search for the activation-rate process.
 
 Adding a per-group activation rate alpha_i (an agent only undergoes the
 ageing/survival draw when active) widens the family of achievable stationary
 profiles to non-monotone shapes: each active mass m_i = alpha_i N_i in the
-target's ``band`` gives an exact solution in closed form (``member``).
-``solve`` is the member on the band's upper edge, and ``nearest_reachable``
-moves a target whose band is empty into reach, as little as it can.
+target's ``band`` gives an exact solution in closed form (``member``). The
+paper's Model 1, the plain process, is the member m = N, every alpha_i = 1,
+which only a monotone target admits; ``feasibility`` gives the interval of
+its free last-group survival. ``solve`` is the member on the band's upper
+edge, and ``nearest_reachable`` moves a target whose band is empty into
+reach, as little as it can.
 ``optimize`` is the search of the original method: a bounded differential
 evolution over the joint vector (p_1..p_n, alpha_1..alpha_n) that minimises
 the mean absolute error between the candidate's stationary profile and the
@@ -22,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import model1, parallel
+from . import parallel
 from .distributions import (
     ALPHA_MIN,
     MAX_LAST_SURVIVAL,
@@ -38,6 +41,7 @@ from .distributions import (
     stationary_distribution,
     stationary_profiles,
 )
+from .errors import DegenerateLastGroup, FreeParamOutOfRange, NotModel1Eligible
 
 #: Population entries (rows x 2n) that a search share builds, scores and
 #: selects at a time: a share's rows are cut into the fewest tiles of at
@@ -106,6 +110,94 @@ class Model2Solution:
     history: tuple  #: best error after initialisation and each generation
 
 
+@dataclass(frozen=True)
+class FeasibleInterval:
+    """Admissible range (Python floats) for the free last-group survival."""
+
+    lower: float
+    upper: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.lower <= self.upper <= 1.0:
+            raise ValueError(f"invalid interval [{self.lower}, {self.upper}]")
+
+    @property
+    def midpoint(self) -> float:
+        return 0.5 * (self.lower + self.upper)
+
+    def contains(self, value: float) -> bool:
+        return self.lower <= value <= self.upper
+
+
+def feasibility(dist) -> FeasibleInterval:
+    """Admissible interval for the free last-group survival p_n of model 1
+    on ``dist``; ``member`` reads it on the active mass.
+
+    The lower bound `1 - N_{n-1}/N_n` is clamped to 0 (it is negative
+    whenever the second-to-last group is the larger one, and the ratio is
+    then not formed, since it overflows for a last group near underflow);
+    the upper bound stays strictly below 1.
+
+    Raises:
+        ValueError, EmptyPopulation, InteriorZeroGroup, TooFewGroups: as
+            ``distributions.as_distribution`` raises them for a raw vector.
+        NotModel1Eligible: the first n-1 groups are not monotone
+            non-increasing; the message names each group index (0-based)
+            larger than its predecessor.
+        DegenerateLastGroup: the last group is more than
+            1/(1 - MAX_LAST_SURVIVAL) times the one before it.
+    """
+    props = as_distribution(dist).proportions
+    if (bad := rises(props)).size:
+        raise NotModel1Eligible(
+            f"proportions increase at group indices {[int(i) for i in bad]}")
+    lower = 0.0 if props[-2] >= props[-1] else float(1.0 - props[-2] / props[-1])
+    if lower > MAX_LAST_SURVIVAL:
+        raise DegenerateLastGroup(
+            "last group is more than 1/(1 - MAX_LAST_SURVIVAL) = "
+            f"{1.0 / (1.0 - MAX_LAST_SURVIVAL):.4g} times the one before it "
+            f"(its survival would be at least {lower!r})")
+    return FeasibleInterval(lower, MAX_LAST_SURVIVAL)
+
+
+def _closed_form(active, p_n, seed) -> SurvivalVector:
+    """Model 1's survival rates on the active mass ``active``, read as
+    ``as_distribution`` reads it: the successive ratios, with p_n picked in
+    ``feasibility`` as ``member`` states."""
+    dist = as_distribution(active)
+    interval = feasibility(dist)
+    if isinstance(p_n, str):
+        if p_n == "mid":
+            value = interval.midpoint
+        elif p_n == "rand":
+            if seed is None:
+                raise ValueError("p_n='rand' requires a seed")
+            value = float(np.random.default_rng(check_seed(seed)).uniform(
+                interval.lower, interval.upper
+            ))
+        else:
+            raise ValueError(f"unknown free-parameter mode {p_n!r}")
+    elif isinstance(p_n, (bool, np.bool_)):
+        raise ValueError(f"free parameter must be a number, 'mid' or 'rand', not {p_n!r}")
+    else:
+        # Adding +0.0 turns -0.0 into +0.0 and keeps every other value.
+        value = float(p_n) + 0.0
+        if not interval.contains(value):
+            raise FreeParamOutOfRange(
+                f"p_n={value!r} outside [{interval.lower!r}, {interval.upper!r}]"
+            )
+
+    props = dist.proportions
+    n = props.size
+    p = np.empty(n)
+    p[: n - 2] = props[1 : n - 1] / props[: n - 2]
+    # Rounding can push the compensating entry a few ulp past 1 when p_n sits
+    # exactly on the interval's lower bound.
+    p[n - 2] = min((1.0 - value) * props[n - 1] / props[n - 2], 1.0)
+    p[n - 1] = value
+    return SurvivalVector(p)
+
+
 def member(dist, active, p_n="mid", *, seed: Optional[int] = None) -> tuple:
     """Survival and activation rates whose steady state equals ``dist``
     exactly, for the active mass ``active``; returns (SurvivalVector,
@@ -115,11 +207,12 @@ def member(dist, active, p_n="mid", *, seed: Optional[int] = None) -> tuple:
     over the intermediate groups and (1 - p_n) m_n = p_{n-1} m_{n-1} for
     the last, so m is the steady state of the plain process with the same
     survival rates. Every path m inside ``band`` (m_n = N_n, or below it,
-    which lowers the band's last term) gives a solution: the survival rates
-    are ``model1.solve`` on m with ``p_n`` and ``seed`` (model 1's interval
-    for p_n is that of m), and alpha = m / N. ``active`` is the full
-    length-n vector m. m = N on a monotone target gives alpha = 1 and
-    model 1's rates bit for bit.
+    which lowers the band's last term) gives a solution: alpha = m / N, and
+    the survival rates are the closed form of model 1 on m, the successive
+    ratios of m with p_n free in ``feasibility(m)``. ``p_n`` is a value in
+    that interval, "mid" for its midpoint (the deterministic default) or
+    "rand" for a uniform draw from it seeded by ``seed``. ``active`` is the
+    full length-n vector m. m = N is model 1, with alpha = 1.
 
     Raises:
         ValueError, EmptyPopulation, InteriorZeroGroup, TooFewGroups: as
@@ -136,8 +229,9 @@ def member(dist, active, p_n="mid", *, seed: Optional[int] = None) -> tuple:
         DegenerateLastGroup: m_n is more than 1/(1 - MAX_LAST_SURVIVAL)
             times m_{n-1}; the closed form judges it after
             ``ActivationVector(m / N)`` has judged every entry.
-        FreeParamOutOfRange, ValueError: a ``p_n`` or ``seed`` that
-            ``model1.solve`` refuses.
+        FreeParamOutOfRange: an explicit ``p_n`` outside the interval.
+        ValueError: ``p_n`` is "rand" without a valid ``seed``, an unknown
+            mode or a bool.
     """
     props = as_distribution(dist).proportions
     m = np.array(active, dtype=float)
@@ -149,7 +243,7 @@ def member(dist, active, p_n="mid", *, seed: Optional[int] = None) -> tuple:
         i = int(up[0])
         raise ValueError(f"active mass {float(m[i])!r} at group index {i} rises above "
                          "the one before it")
-    return model1.solve(m, p_n, seed=seed), activation
+    return _closed_form(m, p_n, seed), activation
 
 
 def band(dist) -> tuple:
@@ -160,7 +254,8 @@ def band(dist) -> tuple:
     max(ALPHA_MIN max_{i<=j<n} N_j, (1 - MAX_LAST_SURVIVAL) N_n), as
     alpha >= ALPHA_MIN and p_n <= MAX_LAST_SURVIVAL. So ``solve`` accepts
     ``dist`` exactly when lower <= upper, up to rounding: ``lower`` is only
-    correctly rounded, and m_i = lower_i may give alpha_i an ulp below ALPHA_MIN.
+    correctly rounded, and m_i = lower_i may give alpha_i an ulp below ALPHA_MIN
+    or, where (1 - MAX_LAST_SURVIVAL) N_n is subnormal, p_n an empty interval.
     """
     props = proportions_of(dist)
     upper = np.minimum.accumulate(props[:-1])
@@ -173,7 +268,7 @@ def band(dist) -> tuple:
 def solve(dist, p_n="mid", *, seed: Optional[int] = None) -> tuple:
     """The maximal-activation ``member`` for ``dist``: m is ``band``'s upper
     edge and m_n = N_n, so alpha_i = 1 wherever N_i is a running minimum and
-    in the last group (a monotone target gets model 1's rates bit for bit).
+    in the last group (a monotone target gets model 1, alpha = 1).
 
     Raises:
         What ``member`` raises on this m: ActivationTooSmall or

@@ -15,7 +15,8 @@ from agedist import SimConfig, classify, fit, normalize, optimize
 from agedist.cli import main
 from agedist.curvefit import CurveParams, curve_values
 from agedist.distributions import AgeDistribution, Classification, ModelKind, ModelParams
-from agedist.model1 import feasibility, solve, steady_state
+from agedist.model1 import solve, steady_state
+from agedist.model2 import feasibility
 from agedist.model2 import DEConfig, steady_state2
 from agedist.simulator import run
 

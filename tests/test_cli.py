@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agedist import curvefit, dataio, model1, model2, pipeline, simulator
+from agedist import curvefit, dataio, model2, pipeline, simulator
 from agedist.cli import _fitted_params, build_parser, main
 from agedist.distributions import (
     ALPHA_MIN, AgeDistribution, ModelKind, default_labels, mean_absolute_error,
@@ -289,7 +289,7 @@ class TestSolve:
         solved = document.target if route == "model2" else model2.nearest_reachable(
             document.target)
         props = solved.proportions
-        interval = model1.feasibility(np.append(np.minimum.accumulate(props[:-1]), props[-1]))
+        interval = model2.feasibility(np.append(np.minimum.accumulate(props[:-1]), props[-1]))
         drawn = (np.random.default_rng(4).uniform(interval.lower, interval.upper)
                  if pn == "rand" else float(pn))
         assert interval.contains(drawn)

@@ -13,7 +13,7 @@ from agedist import curvefit, fit, normalize
 from agedist.curvefit import CurveParams, curve_values
 from agedist.distributions import AgeDistribution, Classification, classify, default_labels
 from agedist.errors import InteriorZeroGroup
-from agedist.model1 import FeasibleInterval, feasibility
+from agedist.model2 import FeasibleInterval, feasibility
 
 from oracles import reference_fit
 

@@ -151,7 +151,7 @@ class TestAgeDistribution:
 #: The public solver entry points: each takes an AgeDistribution or a raw
 #: vector, which it reads through ``as_distribution``.
 ENTRY_POINTS = [
-    model1.feasibility, model1.solve, model2.solve, model2.nearest_reachable,
+    model2.feasibility, model1.solve, model2.solve, model2.nearest_reachable,
     model2.mae_objective, model2.optimize, curvefit.fit,
 ]
 
@@ -384,13 +384,13 @@ def test_one_non_increasing_rule(counts, expected):
     if expected:
         with pytest.raises(NotModel1Eligible,
                            match=re.escape(f"proportions increase at group indices {expected}")):
-            model1.feasibility(target)
+            model2.feasibility(target)
         first = expected[0]
         with pytest.raises(ValueError, match=re.escape(
                 f"active mass {float(props[first])!r} at group index {first} rises above")):
             model2.member(target, props)
     else:
-        model1.feasibility(target)
+        model2.feasibility(target)
         survival, activation = model2.member(target, props)
         assert survival == model1.solve(target) and np.all(activation.rates == 1.0)
 
@@ -742,7 +742,7 @@ class TestTheLawHasOneHome:
     def test_model1_keeps_only_its_closed_form_and_steady_state(self):
         tree = source_trees()["model1.py"]
         top = [name for node in tree.body for name in defined_names(node)]
-        assert sorted(top) == ["FeasibleInterval", "feasibility", "solve", "steady_state"]
+        assert sorted(top) == ["solve", "steady_state"]
 
     def test_step_thresholds(self):
         # Every kind gets two arrays; a plain set's are p and ones.

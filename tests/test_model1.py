@@ -15,7 +15,8 @@ from agedist.errors import (
     NotModel1Eligible,
     ResidualCheckFailed,
 )
-from agedist.model1 import FeasibleInterval, feasibility, solve, steady_state
+from agedist.model1 import solve, steady_state
+from agedist.model2 import FeasibleInterval, feasibility
 
 from oracles import expected_update_plain, fixed_point
 

@@ -378,6 +378,26 @@ def activation_floor(props):
     return floor
 
 
+def with_last_term(head, last):
+    """The non-increasing path over the first n-1 groups, at least ``head``
+    and the last-survival term (1 - MAX_LAST_SURVIVAL) ``last`` (as
+    ``band`` rounds it), that member accepts with m_n = ``last``. Where
+    that term is subnormal its rounding, and the closed form's own
+    normalizing, can leave p_n's interval empty: its entry is then taken
+    one float up."""
+    path = np.append(np.maximum(head, last * (1.0 - MAX_LAST_SURVIVAL)), last)
+    path[:-1] = np.maximum.accumulate(path[-2::-1])[::-1]
+    mass = as_distribution(path).proportions
+    if mass[-2] < mass[-1] and 1.0 - mass[-2] / mass[-1] > MAX_LAST_SURVIVAL:
+        path[-2] = np.nextafter(path[-2], np.inf)
+    return np.maximum.accumulate(path[-2::-1])[::-1]
+
+
+def within_a_float(values, exact):
+    """Whether each float of ``values`` lies within one ulp of its Fraction in ``exact``."""
+    return all(abs(Fraction(v) - e) <= Fraction(math.ulp(v)) for v, e in zip(values.tolist(), exact))
+
+
 @st.composite
 def admissible_members(draw, max_size=60, unit_last=False):
     """A target within ``solve``'s reach and an active mass m of its
@@ -438,10 +458,10 @@ class TestMember:
         props = dist.proportions
         running = np.append(np.minimum.accumulate(props[:-1]), props[-1])
         try:
-            lower = model1.feasibility(active).lower
+            lower = model2.feasibility(active).lower
         except DegenerateLastGroup:  # no interval at all
             return
-        assert lower >= model1.feasibility(running).lower - 1e-15
+        assert lower >= model2.feasibility(running).lower - 1e-15
 
     def test_a_last_activation_below_one_admits_a_low_pn(self):
         # Newtown's reachable target: solve's member admits p_n from
@@ -652,8 +672,7 @@ class TestBand:
         exact_lower, exact_upper = reachable_band(dist.proportions)
         assert not (lower.flags.writeable or upper.flags.writeable)
         assert [Fraction(v) for v in upper.tolist()] == exact_upper
-        assert all(abs(Fraction(v) - e) <= Fraction(math.ulp(v))
-                   for v, e in zip(lower.tolist(), exact_lower))
+        assert within_a_float(lower, exact_lower)
 
     @given(st.one_of(positive_targets(), near_floor_targets(), unreachable_targets()))
     @settings(max_examples=300, deadline=None)
@@ -666,6 +685,60 @@ class TestBand:
             assert (lower > upper).any()
         else:
             assert (lower <= upper).all()
+
+    @given(st.one_of(positive_targets(), near_floor_targets(), unreachable_targets()))
+    @settings(max_examples=150, deadline=None)
+    def test_member_accepts_the_paths_on_both_edges(self, dist):
+        dist = within_reach(dist)
+        props = dist.proportions
+        lower, upper = model2.band(dist)
+        # band's docstring: an entry on the lower edge may leave its
+        # activation an ulp under ALPHA_MIN, and is then taken one float up.
+        under = lower / props[:-1] < ALPHA_MIN
+        lower = with_last_term(np.where(under, np.nextafter(lower, np.inf), lower), props[-1])
+        # Where the band is narrower than that float, no path sits on its lower edge.
+        assume((lower <= upper).all())
+        assert within_a_float(lower, reachable_band(props)[0])
+        for edge in (lower, upper):
+            path = np.append(edge, props[-1])
+            survival, activation = model2.member(dist, path)
+            assert np.array_equal(activation.rates, path / props)
+            x = stationary_null_vector(survival.probs, activation.rates)
+            assert np.abs(x - props).max() < 1e-12
+
+    @given(st.one_of(positive_targets(max_size=60), near_floor_targets(max_size=60),
+                     unreachable_targets()))
+    @settings(max_examples=100, deadline=None)
+    def test_one_float_outside_either_edge_is_refused(self, dist):
+        # The upper edge is exact in floats. The lower one is judged on
+        # rounded quotients, so its float edge is the least path member
+        # accepts: at each group the least m_i whose activation rounds to
+        # ALPHA_MIN (activation_floor), within a float of the exact edge.
+        # Where the last-survival term sets group n-1's entry, it is judged
+        # as 1 - m_{n-1} / N_n against MAX_LAST_SURVIVAL, whose rounding
+        # zone spans a relative 1e-7 (near_an_edge): no one-float move
+        # there crosses it.
+        dist = within_reach(dist)
+        props = dist.proportions
+        upper = model2.band(dist)[1]
+        own = activation_floor(props)[:-1]
+        floor = with_last_term(own, props[-1])
+        assume((floor <= upper).all())
+        exact_lower, exact_upper = reachable_band(props)
+        assert [Fraction(v) for v in upper.tolist()] == exact_upper
+        assert within_a_float(floor, exact_lower)
+        model2.member(dist, np.append(floor, props[-1]))
+        for i in range(props.size - 1):
+            above = np.append(upper, props[-1])
+            above[i] = np.nextafter(above[i], np.inf)
+            with pytest.raises(ValueError):
+                model2.member(dist, above)
+            if i == props.size - 2 and floor[i] > own[i]:
+                continue
+            below = np.append(floor, props[-1])
+            below[i] = np.nextafter(below[i], 0.0)
+            with pytest.raises((ActivationTooSmall, ValueError)):
+                model2.member(dist, below)
 
     def test_reads_a_raw_vector_as_it_is(self):
         # nearest_reachable's second pass hands it masses that do not sum to 1.

@@ -360,7 +360,7 @@ class TestOneStation:
     def test_each_entry_calls_the_closed_form_alone(self, sim_config, monkeypatch):
         # The route is read from the rates, so no entry calls classify.
         calls = []
-        for module, name in ((pipeline, "classify"), (model1, "solve"), (model2, "solve")):
+        for module, name in ((pipeline, "classify"), (model2, "_closed_form"), (model2, "solve")):
             def recorded(*args, _call=getattr(module, name),
                          _name=f"{module.__name__.split('.')[-1]}.{name}", **kwargs):
                 calls.append(_name)
@@ -369,7 +369,7 @@ class TestOneStation:
             monkeypatch.setattr(module, name, recorded)
         run_dataset([("huge", HUGE_LAST), ("hump", HUMP), ("mono", MONO), ("steep", STEEP)],
                     sim_config)
-        solve = ["model2.solve", "model1.solve"]
+        solve = ["model2.solve", "model2._closed_form"]
         assert calls == ([*solve, *solve]  # huge: nearest reachable
                          + solve * 2  # hump, mono
                          + ["model2.solve", *solve])  # steep
