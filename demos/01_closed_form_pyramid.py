@@ -23,12 +23,12 @@ target = normalize(counts, labels)
 
 print(f"target: {len(target)} groups, monotone pyramid")
 
-interval = feasibility(target)
+lower, upper = feasibility(target)
 print(f"free-parameter interval for the last group: "
-      f"[{interval.lower:.6f}, {interval.upper:.6f}]")
+      f"[{lower:.6f}, {upper:.6f}]")
 
 # Any feasible choice reproduces the target exactly.
-for pn in (interval.midpoint, 0.1, 0.9):
+for pn in (0.5 * (lower + upper), 0.1, 0.9):
     survival = solve(target, pn)
     recovered = steady_state(survival, labels=target.labels)
     err = np.abs(recovered.proportions - target.proportions).max()

@@ -110,28 +110,10 @@ class Model2Solution:
     history: tuple  #: best error after initialisation and each generation
 
 
-@dataclass(frozen=True)
-class FeasibleInterval:
-    """Admissible range (Python floats) for the free last-group survival."""
-
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.lower <= self.upper <= 1.0:
-            raise ValueError(f"invalid interval [{self.lower}, {self.upper}]")
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lower + self.upper)
-
-    def contains(self, value: float) -> bool:
-        return self.lower <= value <= self.upper
-
-
-def feasibility(dist) -> FeasibleInterval:
-    """Admissible interval for the free last-group survival p_n of model 1
-    on ``dist``; ``member`` reads it on the active mass.
+def feasibility(dist) -> tuple:
+    """The admissible interval (lower, upper), two Python floats, for the
+    free last-group survival p_n of model 1 on ``dist``; ``member`` reads it
+    on the active mass.
 
     The lower bound `1 - N_{n-1}/N_n` is clamped to 0 (it is negative
     whenever the second-to-last group is the larger one, and the ratio is
@@ -157,7 +139,7 @@ def feasibility(dist) -> FeasibleInterval:
             "last group is more than 1/(1 - MAX_LAST_SURVIVAL) = "
             f"{1.0 / (1.0 - MAX_LAST_SURVIVAL):.4g} times the one before it "
             f"(its survival would be at least {lower!r})")
-    return FeasibleInterval(lower, MAX_LAST_SURVIVAL)
+    return lower, MAX_LAST_SURVIVAL
 
 
 def _closed_form(active, p_n, seed) -> SurvivalVector:
@@ -165,16 +147,14 @@ def _closed_form(active, p_n, seed) -> SurvivalVector:
     ``as_distribution`` reads it: the successive ratios, with p_n picked in
     ``feasibility`` as ``member`` states."""
     dist = as_distribution(active)
-    interval = feasibility(dist)
+    lower, upper = feasibility(dist)
     if isinstance(p_n, str):
         if p_n == "mid":
-            value = interval.midpoint
+            value = 0.5 * (lower + upper)
         elif p_n == "rand":
             if seed is None:
                 raise ValueError("p_n='rand' requires a seed")
-            value = float(np.random.default_rng(check_seed(seed)).uniform(
-                interval.lower, interval.upper
-            ))
+            value = float(np.random.default_rng(check_seed(seed)).uniform(lower, upper))
         else:
             raise ValueError(f"unknown free-parameter mode {p_n!r}")
     elif isinstance(p_n, (bool, np.bool_)):
@@ -182,10 +162,8 @@ def _closed_form(active, p_n, seed) -> SurvivalVector:
     else:
         # Adding +0.0 turns -0.0 into +0.0 and keeps every other value.
         value = float(p_n) + 0.0
-        if not interval.contains(value):
-            raise FreeParamOutOfRange(
-                f"p_n={value!r} outside [{interval.lower!r}, {interval.upper!r}]"
-            )
+        if not lower <= value <= upper:
+            raise FreeParamOutOfRange(f"p_n={value!r} outside [{lower!r}, {upper!r}]")
 
     props = dist.proportions
     n = props.size
@@ -278,13 +256,10 @@ def solve(dist, p_n="mid", *, seed: Optional[int] = None) -> tuple:
     return member(dist, np.append(band(dist)[1], dist.proportions[-1]), p_n, seed=seed)
 
 
-def _raised_to_floors(props: np.ndarray) -> tuple:
-    """``props`` with its first n-1 groups raised to ``band``'s lower edge
-    (see ``nearest_reachable``), and each one's largest later group."""
-    head = props[:-1]
-    later = np.append(np.maximum.accumulate(head[:0:-1])[::-1], 0.0)
-    raised = np.maximum(head, band(props)[0] * _FLOOR_MARGIN + _FLOOR_OFFSET)
-    return np.append(raised, props[-1]), later
+def _raised_to_floors(props: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """``props`` with its first n-1 groups raised to ``lower``, ``band``'s
+    lower edge for ``props`` (see ``nearest_reachable``)."""
+    return np.append(np.maximum(props[:-1], lower * _FLOOR_MARGIN + _FLOOR_OFFSET), props[-1])
 
 
 def _run_ends(values: np.ndarray) -> np.ndarray:
@@ -293,14 +268,14 @@ def _run_ends(values: np.ndarray) -> np.ndarray:
     return values.size - np.searchsorted(values[::-1], values, side="left")
 
 
-def _paid_for(props: np.ndarray, raised: np.ndarray, later: np.ndarray,
-              bound: np.ndarray) -> np.ndarray:
+def _paid_for(props: np.ndarray, raised: np.ndarray, bound: np.ndarray) -> np.ndarray:
     """``props`` with the groups after one raised group j capped at a level
     U that pays for the raise: the m tallest give up their excess over U,
     and the k raised groups that their size bounds from j on need ALPHA_MIN
     k less per unit that U drops (j has the largest k / m). U is at least
     half that size, so every group stays positive."""
     head = props[:-1]
+    later = np.append(np.maximum.accumulate(head[:0:-1])[::-1], 0.0)  # largest later group
     starts = np.flatnonzero(bound)
     sizes = later[starts]
     # Both are non-increasing, so equal values form runs. gains[t] counts
@@ -332,11 +307,13 @@ def nearest_reachable(dist) -> AgeDistribution:
     """
     dist = as_distribution(dist)
     props = dist.proportions
-    raised, later = _raised_to_floors(props)
+    lower = band(props)[0]
+    raised = _raised_to_floors(props, lower)
     # Raised groups whose floor a later group sets: their own ALPHA_MIN N_i never does.
-    bound = (raised[:-1] > props[:-1]) & (band(props)[0] > props[-1] * (1.0 - MAX_LAST_SURVIVAL))
+    bound = (raised[:-1] > props[:-1]) & (lower > props[-1] * (1.0 - MAX_LAST_SURVIVAL))
     if bound.any():
-        raised, _ = _raised_to_floors(_paid_for(props, raised, later, bound))
+        paid = _paid_for(props, raised, bound)
+        raised = _raised_to_floors(paid, band(paid)[0])
     return normalize(raised, dist.labels)
 
 

@@ -40,8 +40,8 @@ def test_criterion_1_closed_form_exactness():
     for _ in range(1000):
         n = int(rng.integers(3, 26))
         dist = random_monotone(rng, n)
-        interval = feasibility(dist)
-        pn = rng.uniform(interval.lower, interval.upper)
+        lower, upper = feasibility(dist)
+        pn = rng.uniform(lower, upper)
         recovered = steady_state(solve(dist, pn), labels=dist.labels)
         worst = max(worst, float(np.abs(recovered.proportions - dist.proportions).max()))
     elapsed = time.perf_counter() - started

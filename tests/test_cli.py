@@ -289,10 +289,10 @@ class TestSolve:
         solved = document.target if route == "model2" else model2.nearest_reachable(
             document.target)
         props = solved.proportions
-        interval = model2.feasibility(np.append(np.minimum.accumulate(props[:-1]), props[-1]))
-        drawn = (np.random.default_rng(4).uniform(interval.lower, interval.upper)
+        lower, upper = model2.feasibility(np.append(np.minimum.accumulate(props[:-1]), props[-1]))
+        drawn = (np.random.default_rng(4).uniform(lower, upper)
                  if pn == "rand" else float(pn))
-        assert interval.contains(drawn)
+        assert lower <= drawn <= upper
         assert document.params.free_param == document.params.survival.probs[-1] == drawn
         diagnostics = document.params.diagnostics
         assert diagnostics["free_param_mode"] == ("rand" if pn == "rand" else "explicit")

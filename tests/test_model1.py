@@ -16,7 +16,7 @@ from agedist.errors import (
     ResidualCheckFailed,
 )
 from agedist.model1 import solve, steady_state
-from agedist.model2 import FeasibleInterval, feasibility
+from agedist.model2 import feasibility
 
 from oracles import expected_update_plain, fixed_point
 
@@ -36,35 +36,36 @@ def monotone_distributions(draw, max_size=25):
 @st.composite
 def monotone_with_feasible_pn(draw, max_size=25):
     d = draw(monotone_distributions(max_size=max_size))
-    interval = feasibility(d)
+    lower, upper = feasibility(d)
     fraction = draw(st.floats(0.0, 1.0, allow_nan=False))
-    pn = interval.lower + fraction * (interval.upper - interval.lower)
+    pn = lower + fraction * (upper - lower)
     return d, pn
 
 
 class TestFeasibility:
     def test_negative_lower_bound_clamps_to_zero(self):
         interval = feasibility(dist([0.5, 0.3, 0.2]))
-        assert isinstance(interval, FeasibleInterval)
-        assert interval.lower == 0.0  # 1 - 0.3/0.2 = -0.5 clamps
-        assert interval.upper == MAX_LAST_SURVIVAL
+        assert type(interval) is tuple and len(interval) == 2
+        lower, upper = interval
+        assert lower == 0.0  # 1 - 0.3/0.2 = -0.5 clamps
+        assert upper == MAX_LAST_SURVIVAL
 
     def test_equal_tail_groups_give_zero_lower_bound(self):
-        interval = feasibility(dist([0.4, 0.3, 0.3]))
-        assert interval.lower == 0.0  # 1 - 0.3/0.3
+        lower, _ = feasibility(dist([0.4, 0.3, 0.3]))
+        assert lower == 0.0  # 1 - 0.3/0.3
 
     def test_growing_tail_gives_positive_lower_bound(self):
-        interval = feasibility(dist([0.5, 0.2, 0.3]))
-        assert interval.lower == pytest.approx(1.0 - 0.2 / 0.3)
+        lower, upper = feasibility(dist([0.5, 0.2, 0.3]))
+        assert lower == pytest.approx(1.0 - 0.2 / 0.3)
         # Python floats, which the out-of-range message prints plainly.
-        assert type(interval.lower) is type(interval.upper) is float
+        assert type(lower) is type(upper) is float
 
     def test_subnormal_last_group_gives_zero_lower_bound(self):
         values = np.array([0.6, 0.4, 5e-321])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            interval = feasibility(dist(values / values.sum()))
-        assert interval.lower == 0.0
+            lower, _ = feasibility(dist(values / values.sum()))
+        assert lower == 0.0
 
     @pytest.mark.parametrize("entry", [feasibility, solve])
     def test_raw_interior_zero_raises_typed_error(self, entry):
@@ -91,8 +92,9 @@ class TestFeasibility:
         assert "np.float64" not in str(caught.value)
 
     def test_last_group_at_the_limit_is_feasible(self):
-        interval = feasibility(normalize([1, 0.5, 1e-9, 1e-9 / (1 - MAX_LAST_SURVIVAL)], "abcd"))
-        assert interval.lower <= interval.upper == MAX_LAST_SURVIVAL
+        lower, upper = feasibility(
+            normalize([1, 0.5, 1e-9, 1e-9 / (1 - MAX_LAST_SURVIVAL)], "abcd"))
+        assert lower <= upper == MAX_LAST_SURVIVAL
 
     def test_infeasible_lists_offending_indices(self):
         # Group 1 (0-based) exceeds group 0.
@@ -129,17 +131,35 @@ class TestSolve:
     def test_midpoint_default(self):
         d = dist([0.5, 0.3, 0.2])
         sv = solve(d)
-        assert sv.probs[-1] == feasibility(d).midpoint
+        lower, upper = feasibility(d)
+        assert sv.probs[-1] == 0.5 * (lower + upper)
 
     def test_seeded_random_mode(self):
         d = dist([0.5, 0.3, 0.2])
         a = solve(d, "rand", seed=123)
         b = solve(d, "rand", seed=123)
         assert a == b
-        interval = feasibility(d)
-        assert interval.contains(a.probs[-1])
+        lower, upper = feasibility(d)
+        assert lower <= a.probs[-1] <= upper
         with pytest.raises(ValueError):
             solve(d, "rand")
+
+    @pytest.mark.parametrize("values", [[0.5, 0.3, 0.2], [0.5, 0.2, 0.3]],
+                             ids=["clamped-lower", "positive-lower"])
+    def test_each_end_of_the_interval_is_the_last_survival(self, values):
+        d = dist(values)
+        for end in feasibility(d):
+            assert solve(d, end).probs[-1] == end
+
+    @pytest.mark.parametrize("values", [[0.5, 0.3, 0.2], [0.5, 0.2, 0.3]],
+                             ids=["clamped-lower", "positive-lower"])
+    def test_one_float_outside_either_end_is_refused(self, values):
+        d = dist(values)
+        lower, upper = feasibility(d)
+        for outside in (np.nextafter(lower, -np.inf), np.nextafter(upper, np.inf)):
+            message = f"p_n={float(outside)!r} outside [{lower!r}, {upper!r}]"
+            with pytest.raises(FreeParamOutOfRange, match=f"^{re.escape(message)}$"):
+                solve(d, outside)
 
     @given(monotone_with_feasible_pn())
     @settings(max_examples=100)
@@ -191,9 +211,9 @@ class TestRoundTripProperties:
     @given(monotone_distributions())
     @settings(max_examples=60)
     def test_free_param_invariance(self, d):
-        interval = feasibility(d)
-        lo = interval.lower + 0.1 * (interval.upper - interval.lower)
-        hi = interval.lower + 0.9 * (interval.upper - interval.lower)
+        lower, upper = feasibility(d)
+        lo = lower + 0.1 * (upper - lower)
+        hi = lower + 0.9 * (upper - lower)
         a = steady_state(solve(d, lo))
         b = steady_state(solve(d, hi))
         assert np.abs(a.proportions - b.proportions).max() < 1e-12

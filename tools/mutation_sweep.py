@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
-"""Mutation sweep of the closed form and the stationary law.
+"""Mutation sweep of the closed form, the stationary law and the data files'
+refusals.
 
 Swaps one operator at a time (``<``/``<=``, ``>``/``>=``, ``+``/``-``,
 ``*``/``/``, augmented assignments too) at every site of the functions in
 ``TARGETS``, writes each mutant into a scratch copy of the tree and runs
-``TESTS`` there with ``-x``. A mutant is killed when a test fails (or the
-run times out). Prints one line per mutant and the kill count; exits 1 if a
-mutant survives that ``EQUIVALENT`` does not argue. Uses the standard
-library only.
+its module's ``TESTS`` there with ``-x``. A mutant is killed when a test
+fails (or the run times out). Prints one line per mutant and the kill
+count; exits 1 if a mutant survives that ``EQUIVALENT`` does not argue.
+Uses the standard library only.
 
-    python tools/mutation_sweep.py    # about 15 minutes on 2 CPUs
+    python tools/mutation_sweep.py    # about 20 minutes on 2 CPUs
 """
 
 from __future__ import annotations
@@ -34,10 +35,16 @@ TARGETS = {
     "model1.py": ("solve",),
     "distributions.py": ("stationary_profiles", "stationarity_residual", "step_thresholds",
                          "rises", "classify"),
+    "dataio.py": ("ingest_csv", "load_params_document", "emit_params", "write_dataset_csv",
+                  "_first_repeat", "_json_int"),
 }
 
-TESTS = ("tests/test_model1.py", "tests/test_model2.py", "tests/test_distributions.py",
-         "tests/test_pipeline.py", "tests/test_acceptance.py")
+_LAW_TESTS = ("tests/test_model1.py", "tests/test_model2.py", "tests/test_distributions.py",
+              "tests/test_pipeline.py", "tests/test_acceptance.py")
+
+#: Module file -> the tests its mutants run against.
+TESTS = {"model2.py": _LAW_TESTS, "model1.py": _LAW_TESTS, "distributions.py": _LAW_TESTS,
+         "dataio.py": ("tests/test_dataio.py", "tests/test_cli.py")}
 
 #: Operator -> (its token, the token it is swapped for).
 SWAPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">"),
@@ -121,10 +128,10 @@ def mutate(source: str, site: Site) -> str:
     return source[: site.start] + site.swapped + source[site.start + len(site.token):]
 
 
-def run_tests(tree: Path) -> tuple:
-    """(failed, first failing test or reason) for the tests in ``tree``."""
+def run_tests(tree: Path, tests: tuple) -> tuple:
+    """(failed, first failing test or reason) for ``tests`` in ``tree``."""
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider",
-               "--hypothesis-seed=0", *TESTS]
+               "--hypothesis-seed=0", *tests]
     try:
         result = subprocess.run(command, cwd=tree, capture_output=True, text=True,
                                 timeout=TIMEOUT, env={**os.environ, "PYTHONPATH": str(tree / "src")})
@@ -144,17 +151,18 @@ def main() -> int:
         tree = Path(scratch) / "tree"
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".hypothesis", ".pytest_cache", "out"))
-        failed, reason = run_tests(tree)
-        if failed:
-            print(f"the unmutated tree fails its tests ({reason}); no sweep", file=sys.stderr)
-            return 2
+        for tests in set(TESTS.values()):
+            failed, reason = run_tests(tree, tests)
+            if failed:
+                print(f"the unmutated tree fails its tests ({reason}); no sweep", file=sys.stderr)
+                return 2
         killed, unexplained = 0, []
         for number, site in enumerate(every, 1):
             path = tree / "src" / "agedist" / site.module
             path.write_text(mutate(sources[site.module], site), encoding="utf-8")
             began = time.perf_counter()
             try:
-                failed, reason = run_tests(tree)
+                failed, reason = run_tests(tree, TESTS[site.module])
             finally:
                 path.write_text(sources[site.module], encoding="utf-8")
             seconds = time.perf_counter() - began
