@@ -88,20 +88,16 @@ def _values_and_jacobian(log_params: np.ndarray, breakpoints: np.ndarray, n: int
 
 def _solve_rows(systems: np.ndarray, rhs: np.ndarray) -> tuple:
     """Damped normal-equation steps for a stack of 3 x 3 systems, and a
-    mask of the rows whose system is singular (their steps are zero)."""
-    try:
-        return np.linalg.solve(systems, rhs[..., None])[..., 0], np.zeros(len(rhs), dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    # One singular system fails the whole stack: solve row by row.
-    steps = np.zeros_like(rhs)
-    singular = np.zeros(len(rhs), dtype=bool)
-    for row, (system, b) in enumerate(zip(systems, rhs)):
-        try:
-            steps[row] = np.linalg.solve(system, b)
-        except np.linalg.LinAlgError:
-            singular[row] = True
-    return steps, singular
+    mask of the rows whose system is singular (their steps are zero).
+    ``slogdet`` and ``solve`` factor each system by the same LAPACK getrf,
+    and a sign of 0 is its exact-zero pivot, the one case ``solve`` raises
+    on; those rows solve the identity against zeros instead. NaN systems
+    warn in ``slogdet`` only, so the screen ignores invalid values."""
+    with np.errstate(invalid="ignore"):
+        singular = np.linalg.slogdet(systems)[0] == 0
+    systems = np.where(singular[:, None, None], np.eye(3), systems)
+    rhs = np.where(singular[:, None], 0.0, rhs)
+    return np.linalg.solve(systems, rhs[..., None])[..., 0], singular
 
 
 def _sums_of_squares(residuals: np.ndarray) -> np.ndarray:

@@ -207,21 +207,25 @@ class TestMatchesReferenceFit:
             reference_fit(dist)
 
     def test_singular_systems_fall_back_row_by_row(self, monkeypatch):
-        # Every stacked solve fails; so does every single one whose first
-        # entry has its low mantissa bits set a given way, identically in the
-        # batched fit's fallback and in the reference.
-        solve = np.linalg.solve
+        # Every system whose first entry has its low mantissa bits set a
+        # given way is singular: the batched fit's LU screen gives it sign
+        # 0, and the reference's single solve raises on it.
+        slogdet, solve = np.linalg.slogdet, np.linalg.solve
         calls = {"stacked": 0, "singular": 0}
 
+        def flaky_slogdet(a):
+            sign, logdet = slogdet(a)
+            hit = a.view(np.uint64)[..., 0, 0] % 7 == 0
+            calls["stacked"] += bool(hit.any())
+            return np.where(hit, 0.0, sign), np.where(hit, -np.inf, logdet)
+
         def flaky(a, b):
-            if a.ndim == 3:
-                calls["stacked"] += 1
-                raise np.linalg.LinAlgError("stacked")
-            if a.view(np.uint64)[0, 0] % 7 == 0:
+            if a.ndim == 2 and a.view(np.uint64)[0, 0] % 7 == 0:
                 calls["singular"] += 1
                 raise np.linalg.LinAlgError("singular")
             return solve(a, b)
 
+        monkeypatch.setattr(np.linalg, "slogdet", flaky_slogdet)
         monkeypatch.setattr(np.linalg, "solve", flaky)
         gen = bench_generator()
         for dist in (log_normal_target(79, 8.0, 12), log_normal_target(5, 2.0, 30),

@@ -82,6 +82,21 @@ class TestIngest:
         with pytest.raises(CsvFormatError, match="line 3: population .* is not finite"):
             ingest_csv(path)
 
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(CsvFormatError) as caught:
+            ingest_csv(path)
+        assert str(caught.value) == f"{path}: empty file, expected a header row"
+
+    @pytest.mark.parametrize("row", ["X,b", "X"], ids=["no-population", "name-only"])
+    def test_short_row_reports_line_number(self, tmp_path, row):
+        path = tmp_path / "data.csv"
+        write_csv(path, ["X,a,50", row, "X,c,20"])
+        with pytest.raises(CsvFormatError) as caught:
+            ingest_csv(path)
+        assert str(caught.value) == f"{path}: line 3: short row"
+
     def test_duplicate_group_rejected(self, tmp_path):
         path = tmp_path / "data.csv"
         write_csv(path, ["X,a,50", "X,a,30", "X,c,20"])
@@ -416,6 +431,17 @@ class TestParamsFiles:
         path.write_text(json.dumps(raw))
         with pytest.raises(SchemaError, match=f"schema version {version} unsupported"):
             load_params(path)
+
+    def test_unknown_schema_rejected(self, tmp_path):
+        params = solved_params()
+        path = tmp_path / "params.json"
+        emit_params(params, path)
+        raw = json.loads(path.read_text())
+        raw["schema"] = "other.params"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(SchemaError) as caught:
+            load_params(path)
+        assert str(caught.value) == f"{path}: unknown schema 'other.params'"
 
     def test_unknown_kind_rejected(self, tmp_path):
         params = solved_params()

@@ -4,17 +4,22 @@ refusals.
 
 Swaps one operator at a time (``<``/``<=``, ``>``/``>=``, ``+``/``-``,
 ``*``/``/``, augmented assignments too) at every site of the functions in
-``TARGETS``, writes each mutant into a scratch copy of the tree and runs
-its module's ``TESTS`` there with ``-x``. A mutant is killed when a test
-fails (or the run times out). Prints one line per mutant and the kill
-count; exits 1 if a mutant survives that ``EQUIVALENT`` does not argue.
+``TARGETS``; in the modules of ``REFUSALS`` it also turns each ``raise``
+into ``pass`` and negates the test of each ``if`` whose body raises. It
+writes each mutant into a scratch copy of the tree and runs its module's
+``TESTS`` there with ``-x``. A mutant is killed when a test fails (or the
+run times out). Prints one line per mutant and the kill count; exits 1 if
+a mutant survives that ``EQUIVALENT`` does not argue, and 2 before any
+test if a ``TARGETS`` function or an ``EQUIVALENT`` site no longer exists.
 Uses the standard library only.
 
-    python tools/mutation_sweep.py    # about 20 minutes on 2 CPUs
+    python tools/mutation_sweep.py           # about 25 minutes on 2 CPUs
+    python tools/mutation_sweep.py --list    # the sites alone, no tests
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import os
 import re
@@ -41,6 +46,9 @@ TARGETS = {
 
 _LAW_TESTS = ("tests/test_model1.py", "tests/test_model2.py", "tests/test_distributions.py",
               "tests/test_pipeline.py", "tests/test_acceptance.py")
+
+#: Modules whose raise statements and raising if tests are mutated too.
+REFUSALS = ("dataio.py",)
 
 #: Module file -> the tests its mutants run against.
 TESTS = {"model2.py": _LAW_TESTS, "model1.py": _LAW_TESTS, "distributions.py": _LAW_TESTS,
@@ -69,17 +77,18 @@ class Site:
     function: str
     line: int
     expression: str
-    token: str
-    swapped: str
-    start: int  #: offset of the operator in the module's source
+    change: str  #: such as "< -> <=" or "raise -> pass"
+    start: int  #: offsets of the replaced text in the module's source
+    end: int
+    replacement: str
 
     @property
     def key(self) -> tuple:
-        return (self.function, self.expression, f"{self.token} -> {self.swapped}")
+        return (self.function, self.expression, self.change)
 
     def describe(self) -> str:
         return (f"{self.module}:{self.line} {self.function}: {' '.join(self.expression.split())}"
-                f"  [{self.token} -> {self.swapped}]")
+                f"  [{self.change}]")
 
 
 def _offset(lines: list, line: int, col: int) -> int:
@@ -97,14 +106,37 @@ def _operator_between(source: str, lines: list, before: ast.AST, after: ast.AST,
     return start + gap.index(token)
 
 
+def _refusals(module: str, function: str, source: str, lines: list, node: ast.AST) -> list:
+    """Each ``raise`` made ``pass``, and the test of each ``if`` whose body
+    raises negated."""
+    found = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Raise):
+            replaced, change, replacement = sub, "raise -> pass", "pass"
+        elif isinstance(sub, ast.If) and any(
+                isinstance(inner, ast.Raise) for body in sub.body for inner in ast.walk(body)):
+            test = ast.get_source_segment(source, sub.test)
+            replaced, change, replacement = sub.test, "if -> if not", f"not ({test})"
+        else:
+            continue
+        found.append(Site(module, function, replaced.lineno,
+                          ast.get_source_segment(source, replaced), change,
+                          _offset(lines, replaced.lineno, replaced.col_offset),
+                          _offset(lines, replaced.end_lineno, replaced.end_col_offset),
+                          replacement))
+    return found
+
+
 def sites(module: str, source: str) -> list:
-    """Every swappable operator in ``TARGETS[module]``'s functions."""
+    """Every mutant site in ``TARGETS[module]``'s functions."""
     tree = ast.parse(source)
     lines = source.splitlines(keepends=True)
     found = []
     for node in tree.body:
         if not isinstance(node, ast.FunctionDef) or node.name not in TARGETS[module]:
             continue
+        if module in REFUSALS:
+            found += _refusals(module, node.name, source, lines, node)
         for sub in ast.walk(node):
             if isinstance(sub, ast.Compare):
                 pairs = zip(sub.ops, [sub.left, *sub.comparators], sub.comparators)
@@ -118,14 +150,27 @@ def sites(module: str, source: str) -> list:
                 if type(op) not in SWAPS:
                     continue
                 token, swapped = SWAPS[type(op)]
+                start = _operator_between(source, lines, before, after, token)
                 found.append(Site(module, node.name, sub.lineno, ast.get_source_segment(source, sub),
-                                  token, swapped,
-                                  _operator_between(source, lines, before, after, token)))
+                                  f"{token} -> {swapped}", start, start + len(token), swapped))
     return sorted(found, key=lambda site: site.start)
 
 
+def stale(sources: dict, every: list) -> list:
+    """A line for each ``TARGETS`` function that its module no longer
+    defines and each ``EQUIVALENT`` key that no site has."""
+    problems = []
+    for module, source in sources.items():
+        defined = {node.name for node in ast.parse(source).body
+                   if isinstance(node, ast.FunctionDef)}
+        problems += [f"{module} defines no function {name!r} to mutate"
+                     for name in TARGETS[module] if name not in defined]
+    keys = {site.key for site in every}
+    return problems + [f"EQUIVALENT names no site: {key}" for key in EQUIVALENT if key not in keys]
+
+
 def mutate(source: str, site: Site) -> str:
-    return source[: site.start] + site.swapped + source[site.start + len(site.token):]
+    return source[: site.start] + site.replacement + source[site.end:]
 
 
 def run_tests(tree: Path, tests: tuple) -> tuple:
@@ -144,9 +189,22 @@ def run_tests(tree: Path, tests: tuple) -> tuple:
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--list", action="store_true",
+                        help="print the mutant sites and exit without running tests")
+    args = parser.parse_args()
     sources = {module: (ROOT / "src" / "agedist" / module).read_text(encoding="utf-8")
                for module in TARGETS}
     every = [site for module in TARGETS for site in sites(module, sources[module])]
+    problems = stale(sources, every)
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    if problems:
+        return 2
+    if args.list:
+        print("\n".join(site.describe() for site in every))
+        print(f"{len(every)} mutant sites")
+        return 0
     with tempfile.TemporaryDirectory(prefix="mutation-sweep-") as scratch:
         tree = Path(scratch) / "tree"
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
