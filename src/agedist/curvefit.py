@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import AgeDistribution, as_distribution, wasserstein
-from .errors import AgedistError, CurveFitFailed
+from .errors import AgedistError
 
 MAX_INNER_ITERATIONS = 200
 STEP_TOLERANCE = 1e-10
@@ -205,46 +205,30 @@ def fit(dist) -> CurveFitResult:
     infinite distance; both are skipped. An sse that overflows is handled
     on purpose (the step is rejected) and raises no warning.
 
+    The fit always returns: at k = n the curve is a plateau alone, whose
+    decay columns of the Jacobian are zero, so its steps are Gauss-Newton in
+    log A, which converge, and it normalizes to the uniform 1/n.
+
     Raises:
         ValueError, EmptyPopulation, InteriorZeroGroup, TooFewGroups: as
             ``distributions.as_distribution`` raises them for a raw vector.
-        CurveFitFailed: no breakpoint produced a usable fit.
     """
     dist = as_distribution(dist)
     y, labels = dist.proportions, dist.labels
-    table = []
-    best = None
-
+    table, best = [], None
     for k, theta, sse, ok, vals in _fits(y):
-        if not ok:
-            table.append((k, float("inf"), float("inf")))
-            continue
         try:
             # A decay steep enough to underflow leaves an empty group, which
             # the constructor rejects; such a curve cannot feed the
-            # closed-form solver, so treat the fit as failed.
-            fitted = AgeDistribution(labels, vals / vals.sum())
+            # closed-form solver.
+            fitted = AgeDistribution(labels, vals / vals.sum()) if ok else None
         except AgedistError:
-            table.append((k, sse, float("inf")))
-            continue
-        distance = wasserstein(fitted, y)
-        table.append((k, sse, distance))
-        if best is None or distance < best[0]:
+            fitted = None
+        distance = float("inf") if fitted is None else wasserstein(fitted, y)
+        table.append((k, sse if ok else float("inf"), distance))
+        if fitted is not None and (best is None or distance < best[0]):
             a, b, c = np.exp(theta)
-            best = (
-                distance,
-                CurveParams(float(a), float(b), float(c), k),
-                fitted,
-                sse,
-            )
-
-    if best is None:
-        raise CurveFitFailed("inner least squares failed for every breakpoint")
+            best = (distance, CurveParams(float(a), float(b), float(c), k), fitted, sse)
     distance, params, fitted, sse = best
-    return CurveFitResult(
-        params=params,
-        fitted=fitted,
-        wasserstein_to_original=distance,
-        residual_sse=sse,
-        per_k_table=tuple(table),
-    )
+    return CurveFitResult(params=params, fitted=fitted, wasserstein_to_original=distance,
+                          residual_sse=sse, per_k_table=tuple(table))

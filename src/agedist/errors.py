@@ -47,10 +47,6 @@ class ActivationTooSmall(AgedistError):
     the steady-state relations."""
 
 
-class CurveFitFailed(AgedistError):
-    """The inner least-squares failed for every breakpoint."""
-
-
 class EmptyDataset(AgedistError):
     """A batch operation received no entries."""
 

@@ -46,7 +46,6 @@ from agedist.distributions import (
 from agedist.errors import (
     ActivationTooSmall,
     AgedistError,
-    CurveFitFailed,
     DegenerateLastGroup,
 )
 
@@ -489,8 +488,7 @@ def reference_fit(dist):
         if best is None or distance < best[0]:
             a, b, c = np.exp(theta)
             best = (distance, CurveParams(float(a), float(b), float(c), k), fitted, sse)
-    if best is None:
-        raise CurveFitFailed("inner least squares failed for every breakpoint")
+    assert best is not None, "inner least squares failed for every breakpoint"
     distance, params, fitted, sse = best
     return CurveFitResult(params=params, fitted=fitted, wasserstein_to_original=distance,
                           residual_sse=sse, per_k_table=tuple(table))

@@ -24,7 +24,7 @@ from agedist.distributions import (
     ALPHA_MIN, AgeDistribution, ModelKind, default_labels, mean_absolute_error,
     stationary_distribution)
 from agedist.dataio import load_params, load_params_document
-from agedist.errors import AgedistError, DegenerateLastGroup
+from agedist.errors import AgedistError, DegenerateLastGroup, ResidualCheckFailed
 from agedist.simulator import SimConfig
 
 from oracles import reference_route, reference_solve_one
@@ -300,20 +300,19 @@ class TestSolve:
         assert main(["simulate", "--params", str(out_file), "--agents", "200",
                      "--steps", "20", "--out", str(tmp_path / "sim.json")]) == 0
 
-    @pytest.mark.parametrize("country, pn, interval", [
-        ("Rising", "0.1", "[0.1428571428571429, 0.999999999]"),
-        ("Hump", "1.5", "[0.0, 0.999999999]"),
-        ("Newtown", "0.3", "[0.9986676656676656, 0.999999999]"),
+    @pytest.mark.parametrize("country, pn, refusal", [
+        ("Rising", "0.1", "p_n=0.1 outside [0.1428571428571429, 0.999999999]"),
+        ("Hump", "1.5", "p_n=1.5 outside [0.0, 0.999999999]"),
+        ("Newtown", "0.3", "p_n=0.3 outside [0.9986676656676656, 0.999999999]"),
+        ("Hump", "abc", "--pn must be 'mid', 'rand' or a number, got 'abc'"),
     ])
-    def test_pn_outside_the_interval_is_one_error_line(self, tmp_path, capsys, country, pn,
-                                                       interval):
+    def test_a_refused_pn_is_one_error_line(self, tmp_path, capsys, country, pn, refusal):
         # Python floats, not numpy scalars, in the message.
         data = write_dataset(tmp_path / "pn.csv", PN_COUNTRIES)
-        out_file = tmp_path / "x.json"
         assert main(["solve", "--input", str(data), "--country", country,
-                     "--pn", pn, "--out", str(out_file)]) == 1
-        assert capsys.readouterr().err == f"error: p_n={float(pn)!r} outside {interval}\n"
-        assert not out_file.exists()
+                     "--pn", pn, "--out", str(tmp_path / "x.json")]) == 1
+        assert capsys.readouterr().err == f"error: {refusal}\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["pn.csv"]
 
     @pytest.mark.parametrize("model", ["auto", "1", "2"])
     def test_model_option_is_gone(self, dataset, tmp_path, capsys, model):
@@ -652,6 +651,27 @@ class TestPipeline:
         assert summary["flagged_nearest_reachable"] == ["Cliff"]
         params = strict_load(out_dir / "params" / "Cliff.json")
         assert params["diagnostics"]["wasserstein_to_original"] is None
+
+    def test_a_failed_validation_batch_writes_no_country_files(self, dataset, tmp_path,
+                                                                monkeypatch):
+        # A broken update rule fails the whole batch: every solved entry is
+        # recorded as failed with the guard's reason, and none gets a file.
+        reason = "member 0: an agent left the age groups; update rule broken"
+
+        def broken(targets, params, config=None):
+            raise ResidualCheckFailed(reason)
+
+        monkeypatch.setattr(simulator, "run_many", broken)
+        out_dir = tmp_path / "out"
+        assert main(["pipeline", "--input", str(dataset), "--out-dir", str(out_dir),
+                     "--agents", "500", "--steps", "20"]) == 0
+        assert list((out_dir / "params").iterdir()) == []
+        assert list((out_dir / "plots").glob("*_distribution.csv")) == []
+        summary = strict_load(out_dir / "summary.json")
+        assert summary["route_counts"]["failed"] == 3
+        assert {name: (entry["route"], entry["diagnostics"], entry["failure_reason"])
+                for name, entry in summary["per_country"].items()} == dict.fromkeys(
+            ("Hump", "Pyramid", "Tail"), ("failed", None, reason))
 
     def test_summary_records_the_run(self, dataset, tmp_path):
         out_dir = tmp_path / "out"

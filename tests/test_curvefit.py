@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from agedist import curvefit, fit, normalize
 from agedist.curvefit import CurveParams, curve_values
-from agedist.distributions import AgeDistribution, Classification, classify, default_labels
+from agedist.distributions import (
+    AgeDistribution, Classification, as_distribution, classify, default_labels)
 from agedist.errors import InteriorZeroGroup
 from agedist.model2 import feasibility
 
@@ -113,6 +114,16 @@ class TestFit:
         assert classify(result.fitted) is Classification.MONOTONE_NON_INCREASING
         lower, upper = feasibility(result.fitted)
         assert type(lower) is type(upper) is float and 0.0 <= lower <= upper
+
+    @given(st.lists(st.floats(-150.0, 150.0), min_size=3, max_size=60))
+    @settings(max_examples=40, deadline=None)
+    def test_the_plateau_only_breakpoint_always_fits(self, exponents):
+        # At k = n the decay columns of the Jacobian are zero, so the fit
+        # converges and normalizes to the uniform 1/n: fit always returns.
+        dist = as_distribution(10.0 ** np.array(exponents))
+        k, sse, distance = fit(dist).per_k_table[-1]
+        assert k == len(dist)
+        assert math.isfinite(sse) and math.isfinite(distance)
 
     def test_hump_still_yields_monotone_surrogate(self):
         dist = AgeDistribution(tuple("abcd"), [0.2, 0.35, 0.3, 0.15])

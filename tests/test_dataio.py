@@ -419,6 +419,11 @@ class TestParamsFiles:
         emit_params(params, path)
         raw = json.loads(path.read_text())
         assert raw["library_version"] == agedist.__version__
+        assert load_params_document(path).library_version == agedist.__version__
+        # Files written before the version was recorded load as "unknown".
+        del raw["library_version"]
+        path.write_text(json.dumps(raw))
+        assert load_params_document(path).library_version == "unknown"
 
     # True == 1 in Python, but a bool is no version number.
     @pytest.mark.parametrize("version", [99, True])

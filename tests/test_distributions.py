@@ -88,6 +88,12 @@ class TestNormalize:
     def test_label_count_mismatch(self):
         with pytest.raises(ValueError):
             normalize([1, 2, 3], ["a", "b"])
+        # normalize refuses before it builds a distribution; the constructor
+        # checks on its own too.
+        with pytest.raises(ValueError, match="^2 labels for 3 proportions$"):
+            AgeDistribution(("a", "b"), [0.2, 0.3, 0.5])
+        dist = AgeDistribution(("a", "b", "c"), [0.2, 0.3, 0.5])
+        assert repr(dist) == "AgeDistribution(n=3, a..c)"
 
     @pytest.mark.parametrize("counts", [["1", "2", "3"], [3, "2", 1]], ids=["text", "mixed"])
     def test_text_counts_are_refused(self, counts):

@@ -336,6 +336,10 @@ class TestSolve:
         assert not np.signbit(survival.probs[-1])
         assert survival.probs.tobytes() == model2.solve(target, 0.0)[0].probs.tobytes()
 
+    def test_an_unknown_pn_mode_is_refused(self):
+        with pytest.raises(ValueError, match="^unknown free-parameter mode 'max'$"):
+            model2.solve([0.5, 0.3, 0.2], "max")
+
     @given(positive_targets(monotone=True))
     @settings(max_examples=60, deadline=None)
     def test_monotone_target_is_model1_bit_for_bit(self, dist):
