@@ -8,8 +8,8 @@ target's ``band`` gives an exact solution in closed form (``member``). The
 paper's Model 1, the plain process, is the member m = N, every alpha_i = 1,
 which only a monotone target admits; ``feasibility`` gives the interval of
 its free last-group survival. ``solve`` is the member on the band's upper
-edge, and ``nearest_reachable`` moves a target whose band is empty into
-reach, as little as it can.
+edge, and ``nearest_reachable`` moves a target whose band is empty to
+the nearest one in mean absolute error (the L1 projection).
 ``optimize`` is the search of the original method: a bounded differential
 evolution over the joint vector (p_1..p_n, alpha_1..alpha_n) that minimises
 the mean absolute error between the candidate's stationary profile and the
@@ -54,7 +54,7 @@ from .errors import DegenerateLastGroup, FreeParamOutOfRange, NotModel1Eligible
 #: whole shares there, five tiles of 303 rows 18-34%, for 1.4 MB less memory.
 TILE_ENTRIES = 110_000
 
-#: Margins on the floors ``nearest_reachable`` raises groups to.
+#: Margins on the floors ``nearest_reachable`` raises groups to at the end.
 _FLOOR_MARGIN = 1.0 + 4.0 * np.finfo(float).eps
 _FLOOR_OFFSET = 4.0 * np.finfo(float).smallest_subnormal
 
@@ -256,65 +256,74 @@ def solve(dist, p_n="mid", *, seed: Optional[int] = None) -> tuple:
     return member(dist, np.append(band(dist)[1], dist.proportions[-1]), p_n, seed=seed)
 
 
-def _raised_to_floors(props: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """``props`` with its first n-1 groups raised to ``lower``, ``band``'s
-    lower edge for ``props`` (see ``nearest_reachable``)."""
-    return np.append(np.maximum(props[:-1], lower * _FLOOR_MARGIN + _FLOOR_OFFSET), props[-1])
+def _moved(t: np.ndarray, chain: np.ndarray) -> tuple:
+    """The point nearest ``t`` that ``chain`` admits, its raise R and its cut C."""
+    y = np.append(np.maximum(t[:-1], ALPHA_MIN * chain),
+                  min(t[-1], chain[-1] * ALPHA_MIN / (1.0 - MAX_LAST_SURVIVAL)))
+    y[1:-1] = np.minimum(y[1:-1], chain[:-1])
+    moves = y - t
+    return y, np.maximum(moves, 0.0).sum(), np.maximum(-moves, 0.0).sum()
 
 
-def _run_ends(values: np.ndarray) -> np.ndarray:
-    """For each entry of a non-increasing ``values``, the index just past
-    its run of equal entries."""
-    return values.size - np.searchsorted(values[::-1], values, side="left")
-
-
-def _paid_for(props: np.ndarray, raised: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    """``props`` with the groups after one raised group j capped at a level
-    U that pays for the raise: the m tallest give up their excess over U,
-    and the k raised groups that their size bounds from j on need ALPHA_MIN
-    k less per unit that U drops (j has the largest k / m). U is at least
-    half that size, so every group stays positive."""
-    head = props[:-1]
-    later = np.append(np.maximum.accumulate(head[:0:-1])[::-1], 0.0)  # largest later group
-    starts = np.flatnonzero(bound)
-    sizes = later[starts]
-    # Both are non-increasing, so equal values form runs. gains[t] counts
-    # the starts from t on whose size equals sizes[t]; payers counts the
-    # groups after j as tall as later[j]: the i with head[i] == later[i-1]
-    # in j's run of later.
-    gains = _run_ends(sizes) - np.arange(starts.size)
-    tallest = np.append(0, np.cumsum(np.append(head[1:] == later[:-1], False)))
-    payers = tallest[_run_ends(later)[starts]] - tallest[starts]
-    best = np.argmax(gains / payers)
-    first, size, slope = starts[best], sizes[best], gains[best] * ALPHA_MIN
-    heights = np.sort(head[first + 1:])[::-1]
-    levels = ((np.cumsum(heights) - (raised.sum() - props.sum()) + slope * size)
-              / (np.arange(1, heights.size + 1) + slope))
-    level = levels[np.argmax(levels >= np.append(heights[1:], 0.0))]
-    paid = props.copy()
-    paid[first + 1:-1] = np.minimum(head[first + 1:], max(level, 0.5 * size))
-    return paid
+def _chain(t: np.ndarray, weight: float) -> np.ndarray:
+    """The least chain T_1 >= ... >= T_{n-1} minimizing R + ``weight`` C for
+    ``t``. y is reproduced exactly when some chain has y_k >= ALPHA_MIN T_k
+    (k < n), y_{k+1} <= T_k (k < n - 1) and y_n <= T_{n-1} c, c = ALPHA_MIN /
+    (1 - MAX_LAST_SURVIVAL) (``band``); R raises groups to those floors and
+    C cuts groups to those caps. So link T_k has slope ALPHA_MIN above t_k /
+    ALPHA_MIN and ``weight`` below t_{k+1} (``weight`` c below t_n / c on the
+    last link). The slope trick, O(n log n): from the last link back, each
+    link's slope changes go on a max-heap, ALPHA_MIN of slope comes off the
+    top, which is then the least minimizer; T_k is the least over 1..k."""
+    from heapq import heappop, heappush, heapreplace
+    cuts = np.append(t[1:-1], t[-1] * (1.0 - MAX_LAST_SURVIVAL) / ALPHA_MIN).tolist()
+    raises = (t[:-1] / ALPHA_MIN).tolist()
+    weights = [weight] * (len(cuts) - 1) + [weight * ALPHA_MIN / (1.0 - MAX_LAST_SURVIVAL)]
+    heap, least = [], np.empty(len(cuts))
+    for k in range(len(cuts) - 1, -1, -1):
+        heappush(heap, (-cuts[k], weights[k]))
+        heappush(heap, (-raises[k], ALPHA_MIN))
+        excess = ALPHA_MIN
+        while heap[0][1] <= excess:
+            excess -= heappop(heap)[1]
+        if excess:
+            heapreplace(heap, (heap[0][0], heap[0][1] - excess))
+        least[k] = -heap[0][0]
+    return np.minimum.accumulate(least)
 
 
 def nearest_reachable(dist) -> AgeDistribution:
-    """A target that ``solve`` reproduces, for a ``dist`` it rejects: on
-    mean absolute error within 1% of the nearest one (the L1 projection).
-
-    Raising each of the first n-1 groups to ``band``'s lower edge, times
-    1 + 4 eps plus 4 subnormal steps to stay clear of rounding, and
-    renormalizing gives one. As in the projection, the groups that set the
-    floors first give up the mass the raise adds (``_paid_for``).
-    """
+    """The target nearest ``dist`` in mean absolute error (its L1 projection)
+    among those ``solve`` reproduces: ``dist`` where it does. A raise of the
+    first group or a cut to a floor moves no bound, so the least sum |y - t|
+    is 2 min_T max(R, C) = 2 max_w min_T (R + w C) / (1 + w) (``_chain``). A
+    cutting-plane search on w ends when the points of the chains either side
+    of the best w, mixed so that raise equals cut, are within a relative
+    1e-12 of it; where several targets are nearest, that mix is returned. It
+    runs on the target times 2**128, exactly, so that subnormal groups keep
+    their digits. Last, the first n-1 groups are raised to ``band``'s lower
+    edge times 1 + 4 eps, plus 4 subnormal steps, and renormalized."""
     dist = as_distribution(dist)
-    props = dist.proportions
-    lower = band(props)[0]
-    raised = _raised_to_floors(props, lower)
-    # Raised groups whose floor a later group sets: their own ALPHA_MIN N_i never does.
-    bound = (raised[:-1] > props[:-1]) & (lower > props[-1] * (1.0 - MAX_LAST_SURVIVAL))
-    if bound.any():
-        paid = _paid_for(props, raised, bound)
-        raised = _raised_to_floors(paid, band(paid)[0])
-    return normalize(raised, dist.labels)
+    t = np.ldexp(dist.proportions, 128)
+    # Past these weights no least chain changes: it changes where i raise slopes
+    # (ALPHA_MIN each) balance w times j in cut slopes, i < n, j < n - 2 + c (``_chain``).
+    ends = (ALPHA_MIN * t.size, ALPHA_MIN / (t.size + ALPHA_MIN / (1.0 - MAX_LAST_SURVIVAL)))
+    low, high = (_moved(t, _chain(t, weight)) for weight in ends)
+    y = t
+    if low[1]:  # some floor is unmet
+        for _ in range(64):
+            (y_low, raise_low, cut_low), (y_high, raise_high, cut_high) = low, high
+            over, under = raise_low - cut_low, cut_high - raise_high
+            weight = (raise_low - raise_high) / (cut_high - cut_low)
+            bound = (raise_low * under + raise_high * over) / (over + under)  # the mix's cost / 2
+            _, raised, cut = side = _moved(t, _chain(t, weight))
+            if (raised + weight * cut) / (1.0 + weight) >= bound * (1.0 - 1e-12):
+                break
+            low, high = (side, high) if raised >= cut else (low, side)
+        y = y_high + under / (over + under) * (y_low - y_high)
+    y = np.ldexp(y, -128)
+    head = np.maximum(y[:-1], band(y)[0] * _FLOOR_MARGIN + _FLOOR_OFFSET)
+    return normalize(np.append(head, y[-1]), dist.labels)
 
 
 #: ``distributions.stationary_distribution``; rates of 1 give the plain process.

@@ -7,8 +7,8 @@ not empty, else on the nearest target it reaches
 activation 1, which a monotone target gets. The paper's activation-rate
 search and curve fit stay available (``model2.optimize``,
 ``curvefit.fit``), but the cascade calls neither: no model-2 steady state
-or curve fit is closer to the target than the L1 projection, which the
-nearest reachable target comes within 1% of. The cascade and the command
+or curve fit is closer to the target than the L1 projection, which is
+the nearest reachable target. The cascade and the command
 line's ``classify`` and ``solve`` all call the station, and the route of
 its ``Solution`` is set where the station decides it. ``run_dataset``,
 the one validated entry, checks every solved parameter set against its

@@ -5,16 +5,16 @@ per-group balance bookkeeping (who leaves, who arrives), not the closed-form
 recursions under test. Steady states are found by iterating the update to a
 fixed point, so agreement with the library is evidence, not tautology. The
 exact law of a few agents' counts one step on is enumerated fate by fate,
-and the count chain's transition matrix is built from it row by row.
+and the count chain's transition matrix is built from it row by row. The
+nearest reachable target's distance and its chain problem are LPs.
 
 The second half keeps the straightforward forms of the steady-state
 recursions, of the differential-evolution search (objective, reflection,
-generation loop), of the nearest-reachable payment's counts, of the curve
-fit's breakpoint-at-a-time least squares, of the simulator step and run and
-of the cascade's two stations. The library's batched kernel, in-place
-search, batched curve fit, count-state run and one station must reproduce
-them bit for bit. The reachable band is kept in exact rationals, which
-``model2.band`` meets to within an ulp.
+generation loop), of the curve fit's breakpoint-at-a-time least squares,
+of the simulator step and run and of the cascade's two stations. The
+library's batched kernel, in-place search, batched curve fit, count-state
+run and one station must reproduce them bit for bit. The reachable band is
+kept in exact rationals, which ``model2.band`` meets to within an ulp.
 """
 
 import itertools
@@ -347,6 +347,10 @@ def count_transition_matrix(agents, survival, activation):
     return states, matrix
 
 
+#: HiGHS tolerances; its 1e-7 defaults leave the optima below up to 1e-6 off.
+TIGHT = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+
+
 def reachable_l1_optimum(target, scale):
     """Smallest mean absolute error from ``target`` to a distribution that
     the model-2 closed form reproduces, by linear programming.
@@ -393,10 +397,30 @@ def reachable_l1_optimum(target, scale):
         A_ub=np.array(rows), b_ub=bounds,
         A_eq=np.r_[np.ones(n), np.zeros(n)][None], b_eq=[0.0],
         bounds=[(None, None)] * n + [(0.0, None)] * n,
-        method="highs",
+        method="highs", options=TIGHT,
     )
     assert result.status == 0, result.message
     return result.fun * scale / n
+
+
+def reference_chain(t, weight):
+    """Least R + ``weight`` C over the non-increasing chains T for the target
+    ``t`` (``model2._chain``), by linear programming over (T, raises, cuts)."""
+    from scipy.optimize import linprog
+
+    t = np.asarray(t, dtype=float)
+    m = t.size - 1
+    eye, zero = np.eye(m), np.zeros((m, m))
+    caps = np.diag(np.append(np.ones(m - 1), ALPHA_MIN / (1.0 - MAX_LAST_SURVIVAL)))
+    rows = np.block([[ALPHA_MIN * eye, -eye, zero],  # raise_k >= ALPHA_MIN T_k - t_k
+                     [-caps, zero, -eye],  # cut_k >= t_{k+1} - caps_k T_k
+                     [eye[1:] - eye[:-1], np.zeros((m - 1, 2 * m))]])  # T_{k+1} <= T_k
+    result = linprog(np.r_[np.zeros(m), np.ones(m), np.full(m, weight)], A_ub=rows,
+                     b_ub=np.r_[t[:-1], -t[1:], np.zeros(m - 1)],
+                     bounds=[(None, None)] * m + [(0.0, None)] * (2 * m), method="highs",
+                     options=TIGHT)
+    assert result.status == 0, result.message
+    return result.fun
 
 
 def _reference_curve(log_params, k, n):
@@ -506,25 +530,6 @@ def reachable_band(props):
     last_floor = (1 - Fraction(MAX_LAST_SURVIVAL)) * last
     lower = [max(Fraction(ALPHA_MIN) * v, last_floor) for v in largest_from]
     return lower, list(itertools.accumulate(head, min))
-
-
-def reference_paid_for(props, raised, later, bound):
-    """``model2._paid_for`` with its counts as first written: one Python
-    pass per raised group."""
-    head = props[:-1]
-    starts = np.flatnonzero(bound)
-    sizes = later[starts]
-    gains = np.array([np.count_nonzero(sizes[t:] == sizes[t]) for t in range(starts.size)])
-    payers = np.array([np.count_nonzero(head[j + 1:] == later[j]) for j in starts])
-    best = np.argmax(gains / payers)
-    first, size, slope = starts[best], sizes[best], gains[best] * ALPHA_MIN
-    heights = np.sort(head[first + 1:])[::-1]
-    levels = ((np.cumsum(heights) - (raised.sum() - props.sum()) + slope * size)
-              / (np.arange(1, heights.size + 1) + slope))
-    level = levels[np.argmax(levels >= np.append(heights[1:], 0.0))]
-    paid = props.copy()
-    paid[first + 1:-1] = np.minimum(head[first + 1:], max(level, 0.5 * size))
-    return paid
 
 
 def reference_solve_one(dist, p_n="mid", *, seed=None):

@@ -35,8 +35,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: Module file -> the functions whose operator sites are mutated.
 TARGETS = {
-    "model2.py": ("band", "feasibility", "_closed_form", "member", "solve",
-                  "_raised_to_floors", "_run_ends", "_paid_for", "nearest_reachable"),
+    "model2.py": ("band", "feasibility", "_closed_form", "member", "solve", "_moved", "_chain",
+                  "nearest_reachable"),
     "model1.py": ("solve",),
     "distributions.py": ("stationary_profiles", "stationarity_residual", "step_thresholds",
                          "rises", "classify"),
@@ -68,6 +68,13 @@ EQUIVALENT = {
         "where N_{n-1} == N_n the unmutated branch takes 0.0 and the mutant "
         "1 - N_{n-1} / N_n, which is 1 - 1 = 0.0 too: x / x is exactly 1 for "
         "every positive finite x, subnormals included.",
+    ("nearest_reachable", "(raised + weight * cut) / (1.0 + weight) >= bound * (1.0 - 1e-12)",
+     ">= -> >"):
+        "they differ only where the cost equals the stopping bound bit for bit; the mutant "
+        "then solves one more chain, and its mix is within the same tolerance.",
+    ("nearest_reachable", "raised >= cut", ">= -> >"):
+        "they differ only for a chain whose raise equals its cut bit for bit, which is "
+        "optimal; either side of the bracket may hold it, and the search ends as near.",
 }
 
 
