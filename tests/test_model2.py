@@ -630,6 +630,40 @@ class TestNearestReachable:
         assert_projects(normalize(values, default_labels(80)))
 
     @pytest.mark.parametrize("values", [
+        [1e-9, 1.0, 1e-9, 1.0, 1e-9, 1.0, 0.5, 0.5],
+        [7.593201980087514e-05, 0.3565084322904177, 0.20675465632527448,
+         0.3567890087029073, 0.07987197066159968],
+    ], ids=["repeated-heights", "near-tie"])
+    def test_equals_the_l1_projection_on_ties(self, values):
+        # Equal heights put equal raise and cut breakpoints on the heap at once;
+        # the second target's groups 2 and 4 differ by 8e-4 of either.
+        assert_projects(normalize(values, default_labels(len(values))))
+
+    @pytest.mark.parametrize("n, count", [(1_001, 9), (5_001, 12), (20_001, 14)])
+    def test_equals_the_l1_projection_on_steep_rises(self, monkeypatch, n, count):
+        # Every group but the last is raised. The LP is out of reach at these
+        # sizes, so the optimum is certified by duality instead: each solved
+        # weight w gives min_T (R + w C) / (1 + w) <= min_T max(R, C), a lower
+        # bound on half the least sum |y - t| (``TestChain`` checks each solve).
+        solves, chain = [], model2._chain
+
+        def spy(t, weight):
+            least = chain(t, weight)
+            _, rise, cut = model2._moved(t, least)
+            solves.append((rise + weight * cut) / (1.0 + weight))
+            return least
+
+        monkeypatch.setattr(model2, "_chain", spy)
+        dist = normalize(np.geomspace(1e-6, 1.0, n), default_labels(n))
+        reachable = model2.nearest_reachable(dist)
+        model2.solve(reachable)
+        mae = float(np.abs(reachable.proportions - dist.proportions).mean())
+        lower = float(np.ldexp(max(solves), -128)) * 2.0 / n  # the search runs times 2**128
+        assert mae >= lower * (1.0 - 1e-12)
+        assert mae == pytest.approx(lower, rel=1e-6, abs=8 * np.finfo(float).eps / n)
+        assert len(solves) == count  # as the README's steep-rise sentence states
+
+    @pytest.mark.parametrize("values", [
         [1.0, 1.5496e-319, 1.932550847085e-312, 9e-323],
         [1.0, 4.743e-321, 1.034504e-318, 1.93e-322, 3.44094717891891e-309],
     ], ids=["cone", "last-group"])
