@@ -301,8 +301,11 @@ def nearest_reachable(dist) -> AgeDistribution:
     of the best w, mixed so that raise equals cut, are within a relative
     1e-12 of it; where several targets are nearest, that mix is returned. It
     runs on the target times 2**128, exactly, so that subnormal groups keep
-    their digits. Last, the first n-1 groups are raised to ``band``'s lower
-    edge times 1 + 4 eps, plus 4 subnormal steps, and renormalized."""
+    their digits. Where no weight lies between the ends (every floor met, up
+    to rounding, or an end balanced bit for bit), it ends on the last mix, or
+    on ``dist`` before one. Last, the first n-1 groups are raised to
+    ``band``'s lower edge times 1 + 4 eps, plus 4 subnormal steps, and
+    renormalized."""
     dist = as_distribution(dist)
     t = np.ldexp(dist.proportions, 128)
     # Past these weights no least chain changes: it changes where i raise slopes
@@ -310,17 +313,18 @@ def nearest_reachable(dist) -> AgeDistribution:
     ends = (ALPHA_MIN * t.size, ALPHA_MIN / (t.size + ALPHA_MIN / (1.0 - MAX_LAST_SURVIVAL)))
     low, high = (_moved(t, _chain(t, weight)) for weight in ends)
     y = t
-    if low[1]:  # some floor is unmet
-        for _ in range(64):
-            (y_low, raise_low, cut_low), (y_high, raise_high, cut_high) = low, high
-            over, under = raise_low - cut_low, cut_high - raise_high
-            weight = (raise_low - raise_high) / (cut_high - cut_low)
-            bound = (raise_low * under + raise_high * over) / (over + under)  # the mix's cost / 2
-            _, raised, cut = side = _moved(t, _chain(t, weight))
-            if (raised + weight * cut) / (1.0 + weight) >= bound * (1.0 - 1e-12):
-                break
-            low, high = (side, high) if raised >= cut else (low, side)
+    for _ in range(64):
+        (y_low, raise_low, cut_low), (y_high, raise_high, cut_high) = low, high
+        over, under = raise_low - cut_low, cut_high - raise_high
+        if min(over, under, cut_high - cut_low) <= 0.0:  # no weight lies between the ends
+            break
         y = y_high + under / (over + under) * (y_low - y_high)
+        weight = (raise_low - raise_high) / (cut_high - cut_low)
+        bound = (raise_low * under + raise_high * over) / (over + under)  # y's cost / 2
+        _, raised, cut = side = _moved(t, _chain(t, weight))
+        if (raised + weight * cut) / (1.0 + weight) >= bound * (1.0 - 1e-12):
+            break
+        low, high = (side, high) if raised >= cut else (low, side)
     y = np.ldexp(y, -128)
     head = np.maximum(y[:-1], band(y)[0] * _FLOOR_MARGIN + _FLOOR_OFFSET)
     return normalize(np.append(head, y[-1]), dist.labels)

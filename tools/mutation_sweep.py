@@ -73,8 +73,9 @@ EQUIVALENT = {
         "they differ only where the cost equals the stopping bound bit for bit; the mutant "
         "then solves one more chain, and its mix is within the same tolerance.",
     ("nearest_reachable", "raised >= cut", ">= -> >"):
-        "they differ only for a chain whose raise equals its cut bit for bit, which is "
-        "optimal; either side of the bracket may hold it, and the search ends as near.",
+        "they differ only for a chain whose raise equals its cut bit for bit; either end "
+        "of the bracket then holds it, no weight lies between the ends, and the search "
+        "ends on the same mix.",
 }
 
 
