@@ -304,8 +304,8 @@ def nearest_reachable(dist) -> AgeDistribution:
     their digits. Where no weight lies between the ends (every floor met, up
     to rounding, or an end balanced bit for bit), it ends on the last mix, or
     on ``dist`` before one. Last, the first n-1 groups are raised to
-    ``band``'s lower edge times 1 + 4 eps, plus 4 subnormal steps, and
-    renormalized."""
+    ``band``'s lower edge times 1 + 4 eps, plus 4 subnormal steps, and the
+    point is divided by its sum, so that a cut pays for that raise too."""
     dist = as_distribution(dist)
     t = np.ldexp(dist.proportions, 128)
     # Past these weights no least chain changes: it changes where i raise slopes
@@ -326,8 +326,8 @@ def nearest_reachable(dist) -> AgeDistribution:
             break
         low, high = (side, high) if raised >= cut else (low, side)
     y = np.ldexp(y, -128)
-    head = np.maximum(y[:-1], band(y)[0] * _FLOOR_MARGIN + _FLOOR_OFFSET)
-    return normalize(np.append(head, y[-1]), dist.labels)
+    point = np.append(np.maximum(y[:-1], band(y)[0] * _FLOOR_MARGIN + _FLOOR_OFFSET), y[-1])
+    return normalize(point / point.sum(), dist.labels)
 
 
 #: ``distributions.stationary_distribution``; rates of 1 give the plain process.

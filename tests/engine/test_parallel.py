@@ -1,4 +1,5 @@
 import ast
+import os
 
 import numpy as np
 from hypothesis import given, settings
@@ -44,6 +45,14 @@ class TestPosition:
         assert (after["state"], after["has_uint32"]) == (drawn["state"], drawn["has_uint32"])
         assert np.array_equal(rng.integers(0, 2**16, size=3), reference.integers(0, 2**16, size=3))
         assert np.array_equal(rng.random(3), reference.random(3))
+
+
+def test_cpu_count_falls_back_where_there_is_no_affinity(monkeypatch):
+    # os.sched_getaffinity is Linux's; elsewhere the count is os.cpu_count()'s.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert parallel.cpu_count() == (os.cpu_count() or 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # which may not know
+    assert parallel.cpu_count() == 1
 
 
 def jump_ahead_sites(tree) -> list:

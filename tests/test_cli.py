@@ -6,6 +6,7 @@ import json
 import os
 import platform
 import re
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -41,20 +42,37 @@ def strict_load(path):
     return json.loads(path.read_text(), parse_constant=reject)
 
 
-@pytest.mark.parametrize("level, code", [("basic_format", 1), ("bogus", 1), ("ERROR", 0)])
-def test_agedist_log_takes_only_a_level(dataset, level, code):
+def test_agedist_log_takes_a_level_in_any_case(dataset):
     # A child process: basicConfig ignores a level once a handler (such as
-    # pytest's) is installed. logging.BASIC_FORMAT is a format string.
+    # pytest's) is installed.
     path = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, AGEDIST_LOG=level, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env = dict(os.environ, AGEDIST_LOG="ERROR", PYTHONPATH=os.pathsep.join(filter(None, path)))
     result = subprocess.run([sys.executable, "-m", "agedist.cli", "classify", "--input",
                              str(dataset)], env=env, capture_output=True, text=True)
-    assert (result.returncode, "Traceback" in result.stderr) == (code, False)
-    errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
-    assert errors == ([f"error: AGEDIST_LOG={level!r} is not debug, info, warning, error "
-                       "or critical"] if code else [])
-    if code == 0:
-        assert result.stdout.startswith("country,classification,eligible_route")
+    assert (result.returncode, "Traceback" in result.stderr, "error:" in result.stderr) == (
+        0, False, False)
+    assert result.stdout.startswith("country,classification,eligible_route")
+
+
+@pytest.mark.parametrize("level", ["basic_format", "bogus"])
+def test_agedist_log_takes_only_a_level(dataset, level, monkeypatch, capsys):
+    # In process: the refusal comes before basicConfig, so pytest's handler
+    # does not matter. logging.BASIC_FORMAT is a format string.
+    monkeypatch.setenv("AGEDIST_LOG", level)
+    assert main(["classify", "--input", str(dataset)]) == 1
+    assert capsys.readouterr() == ("", f"error: AGEDIST_LOG={level!r} is not debug, info, "
+                                       "warning, error or critical\n")
+
+
+@pytest.mark.filterwarnings("ignore:'agedist.cli' found in sys.modules:RuntimeWarning")
+def test_running_the_module_exits_with_mains_status(dataset, monkeypatch, capsys):
+    # python -m agedist.cli, in process; runpy warns that the tests have
+    # imported the module already.
+    monkeypatch.setattr(sys, "argv", ["agedist.cli", "classify", "--input", str(dataset)])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("agedist.cli", run_name="__main__")
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith("country,classification,eligible_route")
 
 
 def test_the_command_line_imports_no_optional_module():

@@ -5,12 +5,13 @@ Runs tier-1 in this process under a ``sys.settrace`` / ``threading.settrace``
 line tracer that follows the frames of ``src/agedist`` alone, then prints
 every executable line of those modules that never ran, with its function.
 ``test_bench.py`` and ``test_demos.py`` are left out: they run the program
-in subprocesses, which the tracer cannot follow. Exits 1 when tier-1 fails,
-when an unrun line is not in ``ALLOWED``, or when an ``ALLOWED`` line now
-runs or is gone. Uses the standard library only (and pytest, to run the
-tests).
+in subprocesses, which the tracer cannot follow. Exits 1 when tier-1 fails
+or when any line never ran: there is no allowlist, so a line that only a
+subprocess or another platform reaches needs an in-process test that
+reaches it (``monkeypatch``, ``runpy``). Uses the standard library only
+(and pytest, to run the tests).
 
-    python tools/line_coverage.py    # about 140 s on 2 CPUs
+    python tools/line_coverage.py    # about 140-190 s on 2 CPUs
 """
 
 from __future__ import annotations
@@ -25,22 +26,6 @@ PACKAGE = ROOT / "src" / "agedist"
 
 #: Tests that run the program in subprocesses only.
 LEFT_OUT = ("tests/test_bench.py", "tests/test_demos.py")
-
-#: (module, function) -> (the stripped source of each line that may stay
-#: unrun there, why no in-process test runs it).
-ALLOWED = {
-    ("parallel.py", "cpu_count"): (
-        ("except AttributeError:", "return os.cpu_count() or 1"),
-        "the fallback for hosts without os.sched_getaffinity, which Linux has"),
-    ("cli.py", "<module>"): (
-        ("sys.exit(main())",),
-        "the __main__ guard runs under python -m agedist.cli, in a subprocess"),
-    ("cli.py", "_configure_logging"): (
-        ('raise AgedistError(f"AGEDIST_LOG={name!r} is not debug, info, warning, error '
-         'or critical")',),
-        "basicConfig ignores a level once pytest's handler is in, so only the "
-        "subprocess test in tests/test_cli.py sets AGEDIST_LOG"),
-}
 
 
 def code_lines(code) -> dict:
@@ -108,29 +93,17 @@ def main() -> int:
         print(f"traced {PACKAGE}, but agedist was imported from {agedist.__file__}")
         return 1
 
-    unrun = {}
+    unrun = []
     for (filename, _, function), left in tracer.left.items():
         path = Path(filename)
         lines = path.read_text(encoding="utf-8").splitlines()
-        for number in left:
-            unrun[(path.name, number)] = (function, lines[number - 1].strip())
+        unrun += [(path.name, number, function, lines[number - 1].strip()) for number in left]
     print(f"\n{len(unrun)} lines of src/agedist never ran:")
-    unexpected, matched = 0, set()
-    for (module, number), (function, text) in sorted(unrun.items()):
-        texts, reason = ALLOWED.get((module, function), ((), ""))
+    for module, number, function, text in sorted(unrun):
         print(f"  src/agedist/{module}:{number} in {function}: {text}")
-        if text in texts:
-            matched.add((module, function, text))
-            print(f"    allowed: {reason}")
-        else:
-            unexpected += 1
-    stale = [(module, function, text) for (module, function), (texts, _) in ALLOWED.items()
-             for text in texts if (module, function, text) not in matched]
-    for module, function, text in stale:
-        print(f"  allowed but ran or gone: src/agedist/{module} in {function}: {text}")
     if status != 0:
         print(f"tier-1 failed (pytest exit {int(status)})")
-    return int(status != 0 or unexpected > 0 or bool(stale))
+    return int(status != 0 or bool(unrun))
 
 
 if __name__ == "__main__":

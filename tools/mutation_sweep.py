@@ -5,15 +5,20 @@ refusals.
 Swaps one operator at a time (``<``/``<=``, ``>``/``>=``, ``+``/``-``,
 ``*``/``/``, augmented assignments too) at every site of the functions in
 ``TARGETS``; in the modules of ``REFUSALS`` it also turns each ``raise``
-into ``pass`` and negates the test of each ``if`` whose body raises. It
-writes each mutant into a scratch copy of the tree and runs its module's
-``TESTS`` there with ``-x``. A mutant is killed when a test fails (or the
-run times out). Prints one line per mutant and the kill count; exits 1 if
-a mutant survives that ``EQUIVALENT`` does not argue, and 2 before any
-test if a ``TARGETS`` function or an ``EQUIVALENT`` site no longer exists.
-Uses the standard library only.
+into ``pass`` and negates the test of each ``if`` whose body raises. Each
+change is made on the module's syntax tree, which ``ast.unparse`` writes
+out; a site is shown, and keyed in ``EQUIVALENT``, by the unparsed text of
+its node, so line wrapping and quoting cannot break a key. In a scratch
+copy of the tree whose swept modules are unparsed too, each module's
+``TESTS`` run once unmutated, then with ``-x`` for each of its mutants,
+which thus differ from that baseline by one change. A mutant is killed
+when a test fails (or the run times out). Prints one line per mutant and
+the kill count; exits 1 if a mutant survives that ``EQUIVALENT`` does not
+argue, and 2 before any mutant if the baseline fails, or if a ``TARGETS``
+function or an ``EQUIVALENT`` site no longer exists. Uses the standard
+library only.
 
-    python tools/mutation_sweep.py           # about 25 minutes on 2 CPUs
+    python tools/mutation_sweep.py           # about 30 minutes on 2 CPUs
     python tools/mutation_sweep.py --list    # the sites alone, no tests
 """
 
@@ -22,7 +27,6 @@ from __future__ import annotations
 import argparse
 import ast
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -54,9 +58,10 @@ REFUSALS = ("dataio.py",)
 TESTS = {"model2.py": _LAW_TESTS, "model1.py": _LAW_TESTS, "distributions.py": _LAW_TESTS,
          "dataio.py": ("tests/test_dataio.py", "tests/test_cli.py")}
 
-#: Operator -> (its token, the token it is swapped for).
-SWAPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">"),
-         ast.Add: ("+", "-"), ast.Sub: ("-", "+"), ast.Mult: ("*", "/"), ast.Div: ("/", "*")}
+#: Operator -> (its token, the operator it is swapped for).
+SWAPS = {ast.Lt: ("<", ast.LtE), ast.LtE: ("<=", ast.Lt), ast.Gt: (">", ast.GtE),
+         ast.GtE: (">=", ast.Gt), ast.Add: ("+", ast.Sub), ast.Sub: ("-", ast.Add),
+         ast.Mult: ("*", ast.Div), ast.Div: ("/", ast.Mult)}
 
 #: Seconds a mutant's test run may take; a run that hangs counts as killed.
 TIMEOUT = 900.0
@@ -84,84 +89,42 @@ class Site:
     module: str
     function: str
     line: int
-    expression: str
+    expression: str  #: ``ast.unparse`` of the changed node (of an ``if``, its test)
     change: str  #: such as "< -> <=" or "raise -> pass"
-    start: int  #: offsets of the replaced text in the module's source
-    end: int
-    replacement: str
+    index: int  #: the node's place in ``ast.walk`` of the function
+    slot: int  #: the operator's place in a comparison, else 0
 
     @property
     def key(self) -> tuple:
         return (self.function, self.expression, self.change)
 
     def describe(self) -> str:
-        return (f"{self.module}:{self.line} {self.function}: {' '.join(self.expression.split())}"
-                f"  [{self.change}]")
+        return f"{self.module}:{self.line} {self.function}: {self.expression}  [{self.change}]"
 
 
-def _offset(lines: list, line: int, col: int) -> int:
-    """Character offset of an ast position (its column counts UTF-8 bytes)."""
-    return sum(map(len, lines[: line - 1])) + len(lines[line - 1].encode()[:col].decode())
-
-
-def _operator_between(source: str, lines: list, before: ast.AST, after: ast.AST,
-                      token: str) -> int:
-    """Offset of ``token`` between two operand nodes, which hold only it,
-    brackets, white space and comments."""
-    start = _offset(lines, before.end_lineno, before.end_col_offset)
-    end = _offset(lines, after.lineno, after.col_offset)
-    gap = re.sub(r"#[^\n]*", lambda comment: " " * len(comment.group()), source[start:end])
-    return start + gap.index(token)
-
-
-def _refusals(module: str, function: str, source: str, lines: list, node: ast.AST) -> list:
-    """Each ``raise`` made ``pass``, and the test of each ``if`` whose body
-    raises negated."""
-    found = []
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Raise):
-            replaced, change, replacement = sub, "raise -> pass", "pass"
-        elif isinstance(sub, ast.If) and any(
-                isinstance(inner, ast.Raise) for body in sub.body for inner in ast.walk(body)):
-            test = ast.get_source_segment(source, sub.test)
-            replaced, change, replacement = sub.test, "if -> if not", f"not ({test})"
-        else:
-            continue
-        found.append(Site(module, function, replaced.lineno,
-                          ast.get_source_segment(source, replaced), change,
-                          _offset(lines, replaced.lineno, replaced.col_offset),
-                          _offset(lines, replaced.end_lineno, replaced.end_col_offset),
-                          replacement))
-    return found
+def _functions(tree: ast.Module, module: str) -> dict:
+    """Name -> definition of each ``TARGETS[module]`` function in ``tree``."""
+    return {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name in TARGETS[module]}
 
 
 def sites(module: str, source: str) -> list:
-    """Every mutant site in ``TARGETS[module]``'s functions."""
-    tree = ast.parse(source)
-    lines = source.splitlines(keepends=True)
+    """Every mutant site in ``TARGETS[module]``'s functions, in line order."""
     found = []
-    for node in tree.body:
-        if not isinstance(node, ast.FunctionDef) or node.name not in TARGETS[module]:
-            continue
-        if module in REFUSALS:
-            found += _refusals(module, node.name, source, lines, node)
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Compare):
-                pairs = zip(sub.ops, [sub.left, *sub.comparators], sub.comparators)
-            elif isinstance(sub, ast.BinOp):
-                pairs = [(sub.op, sub.left, sub.right)]
-            elif isinstance(sub, ast.AugAssign):
-                pairs = [(sub.op, sub.target, sub.value)]
-            else:
-                continue
-            for op, before, after in pairs:
-                if type(op) not in SWAPS:
-                    continue
-                token, swapped = SWAPS[type(op)]
-                start = _operator_between(source, lines, before, after, token)
-                found.append(Site(module, node.name, sub.lineno, ast.get_source_segment(source, sub),
-                                  f"{token} -> {swapped}", start, start + len(token), swapped))
-    return sorted(found, key=lambda site: site.start)
+    for function in _functions(ast.parse(source), module).values():
+        for index, node in enumerate(ast.walk(function)):
+            ops = (node.ops if isinstance(node, ast.Compare)
+                   else [node.op] if isinstance(node, (ast.BinOp, ast.AugAssign)) else [])
+            changes = [(slot, node, f"{SWAPS[type(op)][0]} -> {SWAPS[SWAPS[type(op)][1]][0]}")
+                       for slot, op in enumerate(ops) if type(op) in SWAPS]
+            if module in REFUSALS and isinstance(node, ast.Raise):
+                changes.append((0, node, "raise -> pass"))
+            elif module in REFUSALS and isinstance(node, ast.If) and any(
+                    isinstance(inner, ast.Raise) for body in node.body for inner in ast.walk(body)):
+                changes.append((0, node.test, "if -> if not"))
+            found += [Site(module, function.name, shown.lineno, ast.unparse(shown), change,
+                           index, slot) for slot, shown, change in changes]
+    return sorted(found, key=lambda site: (site.line, site.index, site.slot))
 
 
 def stale(sources: dict, every: list) -> list:
@@ -169,8 +132,7 @@ def stale(sources: dict, every: list) -> list:
     defines and each ``EQUIVALENT`` key that no site has."""
     problems = []
     for module, source in sources.items():
-        defined = {node.name for node in ast.parse(source).body
-                   if isinstance(node, ast.FunctionDef)}
+        defined = _functions(ast.parse(source), module)
         problems += [f"{module} defines no function {name!r} to mutate"
                      for name in TARGETS[module] if name not in defined]
     keys = {site.key for site in every}
@@ -178,7 +140,22 @@ def stale(sources: dict, every: list) -> list:
 
 
 def mutate(source: str, site: Site) -> str:
-    return source[: site.start] + site.replacement + source[site.end:]
+    """``source`` as ``ast.unparse`` writes it, with the one change ``site`` names."""
+    tree = ast.parse(source)
+    function = _functions(tree, site.module)[site.function]
+    node = list(ast.walk(function))[site.index]
+    if isinstance(node, ast.Compare):
+        node.ops[site.slot] = SWAPS[type(node.ops[site.slot])][1]()
+    elif isinstance(node, (ast.BinOp, ast.AugAssign)):
+        node.op = SWAPS[type(node.op)][1]()
+    elif isinstance(node, ast.If):
+        node.test = ast.UnaryOp(ast.Not(), node.test)
+    else:  # a raise: the statement list that holds it holds a pass instead
+        for parent in ast.walk(function):
+            for _, block in ast.iter_fields(parent):
+                if isinstance(block, list) and node in block:
+                    block[block.index(node)] = ast.Pass()
+    return ast.unparse(tree)
 
 
 def run_tests(tree: Path, tests: tuple) -> tuple:
@@ -217,6 +194,11 @@ def main() -> int:
         tree = Path(scratch) / "tree"
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".hypothesis", ".pytest_cache", "out"))
+        # Every run, the baseline's too, reads the modules as ast.unparse writes
+        # them, so that a mutant differs from the baseline by its one change.
+        unparsed = {module: ast.unparse(ast.parse(source)) for module, source in sources.items()}
+        for module, text in unparsed.items():
+            (tree / "src" / "agedist" / module).write_text(text, encoding="utf-8")
         for tests in set(TESTS.values()):
             failed, reason = run_tests(tree, tests)
             if failed:
@@ -230,7 +212,7 @@ def main() -> int:
             try:
                 failed, reason = run_tests(tree, TESTS[site.module])
             finally:
-                path.write_text(sources[site.module], encoding="utf-8")
+                path.write_text(unparsed[site.module], encoding="utf-8")
             seconds = time.perf_counter() - began
             if failed:
                 killed += 1
