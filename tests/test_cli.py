@@ -224,6 +224,39 @@ class TestRouteAgreement:
             "Steep": "nearest_reachable", "Newtown": "nearest_reachable"}
 
 
+def test_every_written_parameter_file_emits_again_to_its_bytes(route_dataset, tmp_path):
+    # Each kind of parameter file that the command line writes loads, and
+    # emitted again with its target and config gives the same bytes.
+    data = str(route_dataset)
+    solve = ["solve", "--input", data, "--country"]
+    commands = {
+        "mid": [*solve, "Hump"],
+        "rand": [*solve, "Hump", "--pn", "rand", "--seed", "3"],
+        "zero": [*solve, "Hump", "--pn", "-0.0"],
+        "newtown": [*solve, "Newtown"],
+        "fit": ["fit-curve", "--input", data, "--country", "Hump",
+                "--fit-report", str(tmp_path / "per_k.csv")],
+    }
+    for name, argv in commands.items():
+        assert main([*argv, "--out", str(tmp_path / f"{name}.json")]) == 0
+    out_dir = tmp_path / "out"
+    assert main(["pipeline", "--input", data, "--out-dir", str(out_dir),
+                 "--agents", "200", "--steps", "20"]) == 0
+    written = [tmp_path / f"{name}.json" for name in commands]
+    # One pipeline file per route: Pyramid's model1, Hump's model2, and
+    # Newtown's and Steep's nearest_reachable.
+    written += sorted((out_dir / "params").glob("*.json"))
+    kinds = []
+    for path in written:
+        document = load_params_document(path)
+        kinds.append(document.params.kind.value)
+        again = tmp_path / "again.json"
+        dataio.emit_params(document.params, again, target=document.target,
+                           config=document.config)
+        assert again.read_bytes() == path.read_bytes(), path.name
+    assert kinds == ["model2"] * 4 + ["model1_on_fitted", "model2", "model2", "model1", "model2"]
+
+
 #: A model-2 target, a nearest-reachable one and a pyramid whose last group
 #: outgrows the one before it.
 PN_COUNTRIES = [("Hump", [100, 300, 200, 50]), ("Newtown", [0.3, 500, 1200, 900]),
@@ -497,6 +530,11 @@ class TestFitCurve:
         lines = report.read_text().splitlines()
         assert lines[0] == "k,sse,wasserstein"
         assert len(lines) == 4  # one row per breakpoint, n = 3
+        # simulate steps the file from its target, the fitted surrogate.
+        assert main(["simulate", "--params", str(out_file), "--agents", "200",
+                     "--steps", "20", "--out", str(tmp_path / "result.json")]) == 0
+        result = strict_load(tmp_path / "result.json")
+        assert result["labels"] == ["0-4", "5-9", "10-14"]
 
 
 class TestSimulate:
@@ -596,8 +634,12 @@ class TestSimulate:
         ("Pyramid", {"survival": [1e-300] * 4, "free_param": 1e-300, "labels": None,
                      "target": None},
          "group 'g3' (index 2) underflows to 0 in the stationary profile"),
+        # A file tells a plain set from an activated one by this field alone.
+        ("Pyramid", {"activation": [1.0] * 4}, "kind 'model1' takes no 'activation' list"),
+        ("Hump", {"activation": None}, "kind 'model2' needs an 'activation' list"),
     ], ids=["activation-below-floor", "last-survival-one", "interior-zero-survival",
-            "underflow-with-target", "underflow-without-target"])
+            "underflow-with-target", "underflow-without-target", "model1-given-activation",
+            "model2-given-null-activation"])
     def test_rates_that_are_refused_are_an_error_naming_the_file(self, dataset, tmp_path,
                                                                  capsys, country, edit, message):
         params_file = tmp_path / "hostile.json"

@@ -645,8 +645,12 @@ class TestModelParams:
         # A copy is rebuilt through the constructors, so it is frozen all the
         # way down: no worker can write a survival of 1 into its copy.
         values = (solution.analytic, params.survival, params.activation, params, solution)
+        # A run's measured arrays are writable by design: it copies equal.
+        result = simulator.run(solution.analytic, params,
+                               dataclasses.replace(config, record_trajectory=True))
         for copier in (lambda value: pickle.loads(pickle.dumps(value)), copy.copy,
                        copy.deepcopy):
+            assert copier(result) == result
             for value in values:
                 copied = copier(value)
                 assert copied == value
